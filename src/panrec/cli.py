@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -12,7 +11,6 @@ import click
 import numpy as np
 
 from . import containers as C
-from .geometry import AxisGrid, FrustumGrid, resample_volume
 from .lifting import (
     CategorySortedAssignment,
     FeatureVolume,
@@ -32,19 +30,15 @@ from .mesh import export_obj
 from .metrics import prq
 from .pipeline import reconstruct_from_priors
 from .priors import Priors2D, SceneGT, derive_instance_map2d, derive_priors
-from .reconstruction import group_instances, identity_refine, mask_by_occupancy, reconstruct
+from .reconstruction import identity_refine, reconstruct
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
-from .volume import PanopticVolume
 
 
 @click.group()
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any value.")
-@click.pass_context
-def main(ctx, threads):
+def main(threads):
     """Deterministic bottom-up panoptic 3D reconstruction toolkit."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 def _fail(message: str):
@@ -120,13 +114,6 @@ def _load_priors(priors_dir: Path):
     return priors, manifest, meta.frame, meta.intrinsics, meta.planes
 
 
-def _noise_from_flags(depth_sigma, semantic_flip, occupancy_flip, center_jitter):
-    return NoiseSpec(
-        depth_sigma=depth_sigma, semantic_flip=semantic_flip,
-        occupancy_flip=occupancy_flip, center_jitter=center_jitter,
-    )
-
-
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
@@ -166,7 +153,8 @@ def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
     """Derive GT priors (optionally perturbed) from a scene directory."""
     scene = _load_scene(scene_dir)
     priors = derive_priors(scene, sigma=sigma)
-    noise = _noise_from_flags(depth_sigma, semantic_flip, occupancy_flip, center_jitter)
+    noise = NoiseSpec(depth_sigma=depth_sigma, semantic_flip=semantic_flip,
+                      occupancy_flip=occupancy_flip, center_jitter=center_jitter)
     if noise != NoiseSpec():
         priors = perturb_priors(priors, noise, noise_seed, scene.planes, heatmap_sigma=sigma)
     _write_priors(priors, scene, out_dir)
@@ -327,29 +315,29 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
 @click.option("--sizes", default="32,64", show_default=True)
 @click.option("--reps", type=int, default=3, show_default=True)
 def bench(sizes, reps):
-    """Median wall time of the main kernels at the given cube sizes."""
-    from .metrics import prq as run_prq
-
+    """Median wall time of the main kernels at the given cube sizes.
+    `reconstruct_from_priors` does not call `occupancy_aware_lift`."""
     click.echo(f"{'op':>24} {'size':>6} {'median_s':>10}")
     for size in (int(s) for s in sizes.split(",")):
         cfg = SynthConfig(seed=1, width=size, height=size, planes=size,
                           n_things=min(4, max(1, size // 16)))
         scene = generate_scene(cfg)
         priors = derive_priors(scene)
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
-                                 priors.depth, scene.frame, scene.intrinsics,
-                                 scene.planes)
-            times.append(time.perf_counter() - t0)
-        click.echo(f"{'occupancy_aware_lift':>24} {size:>6} {statistics.median(times):10.4f}")
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            run_prq(scene.volume, scene.volume)
-            times.append(time.perf_counter() - t0)
-        click.echo(f"{'prq':>24} {size:>6} {statistics.median(times):10.4f}")
+        args = (scene.frame, scene.intrinsics, scene.planes)
+        kernels = {
+            "occupancy_aware_lift": lambda: occupancy_aware_lift(
+                priors.semantics, priors.mp_occupancy, priors.depth, *args),
+            "reconstruct_from_priors": lambda: reconstruct_from_priors(
+                priors, *args, scene.categories),
+            "prq": lambda: prq(scene.volume, scene.volume),
+        }
+        for name, kernel in kernels.items():
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                kernel()
+                times.append(time.perf_counter() - t0)
+            click.echo(f"{name:>24} {size:>6} {statistics.median(times):10.4f}")
 
 
 @main.command()

@@ -86,6 +86,9 @@ class AxisGrid:
     origin: tuple
 
     def __post_init__(self):
+        # Tuples of Python numbers, so that equal frames compare and hash equal.
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise GeometryError("axis dims must be three values >= 1")
         if self.voxel_size <= 0:
@@ -93,7 +96,7 @@ class AxisGrid:
 
     @property
     def shape(self):
-        return tuple(int(d) for d in self.dims)
+        return self.dims
 
 
 def backproject(u, v, z, intrinsics: CameraIntrinsics):
@@ -134,21 +137,17 @@ def round_half_up(x):
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
-def cell_centers(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> np.ndarray:
-    """Camera-space center points of every cell, shaped frame.shape + (3,)."""
+def cell_centers(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes,
+                 cells=None) -> np.ndarray:
+    """Camera-space center points of every cell, shaped frame.shape + (3,), or
+    of the flat cell indices `cells` only, shaped (N, 3)."""
+    if not isinstance(frame, (FrustumGrid, AxisGrid)):
+        raise GeometryError(f"unknown grid frame {frame!r}")
+    a, b, c = np.indices(frame.shape) if cells is None else np.unravel_index(cells, frame.shape)
     if isinstance(frame, FrustumGrid):
-        v, u, m = np.meshgrid(
-            np.arange(frame.height),
-            np.arange(frame.width),
-            np.arange(frame.planes),
-            indexing="ij",
-        )
-        return backproject(u, v, planes.center(m), intrinsics)
-    if isinstance(frame, AxisGrid):
-        ix, iy, iz = np.meshgrid(*(np.arange(d) for d in frame.shape), indexing="ij")
-        idx = np.stack([ix, iy, iz], axis=-1).astype(np.float64)
-        return np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
-    raise GeometryError(f"unknown grid frame {frame!r}")
+        return backproject(b, a, planes.center(c), intrinsics)
+    idx = np.stack([a, b, c], axis=-1).astype(np.float64)
+    return np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
 
 
 def locate_points(points, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):

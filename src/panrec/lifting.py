@@ -15,7 +15,6 @@ from .geometry import (
     OUT_OF_RANGE,
     cell_centers,
     plane_index,
-    project,
     round_half_up,
 )
 
@@ -26,7 +25,7 @@ class LiftingError(ValueError):
 
 @dataclass
 class FeatureVolume:
-    """Per-cell feature vector (last axis = channels) plus scalar occupancy."""
+    """Per-cell features (last axis = channels, or a `feature_rows` function) and occupancy."""
 
     frame: object
     features: np.ndarray
@@ -51,9 +50,10 @@ def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     return (d[..., None] > 0) & (z[None, None, :] >= d[..., None])
 
 
-def _axis_sampling(frame: AxisGrid, intrinsics, planes):
-    """Project axis cell centers to image space: (vi, ui, z, in-image mask)."""
-    centers = cell_centers(frame, intrinsics, planes)
+def _axis_sampling(frame: AxisGrid, intrinsics, planes, cells=None):
+    """Project axis cell centers (of every cell, or of the flat indices `cells`)
+    to image space: (vi, ui, z, in-image mask)."""
+    centers = cell_centers(frame, intrinsics, planes, cells)
     z = centers[..., 2]
     front = z > 0
     zsafe = np.where(front, z, 1.0)
@@ -71,6 +71,16 @@ def _axis_sampling(frame: AxisGrid, intrinsics, planes):
     return vi, ui, z, valid
 
 
+def _checked_semantics(semantics2d, depth, intrinsics: CameraIntrinsics):
+    semantics2d = np.asarray(semantics2d, dtype=np.float64)
+    depth = np.asarray(depth, dtype=np.float64)
+    if semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
+        raise LiftingError("semantic map does not match the camera image size")
+    if depth.shape != semantics2d.shape[:2]:
+        raise LiftingError("depth map does not match the semantic map")
+    return semantics2d, depth
+
+
 def lift_semantics(
     semantics2d: np.ndarray,
     depth: np.ndarray,
@@ -80,12 +90,7 @@ def lift_semantics(
 ) -> np.ndarray:
     """Propagate per-pixel category scores to all cells at or behind the depth
     surface; cells in free space (or on rays with no surface) are exactly zero."""
-    semantics2d = np.asarray(semantics2d, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
-    if semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
-        raise LiftingError("semantic map does not match the camera image size")
-    if depth.shape != semantics2d.shape[:2]:
-        raise LiftingError("depth map does not match the semantic map")
+    semantics2d, depth = _checked_semantics(semantics2d, depth, intrinsics)
     if isinstance(frame, FrustumGrid):
         mask = _frustum_fill_mask(depth, planes)
         return semantics2d[:, :, None, :] * mask[..., None]
@@ -115,7 +120,6 @@ def lift_occupancy(
     if isinstance(frame, AxisGrid):
         vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
         m = plane_index(np.where(z > 0, z, planes.z_near), planes)
-        m = np.asarray(m)
         keep = valid & (m != OUT_OF_RANGE)
         d = depth[vi, ui]
         keep = keep & (d > 0) & (z >= d)
@@ -147,6 +151,27 @@ def occupancy_aware_lift(
     if sem.shape[:-1] != occ.shape:
         raise LiftingError("transform changed the volume shape")
     return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)
+
+
+def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrinsics,
+                 planes: DepthPlanes):
+    """`occupancy_aware_lift(...).features` as a function from flat cell indices
+    to their (N, C) rows: semantics2d at the cell's pixel times `occupancy`,
+    the lifted occupancy. Rows are exact wherever that occupancy is positive,
+    since lifting zeroes occupancy everywhere it zeroes semantics."""
+    semantics2d, _depth = _checked_semantics(semantics2d, depth, intrinsics)
+    pixels = semantics2d.reshape(-1, semantics2d.shape[-1])
+    occ = np.asarray(occupancy, dtype=np.float64).reshape(-1)
+
+    def rows(cells):
+        if isinstance(frame, FrustumGrid):
+            pixel = cells // planes.count
+        else:
+            v, u, _z, _valid = _axis_sampling(frame, intrinsics, planes, cells)
+            pixel = v * intrinsics.width + u
+        return np.take(pixels, pixel, axis=0) * occ[cells, None]
+
+    return rows
 
 
 def lift_instances_topdown(
@@ -181,13 +206,12 @@ def lift_instances_topdown(
     if isinstance(assignment, RandomAssignment):
         order = list(ids)
         np.random.Generator(np.random.PCG64(assignment.seed)).shuffle(order)
-    elif isinstance(assignment, CategorySortedAssignment) or assignment is CategorySortedAssignment:
+    elif isinstance(assignment, CategorySortedAssignment):
         order = sorted(ids, key=lambda i: (instance_categories[i], i))
     else:
         raise LiftingError(f"unknown assignment strategy {assignment!r}")
     features = np.zeros(frame.shape + (n_channels,), dtype=np.float64)
     surface = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
-    surface = np.asarray(surface)
     occupancy = np.zeros(frame.shape, dtype=np.float64)
     for channel, inst_id in enumerate(order):
         vs, us = np.nonzero((instance_map == inst_id) & (depth > 0) & (surface != OUT_OF_RANGE))

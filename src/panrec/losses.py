@@ -2,7 +2,7 @@
 truncated signed distance transform used by the 3D geometry term."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage

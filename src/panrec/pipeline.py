@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, OUT_OF_RANGE, plane_index
-from .lifting import lift_occupancy, occupancy_aware_lift
+from .geometry import CameraIntrinsics, DepthPlanes, OUT_OF_RANGE, plane_index
+from .lifting import FeatureVolume, feature_rows, lift_occupancy
 from .priors import Priors2D
 from .reconstruction import identity_refine, reconstruct
 from .volume import CategoryTable, PanopticVolume
@@ -17,7 +17,6 @@ def surface_only_occupancy(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray
     h, w = depth.shape
     occ = np.zeros((h, w, planes.count), dtype=np.float64)
     m = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
-    m = np.asarray(m)
     vs, us = np.nonzero((depth > 0) & (m != OUT_OF_RANGE))
     occ[vs, us, m[vs, us]] = 1.0
     return occ
@@ -37,12 +36,14 @@ def reconstruct_from_priors(
     `surface_only` replaces the multi-plane occupancy with a surface-plane-only
     variant (the depth-only lifting baseline). Offsets must be present in the
     bundle; they stand in for the refinement stage's offset prediction.
+    Label-first: scores are formed at occupied cells only, with the same
+    result as `reconstruct` on `occupancy_aware_lift`.
     """
     if priors.offsets3d is None:
         raise ValueError("prior bundle carries no 3D offsets")
     mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
-    lifted = occupancy_aware_lift(
-        priors.semantics, mp, priors.depth, frame, intrinsics, planes
-    )
-    refined = identity_refine(lifted, priors.offsets3d, lifted.occupancy)
+    occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
+    rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
+    lifted = FeatureVolume(frame=frame, features=rows, occupancy=occ)
+    refined = identity_refine(lifted, priors.offsets3d, occ)
     return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)

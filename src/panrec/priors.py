@@ -2,7 +2,7 @@
 ground-truth derivation from a labeled frustum scene, plus 3D offset targets."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,27 +58,27 @@ def _require_frustum(scene: SceneGT):
         raise PriorsError("scene must be in a frustum-aligned frame (resample first)")
 
 
-def derive_depth(scene: SceneGT) -> np.ndarray:
-    """Per pixel, the plane-center depth of the first occupied cell along the ray."""
+def _front_cells(scene: SceneGT):
+    """Per pixel: the first occupied plane along the ray, whether the ray has
+    one, and the (v, u) index grids."""
     _require_frustum(scene)
     occ = scene.volume.occupancy
-    m_first = np.argmax(occ, axis=2)
-    hit = occ.any(axis=2)
-    depth = np.where(hit, scene.planes.center(m_first), 0.0)
-    return depth
+    vv, uu = np.meshgrid(np.arange(occ.shape[0]), np.arange(occ.shape[1]), indexing="ij")
+    return np.argmax(occ, axis=2), occ.any(axis=2), vv, uu
+
+
+def derive_depth(scene: SceneGT) -> np.ndarray:
+    """Per pixel, the plane-center depth of the first occupied cell along the ray."""
+    m_first, hit, _vv, _uu = _front_cells(scene)
+    return np.where(hit, scene.planes.center(m_first), 0.0)
 
 
 def derive_semantics2d(scene: SceneGT) -> np.ndarray:
     """One-hot (H, W, C) category map of the front-most occupied cell per ray."""
-    _require_frustum(scene)
-    occ = scene.volume.occupancy
-    m_first = np.argmax(occ, axis=2)
-    hit = occ.any(axis=2)
-    h, w, _ = occ.shape
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    m_first, hit, vv, uu = _front_cells(scene)
     cat = np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
     num_c = scene.categories.num_categories
-    one_hot = np.zeros((h, w, num_c), dtype=np.float64)
+    one_hot = np.zeros(hit.shape + (num_c,), dtype=np.float64)
     one_hot[vv, uu, cat] = 1.0
     return one_hot
 
@@ -108,8 +108,6 @@ def encode_center_heatmap(centers, height: int, width: int, sigma: float = 8.0) 
     if sigma <= 0:
         raise PriorsError("sigma must be positive")
     heatmap = np.zeros((height, width), dtype=np.float64)
-    if not centers:
-        return heatmap
     vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     for c in centers:
         d2 = (uu - c.u) ** 2 + (vv - c.v) ** 2
@@ -197,12 +195,7 @@ def derive_instance_map2d(scene: SceneGT):
 
     Input surface for the top-down lifting baseline; not one of the four priors.
     """
-    _require_frustum(scene)
-    occ = scene.volume.occupancy
-    m_first = np.argmax(occ, axis=2)
-    hit = occ.any(axis=2)
-    h, w, _ = occ.shape
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    m_first, hit, vv, uu = _front_cells(scene)
     inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0)
     thing = np.asarray(scene.categories.is_thing)[
         np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)

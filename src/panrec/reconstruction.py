@@ -13,7 +13,7 @@ from .geometry import (
     DepthPlanes,
     FrustumGrid,
     cell_centers,
-    locate_points,
+    resample_volume,
 )
 from .lifting import FeatureVolume
 from .volume import VOID, CategoryTable, PanopticVolume
@@ -25,10 +25,14 @@ class ReconstructionError(ValueError):
 
 @dataclass
 class Refined3D:
-    """Per-cell semantic scores, pixel offsets, and occupancy over one frame."""
+    """Per-cell semantic scores, pixel offsets, and occupancy over one frame.
+
+    `semantics` is the dense (..., C) score volume, or a function from flat
+    cell indices to their (N, C) score rows (`lifting.feature_rows`).
+    """
 
     frame: object
-    semantics: np.ndarray   # (..., C)
+    semantics: object       # (..., C) array, or cells -> (N, C) rows
     offsets: np.ndarray     # (..., 2) as (du, dv)
     occupancy: np.ndarray   # (...) in [0, 1]
 
@@ -37,74 +41,74 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
     """Pack lifted semantics with externally provided offsets and occupancy.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
-    unchanged.
+    unchanged. `lifted.features` may be dense or a row function.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     occupancy = np.asarray(occupancy, dtype=np.float64)
-    shape = lifted.features.shape[:-1]
+    features = lifted.features
+    shape = np.shape(lifted.occupancy) if callable(features) else features.shape[:-1]
     if offsets.shape != shape + (2,):
         raise ReconstructionError(f"offsets shape {offsets.shape} != {shape + (2,)}")
     if occupancy.shape != shape:
         raise ReconstructionError(f"occupancy shape {occupancy.shape} != {shape}")
-    return Refined3D(
-        frame=lifted.frame,
-        semantics=lifted.features,
-        offsets=offsets,
-        occupancy=occupancy,
-    )
+    return Refined3D(lifted.frame, features, offsets, occupancy)
+
+
+def scores_to_labels(scores: np.ndarray) -> np.ndarray:
+    """(N, C) scores -> int32 labels: argmax with the first index winning ties,
+    VOID where no score is > 0."""
+    best = np.argmax(scores, axis=-1)
+    # The score at the argmax is the row maximum (NaN if any score is NaN).
+    top = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
+    return np.where(top > 0, best, VOID).astype(np.int32)
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
-    """Gate semantics and offsets by occupancy.
+    """Reduce semantics to labels and gate offsets at occupied cells only.
 
-    Returns (masked semantics, masked offsets, binary occupancy); values are the
-    Hadamard products with occupancy, zeroed wherever the binarized occupancy
-    is off.
+    Returns (labels, gated offsets, binary occupancy). Where occupancy >=
+    `occ_threshold`, scores and offsets are multiplied by the occupancy and the
+    scores reduced by `scores_to_labels`; other cells are VOID, offsets zero.
     """
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
     occ = np.asarray(refined.occupancy, dtype=np.float64)
     occ_bin = occ >= occ_threshold
-    gate = occ * occ_bin
-    s3d = refined.semantics * gate[..., None]
-    dc3d = refined.offsets * gate[..., None]
-    return s3d, dc3d, occ_bin
+    cells = np.flatnonzero(occ_bin)
+    gate = occ.reshape(-1)[cells, None]
+    semantics = refined.semantics
+    if callable(semantics):
+        scores = semantics(cells)
+    else:
+        scores = np.reshape(semantics, (-1, np.shape(semantics)[-1]))[cells]
+    labels = np.zeros(occ.shape, dtype=np.int32)
+    labels.reshape(-1)[cells] = scores_to_labels(scores * gate)
+    dc3d = np.zeros(occ.shape + (2,))
+    dc3d.reshape(-1, 2)[cells] = np.reshape(refined.offsets, (-1, 2))[cells] * gate
+    return labels, dc3d, occ_bin
 
 
-def to_multiplane(
-    field: np.ndarray,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-) -> np.ndarray:
+def to_multiplane(field: np.ndarray, frame, intrinsics: CameraIntrinsics,
+                  planes: DepthPlanes) -> np.ndarray:
     """Sample a per-cell field at the pixel-aligned multi-plane positions.
 
     Frustum input is returned unchanged (identity re-indexing); axis input is
-    point-sampled at each (u, v, plane-center) location, zero outside the
-    volume.
+    resampled at each (u, v, plane-center) location, zero outside the volume.
     """
-    field = np.asarray(field)
     if isinstance(frame, FrustumGrid):
-        return field.copy()
+        return np.array(field)
     if not isinstance(frame, AxisGrid):
         raise ReconstructionError(f"unknown grid frame {frame!r}")
     target = FrustumGrid(intrinsics.width, intrinsics.height, planes.count)
-    points = cell_centers(target, intrinsics, planes)
-    idx, valid = locate_points(points, frame, intrinsics, planes)
-    out = field[idx[..., 0], idx[..., 1], idx[..., 2]]
-    if out.ndim > valid.ndim:
-        valid = valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim))
-    return np.where(valid, out, 0)
+    return resample_volume(field, frame, target, intrinsics, planes)
 
 
-def _cell_pixels(frame, intrinsics, planes):
-    """Continuous (u, v) image position of every cell in the frame."""
+def _cell_pixels(frame, intrinsics, planes, cells):
+    """Continuous (u, v) image position of the flat cell indices `cells`."""
     if isinstance(frame, FrustumGrid):
-        vv, uu = np.meshgrid(np.arange(frame.height), np.arange(frame.width), indexing="ij")
-        u = np.repeat(uu[..., None], frame.planes, axis=2).astype(np.float64)
-        v = np.repeat(vv[..., None], frame.planes, axis=2).astype(np.float64)
-        return u, v
-    centers = cell_centers(frame, intrinsics, planes)
+        v, u, _m = np.unravel_index(cells, frame.shape)
+        return u.astype(np.float64), v.astype(np.float64)
+    centers = cell_centers(frame, intrinsics, planes, cells)
     z = np.where(centers[..., 2] > 0, centers[..., 2], np.nan)
     u = intrinsics.fx * centers[..., 0] / z + intrinsics.cx
     v = intrinsics.fy * centers[..., 1] / z + intrinsics.cy
@@ -112,7 +116,7 @@ def _cell_pixels(frame, intrinsics, planes):
 
 
 def group_instances(
-    s3d: np.ndarray,
+    labels: np.ndarray,
     dc3d: np.ndarray,
     centers,
     frame,
@@ -123,73 +127,65 @@ def group_instances(
 ) -> PanopticVolume:
     """Assign each occupied thing cell to the nearest same-category 2D center.
 
-    The cell's pixel position shifted by its offset is compared with every
-    center of the cell's argmax category; ties keep the first-listed center.
-    Thing cells whose category has no center are dropped to void (warned).
+    Only occupied cells with a thing label visit the centers: the cell's pixel
+    position shifted by its offset is compared with every center of its
+    category; ties keep the first-listed center. Thing cells whose category has
+    no center are dropped to void (warned). The result holds things only.
     """
-    s3d = np.asarray(s3d, dtype=np.float64)
-    occ_bin = np.asarray(occ_bin, dtype=bool)
-    semantics = np.where(occ_bin, np.argmax(s3d, axis=-1), VOID).astype(np.int32)
-    # A cell whose scores are all zero carries no category even if occupied.
-    any_score = s3d.max(axis=-1) > 0
-    semantics = np.where(any_score, semantics, VOID)
-    instances = np.zeros(semantics.shape, dtype=np.int32)
+    labels = np.asarray(labels, dtype=np.int32)
     thing_flags = np.asarray(categories.is_thing)
-    u_px, v_px = _cell_pixels(frame, intrinsics, planes)
+    cells = np.flatnonzero(np.asarray(occ_bin, dtype=bool) & thing_flags[labels])
+    cell_labels = labels.reshape(-1)[cells]
+    u_px, v_px = _cell_pixels(frame, intrinsics, planes, cells)
+    du, dv = np.asarray(dc3d).reshape(-1, 2)[cells].T
+    tu, tv = u_px + du, v_px + dv
+    semantics = np.zeros(labels.shape, dtype=np.int32)
+    instances = np.zeros(labels.shape, dtype=np.int32)
     by_category = {}
-    for i, c in enumerate(centers):
-        by_category.setdefault(c.category, []).append((i, c))
+    for c in centers:
+        by_category.setdefault(c.category, []).append(c)
     dropped = 0
-    for k in np.unique(semantics):
-        if k == VOID or not thing_flags[k]:
-            continue
-        cells = semantics == k
+    for k in np.unique(cell_labels):
+        sel = cell_labels == k
         cands = by_category.get(int(k), [])
         if not cands:
-            dropped += int(np.sum(cells))
-            semantics[cells] = VOID
+            dropped += int(np.sum(sel))
             continue
-        tu = u_px[cells] + dc3d[cells][..., 0]
-        tv = v_px[cells] + dc3d[cells][..., 1]
         # Distances to candidate centers, argmin with first-listed tie-break.
         dist2 = np.stack(
-            [(tu - c.u) ** 2 + (tv - c.v) ** 2 for _i, c in cands], axis=-1
+            [(tu[sel] - c.u) ** 2 + (tv[sel] - c.v) ** 2 for c in cands], axis=-1
         )
         choice = np.argmin(dist2, axis=-1)
-        ids = np.asarray([c.instance_id for _i, c in cands], dtype=np.int32)
-        instances[cells] = ids[choice]
+        ids = np.asarray([c.instance_id for c in cands], dtype=np.int32)
+        semantics.reshape(-1)[cells[sel]] = k
+        instances.reshape(-1)[cells[sel]] = ids[choice]
     if dropped:
         warnings.warn(f"{dropped} thing cells had no center of their category; set to void")
-    # Stuff cells are not part of the things-only volume.
-    stuff = ~thing_flags[semantics] & (semantics != VOID)
-    semantics[stuff] = VOID
     return PanopticVolume(
         frame=frame, semantics=semantics, instances=instances, categories=categories
     )
 
 
 def assemble_panoptic(
-    s3d: np.ndarray,
+    labels: np.ndarray,
     things: PanopticVolume,
     occ_bin: np.ndarray,
     categories: CategoryTable,
 ) -> PanopticVolume:
-    """Combine stuff from masked semantics with grouped thing instances."""
-    s3d = np.asarray(s3d, dtype=np.float64)
+    """Combine labels of occupied cells with grouped thing instances: thing
+    cells take the `things` volume, unoccupied cells are void."""
+    labels = np.asarray(labels, dtype=np.int32)
     occ_bin = np.asarray(occ_bin, dtype=bool)
-    if things.semantics.shape != occ_bin.shape or s3d.shape[:-1] != occ_bin.shape:
+    if things.semantics.shape != occ_bin.shape or labels.shape != occ_bin.shape:
         raise ReconstructionError("inconsistent frames between semantics and things volume")
     if things.frame.shape != occ_bin.shape:
         raise ReconstructionError("things volume frame does not match occupancy")
-    semantics = np.where(occ_bin & (s3d.max(axis=-1) > 0), np.argmax(s3d, axis=-1), VOID)
-    semantics = semantics.astype(np.int32)
-    thing_flags = np.asarray(categories.is_thing)
-    out_sem = np.where(thing_flags[semantics], things.semantics, semantics)
-    out_inst = np.where(thing_flags[semantics], things.instances, 0)
+    labels = np.where(occ_bin, labels, VOID)
+    is_thing = np.asarray(categories.is_thing)[labels]
     return PanopticVolume(
         frame=things.frame,
-        semantics=out_sem.astype(np.int32),
-        instances=out_inst.astype(np.int32),
+        semantics=np.where(is_thing, things.semantics, labels),
+        instances=np.where(is_thing, things.instances, 0),
         categories=categories,
     )
 
@@ -202,9 +198,9 @@ def reconstruct(
     categories: CategoryTable,
     occ_threshold: float = 0.5,
 ) -> PanopticVolume:
-    """Full bottom-up tail: mask by occupancy, group instances, assemble."""
-    s3d, dc3d, occ_bin = mask_by_occupancy(refined, occ_threshold)
+    """Full bottom-up tail: labels at occupied cells, grouping, assembly."""
+    labels, dc3d, occ_bin = mask_by_occupancy(refined, occ_threshold)
     things = group_instances(
-        s3d, dc3d, centers, refined.frame, intrinsics, planes, occ_bin, categories
+        labels, dc3d, centers, refined.frame, intrinsics, planes, occ_bin, categories
     )
-    return assemble_panoptic(s3d, things, occ_bin, categories)
+    return assemble_panoptic(labels, things, occ_bin, categories)

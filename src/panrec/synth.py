@@ -7,7 +7,7 @@ are reproducible across platforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SynthConfig:
     n_thing_categories: int = 4
     min_center_separation: float = 10.0
     occlusion_allowed: bool = False
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
     max_attempts: int = 200
 
     def __post_init__(self):

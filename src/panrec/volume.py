@@ -1,7 +1,7 @@
 """Per-voxel panoptic labeling and its structural validator."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

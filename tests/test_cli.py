@@ -128,8 +128,11 @@ def test_mesh_export(tmp_path):
 
 def test_bench_runs():
     result = run("bench", "--sizes", "16", "--reps", "1")
-    assert "occupancy_aware_lift" in result.output
-    assert "prq" in result.output
+    rows = [line.split() for line in result.output.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["occupancy_aware_lift", "16"],
+                                         ["reconstruct_from_priors", "16"],
+                                         ["prq", "16"]]
+    assert all(float(row[2]) >= 0 for row in rows)
 
 
 def test_manifest_written_with_generator(tmp_path):

@@ -156,3 +156,24 @@ def test_resample_shape_mismatch_errors():
     frame = FrustumGrid(K.width, K.height, 8)
     with pytest.raises(GeometryError):
         resample_volume(np.zeros((2, 2, 2)), frame, frame, K, planes)
+
+
+def test_axis_grid_from_lists_equals_and_hashes_as_tuples():
+    from panrec.metrics import prq
+    from panrec.volume import CategoryTable, empty_volume
+
+    listed = AxisGrid(dims=[4, 4, 4], voxel_size=0.1, origin=[0, 0, 1])
+    tupled = AxisGrid(dims=(4, 4, 4), voxel_size=0.1, origin=(0.0, 0.0, 1.0))
+    arrays = AxisGrid(dims=np.array([4, 4, 4]), voxel_size=0.1,
+                      origin=np.array([0.0, 0.0, 1.0]))
+    assert listed == tupled == arrays
+    assert hash(listed) == hash(tupled) == hash(arrays)
+    assert listed.dims == (4, 4, 4) and all(type(d) is int for d in arrays.dims)
+    assert listed.origin == (0.0, 0.0, 1.0) and all(type(o) is float for o in listed.origin)
+    # the frame check of prq and the identity shortcut of resample_volume
+    cats = CategoryTable((False, True))
+    prq(empty_volume(listed, cats), empty_volume(tupled, cats))
+    vol = np.arange(64).reshape(4, 4, 4)
+    assert np.array_equal(resample_volume(vol, listed, tupled, K, DepthPlanes(count=8)), vol)
+    with pytest.raises(GeometryError):
+        AxisGrid(dims=[4, 4], voxel_size=0.1, origin=[0, 0, 1])

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
-from panrec.lifting import FeatureVolume, occupancy_aware_lift
-from panrec.pipeline import reconstruct_from_priors
-from panrec.priors import InstanceCenter, derive_priors
+from panrec.lifting import FeatureVolume, feature_rows, lift_occupancy, occupancy_aware_lift
+from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
+from panrec.priors import InstanceCenter, Priors2D, derive_priors
 from panrec.reconstruction import (
     ReconstructionError,
     Refined3D,
@@ -15,7 +19,7 @@ from panrec.reconstruction import (
     reconstruct,
     to_multiplane,
 )
-from panrec.volume import CategoryTable, PanopticVolume
+from panrec.volume import VOID, CategoryTable, PanopticVolume
 from conftest import seeded_scenes
 
 CATS = CategoryTable((False, False, True, True))
@@ -39,17 +43,19 @@ def test_mask_identity_when_fully_occupied():
     refined = make_refined(sem=rng.random(FRAME.shape + (4,)),
                            offs=rng.normal(size=FRAME.shape + (2,)),
                            occ=np.ones(FRAME.shape))
-    s3d, dc3d, occ_bin = mask_by_occupancy(refined)
-    assert np.array_equal(s3d, refined.semantics)
+    labels, dc3d, occ_bin = mask_by_occupancy(refined)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, np.argmax(refined.semantics, axis=-1))
     assert np.array_equal(dc3d, refined.offsets)
     assert occ_bin.all()
 
 
 def test_mask_zero_occupancy():
-    refined = make_refined(sem=np.ones(FRAME.shape + (4,)))
-    s3d, dc3d, occ_bin = mask_by_occupancy(refined)
+    refined = make_refined(sem=np.ones(FRAME.shape + (4,)),
+                           offs=np.ones(FRAME.shape + (2,)))
+    labels, dc3d, occ_bin = mask_by_occupancy(refined)
     assert not occ_bin.any()
-    assert np.all(s3d == 0) and np.all(dc3d == 0)
+    assert np.all(labels == VOID) and np.all(dc3d == 0)
 
 
 def test_mask_threshold_counting():
@@ -83,48 +89,48 @@ def centers_pair():
 
 
 def grouping_inputs(offset_cells):
-    s3d = np.zeros(FRAME.shape + (4,))
+    labels = np.zeros(FRAME.shape, dtype=np.int32)
     dc3d = np.zeros(FRAME.shape + (2,))
     occ = np.zeros(FRAME.shape, dtype=bool)
     for (v, u, m), (du, dv) in offset_cells.items():
-        s3d[v, u, m, 2] = 1.0
+        labels[v, u, m] = 2
         dc3d[v, u, m] = (du, dv)
         occ[v, u, m] = True
-    return s3d, dc3d, occ
+    return labels, dc3d, occ
 
 
 def test_group_exact_hit():
-    s3d, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1)})
-    out = group_instances(s3d, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1)})
+    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
     assert out.instances[3, 3, 4] == 1
     assert out.semantics[3, 3, 4] == 2
 
 
 def test_group_tie_breaks_to_first_center():
     # cell at (5, 5) with zero offset is equidistant from (2, 2) and (8, 8)
-    s3d, dc3d, occ = grouping_inputs({(5, 5, 4): (0, 0)})
-    out = group_instances(s3d, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d, occ = grouping_inputs({(5, 5, 4): (0, 0)})
+    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
     assert out.instances[5, 5, 4] == 1
     swapped = list(reversed(centers_pair()))
-    out2 = group_instances(s3d, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
+    out2 = group_instances(labels, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
     assert out2.instances[5, 5, 4] == 2
 
 
 def test_group_centerless_category_dropped():
-    s3d, dc3d, occ = grouping_inputs({(3, 3, 4): (0, 0)})
-    s3d[3, 3, 4] = [0, 0, 0, 1]  # category 3 has no center
+    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (0, 0)})
+    labels[3, 3, 4] = 3  # category 3 has no center
     with pytest.warns(UserWarning):
-        out = group_instances(s3d, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+        out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
     assert out.semantics[3, 3, 4] == 0
     assert out.instances[3, 3, 4] == 0
 
 
 def test_group_center_permutation_equivariance():
     cells = {(3, 3, 4): (-1, -1), (9, 7, 2): (1, 1), (12, 12, 5): (-4, -4)}
-    s3d, dc3d, occ = grouping_inputs(cells)
-    out = group_instances(s3d, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d, occ = grouping_inputs(cells)
+    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
     swapped = list(reversed(centers_pair()))
-    out2 = group_instances(s3d, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
+    out2 = group_instances(labels, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
     # same partition of cells into instances (ids may differ, bijection holds)
     for cell in cells:
         a, b = out.instances[cell], out2.instances[cell]
@@ -138,8 +144,8 @@ def test_group_oracle_round_trip():
                                   priors.depth, scene.frame, scene.intrinsics,
                                   scene.planes)
         refined = identity_refine(fv, priors.offsets3d, fv.occupancy)
-        s3d, dc3d, occ_bin = mask_by_occupancy(refined)
-        things = group_instances(s3d, dc3d, priors.centers, scene.frame,
+        labels, dc3d, occ_bin = mask_by_occupancy(refined)
+        things = group_instances(labels, dc3d, priors.centers, scene.frame,
                                  scene.intrinsics, scene.planes, occ_bin,
                                  scene.categories)
         gt_things = scene.volume.instances
@@ -156,22 +162,22 @@ def test_every_thing_cell_gets_exactly_one_instance(small_scene):
 
 
 def test_assemble_stuff_only():
-    s3d = np.zeros(FRAME.shape + (4,))
-    s3d[..., 1] = 1.0
+    labels = np.ones(FRAME.shape, dtype=np.int32)
     occ = np.ones(FRAME.shape, dtype=bool)
     empty_things = PanopticVolume(FRAME, np.zeros(FRAME.shape, np.int32),
                                   np.zeros(FRAME.shape, np.int32), CATS)
-    out = assemble_panoptic(s3d, empty_things, occ, CATS)
+    out = assemble_panoptic(labels, empty_things, occ, CATS)
     assert np.all(out.semantics == 1)
     assert np.all(out.instances == 0)
     out.validate()
 
 
 def test_assemble_empty_occupancy():
-    s3d = np.ones(FRAME.shape + (4,))
+    # a stuff label on every cell, none of them occupied
+    labels = np.ones(FRAME.shape, dtype=np.int32)
     empty_things = PanopticVolume(FRAME, np.zeros(FRAME.shape, np.int32),
                                   np.zeros(FRAME.shape, np.int32), CATS)
-    out = assemble_panoptic(s3d, empty_things, np.zeros(FRAME.shape, bool), CATS)
+    out = assemble_panoptic(labels, empty_things, np.zeros(FRAME.shape, bool), CATS)
     assert np.all(out.semantics == 0)
 
 
@@ -222,3 +228,133 @@ def test_grouping_scale_invariance():
         scaled_centers = cell + scale * (centers - cell)
         scaled = np.argmin(np.sum((scaled_centers - scaled_target) ** 2, axis=1))
         assert base == scaled
+
+
+def dense_reference(priors, mp, frame, intrinsics, planes, categories, occ_threshold):
+    """The tail before it became label-first: dense lift, dense occupancy
+    gate, full-volume argmax. Returns (labels, gated offsets, volume)."""
+    lifted = occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
+                                  intrinsics, planes)
+    occ_bin = lifted.occupancy >= occ_threshold
+    gate = lifted.occupancy * occ_bin
+    s3d = lifted.features * gate[..., None]
+    labels = np.where(occ_bin & (s3d.max(axis=-1) > 0), np.argmax(s3d, axis=-1), VOID)
+    dc3d = priors.offsets3d * gate[..., None]
+    things = group_instances(labels, dc3d, priors.centers, frame, intrinsics, planes,
+                             occ_bin, categories)
+    return labels, dc3d, assemble_panoptic(labels, things, occ_bin, categories)
+
+
+def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categories,
+                                     occ_threshold, surface_only=False):
+    mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
+    with warnings.catch_warnings(record=True) as ref_warned:
+        warnings.simplefilter("always")
+        ref_labels, ref_dc3d, ref = dense_reference(priors, mp, frame, intrinsics, planes,
+                                                    categories, occ_threshold)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        out = reconstruct_from_priors(priors, frame, intrinsics, planes, categories,
+                                      occ_threshold, surface_only)
+    assert np.array_equal(out.semantics, ref.semantics)
+    assert np.array_equal(out.instances, ref.instances)
+    assert len(warned) == len(ref_warned)
+    # the stages in between: feature rows, labels and gated offsets
+    occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
+    rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
+    dense = occupancy_aware_lift(priors.semantics, mp, priors.depth, frame, intrinsics,
+                                 planes).features
+    cells = np.flatnonzero(occ > 0)
+    assert np.array_equal(rows(cells), dense.reshape(-1, dense.shape[-1])[cells])
+    labels, dc3d, _ = mask_by_occupancy(Refined3D(frame, rows, priors.offsets3d, occ),
+                                        occ_threshold)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(dc3d, ref_dc3d)
+    return out
+
+
+@st.composite
+def label_first_cases(draw):
+    h, w, m = (draw(st.integers(1, 5)) for _ in range(3))
+    c = draw(st.integers(2, 4))
+    threshold = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    # the first alternative of each element strategy is the typical value
+    unit = st.floats(0, 1)
+    sem = draw(hnp.arrays(np.float64, (h, w, c),
+                          elements=st.one_of(st.floats(1e-3, 1), st.just(0.0))))
+    sem[..., 0] *= 0.5  # void (channel 0) wins less often
+    # exact ties and 1-ulp near-ties between the first two channels
+    ties = draw(hnp.arrays(np.int8, (h, w), elements=st.integers(0, 3)))
+    sem[..., 1] = np.select(
+        [ties == 1, ties == 2, ties == 3],
+        [sem[..., 0], np.nextafter(sem[..., 0], 2.0), np.nextafter(sem[..., 0], -1.0)],
+        sem[..., 1],
+    ).clip(0, None)
+    planes = DepthPlanes(count=m)
+    depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(planes.z_near, planes.z_far), st.just(0.0))))
+    mp = draw(hnp.arrays(np.float64, (h, w, m),
+                         elements=st.one_of(st.just(1.0), unit, st.just(threshold))))
+    intrinsics = CameraIntrinsics(fx=float(w), fy=float(h), cx=(w - 1) / 2,
+                                  cy=(h - 1) / 2, width=w, height=h)
+    if draw(st.sampled_from(["frustum", "axis"])) == "frustum":
+        frame = FrustumGrid(w, h, m)
+    else:
+        n = draw(st.integers(2, 5))
+        frame = AxisGrid(dims=[n, n, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, 0.4])
+    offsets = draw(hnp.arrays(np.float64, frame.shape + (2,), elements=st.floats(-4, 4)))
+    stuff = draw(st.lists(st.booleans(), min_size=c - 1, max_size=c - 1))
+    is_thing = (False,) + tuple(not b for b in stuff)
+    centers = []
+    for k in np.flatnonzero(is_thing):
+        for _ in range(draw(st.one_of(st.integers(1, 2), st.just(0)))):
+            centers.append(InstanceCenter(draw(st.integers(0, w - 1)),
+                                          draw(st.integers(0, h - 1)),
+                                          int(k), len(centers) + 1))
+    priors = Priors2D(semantics=sem, depth=depth, centers=centers,
+                      heatmap=np.zeros((h, w)), mp_occupancy=mp, offsets3d=offsets)
+    return (priors, frame, intrinsics, planes, CategoryTable(is_thing), threshold,
+            draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_first_cases())
+def test_label_first_tail_equals_dense_reference(case):
+    assert_label_first_matches_dense(*case)
+
+
+def test_label_first_keeps_the_double_occupancy_product():
+    # argmax(sem) is 2, but argmax((sem * o) * o) is 1: the occupancy scaling
+    # can reorder near-equal scores, so labels come from the exact product
+    sem = np.array([0.0, 0.7296554464299441, 0.7296554464299442])
+    o = 0.5878278103012795
+    assert np.argmax(sem) == 2 and np.argmax((sem * o) * o) == 1
+    planes = DepthPlanes(count=1)
+    intrinsics = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=1)
+    priors = Priors2D(semantics=sem.reshape(1, 1, 3), depth=np.full((1, 1), 1.0),
+                      centers=[], heatmap=np.zeros((1, 1)),
+                      mp_occupancy=np.full((1, 1, 1), o),
+                      offsets3d=np.zeros((1, 1, 1, 2)))
+    out = assert_label_first_matches_dense(priors, FrustumGrid(1, 1, 1), intrinsics,
+                                           planes, CategoryTable((False,) * 3), 0.5)
+    assert out.semantics[0, 0, 0] == 1
+
+
+@pytest.mark.parametrize("occ_threshold", [0.3, 0.5, 0.7])
+def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
+    from panrec.synth import NoiseSpec, perturb_priors
+
+    noise = NoiseSpec(depth_sigma=0.05, semantic_flip=0.1, occupancy_flip=0.05,
+                      center_jitter=2)
+    axis = AxisGrid(dims=[12, 12, 24], voxel_size=0.125, origin=[-0.75, -0.75, 0.4])
+    rng = np.random.default_rng(5)
+    for seed, scene in enumerate(seeded_scenes(3, width=16, height=16, planes=16)):
+        priors = perturb_priors(derive_priors(scene), noise, seed, scene.planes)
+        # soft occupancy, so the threshold and the occupancy product matter
+        priors.mp_occupancy *= rng.uniform(0.2, 1.0, priors.mp_occupancy.shape)
+        args = (scene.intrinsics, scene.planes, scene.categories, occ_threshold)
+        out = assert_label_first_matches_dense(priors, scene.frame, *args)
+        assert out.instances.any()
+        priors.offsets3d = rng.normal(size=axis.shape + (2,))
+        out = assert_label_first_matches_dense(priors, axis, *args)
+        assert out.instances.any()
