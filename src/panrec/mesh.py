@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import PanopticVolume
+from .volume import VOID, PanopticVolume
 
 # Faces of a unit cube at integer corner offsets, one per axis direction.
 _FACES = {
@@ -21,6 +21,9 @@ _FACES = {
     (0, 0, -1): [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)],
     (0, 0, 1): [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
 }
+_STEPS = np.array(list(_FACES))              # (6, 3) neighbour offsets
+_CORNERS = np.array(list(_FACES.values()))   # (6, 4, 3) quad corners
+_CHUNK = 4096                                # lines formatted per write
 
 
 def label_color(label: str):
@@ -29,50 +32,55 @@ def label_color(label: str):
     return tuple(0.2 + 0.8 * b / 255.0 for b in digest[:3])
 
 
+def _write_rows(out, line, rows):
+    """Write `line % row` for each row of a 2D int array, a bounded chunk at a time."""
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def export_obj(volume: PanopticVolume, obj_path):
-    """Write an .obj (plus .mtl) of all boundary faces, grouped per segment."""
+    """Write an .obj (plus .mtl) of all boundary faces, grouped per segment.
+
+    Segments (`thing_<instance>`, else `stuff_<category>`) are written in name
+    order, each cell's faces in C order of the cells and `_FACES` order. A face
+    is on the boundary where the neighbour is outside the grid or carries
+    another (category, instance) pair. Vertices are numbered by first use.
+    """
     obj_path = Path(obj_path)
     mtl_path = obj_path.with_suffix(".mtl")
-    sem = volume.semantics
-    inst = volume.instances
-    occ = volume.occupancy
-    labels = {}
-    for idx in np.argwhere(occ):
-        i, j, k = (int(x) for x in idx)
-        name = f"thing_{inst[i, j, k]}" if inst[i, j, k] > 0 else f"stuff_{sem[i, j, k]}"
-        labels.setdefault(name, []).append((i, j, k))
-
-    vertices = {}
-    def vid(p):
-        if p not in vertices:
-            vertices[p] = len(vertices) + 1
-        return vertices[p]
-
-    groups = {}
-    shape = occ.shape
-    for name, cells in sorted(labels.items()):
-        faces = []
-        for i, j, k in cells:
-            for (di, dj, dk), corners in _FACES.items():
-                ni, nj, nk = i + di, j + dj, k + dk
-                inside = 0 <= ni < shape[0] and 0 <= nj < shape[1] and 0 <= nk < shape[2]
-                if inside and occ[ni, nj, nk] and inst[ni, nj, nk] == inst[i, j, k] \
-                        and sem[ni, nj, nk] == sem[i, j, k]:
-                    continue
-                quad = [vid((i + ci, j + cj, k + ck)) for ci, cj, ck in corners]
-                faces.append((quad[0], quad[1], quad[2]))
-                faces.append((quad[0], quad[2], quad[3]))
-        groups[name] = faces
+    shape = volume.semantics.shape
+    sem, inst = volume.semantics.reshape(-1), volume.instances.reshape(-1)
+    flat = np.flatnonzero(sem != VOID)
+    s, t = sem[flat], inst[flat]
+    # Segment of each occupied cell: its instance id, or minus its stuff category.
+    keys, segment = np.unique(np.where(t > 0, t, -s), return_inverse=True)
+    names, rank = np.unique([f"thing_{k}" if k > 0 else f"stuff_{-k}" for k in keys.tolist()],
+                            return_inverse=True)
+    order = np.argsort(rank[segment], kind="stable")
+    flat, s, t, segment = flat[order], s[order], t[order], rank[segment[order]]
+    cells = np.stack(np.unravel_index(flat, shape), axis=1)
+    boundary = np.empty((len(flat), len(_STEPS)), dtype=bool)
+    for d, step in enumerate(_STEPS):
+        near = cells + step
+        inside = ((near >= 0) & (near < shape)).all(axis=1)
+        nb = np.ravel_multi_index(near.T, shape, mode="clip")
+        boundary[:, d] = ~inside | (sem[nb] != s) | (inst[nb] != t)
+    cell, face = np.nonzero(boundary)
+    corners = (cells[cell, None, :] + _CORNERS[face]).reshape(-1, 3)
+    corner_keys = np.ravel_multi_index(corners.T, np.add(shape, 1))
+    _, first, inverse = np.unique(corner_keys, return_index=True, return_inverse=True)
+    first, vid = np.unique(first, return_inverse=True)   # vertex ids by first use
+    triangles = (vid[inverse] + 1).reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    ends = 2 * np.cumsum(np.bincount(segment[cell], minlength=len(names)))
 
     with mtl_path.open("w") as mtl:
-        for name in groups:
+        for name in names:
             r, g, b = label_color(name)
             mtl.write(f"newmtl {name}\nKd {r:.4f} {g:.4f} {b:.4f}\n")
     with obj_path.open("w") as obj:
         obj.write(f"mtllib {mtl_path.name}\n")
-        for (i, j, k), _n in sorted(vertices.items(), key=lambda kv: kv[1]):
-            obj.write(f"v {j} {i} {k}\n")
-        for name, faces in groups.items():
+        _write_rows(obj, "v %d %d %d\n", corners[first][:, [1, 0, 2]])
+        for name, start, end in zip(names, [0, *ends.tolist()], ends.tolist()):
             obj.write(f"usemtl {name}\n")
-            for a, b, c in faces:
-                obj.write(f"f {a} {b} {c}\n")
+            _write_rows(obj, "f %d %d %d\n", triangles[start:end])
