@@ -71,13 +71,32 @@ def _axis_sampling(frame: AxisGrid, intrinsics, planes, cells=None):
     return vi, ui, z, valid
 
 
-def _checked_semantics(semantics2d, depth, intrinsics: CameraIntrinsics):
-    semantics2d = np.asarray(semantics2d, dtype=np.float64)
+def _checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
+    """Depth as float64 after checking it and the frame against the camera:
+    an (H, W) map, finite and >= 0, and a frustum frame of dims (H, W, planes)."""
     depth = np.asarray(depth, dtype=np.float64)
+    if isinstance(frame, FrustumGrid):
+        expected = (intrinsics.height, intrinsics.width, planes.count)
+        if frame.shape != expected:
+            raise LiftingError(
+                f"frustum frame dims (height, width, planes) {frame.shape} do not match "
+                f"the camera and depth planes {expected}"
+            )
+    elif not isinstance(frame, AxisGrid):
+        raise LiftingError(f"unknown grid frame {frame!r}")
+    if depth.shape != (intrinsics.height, intrinsics.width):
+        raise LiftingError(f"depth shape {depth.shape} does not match the camera image size")
+    if not (np.isfinite(depth).all() and (depth >= 0).all()):
+        raise LiftingError("depth must be finite and >= 0 (0 means no surface)")
+    return depth
+
+
+def _checked_semantics(semantics2d, depth, frame, intrinsics: CameraIntrinsics,
+                       planes: DepthPlanes):
+    depth = _checked_depth(depth, frame, intrinsics, planes)
+    semantics2d = np.asarray(semantics2d, dtype=np.float64)
     if semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
         raise LiftingError("semantic map does not match the camera image size")
-    if depth.shape != semantics2d.shape[:2]:
-        raise LiftingError("depth map does not match the semantic map")
     return semantics2d, depth
 
 
@@ -90,16 +109,14 @@ def lift_semantics(
 ) -> np.ndarray:
     """Propagate per-pixel category scores to all cells at or behind the depth
     surface; cells in free space (or on rays with no surface) are exactly zero."""
-    semantics2d, depth = _checked_semantics(semantics2d, depth, intrinsics)
+    semantics2d, depth = _checked_semantics(semantics2d, depth, frame, intrinsics, planes)
     if isinstance(frame, FrustumGrid):
         mask = _frustum_fill_mask(depth, planes)
         return semantics2d[:, :, None, :] * mask[..., None]
-    if isinstance(frame, AxisGrid):
-        vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
-        d = depth[vi, ui]
-        keep = valid & (d > 0) & (z >= d)
-        return semantics2d[vi, ui] * keep[..., None]
-    raise LiftingError(f"unknown grid frame {frame!r}")
+    vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
+    d = depth[vi, ui]
+    keep = valid & (d > 0) & (z >= d)
+    return semantics2d[vi, ui] * keep[..., None]
 
 
 def lift_occupancy(
@@ -111,20 +128,18 @@ def lift_occupancy(
 ) -> np.ndarray:
     """Coarse per-cell occupancy from the multi-plane map, with the same
     free-space zeroing rule as semantic lifting."""
+    depth = _checked_depth(depth, frame, intrinsics, planes)
     mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
     if mp_occupancy.shape != (intrinsics.height, intrinsics.width, planes.count):
         raise LiftingError("multi-plane occupancy does not match camera/planes")
     if isinstance(frame, FrustumGrid):
         return mp_occupancy * _frustum_fill_mask(depth, planes)
-    if isinstance(frame, AxisGrid):
-        vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
-        m = plane_index(np.where(z > 0, z, planes.z_near), planes)
-        keep = valid & (m != OUT_OF_RANGE)
-        d = depth[vi, ui]
-        keep = keep & (d > 0) & (z >= d)
-        return mp_occupancy[vi, ui, np.where(keep, m, 0)] * keep
-    raise LiftingError(f"unknown grid frame {frame!r}")
+    vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
+    m = plane_index(np.where(z > 0, z, planes.z_near), planes)
+    keep = valid & (m != OUT_OF_RANGE)
+    d = depth[vi, ui]
+    keep = keep & (d > 0) & (z >= d)
+    return mp_occupancy[vi, ui, np.where(keep, m, 0)] * keep
 
 
 def occupancy_aware_lift(
@@ -159,7 +174,7 @@ def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrins
     to their (N, C) rows: semantics2d at the cell's pixel times `occupancy`,
     the lifted occupancy. Rows are exact wherever that occupancy is positive,
     since lifting zeroes occupancy everywhere it zeroes semantics."""
-    semantics2d, _depth = _checked_semantics(semantics2d, depth, intrinsics)
+    semantics2d, _depth = _checked_semantics(semantics2d, depth, frame, intrinsics, planes)
     pixels = semantics2d.reshape(-1, semantics2d.shape[-1])
     occ = np.asarray(occupancy, dtype=np.float64).reshape(-1)
 
@@ -193,9 +208,9 @@ def lift_instances_topdown(
     if n_channels < 1:
         raise LiftingError("need at least one instance channel")
     instance_map = np.asarray(instance_map)
-    depth = np.asarray(depth, dtype=np.float64)
     if not isinstance(frame, FrustumGrid):
         raise LiftingError("top-down baseline is defined on the frustum frame")
+    depth = _checked_depth(depth, frame, intrinsics, planes)
     ids = [int(i) for i in np.unique(instance_map[instance_map > 0])]
     if len(ids) > n_channels:
         areas = {i: int(np.sum(instance_map == i)) for i in ids}

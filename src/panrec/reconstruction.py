@@ -138,6 +138,9 @@ def group_instances(
     cell_labels = labels.reshape(-1)[cells]
     u_px, v_px = _cell_pixels(frame, intrinsics, planes, cells)
     du, dv = np.asarray(dc3d).reshape(-1, 2)[cells].T
+    bad = np.count_nonzero(~(np.isfinite(du) & np.isfinite(dv)))
+    if bad:
+        raise ReconstructionError(f"offsets (du, dv) are not finite at {bad} occupied thing cells")
     tu, tv = u_px + du, v_px + dv
     semantics = np.zeros(labels.shape, dtype=np.int32)
     instances = np.zeros(labels.shape, dtype=np.int32)

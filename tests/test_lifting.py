@@ -5,6 +5,7 @@ from panrec.lifting import (
     CategorySortedAssignment,
     LiftingError,
     RandomAssignment,
+    feature_rows,
     lift_instances_topdown,
     lift_occupancy,
     lift_semantics,
@@ -205,3 +206,37 @@ def test_topdown_overflow_keeps_largest():
                                     planes, CategorySortedAssignment(), n_channels=1)
     assert fv.features[0:4, 0:4, 2, 0].sum() == 16
     assert fv.features[6, 6].sum() == 0
+
+
+def test_frustum_frame_must_match_camera_and_planes():
+    from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid
+
+    intr = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+    planes = DepthPlanes(count=16)
+    sem2d = np.ones((16, 16, 7)) / 7
+    mp = np.ones((16, 16, 16))
+    depth = np.full((16, 16), planes.center(3))
+    occupancy_aware_lift(sem2d, mp, depth, FrustumGrid(16, 16, 16), intr, planes)
+    for frame in (FrustumGrid(8, 8, 8), FrustumGrid(16, 16, 8), FrustumGrid(8, 16, 16)):
+        for call in (
+            lambda: occupancy_aware_lift(sem2d, mp, depth, frame, intr, planes),
+            lambda: lift_semantics(sem2d, depth, frame, intr, planes),
+            lambda: lift_occupancy(mp, depth, frame, intr, planes),
+            lambda: feature_rows(sem2d, depth, np.ones(frame.shape), frame, intr, planes),
+        ):
+            with pytest.raises(LiftingError, match=r"frame dims .*\(height, width, planes\)"):
+                call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
+    depth = derive_depth(small_scene)
+    depth[3, 4] = bad
+    args = (depth, small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    with pytest.raises(LiftingError, match="depth"):
+        lift_occupancy(derive_multiplane_occupancy(small_scene), *args)
+    with pytest.raises(LiftingError, match="depth"):
+        lift_semantics(derive_semantics2d(small_scene), *args)
+    with pytest.raises(LiftingError, match="depth"):
+        feature_rows(derive_semantics2d(small_scene), depth,
+                     np.ones(small_scene.frame.shape), *args[1:])

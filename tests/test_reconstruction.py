@@ -358,3 +358,25 @@ def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
         priors.offsets3d = rng.normal(size=axis.shape + (2,))
         out = assert_label_first_matches_dense(priors, axis, *args)
         assert out.instances.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_group_rejects_non_finite_thing_offsets(bad):
+    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1), (9, 7, 2): (1, 1)})
+    dc3d[9, 7, 2, 1] = bad
+    with pytest.raises(ReconstructionError, match="offsets"):
+        group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    # Offsets outside the grouped thing cells are never read.
+    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1)})
+    dc3d[0, 0, 0] = bad
+    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    assert out.instances[3, 3, 4] == 1
+
+
+def test_reconstruct_rejects_all_nan_offsets():
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    priors = derive_priors(scene)
+    priors.offsets3d = np.full(priors.offsets3d.shape, np.nan)
+    with pytest.raises(ReconstructionError, match="offsets"):
+        reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
+                                scene.categories)
