@@ -75,16 +75,13 @@ def _checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlan
     """Depth as float64 after checking it and the frame against the camera:
     an (H, W) map, finite and >= 0, and a frustum frame of dims (H, W, planes)."""
     depth = np.asarray(depth, dtype=np.float64)
-    if isinstance(frame, FrustumGrid):
-        expected = (intrinsics.height, intrinsics.width, planes.count)
-        if frame.shape != expected:
-            raise LiftingError(
-                f"frustum frame dims (height, width, planes) {frame.shape} do not match "
-                f"the camera and depth planes {expected}"
-            )
-    elif not isinstance(frame, AxisGrid):
+    dims = (intrinsics.height, intrinsics.width, planes.count)
+    if not isinstance(frame, (FrustumGrid, AxisGrid)):
         raise LiftingError(f"unknown grid frame {frame!r}")
-    if depth.shape != (intrinsics.height, intrinsics.width):
+    if isinstance(frame, FrustumGrid) and frame.shape != dims:
+        raise LiftingError(f"frustum frame dims (height, width, planes) {frame.shape} "
+                           f"do not match the camera and depth planes {dims}")
+    if depth.shape != dims[:2]:
         raise LiftingError(f"depth shape {depth.shape} does not match the camera image size")
     if not (np.isfinite(depth).all() and (depth >= 0).all()):
         raise LiftingError("depth must be finite and >= 0 (0 means no surface)")
