@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from panrec.cli import main as cli_main
 from panrec.losses import (
     EPS,
     LossError,
@@ -217,3 +221,29 @@ def test_weights_validation_and_report():
         LossWeights(depth2d=-0.1)
     rep = LossReport.build({"a": 2.0, "b": 3.0}, {"a": 1.0, "b": 0.5})
     assert rep.total == pytest.approx(3.5)
+
+
+# sha256 of `panrec loss --record` output, pinned from the scipy-EDT TSDF and
+# the one-hot semantic term. `losses.txt` is part of the output contract: any
+# rewrite of the TSDF or of `loss_3d` must reproduce these bytes exactly.
+GOLDEN_LOSS_RECORDS = {
+    "clean": ((), "bf8fb7916ce1a91c4f5778e7a718d9cd1040142e09b862e5e8e1c86285b9abb6"),
+    "occupancy-flip": (("--noise-seed", "3", "--occupancy-flip", "0.05"),
+                       "9f12dbc7080d3a527d7512233cf055d53f553f2ea81e04f55844fb4105339fe8"),
+    "depth-semantic-centers": (("--noise-seed", "4", "--depth-sigma", "0.05",
+                                "--semantic-flip", "0.1", "--center-jitter", "2"),
+                               "129dbdab720d53e66c8dc48bfc41efa86d1f67da83553f2914564492f439f819"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOSS_RECORDS))
+def test_loss_record_matches_golden_hash(name, tmp_path):
+    noise, digest = GOLDEN_LOSS_RECORDS[name]
+    scene, priors, record = tmp_path / "scene", tmp_path / "priors", tmp_path / "losses.txt"
+    for args in (["synth", "--seed", "6", "--out", str(scene), "--width", "40",
+                  "--height", "32", "--planes", "36", "--things", "3"],
+                 ["derive-priors", str(scene), "--out", str(priors), *noise],
+                 ["loss", str(scene), str(priors), "--record", str(record)]):
+        result = CliRunner().invoke(cli_main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    assert hashlib.sha256(record.read_bytes()).hexdigest() == digest
