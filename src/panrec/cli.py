@@ -15,7 +15,9 @@ from .lifting import (
     CategorySortedAssignment,
     FeatureVolume,
     RandomAssignment,
+    feature_rows,
     lift_instances_topdown,
+    lift_occupancy,
     occupancy_aware_lift,
 )
 from .losses import (
@@ -282,16 +284,13 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     valid = (pred.depth > 0) & (gt_priors.depth > 0)
     depth_term = loss_depth(pred.depth, gt_priors.depth, valid)
     mp_term = loss_mp_occupancy(pred.mp_occupancy, gt_priors.mp_occupancy)
-    lifted = occupancy_aware_lift(pred.semantics, pred.mp_occupancy, pred.depth,
-                                  frame, intr, planes)
+    occ_pred = lift_occupancy(pred.mp_occupancy, pred.depth, frame, intr, planes)
     occ_gt = scene.volume.occupancy.astype(np.float64)
-    num_c = scene.categories.num_categories
-    sem_gt = np.eye(num_c)[scene.volume.semantics]
     report3d = loss_3d(
-        sem_pred=lifted.features, offsets_pred=pred.offsets3d,
-        occ_pred=lifted.occupancy,
-        tsdf_pred=tsdf_from_occupancy(lifted.occupancy >= 0.5),
-        sem_gt=sem_gt, offsets_gt=gt_priors.offsets3d, occ_gt=occ_gt,
+        sem_pred=feature_rows(pred.semantics, pred.depth, occ_pred, frame, intr, planes),
+        offsets_pred=pred.offsets3d, occ_pred=occ_pred,
+        tsdf_pred=tsdf_from_occupancy(occ_pred >= 0.5),
+        sem_gt=scene.volume.semantics, offsets_gt=gt_priors.offsets3d, occ_gt=occ_gt,
         tsdf_gt=tsdf_from_occupancy(occ_gt > 0.5),
         thing_mask=scene.volume.thing_mask() & (occ_gt > 0.5),
         weights=weights,

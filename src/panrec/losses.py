@@ -2,10 +2,10 @@
 truncated signed distance transform used by the 3D geometry term."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 
 EPS = 1e-7
 
@@ -133,19 +133,31 @@ def loss_mp_occupancy(pred: np.ndarray, gt: np.ndarray) -> float:
 def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = 3.0) -> np.ndarray:
     """Truncated signed Euclidean distance (in cells) to the occupancy boundary.
 
-    Negative inside occupied cells, positive outside, clamped to [-t, t].
+    Negative inside occupied cells, positive outside, clamped to [-t, t]: an
+    exact squared EDT (Felzenszwalb & Huttenlocher) limited to the band, since a
+    squared distance <= t^2 has every axis offset <= floor(t).
     """
-    if truncation < 1:
-        raise LossError("truncation must be >= 1")
+    if not truncation >= 1:
+        raise LossError(f"truncation must be >= 1, got {truncation}")
     occ = np.asarray(occupancy, dtype=bool)
     if not occ.any():
         return np.full(occ.shape, truncation, dtype=np.float64)
     if occ.all():
         return np.full(occ.shape, -truncation, dtype=np.float64)
-    outside = ndimage.distance_transform_edt(~occ)
-    inside = ndimage.distance_transform_edt(occ)
-    tsdf = np.where(occ, -inside, outside)
-    return np.clip(tsdf, -truncation, truncation)
+    # squared distances stop at `cap`, the first beyond the band or the diagonal
+    cap = int(min(truncation * truncation, sum((n - 1) ** 2 for n in occ.shape))) + 1
+    reach = math.isqrt(cap - 1)
+    d2 = np.where(occ, cap, 0).astype(np.promote_types(np.uint16, np.min_scalar_type(2 * cap)))
+    d2 = np.stack([d2, cap - d2])  # to the nearest free cell / occupied cell
+    for axis in range(1, d2.ndim):
+        src = np.moveaxis(d2, axis, 0)
+        out = src.copy()
+        for k in range(1, min(reach, src.shape[0] - 1) + 1):
+            np.minimum(out[:-k], src[k:] + k * k, out=out[:-k])
+            np.minimum(out[k:], src[:-k] + k * k, out=out[k:])
+        d2 = np.moveaxis(out, 0, axis)
+    dist = np.minimum(np.sqrt(np.arange(cap + 1.0)), truncation)[np.where(occ, d2[0], d2[1])]
+    return np.where(occ, -dist, dist)
 
 
 def tsdf_from_scene(scene, truncation: float = 3.0) -> np.ndarray:
@@ -169,7 +181,9 @@ def loss_3d(
     """3D objective: occupancy BCE + near-surface TSDF L1, semantic CE over
     occupied cells, and offset L1 over occupied thing cells.
 
-    `sem_gt` is one-hot over cells; `thing_mask` marks occupied thing cells.
+    `sem_gt` is the integer label volume, `sem_pred` dense `(..., C)` scores or a
+    `lifting.feature_rows` function; the semantic term is the one-hot cross
+    entropy without its zero terms. `thing_mask` marks occupied thing cells.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
     occ_bce = binary_cross_entropy(occ_pred, occ_gt)
@@ -178,8 +192,23 @@ def loss_3d(
     if tsdf_pred.shape != np.asarray(tsdf_gt).shape:
         raise LossError("tsdf shapes differ")
     tsdf_l1 = float(np.abs(tsdf_pred - tsdf_gt)[band].mean()) if band.any() else 0.0
-    occupied = occ_gt > 0.5
-    sem_ce = cross_entropy(sem_pred, sem_gt, mask=occupied)
+    sem_gt = np.asarray(sem_gt)
+    if sem_gt.shape != occ_gt.shape or sem_gt.dtype.kind not in "iu":
+        raise LossError(f"sem_gt must be an integer label volume of shape {occ_gt.shape}, "
+                        f"got {sem_gt.dtype} {sem_gt.shape}")
+    cells = np.flatnonzero(occ_gt > 0.5)
+    if callable(sem_pred):
+        rows = sem_pred(cells)
+    else:
+        sem_pred = np.asarray(sem_pred, dtype=np.float64)
+        if sem_pred.shape[:-1] != sem_gt.shape:
+            raise LossError(f"sem_pred shape {sem_pred.shape} does not match sem_gt {sem_gt.shape}")
+        rows = sem_pred.reshape(-1, sem_pred.shape[-1])[cells]
+    labels = sem_gt.reshape(-1)[cells]
+    if labels.size and not 0 <= labels.min() <= labels.max() < rows.shape[-1]:
+        raise LossError(f"sem_gt labels at occupied cells must lie in [0, {rows.shape[-1]})")
+    picked = rows[np.arange(labels.size), labels]
+    sem_ce = float(np.mean(-np.log(_clamp(picked)))) if labels.size else 0.0
     thing = np.asarray(thing_mask, dtype=bool)
     if thing.any():
         diff = np.abs(np.asarray(offsets_pred) - np.asarray(offsets_gt))

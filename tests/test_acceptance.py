@@ -149,8 +149,8 @@ def test_criterion_3_closed_form_losses():
     sem = np.eye(scene.categories.num_categories)[scene.volume.semantics]
     tsdf = tsdf_from_scene(scene)
     thing = scene.volume.thing_mask()
-    base = loss_3d(sem, priors.offsets3d, occ, tsdf, sem, priors.offsets3d,
-                   occ, tsdf, thing)
+    base = loss_3d(sem, priors.offsets3d, occ, tsdf, scene.volume.semantics,
+                   priors.offsets3d, occ, tsdf, thing)
     ok &= base.total < 1e-5
     # each term responds only to its own perturbation
     perturbations = {
@@ -161,7 +161,7 @@ def test_criterion_3_closed_form_losses():
     }
     for target_term, kwargs in perturbations.items():
         args = dict(sem_pred=sem, offsets_pred=priors.offsets3d, occ_pred=occ,
-                    tsdf_pred=tsdf, sem_gt=sem, offsets_gt=priors.offsets3d,
+                    tsdf_pred=tsdf, sem_gt=scene.volume.semantics, offsets_gt=priors.offsets3d,
                     occ_gt=occ, tsdf_gt=tsdf, thing_mask=thing)
         args.update(kwargs)
         rep = loss_3d(**args)

@@ -1,10 +1,19 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+import panrec
 from panrec.cli import main as cli_main
+from panrec.lifting import feature_rows, lift_occupancy, occupancy_aware_lift
 from panrec.losses import (
     EPS,
     LossError,
@@ -20,6 +29,7 @@ from panrec.losses import (
     tsdf_from_scene,
 )
 from panrec.priors import derive_priors
+from panrec.synth import NoiseSpec, perturb_priors
 from conftest import seeded_scenes
 
 
@@ -160,6 +170,57 @@ def test_tsdf_matches_brute_force():
         assert np.max(np.abs(edt - ref)) <= 1.0 + 1e-12
 
 
+def reference_tsdf(occupancy, truncation=3.0):
+    """The scipy EDT version that the band-limited transform replaced, kept as
+    the oracle: two full Euclidean distance transforms, then a clip to +-t."""
+    occ = np.asarray(occupancy, dtype=bool)
+    if not occ.any():
+        return np.full(occ.shape, truncation, dtype=np.float64)
+    if occ.all():
+        return np.full(occ.shape, -truncation, dtype=np.float64)
+    outside = ndimage.distance_transform_edt(~occ)
+    inside = ndimage.distance_transform_edt(occ)
+    return np.clip(np.where(occ, -inside, outside), -truncation, truncation)
+
+
+# Integer and non-integer bands, one wider than any 12^3 diagonal (19.05), and
+# no truncation at all.
+TRUNCATIONS = st.one_of(st.integers(1, 5).map(float), st.floats(1, 5), st.just(20.0),
+                        st.just(np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(occ=hnp.arrays(bool, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12)),
+       truncation=TRUNCATIONS)
+def test_tsdf_matches_reference_on_random_volumes(occ, truncation):
+    ours = tsdf_from_occupancy(occ, truncation)
+    assert ours.dtype == np.float64
+    assert ours.tobytes() == reference_tsdf(occ, truncation).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 5), (12, 12, 12)])
+@pytest.mark.parametrize("truncation", [1.0, 2.5, 20.0, np.inf])
+def test_tsdf_matches_reference_on_empty_and_full(shape, truncation):
+    for occ in (np.zeros(shape, bool), np.ones(shape, bool)):
+        assert tsdf_from_occupancy(occ, truncation).tobytes() == \
+            reference_tsdf(occ, truncation).tobytes()
+
+
+def test_tsdf_matches_reference_on_scene_occupancy():
+    rng = np.random.default_rng(2)
+    for scene in seeded_scenes(3):
+        occ = scene.volume.occupancy
+        for volume in (occ, occ ^ (rng.random(occ.shape) < 0.05)):
+            for truncation in (3.0, 1.0, 4.5):
+                assert tsdf_from_occupancy(volume, truncation).tobytes() == \
+                    reference_tsdf(volume, truncation).tobytes()
+
+
+def test_tsdf_rejects_nan_truncation():
+    with pytest.raises(LossError, match="truncation"):
+        tsdf_from_occupancy(np.zeros((2, 2, 2), bool), float("nan"))
+
+
 def test_tsdf_from_scene_signs(small_scene):
     tsdf = tsdf_from_scene(small_scene)
     occ = small_scene.volume.occupancy
@@ -182,14 +243,15 @@ def zero_loss_inputs(scene):
 
 def test_loss3d_ground_truth_near_zero(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
-    rep = loss_3d(sem, offs, occ, tsdf, sem, offs, occ, tsdf, thing)
+    rep = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
     assert rep.total < 1e-5
 
 
 def test_loss3d_term_isolation(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
-    base = loss_3d(sem, offs, occ, tsdf, sem, offs, occ, tsdf, thing)
-    shifted = loss_3d(sem, offs + 1.0, occ, tsdf, sem, offs, occ, tsdf, thing)
+    base = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
+    shifted = loss_3d(sem, offs + 1.0, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
+                      thing)
     # offsets have 2 channels, so +1 on each adds 2 per thing cell
     assert shifted.terms["offset_l1"] == pytest.approx(2.0)
     for name in ("occupancy_bce", "tsdf_l1", "semantic_ce"):
@@ -199,9 +261,10 @@ def test_loss3d_term_isolation(small_scene):
 def test_loss3d_weight_linearity(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     pred_occ = np.clip(occ, 0.3, 0.7)
-    one = loss_3d(sem, offs, pred_occ, tsdf, sem, offs, occ, tsdf, thing)
-    two = loss_3d(sem, offs, pred_occ, tsdf, sem, offs, occ, tsdf, thing,
-                  weights=LossWeights(occupancy3d=2.0))
+    one = loss_3d(sem, offs, pred_occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
+                  thing)
+    two = loss_3d(sem, offs, pred_occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
+                  thing, weights=LossWeights(occupancy3d=2.0))
     gain = two.total - one.total
     expected = one.terms["occupancy_bce"] + one.terms["tsdf_l1"]
     assert gain == pytest.approx(expected)
@@ -212,8 +275,56 @@ def test_loss3d_tsdf_band(small_scene):
     pred_tsdf = tsdf.copy()
     saturated = np.abs(tsdf) >= 3.0
     pred_tsdf[saturated] = 3.0  # flipping far cells must not change the loss
-    rep = loss_3d(sem, offs, occ, pred_tsdf, sem, offs, occ, tsdf, thing)
+    rep = loss_3d(sem, offs, occ, pred_tsdf, small_scene.volume.semantics, offs, occ, tsdf,
+                  thing)
     assert rep.terms["tsdf_l1"] == 0.0
+
+
+def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
+    priors = perturb_priors(derive_priors(small_scene), NoiseSpec(depth_sigma=0.05,
+                            semantic_flip=0.1, occupancy_flip=0.05), 3, small_scene.planes)
+    args = (priors.semantics, priors.depth, small_scene.frame, small_scene.intrinsics,
+            small_scene.planes)
+    lifted = occupancy_aware_lift(priors.semantics, priors.mp_occupancy, *args[1:])
+    occ_pred = lift_occupancy(priors.mp_occupancy, *args[1:])
+    rows = feature_rows(*args[:2], occ_pred, *args[2:])
+    _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    labels = small_scene.volume.semantics
+    one_hot = np.eye(small_scene.categories.num_categories)[labels]
+    expected = cross_entropy(lifted.features, one_hot, mask=occ > 0.5)
+    for sem_pred in (lifted.features, rows):
+        rep = loss_3d(sem_pred, offs, occ_pred, tsdf, labels, offs, occ, tsdf, thing)
+        assert rep.terms["semantic_ce"] == expected > 0.1
+
+
+@pytest.mark.parametrize("bad", ["one-hot", "float", "shape", "negative", "too-large"])
+def test_loss3d_rejects_bad_sem_gt(small_scene, bad):
+    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    labels = small_scene.volume.semantics.copy()
+    cell = np.flatnonzero(occ)[17]
+    sem_gt = {"one-hot": sem, "float": labels.astype(np.float64), "shape": labels[:-1],
+              "negative": labels, "too-large": labels}[bad]
+    labels.reshape(-1)[cell] = {"negative": -1, "too-large": sem.shape[-1]}.get(bad, 0)
+    with pytest.raises(LossError, match="sem_gt"):
+        loss_3d(sem, offs, occ, tsdf, sem_gt, offs, occ, tsdf, thing)
+
+
+def test_loss3d_checks_labels_only_at_occupied_cells(small_scene):
+    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    labels = small_scene.volume.semantics.copy()
+    base = loss_3d(sem, offs, occ, tsdf, labels, offs, occ, tsdf, thing)
+    labels[occ == 0] = -1
+    rep = loss_3d(sem, offs, occ, tsdf, labels, offs, occ, tsdf, thing)
+    assert rep.terms == base.terms
+
+
+def test_import_does_not_load_scipy():
+    package_root = str(Path(panrec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root)
+    code = "import sys, panrec, panrec.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_weights_validation_and_report():
