@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,8 @@ from panrec.metrics import (
     prq,
 )
 from panrec.pipeline import reconstruct_from_priors
-from panrec.priors import derive_priors
+from panrec.priors import derive_priors, extract_centers
+from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume
 from panrec.geometry import FrustumGrid
 from conftest import seeded_scenes
@@ -213,3 +218,47 @@ def test_prq_reconstruction_round_trip():
         assert rep.prq == 1.0
         rec = rep.as_records()
         assert rec["prq"] == 1.0 and "prq_th" in rec
+
+
+# sha256 over every `as_records()` value and every per-category (tp, fp, fn),
+# pinned from the per-segment cell-array implementation. Scenes are built the
+# way the crowded-noisy benchmark builds them (perturbed priors, extracted
+# centers) at 48^3, so the reports have misses, false positives and matches
+# that change with the threshold.
+GOLDEN_PRQ_RECORDS = {
+    0: "8e8cc515f2b65ce67e75ccfcb71f33f83362dbb54c1023dd88a0fd0266cdd546",
+    1: "8c0e0235e508aee1c9353740889978bcf97d25023d6b1e912416f8f3543d8247",
+    2: "e6ff953219d1290cab902a92f3a47605d4dbce04b4f0deb44c4d72b829bc548a",
+}
+GOLDEN_THRESHOLDS = (0.1, 0.25, 0.5, 0.9)
+NOISE = NoiseSpec(depth_sigma=0.05, semantic_flip=0.05, occupancy_flip=0.02,
+                  center_jitter=2)
+
+
+def noisy_prediction(seed):
+    scene = generate_scene(SynthConfig(seed=seed, width=48, height=48, planes=48,
+                                       n_things=8, min_center_separation=8.0))
+    bundle = perturb_priors(derive_priors(scene), NOISE, seed, scene.planes)
+    bundle = dataclasses.replace(
+        bundle, centers=extract_centers(bundle.heatmap, bundle.semantics))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pred = reconstruct_from_priors(bundle, scene.frame, scene.intrinsics,
+                                       scene.planes, scene.categories)
+    return pred, scene.volume
+
+
+def report_lines(rep):
+    lines = [f"{k} {float(v).hex()}" for k, v in rep.as_records().items()]
+    lines += [f"{k} {s.tp} {s.fp} {s.fn}" for k, s in rep.per_category.items()]
+    return lines
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PRQ_RECORDS))
+def test_prq_records_match_golden_hash(seed):
+    pred, gt = noisy_prediction(seed)
+    lines = []
+    for threshold in GOLDEN_THRESHOLDS:
+        lines += [f"threshold {threshold}"] + report_lines(prq(pred, gt, threshold))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_PRQ_RECORDS[seed]
