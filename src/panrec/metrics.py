@@ -2,6 +2,7 @@
 25% threshold, and per-category / aggregated quality scores."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +21,7 @@ class Segment:
     category: int
     instance_id: int      # 0 for stuff segments
     is_thing: bool
-    cells: np.ndarray     # sorted flat voxel indices
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
+    size: int             # number of cells
 
 
 @dataclass
@@ -66,86 +63,74 @@ class PrqReport:
         return rec
 
 
-def extract_segments(volume: PanopticVolume) -> list:
-    """One segment per thing (category, instance) pair and one per stuff category."""
+def extract_segments(volume: PanopticVolume, name: str = "volume"):
+    """One segment per thing (category, instance) pair and one per stuff category.
+
+    Returns (segments, index): segments in ascending (category, instance)
+    order, and each cell's segment number, `len(segments)` at void cells.
+    Malformed labels raise MetricError naming `name` and the field.
+    """
     sem = volume.semantics.ravel()
     inst = volume.instances.ravel()
-    thing_flags = np.asarray(volume.categories.is_thing)
-    key = sem.astype(np.int64) * (int(inst.max(initial=0)) + 1) + inst
-    key = np.where(sem == VOID, -1, key)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    uniq, starts = np.unique(sorted_key, return_index=True)
-    segments = []
-    for i, k in enumerate(uniq):
-        if k < 0:
-            continue
-        stop = starts[i + 1] if i + 1 < len(uniq) else len(sorted_key)
-        cells = np.sort(order[starts[i] : stop])
-        first = cells[0]
-        cat = int(sem[first])
-        segments.append(
-            Segment(
-                category=cat,
-                instance_id=int(inst[first]),
-                is_thing=bool(thing_flags[cat]),
-                cells=cells,
-            )
-        )
-    return segments
+    if inst.min(initial=0) < 0:
+        raise MetricError(f"{name}.instances: negative instance id")
+    occupied = sem != VOID
+    span = int(inst.max(initial=0)) + 1
+    key = sem[occupied].astype(np.int64) * span + inst[occupied]
+    uniq, inverse, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    cats, ids = np.divmod(uniq, span)
+    if len(uniq) and (cats[0] < 0 or cats[-1] >= len(volume.categories)):
+        raise MetricError(f"{name}.semantics: category id outside the category table")
+    is_thing = np.asarray(volume.categories.is_thing, dtype=bool)[cats]
+    if np.any(ids[~is_thing] != 0):
+        raise MetricError(f"{name}.instances: instance id on a stuff cell")
+    if np.count_nonzero(inst) != sizes[ids != 0].sum():
+        raise MetricError(f"{name}.instances: instance id on a void cell")
+    segments = [Segment(*seg) for seg in zip(cats.tolist(), ids.tolist(),
+                                             is_thing.tolist(), sizes.tolist())]
+    index = np.full(sem.size, len(segments))
+    index[occupied] = inverse
+    return segments, index
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two voxel index sets."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if len(a) == 0 and len(b) == 0:
+def iou(inter: int, size_a: int, size_b: int) -> float:
+    """Intersection over union of two segments from their overlap and sizes."""
+    if size_a == 0 and size_b == 0:
         raise MetricError("IoU of two empty sets is undefined")
-    inter = len(np.intersect1d(a, b, assume_unique=True))
-    return inter / (len(a) + len(b) - inter)
+    return inter / (size_a + size_b - inter)
 
 
-def _greedy_match(pairs, pred_ids, gt_ids):
-    """Greedy one-to-one matching of (iou, gt, pred) candidates.
+def match_segments(pred_segments, gt_segments, overlap, threshold: float = 0.25):
+    """Match same-category segments greedily by decreasing IoU, then gt size
+    desc, pred size desc, gt index, pred index.
 
-    `pairs` is a list of (iou, gt_size, pred_size, gt_id, pred_id); candidates
-    already satisfy the IoU threshold. Ordering: IoU desc, then gt size desc,
-    pred size desc, gt id, pred id.
-    """
-    pairs = sorted(pairs, key=lambda p: (-p[0], -p[1], -p[2], p[3], p[4]))
-    used_gt, used_pred = set(), set()
-    tp = []
-    for score, _gs, _ps, gt_id, pred_id in pairs:
-        if gt_id in used_gt or pred_id in used_pred:
-            continue
-        used_gt.add(gt_id)
-        used_pred.add(pred_id)
-        tp.append((gt_id, pred_id, score))
-    fp = [p for p in pred_ids if p not in used_pred]
-    fn = [g for g in gt_ids if g not in used_gt]
-    return tp, fp, fn
-
-
-def match_segments(pred_segments, gt_segments, threshold: float = 0.25):
-    """Match same-category segments greedily by decreasing IoU.
-
+    `overlap[g, p]` counts the cells shared by gt segment g and pred segment p.
     Returns (tp, fp, fn): tp as (gt_index, pred_index, iou) triples into the
     input lists, fp/fn as unmatched indices.
     """
     if not (0 < threshold <= 1):
         raise MetricError("IoU threshold must be in (0, 1]")
     pairs = []
-    for gi, g in enumerate(gt_segments):
-        for pi, p in enumerate(pred_segments):
-            if g.category != p.category:
-                continue
-            score = iou(g.cells, p.cells)
+    gis, pis = np.nonzero(overlap)
+    for gi, pi, inter in zip(gis.tolist(), pis.tolist(), overlap[gis, pis].tolist()):
+        g, p = gt_segments[gi], pred_segments[pi]
+        if g.category == p.category:
+            score = iou(inter, g.size, p.size)
             if score >= threshold:
-                pairs.append((score, g.size, p.size, gi, pi))
-    return _greedy_match(pairs, range(len(pred_segments)), range(len(gt_segments)))
+                pairs.append((-score, -g.size, -p.size, gi, pi))
+    used_gt, used_pred, tp = set(), set(), []
+    for neg_score, _gs, _ps, gi, pi in sorted(pairs):
+        if gi not in used_gt and pi not in used_pred:
+            used_gt.add(gi)
+            used_pred.add(pi)
+            tp.append((gi, pi, -neg_score))
+    fp = [pi for pi in range(len(pred_segments)) if pi not in used_pred]
+    fn = [gi for gi in range(len(gt_segments)) if gi not in used_gt]
+    return tp, fp, fn
 
 
-def _category_score(tp_ious, n_tp, n_fp, n_fn) -> CategoryScore:
+def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
+    n_tp = len(tp_ious)
     denom = 2 * n_tp + n_fp + n_fn
     rsq = sum(tp_ious) / n_tp if n_tp else 0.0
     rrq = 2 * n_tp / denom if denom else 0.0
@@ -157,24 +142,30 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
     """Per-category and aggregated quality at the given IoU matching threshold.
 
     Categories absent from both volumes are excluded; aggregates are unweighted
-    means over the evaluated categories.
+    means over the evaluated categories. One greedy matching over all
+    categories equals one per category: candidates never cross categories.
     """
     if pred.frame != gt.frame:
         raise MetricError("prediction and ground truth must share a grid frame")
     if len(pred.categories) != len(gt.categories):
         raise MetricError("category tables differ")
-    pred_segments = extract_segments(pred)
-    gt_segments = extract_segments(gt)
+    pred_segments, pred_index = extract_segments(pred, "pred")
+    gt_segments, gt_index = extract_segments(gt, "gt")
+    # Joint cell counts over (gt segment or void, pred segment or void).
+    cols = len(pred_segments) + 1
+    overlap = np.bincount(gt_index * cols + pred_index, minlength=(len(gt_segments) + 1) * cols)
+    tp, fp, fn = match_segments(pred_segments, gt_segments,
+                                overlap.reshape(-1, cols)[:-1, :-1], threshold)
+    cats = sorted({s.category for s in pred_segments} | {s.category for s in gt_segments})
+    tp_ious = {k: [] for k in cats}
+    for gi, _pi, score in tp:
+        tp_ious[gt_segments[gi].category].append(score)
+    n_fp = Counter(pred_segments[pi].category for pi in fp)
+    n_fn = Counter(gt_segments[gi].category for gi in fn)
     thing_flags = np.asarray(gt.categories.is_thing)
     per_category = {}
-    cats = sorted(
-        {s.category for s in pred_segments} | {s.category for s in gt_segments}
-    )
     for k in cats:
-        preds = [s for s in pred_segments if s.category == k]
-        gts = [s for s in gt_segments if s.category == k]
-        tp, fp, fn = match_segments(preds, gts, threshold)
-        score = _category_score([t[2] for t in tp], len(tp), len(fp), len(fn))
+        score = _category_score(tp_ious[k], n_fp[k], n_fn[k])
         # Cross-check the factored form against the direct one.
         assert abs(score.prq - score.rsq * score.rrq) <= 1e-12
         per_category[k] = score

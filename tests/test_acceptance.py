@@ -20,7 +20,7 @@ from panrec.losses import (
     tsdf_from_occupancy,
     tsdf_from_scene,
 )
-from panrec.metrics import extract_segments, iou, match_segments, prq
+from panrec.metrics import extract_segments, match_segments, prq
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_instance_map2d, derive_priors
 from panrec.reconstruction import (
@@ -83,13 +83,14 @@ def random_labeled_volume(rng, frame, cats):
 
 
 def brute_force_match(preds, gts, threshold):
-    """Exhaustive one-to-one matching maximizing (pair count, total IoU)."""
+    """Exhaustive one-to-one matching maximizing (pair count, total IoU) over
+    same-category segments, each given as (category, set of cells)."""
     cand = []
-    for gi, g in enumerate(gts):
-        for pi, p in enumerate(preds):
-            if g.category != p.category:
+    for gi, (g_cat, g) in enumerate(gts):
+        for pi, (p_cat, p) in enumerate(preds):
+            if g_cat != p_cat:
                 continue
-            score = iou(g.cells, p.cells)
+            score = len(g & p) / len(g | p)
             if score >= threshold:
                 cand.append((score, gi, pi))
 
@@ -117,14 +118,21 @@ def test_criterion_2_metric_oracle_equivalence():
     for _ in range(500):
         pred = random_labeled_volume(rng, frame, cats)
         gt = random_labeled_volume(rng, frame, cats)
-        pred_segs = extract_segments(pred)
-        gt_segs = extract_segments(gt)
+        pred_segs, pred_index = extract_segments(pred)
+        gt_segs, gt_index = extract_segments(gt)
+        pred_cells = [(s.category, set(np.flatnonzero(pred_index == i).tolist()))
+                      for i, s in enumerate(pred_segs)]
+        gt_cells = [(s.category, set(np.flatnonzero(gt_index == i).tolist()))
+                    for i, s in enumerate(gt_segs)]
+        overlap = np.array([[len(g & p) for _, p in pred_cells] for _, g in gt_cells],
+                           dtype=np.int64).reshape(len(gt_cells), len(pred_cells))
+        tp, fp, fn = match_segments(pred_segs, gt_segs, overlap)
         for cat in (1, 2):
-            ps = [s for s in pred_segs if s.category == cat]
-            gs = [s for s in gt_segs if s.category == cat]
-            tp, fp, fn = match_segments(ps, gs)
+            ps = [c for c in pred_cells if c[0] == cat]
+            gs = [c for c in gt_cells if c[0] == cat]
+            cat_tp = [t for t in tp if gt_segs[t[0]].category == cat]
             count, total = brute_force_match(ps, gs, 0.25)
-            if len(tp) != count or abs(sum(t[2] for t in tp) - total) > 1e-12:
+            if len(cat_tp) != count or abs(sum(t[2] for t in cat_tp) - total) > 1e-12:
                 ok = False
         rep = prq(pred, gt)
         for s in rep.per_category.values():

@@ -4,9 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from panrec.metrics import (
+    CategoryScore,
     MetricError,
+    PrqReport,
+    Segment,
     extract_segments,
     iou,
     match_segments,
@@ -15,7 +20,7 @@ from panrec.metrics import (
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_priors, extract_centers
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
-from panrec.volume import CategoryTable, PanopticVolume
+from panrec.volume import CategoryTable, PanopticVolume, VolumeError
 from panrec.geometry import FrustumGrid
 from conftest import seeded_scenes
 
@@ -32,51 +37,66 @@ def blank():
     return np.zeros(FRAME.shape, np.int32), np.zeros(FRAME.shape, np.int32)
 
 
+def segments_and_overlap(pred, gt):
+    """Segments of both volumes and their overlap counts, from cell sets."""
+    pred_segs, pred_index = extract_segments(pred)
+    gt_segs, gt_index = extract_segments(gt)
+    overlap = np.zeros((len(gt_segs), len(pred_segs)), np.int64)
+    for g in range(len(gt_segs)):
+        for p in range(len(pred_segs)):
+            overlap[g, p] = np.count_nonzero((gt_index == g) & (pred_index == p))
+    return pred_segs, gt_segs, overlap
+
+
 def test_extract_segments_empty_and_counts():
     sem, inst = blank()
-    assert extract_segments(vol(sem, inst)) == []
+    segs, index = extract_segments(vol(sem, inst))
+    assert segs == [] and index.tolist() == [0] * 64
     sem[0, 0, 0] = 2           # stuff
     sem[1, 1, 1] = sem[1, 1, 2] = 1
     inst[1, 1, 1] = inst[1, 1, 2] = 5
     sem[2, 2, 2] = 1
     inst[2, 2, 2] = 6
-    segs = extract_segments(vol(sem, inst))
+    segs, index = extract_segments(vol(sem, inst))
     assert len(segs) == 3
     by_key = {(s.category, s.instance_id): s for s in segs}
     assert by_key[(2, 0)].size == 1 and not by_key[(2, 0)].is_thing
     assert by_key[(1, 5)].size == 2 and by_key[(1, 5)].is_thing
     assert by_key[(1, 6)].size == 1
+    assert [(s.category, s.instance_id) for s in segs] == [(1, 5), (1, 6), (2, 0)]
+    index = index.reshape(FRAME.shape)
+    assert index[1, 1, 1] == index[1, 1, 2] == 0
+    assert index[2, 2, 2] == 1 and index[0, 0, 0] == 2
+    assert np.count_nonzero(index == 3) == 64 - 4
 
 
 def test_stuff_cells_merge_into_one_segment():
     sem, inst = blank()
     sem[0, 0, 0] = sem[3, 3, 3] = 2
-    segs = extract_segments(vol(sem, inst))
+    segs, index = extract_segments(vol(sem, inst))
     assert len(segs) == 1
     assert segs[0].size == 2
+    assert np.flatnonzero(index == 0).tolist() == [0, 63]
+    assert np.count_nonzero(index == 1) == 62
 
 
 def test_iou_values_and_error():
-    assert iou(np.array([0, 1]), np.array([0, 1])) == 1.0
-    assert iou(np.array([0, 1]), np.array([2, 3])) == 0.0
-    assert iou(np.array([0, 1, 2]), np.array([2, 3])) == pytest.approx(0.25)
+    # the same cell sets as {0, 1} vs {0, 1}, {0, 1} vs {2, 3}, {0, 1, 2} vs {2, 3}
+    assert iou(2, 2, 2) == 1.0
+    assert iou(0, 2, 2) == 0.0
+    assert iou(1, 3, 2) == pytest.approx(0.25)
     with pytest.raises(MetricError):
-        iou(np.array([]), np.array([]))
+        iou(0, 0, 0)
+
+
+def thing(instance_id, size, category=1):
+    return Segment(category, instance_id, True, size)
 
 
 def test_match_prefers_higher_iou():
-    sem, inst = blank()
-    # gt: one instance over 10 cells
-    sem.ravel()[:10] = 1
-    inst.ravel()[:10] = 1
-    gt = vol(sem, inst)
-    sem2, inst2 = blank()
-    sem2.ravel()[:8] = 1      # pred A: iou 8/10 with gt
-    inst2.ravel()[:8] = 1
-    sem2.ravel()[10:14] = 1   # pred B: disjoint, unmatched
-    inst2.ravel()[10:14] = 2
-    tp, fp, fn = match_segments(extract_segments(vol(sem2, inst2)),
-                                extract_segments(gt))
+    gt = [thing(1, 10)]                  # one instance over 10 cells
+    preds = [thing(1, 8), thing(2, 4)]   # A: inside gt, iou 8/10; B: disjoint
+    tp, fp, fn = match_segments(preds, gt, np.array([[8, 0]]))
     assert len(tp) == 1 and tp[0][2] == pytest.approx(0.8)
     assert len(fp) == 1 and len(fn) == 0
 
@@ -85,29 +105,22 @@ def test_greedy_takes_best_pair_first():
     # pred A straddles gt G (iou 1/3) and gt H (iou 5/17); pred B sits
     # inside H (iou 1/2). Greedy fixes (H, B) first, then (G, A), and the
     # weaker (H, A) candidate is dropped because H is already matched.
-    sem, inst = blank()
-    sem.ravel()[0:10] = 1
-    inst.ravel()[0:10] = 1     # G, 10 cells
-    sem.ravel()[10:22] = 1
-    inst.ravel()[10:22] = 2    # H, 12 cells
-    gt = vol(sem, inst)
-    sem2, inst2 = blank()
-    sem2.ravel()[5:15] = 1     # A, 10 cells
-    inst2.ravel()[5:15] = 1
-    sem2.ravel()[16:22] = 1    # B, 6 cells
-    inst2.ravel()[16:22] = 2
-    tp, fp, fn = match_segments(extract_segments(vol(sem2, inst2)),
-                                extract_segments(gt))
+    gt = [thing(1, 10), thing(2, 12)]     # G: cells 0-9, H: cells 10-21
+    preds = [thing(1, 10), thing(2, 6)]   # A: cells 5-14, B: cells 16-21
+    overlap = np.array([[5, 0],           # G & A = 5 cells, G & B = 0
+                        [5, 6]])          # H & A = 5 cells, H & B = 6
+    tp, fp, fn = match_segments(preds, gt, overlap)
     assert len(tp) == 2 and not fp and not fn
     ious = sorted(t[2] for t in tp)
     assert ious == pytest.approx([1 / 3, 1 / 2])
 
 
 def test_match_threshold_validation():
+    none = np.zeros((0, 0), np.int64)
     with pytest.raises(MetricError):
-        match_segments([], [], threshold=0.0)
+        match_segments([], [], none, threshold=0.0)
     with pytest.raises(MetricError):
-        match_segments([], [], threshold=1.5)
+        match_segments([], [], none, threshold=1.5)
 
 
 def test_prq_identity_is_one():
@@ -201,9 +214,8 @@ def test_threshold_above_half_unique_matching():
                 cells = rng.choice(64, size=rng.integers(2, 12), replace=False)
                 arr_s.ravel()[cells] = 1
                 arr_i.ravel()[cells] = i
-        tp, _, _ = match_segments(extract_segments(vol(sem2, inst2)),
-                                  extract_segments(vol(sem, inst)),
-                                  threshold=0.55)
+        preds, gts, overlap = segments_and_overlap(vol(sem2, inst2), vol(sem, inst))
+        tp, _, _ = match_segments(preds, gts, overlap, threshold=0.55)
         assert len({t[0] for t in tp}) == len(tp)
         assert len({t[1] for t in tp}) == len(tp)
         assert all(t[2] >= 0.55 for t in tp)
@@ -262,3 +274,189 @@ def test_prq_records_match_golden_hash(seed):
         lines += [f"threshold {threshold}"] + report_lines(prq(pred, gt, threshold))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_PRQ_RECORDS[seed]
+
+
+def reference_prq(pred, gt, threshold=0.25):
+    """The per-segment cell-array PRQ that the joint overlap table replaced,
+    kept as the oracle: a stable argsort per volume, one sorted cell array per
+    segment, per-category segment lists and `np.intersect1d` per pair."""
+
+    def segments(volume):
+        sem = volume.semantics.ravel()
+        inst = volume.instances.ravel()
+        thing_flags = np.asarray(volume.categories.is_thing)
+        key = sem.astype(np.int64) * (int(inst.max(initial=0)) + 1) + inst
+        key = np.where(sem == 0, -1, key)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        uniq, starts = np.unique(sorted_key, return_index=True)
+        out = []
+        for i, k in enumerate(uniq):
+            if k < 0:
+                continue
+            stop = starts[i + 1] if i + 1 < len(uniq) else len(sorted_key)
+            cells = np.sort(order[starts[i]:stop])
+            cat = int(sem[cells[0]])
+            out.append((cat, bool(thing_flags[cat]), cells))
+        return out
+
+    def match(preds, gts):
+        if not (0 < threshold <= 1):
+            raise MetricError("IoU threshold must be in (0, 1]")
+        pairs = []
+        for gi, (_, _, g) in enumerate(gts):
+            for pi, (_, _, p) in enumerate(preds):
+                inter = len(np.intersect1d(g, p, assume_unique=True))
+                score = inter / (len(g) + len(p) - inter)
+                if score >= threshold:
+                    pairs.append((score, len(g), len(p), gi, pi))
+        pairs.sort(key=lambda q: (-q[0], -q[1], -q[2], q[3], q[4]))
+        used_gt, used_pred, tp = set(), set(), []
+        for score, _gs, _ps, gi, pi in pairs:
+            if gi not in used_gt and pi not in used_pred:
+                used_gt.add(gi)
+                used_pred.add(pi)
+                tp.append(score)
+        return tp, len(preds) - len(tp), len(gts) - len(tp)
+
+    pred_segments, gt_segments = segments(pred), segments(gt)
+    cats = sorted({s[0] for s in pred_segments} | {s[0] for s in gt_segments})
+    per_category = {}
+    for k in cats:
+        tp, n_fp, n_fn = match([s for s in pred_segments if s[0] == k],
+                               [s for s in gt_segments if s[0] == k])
+        n_tp = len(tp)
+        denom = 2 * n_tp + n_fp + n_fn
+        per_category[k] = CategoryScore(
+            prq=2 * sum(tp) / denom if denom else 0.0,
+            rsq=sum(tp) / n_tp if n_tp else 0.0,
+            rrq=2 * n_tp / denom if denom else 0.0, tp=n_tp, fp=n_fp, fn=n_fn)
+    thing_flags = gt.categories.is_thing
+
+    def mean(ids, attr):
+        return float(np.mean([getattr(per_category[k], attr) for k in ids])) if ids else 0.0
+
+    groups = {"": cats, "_things": [k for k in cats if thing_flags[k]],
+              "_stuff": [k for k in cats if not thing_flags[k]]}
+    return PrqReport(per_category=per_category, categories=cats, **{
+        f"{attr}{suffix}": mean(ids, attr)
+        for suffix, ids in groups.items() for attr in ("prq", "rsq", "rrq")})
+
+
+ORACLE_CATS = CategoryTable((False, True, False, True, True))
+INSTANCE_IDS = (1, 2, 3, 2**20, 2**20 + 1, 2**31 - 1)
+
+
+@st.composite
+def labeled_volume(draw, shape):
+    """A valid volume over ORACLE_CATS: all void, or random labels with large
+    instance ids on thing cells only."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        sem = np.zeros(shape, np.int32)
+    else:
+        sem = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, 4)))
+    ids = draw(hnp.arrays(np.int32, shape, elements=st.sampled_from(INSTANCE_IDS)))
+    thing = np.asarray(ORACLE_CATS.is_thing)[sem]
+    return sem, np.where(thing, ids, 0).astype(np.int32)
+
+
+@st.composite
+def volume_pairs(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=3, max_size=3)))
+    (gs, gi), (ps, pi) = draw(labeled_volume(shape)), draw(labeled_volume(shape))
+    if gs.size >= 4 and draw(st.booleans()):
+        # Plant an exact tie: two gt and two pred instances of 2 cells each,
+        # every pred sharing one cell with every gt, so all four IoUs are 1/3.
+        gs.ravel()[:4] = ps.ravel()[:4] = draw(st.sampled_from([1, 3, 4]))
+        a, b = draw(st.lists(st.sampled_from(INSTANCE_IDS), min_size=2, max_size=2,
+                             unique=True))
+        gi.ravel()[:4] = (a, a, b, b)
+        pi.ravel()[:4] = (a, b, a, b)
+    frame = FrustumGrid(shape[1], shape[0], shape[2])
+    return (PanopticVolume(frame, ps, pi, ORACLE_CATS).validate(),
+            PanopticVolume(frame, gs, gi, ORACLE_CATS).validate())
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=volume_pairs(), threshold=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0]))
+def test_prq_matches_reference_on_random_volumes(pair, threshold):
+    pred, gt = pair
+    for a, b in ((pred, gt), (gt, pred), (gt, gt)):
+        assert report_lines(prq(a, b, threshold)) == \
+            report_lines(reference_prq(a, b, threshold))
+
+
+def test_planted_tie_breaks_by_gt_then_pred_order():
+    # gt instances 1, 2 and pred instances 1, 2, each pair sharing one of
+    # four cells; gt 1 takes pred 1 and gt 2 takes pred 2, all at IoU 1/3.
+    sem, inst = blank()
+    sem.ravel()[:4] = 1
+    inst.ravel()[:4] = (1, 1, 2, 2)
+    inst2 = inst.copy()
+    inst2.ravel()[:4] = (1, 2, 1, 2)
+    preds, gts, overlap = segments_and_overlap(vol(sem, inst2), vol(sem, inst))
+    tp, fp, fn = match_segments(preds, gts, overlap, threshold=1 / 3)
+    assert tp == [(0, 0, 1 / 3), (1, 1, 1 / 3)] and not fp and not fn
+    # equal IoUs with unequal sizes: the larger gt, then the larger pred wins
+    assert match_segments([thing(1, 10)], [thing(1, 2), thing(2, 8)],
+                          np.array([[2], [3]]), threshold=0.2)[0] == [(1, 0, 0.2)]
+    assert match_segments([thing(1, 2), thing(2, 8)], [thing(1, 10)],
+                          np.array([[2, 3]]), threshold=0.2)[0] == [(0, 1, 0.2)]
+
+
+def test_size_tie_break_matches_reference():
+    # pred P (10 cells) holds all of gt G1 (2 cells) and 3 cells of gt G2 (8
+    # cells): both IoUs are 1/5, so the larger G2 takes P. Pred Q shares one
+    # cell with G2 (IoU 1/10) and stays unmatched; had G1 taken P, Q would
+    # match G2 and the category would score 2 TPs. Swapping the volumes tests
+    # the pred-size tie-break the same way.
+    sem, inst = blank()
+    sem.ravel()[:10] = 1
+    inst.ravel()[:10] = (1, 1, 2, 2, 2, 2, 2, 2, 2, 2)
+    gt = vol(sem, inst)
+    sem2, inst2 = blank()
+    for cells, instance in (([0, 1, 2, 3, 4, 20, 21, 22, 23, 24], 1), ([9, 30, 31], 2)):
+        sem2.ravel()[cells] = 1
+        inst2.ravel()[cells] = instance
+    pred = vol(sem2, inst2)
+    for a, b in ((pred, gt), (gt, pred)):
+        rep = prq(a, b, threshold=0.1)
+        assert report_lines(rep) == report_lines(reference_prq(a, b, threshold=0.1))
+        s = rep.per_category[1]
+        assert (s.tp, s.fp, s.fn) == (1, 1, 1) and s.rsq == 0.2
+
+
+def test_threshold_is_checked_without_segments():
+    sem, inst = blank()
+    empty = vol(sem, inst)
+    for threshold in (5.0, 0.0, -0.25):
+        with pytest.raises(MetricError, match="threshold"):
+            prq(empty, empty, threshold)
+
+
+# case -> (field, cell, value): one label of an otherwise valid volume that
+# holds a stuff cell at (0, 0, 0) and thing instance 4 at (0, 0, 1).
+MALFORMED = {
+    "negative-semantic": ("semantics", (1, 1, 1), -1),
+    "semantic-outside-table": ("semantics", (1, 1, 1), 4),
+    "instance-on-stuff": ("instances", (0, 0, 0), 3),
+    "negative-instance": ("instances", (0, 0, 1), -2),
+    "negative-instance-on-void": ("instances", (1, 1, 1), -2),
+    "instance-on-void": ("instances", (1, 1, 1), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_prq_rejects_malformed_volumes(case):
+    field, cell, value = MALFORMED[case]
+    sem, inst = blank()
+    sem[0, 0, 0], sem[0, 0, 1], inst[0, 0, 1] = 2, 1, 4
+    good = vol(sem.copy(), inst.copy())
+    (sem if field == "semantics" else inst)[cell] = value
+    bad = vol(sem, inst)
+    with pytest.raises(MetricError, match=f"^pred\\.{field}"):
+        prq(bad, good)
+    with pytest.raises(MetricError, match=f"^gt\\.{field}"):
+        prq(good, bad)
+    with pytest.raises(VolumeError):  # the full validator agrees
+        bad.validate()
