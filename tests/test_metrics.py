@@ -284,7 +284,6 @@ def reference_prq(pred, gt, threshold=0.25):
     def segments(volume):
         sem = volume.semantics.ravel()
         inst = volume.instances.ravel()
-        thing_flags = np.asarray(volume.categories.is_thing)
         key = sem.astype(np.int64) * (int(inst.max(initial=0)) + 1) + inst
         key = np.where(sem == 0, -1, key)
         order = np.argsort(key, kind="stable")
@@ -296,16 +295,15 @@ def reference_prq(pred, gt, threshold=0.25):
                 continue
             stop = starts[i + 1] if i + 1 < len(uniq) else len(sorted_key)
             cells = np.sort(order[starts[i]:stop])
-            cat = int(sem[cells[0]])
-            out.append((cat, bool(thing_flags[cat]), cells))
+            out.append((int(sem[cells[0]]), cells))
         return out
 
     def match(preds, gts):
         if not (0 < threshold <= 1):
             raise MetricError("IoU threshold must be in (0, 1]")
         pairs = []
-        for gi, (_, _, g) in enumerate(gts):
-            for pi, (_, _, p) in enumerate(preds):
+        for gi, (_, g) in enumerate(gts):
+            for pi, (_, p) in enumerate(preds):
                 inter = len(np.intersect1d(g, p, assume_unique=True))
                 score = inter / (len(g) + len(p) - inter)
                 if score >= threshold:
