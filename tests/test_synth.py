@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,57 @@ def test_center_jitter_bounds_and_heatmap(small_priors, small_scene):
     # heatmap re-encoded from the jittered centers peaks at each new center
     for c in noisy.centers:
         assert noisy.heatmap[c.v, c.u] == 1.0
+
+
+# sha256 of generate_scene's (semantics, instances) and of derive_priors'
+# depth, semantics, mp_occupancy, heatmap, offsets3d and center tuples, pinned
+# from the full-volume rasterizer and the per-instance derivation scans. The
+# configs cover the crowded benchmark scene, occlusion, no stuff, a non-square
+# grid and a grid so small that every padded ellipsoid box is clipped.
+GOLDEN_SCENES = {
+    "crowded-96": (
+        dict(seed=0, width=96, height=96, planes=96, n_things=16,
+             min_center_separation=8.0),
+        "ca18ef6a6a870f1118ce2584dca97e273828a47cb3d00639137608b527adb70f",
+        "dbd26f4cf0fcf41dffdd1fbb82e40c27145795f7b694cde301c03d6bd902bc79"),
+    "occlusion": (
+        dict(seed=3, width=32, height=32, planes=32, n_things=6,
+             min_center_separation=6.0, occlusion_allowed=True),
+        "6ad9c7aeadbd402257dbadd83926efdba01d3801988fec998e4a549d3b31c11a",
+        "da4428c78d87532978f808e59476082e85bac7c8e4037a7ad4e7e8014d27a813"),
+    "no-stuff": (
+        dict(seed=4, width=32, height=32, planes=32, n_things=4, n_stuff=0,
+             min_center_separation=8.0),
+        "178e29922d34c6a2b064d61a482185f01ee1d4d3becac3e943f63e38d26a8af5",
+        "eb01a396016d3bcdb099a8c0cb3a7ac6961175aafc7bbc09b0d21a54a62b69e5"),
+    "anisotropic-40x24x12": (
+        dict(seed=5, width=40, height=24, planes=12, n_things=4,
+             min_center_separation=6.0),
+        "60a60744c5499feb6361fee0be17196de6d4377ab8223e4de2a4b3bed7abc3fb",
+        "255cd3cee00549e8e584f04165cc713d530d3c8d41f38e74e0b537d287a261a1"),
+    "edge-clipped-6x6x3": (
+        dict(seed=0, width=6, height=6, planes=3, n_things=1,
+             min_center_separation=0.0),
+        "878d7e0811408130e29588ac623845d9a5d4356d87164afc01c7b3e7ff202fde",
+        "960cfb32f0cae702f25ad2058c10084481dbd76a5649380ce24ca99f4c95c0c9"),
+}
+
+
+def array_digest(*arrays, extra=b""):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(extra)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENES))
+def test_scene_and_priors_match_golden_hash(name):
+    kwargs, scene_sha, priors_sha = GOLDEN_SCENES[name]
+    scene = generate_scene(SynthConfig(**kwargs))
+    assert array_digest(scene.volume.semantics, scene.volume.instances) == scene_sha
+    p = derive_priors(scene)
+    centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
+    assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
+                        extra=centers.encode()) == priors_sha
