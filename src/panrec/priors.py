@@ -83,24 +83,31 @@ def derive_semantics2d(scene: SceneGT) -> np.ndarray:
     return one_hot
 
 
+def _thing_cells(vol: PanopticVolume):
+    """One pass over the thing cells: their flat C-order indices and (v, u)
+    coordinates, the sorted instance ids, and per id its first cell's position,
+    each cell's id position and per-id cell counts."""
+    flat = np.flatnonzero(vol.instances > 0)
+    vs, us, _ms = np.unravel_index(flat, vol.instances.shape)
+    ids, first, inverse, counts = np.unique(
+        vol.instances.ravel()[flat], return_index=True, return_inverse=True, return_counts=True
+    )
+    return flat, vs, us, ids.tolist(), first, inverse, counts
+
+
 def derive_centers(scene: SceneGT) -> list:
     """Mass center (mean pixel position of all cells, visible or not) per thing
     instance, rounded to the nearest pixel."""
     _require_frustum(scene)
-    vol = scene.volume
-    centers = []
-    for inst_id in vol.instance_labels():
-        vs, us, _ms = np.nonzero(vol.instances == inst_id)
-        cats = vol.semantics[vol.instances == inst_id]
-        centers.append(
-            InstanceCenter(
-                u=int(round_half_up(us.mean())),
-                v=int(round_half_up(vs.mean())),
-                category=int(cats[0]),
-                instance_id=inst_id,
-            )
-        )
-    return centers
+    flat, vs, us, ids, first, inverse, counts = _thing_cells(scene.volume)
+    # Integer coordinate sums are exact in float64, so sum / count is the mean.
+    cu = round_half_up(np.bincount(inverse, weights=us, minlength=len(ids)) / counts)
+    cv = round_half_up(np.bincount(inverse, weights=vs, minlength=len(ids)) / counts)
+    cats = scene.volume.semantics.ravel()[flat[first]]
+    return [
+        InstanceCenter(u=u, v=v, category=cat, instance_id=inst_id)
+        for u, v, cat, inst_id in zip(cu.tolist(), cv.tolist(), cats.tolist(), ids)
+    ]
 
 
 def encode_center_heatmap(centers, height: int, width: int, sigma: float = 8.0) -> np.ndarray:
@@ -132,37 +139,32 @@ def extract_centers(
         raise PriorsError("threshold must be in (0, 1)")
     if nms_kernel < 3 or nms_kernel % 2 == 0:
         raise PriorsError("nms kernel must be odd and >= 3")
+    if max_n < 0:
+        raise PriorsError(f"max_n must be >= 0, got {max_n}")
     heatmap = np.asarray(heatmap, dtype=np.float64)
+    semantics = np.asarray(semantics)
+    if heatmap.ndim != 2 or not np.all(np.isfinite(heatmap)):
+        raise PriorsError(f"heatmap must be a finite (H, W) map, got shape {heatmap.shape}")
+    if semantics.ndim != 3 or semantics.shape[:2] != heatmap.shape or semantics.shape[2] == 0:
+        raise PriorsError(f"semantics shape {semantics.shape} is not heatmap's (H, W) + (C,)")
     h, w = heatmap.shape
     r = nms_kernel // 2
     padded = np.pad(heatmap, r, mode="constant", constant_values=-1.0)
-    peaks = []
-    cand_v, cand_u = np.nonzero(heatmap >= threshold)
-    for v, u in zip(cand_v.tolist(), cand_u.tolist()):
-        window = padded[v : v + nms_kernel, u : u + nms_kernel]
-        val = heatmap[v, u]
-        if np.any(window > val):
-            continue
-        # On ties, only the lexicographically smallest pixel of the window survives.
-        tie = False
-        tv, tu = np.nonzero(window == val)
-        for dv, du in zip(tv.tolist(), tu.tolist()):
-            ov, ou = v + dv - r, u + du - r
-            if (ov, ou) < (v, u):
-                tie = True
-                break
-        if not tie:
-            peaks.append((v, u, val))
-    peaks.sort(key=lambda p: (-p[2], p[0], p[1]))
-    peaks = peaks[:max_n]
-    centers = []
-    for i, (v, u, _val) in enumerate(peaks):
-        centers.append(
-            InstanceCenter(
-                u=u, v=v, category=int(np.argmax(semantics[v, u])), instance_id=i + 1
-            )
-        )
-    return centers
+    # No neighbour in the window may be greater; on ties only the
+    # (v, u)-lexicographically smallest pixel of the window survives.
+    peak = heatmap >= threshold
+    for dv in range(nms_kernel):
+        for du in range(nms_kernel):
+            nb = padded[dv : dv + h, du : du + w]
+            peak &= (nb < heatmap) if (dv, du) < (r, r) else (nb <= heatmap)
+    vs, us = np.nonzero(peak)
+    order = np.lexsort((us, vs, -heatmap[vs, us]))[:max_n]
+    vs, us = vs[order], us[order]
+    cats = np.argmax(semantics[vs, us], axis=-1)
+    return [
+        InstanceCenter(u=u, v=v, category=cat, instance_id=i + 1)
+        for i, (u, v, cat) in enumerate(zip(us.tolist(), vs.tolist(), cats.tolist()))
+    ]
 
 
 def derive_multiplane_occupancy(scene: SceneGT) -> np.ndarray:
@@ -175,18 +177,15 @@ def derive_offsets3d(scene: SceneGT, centers) -> np.ndarray:
     """Per occupied thing cell, the pixel offset from the cell's ray pixel to its
     instance's 2D center; zero elsewhere. Shape (H, W, M, 2) as (du, dv)."""
     _require_frustum(scene)
-    vol = scene.volume
+    flat, vs, us, ids, _first, inverse, _counts = _thing_cells(scene.volume)
     by_id = {c.instance_id: c for c in centers}
-    present = vol.instance_labels()
-    missing = [i for i in present if i not in by_id]
+    missing = [i for i in ids if i not in by_id]
     if missing:
         raise PriorsError(f"no center provided for instance ids {missing}")
-    offsets = np.zeros(vol.semantics.shape + (2,), dtype=np.float64)
-    for inst_id in present:
-        c = by_id[inst_id]
-        vs, us, ms = np.nonzero(vol.instances == inst_id)
-        offsets[vs, us, ms, 0] = c.u - us
-        offsets[vs, us, ms, 1] = c.v - vs
+    cu = np.array([by_id[i].u for i in ids])
+    cv = np.array([by_id[i].v for i in ids])
+    offsets = np.zeros(scene.volume.semantics.shape + (2,), dtype=np.float64)
+    offsets.reshape(-1, 2)[flat] = np.column_stack((cu[inverse] - us, cv[inverse] - vs))
     return offsets
 
 
@@ -201,12 +200,10 @@ def derive_instance_map2d(scene: SceneGT):
         np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
     ]
     inst = np.where(thing, inst, 0).astype(np.int32)
-    cats = {}
-    for inst_id in np.unique(inst[inst > 0]):
-        vs, us = np.nonzero(inst == inst_id)
-        cat = scene.volume.semantics[vs[0], us[0], m_first[vs[0], us[0]]]
-        cats[int(inst_id)] = int(cat)
-    return inst, cats
+    ids, first = np.unique(inst.ravel(), return_index=True)
+    vs, us = np.unravel_index(first[ids > 0], inst.shape)
+    cats = scene.volume.semantics[vs, us, m_first[vs, us]]
+    return inst, dict(zip(ids[ids > 0].tolist(), cats.tolist()))
 
 
 def derive_priors(scene: SceneGT, sigma: float = 8.0) -> Priors2D:

@@ -7,6 +7,7 @@ are reproducible across platforms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ class NoiseSpec:
                 raise SynthError("flip probabilities must be in [0, 1]")
 
 
+# Smallest upper ends of the rasterizers' size ranges. They set the smallest grid
+# that fits every thing: an ellipsoid's center range [r, n - 1 - r] needs 2 r + 1.
+_BOX_SIDE = 4
+_BOX_DEPTH = 3
+_ELLIPSOID_RADIUS = 2.5
+_MIN_THING_PIXELS = max(_BOX_SIDE, math.ceil(2 * _ELLIPSOID_RADIUS + 1))
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
@@ -59,6 +68,12 @@ class SynthConfig:
             raise SynthError("need at least one thing category")
         if self.min_center_separation < 0:
             raise SynthError("min center separation must be nonnegative")
+        if self.n_things > 0:
+            # Every box and ellipsoid the rasterizers can draw must fit the grid.
+            for name, low in (("width", _MIN_THING_PIXELS), ("height", _MIN_THING_PIXELS),
+                              ("planes", _BOX_DEPTH)):
+                if getattr(self, name) < low:
+                    raise SynthError(f"{name} must be >= {low} to place things")
 
     @property
     def categories(self) -> CategoryTable:
@@ -84,9 +99,9 @@ class SynthConfig:
 
 
 def _rasterize_box(rng, w, h, m_count):
-    wu = int(rng.integers(3, max(4, min(w // 4, 14)) + 1))
-    wv = int(rng.integers(3, max(4, min(h // 4, 14)) + 1))
-    wm = int(rng.integers(2, max(3, m_count // 4) + 1))
+    wu = int(rng.integers(3, max(_BOX_SIDE, min(w // 4, 14)) + 1))
+    wv = int(rng.integers(3, max(_BOX_SIDE, min(h // 4, 14)) + 1))
+    wm = int(rng.integers(2, max(_BOX_DEPTH, m_count // 4) + 1))
     u0 = int(rng.integers(0, w - wu + 1))
     v0 = int(rng.integers(0, h - wv + 1))
     m0 = int(rng.integers(0, max(1, m_count - wm - max(2, m_count // 16))))
@@ -98,20 +113,22 @@ def _rasterize_box(rng, w, h, m_count):
 
 
 def _rasterize_ellipsoid(rng, w, h, m_count):
-    ru = float(rng.uniform(2.0, max(2.5, min(w // 8, 7))))
-    rv = float(rng.uniform(2.0, max(2.5, min(h // 8, 7))))
+    ru = float(rng.uniform(2.0, max(_ELLIPSOID_RADIUS, min(w // 8, 7))))
+    rv = float(rng.uniform(2.0, max(_ELLIPSOID_RADIUS, min(h // 8, 7))))
     rm = float(rng.uniform(1.0, max(1.5, m_count // 8)))
     uc = float(rng.uniform(ru, w - 1 - ru))
     vc = float(rng.uniform(rv, h - 1 - rv))
     back_margin = max(2, m_count // 16)
     mc = float(rng.uniform(rm, max(rm + 0.5, m_count - 1 - rm - back_margin)))
-    vv, uu, mm = np.meshgrid(
-        np.arange(h), np.arange(w), np.arange(m_count), indexing="ij"
-    )
+    # Cells more than one radius + 1 from the center fail the test by a margin,
+    # so scanning the clipped box gives the same cells in the same C order.
+    box = [(max(0, math.floor(c - r) - 1), min(n, math.ceil(c + r) + 2))
+           for c, r, n in ((vc, rv, h), (uc, ru, w), (mc, rm, m_count))]
+    vv, uu, mm = np.meshgrid(*(np.arange(a, b) for a, b in box), indexing="ij", sparse=True)
     inside = (
         ((uu - uc) / ru) ** 2 + ((vv - vc) / rv) ** 2 + ((mm - mc) / rm) ** 2
     ) <= 1.0
-    return np.nonzero(inside)
+    return tuple(idx + a for idx, (a, _b) in zip(np.nonzero(inside), box))
 
 
 def generate_scene(cfg: SynthConfig):

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from panrec.priors import derive_priors
 from panrec.synth import SynthConfig, generate_scene
+
+# CI runs (GitHub sets CI) draw the same examples every time, so a property
+# test cannot pass on one push and fail on the next with unchanged code.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 from panrec.cli import main
 from panrec.containers import read_container, read_manifest
+from panrec.synth import SynthError
 
 runner = CliRunner()
 
@@ -140,6 +141,13 @@ def test_manifest_written_with_generator(tmp_path):
     run("synth", "--seed", "4", "--out", str(scene))
     manifest = read_manifest(scene / "manifest.json")
     assert manifest["generator"]["seed"] == 4
+
+
+def test_synth_rejects_grid_too_small_for_things(tmp_path):
+    result = runner.invoke(main, ["synth", "--width", "4", "--height", "4", "--planes", "4",
+                                  "--out", str(tmp_path / "scene")])
+    assert isinstance(result.exception, SynthError)
+    assert "width" in str(result.exception)
 
 
 def test_entry_reports_errors(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index
 from panrec.priors import (
@@ -8,6 +10,7 @@ from panrec.priors import (
     SceneGT,
     derive_centers,
     derive_depth,
+    derive_instance_map2d,
     derive_multiplane_occupancy,
     derive_offsets3d,
     derive_semantics2d,
@@ -155,6 +158,93 @@ def test_extract_centers_validation():
         extract_centers(np.zeros((4, 4)), np.zeros((4, 4, 2)), nms_kernel=4)
 
 
+@pytest.mark.parametrize("heatmap, semantics, max_n, field", [
+    (np.zeros((4, 4)), np.zeros((4, 5, 2)), 8, "semantics"),
+    (np.zeros((4, 4)), np.zeros((4, 4)), 8, "semantics"),
+    (np.zeros((4, 4)), np.zeros((4, 4, 0)), 8, "semantics"),
+    (np.zeros(4), np.zeros((4, 4, 2)), 8, "heatmap"),
+    (np.full((4, 4), np.inf), np.zeros((4, 4, 2)), 8, "heatmap"),
+    (np.full((4, 4), np.nan), np.zeros((4, 4, 2)), 8, "heatmap"),
+    (np.zeros((4, 4)), np.zeros((4, 4, 2)), -1, "max_n"),
+])
+def test_extract_centers_rejects_malformed_inputs(heatmap, semantics, max_n, field):
+    with pytest.raises(PriorsError, match=field):
+        extract_centers(heatmap, semantics, max_n=max_n)
+
+
+def test_extract_centers_max_n_zero_and_cut():
+    hm = np.zeros((8, 8))
+    hm[1, 1], hm[5, 5], hm[1, 6] = 0.9, 0.8, 0.7
+    sem = np.zeros((8, 8, 2))
+    assert extract_centers(hm, sem, max_n=0) == []
+    assert [(c.v, c.u) for c in extract_centers(hm, sem, max_n=2)] == [(1, 1), (5, 5)]
+
+
+def reference_extract_centers(heatmap, semantics, threshold=0.1, nms_kernel=3, max_n=64):
+    """The per-candidate window loop that the shifted comparisons replaced."""
+    heatmap = np.asarray(heatmap, dtype=np.float64)
+    h, w = heatmap.shape
+    r = nms_kernel // 2
+    padded = np.pad(heatmap, r, mode="constant", constant_values=-1.0)
+    peaks = []
+    cand_v, cand_u = np.nonzero(heatmap >= threshold)
+    for v, u in zip(cand_v.tolist(), cand_u.tolist()):
+        window = padded[v : v + nms_kernel, u : u + nms_kernel]
+        val = heatmap[v, u]
+        if np.any(window > val):
+            continue
+        tie = False
+        tv, tu = np.nonzero(window == val)
+        for dv, du in zip(tv.tolist(), tu.tolist()):
+            ov, ou = v + dv - r, u + du - r
+            if (ov, ou) < (v, u):
+                tie = True
+                break
+        if not tie:
+            peaks.append((v, u, val))
+    peaks.sort(key=lambda p: (-p[2], p[0], p[1]))
+    peaks = peaks[:max_n]
+    centers = []
+    for i, (v, u, _val) in enumerate(peaks):
+        centers.append(
+            InstanceCenter(
+                u=u, v=v, category=int(np.argmax(semantics[v, u])), instance_id=i + 1
+            )
+        )
+    return centers
+
+
+LEVELS = (0.0, 0.05, 0.1, 0.3, 0.5, 0.5, 0.9, 1.0)
+
+
+@st.composite
+def plateau_heatmaps(draw):
+    """Heatmaps of a few repeated levels with equal-valued rectangles planted
+    anywhere, borders included, plus a semantics map with tied channels."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    heatmap = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.sampled_from(LEVELS), st.floats(0.0, 1.0))))
+    for _ in range(draw(st.integers(0, 4))):
+        v0, u0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        v1, u1 = draw(st.integers(v0 + 1, h)), draw(st.integers(u0 + 1, w))
+        heatmap[v0:v1, u0:u1] = draw(st.sampled_from(LEVELS))
+    c = draw(st.integers(1, 4))
+    semantics = draw(hnp.arrays(np.float64, (h, w, c), elements=st.sampled_from((0.0, 0.5, 1.0))))
+    return heatmap, semantics
+
+
+@settings(max_examples=400, deadline=None)
+@given(plateau_heatmaps(), st.sampled_from((3, 5, 7)),
+       st.sampled_from((0.05, 0.1, 0.3, 0.5, 0.9)) | st.floats(0.01, 0.99), st.data())
+def test_extract_centers_matches_reference_loop(maps, nms_kernel, threshold, data):
+    heatmap, semantics = maps
+    full = reference_extract_centers(heatmap, semantics, threshold, nms_kernel)
+    assert extract_centers(heatmap, semantics, threshold, nms_kernel) == full
+    max_n = data.draw(st.integers(0, len(full)), label="max_n")
+    assert extract_centers(heatmap, semantics, threshold, nms_kernel, max_n) == \
+        reference_extract_centers(heatmap, semantics, threshold, nms_kernel, max_n)
+
+
 def test_multiplane_occupancy_trivials():
     scene = make_scene()
     assert np.all(derive_multiplane_occupancy(scene) == 0)
@@ -195,6 +285,19 @@ def test_offsets_point_at_centers(small_scene):
 def test_offsets_missing_center_errors(small_scene):
     with pytest.raises(PriorsError):
         derive_offsets3d(small_scene, [])
+
+
+def test_instance_map2d_categories_match_per_id_scan():
+    for scene in seeded_scenes(6, n_things=5, min_center_separation=4.0,
+                               occlusion_allowed=True):
+        inst, cats = derive_instance_map2d(scene)
+        m_first = np.argmax(scene.volume.occupancy, axis=2)
+        expected = {}
+        for inst_id in np.unique(inst[inst > 0]):
+            vs, us = np.nonzero(inst == inst_id)
+            expected[int(inst_id)] = int(scene.volume.semantics[vs[0], us[0], m_first[vs[0], us[0]]])
+        assert list(cats.items()) == sorted(expected.items())
+        assert all(type(k) is int and type(c) is int for k, c in cats.items())
 
 
 def test_depth_occupancy_equivalence(small_scene):

@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panrec.priors import derive_priors
 from panrec.synth import (
     NoiseSpec,
     SynthConfig,
     SynthError,
+    _rasterize_ellipsoid,
     generate_scene,
     perturb_priors,
 )
@@ -23,6 +25,78 @@ def test_config_validation():
         NoiseSpec(depth_sigma=-1.0)
     with pytest.raises(SynthError):
         NoiseSpec(semantic_flip=1.5)
+
+
+@pytest.mark.parametrize("dims, field", [
+    ((4, 4, 4), "width"),
+    ((5, 32, 32), "width"),
+    ((32, 5, 32), "height"),
+    ((32, 32, 1), "planes"),
+    ((32, 32, 2), "planes"),
+])
+def test_config_rejects_grids_too_small_for_things(dims, field):
+    width, height, planes = dims
+    with pytest.raises(SynthError, match=field):
+        SynthConfig(width=width, height=height, planes=planes, n_things=1)
+    # without things any grid of at least one cell is fine
+    scene = generate_scene(SynthConfig(width=width, height=height, planes=planes, n_things=0))
+    assert not scene.volume.instances.any()
+
+
+PLACEMENT_ERROR = "could not place instance"
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), height=st.integers(1, 40),
+       planes=st.integers(1, 24), n_things=st.integers(0, 4), n_stuff=st.integers(0, 2),
+       separation=st.floats(0.0, 12.0), occlusion=st.booleans())
+def test_valid_config_generates_or_fails_placement(seed, width, height, planes, n_things,
+                                                   n_stuff, separation, occlusion):
+    try:
+        cfg = SynthConfig(seed=seed, width=width, height=height, planes=planes,
+                          n_things=n_things, n_stuff=n_stuff,
+                          min_center_separation=separation,
+                          occlusion_allowed=occlusion, max_attempts=20)
+    except SynthError:
+        assert n_things > 0 and (min(width, height) < 6 or planes < 3)
+        return
+    try:
+        scene = generate_scene(cfg)
+    except SynthError as err:
+        assert PLACEMENT_ERROR in str(err)
+        return
+    assert scene.volume.instance_labels() == list(range(1, n_things + 1))
+
+
+def reference_rasterize_ellipsoid(rng, w, h, m_count):
+    """The full-grid rasterizer that the bounding-box scan replaced."""
+    ru = float(rng.uniform(2.0, max(2.5, min(w // 8, 7))))
+    rv = float(rng.uniform(2.0, max(2.5, min(h // 8, 7))))
+    rm = float(rng.uniform(1.0, max(1.5, m_count // 8)))
+    uc = float(rng.uniform(ru, w - 1 - ru))
+    vc = float(rng.uniform(rv, h - 1 - rv))
+    back_margin = max(2, m_count // 16)
+    mc = float(rng.uniform(rm, max(rm + 0.5, m_count - 1 - rm - back_margin)))
+    vv, uu, mm = np.meshgrid(
+        np.arange(h), np.arange(w), np.arange(m_count), indexing="ij"
+    )
+    inside = (
+        ((uu - uc) / ru) ** 2 + ((vv - vc) / rv) ** 2 + ((mm - mc) / rm) ** 2
+    ) <= 1.0
+    return np.nonzero(inside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), w=st.integers(6, 80), h=st.integers(6, 80),
+       m=st.integers(1, 80))
+def test_rasterize_ellipsoid_matches_full_grid(seed, w, h, m):
+    rng_a = np.random.Generator(np.random.PCG64(seed))
+    rng_b = np.random.Generator(np.random.PCG64(seed))
+    got = _rasterize_ellipsoid(rng_a, w, h, m)
+    want = reference_rasterize_ellipsoid(rng_b, w, h, m)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_empty_scene():
