@@ -120,8 +120,8 @@ def _rasterize_ellipsoid(rng, w, h, m_count):
     vc = float(rng.uniform(rv, h - 1 - rv))
     back_margin = max(2, m_count // 16)
     mc = float(rng.uniform(rm, max(rm + 0.5, m_count - 1 - rm - back_margin)))
-    # Cells more than one radius + 1 from the center fail the test by a margin,
-    # so scanning the clipped box gives the same cells in the same C order.
+    # A cell outside the box is more than r + 1 from the center on some axis, so
+    # that term alone exceeds 1: the clipped box holds the same cells, in C order.
     box = [(max(0, math.floor(c - r) - 1), min(n, math.ceil(c + r) + 2))
            for c, r, n in ((vc, rv, h), (uc, ru, w), (mc, rm, m_count))]
     vv, uu, mm = np.meshgrid(*(np.arange(a, b) for a, b in box), indexing="ij", sparse=True)

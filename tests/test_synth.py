@@ -43,9 +43,6 @@ def test_config_rejects_grids_too_small_for_things(dims, field):
     assert not scene.volume.instances.any()
 
 
-PLACEMENT_ERROR = "could not place instance"
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), height=st.integers(1, 40),
        planes=st.integers(1, 24), n_things=st.integers(0, 4), n_stuff=st.integers(0, 2),
@@ -63,7 +60,7 @@ def test_valid_config_generates_or_fails_placement(seed, width, height, planes, 
     try:
         scene = generate_scene(cfg)
     except SynthError as err:
-        assert PLACEMENT_ERROR in str(err)
+        assert "could not place instance" in str(err)
         return
     assert scene.volume.instance_labels() == list(range(1, n_things + 1))
 
