@@ -174,3 +174,66 @@ def test_entry_reports_errors(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+
+# sha256 of every file the README chain writes on one 32^3 scene, pinned from
+# the copying container writer (header bytes, then `array.tobytes()`). The
+# container format is an output contract: any change to the writer or to the
+# commands must reproduce these bytes exactly.
+GOLDEN_CHAIN_FILES = {
+    "features.bin":
+        "c5845d89b3175145ee50aeb4a2f530ed1f8671b0db600390826d17934745fbb3",
+    "features_occupancy.bin":
+        "ce3ecc6a2c4bab562728e9e35d8631efb85c02d4548084fd35d6fded6843ecc9",
+    "pred.bin":
+        "008ac2be934180f5574ed88d927085d2198238589becb14eca5789f040d68374",
+    "priors/depth.bin":
+        "99913672df8b6057b7cc683f4e90dfe6d5e8cace1e485fe078d9a5c57d5084b4",
+    "priors/heatmap.bin":
+        "8511a4190679b7e1fe7b72aae97703c15bc56eda6cb1f6ed240bf287bc5d0851",
+    "priors/instances2d.bin":
+        "20caa32ecd534b832dc8e98c53f16bcbd427e0f3d9975e9a1733bdd018033331",
+    "priors/manifest.json":
+        "eeac91f28d3111815fe50154b2f2eec5e4368231916461f1f2e8608b23318ee8",
+    "priors/mp_occupancy.bin":
+        "ce3ecc6a2c4bab562728e9e35d8631efb85c02d4548084fd35d6fded6843ecc9",
+    "priors/offsets3d.bin":
+        "386ea4d40dceff199ac7fead1f3e8b438add41a1430f470b3424a3a698f0a555",
+    "priors/semantics2d.bin":
+        "af8fa8c6c9204fefb5b45b05a4ece975e7aa411f253b1720eb07b0204bafd327",
+    "prq.txt":
+        "67d0cf8c7b084d05d043cea356b6d39ef73ef57a806a5f66f8d55bde89e4a9a3",
+    "scene/manifest.json":
+        "e38d5133f9fd76098073666c80943465a0651cdfc7aea58c16a79ea36155bc4e",
+    "scene/panoptic.bin":
+        "008ac2be934180f5574ed88d927085d2198238589becb14eca5789f040d68374",
+    "scene.mtl":
+        "825714babe2fddad24a75ee5bf1459823a5419e845ce156e46f20251afd0f44c",
+    "scene.obj":
+        "d20e76092d558f3713290949bfffc67eb1f7bd590212b17d2ea569a1794911e3",
+    "topdown.bin":
+        "c01f7164a3d6407957bc63168f1cc7844a27f98273a0839e798ca0225b2f9249",
+    "topdown_occupancy.bin":
+        "cfdb04e20441f271def982c6ca57b5e1a82d199db601e6ba68fe150ed4b73e32",
+}
+
+
+def test_readme_chain_matches_golden_hashes(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    run("synth", "--seed", "3", "--out", "scene", "--width", "32", "--height", "32",
+        "--planes", "32", "--things", "3", "--min-separation", "8")
+    run("derive-priors", "scene", "--out", "priors")
+    run("lift", "priors", "--out", "features.bin")
+    run("lift", "priors", "--out", "topdown.bin", "--mode", "top-down",
+        "--assignment", "random:4")
+    run("group", "features.bin", "priors", "--out", "pred.bin", "--mesh", "scene.obj")
+    run("eval", "pred.bin", "scene/panoptic.bin",
+        "--categories-from", "scene/manifest.json", "--record", "prq.txt")
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*")) if p.is_file()
+    }
+    assert digests == GOLDEN_CHAIN_FILES

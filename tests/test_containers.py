@@ -1,8 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panrec.containers import (
+    DTYPE_CODES,
+    DTYPES,
+    KINDS,
     MAGIC,
+    VERSION,
     ContainerError,
     manifest_categories,
     manifest_centers,
@@ -163,3 +170,58 @@ def test_manifest_validation(tmp_path):
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match="contiguous"):
         read_manifest(mp)
+
+
+def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0):
+    """The copying writer: header fields packed one by one, then
+    `array.astype(dtype).tobytes()` of the C-contiguous little-endian array."""
+    array = np.ascontiguousarray(array)
+    dtype = array.dtype.newbyteorder("<")
+    spatial = array.shape[:-1] if channels else array.shape
+    parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, KINDS.index(kind),
+                         DTYPE_CODES[dtype], channels, len(spatial)),
+             struct.pack(f"<{len(spatial)}I", *spatial)]
+    if isinstance(frame, FrustumGrid):
+        parts.append(struct.pack("<BIII", 0, frame.width, frame.height, frame.planes))
+    else:
+        parts.append(struct.pack("<BIIId3d", 1, *frame.shape, frame.voxel_size,
+                                 *frame.origin))
+    parts.append(struct.pack("<4dII", intrinsics.fx, intrinsics.fy, intrinsics.cx,
+                             intrinsics.cy, intrinsics.width, intrinsics.height))
+    parts.append(struct.pack("<I2d", planes.count, planes.z_near, planes.z_far))
+    parts.append(array.astype(dtype).tobytes())
+    return b"".join(parts)
+
+
+AXIS = AxisGrid(dims=(4, 5, 6), voxel_size=0.25, origin=(-1.0, 0.5, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    code=st.sampled_from(sorted(DTYPES)),
+    order=st.sampled_from("<>"),
+    layout=st.sampled_from(["C", "F", "sliced"]),
+    spatial=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    channels=st.integers(0, 3),
+    frame=st.sampled_from([FRAME, AXIS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, spatial,
+                                      channels, frame, seed):
+    shape = tuple(spatial) + ((channels,) if channels else ())
+    dtype = DTYPES[code].newbyteorder(order)
+    rng = np.random.default_rng(seed)
+    values = (rng.random(tuple(2 * n + 1 for n in shape)) * 255).astype(dtype)
+    if layout == "sliced":
+        array = values[tuple(slice(1, None, 2) for _ in shape)]
+    else:
+        array = values[tuple(slice(0, n) for n in shape)]
+        array = np.asfortranarray(array) if layout == "F" else np.ascontiguousarray(array)
+    assert array.shape == shape
+    path = tmp_path_factory.mktemp("oracle") / "c.bin"
+    kind = KINDS[seed % len(KINDS)]
+    write_container(path, kind, array, frame, INTR, PLANES, channels=channels)
+    assert path.read_bytes() == reference_container_bytes(kind, array, frame, INTR,
+                                                          PLANES, channels)
+    back = read_container(path)
+    assert back.array.dtype == DTYPES[code] and np.array_equal(back.array, array)

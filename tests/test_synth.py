@@ -300,3 +300,28 @@ def test_scene_and_priors_match_golden_hash(name):
     centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
     assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
                         extra=centers.encode()) == priors_sha
+
+
+# The noise spec of the crowded-noisy-96 benchmark workload.
+CROWDED_NOISE = NoiseSpec(depth_sigma=0.05, semantic_flip=0.05, occupancy_flip=0.02,
+                          center_jitter=2)
+
+# sha256 of perturb_priors' depth, semantics, mp_occupancy, heatmap, offsets3d
+# and center tuples under CROWDED_NOISE, pinned from the copy-then-`np.where`
+# occupancy flip.
+GOLDEN_PERTURBED = {
+    "crowded-96": (
+        0, "bf3af616ee653b01b9a599e8c83ab84a509c4e528bd17123bf36002d889514e5"),
+    "occlusion": (
+        3, "e5c54f7a3d95cd2b0b031aea23b3c9bc9cbeeabd72b9b28523ff31bf45813a69"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PERTURBED))
+def test_perturbed_priors_match_golden_hash(name):
+    seed, digest = GOLDEN_PERTURBED[name]
+    scene = generate_scene(SynthConfig(**GOLDEN_SCENES[name][0]))
+    p = perturb_priors(derive_priors(scene), CROWDED_NOISE, seed, scene.planes)
+    centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
+    assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
+                        extra=centers.encode()) == digest
