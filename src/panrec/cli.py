@@ -104,16 +104,16 @@ def _load_priors(priors_dir: Path):
     manifest = C.read_manifest(priors_dir / "manifest.json")
     files = manifest["files"]
     read = lambda name: C.read_container(priors_dir / files[name])
+    depth = read("depth")
     priors = Priors2D(
         semantics=read("semantics2d").array,
-        depth=read("depth").array,
+        depth=depth.array,
         centers=C.manifest_centers(manifest),
         heatmap=read("heatmap").array,
         mp_occupancy=read("mp_occupancy").array,
         offsets3d=read("offsets3d").array,
     )
-    meta = read("depth")
-    return priors, manifest, meta.frame, meta.intrinsics, meta.planes
+    return priors, manifest, depth.frame, depth.intrinsics, depth.planes
 
 
 @main.command()

@@ -20,13 +20,15 @@ with intrinsics, planes, the category table, and instance center rows.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
+from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, GeometryError
 from .priors import InstanceCenter
 from .volume import CategoryTable, PanopticVolume
 
@@ -79,10 +81,12 @@ def write_container(
     """Serialize one array. `channels` > 0 marks a trailing channel axis."""
     if kind not in KINDS:
         raise ContainerError(f"unknown payload kind {kind!r}")
-    array = np.ascontiguousarray(array)
+    array = np.asarray(array)
     dtype = array.dtype.newbyteorder("<")
     if dtype not in DTYPE_CODES:
         raise ContainerError(f"unsupported element type {array.dtype}")
+    # One conversion at most: C order and little-endian, no copy if already so.
+    array = np.ascontiguousarray(array, dtype=dtype)
     spatial = array.shape[:-1] if channels else array.shape
     if channels and array.shape[-1] != channels:
         raise ContainerError("channel count does not match the array")
@@ -107,8 +111,14 @@ def write_container(
         )
     )
     parts.append(struct.pack("<I2d", planes.count, planes.z_near, planes.z_far))
-    parts.append(array.astype(dtype, copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
+        f.write(array.reshape(-1).view(np.uint8))
+
+
+# ndim is a u8: magic..ndim, 255 dims, the axis frame, intrinsics, planes.
+_MAX_HEADER = struct.calcsize("<4sHBBHB") + 255 * 4 + struct.calcsize("<BIIId3d") \
+    + struct.calcsize("<4dII") + struct.calcsize("<I2d")
 
 
 def _unpack(fmt, data, offset, what):
@@ -118,42 +128,58 @@ def _unpack(fmt, data, offset, what):
     return struct.unpack_from(fmt, data, offset), offset + size
 
 
+def _build(cls, what, **fields):
+    try:
+        return cls(**fields)
+    except GeometryError as exc:
+        raise ContainerError(f"invalid {what}: {exc}") from exc
+
+
 def read_container(path) -> Container:
     """Read and validate a container; raises ContainerError naming the bad field."""
-    data = Path(path).read_bytes()
-    (magic, version, kind_code, dtype_code, channels, ndim), off = _unpack(
-        "<4sHBBHB", data, 0, "header"
-    )
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r} at offset 0")
-    if version != VERSION:
-        raise ContainerError(f"unsupported format version {version}")
-    if kind_code >= len(KINDS):
-        raise ContainerError(f"unknown kind code {kind_code} at offset 6")
-    if dtype_code not in DTYPES:
-        raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
-    dims, off = _unpack(f"<{ndim}I", data, off, "dims")
-    (frame_tag,), off = _unpack("<B", data, off, "frame tag")
-    if frame_tag == 0:
-        (w, h, m), off = _unpack("<III", data, off, "frustum frame")
-        frame = FrustumGrid(w, h, m)
-    elif frame_tag == 1:
-        vals, off = _unpack("<IIId3d", data, off, "axis frame")
-        frame = AxisGrid(dims=tuple(vals[:3]), voxel_size=vals[3], origin=tuple(vals[4:]))
-    else:
-        raise ContainerError(f"unknown frame tag {frame_tag}")
-    (fx, fy, cx, cy, iw, ih), off = _unpack("<4dII", data, off, "intrinsics")
-    intrinsics = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=iw, height=ih)
-    (pcount, z_near, z_far), off = _unpack("<I2d", data, off, "planes")
-    planes = DepthPlanes(count=pcount, z_near=z_near, z_far=z_far)
-    dtype = DTYPES[dtype_code]
-    shape = tuple(dims) + ((channels,) if channels else ())
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(data) - off != expected:
-        raise ContainerError(
-            f"payload length {len(data) - off} != expected {expected} (field dims/channels)"
+    with open(path, "rb") as f:
+        data = f.read(_MAX_HEADER)
+        (magic, version, kind_code, dtype_code, channels, ndim), off = _unpack(
+            "<4sHBBHB", data, 0, "header"
         )
-    array = np.frombuffer(data, dtype=dtype, offset=off).reshape(shape).copy()
+        if magic != MAGIC:
+            raise ContainerError(f"bad magic {magic!r} at offset 0")
+        if version != VERSION:
+            raise ContainerError(f"unsupported format version {version}")
+        if kind_code >= len(KINDS):
+            raise ContainerError(f"unknown kind code {kind_code} at offset 6")
+        if dtype_code not in DTYPES:
+            raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
+        dims, off = _unpack(f"<{ndim}I", data, off, "dims")
+        (frame_tag,), off = _unpack("<B", data, off, "frame tag")
+        if frame_tag == 0:
+            (w, h, m), off = _unpack("<III", data, off, "frustum frame")
+            frame = _build(FrustumGrid, "frustum frame", width=w, height=h, planes=m)
+        elif frame_tag == 1:
+            vals, off = _unpack("<IIId3d", data, off, "axis frame")
+            frame = _build(AxisGrid, "axis frame", dims=vals[:3], voxel_size=vals[3],
+                           origin=vals[4:])
+        else:
+            raise ContainerError(f"unknown frame tag {frame_tag}")
+        (fx, fy, cx, cy, iw, ih), off = _unpack("<4dII", data, off, "intrinsics")
+        intrinsics = _build(CameraIntrinsics, "intrinsics", fx=fx, fy=fy, cx=cx, cy=cy,
+                            width=iw, height=ih)
+        (pcount, z_near, z_far), off = _unpack("<I2d", data, off, "planes")
+        planes = _build(DepthPlanes, "planes", count=pcount, z_near=z_near, z_far=z_far)
+        dtype = DTYPES[dtype_code]
+        shape = tuple(dims) + ((channels,) if channels else ())
+        # math.prod on Python ints: np.prod would wrap in int64.
+        expected = math.prod(shape) * dtype.itemsize
+        length = os.fstat(f.fileno()).st_size - off
+        if length != expected:
+            raise ContainerError(
+                f"payload length {length} != expected {expected} (field dims/channels)"
+            )
+        array = np.empty(shape, dtype)
+        f.seek(off)
+        got = f.readinto(array.reshape(-1).view(np.uint8))
+        if got != expected:
+            raise ContainerError(f"short read: {got} of {expected} payload bytes")
     return Container(
         kind=KINDS[kind_code], array=array, frame=frame,
         intrinsics=intrinsics, planes=planes,
@@ -161,7 +187,8 @@ def read_container(path) -> Container:
 
 
 def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
-    stacked = np.stack([volume.semantics, volume.instances], axis=-1).astype("<i4")
+    stacked = np.stack([volume.semantics, volume.instances], axis=-1).astype(
+        "<i4", copy=False)
     write_container(
         path, "panoptic-volume", stacked, volume.frame, intrinsics, planes, channels=2
     )

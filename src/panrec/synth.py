@@ -229,7 +229,7 @@ def perturb_priors(
     mp_occupancy = priors.mp_occupancy.copy()
     if noise.occupancy_flip > 0:
         flip = rngs[2].random(mp_occupancy.shape) < noise.occupancy_flip
-        mp_occupancy = np.where(flip, 1.0 - mp_occupancy, mp_occupancy)
+        mp_occupancy[flip] = 1.0 - mp_occupancy[flip]
     centers = list(priors.centers)
     heatmap = priors.heatmap.copy()
     if noise.center_jitter > 0:

@@ -225,3 +225,135 @@ def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, spa
                                                           PLANES, channels)
     back = read_container(path)
     assert back.array.dtype == DTYPES[code] and np.array_equal(back.array, array)
+
+
+def test_overflowing_dims_product_is_a_payload_error(tmp_path):
+    # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64, which an empty
+    # payload would match.
+    p = tmp_path / "huge.bin"
+    write_container(p, "multiplane", np.zeros((1, 1, 1), np.float32), FRAME, INTR, PLANES)
+    data = bytearray(p.read_bytes()[:-4])
+    data[11:23] = struct.pack("<3I", 2**21, 2**21, 2**22)
+    p.write_bytes(bytes(data))
+    with pytest.raises(ContainerError, match="payload length 0 != expected"):
+        read_container(p)
+
+
+@pytest.mark.parametrize("offset, fmt, value, field", [
+    (20, "<I", 0, "frustum frame"),          # frustum width
+    (32, "<d", -1.0, "intrinsics"),          # fx
+    (48, "<d", 99.0, "intrinsics"),          # cx outside the image
+    (72, "<I", 0, "planes"),                 # plane count
+    (76, "<d", 9.0, "planes"),               # z_near beyond z_far
+])
+def test_read_invalid_geometry_names_field(tmp_path, offset, fmt, value, field):
+    p = tmp_path / "bad.bin"
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    data = bytearray(p.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    p.write_bytes(bytes(data))
+    with pytest.raises(ContainerError, match=f"invalid {field}"):
+        read_container(p)
+
+
+def test_read_invalid_axis_frame_names_field(tmp_path):
+    p = tmp_path / "bad.bin"
+    write_container(p, "depth", np.zeros((4, 4), np.float32), AXIS, INTR, PLANES)
+    data = bytearray(p.read_bytes())
+    struct.pack_into("<d", data, 32, 0.0)  # voxel size, after tag and 3 x u32
+    p.write_bytes(bytes(data))
+    with pytest.raises(ContainerError, match="invalid axis frame"):
+        read_container(p)
+
+
+def test_short_payload_read_is_a_container_error(tmp_path, monkeypatch):
+    # A file that shrinks between the size check and the read.
+    import os
+
+    p = tmp_path / "shrinking.bin"
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    full = p.stat().st_size
+    p.write_bytes(p.read_bytes()[:-8])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        fstat(fd)[:6] + (full,) + fstat(fd)[7:]))
+    with pytest.raises(ContainerError, match="short read: 56 of 64"):
+        read_container(p)
+
+
+def assert_fresh_array(array):
+    assert array.flags.writeable and array.flags.owndata
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    code=st.sampled_from(sorted(DTYPES)),
+    spatial=st.lists(st.integers(0, 4), min_size=0, max_size=4),
+    channels=st.integers(0, 3),
+    frustum=st.tuples(st.integers(1, 2**32 - 1), st.integers(1, 2**32 - 1),
+                      st.integers(1, 2**32 - 1)),
+    axis=st.tuples(st.integers(1, 2**32 - 1), st.floats(1e-6, 1e6),
+                   st.floats(-1e6, 1e6)),
+    use_axis=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property(tmp_path_factory, code, spatial, channels, frustum, axis,
+                             use_axis, seed):
+    shape = tuple(spatial) + ((channels,) if channels else ())
+    array = np.asarray(np.random.default_rng(seed).integers(0, 256, size=shape),
+                       DTYPES[code])
+    shape = shape or (1,)  # a 0-d array is written with shape (1,)
+    n, voxel, o = axis
+    frame = (AxisGrid(dims=(n, n, n), voxel_size=voxel, origin=(o, -o, o))
+             if use_axis else FrustumGrid(*frustum))
+    path = tmp_path_factory.mktemp("prop") / "c.bin"
+    write_container(path, "tsdf", array, frame, INTR, PLANES, channels=channels)
+    cont = read_container(path)
+    assert cont.array.dtype == DTYPES[code] and cont.array.shape == shape
+    assert np.array_equal(cont.array, array.reshape(shape))
+    assert (cont.kind, cont.frame, cont.intrinsics, cont.planes) == \
+        ("tsdf", frame, INTR, PLANES)
+    assert_fresh_array(cont.array)
+
+
+def read_or_reject(path):
+    """A damaged container either raises ContainerError or reads back whole."""
+    try:
+        cont = read_container(path)
+    except ContainerError:
+        return None
+    assert isinstance(cont.frame, (FrustumGrid, AxisGrid))
+    assert_fresh_array(cont.array)
+    return cont
+
+
+@pytest.mark.parametrize("frame", [FRAME, AXIS], ids=["frustum", "axis"])
+def test_every_truncation_and_bit_flip_is_rejected_or_valid(tmp_path, frame):
+    p = tmp_path / "c.bin"
+    write_container(p, "depth", np.arange(16, dtype=np.float32).reshape(4, 4), frame,
+                    INTR, PLANES)
+    data = p.read_bytes()
+    for cut in range(len(data)):
+        p.write_bytes(data[:cut])
+        assert read_or_reject(p) is None
+    for offset in range(len(data)):
+        for bit in range(8):
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << bit
+            p.write_bytes(bytes(damaged))
+            read_or_reject(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=st.integers(0, 10_000), mask=st.integers(1, 255),
+       use_axis=st.booleans(), channels=st.integers(0, 2))
+def test_any_byte_change_is_rejected_or_valid(tmp_path_factory, offset, mask, use_axis,
+                                              channels):
+    p = tmp_path_factory.mktemp("flip") / "c.bin"
+    shape = (3, 5) + ((channels,) if channels else ())
+    write_container(p, "offsets", np.ones(shape), AXIS if use_axis else FRAME, INTR,
+                    PLANES, channels=channels)
+    damaged = bytearray(p.read_bytes())
+    damaged[offset % len(damaged)] ^= mask
+    p.write_bytes(bytes(damaged))
+    read_or_reject(p)
