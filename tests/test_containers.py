@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -239,16 +240,17 @@ def test_overflowing_dims_product_is_a_payload_error(tmp_path):
         read_container(p)
 
 
-@pytest.mark.parametrize("offset, fmt, value, field", [
-    (20, "<I", 0, "frustum frame"),          # frustum width
-    (32, "<d", -1.0, "intrinsics"),          # fx
-    (48, "<d", 99.0, "intrinsics"),          # cx outside the image
-    (72, "<I", 0, "planes"),                 # plane count
-    (76, "<d", 9.0, "planes"),               # z_near beyond z_far
+@pytest.mark.parametrize("frame, offset, fmt, value, field", [
+    (FRAME, 20, "<I", 0, "frustum frame"),   # frustum width
+    (FRAME, 32, "<d", -1.0, "intrinsics"),   # fx
+    (FRAME, 48, "<d", 99.0, "intrinsics"),   # cx outside the image
+    (FRAME, 72, "<I", 0, "planes"),          # plane count
+    (FRAME, 76, "<d", 9.0, "planes"),        # z_near beyond z_far
+    (AXIS, 32, "<d", 0.0, "axis frame"),     # voxel size
 ])
-def test_read_invalid_geometry_names_field(tmp_path, offset, fmt, value, field):
+def test_read_invalid_geometry_names_field(tmp_path, frame, offset, fmt, value, field):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), frame, INTR, PLANES)
     data = bytearray(p.read_bytes())
     struct.pack_into(fmt, data, offset, value)
     p.write_bytes(bytes(data))
@@ -256,20 +258,8 @@ def test_read_invalid_geometry_names_field(tmp_path, offset, fmt, value, field):
         read_container(p)
 
 
-def test_read_invalid_axis_frame_names_field(tmp_path):
-    p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), AXIS, INTR, PLANES)
-    data = bytearray(p.read_bytes())
-    struct.pack_into("<d", data, 32, 0.0)  # voxel size, after tag and 3 x u32
-    p.write_bytes(bytes(data))
-    with pytest.raises(ContainerError, match="invalid axis frame"):
-        read_container(p)
-
-
 def test_short_payload_read_is_a_container_error(tmp_path, monkeypatch):
     # A file that shrinks between the size check and the read.
-    import os
-
     p = tmp_path / "shrinking.bin"
     write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
     full = p.stat().st_size
