@@ -31,6 +31,7 @@ from panrec.reconstruction import (
 )
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume
+from conftest import rows_of
 
 
 def report(number, name, ok):
@@ -157,18 +158,18 @@ def test_criterion_3_closed_form_losses():
     sem = np.eye(scene.categories.num_categories)[scene.volume.semantics]
     tsdf = tsdf_from_scene(scene)
     thing = scene.volume.thing_mask()
-    base = loss_3d(sem, priors.offsets3d, occ, tsdf, scene.volume.semantics,
+    base = loss_3d(rows_of(sem), priors.offsets3d, occ, tsdf, scene.volume.semantics,
                    priors.offsets3d, occ, tsdf, thing)
     ok &= base.total < 1e-5
     # each term responds only to its own perturbation
     perturbations = {
         "occupancy_bce": dict(occ_pred=np.clip(occ, 0.2, 0.8)),
         "tsdf_l1": dict(tsdf_pred=np.clip(tsdf + 0.5, -3, 3)),
-        "semantic_ce": dict(sem_pred=np.full_like(sem, 1 / sem.shape[-1])),
+        "semantic_ce": dict(sem_pred=rows_of(np.full_like(sem, 1 / sem.shape[-1]))),
         "offset_l1": dict(offsets_pred=priors.offsets3d + 1.0),
     }
     for target_term, kwargs in perturbations.items():
-        args = dict(sem_pred=sem, offsets_pred=priors.offsets3d, occ_pred=occ,
+        args = dict(sem_pred=rows_of(sem), offsets_pred=priors.offsets3d, occ_pred=occ,
                     tsdf_pred=tsdf, sem_gt=scene.volume.semantics, offsets_gt=priors.offsets3d,
                     occ_gt=occ, tsdf_gt=tsdf, thing_mask=thing)
         args.update(kwargs)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
 from panrec.lifting import (
     CategorySortedAssignment,
     LiftingError,
@@ -8,16 +11,29 @@ from panrec.lifting import (
     feature_rows,
     lift_instances_topdown,
     lift_occupancy,
-    lift_semantics,
     occupancy_aware_lift,
 )
 from panrec.priors import (
     derive_depth,
     derive_instance_map2d,
     derive_multiplane_occupancy,
+    derive_priors,
     derive_semantics2d,
 )
-from conftest import seeded_scenes
+from panrec.synth import SynthConfig, generate_scene, perturb_priors
+from conftest import (
+    CROWDED_NOISE,
+    array_digest,
+    reference_occupancy_aware_lift,
+    seeded_scenes,
+)
+
+
+def lifted_semantics(sem2d, depth, frame, intrinsics, planes):
+    """The semantics alone lifted to every cell at or behind the depth surface:
+    on a frustum frame, the lift with all-ones multi-plane occupancy."""
+    ones = np.ones(frame.shape)
+    return occupancy_aware_lift(sem2d, ones, depth, frame, intrinsics, planes).features
 
 
 def test_lift_semantics_case_split(small_scene):
@@ -26,7 +42,7 @@ def test_lift_semantics_case_split(small_scene):
     sem2d = np.zeros((h, w, 5))
     sem2d[..., 3] = 1.0
     depth = np.full((h, w), planes.center(5))
-    vol = lift_semantics(sem2d, depth, small_scene.frame, small_scene.intrinsics, planes)
+    vol = lifted_semantics(sem2d, depth, small_scene.frame, small_scene.intrinsics, planes)
     assert np.all(vol[:, :, :5, :] == 0)
     assert np.all(vol[:, :, 5:, 3] == 1.0)
 
@@ -34,8 +50,8 @@ def test_lift_semantics_case_split(small_scene):
 def test_lift_semantics_no_surface_is_zero(small_scene):
     h, w = small_scene.frame.height, small_scene.frame.width
     sem2d = np.ones((h, w, 5)) / 5
-    vol = lift_semantics(sem2d, np.zeros((h, w)), small_scene.frame,
-                         small_scene.intrinsics, small_scene.planes)
+    vol = lifted_semantics(sem2d, np.zeros((h, w)), small_scene.frame,
+                           small_scene.intrinsics, small_scene.planes)
     assert np.all(vol == 0)
 
 
@@ -44,8 +60,8 @@ def test_lift_semantics_column_sums(small_scene):
 
     sem2d = derive_semantics2d(small_scene)
     depth = derive_depth(small_scene)
-    vol = lift_semantics(sem2d, depth, small_scene.frame,
-                         small_scene.intrinsics, small_scene.planes)
+    vol = lifted_semantics(sem2d, depth, small_scene.frame,
+                           small_scene.intrinsics, small_scene.planes)
     m_count = small_scene.planes.count
     sums = vol.sum(axis=2)
     for v in range(small_scene.frame.height):
@@ -59,8 +75,8 @@ def test_lift_semantics_column_sums(small_scene):
 
 def test_lift_semantics_shape_mismatch(small_scene):
     with pytest.raises(LiftingError):
-        lift_semantics(np.zeros((4, 4, 2)), np.zeros((4, 4)), small_scene.frame,
-                       small_scene.intrinsics, small_scene.planes)
+        lifted_semantics(np.zeros((4, 4, 2)), np.zeros((4, 4)), small_scene.frame,
+                         small_scene.intrinsics, small_scene.planes)
 
 
 def test_lift_occupancy_reproduces_scene(small_scene):
@@ -116,7 +132,7 @@ def test_occupancy_aware_lift_below_semantics(small_scene):
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     fv = occupancy_aware_lift(sem2d, occ_mp, depth, *args)
-    plain = lift_semantics(sem2d, depth, *args)
+    plain = lifted_semantics(sem2d, depth, *args)
     assert np.all(fv.features <= plain + 1e-12)
 
 
@@ -220,7 +236,6 @@ def test_frustum_frame_must_match_camera_and_planes():
     for frame in (FrustumGrid(8, 8, 8), FrustumGrid(16, 16, 8), FrustumGrid(8, 16, 16)):
         for call in (
             lambda: occupancy_aware_lift(sem2d, mp, depth, frame, intr, planes),
-            lambda: lift_semantics(sem2d, depth, frame, intr, planes),
             lambda: lift_occupancy(mp, depth, frame, intr, planes),
             lambda: feature_rows(sem2d, depth, np.ones(frame.shape), frame, intr, planes),
         ):
@@ -236,7 +251,88 @@ def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
     with pytest.raises(LiftingError, match="depth"):
         lift_occupancy(derive_multiplane_occupancy(small_scene), *args)
     with pytest.raises(LiftingError, match="depth"):
-        lift_semantics(derive_semantics2d(small_scene), *args)
+        occupancy_aware_lift(derive_semantics2d(small_scene),
+                             derive_multiplane_occupancy(small_scene), *args)
     with pytest.raises(LiftingError, match="depth"):
         feature_rows(derive_semantics2d(small_scene), depth,
                      np.ones(small_scene.frame.shape), *args[1:])
+
+
+# sha256 of occupancy_aware_lift's (features, occupancy), pinned from the dense
+# product of the lifted semantics and the lifted occupancy, on ground-truth
+# priors and on priors under the crowded-noisy-96 noise spec.
+AXIS = AxisGrid(dims=(24, 24, 40), voxel_size=0.15, origin=(-1.8, -1.8, 0.4))
+GOLDEN_LIFT_SCENES = {
+    "32": dict(seed=11, width=32, height=32, planes=32, n_things=3,
+               min_center_separation=8.0),
+    "64": dict(seed=2, width=64, height=64, planes=64),
+}
+GOLDEN_LIFTS = {
+    ("32", "frustum", "gt"):
+        "e6f746c7f9436091ef61448e219605f940fe5bf4e8b94bcf1b6cc2c60895fadc",
+    ("32", "frustum", "noisy"):
+        "1c0f2354e971cfd5f960fe5913181a8da67cb439b5528153c8992721d750a14c",
+    ("32", "axis", "gt"):
+        "307db2a7fd309a6630d8dfe26ce1801ff7874650b07c66b2ed4429ec505c6017",
+    ("32", "axis", "noisy"):
+        "6dae5583d55f83013c333c8c5ba5cbf7f405582987c49a5f262072f31cb32ebb",
+    ("64", "frustum", "gt"):
+        "d08aa790b1657f812efb72699a2114e913123df6de67da0b438aad777f75e628",
+    ("64", "frustum", "noisy"):
+        "091a2c163118a1e5ced98573f488639b9c7dccde8bff78a3dc7b831294dc9f40",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LIFTS))
+def test_occupancy_aware_lift_matches_golden_hash(case):
+    size, frame_kind, prior_kind = case
+    kwargs = GOLDEN_LIFT_SCENES[size]
+    scene = generate_scene(SynthConfig(**kwargs))
+    p = derive_priors(scene)
+    if prior_kind == "noisy":
+        p = perturb_priors(p, CROWDED_NOISE, kwargs["seed"], scene.planes)
+    frame = scene.frame if frame_kind == "frustum" else AXIS
+    fv = occupancy_aware_lift(p.semantics, p.mp_occupancy, p.depth, frame,
+                              scene.intrinsics, scene.planes)
+    assert array_digest(fv.features, fv.occupancy) == GOLDEN_LIFTS[case]
+
+
+@st.composite
+def lift_cases(draw):
+    h, w, m = (draw(st.integers(1, 5)) for _ in range(3))
+    c = draw(st.integers(1, 4))
+    # the first alternative of each element strategy is the typical value
+    sem = draw(hnp.arrays(np.float64, (h, w, c), elements=st.one_of(
+        st.floats(0, 1), st.just(0.0), st.just(-0.0), st.just(np.nan), st.just(np.inf))))
+    planes = DepthPlanes(count=m)
+    depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(planes.z_near, planes.z_far), st.just(0.0), st.floats(0, 8))))
+    mp = draw(hnp.arrays(np.float64, (h, w, m), elements=st.one_of(
+        st.floats(0, 1), st.just(0.0), st.just(1.0))))
+    intrinsics = CameraIntrinsics(fx=float(w), fy=float(h), cx=(w - 1) / 2,
+                                  cy=(h - 1) / 2, width=w, height=h)
+    if draw(st.sampled_from(["frustum", "axis"])) == "frustum":
+        frame = FrustumGrid(w, h, m)
+    else:
+        n = draw(st.integers(1, 5))
+        frame = AxisGrid(dims=[n, n + 1, 2 * n], voxel_size=3.0 / n,
+                         origin=[-1.5, -1.5, draw(st.floats(0.0, 1.0))])
+    return sem, mp, depth, frame, intrinsics, planes
+
+
+@settings(max_examples=300, deadline=None)
+@given(lift_cases())
+def test_occupancy_aware_lift_equals_dense_reference(case):
+    sem, _mp, depth, frame, intrinsics, planes = case
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both
+        fv = occupancy_aware_lift(*case)
+        ref = reference_occupancy_aware_lift(*case)
+        rows = feature_rows(sem, depth, ref.occupancy, frame, intrinsics, planes)
+        cells = np.arange(ref.occupancy.size)[::-1]
+        picked = rows(cells)
+    assert fv.features.shape == ref.features.shape
+    assert fv.features.tobytes() == ref.features.tobytes()
+    assert fv.occupancy.tobytes() == ref.occupancy.tobytes()
+    # rows at cells in any order are the reference's rows byte for byte
+    dense = ref.features.reshape(-1, sem.shape[-1])
+    assert picked.tobytes() == dense[cells].tobytes()

@@ -13,7 +13,7 @@ from scipy import ndimage
 
 import panrec
 from panrec.cli import main as cli_main
-from panrec.lifting import feature_rows, lift_occupancy, occupancy_aware_lift
+from panrec.lifting import feature_rows, lift_occupancy
 from panrec.losses import (
     EPS,
     LossError,
@@ -30,7 +30,7 @@ from panrec.losses import (
 )
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
-from conftest import seeded_scenes
+from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes
 
 
 def test_cross_entropy_uniform_closed_form():
@@ -243,12 +243,14 @@ def zero_loss_inputs(scene):
 
 def test_loss3d_ground_truth_near_zero(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    sem = rows_of(sem)
     rep = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
     assert rep.total < 1e-5
 
 
 def test_loss3d_term_isolation(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    sem = rows_of(sem)
     base = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
     shifted = loss_3d(sem, offs + 1.0, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
                       thing)
@@ -260,6 +262,7 @@ def test_loss3d_term_isolation(small_scene):
 
 def test_loss3d_weight_linearity(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    sem = rows_of(sem)
     pred_occ = np.clip(occ, 0.3, 0.7)
     one = loss_3d(sem, offs, pred_occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
                   thing)
@@ -272,6 +275,7 @@ def test_loss3d_weight_linearity(small_scene):
 
 def test_loss3d_tsdf_band(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    sem = rows_of(sem)
     pred_tsdf = tsdf.copy()
     saturated = np.abs(tsdf) >= 3.0
     pred_tsdf[saturated] = 3.0  # flipping far cells must not change the loss
@@ -285,14 +289,14 @@ def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
                             semantic_flip=0.1, occupancy_flip=0.05), 3, small_scene.planes)
     args = (priors.semantics, priors.depth, small_scene.frame, small_scene.intrinsics,
             small_scene.planes)
-    lifted = occupancy_aware_lift(priors.semantics, priors.mp_occupancy, *args[1:])
+    lifted = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy, *args[1:])
     occ_pred = lift_occupancy(priors.mp_occupancy, *args[1:])
     rows = feature_rows(*args[:2], occ_pred, *args[2:])
     _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     labels = small_scene.volume.semantics
     one_hot = np.eye(small_scene.categories.num_categories)[labels]
     expected = cross_entropy(lifted.features, one_hot, mask=occ > 0.5)
-    for sem_pred in (lifted.features, rows):
+    for sem_pred in (rows_of(lifted.features), rows):
         rep = loss_3d(sem_pred, offs, occ_pred, tsdf, labels, offs, occ, tsdf, thing)
         assert rep.terms["semantic_ce"] == expected > 0.1
 
@@ -306,11 +310,12 @@ def test_loss3d_rejects_bad_sem_gt(small_scene, bad):
               "negative": labels, "too-large": labels}[bad]
     labels.reshape(-1)[cell] = {"negative": -1, "too-large": sem.shape[-1]}.get(bad, 0)
     with pytest.raises(LossError, match="sem_gt"):
-        loss_3d(sem, offs, occ, tsdf, sem_gt, offs, occ, tsdf, thing)
+        loss_3d(rows_of(sem), offs, occ, tsdf, sem_gt, offs, occ, tsdf, thing)
 
 
 def test_loss3d_checks_labels_only_at_occupied_cells(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    sem = rows_of(sem)
     labels = small_scene.volume.semantics.copy()
     base = loss_3d(sem, offs, occ, tsdf, labels, offs, occ, tsdf, thing)
     labels[occ == 0] = -1

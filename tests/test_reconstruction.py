@@ -20,7 +20,7 @@ from panrec.reconstruction import (
     to_multiplane,
 )
 from panrec.volume import VOID, CategoryTable, PanopticVolume
-from conftest import seeded_scenes
+from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes
 
 CATS = CategoryTable((False, False, True, True))
 INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
@@ -32,7 +32,7 @@ def make_refined(sem=None, offs=None, occ=None):
     shape = FRAME.shape
     return Refined3D(
         frame=FRAME,
-        semantics=np.zeros(shape + (4,)) if sem is None else sem,
+        semantics=rows_of(np.zeros(shape + (4,)) if sem is None else sem),
         offsets=np.zeros(shape + (2,)) if offs is None else offs,
         occupancy=np.zeros(shape) if occ is None else occ,
     )
@@ -40,12 +40,12 @@ def make_refined(sem=None, offs=None, occ=None):
 
 def test_mask_identity_when_fully_occupied():
     rng = np.random.default_rng(0)
-    refined = make_refined(sem=rng.random(FRAME.shape + (4,)),
-                           offs=rng.normal(size=FRAME.shape + (2,)),
+    sem = rng.random(FRAME.shape + (4,))
+    refined = make_refined(sem=sem, offs=rng.normal(size=FRAME.shape + (2,)),
                            occ=np.ones(FRAME.shape))
     labels, dc3d, occ_bin = mask_by_occupancy(refined)
     assert labels.dtype == np.int32
-    assert np.array_equal(labels, np.argmax(refined.semantics, axis=-1))
+    assert np.array_equal(labels, np.argmax(sem, axis=-1))
     assert np.array_equal(dc3d, refined.offsets)
     assert occ_bin.all()
 
@@ -233,8 +233,8 @@ def test_grouping_scale_invariance():
 def dense_reference(priors, mp, frame, intrinsics, planes, categories, occ_threshold):
     """The tail before it became label-first: dense lift, dense occupancy
     gate, full-volume argmax. Returns (labels, gated offsets, volume)."""
-    lifted = occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
-                                  intrinsics, planes)
+    lifted = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
+                                            intrinsics, planes)
     occ_bin = lifted.occupancy >= occ_threshold
     gate = lifted.occupancy * occ_bin
     s3d = lifted.features * gate[..., None]
@@ -262,8 +262,8 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
     # the stages in between: feature rows, labels and gated offsets
     occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
     rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
-    dense = occupancy_aware_lift(priors.semantics, mp, priors.depth, frame, intrinsics,
-                                 planes).features
+    dense = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
+                                           intrinsics, planes).features
     cells = np.flatnonzero(occ > 0)
     assert np.array_equal(rows(cells), dense.reshape(-1, dense.shape[-1])[cells])
     labels, dc3d, _ = mask_by_occupancy(Refined3D(frame, rows, priors.offsets3d, occ),
@@ -380,3 +380,14 @@ def test_reconstruct_rejects_all_nan_offsets():
     with pytest.raises(ReconstructionError, match="offsets"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                 scene.categories)
+
+
+def test_reconstruct_rejects_offsets_of_the_wrong_shape():
+    scene = seeded_scenes(1)[0]
+    priors = derive_priors(scene)
+    h, w, m = scene.frame.shape
+    for shape in [(h, w, m // 2, 4), (h, w, 2 * m, 1), (h, w * m, 2)]:
+        priors.offsets3d = derive_priors(scene).offsets3d.reshape(shape)
+        with pytest.raises(ReconstructionError, match="offsets shape"):
+            reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
+                                    scene.categories)

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +11,7 @@ from panrec.synth import (
     generate_scene,
     perturb_priors,
 )
-from conftest import seeded_scenes
+from conftest import CROWDED_NOISE, array_digest, seeded_scenes
 
 
 def test_config_validation():
@@ -282,15 +280,6 @@ GOLDEN_SCENES = {
 }
 
 
-def array_digest(*arrays, extra=b""):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(f"{a.dtype} {a.shape}".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    h.update(extra)
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENES))
 def test_scene_and_priors_match_golden_hash(name):
     kwargs, scene_sha, priors_sha = GOLDEN_SCENES[name]
@@ -301,10 +290,6 @@ def test_scene_and_priors_match_golden_hash(name):
     assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
                         extra=centers.encode()) == priors_sha
 
-
-# The noise spec of the crowded-noisy-96 benchmark workload.
-CROWDED_NOISE = NoiseSpec(depth_sigma=0.05, semantic_flip=0.05, occupancy_flip=0.02,
-                          center_jitter=2)
 
 # sha256 of perturb_priors' depth, semantics, mp_occupancy, heatmap, offsets3d
 # and center tuples under CROWDED_NOISE, pinned from the copy-then-`np.where`
