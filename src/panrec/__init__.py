@@ -17,7 +17,6 @@ from .lifting import (
     RandomAssignment,
     lift_instances_topdown,
     lift_occupancy,
-    lift_semantics,
     occupancy_aware_lift,
 )
 from .losses import (

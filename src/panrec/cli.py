@@ -206,14 +206,19 @@ def lift(priors_dir, out_path, mode, assignment, n_channels):
 @click.option("--mesh", "mesh_path", type=click.Path(path_type=Path), default=None)
 def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
     """Group a lifted/refined volume into a panoptic volume container."""
-    features = C.read_container(features_path)
-    occ = C.read_container(
-        features_path.with_name(features_path.stem + "_occupancy.bin")
-    )
+    occ_path = features_path.with_name(features_path.stem + "_occupancy.bin")
+    features, occ = C.read_container(features_path), C.read_container(occ_path)
     priors, manifest, frame, intr, planes = _load_priors(priors_dir)
-    if features.frame != frame:
-        _fail("feature volume and priors are in different grid frames")
     categories = C.manifest_categories(manifest)
+    for path, cont, kind in ((features_path, features, "feature-volume"),
+                             (occ_path, occ, "multiplane")):
+        if cont.kind != kind:
+            _fail(f"{path}: kind is {cont.kind!r}, expected {kind!r}")
+        if cont.frame != frame:
+            _fail(f"{path}: frame {cont.frame} differs from the priors' frame {frame}")
+    if features.array.shape[-1] != len(categories):
+        _fail(f"{features_path}: channels {features.array.shape[-1]} != "
+              f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(frame=features.frame, features=features.array,
                            occupancy=occ.array)
     refined = identity_refine(lifted, priors.offsets3d, occ.array)

@@ -25,7 +25,7 @@ class LiftingError(ValueError):
 
 @dataclass
 class FeatureVolume:
-    """Per-cell features (last axis = channels, or a `feature_rows` function) and occupancy."""
+    """Dense per-cell features (last axis = channels) and occupancy."""
 
     frame: object
     features: np.ndarray
@@ -88,34 +88,6 @@ def _checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlan
     return depth
 
 
-def _checked_semantics(semantics2d, depth, frame, intrinsics: CameraIntrinsics,
-                       planes: DepthPlanes):
-    depth = _checked_depth(depth, frame, intrinsics, planes)
-    semantics2d = np.asarray(semantics2d, dtype=np.float64)
-    if semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
-        raise LiftingError("semantic map does not match the camera image size")
-    return semantics2d, depth
-
-
-def lift_semantics(
-    semantics2d: np.ndarray,
-    depth: np.ndarray,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-) -> np.ndarray:
-    """Propagate per-pixel category scores to all cells at or behind the depth
-    surface; cells in free space (or on rays with no surface) are exactly zero."""
-    semantics2d, depth = _checked_semantics(semantics2d, depth, frame, intrinsics, planes)
-    if isinstance(frame, FrustumGrid):
-        mask = _frustum_fill_mask(depth, planes)
-        return semantics2d[:, :, None, :] * mask[..., None]
-    vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
-    d = depth[vi, ui]
-    keep = valid & (d > 0) & (z >= d)
-    return semantics2d[vi, ui] * keep[..., None]
-
-
 def lift_occupancy(
     mp_occupancy: np.ndarray,
     depth: np.ndarray,
@@ -123,8 +95,8 @@ def lift_occupancy(
     intrinsics: CameraIntrinsics,
     planes: DepthPlanes,
 ) -> np.ndarray:
-    """Coarse per-cell occupancy from the multi-plane map, with the same
-    free-space zeroing rule as semantic lifting."""
+    """Coarse per-cell occupancy from the multi-plane map, zero in free space
+    (in front of the depth surface) and on rays with no surface."""
     depth = _checked_depth(depth, frame, intrinsics, planes)
     mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
     if mp_occupancy.shape != (intrinsics.height, intrinsics.width, planes.count):
@@ -146,32 +118,26 @@ def occupancy_aware_lift(
     frame,
     intrinsics: CameraIntrinsics,
     planes: DepthPlanes,
-    semantic_transform=None,
-    occupancy_transform=None,
 ) -> FeatureVolume:
-    """Hadamard product of lifted semantics and lifted occupancy.
-
-    The transform hooks take and return a volume of unchanged shape; they stand
-    in for learned feature blocks and default to the identity.
-    """
-    sem = lift_semantics(semantics2d, depth, frame, intrinsics, planes)
+    """Hadamard product of lifted semantics and lifted occupancy, dense:
+    `feature_rows` at every cell."""
     occ = lift_occupancy(mp_occupancy, depth, frame, intrinsics, planes)
-    if semantic_transform is not None:
-        sem = semantic_transform(sem)
-    if occupancy_transform is not None:
-        occ = occupancy_transform(occ)
-    if sem.shape[:-1] != occ.shape:
-        raise LiftingError("transform changed the volume shape")
-    return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)
+    rows = feature_rows(semantics2d, depth, occ, frame, intrinsics, planes)
+    features = rows(np.arange(occ.size))
+    features = features.reshape(occ.shape + features.shape[-1:])
+    return FeatureVolume(frame=frame, features=features, occupancy=occ)
 
 
 def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrinsics,
                  planes: DepthPlanes):
-    """`occupancy_aware_lift(...).features` as a function from flat cell indices
-    to their (N, C) rows: semantics2d at the cell's pixel times `occupancy`,
-    the lifted occupancy. Rows are exact wherever that occupancy is positive,
-    since lifting zeroes occupancy everywhere it zeroes semantics."""
-    semantics2d, _depth = _checked_semantics(semantics2d, depth, frame, intrinsics, planes)
+    """Occupancy-aware lifted features as a function from flat cell indices to
+    their (N, C) rows: semantics2d at the cell's pixel times `occupancy`, the
+    lifted occupancy, which is zero in free space and on rays with no surface."""
+    _checked_depth(depth, frame, intrinsics, planes)
+    semantics2d = np.asarray(semantics2d, dtype=np.float64)
+    if semantics2d.ndim != 3 or semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
+        raise LiftingError(f"semantics2d shape {semantics2d.shape} is not (height, width, C) "
+                           f"with the camera image size ({intrinsics.height}, {intrinsics.width})")
     pixels = semantics2d.reshape(-1, semantics2d.shape[-1])
     occ = np.asarray(occupancy, dtype=np.float64).reshape(-1)
 
@@ -181,7 +147,9 @@ def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrins
         else:
             v, u, _z, _valid = _axis_sampling(frame, intrinsics, planes, cells)
             pixel = v * intrinsics.width + u
-        return np.take(pixels, pixel, axis=0) * occ[cells, None]
+        out = np.take(pixels, pixel, axis=0)
+        out *= occ[cells, None]
+        return out
 
     return rows
 

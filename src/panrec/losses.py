@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -166,7 +167,7 @@ def tsdf_from_scene(scene, truncation: float = 3.0) -> np.ndarray:
 
 
 def loss_3d(
-    sem_pred: np.ndarray,
+    sem_pred: Callable,
     offsets_pred: np.ndarray,
     occ_pred: np.ndarray,
     tsdf_pred: np.ndarray,
@@ -181,9 +182,10 @@ def loss_3d(
     """3D objective: occupancy BCE + near-surface TSDF L1, semantic CE over
     occupied cells, and offset L1 over occupied thing cells.
 
-    `sem_gt` is the integer label volume, `sem_pred` dense `(..., C)` scores or a
-    `lifting.feature_rows` function; the semantic term is the one-hot cross
-    entropy without its zero terms. `thing_mask` marks occupied thing cells.
+    `sem_gt` is the integer label volume, `sem_pred` a function from flat cell
+    indices to their (N, C) score rows (`lifting.feature_rows`); the semantic
+    term is the one-hot cross entropy without its zero terms. `thing_mask`
+    marks occupied thing cells.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
     occ_bce = binary_cross_entropy(occ_pred, occ_gt)
@@ -197,13 +199,7 @@ def loss_3d(
         raise LossError(f"sem_gt must be an integer label volume of shape {occ_gt.shape}, "
                         f"got {sem_gt.dtype} {sem_gt.shape}")
     cells = np.flatnonzero(occ_gt > 0.5)
-    if callable(sem_pred):
-        rows = sem_pred(cells)
-    else:
-        sem_pred = np.asarray(sem_pred, dtype=np.float64)
-        if sem_pred.shape[:-1] != sem_gt.shape:
-            raise LossError(f"sem_pred shape {sem_pred.shape} does not match sem_gt {sem_gt.shape}")
-        rows = sem_pred.reshape(-1, sem_pred.shape[-1])[cells]
+    rows = sem_pred(cells)
     labels = sem_gt.reshape(-1)[cells]
     if labels.size and not 0 <= labels.min() <= labels.max() < rows.shape[-1]:
         raise LossError(f"sem_gt labels at occupied cells must lie in [0, {rows.shape[-1]})")

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, OUT_OF_RANGE, plane_index
-from .lifting import FeatureVolume, feature_rows, lift_occupancy
+from .lifting import feature_rows, lift_occupancy
 from .priors import Priors2D
-from .reconstruction import identity_refine, reconstruct
+from .reconstruction import ReconstructionError, Refined3D, reconstruct
 from .volume import CategoryTable, PanopticVolume
 
 
@@ -44,6 +44,9 @@ def reconstruct_from_priors(
     mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
     occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
     rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
-    lifted = FeatureVolume(frame=frame, features=rows, occupancy=occ)
-    refined = identity_refine(lifted, priors.offsets3d, occ)
+    channels = np.shape(priors.semantics)[-1]
+    if channels != len(categories):
+        raise ReconstructionError(f"semantics has {channels} channels, the category table "
+                                  f"{len(categories)} categories")
+    refined = Refined3D(frame, rows, priors.offsets3d, occ)
     return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)

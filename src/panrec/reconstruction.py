@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,31 +28,37 @@ class ReconstructionError(ValueError):
 class Refined3D:
     """Per-cell semantic scores, pixel offsets, and occupancy over one frame.
 
-    `semantics` is the dense (..., C) score volume, or a function from flat
-    cell indices to their (N, C) score rows (`lifting.feature_rows`).
+    `semantics` maps flat cell indices to their (N, C) score rows
+    (`lifting.feature_rows`); offsets and occupancy cover the frame.
     """
 
     frame: object
-    semantics: object       # (..., C) array, or cells -> (N, C) rows
+    semantics: Callable     # cells -> (N, C) rows
     offsets: np.ndarray     # (..., 2) as (du, dv)
     occupancy: np.ndarray   # (...) in [0, 1]
+
+    def __post_init__(self):
+        self.offsets = np.asarray(self.offsets, dtype=np.float64)
+        self.occupancy = np.asarray(self.occupancy, dtype=np.float64)
+        shape = self.frame.shape
+        if self.offsets.shape != shape + (2,):
+            raise ReconstructionError(f"offsets shape {self.offsets.shape} != {shape + (2,)}")
+        if self.occupancy.shape != shape:
+            raise ReconstructionError(f"occupancy shape {self.occupancy.shape} != {shape}")
 
 
 def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.ndarray) -> Refined3D:
     """Pack lifted semantics with externally provided offsets and occupancy.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
-    unchanged. `lifted.features` may be dense or a row function.
+    unchanged. The dense `lifted.features` become score rows here.
     """
-    offsets = np.asarray(offsets, dtype=np.float64)
-    occupancy = np.asarray(occupancy, dtype=np.float64)
     features = lifted.features
-    shape = np.shape(lifted.occupancy) if callable(features) else features.shape[:-1]
-    if offsets.shape != shape + (2,):
-        raise ReconstructionError(f"offsets shape {offsets.shape} != {shape + (2,)}")
-    if occupancy.shape != shape:
-        raise ReconstructionError(f"occupancy shape {occupancy.shape} != {shape}")
-    return Refined3D(lifted.frame, features, offsets, occupancy)
+    if features.shape[:-1] != lifted.frame.shape:
+        raise ReconstructionError(f"features shape {features.shape} does not cover the "
+                                  f"frame {lifted.frame.shape}")
+    flat = features.reshape(-1, features.shape[-1])
+    return Refined3D(lifted.frame, lambda cells: flat[cells], offsets, occupancy)
 
 
 def scores_to_labels(scores: np.ndarray) -> np.ndarray:
@@ -72,19 +79,14 @@ def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
     """
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
-    occ = np.asarray(refined.occupancy, dtype=np.float64)
+    occ = refined.occupancy
     occ_bin = occ >= occ_threshold
     cells = np.flatnonzero(occ_bin)
     gate = occ.reshape(-1)[cells, None]
-    semantics = refined.semantics
-    if callable(semantics):
-        scores = semantics(cells)
-    else:
-        scores = np.reshape(semantics, (-1, np.shape(semantics)[-1]))[cells]
     labels = np.zeros(occ.shape, dtype=np.int32)
-    labels.reshape(-1)[cells] = scores_to_labels(scores * gate)
+    labels.reshape(-1)[cells] = scores_to_labels(refined.semantics(cells) * gate)
     dc3d = np.zeros(occ.shape + (2,))
-    dc3d.reshape(-1, 2)[cells] = np.reshape(refined.offsets, (-1, 2))[cells] * gate
+    dc3d.reshape(-1, 2)[cells] = refined.offsets.reshape(-1, 2)[cells] * gate
     return labels, dc3d, occ_bin
 
 

@@ -31,12 +31,6 @@ class CategoryTable:
     def num_categories(self) -> int:
         return len(self.is_thing)
 
-    def thing_ids(self):
-        return [k for k, t in enumerate(self.is_thing) if t]
-
-    def stuff_ids(self):
-        return [k for k, t in enumerate(self.is_thing) if not t and k != VOID]
-
 
 @dataclass
 class PanopticVolume:

@@ -7,12 +7,7 @@ from click.testing import CliRunner
 
 from panrec.cli import main as cli_main
 from panrec.geometry import DepthPlanes, FrustumGrid, backproject, plane_index, project
-from panrec.lifting import (
-    CategorySortedAssignment,
-    RandomAssignment,
-    lift_instances_topdown,
-    occupancy_aware_lift,
-)
+from panrec.lifting import RandomAssignment, lift_instances_topdown, occupancy_aware_lift
 from panrec.losses import (
     binary_cross_entropy,
     cross_entropy,

@@ -1,5 +1,5 @@
-import numpy as np
-import pytest
+import shutil
+
 from click.testing import CliRunner
 
 from panrec.cli import main
@@ -134,6 +134,49 @@ def test_bench_runs():
                                          ["reconstruct_from_priors", "16"],
                                          ["prq", "16"]]
     assert all(float(row[2]) >= 0 for row in rows)
+
+
+def group_error(tmp_path, features, priors):
+    """`panrec group`'s exit code and its one-line stderr."""
+    result = runner.invoke(main, ["group", str(features), str(priors),
+                                  "--out", str(tmp_path / "out.bin")])
+    assert result.stderr.count("\n") == 1, result.stderr
+    return result.exit_code, result.stderr
+
+
+def test_group_rejects_a_panoptic_volume_as_scores(tmp_path):
+    _, priors, feats, pred = build_chain(tmp_path)
+    shutil.copy(pred, tmp_path / "wrong.bin")
+    shutil.copy(feats.with_name("features_occupancy.bin"), tmp_path / "wrong_occupancy.bin")
+    code, err = group_error(tmp_path, tmp_path / "wrong.bin", priors)
+    assert code == 1
+    assert err.startswith("error: ") and "wrong.bin" in err and "kind" in err
+    assert "panoptic-volume" in err
+
+
+def test_group_rejects_channels_other_than_the_categories(tmp_path):
+    _, priors, _, _ = build_chain(tmp_path)
+    run("lift", str(priors), "--out", str(tmp_path / "topdown.bin"), "--mode", "top-down")
+    code, err = group_error(tmp_path, tmp_path / "topdown.bin", priors)
+    assert code == 1
+    assert err.startswith("error: ") and "topdown.bin" in err and "channels 16" in err
+
+
+def test_group_rejects_occupancy_of_another_kind(tmp_path):
+    _, priors, feats, _ = build_chain(tmp_path)
+    shutil.copy(priors / "depth.bin", feats.with_name("features_occupancy.bin"))
+    code, err = group_error(tmp_path, feats, priors)
+    assert code == 1
+    assert err.startswith("error: ") and "features_occupancy.bin" in err
+    assert "kind" in err and "'depth'" in err
+
+
+def test_group_rejects_features_in_another_frame(tmp_path):
+    _, priors, _, _ = build_chain(tmp_path)
+    _, _, small_feats, _ = build_chain(tmp_path / "small", size=16)
+    code, err = group_error(tmp_path, small_feats, priors)
+    assert code == 1
+    assert err.startswith("error: ") and "features.bin" in err and "frame" in err
 
 
 def test_manifest_written_with_generator(tmp_path):

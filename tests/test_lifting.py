@@ -21,12 +21,7 @@ from panrec.priors import (
     derive_semantics2d,
 )
 from panrec.synth import SynthConfig, generate_scene, perturb_priors
-from conftest import (
-    CROWDED_NOISE,
-    array_digest,
-    reference_occupancy_aware_lift,
-    seeded_scenes,
-)
+from conftest import CROWDED_NOISE, array_digest, reference_occupancy_aware_lift
 
 
 def lifted_semantics(sem2d, depth, frame, intrinsics, planes):
@@ -148,17 +143,6 @@ def test_free_space_is_exactly_zero(small_scene):
     assert np.all(fv.occupancy[free] == 0)
 
 
-def test_transform_hooks(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
-    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    base = occupancy_aware_lift(sem2d, occ_mp, depth, *args)
-    doubled = occupancy_aware_lift(sem2d, occ_mp, depth, *args,
-                                   semantic_transform=lambda x: 2.0 * x)
-    assert np.allclose(doubled.features, 2.0 * base.features)
-
-
 def test_topdown_single_instance(small_scene):
     from panrec.geometry import plane_index
 
@@ -256,6 +240,21 @@ def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
     with pytest.raises(LiftingError, match="depth"):
         feature_rows(derive_semantics2d(small_scene), depth,
                      np.ones(small_scene.frame.shape), *args[1:])
+
+
+@pytest.mark.parametrize("shape", ["2-d", "extra-axis", "wrong-width"])
+def test_semantics_must_be_height_width_channels(small_scene, shape):
+    sem2d = derive_semantics2d(small_scene)
+    h, w, c = sem2d.shape
+    sem2d = {"2-d": sem2d[..., 0], "extra-axis": sem2d.reshape(h, w, 1, c),
+             "wrong-width": sem2d[:, 1:]}[shape]
+    occ_mp = derive_multiplane_occupancy(small_scene)
+    depth = derive_depth(small_scene)
+    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    with pytest.raises(LiftingError, match="semantics2d"):
+        feature_rows(sem2d, depth, np.ones(small_scene.frame.shape), *args)
+    with pytest.raises(LiftingError, match="semantics2d"):
+        occupancy_aware_lift(sem2d, occ_mp, depth, *args)
 
 
 # sha256 of occupancy_aware_lift's (features, occupancy), pinned from the dense

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
-from panrec.lifting import FeatureVolume, feature_rows, lift_occupancy, occupancy_aware_lift
+from panrec.lifting import (
+    FeatureVolume,
+    LiftingError,
+    feature_rows,
+    lift_occupancy,
+    occupancy_aware_lift,
+)
 from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
 from panrec.priors import InstanceCenter, Priors2D, derive_priors
 from panrec.reconstruction import (
@@ -194,12 +200,16 @@ def test_identity_refine_passthrough_and_errors():
     offs = np.zeros(FRAME.shape + (2,))
     occ = np.full(FRAME.shape, 0.25)
     refined = identity_refine(fv, offs, occ)
-    assert refined.semantics is fv.features
+    cells = np.arange(fv.occupancy.size)
+    assert np.array_equal(refined.semantics(cells), fv.features.reshape(-1, 4))
     assert np.array_equal(refined.occupancy, occ)
     with pytest.raises(ReconstructionError):
         identity_refine(fv, np.zeros((2, 2, 2, 2)), occ)
     with pytest.raises(ReconstructionError):
         identity_refine(fv, offs, np.zeros((2, 2, 2)))
+    small = FeatureVolume(frame=FRAME, features=np.ones((2, 2, 2, 4)), occupancy=occ)
+    with pytest.raises(ReconstructionError, match="features shape"):
+        identity_refine(small, offs, occ)
 
 
 def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
@@ -391,3 +401,18 @@ def test_reconstruct_rejects_offsets_of_the_wrong_shape():
         with pytest.raises(ReconstructionError, match="offsets shape"):
             reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                     scene.categories)
+
+
+@pytest.mark.parametrize("bad", ["2-d", "extra-axis", "3-of-7-channels"])
+def test_reconstruct_rejects_malformed_semantics(bad):
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    priors = derive_priors(scene)
+    h, w, c = priors.semantics.shape
+    assert c == len(scene.categories) == 7
+    priors.semantics = {"2-d": priors.semantics[..., 1],
+                        "extra-axis": priors.semantics.reshape(h, w, 1, c),
+                        "3-of-7-channels": priors.semantics[..., :3]}[bad]
+    error = ReconstructionError if bad == "3-of-7-channels" else LiftingError
+    with pytest.raises(error, match="semantics"):
+        reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
+                                scene.categories)
