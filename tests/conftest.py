@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from panrec.geometry import FrustumGrid
+from panrec.geometry import AxisGrid, FrustumGrid
 from panrec.lifting import FeatureVolume, _axis_sampling, lift_occupancy
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene
@@ -41,6 +41,18 @@ def seeded_scenes(n, **overrides):
 # The noise spec of the crowded-noisy-96 benchmark workload.
 CROWDED_NOISE = NoiseSpec(depth_sigma=0.05, semantic_flip=0.05, occupancy_flip=0.02,
                           center_jitter=2)
+
+# Scenes and axis frames of the pinned lift and reconstruction digests. The
+# 64^3 axis frame reaches behind the camera: its cell iz = 1 lies at z = 0.
+GOLDEN_LIFT_SCENES = {
+    "32": dict(seed=11, width=32, height=32, planes=32, n_things=3,
+               min_center_separation=8.0),
+    "64": dict(seed=2, width=64, height=64, planes=64),
+}
+GOLDEN_AXES = {
+    "32": AxisGrid(dims=(24, 24, 40), voxel_size=0.15, origin=(-1.8, -1.8, 0.4)),
+    "64": AxisGrid(dims=(64, 64, 64), voxel_size=0.09375, origin=(-3.0, -3.0, -0.140625)),
+}
 
 
 def array_digest(*arrays, extra=b""):

@@ -21,7 +21,13 @@ from panrec.priors import (
     derive_semantics2d,
 )
 from panrec.synth import SynthConfig, generate_scene, perturb_priors
-from conftest import CROWDED_NOISE, array_digest, reference_occupancy_aware_lift
+from conftest import (
+    CROWDED_NOISE,
+    GOLDEN_AXES,
+    GOLDEN_LIFT_SCENES,
+    array_digest,
+    reference_occupancy_aware_lift,
+)
 
 
 def lifted_semantics(sem2d, depth, frame, intrinsics, planes):
@@ -260,12 +266,6 @@ def test_semantics_must_be_height_width_channels(small_scene, shape):
 # sha256 of occupancy_aware_lift's (features, occupancy), pinned from the dense
 # product of the lifted semantics and the lifted occupancy, on ground-truth
 # priors and on priors under the crowded-noisy-96 noise spec.
-AXIS = AxisGrid(dims=(24, 24, 40), voxel_size=0.15, origin=(-1.8, -1.8, 0.4))
-GOLDEN_LIFT_SCENES = {
-    "32": dict(seed=11, width=32, height=32, planes=32, n_things=3,
-               min_center_separation=8.0),
-    "64": dict(seed=2, width=64, height=64, planes=64),
-}
 GOLDEN_LIFTS = {
     ("32", "frustum", "gt"):
         "e6f746c7f9436091ef61448e219605f940fe5bf4e8b94bcf1b6cc2c60895fadc",
@@ -275,6 +275,10 @@ GOLDEN_LIFTS = {
         "307db2a7fd309a6630d8dfe26ce1801ff7874650b07c66b2ed4429ec505c6017",
     ("32", "axis", "noisy"):
         "6dae5583d55f83013c333c8c5ba5cbf7f405582987c49a5f262072f31cb32ebb",
+    ("64", "axis", "gt"):
+        "e604c0e670c7591a11bc99c59dfb7c25c78175218feae26412d73295edc20664",
+    ("64", "axis", "noisy"):
+        "43dc45da5537f73d36178658ed91b6d0fd541f84d2b41855991d9114ed495bc8",
     ("64", "frustum", "gt"):
         "d08aa790b1657f812efb72699a2114e913123df6de67da0b438aad777f75e628",
     ("64", "frustum", "noisy"):
@@ -290,7 +294,7 @@ def test_occupancy_aware_lift_matches_golden_hash(case):
     p = derive_priors(scene)
     if prior_kind == "noisy":
         p = perturb_priors(p, CROWDED_NOISE, kwargs["seed"], scene.planes)
-    frame = scene.frame if frame_kind == "frustum" else AXIS
+    frame = scene.frame if frame_kind == "frustum" else GOLDEN_AXES[size]
     fv = occupancy_aware_lift(p.semantics, p.mp_occupancy, p.depth, frame,
                               scene.intrinsics, scene.planes)
     assert array_digest(fv.features, fv.occupancy) == GOLDEN_LIFTS[case]

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
+from panrec.geometry import (
+    AxisGrid,
+    CameraIntrinsics,
+    DepthPlanes,
+    FrustumGrid,
+    resample_volume,
+)
 from panrec.lifting import (
     FeatureVolume,
     LiftingError,
@@ -26,7 +32,16 @@ from panrec.reconstruction import (
     to_multiplane,
 )
 from panrec.volume import VOID, CategoryTable, PanopticVolume
-from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes
+from panrec.synth import SynthConfig, generate_scene, perturb_priors
+from conftest import (
+    CROWDED_NOISE,
+    GOLDEN_AXES,
+    GOLDEN_LIFT_SCENES,
+    array_digest,
+    reference_occupancy_aware_lift,
+    rows_of,
+    seeded_scenes,
+)
 
 CATS = CategoryTable((False, False, True, True))
 INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
@@ -156,6 +171,35 @@ def test_group_oracle_round_trip():
                                  scene.categories)
         gt_things = scene.volume.instances
         assert np.array_equal(things.instances, gt_things)
+
+
+# sha256 of reconstruct_from_priors' (semantics, instances) on axis frames, with
+# the priors' offsets resampled onto the frame, on ground-truth priors and on
+# priors under the crowded-noisy-96 noise spec. Nothing else pins grouping on
+# axis frames: dense_reference groups with group_instances itself.
+GOLDEN_AXIS_RECONSTRUCTIONS = {
+    ("32", "gt"): "a4cf4218a7a165e803989f5240dfc1bef4d1a9fb743d961134de65977ec2e36e",
+    ("32", "noisy"): "1871149ca561193bc0f4d15ca1f564de6f85572ebaf73120f2acf6ad8cb064d9",
+    ("64", "gt"): "c723524b88787ade70a3cd5619b6453cb7f12464c1f8f870ff6b2b8d060d8282",
+    ("64", "noisy"): "2ec74beeda0d94bcb47368cf73c01fd458935bb93f82f3266434a15f0031b9bd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AXIS_RECONSTRUCTIONS))
+def test_axis_reconstruction_matches_golden_hash(case):
+    size, prior_kind = case
+    kwargs = GOLDEN_LIFT_SCENES[size]
+    scene = generate_scene(SynthConfig(**kwargs))
+    p = derive_priors(scene)
+    if prior_kind == "noisy":
+        p = perturb_priors(p, CROWDED_NOISE, kwargs["seed"], scene.planes)
+    axis = GOLDEN_AXES[size]
+    p.offsets3d = resample_volume(p.offsets3d, scene.frame, axis, scene.intrinsics,
+                                  scene.planes)
+    out = reconstruct_from_priors(p, axis, scene.intrinsics, scene.planes,
+                                  scene.categories)
+    assert out.instances.any()
+    assert array_digest(out.semantics, out.instances) == GOLDEN_AXIS_RECONSTRUCTIONS[case]
 
 
 def test_every_thing_cell_gets_exactly_one_instance(small_scene):
