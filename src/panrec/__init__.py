@@ -51,7 +51,6 @@ from .reconstruction import (
     identity_refine,
     mask_by_occupancy,
     reconstruct,
-    to_multiplane,
 )
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from .volume import CategoryTable, PanopticVolume, empty_volume

@@ -1,4 +1,5 @@
-"""Pinhole camera model, depth-plane discretization, and grid-frame resampling."""
+"""Pinhole camera model, depth-plane discretization, the cell-to-pixel map, and
+grid-frame resampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -137,17 +138,71 @@ def round_half_up(x):
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
-def cell_centers(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes,
-                 cells=None) -> np.ndarray:
-    """Camera-space center points of every cell, shaped frame.shape + (3,), or
-    of the flat cell indices `cells` only, shaped (N, 3)."""
+def cell_centers(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> np.ndarray:
+    """Camera-space center points of every cell, shaped frame.shape + (3,)."""
     if not isinstance(frame, (FrustumGrid, AxisGrid)):
         raise GeometryError(f"unknown grid frame {frame!r}")
-    a, b, c = np.indices(frame.shape) if cells is None else np.unravel_index(cells, frame.shape)
+    a, b, c = np.indices(frame.shape)
     if isinstance(frame, FrustumGrid):
         return backproject(b, a, planes.center(c), intrinsics)
     idx = np.stack([a, b, c], axis=-1).astype(np.float64)
     return np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
+
+
+def _cell_index(frame, cells):
+    """Per-axis indices of the flat cell indices `cells`, or of every cell as
+    arrays that broadcast to frame.shape when `cells` is None."""
+    if cells is None:
+        return np.ix_(*(np.arange(n) for n in frame.shape))
+    return np.unravel_index(cells, frame.shape)
+
+
+def _axis_tables(frame, intrinsics: CameraIntrinsics):
+    """Image position of axis cell centers as tables: u over (ix, iz), v over
+    (iy, iz) and depth z over iz, since a center's x depends only on ix, y only
+    on iy and z only on iz. Where z <= 0, u and v are taken at z = 1."""
+    if not isinstance(frame, AxisGrid):
+        raise GeometryError(f"unknown grid frame {frame!r}")
+    x, y, z = (o + (np.arange(n, dtype=np.float64) + 0.5) * frame.voxel_size
+               for o, n in zip(frame.origin, frame.dims))
+    zsafe = np.where(z > 0, z, 1.0)
+    u = intrinsics.fx * x[:, None] / zsafe + intrinsics.cx
+    v = intrinsics.fy * y[:, None] / zsafe + intrinsics.cy
+    return u, v, z
+
+
+def cell_pixels(frame, intrinsics: CameraIntrinsics, cells=None):
+    """The pixel each cell center falls in: (pixel, inside) for the flat cell
+    indices `cells`, or for every cell (shaped frame.shape) when `cells` is None.
+
+    `pixel` is the flat image index v * width + u of the nearest pixel (half
+    rounds up), 0 where not `inside`. `inside` marks centers in front of the
+    camera whose pixel lies in the image. Frustum cell (v, u, m) is pixel (v, u).
+    """
+    if isinstance(frame, FrustumGrid):
+        if cells is None:
+            cells = np.arange(np.prod(frame.shape)).reshape(frame.shape)
+        return cells // frame.planes, np.ones(np.shape(cells), dtype=bool)
+    u, v, z = _axis_tables(frame, intrinsics)
+    ui, vi = round_half_up(u), round_half_up(v)
+    in_u = (ui >= 0) & (ui < intrinsics.width)
+    in_v = (vi >= 0) & (vi < intrinsics.height) & (z > 0)
+    ix, iy, iz = _cell_index(frame, cells)
+    inside = in_u[ix, iz] & in_v[iy, iz]
+    return np.where(inside, vi[iy, iz] * intrinsics.width + ui[ix, iz], 0), inside
+
+
+def project_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cells=None):
+    """Continuous image position and depth (u, v, z) of the centers of the flat
+    cell indices `cells`, or of every cell (as arrays that broadcast to
+    frame.shape) when `cells` is None. u and v are NaN at or behind the camera."""
+    if isinstance(frame, FrustumGrid):
+        v, u, m = _cell_index(frame, cells)
+        return u.astype(np.float64), v.astype(np.float64), planes.center(m)
+    u, v, z = _axis_tables(frame, intrinsics)
+    front = z > 0
+    ix, iy, iz = _cell_index(frame, cells)
+    return np.where(front, u, np.nan)[ix, iz], np.where(front, v, np.nan)[iy, iz], z[iz]
 
 
 def locate_points(points, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):

@@ -13,9 +13,9 @@ from .geometry import (
     DepthPlanes,
     FrustumGrid,
     OUT_OF_RANGE,
-    cell_centers,
+    cell_pixels,
     plane_index,
-    round_half_up,
+    project_cells,
 )
 
 
@@ -50,27 +50,6 @@ def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     return (d[..., None] > 0) & (z[None, None, :] >= d[..., None])
 
 
-def _axis_sampling(frame: AxisGrid, intrinsics, planes, cells=None):
-    """Project axis cell centers (of every cell, or of the flat indices `cells`)
-    to image space: (vi, ui, z, in-image mask)."""
-    centers = cell_centers(frame, intrinsics, planes, cells)
-    z = centers[..., 2]
-    front = z > 0
-    zsafe = np.where(front, z, 1.0)
-    u = intrinsics.fx * centers[..., 0] / zsafe + intrinsics.cx
-    v = intrinsics.fy * centers[..., 1] / zsafe + intrinsics.cy
-    ui = round_half_up(u)
-    vi = round_half_up(v)
-    valid = (
-        front
-        & (ui >= 0) & (ui < intrinsics.width)
-        & (vi >= 0) & (vi < intrinsics.height)
-    )
-    ui = np.where(valid, ui, 0)
-    vi = np.where(valid, vi, 0)
-    return vi, ui, z, valid
-
-
 def _checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
     """Depth as float64 after checking it and the frame against the camera:
     an (H, W) map, finite and >= 0, and a frustum frame of dims (H, W, planes)."""
@@ -103,12 +82,12 @@ def lift_occupancy(
         raise LiftingError("multi-plane occupancy does not match camera/planes")
     if isinstance(frame, FrustumGrid):
         return mp_occupancy * _frustum_fill_mask(depth, planes)
-    vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
+    pixel, inside = cell_pixels(frame, intrinsics)
+    _u, _v, z = project_cells(frame, intrinsics, planes)
     m = plane_index(np.where(z > 0, z, planes.z_near), planes)
-    keep = valid & (m != OUT_OF_RANGE)
-    d = depth[vi, ui]
-    keep = keep & (d > 0) & (z >= d)
-    return mp_occupancy[vi, ui, np.where(keep, m, 0)] * keep
+    d = depth.reshape(-1)[pixel]
+    keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
+    return mp_occupancy.reshape(-1, planes.count)[pixel, np.where(keep, m, 0)] * keep
 
 
 def occupancy_aware_lift(
@@ -142,11 +121,7 @@ def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrins
     occ = np.asarray(occupancy, dtype=np.float64).reshape(-1)
 
     def rows(cells):
-        if isinstance(frame, FrustumGrid):
-            pixel = cells // planes.count
-        else:
-            v, u, _z, _valid = _axis_sampling(frame, intrinsics, planes, cells)
-            pixel = v * intrinsics.width + u
+        pixel, _inside = cell_pixels(frame, intrinsics, cells)
         out = np.take(pixels, pixel, axis=0)
         out *= occ[cells, None]
         return out

@@ -1,5 +1,5 @@
-"""Bottom-up panoptic assembly: occupancy masking, multi-plane conversion,
-center-based instance grouping, and the final per-voxel labeling."""
+"""Bottom-up panoptic assembly: occupancy masking, center-based instance
+grouping, and the final per-voxel labeling."""
 from __future__ import annotations
 
 import warnings
@@ -8,14 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    AxisGrid,
-    CameraIntrinsics,
-    DepthPlanes,
-    FrustumGrid,
-    cell_centers,
-    resample_volume,
-)
+from .geometry import CameraIntrinsics, DepthPlanes, project_cells
 from .lifting import FeatureVolume
 from .volume import VOID, CategoryTable, PanopticVolume
 
@@ -90,33 +83,6 @@ def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
     return labels, dc3d, occ_bin
 
 
-def to_multiplane(field: np.ndarray, frame, intrinsics: CameraIntrinsics,
-                  planes: DepthPlanes) -> np.ndarray:
-    """Sample a per-cell field at the pixel-aligned multi-plane positions.
-
-    Frustum input is returned unchanged (identity re-indexing); axis input is
-    resampled at each (u, v, plane-center) location, zero outside the volume.
-    """
-    if isinstance(frame, FrustumGrid):
-        return np.array(field)
-    if not isinstance(frame, AxisGrid):
-        raise ReconstructionError(f"unknown grid frame {frame!r}")
-    target = FrustumGrid(intrinsics.width, intrinsics.height, planes.count)
-    return resample_volume(field, frame, target, intrinsics, planes)
-
-
-def _cell_pixels(frame, intrinsics, planes, cells):
-    """Continuous (u, v) image position of the flat cell indices `cells`."""
-    if isinstance(frame, FrustumGrid):
-        v, u, _m = np.unravel_index(cells, frame.shape)
-        return u.astype(np.float64), v.astype(np.float64)
-    centers = cell_centers(frame, intrinsics, planes, cells)
-    z = np.where(centers[..., 2] > 0, centers[..., 2], np.nan)
-    u = intrinsics.fx * centers[..., 0] / z + intrinsics.cx
-    v = intrinsics.fy * centers[..., 1] / z + intrinsics.cy
-    return u, v
-
-
 def group_instances(
     labels: np.ndarray,
     dc3d: np.ndarray,
@@ -138,12 +104,14 @@ def group_instances(
     thing_flags = np.asarray(categories.is_thing)
     cells = np.flatnonzero(np.asarray(occ_bin, dtype=bool) & thing_flags[labels])
     cell_labels = labels.reshape(-1)[cells]
-    u_px, v_px = _cell_pixels(frame, intrinsics, planes, cells)
+    u_px, v_px, _z = project_cells(frame, intrinsics, planes, cells)
     du, dv = np.asarray(dc3d).reshape(-1, 2)[cells].T
-    bad = np.count_nonzero(~(np.isfinite(du) & np.isfinite(dv)))
-    if bad:
-        raise ReconstructionError(f"offsets (du, dv) are not finite at {bad} occupied thing cells")
     tu, tv = u_px + du, v_px + dv
+    bad = np.count_nonzero(~(np.isfinite(tu) & np.isfinite(tv)))
+    if bad:
+        raise ReconstructionError(f"offset-shifted positions are not finite at {bad} occupied "
+                                  "thing cells: non-finite offsets (du, dv), or cells at or "
+                                  "behind the camera")
     semantics = np.zeros(labels.shape, dtype=np.int32)
     instances = np.zeros(labels.shape, dtype=np.int32)
     by_category = {}

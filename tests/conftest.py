@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from panrec.geometry import AxisGrid, FrustumGrid
-from panrec.lifting import FeatureVolume, _axis_sampling, lift_occupancy
+from panrec.geometry import AxisGrid, FrustumGrid, OUT_OF_RANGE, plane_index, round_half_up
+from panrec.lifting import FeatureVolume
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene
 
@@ -74,19 +74,34 @@ def rows_of(volume):
 
 def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intrinsics,
                                    planes):
-    """The dense lift that `feature_rows` replaced, kept as the oracle: the
-    semantics propagated to every cell at or behind the depth surface (zero
-    in free space and on rays with no surface), times the lifted occupancy."""
+    """The dense lift that `feature_rows` replaced, kept as the oracle with its
+    own per-cell projection: the semantics propagated to every cell at or
+    behind the depth surface (zero in free space and on rays with no surface),
+    times the multi-plane occupancy at the cell's pixel and depth plane."""
     semantics2d = np.asarray(semantics2d, dtype=np.float64)
+    mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
-    occ = lift_occupancy(mp_occupancy, depth, frame, intrinsics, planes)
     if isinstance(frame, FrustumGrid):
         z = planes.centers()
-        fill = (depth[..., None] > 0) & (z[None, None, :] >= depth[..., None])
-        sem = semantics2d[:, :, None, :] * fill[..., None]
+        keep = (depth[..., None] > 0) & (z[None, None, :] >= depth[..., None])
+        sem = semantics2d[:, :, None, :] * keep[..., None]
+        occ = mp_occupancy * keep
     else:
-        vi, ui, z, valid = _axis_sampling(frame, intrinsics, planes)
+        # Each cell center on its own, projected with z = 1 where z <= 0.
+        idx = np.stack(np.indices(frame.shape), axis=-1).astype(np.float64)
+        centers = np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
+        x, y, z = centers[..., 0], centers[..., 1], centers[..., 2]
+        front = z > 0
+        zsafe = np.where(front, z, 1.0)
+        ui = round_half_up(intrinsics.fx * x / zsafe + intrinsics.cx)
+        vi = round_half_up(intrinsics.fy * y / zsafe + intrinsics.cy)
+        valid = (front & (ui >= 0) & (ui < intrinsics.width)
+                 & (vi >= 0) & (vi < intrinsics.height))
+        ui, vi = np.where(valid, ui, 0), np.where(valid, vi, 0)
         d = depth[vi, ui]
         keep = valid & (d > 0) & (z >= d)
         sem = semantics2d[vi, ui] * keep[..., None]
+        m = plane_index(np.where(front, z, planes.z_near), planes)
+        on_plane = keep & (m != OUT_OF_RANGE)
+        occ = mp_occupancy[vi, ui, np.where(on_plane, m, 0)] * on_plane
     return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)

@@ -10,8 +10,10 @@ from panrec.geometry import (
     GeometryError,
     backproject,
     cell_centers,
+    cell_pixels,
     plane_index,
     project,
+    project_cells,
     resample_volume,
     round_half_up,
 )
@@ -94,6 +96,36 @@ def test_round_half_up():
     assert round_half_up(1.5) == 2
     assert round_half_up(1.49) == 1
     assert round_half_up(-0.5) == 0
+
+
+@pytest.mark.parametrize("frame", [
+    FrustumGrid(K.width, K.height, 8),
+    # cell centers at z = -1.0, -0.5, 0.0, 0.5, ..., some outside the image
+    AxisGrid(dims=(6, 5, 8), voxel_size=0.5, origin=(-1.5, -1.25, -1.25)),
+], ids=["frustum", "axis"])
+def test_cell_maps_are_the_projected_cell_centers(frame):
+    planes = DepthPlanes(count=8)
+    centers = cell_centers(frame, K, planes).reshape(-1, 3)
+    cells = np.arange(len(centers))[::-1]
+    centers = centers[cells]
+    front = centers[:, 2] > 0
+    u, v, z = project_cells(frame, K, planes, cells)
+    pu, pv, _ = project(centers[front], K)
+    assert np.array_equal(z, centers[:, 2])
+    np.testing.assert_allclose(u[front], pu, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(v[front], pv, rtol=0, atol=1e-9)
+    assert np.isnan(u[~front]).all() and np.isnan(v[~front]).all()
+    ui, vi = round_half_up(pu), round_half_up(pv)
+    in_image = (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    pixel, inside = cell_pixels(frame, K, cells)
+    assert np.array_equal(inside[front], in_image) and not inside[~front].any()
+    assert np.array_equal(pixel[front], np.where(in_image, vi * K.width + ui, 0))
+    assert not pixel[~front].any()
+    # every cell at once, in C order, is the same map
+    every = (*project_cells(frame, K, planes), *cell_pixels(frame, K))
+    for whole, picked in zip(every, (u, v, z, pixel, inside)):
+        whole = np.broadcast_to(whole, frame.shape).reshape(-1)
+        assert np.array_equal(whole[cells], picked, equal_nan=True)
 
 
 def test_resample_identity():

@@ -318,8 +318,9 @@ def lift_cases(draw):
         frame = FrustumGrid(w, h, m)
     else:
         n = draw(st.integers(1, 5))
-        frame = AxisGrid(dims=[n, n + 1, 2 * n], voxel_size=3.0 / n,
-                         origin=[-1.5, -1.5, draw(st.floats(0.0, 1.0))])
+        # origin z = -1.5 / n puts the first cell centers at z = 0
+        oz = draw(st.one_of(st.floats(-2.0, 1.0), st.just(-1.5 / n)))
+        frame = AxisGrid(dims=[n, n + 1, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, oz])
     return sem, mp, depth, frame, intrinsics, planes
 
 

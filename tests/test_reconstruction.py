@@ -29,7 +29,6 @@ from panrec.reconstruction import (
     identity_refine,
     mask_by_occupancy,
     reconstruct,
-    to_multiplane,
 )
 from panrec.volume import VOID, CategoryTable, PanopticVolume
 from panrec.synth import SynthConfig, generate_scene, perturb_priors
@@ -87,22 +86,6 @@ def test_mask_threshold_counting():
     assert occ_bin.sum() == np.sum(occ >= 0.3)
     with pytest.raises(ReconstructionError):
         mask_by_occupancy(refined, occ_threshold=1.5)
-
-
-def test_to_multiplane_frustum_identity():
-    rng = np.random.default_rng(2)
-    field = rng.random(FRAME.shape)
-    out = to_multiplane(field, FRAME, INTR, PLANES)
-    assert np.array_equal(out, field)
-    assert out is not field
-
-
-def test_to_multiplane_constant_axis_field():
-    axis = AxisGrid(dims=(40, 40, 40), voxel_size=0.2, origin=(-4.0, -4.0, 0.05))
-    field = np.full(axis.shape, 7.0)
-    out = to_multiplane(field, axis, INTR, PLANES)
-    # frustum center points all fall inside this covering grid
-    assert np.all(out == 7.0)
 
 
 def centers_pair():
@@ -355,7 +338,9 @@ def label_first_cases(draw):
         frame = FrustumGrid(w, h, m)
     else:
         n = draw(st.integers(2, 5))
-        frame = AxisGrid(dims=[n, n, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, 0.4])
+        # origin z = -1.5 / n puts the first cell centers at z = 0
+        oz = draw(st.one_of(st.just(0.4), st.floats(-2.0, 1.0), st.just(-1.5 / n)))
+        frame = AxisGrid(dims=[n, n, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, oz])
     offsets = draw(hnp.arrays(np.float64, frame.shape + (2,), elements=st.floats(-4, 4)))
     stuff = draw(st.lists(st.booleans(), min_size=c - 1, max_size=c - 1))
     is_thing = (False,) + tuple(not b for b in stuff)
@@ -425,6 +410,17 @@ def test_group_rejects_non_finite_thing_offsets(bad):
     dc3d[0, 0, 0] = bad
     out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
     assert out.instances[3, 3, 4] == 1
+
+
+def test_group_rejects_thing_cells_behind_the_camera():
+    # cell [3, 3, 0] has its center at z = -0.75: it has no image position
+    axis = AxisGrid(dims=(4, 4, 4), voxel_size=0.5, origin=(-1.0, -1.0, -1.0))
+    labels = np.zeros(axis.shape, dtype=np.int32)
+    labels[3, 3, 0] = 2
+    occ = labels > 0
+    with pytest.raises(ReconstructionError, match="offsets"):
+        group_instances(labels, np.zeros(axis.shape + (2,)), centers_pair(), axis, INTR,
+                        PLANES, occ, CATS)
 
 
 def test_reconstruct_rejects_all_nan_offsets():
