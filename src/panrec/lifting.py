@@ -84,7 +84,7 @@ def lift_occupancy(
         return mp_occupancy * _frustum_fill_mask(depth, planes)
     pixel, inside = cell_pixels(frame, intrinsics)
     _u, _v, z = project_cells(frame, intrinsics, planes)
-    m = plane_index(np.where(z > 0, z, planes.z_near), planes)
+    m = plane_index(z, planes)
     d = depth.reshape(-1)[pixel]
     keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
     return mp_occupancy.reshape(-1, planes.count)[pixel, np.where(keep, m, 0)] * keep

@@ -98,7 +98,9 @@ def group_instances(
     Only occupied cells with a thing label visit the centers: the cell's pixel
     position shifted by its offset is compared with every center of its
     category; ties keep the first-listed center. Thing cells whose category has
-    no center are dropped to void (warned). The result holds things only.
+    no center are dropped to void (warned). A shifted position that is not
+    finite (a non-finite offset, or a cell at or behind the camera) raises
+    ReconstructionError. The result holds things only.
     """
     labels = np.asarray(labels, dtype=np.int32)
     thing_flags = np.asarray(categories.is_thing)
@@ -109,9 +111,8 @@ def group_instances(
     tu, tv = u_px + du, v_px + dv
     bad = np.count_nonzero(~(np.isfinite(tu) & np.isfinite(tv)))
     if bad:
-        raise ReconstructionError(f"offset-shifted positions are not finite at {bad} occupied "
-                                  "thing cells: non-finite offsets (du, dv), or cells at or "
-                                  "behind the camera")
+        raise ReconstructionError(f"offset-shifted positions are not finite at {bad} thing "
+                                  "cells (non-finite offsets, or cells behind the camera)")
     semantics = np.zeros(labels.shape, dtype=np.int32)
     instances = np.zeros(labels.shape, dtype=np.int32)
     by_category = {}
