@@ -158,8 +158,7 @@ def test_group_oracle_round_trip():
 
 # sha256 of reconstruct_from_priors' (semantics, instances) on axis frames, with
 # the priors' offsets resampled onto the frame, on ground-truth priors and on
-# priors under the crowded-noisy-96 noise spec. Nothing else pins grouping on
-# axis frames: dense_reference groups with group_instances itself.
+# priors under the crowded-noisy-96 noise spec.
 GOLDEN_AXIS_RECONSTRUCTIONS = {
     ("32", "gt"): "a4cf4218a7a165e803989f5240dfc1bef4d1a9fb743d961134de65977ec2e36e",
     ("32", "noisy"): "1871149ca561193bc0f4d15ca1f564de6f85572ebaf73120f2acf6ad8cb064d9",
@@ -267,9 +266,49 @@ def test_grouping_scale_invariance():
         assert base == scaled
 
 
+def reference_group_and_assemble(labels, dc3d, occ_bin, centers, frame, intrinsics,
+                                 categories):
+    """The full-volume grouping and assembly that the occupied-cell tail
+    replaced, kept as the oracle with its own per-cell projection. Each
+    occupied thing cell's image position plus its offset is compared with every
+    center of its category; ties keep the first-listed center. Cells of a
+    thing category with no center become void, with one warning. Returns
+    (semantics, instances) volumes."""
+    if isinstance(frame, FrustumGrid):
+        v, u = (a.astype(np.float64) for a in np.indices(frame.shape)[:2])
+    else:
+        idx = np.stack(np.indices(frame.shape), axis=-1).astype(np.float64)
+        centers_xyz = np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
+        x, y, z = centers_xyz[..., 0], centers_xyz[..., 1], centers_xyz[..., 2]
+        zsafe = np.where(z > 0, z, 1.0)
+        u = np.where(z > 0, intrinsics.fx * x / zsafe + intrinsics.cx, np.nan)
+        v = np.where(z > 0, intrinsics.fy * y / zsafe + intrinsics.cy, np.nan)
+    thing = occ_bin & np.asarray(categories.is_thing)[labels]
+    tu, tv = u + dc3d[..., 0], v + dc3d[..., 1]
+    if not (np.isfinite(tu[thing]).all() and np.isfinite(tv[thing]).all()):
+        raise ReconstructionError("offset-shifted positions are not finite (offsets)")
+    semantics = np.where(occ_bin, labels, VOID).astype(np.int32)
+    instances = np.zeros(frame.shape, dtype=np.int32)
+    dropped = 0
+    for k in np.unique(labels[thing]):
+        sel = thing & (labels == k)
+        cands = [c for c in centers if c.category == k]
+        if not cands:
+            dropped += np.count_nonzero(sel)
+            semantics[sel] = VOID
+            continue
+        dist2 = np.stack([(tu[sel] - c.u) ** 2 + (tv[sel] - c.v) ** 2 for c in cands],
+                         axis=-1)
+        instances[sel] = np.asarray([c.instance_id for c in cands])[np.argmin(dist2, axis=-1)]
+    if dropped:
+        warnings.warn(f"{dropped} thing cells had no center of their category; set to void")
+    return semantics, instances
+
+
 def dense_reference(priors, mp, frame, intrinsics, planes, categories, occ_threshold):
     """The tail before it became label-first: dense lift, dense occupancy
-    gate, full-volume argmax. Returns (labels, gated offsets, volume)."""
+    gate, full-volume argmax, full-volume grouping and assembly. Returns
+    (labels, gated offsets, volume)."""
     lifted = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
                                             intrinsics, planes)
     occ_bin = lifted.occupancy >= occ_threshold
@@ -277,9 +316,9 @@ def dense_reference(priors, mp, frame, intrinsics, planes, categories, occ_thres
     s3d = lifted.features * gate[..., None]
     labels = np.where(occ_bin & (s3d.max(axis=-1) > 0), np.argmax(s3d, axis=-1), VOID)
     dc3d = priors.offsets3d * gate[..., None]
-    things = group_instances(labels, dc3d, priors.centers, frame, intrinsics, planes,
-                             occ_bin, categories)
-    return labels, dc3d, assemble_panoptic(labels, things, occ_bin, categories)
+    semantics, instances = reference_group_and_assemble(labels, dc3d, occ_bin, priors.centers,
+                                                        frame, intrinsics, categories)
+    return labels, dc3d, PanopticVolume(frame, semantics, instances, categories)
 
 
 def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categories,
