@@ -19,6 +19,11 @@ from .geometry import (
 )
 
 
+# Cells per `feature_rows` call in `occupancy_aware_lift`: its temporaries
+# stay a few MB instead of growing with the grid.
+LIFT_BLOCK = 1 << 16
+
+
 class LiftingError(ValueError):
     pass
 
@@ -99,11 +104,13 @@ def occupancy_aware_lift(
     planes: DepthPlanes,
 ) -> FeatureVolume:
     """Hadamard product of lifted semantics and lifted occupancy, dense:
-    `feature_rows` at every cell."""
+    `feature_rows` at every cell, evaluated in blocks of LIFT_BLOCK cells."""
     occ = lift_occupancy(mp_occupancy, depth, frame, intrinsics, planes)
     rows = feature_rows(semantics2d, depth, occ, frame, intrinsics, planes)
-    features = rows(np.arange(occ.size))
-    features = features.reshape(occ.shape + features.shape[-1:])
+    features = np.empty(occ.shape + np.shape(semantics2d)[-1:])
+    flat = features.reshape(occ.size, features.shape[-1])
+    for start in range(0, occ.size, LIFT_BLOCK):
+        flat[start:start + LIFT_BLOCK] = rows(np.arange(start, min(start + LIFT_BLOCK, occ.size)))
     return FeatureVolume(frame=frame, features=features, occupancy=occ)
 
 
