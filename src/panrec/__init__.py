@@ -46,6 +46,7 @@ from .priors import (
 )
 from .reconstruction import (
     Refined3D,
+    Things,
     assemble_panoptic,
     group_instances,
     identity_refine,

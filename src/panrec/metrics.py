@@ -63,33 +63,40 @@ class PrqReport:
         return rec
 
 
-def extract_segments(volume: PanopticVolume, name: str = "volume"):
+def extract_segments(volume: PanopticVolume, cells: np.ndarray, name: str = "volume"):
     """One segment per thing (category, instance) pair and one per stuff category.
 
-    Returns (segments, index): segments in ascending (category, instance)
-    order, and each cell's segment number, `len(segments)` at void cells.
-    Malformed labels raise MetricError naming `name` and the field.
+    `cells` lists flat cell indices, each once, and must hold every non-void
+    cell of the volume. Returns (segments, index): segments in ascending
+    (category, instance) order, and the segment number of each listed cell,
+    `len(segments)` at void cells. Malformed labels raise MetricError naming
+    `name` and the field.
     """
-    sem = volume.semantics.ravel()
     inst = volume.instances.ravel()
     if inst.min(initial=0) < 0:
         raise MetricError(f"{name}.instances: negative instance id")
-    occupied = sem != VOID
-    span = int(inst.max(initial=0)) + 1
-    key = sem[occupied].astype(np.int64) * span + inst[occupied]
-    uniq, inverse, sizes = np.unique(key, return_inverse=True, return_counts=True)
-    cats, ids = np.divmod(uniq, span)
-    if len(uniq) and (cats[0] < 0 or cats[-1] >= len(volume.categories)):
+    sem_at, inst_at = volume.semantics.ravel()[cells], inst[cells]
+    n = len(volume.categories)
+    if sem_at.size and (sem_at.min() < 0 or sem_at.max() >= n):
         raise MetricError(f"{name}.semantics: category id outside the category table")
-    is_thing = np.asarray(volume.categories.is_thing, dtype=bool)[cats]
-    if np.any(ids[~is_thing] != 0):
+    is_thing = np.asarray(volume.categories.is_thing, dtype=bool)
+    thing = is_thing[sem_at]
+    if np.any(inst_at[~thing & (sem_at != VOID)]):
         raise MetricError(f"{name}.instances: instance id on a stuff cell")
-    if np.count_nonzero(inst) != sizes[ids != 0].sum():
+    if np.count_nonzero(inst) != np.count_nonzero(inst_at[thing]):
         raise MetricError(f"{name}.instances: instance id on a void cell")
+    # Stuff categories present, and thing (category, instance) pairs, as keys.
+    present = np.bincount(sem_at, minlength=n) > 0
+    present[VOID] = False
+    span = int(inst.max(initial=0)) + 1
+    key = sem_at.astype(np.int64) * span + inst_at
+    uniq = np.union1d(np.flatnonzero(present & ~is_thing) * span, key[thing])
+    index = np.searchsorted(uniq, key)
+    index[sem_at == VOID] = len(uniq)
+    sizes = np.bincount(index, minlength=len(uniq) + 1)[:-1]
+    cats, ids = np.divmod(uniq, span)
     segments = [Segment(*seg) for seg in zip(cats.tolist(), ids.tolist(),
-                                             is_thing.tolist(), sizes.tolist())]
-    index = np.full(sem.size, len(segments))
-    index[occupied] = inverse
+                                             is_thing[cats].tolist(), sizes.tolist())]
     return segments, index
 
 
@@ -149,9 +156,11 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
         raise MetricError("prediction and ground truth must share a grid frame")
     if len(pred.categories) != len(gt.categories):
         raise MetricError("category tables differ")
-    pred_segments, pred_index = extract_segments(pred, "pred")
-    gt_segments, gt_index = extract_segments(gt, "gt")
-    # Joint cell counts over (gt segment or void, pred segment or void).
+    # Only cells that are non-void in at least one volume can overlap.
+    cells = np.flatnonzero((pred.semantics != VOID) | (gt.semantics != VOID))
+    pred_segments, pred_index = extract_segments(pred, cells, "pred")
+    gt_segments, gt_index = extract_segments(gt, cells, "gt")
+    # Joint counts over those cells of (gt segment or void, pred segment or void).
     cols = len(pred_segments) + 1
     overlap = np.bincount(gt_index * cols + pred_index, minlength=(len(gt_segments) + 1) * cols)
     tp, fp, fn = match_segments(pred_segments, gt_segments,

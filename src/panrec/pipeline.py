@@ -37,16 +37,17 @@ def reconstruct_from_priors(
     variant (the depth-only lifting baseline). Offsets must be present in the
     bundle; they stand in for the refinement stage's offset prediction.
     Label-first: scores are formed at occupied cells only, with the same
-    result as `reconstruct` on `occupancy_aware_lift`.
+    result as `reconstruct` on `occupancy_aware_lift`. A channel count other
+    than the category table's is rejected before any volume is built.
     """
     if priors.offsets3d is None:
-        raise ValueError("prior bundle carries no 3D offsets")
+        raise ReconstructionError("prior bundle carries no 3D offsets (offsets3d)")
+    shape = np.shape(priors.semantics)
+    if len(shape) == 3 and shape[-1] != len(categories):
+        raise ReconstructionError(f"semantics has {shape[-1]} channels, the category table "
+                                  f"{len(categories)} categories")
     mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
     occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
     rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
-    channels = np.shape(priors.semantics)[-1]
-    if channels != len(categories):
-        raise ReconstructionError(f"semantics has {channels} channels, the category table "
-                                  f"{len(categories)} categories")
     refined = Refined3D(frame, rows, priors.offsets3d, occ)
     return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)

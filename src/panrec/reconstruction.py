@@ -1,5 +1,5 @@
-"""Bottom-up panoptic assembly: occupancy masking, center-based instance
-grouping, and the final per-voxel labeling."""
+"""Bottom-up panoptic assembly over the occupied cells: occupancy masking,
+center-based instance grouping, and the final per-voxel labeling."""
 from __future__ import annotations
 
 import warnings
@@ -21,8 +21,9 @@ class ReconstructionError(ValueError):
 class Refined3D:
     """Per-cell semantic scores, pixel offsets, and occupancy over one frame.
 
-    `semantics` maps flat cell indices to their (N, C) score rows
-    (`lifting.feature_rows`); offsets and occupancy cover the frame.
+    `semantics` maps flat cell indices to fresh (N, C) score rows
+    (`lifting.feature_rows`), which the tail may scale in place; offsets and
+    occupancy cover the frame.
     """
 
     frame: object
@@ -64,104 +65,85 @@ def scores_to_labels(scores: np.ndarray) -> np.ndarray:
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
-    """Reduce semantics to labels and gate offsets at occupied cells only.
+    """Labels of the occupied cells.
 
-    Returns (labels, gated offsets, binary occupancy). Where occupancy >=
-    `occ_threshold`, scores and offsets are multiplied by the occupancy and the
-    scores reduced by `scores_to_labels`; other cells are VOID, offsets zero.
+    Returns (cells, labels, gate): the ascending flat indices of the cells with
+    occupancy >= `occ_threshold`, their labels (`scores_to_labels` of the score
+    rows times the occupancy), and that occupancy, which is > 0.
     """
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
-    occ = refined.occupancy
-    occ_bin = occ >= occ_threshold
-    cells = np.flatnonzero(occ_bin)
-    gate = occ.reshape(-1)[cells, None]
-    labels = np.zeros(occ.shape, dtype=np.int32)
-    labels.reshape(-1)[cells] = scores_to_labels(refined.semantics(cells) * gate)
-    dc3d = np.zeros(occ.shape + (2,))
-    dc3d.reshape(-1, 2)[cells] = refined.offsets.reshape(-1, 2)[cells] * gate
-    return labels, dc3d, occ_bin
+    occ = refined.occupancy.reshape(-1)
+    cells = np.flatnonzero(occ >= occ_threshold)
+    gate = occ[cells]
+    scores = np.asarray(refined.semantics(cells), dtype=np.float64)
+    scores *= gate[:, None]
+    return cells, scores_to_labels(scores), gate
 
 
-def group_instances(
-    labels: np.ndarray,
-    dc3d: np.ndarray,
-    centers,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-    occ_bin: np.ndarray,
-    categories: CategoryTable,
-) -> PanopticVolume:
+@dataclass
+class Things:
+    """Grouped thing cells: flat indices, labels (VOID where the category has
+    no center) and instance ids (0 there)."""
+
+    cells: np.ndarray
+    semantics: np.ndarray
+    instances: np.ndarray
+
+
+def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
+                    offsets: np.ndarray, centers, frame, intrinsics: CameraIntrinsics,
+                    planes: DepthPlanes, categories: CategoryTable) -> Things:
     """Assign each occupied thing cell to the nearest same-category 2D center.
 
-    Only occupied cells with a thing label visit the centers: the cell's pixel
-    position shifted by its offset is compared with every center of its
-    category; ties keep the first-listed center. Thing cells whose category has
-    no center are dropped to void (warned). A shifted position that is not
-    finite (a non-finite offset, or a cell at or behind the camera) raises
-    ReconstructionError. The result holds things only.
+    `cells`, `labels` and `gate` are `mask_by_occupancy`'s result; `offsets`
+    covers the frame and is read at the thing cells only. A thing cell's pixel
+    position shifted by its offset times its gate is compared with every
+    center of its category; ties keep the first-listed center. Thing cells
+    whose category has no center are dropped to void (warned). A shifted
+    position that is not finite (a non-finite offset, or a cell at or behind
+    the camera) raises ReconstructionError.
     """
-    labels = np.asarray(labels, dtype=np.int32)
-    thing_flags = np.asarray(categories.is_thing)
-    cells = np.flatnonzero(np.asarray(occ_bin, dtype=bool) & thing_flags[labels])
-    cell_labels = labels.reshape(-1)[cells]
+    thing = np.asarray(categories.is_thing)[labels]
+    cells, labels = cells[thing], labels[thing]
+    du, dv = (np.asarray(offsets).reshape(-1, 2)[cells] * gate[thing, None]).T
     u_px, v_px, _z = project_cells(frame, intrinsics, planes, cells)
-    du, dv = np.asarray(dc3d).reshape(-1, 2)[cells].T
     tu, tv = u_px + du, v_px + dv
     bad = np.count_nonzero(~(np.isfinite(tu) & np.isfinite(tv)))
     if bad:
         raise ReconstructionError(f"offset-shifted positions are not finite at {bad} thing "
                                   "cells (non-finite offsets, or cells behind the camera)")
-    semantics = np.zeros(labels.shape, dtype=np.int32)
-    instances = np.zeros(labels.shape, dtype=np.int32)
-    by_category = {}
-    for c in centers:
-        by_category.setdefault(c.category, []).append(c)
-    dropped = 0
-    for k in np.unique(cell_labels):
-        sel = cell_labels == k
-        cands = by_category.get(int(k), [])
+    semantics = labels.astype(np.int32)
+    instances = np.zeros(len(cells), dtype=np.int32)
+    for k in np.unique(labels):
+        sel = labels == k
+        cands = [c for c in centers if c.category == k]
         if not cands:
-            dropped += int(np.sum(sel))
+            semantics[sel] = VOID
             continue
         # Distances to candidate centers, argmin with first-listed tie-break.
         dist2 = np.stack(
             [(tu[sel] - c.u) ** 2 + (tv[sel] - c.v) ** 2 for c in cands], axis=-1
         )
-        choice = np.argmin(dist2, axis=-1)
         ids = np.asarray([c.instance_id for c in cands], dtype=np.int32)
-        semantics.reshape(-1)[cells[sel]] = k
-        instances.reshape(-1)[cells[sel]] = ids[choice]
+        instances[sel] = ids[np.argmin(dist2, axis=-1)]
+    dropped = np.count_nonzero(semantics == VOID)
     if dropped:
         warnings.warn(f"{dropped} thing cells had no center of their category; set to void")
-    return PanopticVolume(
-        frame=frame, semantics=semantics, instances=instances, categories=categories
-    )
+    return Things(cells=cells, semantics=semantics, instances=instances)
 
 
-def assemble_panoptic(
-    labels: np.ndarray,
-    things: PanopticVolume,
-    occ_bin: np.ndarray,
-    categories: CategoryTable,
-) -> PanopticVolume:
-    """Combine labels of occupied cells with grouped thing instances: thing
-    cells take the `things` volume, unoccupied cells are void."""
-    labels = np.asarray(labels, dtype=np.int32)
-    occ_bin = np.asarray(occ_bin, dtype=bool)
-    if things.semantics.shape != occ_bin.shape or labels.shape != occ_bin.shape:
-        raise ReconstructionError("inconsistent frames between semantics and things volume")
-    if things.frame.shape != occ_bin.shape:
-        raise ReconstructionError("things volume frame does not match occupancy")
-    labels = np.where(occ_bin, labels, VOID)
-    is_thing = np.asarray(categories.is_thing)[labels]
-    return PanopticVolume(
-        frame=things.frame,
-        semantics=np.where(is_thing, things.semantics, labels),
-        instances=np.where(is_thing, things.instances, 0),
-        categories=categories,
-    )
+def assemble_panoptic(frame, cells: np.ndarray, labels: np.ndarray, things: Things,
+                      categories: CategoryTable) -> PanopticVolume:
+    """Scatter the labels of the occupied `cells` and the grouped `things` into
+    one volume: thing cells take the `things` labels and ids, every cell not
+    listed is void."""
+    semantics = np.zeros(frame.shape, dtype=np.int32)
+    instances = np.zeros(frame.shape, dtype=np.int32)
+    semantics.reshape(-1)[cells] = labels
+    semantics.reshape(-1)[things.cells] = things.semantics
+    instances.reshape(-1)[things.cells] = things.instances
+    return PanopticVolume(frame, semantics, instances, categories)
 
 
 def reconstruct(
@@ -172,9 +154,9 @@ def reconstruct(
     categories: CategoryTable,
     occ_threshold: float = 0.5,
 ) -> PanopticVolume:
-    """Full bottom-up tail: labels at occupied cells, grouping, assembly."""
-    labels, dc3d, occ_bin = mask_by_occupancy(refined, occ_threshold)
-    things = group_instances(
-        labels, dc3d, centers, refined.frame, intrinsics, planes, occ_bin, categories
-    )
-    return assemble_panoptic(labels, things, occ_bin, categories)
+    """Full bottom-up tail over the occupied cells only: labels, grouping of
+    the thing cells, one scatter into the output volume."""
+    cells, labels, gate = mask_by_occupancy(refined, occ_threshold)
+    things = group_instances(cells, labels, gate, refined.offsets, centers, refined.frame,
+                             intrinsics, planes, categories)
+    return assemble_panoptic(refined.frame, cells, labels, things, categories)

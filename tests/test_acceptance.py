@@ -48,11 +48,11 @@ def test_criterion_1_oracle_round_trip():
                                       priors.depth, scene.frame,
                                       scene.intrinsics, scene.planes)
         refined = identity_refine(lifted, priors.offsets3d, lifted.occupancy)
-        s3d, dc3d, occ_bin = mask_by_occupancy(refined)
-        things = group_instances(s3d, dc3d, priors.centers, scene.frame,
-                                 scene.intrinsics, scene.planes, occ_bin,
+        cells, labels, gate = mask_by_occupancy(refined)
+        things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
+                                 scene.frame, scene.intrinsics, scene.planes,
                                  scene.categories)
-        pred = assemble_panoptic(s3d, things, occ_bin, scene.categories)
+        pred = assemble_panoptic(scene.frame, cells, labels, things, scene.categories)
         if not np.array_equal(pred.semantics, scene.volume.semantics):
             ok = False
         rep = prq(pred, scene.volume)
@@ -114,8 +114,9 @@ def test_criterion_2_metric_oracle_equivalence():
     for _ in range(500):
         pred = random_labeled_volume(rng, frame, cats)
         gt = random_labeled_volume(rng, frame, cats)
-        pred_segs, pred_index = extract_segments(pred)
-        gt_segs, gt_index = extract_segments(gt)
+        every_cell = np.arange(np.prod(frame.shape))
+        pred_segs, pred_index = extract_segments(pred, every_cell)
+        gt_segs, gt_index = extract_segments(gt, every_cell)
         pred_cells = [(s.category, set(np.flatnonzero(pred_index == i).tolist()))
                       for i, s in enumerate(pred_segs)]
         gt_cells = [(s.category, set(np.flatnonzero(gt_index == i).tolist()))

@@ -26,6 +26,7 @@ from conftest import seeded_scenes
 
 CATS = CategoryTable((False, True, False, True))
 FRAME = FrustumGrid(4, 4, 4)
+EVERY_CELL = np.arange(64)
 
 
 def vol(sem, inst):
@@ -39,8 +40,8 @@ def blank():
 
 def segments_and_overlap(pred, gt):
     """Segments of both volumes and their overlap counts, from cell sets."""
-    pred_segs, pred_index = extract_segments(pred)
-    gt_segs, gt_index = extract_segments(gt)
+    pred_segs, pred_index = extract_segments(pred, EVERY_CELL)
+    gt_segs, gt_index = extract_segments(gt, EVERY_CELL)
     overlap = np.zeros((len(gt_segs), len(pred_segs)), np.int64)
     for g in range(len(gt_segs)):
         for p in range(len(pred_segs)):
@@ -50,14 +51,14 @@ def segments_and_overlap(pred, gt):
 
 def test_extract_segments_empty_and_counts():
     sem, inst = blank()
-    segs, index = extract_segments(vol(sem, inst))
+    segs, index = extract_segments(vol(sem, inst), EVERY_CELL)
     assert segs == [] and index.tolist() == [0] * 64
     sem[0, 0, 0] = 2           # stuff
     sem[1, 1, 1] = sem[1, 1, 2] = 1
     inst[1, 1, 1] = inst[1, 1, 2] = 5
     sem[2, 2, 2] = 1
     inst[2, 2, 2] = 6
-    segs, index = extract_segments(vol(sem, inst))
+    segs, index = extract_segments(vol(sem, inst), EVERY_CELL)
     assert len(segs) == 3
     by_key = {(s.category, s.instance_id): s for s in segs}
     assert by_key[(2, 0)].size == 1 and not by_key[(2, 0)].is_thing
@@ -73,7 +74,7 @@ def test_extract_segments_empty_and_counts():
 def test_stuff_cells_merge_into_one_segment():
     sem, inst = blank()
     sem[0, 0, 0] = sem[3, 3, 3] = 2
-    segs, index = extract_segments(vol(sem, inst))
+    segs, index = extract_segments(vol(sem, inst), EVERY_CELL)
     assert len(segs) == 1
     assert segs[0].size == 2
     assert np.flatnonzero(index == 0).tolist() == [0, 63]
@@ -382,6 +383,34 @@ def test_prq_matches_reference_on_random_volumes(pair, threshold):
     for a, b in ((pred, gt), (gt, pred), (gt, gt)):
         assert report_lines(prq(a, b, threshold)) == \
             report_lines(reference_prq(a, b, threshold))
+
+
+def edge_support_pair(case):
+    """(pred, gt) whose non-void cells are: gt's only ("one-all-void"), two
+    disjoint sets ("disjoint"), or the single cell 17 ("single-cell-*")."""
+    sem, inst = blank()
+    sem2, inst2 = blank()
+    if case in ("one-all-void", "disjoint"):
+        sem.ravel()[:5], inst.ravel()[:5], sem.ravel()[5:12] = 1, 3, 2
+    if case == "disjoint":
+        sem2.ravel()[30:33], inst2.ravel()[30:33], sem2.ravel()[40:50] = 1, 3, 2
+    if case == "single-cell-both":
+        sem.ravel()[17], inst.ravel()[17], sem2.ravel()[17], inst2.ravel()[17] = 3, 2, 3, 9
+    if case == "single-cell-gt":
+        sem.ravel()[17] = 2
+    return vol(sem2, inst2), vol(sem, inst)
+
+
+@pytest.mark.parametrize("case", ["one-all-void", "disjoint", "single-cell-both",
+                                  "single-cell-gt"])
+def test_prq_matches_reference_on_edge_supports(case):
+    pred, gt = edge_support_pair(case)
+    for a, b in ((pred, gt), (gt, pred)):
+        for threshold in (0.25, 1.0):
+            assert report_lines(prq(a, b, threshold)) == \
+                report_lines(reference_prq(a, b, threshold))
+    rep = prq(pred, gt)
+    assert rep.prq == (1.0 if case == "single-cell-both" else 0.0)
 
 
 def test_planted_tie_breaks_by_gt_then_pred_order():

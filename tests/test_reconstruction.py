@@ -1,8 +1,9 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import (
@@ -20,10 +21,12 @@ from panrec.lifting import (
     occupancy_aware_lift,
 )
 from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
-from panrec.priors import InstanceCenter, Priors2D, derive_priors
+from panrec import pipeline
+from panrec.priors import InstanceCenter, Priors2D, derive_priors, extract_centers
 from panrec.reconstruction import (
     ReconstructionError,
     Refined3D,
+    Things,
     assemble_panoptic,
     group_instances,
     identity_refine,
@@ -31,7 +34,7 @@ from panrec.reconstruction import (
     reconstruct,
 )
 from panrec.volume import VOID, CategoryTable, PanopticVolume
-from panrec.synth import SynthConfig, generate_scene, perturb_priors
+from panrec.synth import SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
     GOLDEN_AXES,
@@ -63,27 +66,30 @@ def test_mask_identity_when_fully_occupied():
     sem = rng.random(FRAME.shape + (4,))
     refined = make_refined(sem=sem, offs=rng.normal(size=FRAME.shape + (2,)),
                            occ=np.ones(FRAME.shape))
-    labels, dc3d, occ_bin = mask_by_occupancy(refined)
+    cells, labels, gate = mask_by_occupancy(refined)
     assert labels.dtype == np.int32
-    assert np.array_equal(labels, np.argmax(sem, axis=-1))
-    assert np.array_equal(dc3d, refined.offsets)
-    assert occ_bin.all()
+    assert np.array_equal(labels, np.argmax(sem, axis=-1).ravel())
+    # a gate of 1 leaves the offsets that grouping reads unchanged
+    assert np.array_equal(gate, np.ones(FRAME.shape).ravel())
+    assert np.array_equal(cells, np.arange(sem[..., 0].size))
 
 
 def test_mask_zero_occupancy():
     refined = make_refined(sem=np.ones(FRAME.shape + (4,)),
                            offs=np.ones(FRAME.shape + (2,)))
-    labels, dc3d, occ_bin = mask_by_occupancy(refined)
-    assert not occ_bin.any()
-    assert np.all(labels == VOID) and np.all(dc3d == 0)
+    cells, labels, gate = mask_by_occupancy(refined)
+    assert cells.size == 0
+    assert labels.size == 0 and gate.size == 0
 
 
 def test_mask_threshold_counting():
     rng = np.random.default_rng(1)
     occ = rng.random(FRAME.shape)
     refined = make_refined(occ=occ)
-    _, _, occ_bin = mask_by_occupancy(refined, occ_threshold=0.3)
-    assert occ_bin.sum() == np.sum(occ >= 0.3)
+    cells, _, gate = mask_by_occupancy(refined, occ_threshold=0.3)
+    assert cells.size == np.sum(occ >= 0.3)
+    assert np.array_equal(cells, np.flatnonzero(occ >= 0.3))
+    assert np.count_nonzero(gate) == cells.size  # the gate is > 0 at every listed cell
     with pytest.raises(ReconstructionError):
         mask_by_occupancy(refined, occ_threshold=1.5)
 
@@ -95,46 +101,66 @@ def centers_pair():
 def grouping_inputs(offset_cells):
     labels = np.zeros(FRAME.shape, dtype=np.int32)
     dc3d = np.zeros(FRAME.shape + (2,))
-    occ = np.zeros(FRAME.shape, dtype=bool)
     for (v, u, m), (du, dv) in offset_cells.items():
         labels[v, u, m] = 2
         dc3d[v, u, m] = (du, dv)
-        occ[v, u, m] = True
-    return labels, dc3d, occ
+    return labels, dc3d
+
+
+def group(labels, offsets, centers, frame=FRAME, gate=1.0):
+    """group_instances on the non-void cells of a label volume, all with the
+    same gate, its result scattered back into (semantics, instances) volumes."""
+    cells = np.flatnonzero(labels)
+    things = group_instances(cells, labels.reshape(-1)[cells], np.full(cells.size, gate),
+                             offsets, centers, frame, INTR, PLANES, CATS)
+    assert np.array_equal(things.cells, cells[np.asarray(CATS.is_thing)[labels.ravel()[cells]]])
+    out = SimpleNamespace(semantics=np.zeros(frame.shape, np.int32),
+                          instances=np.zeros(frame.shape, np.int32))
+    out.semantics.reshape(-1)[things.cells] = things.semantics
+    out.instances.reshape(-1)[things.cells] = things.instances
+    return out
 
 
 def test_group_exact_hit():
-    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1)})
-    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d = grouping_inputs({(3, 3, 4): (-1, -1)})
+    out = group(labels, dc3d, centers_pair())
     assert out.instances[3, 3, 4] == 1
     assert out.semantics[3, 3, 4] == 2
 
 
+def test_group_scales_offsets_by_the_gate():
+    # at gate 0.5 the offset (2, 2) moves cell (4, 4) to (5, 5), a tie that the
+    # first center wins; the ungated offset reaches (6, 6), nearer the second
+    labels, dc3d = grouping_inputs({(4, 4, 4): (2, 2)})
+    assert group(labels, dc3d, centers_pair(), gate=0.5).instances[4, 4, 4] == 1
+    assert group(labels, dc3d, centers_pair()).instances[4, 4, 4] == 2
+
+
 def test_group_tie_breaks_to_first_center():
     # cell at (5, 5) with zero offset is equidistant from (2, 2) and (8, 8)
-    labels, dc3d, occ = grouping_inputs({(5, 5, 4): (0, 0)})
-    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d = grouping_inputs({(5, 5, 4): (0, 0)})
+    out = group(labels, dc3d, centers_pair())
     assert out.instances[5, 5, 4] == 1
     swapped = list(reversed(centers_pair()))
-    out2 = group_instances(labels, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
+    out2 = group(labels, dc3d, swapped)
     assert out2.instances[5, 5, 4] == 2
 
 
 def test_group_centerless_category_dropped():
-    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (0, 0)})
+    labels, dc3d = grouping_inputs({(3, 3, 4): (0, 0)})
     labels[3, 3, 4] = 3  # category 3 has no center
     with pytest.warns(UserWarning):
-        out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+        out = group(labels, dc3d, centers_pair())
     assert out.semantics[3, 3, 4] == 0
     assert out.instances[3, 3, 4] == 0
 
 
 def test_group_center_permutation_equivariance():
     cells = {(3, 3, 4): (-1, -1), (9, 7, 2): (1, 1), (12, 12, 5): (-4, -4)}
-    labels, dc3d, occ = grouping_inputs(cells)
-    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    labels, dc3d = grouping_inputs(cells)
+    out = group(labels, dc3d, centers_pair())
     swapped = list(reversed(centers_pair()))
-    out2 = group_instances(labels, dc3d, swapped, FRAME, INTR, PLANES, occ, CATS)
+    out2 = group(labels, dc3d, swapped)
     # same partition of cells into instances (ids may differ, bijection holds)
     for cell in cells:
         a, b = out.instances[cell], out2.instances[cell]
@@ -148,12 +174,13 @@ def test_group_oracle_round_trip():
                                   priors.depth, scene.frame, scene.intrinsics,
                                   scene.planes)
         refined = identity_refine(fv, priors.offsets3d, fv.occupancy)
-        labels, dc3d, occ_bin = mask_by_occupancy(refined)
-        things = group_instances(labels, dc3d, priors.centers, scene.frame,
-                                 scene.intrinsics, scene.planes, occ_bin,
+        cells, labels, gate = mask_by_occupancy(refined)
+        things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
+                                 scene.frame, scene.intrinsics, scene.planes,
                                  scene.categories)
-        gt_things = scene.volume.instances
-        assert np.array_equal(things.instances, gt_things)
+        instances = np.zeros(scene.frame.shape, np.int32)
+        instances.reshape(-1)[things.cells] = things.instances
+        assert np.array_equal(instances, scene.volume.instances)
 
 
 # sha256 of reconstruct_from_priors' (semantics, instances) on axis frames, with
@@ -193,24 +220,37 @@ def test_every_thing_cell_gets_exactly_one_instance(small_scene):
     assert np.all(out.instances[~thing_cells] == 0)
 
 
+def no_things():
+    return Things(cells=np.zeros(0, np.intp), semantics=np.zeros(0, np.int32),
+                  instances=np.zeros(0, np.int32))
+
+
 def test_assemble_stuff_only():
-    labels = np.ones(FRAME.shape, dtype=np.int32)
-    occ = np.ones(FRAME.shape, dtype=bool)
-    empty_things = PanopticVolume(FRAME, np.zeros(FRAME.shape, np.int32),
-                                  np.zeros(FRAME.shape, np.int32), CATS)
-    out = assemble_panoptic(labels, empty_things, occ, CATS)
+    cells = np.arange(np.prod(FRAME.shape))
+    labels = np.ones(cells.size, dtype=np.int32)
+    out = assemble_panoptic(FRAME, cells, labels, no_things(), CATS)
     assert np.all(out.semantics == 1)
     assert np.all(out.instances == 0)
     out.validate()
 
 
 def test_assemble_empty_occupancy():
-    # a stuff label on every cell, none of them occupied
-    labels = np.ones(FRAME.shape, dtype=np.int32)
-    empty_things = PanopticVolume(FRAME, np.zeros(FRAME.shape, np.int32),
-                                  np.zeros(FRAME.shape, np.int32), CATS)
-    out = assemble_panoptic(labels, empty_things, np.zeros(FRAME.shape, bool), CATS)
+    # no occupied cell: every cell is void
+    out = assemble_panoptic(FRAME, np.zeros(0, np.intp), np.zeros(0, np.int32), no_things(),
+                            CATS)
     assert np.all(out.semantics == 0)
+
+
+def test_assemble_things_take_their_grouping():
+    # cells 5 and 9 hold stuff 1 and thing 2; grouping gives cell 9 instance 4
+    # and drops thing cell 7 to void
+    cells, labels = np.array([5, 7, 9]), np.array([1, 2, 2], np.int32)
+    things = Things(cells=np.array([7, 9]), semantics=np.array([VOID, 2], np.int32),
+                    instances=np.array([0, 4], np.int32))
+    out = assemble_panoptic(FRAME, cells, labels, things, CATS).validate()
+    assert out.semantics.ravel()[[5, 7, 9]].tolist() == [1, VOID, 2]
+    assert out.instances.ravel()[[5, 7, 9]].tolist() == [0, 0, 4]
+    assert np.count_nonzero(out.semantics) == 2
 
 
 def test_assemble_output_validates(small_scene):
@@ -342,9 +382,14 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
                                            intrinsics, planes).features
     cells = np.flatnonzero(occ > 0)
     assert np.array_equal(rows(cells), dense.reshape(-1, dense.shape[-1])[cells])
-    labels, dc3d, _ = mask_by_occupancy(Refined3D(frame, rows, priors.offsets3d, occ),
-                                        occ_threshold)
-    assert np.array_equal(labels, ref_labels)
+    cells, labels, gate = mask_by_occupancy(Refined3D(frame, rows, priors.offsets3d, occ),
+                                            occ_threshold)
+    assert np.array_equal(cells, np.flatnonzero(occ >= occ_threshold))
+    assert np.array_equal(labels, ref_labels.ravel()[cells])
+    assert not ref_labels.ravel()[np.setdiff1d(np.arange(occ.size), cells)].any()
+    # the offsets grouping reads: the prior offsets times the gate
+    dc3d = np.zeros(ref_dc3d.shape)
+    dc3d.reshape(-1, 2)[cells] = priors.offsets3d.reshape(-1, 2)[cells] * gate[:, None]
     assert np.array_equal(dc3d, ref_dc3d)
     return out
 
@@ -418,6 +463,33 @@ def test_label_first_keeps_the_double_occupancy_product():
     assert out.semantics[0, 0, 0] == 1
 
 
+@settings(max_examples=24, deadline=None)
+@given(size=st.sampled_from(sorted(GOLDEN_AXES)), seed=st.integers(0, 2**16),
+       n_things=st.integers(0, 3), n_stuff=st.integers(0, 2),
+       n_thing_categories=st.integers(1, 4), on_axis=st.booleans(), noisy=st.booleans(),
+       occ_threshold=st.sampled_from([0.3, 0.5, 0.7]))
+def test_reconstruction_equals_dense_reference_on_synth_scenes(
+        size, seed, n_things, n_stuff, n_thing_categories, on_axis, noisy, occ_threshold):
+    # Ground-truth priors or priors under the crowded-noisy-96 noise spec with
+    # extracted centers, on the frustum frame or the pinned axis frame of the
+    # camera size.
+    config = dict(GOLDEN_LIFT_SCENES[size], seed=seed, n_things=n_things, n_stuff=n_stuff,
+                  n_thing_categories=n_thing_categories, min_center_separation=8.0)
+    try:
+        scene = generate_scene(SynthConfig(**config))
+    except SynthError:
+        reject()
+    p = derive_priors(scene)
+    if noisy:
+        p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
+        p.centers = extract_centers(p.heatmap, p.semantics)
+    frame = GOLDEN_AXES[size] if on_axis else scene.frame
+    p.offsets3d = resample_volume(p.offsets3d, scene.frame, frame, scene.intrinsics,
+                                  scene.planes)
+    assert_label_first_matches_dense(p, frame, scene.intrinsics, scene.planes,
+                                     scene.categories, occ_threshold)
+
+
 @pytest.mark.parametrize("occ_threshold", [0.3, 0.5, 0.7])
 def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
     from panrec.synth import NoiseSpec, perturb_priors
@@ -440,14 +512,14 @@ def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_group_rejects_non_finite_thing_offsets(bad):
-    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1), (9, 7, 2): (1, 1)})
+    labels, dc3d = grouping_inputs({(3, 3, 4): (-1, -1), (9, 7, 2): (1, 1)})
     dc3d[9, 7, 2, 1] = bad
     with pytest.raises(ReconstructionError, match="offsets"):
-        group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+        group(labels, dc3d, centers_pair())
     # Offsets outside the grouped thing cells are never read.
-    labels, dc3d, occ = grouping_inputs({(3, 3, 4): (-1, -1)})
+    labels, dc3d = grouping_inputs({(3, 3, 4): (-1, -1)})
     dc3d[0, 0, 0] = bad
-    out = group_instances(labels, dc3d, centers_pair(), FRAME, INTR, PLANES, occ, CATS)
+    out = group(labels, dc3d, centers_pair())
     assert out.instances[3, 3, 4] == 1
 
 
@@ -456,10 +528,8 @@ def test_group_rejects_thing_cells_behind_the_camera():
     axis = AxisGrid(dims=(4, 4, 4), voxel_size=0.5, origin=(-1.0, -1.0, -1.0))
     labels = np.zeros(axis.shape, dtype=np.int32)
     labels[3, 3, 0] = 2
-    occ = labels > 0
     with pytest.raises(ReconstructionError, match="offsets"):
-        group_instances(labels, np.zeros(axis.shape + (2,)), centers_pair(), axis, INTR,
-                        PLANES, occ, CATS)
+        group(labels, np.zeros(axis.shape + (2,)), centers_pair(), frame=axis)
 
 
 def test_reconstruct_rejects_all_nan_offsets():
@@ -482,8 +552,16 @@ def test_reconstruct_rejects_offsets_of_the_wrong_shape():
                                     scene.categories)
 
 
+def test_reconstruct_names_missing_offsets(small_scene):
+    priors = derive_priors(small_scene)
+    priors.offsets3d = None
+    with pytest.raises(ReconstructionError, match="offsets3d"):
+        reconstruct_from_priors(priors, small_scene.frame, small_scene.intrinsics,
+                                small_scene.planes, small_scene.categories)
+
+
 @pytest.mark.parametrize("bad", ["2-d", "extra-axis", "3-of-7-channels"])
-def test_reconstruct_rejects_malformed_semantics(bad):
+def test_reconstruct_rejects_malformed_semantics(bad, monkeypatch):
     scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
     priors = derive_priors(scene)
     h, w, c = priors.semantics.shape
@@ -492,6 +570,11 @@ def test_reconstruct_rejects_malformed_semantics(bad):
                         "extra-axis": priors.semantics.reshape(h, w, 1, c),
                         "3-of-7-channels": priors.semantics[..., :3]}[bad]
     error = ReconstructionError if bad == "3-of-7-channels" else LiftingError
+    lifted = []
+    monkeypatch.setattr(pipeline, "lift_occupancy",
+                        lambda *args: lifted.append(1) or lift_occupancy(*args))
     with pytest.raises(error, match="semantics"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                 scene.categories)
+    # a wrong channel count is rejected before any volume is built
+    assert lifted == ([] if bad == "3-of-7-channels" else [1])
