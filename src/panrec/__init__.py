@@ -16,7 +16,7 @@ from .lifting import (
     FeatureVolume,
     RandomAssignment,
     lift_instances_topdown,
-    lift_occupancy,
+    lift_priors,
     occupancy_aware_lift,
 )
 from .losses import (

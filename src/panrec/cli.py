@@ -15,9 +15,8 @@ from .lifting import (
     CategorySortedAssignment,
     FeatureVolume,
     RandomAssignment,
-    feature_rows,
     lift_instances_topdown,
-    lift_occupancy,
+    lift_priors,
     occupancy_aware_lift,
 )
 from .losses import (
@@ -100,20 +99,26 @@ def _write_priors(priors: Priors2D, scene: SceneGT, out_dir: Path):
     C.write_manifest(out_dir / "manifest.json", manifest)
 
 
-def _load_priors(priors_dir: Path):
+def _read_priors(priors_dir: Path, *names):
+    """A prior directory's manifest and the containers of the named files only."""
     manifest = C.read_manifest(priors_dir / "manifest.json")
-    files = manifest["files"]
-    read = lambda name: C.read_container(priors_dir / files[name])
-    depth = read("depth")
+    return manifest, [C.read_container(priors_dir / manifest["files"][n]) for n in names]
+
+
+def _load_priors(priors_dir: Path, offsets: bool):
+    """A prior bundle (offsets3d only if `offsets`) and its depth's frame, camera, planes."""
+    names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
+    manifest, read = _read_priors(priors_dir, *names)
+    semantics, depth, heatmap, mp_occupancy = read[:4]
     priors = Priors2D(
-        semantics=read("semantics2d").array,
+        semantics=semantics.array,
         depth=depth.array,
         centers=C.manifest_centers(manifest),
-        heatmap=read("heatmap").array,
-        mp_occupancy=read("mp_occupancy").array,
-        offsets3d=read("offsets3d").array,
+        heatmap=heatmap.array,
+        mp_occupancy=mp_occupancy.array,
+        offsets3d=read[4].array if offsets else None,
     )
-    return priors, manifest, depth.frame, depth.intrinsics, depth.planes
+    return priors, depth.frame, depth.intrinsics, depth.planes
 
 
 @main.command()
@@ -173,14 +178,14 @@ def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
 @click.option("--n-channels", type=int, default=16, show_default=True)
 def lift(priors_dir, out_path, mode, assignment, n_channels):
     """Lift a prior bundle to a 3D feature volume container."""
-    priors, manifest, frame, intr, planes = _load_priors(priors_dir)
     if mode == "bottom-up":
-        fv = occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
-                                  priors.depth, frame, intr, planes)
+        priors, frame, intr, planes = _load_priors(priors_dir, offsets=False)
+        fv = occupancy_aware_lift(priors, frame, intr, planes)
     else:
-        inst = C.read_container(priors_dir / manifest["files"]["instances2d"]).array
-        inst_map = inst[..., 1]
-        inst_cats = {int(i): int(inst[..., 0][inst_map == i].flat[0])
+        _manifest, (depth, inst) = _read_priors(priors_dir, "depth", "instances2d")
+        frame, intr, planes = depth.frame, depth.intrinsics, depth.planes
+        inst_map = inst.array[..., 1]
+        inst_cats = {int(i): int(inst.array[..., 0][inst_map == i].flat[0])
                      for i in np.unique(inst_map[inst_map > 0])}
         if assignment == "category":
             strategy = CategorySortedAssignment()
@@ -188,7 +193,7 @@ def lift(priors_dir, out_path, mode, assignment, n_channels):
             strategy = RandomAssignment(seed=int(assignment.split(":", 1)[1]))
         else:
             raise click.ClickException(f"unknown assignment {assignment!r}")
-        fv = lift_instances_topdown(inst_map, inst_cats, priors.depth, frame,
+        fv = lift_instances_topdown(inst_map, inst_cats, depth.array, frame,
                                     intr, planes, strategy, n_channels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_container(out_path, "feature-volume", fv.features, frame, intr,
@@ -208,7 +213,8 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
     """Group a lifted/refined volume into a panoptic volume container."""
     occ_path = features_path.with_name(features_path.stem + "_occupancy.bin")
     features, occ = C.read_container(features_path), C.read_container(occ_path)
-    priors, manifest, frame, intr, planes = _load_priors(priors_dir)
+    manifest, (offsets,) = _read_priors(priors_dir, "offsets3d")
+    frame, intr, planes = offsets.frame, offsets.intrinsics, offsets.planes
     categories = C.manifest_categories(manifest)
     for path, cont, kind in ((features_path, features, "feature-volume"),
                              (occ_path, occ, "multiplane")):
@@ -221,8 +227,9 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
               f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(frame=features.frame, features=features.array,
                            occupancy=occ.array)
-    refined = identity_refine(lifted, priors.offsets3d, occ.array)
-    volume = reconstruct(refined, priors.centers, intr, planes, categories, occ_threshold)
+    refined = identity_refine(lifted, offsets.array, occ.array)
+    volume = reconstruct(refined, C.manifest_centers(manifest), intr, planes, categories,
+                         occ_threshold)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_panoptic(out_path, volume, intr, planes)
     if mesh_path is not None:
@@ -280,20 +287,19 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     """Loss report of a (possibly perturbed) prior bundle against scene GT."""
     scene = _load_scene(scene_dir)
     gt_priors = derive_priors(scene)
-    pred, _manifest, frame, intr, planes = _load_priors(priors_dir)
-    weights = LossWeights(occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
+    pred, frame, intr, planes = _load_priors(priors_dir, offsets=True)
+    occ_pred, sem_pred = lift_priors(pred, frame, intr, planes)
+    weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
+                          occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
                           offset3d=w_offset3d)
     report2d = loss_panoptic2d(pred.semantics, gt_priors.semantics,
-                               pred.heatmap, gt_priors.heatmap,
-                               w_semantic2d, w_center2d)
+                               pred.heatmap, gt_priors.heatmap, weights)
     valid = (pred.depth > 0) & (gt_priors.depth > 0)
     depth_term = loss_depth(pred.depth, gt_priors.depth, valid)
     mp_term = loss_mp_occupancy(pred.mp_occupancy, gt_priors.mp_occupancy)
-    occ_pred = lift_occupancy(pred.mp_occupancy, pred.depth, frame, intr, planes)
     occ_gt = scene.volume.occupancy.astype(np.float64)
     report3d = loss_3d(
-        sem_pred=feature_rows(pred.semantics, pred.depth, occ_pred, frame, intr, planes),
-        offsets_pred=pred.offsets3d, occ_pred=occ_pred,
+        sem_pred=sem_pred, offsets_pred=pred.offsets3d, occ_pred=occ_pred,
         tsdf_pred=tsdf_from_occupancy(occ_pred >= 0.5),
         sem_gt=scene.volume.semantics, offsets_gt=gt_priors.offsets3d, occ_gt=occ_gt,
         tsdf_gt=tsdf_from_occupancy(occ_gt > 0.5),
@@ -329,8 +335,7 @@ def bench(sizes, reps):
         priors = derive_priors(scene)
         args = (scene.frame, scene.intrinsics, scene.planes)
         kernels = {
-            "occupancy_aware_lift": lambda: occupancy_aware_lift(
-                priors.semantics, priors.mp_occupancy, priors.depth, *args),
+            "occupancy_aware_lift": lambda: occupancy_aware_lift(priors, *args),
             "reconstruct_from_priors": lambda: reconstruct_from_priors(
                 priors, *args, scene.categories),
             "prq": lambda: prq(scene.volume, scene.volume),

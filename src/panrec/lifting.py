@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    AxisGrid,
     CameraIntrinsics,
     DepthPlanes,
     FrustumGrid,
@@ -17,9 +16,10 @@ from .geometry import (
     plane_index,
     project_cells,
 )
+from .priors import Priors2D, checked_depth
 
 
-# Cells per `feature_rows` call in `occupancy_aware_lift`: its temporaries
+# Cells per row evaluation in `occupancy_aware_lift`: its temporaries
 # stay a few MB instead of growing with the grid.
 LIFT_BLOCK = 1 << 16
 
@@ -51,89 +51,48 @@ class CategorySortedAssignment:
 def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """(H, W, M) mask of cells at or behind the pixel's depth surface."""
     z = planes.centers()
-    d = np.asarray(depth, dtype=np.float64)
-    return (d[..., None] > 0) & (z[None, None, :] >= d[..., None])
+    return (depth[..., None] > 0) & (z[None, None, :] >= depth[..., None])
 
 
-def _checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
-    """Depth as float64 after checking it and the frame against the camera:
-    an (H, W) map, finite and >= 0, and a frustum frame of dims (H, W, planes)."""
-    depth = np.asarray(depth, dtype=np.float64)
-    dims = (intrinsics.height, intrinsics.width, planes.count)
-    if not isinstance(frame, (FrustumGrid, AxisGrid)):
-        raise LiftingError(f"unknown grid frame {frame!r}")
-    if isinstance(frame, FrustumGrid) and frame.shape != dims:
-        raise LiftingError(f"frustum frame dims (height, width, planes) {frame.shape} "
-                           f"do not match the camera and depth planes {dims}")
-    if depth.shape != dims[:2]:
-        raise LiftingError(f"depth shape {depth.shape} does not match the camera image size")
-    if not (np.isfinite(depth).all() and (depth >= 0).all()):
-        raise LiftingError("depth must be finite and >= 0 (0 means no surface)")
-    return depth
-
-
-def lift_occupancy(
-    mp_occupancy: np.ndarray,
-    depth: np.ndarray,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-) -> np.ndarray:
-    """Coarse per-cell occupancy from the multi-plane map, zero in free space
-    (in front of the depth surface) and on rays with no surface."""
-    depth = _checked_depth(depth, frame, intrinsics, planes)
-    mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
-    if mp_occupancy.shape != (intrinsics.height, intrinsics.width, planes.count):
-        raise LiftingError("multi-plane occupancy does not match camera/planes")
+def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
+    """`Priors2D.validate`, then the occupancy-aware lift: (occupancy, rows).
+    `occupancy` is the multi-plane occupancy at every cell, zero in free space
+    (in front of the depth surface) and on rays with no surface; `rows` maps
+    flat cell indices to their (N, C) features: pixel semantics times it."""
+    priors.validate(frame, intrinsics, planes)
+    depth = np.asarray(priors.depth, dtype=np.float64)
+    mp_occupancy = np.asarray(priors.mp_occupancy, dtype=np.float64)
     if isinstance(frame, FrustumGrid):
-        return mp_occupancy * _frustum_fill_mask(depth, planes)
-    pixel, inside = cell_pixels(frame, intrinsics)
-    _u, _v, z = project_cells(frame, intrinsics, planes)
-    m = plane_index(z, planes)
-    d = depth.reshape(-1)[pixel]
-    keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
-    return mp_occupancy.reshape(-1, planes.count)[pixel, np.where(keep, m, 0)] * keep
-
-
-def occupancy_aware_lift(
-    semantics2d: np.ndarray,
-    mp_occupancy: np.ndarray,
-    depth: np.ndarray,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-) -> FeatureVolume:
-    """Hadamard product of lifted semantics and lifted occupancy, dense:
-    `feature_rows` at every cell, evaluated in blocks of LIFT_BLOCK cells."""
-    occ = lift_occupancy(mp_occupancy, depth, frame, intrinsics, planes)
-    rows = feature_rows(semantics2d, depth, occ, frame, intrinsics, planes)
-    features = np.empty(occ.shape + np.shape(semantics2d)[-1:])
-    flat = features.reshape(occ.size, features.shape[-1])
-    for start in range(0, occ.size, LIFT_BLOCK):
-        flat[start:start + LIFT_BLOCK] = rows(np.arange(start, min(start + LIFT_BLOCK, occ.size)))
-    return FeatureVolume(frame=frame, features=features, occupancy=occ)
-
-
-def feature_rows(semantics2d, depth, occupancy, frame, intrinsics: CameraIntrinsics,
-                 planes: DepthPlanes):
-    """Occupancy-aware lifted features as a function from flat cell indices to
-    their (N, C) rows: semantics2d at the cell's pixel times `occupancy`, the
-    lifted occupancy, which is zero in free space and on rays with no surface."""
-    _checked_depth(depth, frame, intrinsics, planes)
-    semantics2d = np.asarray(semantics2d, dtype=np.float64)
-    if semantics2d.ndim != 3 or semantics2d.shape[:2] != (intrinsics.height, intrinsics.width):
-        raise LiftingError(f"semantics2d shape {semantics2d.shape} is not (height, width, C) "
-                           f"with the camera image size ({intrinsics.height}, {intrinsics.width})")
-    pixels = semantics2d.reshape(-1, semantics2d.shape[-1])
-    occ = np.asarray(occupancy, dtype=np.float64).reshape(-1)
+        occupancy = mp_occupancy * _frustum_fill_mask(depth, planes)
+    else:
+        pixel, inside = cell_pixels(frame, intrinsics)
+        _u, _v, z = project_cells(frame, intrinsics, planes)
+        m = plane_index(z, planes)
+        d = depth.reshape(-1)[pixel]
+        keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
+        occupancy = mp_occupancy.reshape(-1, planes.count)[pixel, np.where(keep, m, 0)] * keep
+    semantics = np.asarray(priors.semantics, dtype=np.float64)
+    pixels = semantics.reshape(-1, semantics.shape[-1])
 
     def rows(cells):
         pixel, _inside = cell_pixels(frame, intrinsics, cells)
         out = np.take(pixels, pixel, axis=0)
-        out *= occ[cells, None]
+        out *= occupancy.reshape(-1)[cells, None]
         return out
 
-    return rows
+    return occupancy, rows
+
+
+def occupancy_aware_lift(priors: Priors2D, frame, intrinsics: CameraIntrinsics,
+                         planes: DepthPlanes) -> FeatureVolume:
+    """Hadamard product of lifted semantics and lifted occupancy, dense:
+    `lift_priors`' rows at every cell, evaluated in blocks of LIFT_BLOCK cells."""
+    occ, rows = lift_priors(priors, frame, intrinsics, planes)
+    features = np.empty(occ.shape + np.shape(priors.semantics)[-1:])
+    flat = features.reshape(occ.size, features.shape[-1])
+    for start in range(0, occ.size, LIFT_BLOCK):
+        flat[start:start + LIFT_BLOCK] = rows(np.arange(start, min(start + LIFT_BLOCK, occ.size)))
+    return FeatureVolume(frame=frame, features=features, occupancy=occ)
 
 
 def lift_instances_topdown(
@@ -157,7 +116,7 @@ def lift_instances_topdown(
     instance_map = np.asarray(instance_map)
     if not isinstance(frame, FrustumGrid):
         raise LiftingError("top-down baseline is defined on the frustum frame")
-    depth = _checked_depth(depth, frame, intrinsics, planes)
+    depth = checked_depth(depth, frame, intrinsics, planes)
     ids = [int(i) for i in np.unique(instance_map[instance_map > 0])]
     if len(ids) > n_channels:
         areas = {i: int(np.sum(instance_map == i)) for i in ids}

@@ -19,9 +19,6 @@ class LossError(ValueError):
 class LossWeights:
     """Nonnegative balancing weights; defaults are all 1."""
 
-    panoptic2d: float = 1.0
-    depth2d: float = 1.0
-    mp_occupancy: float = 1.0
     semantic2d: float = 1.0
     center2d: float = 1.0
     occupancy3d: float = 1.0
@@ -81,8 +78,7 @@ def loss_panoptic2d(
     sem_gt: np.ndarray,
     heatmap_pred: np.ndarray,
     heatmap_gt: np.ndarray,
-    w_semantic: float = 1.0,
-    w_center: float = 1.0,
+    weights: LossWeights = LossWeights(),
 ) -> LossReport:
     """Semantic cross entropy (non-void pixels) + center-heatmap MSE (all pixels)."""
     heatmap_pred = np.asarray(heatmap_pred, dtype=np.float64)
@@ -94,7 +90,7 @@ def loss_panoptic2d(
     mse = float(np.mean((heatmap_pred - heatmap_gt) ** 2))
     return LossReport.build(
         terms={"semantic_ce": ce, "center_mse": mse},
-        weights={"semantic_ce": w_semantic, "center_mse": w_center},
+        weights={"semantic_ce": weights.semantic2d, "center_mse": weights.center2d},
     )
 
 
@@ -183,11 +179,14 @@ def loss_3d(
     occupied cells, and offset L1 over occupied thing cells.
 
     `sem_gt` is the integer label volume, `sem_pred` a function from flat cell
-    indices to their (N, C) score rows (`lifting.feature_rows`); the semantic
+    indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
-    marks occupied thing cells.
+    marks occupied thing cells. Both offset volumes are `occ_gt.shape + (2,)`.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
+    for name, offsets in (("offsets_pred", offsets_pred), ("offsets_gt", offsets_gt)):
+        if np.shape(offsets) != occ_gt.shape + (2,):
+            raise LossError(f"{name} shape {np.shape(offsets)} is not {occ_gt.shape + (2,)}")
     occ_bce = binary_cross_entropy(occ_pred, occ_gt)
     band = np.abs(np.asarray(tsdf_gt)) < truncation
     tsdf_pred = np.asarray(tsdf_pred, dtype=np.float64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, OUT_OF_RANGE, plane_index
-from .lifting import feature_rows, lift_occupancy
+from .lifting import lift_priors
 from .priors import Priors2D
 from .reconstruction import ReconstructionError, Refined3D, reconstruct
 from .volume import CategoryTable, PanopticVolume
@@ -29,25 +29,20 @@ def reconstruct_from_priors(
     planes: DepthPlanes,
     categories: CategoryTable,
     occ_threshold: float = 0.5,
-    surface_only: bool = False,
 ) -> PanopticVolume:
-    """Run the bottom-up tail of the pipeline on a prior bundle.
-
-    `surface_only` replaces the multi-plane occupancy with a surface-plane-only
-    variant (the depth-only lifting baseline). Offsets must be present in the
-    bundle; they stand in for the refinement stage's offset prediction.
-    Label-first: scores are formed at occupied cells only, with the same
-    result as `reconstruct` on `occupancy_aware_lift`. A channel count other
-    than the category table's is rejected before any volume is built.
-    """
+    """Run the bottom-up tail of the pipeline on a prior bundle, label-first:
+    scores are formed at occupied cells only, with the same result as
+    `reconstruct` on `occupancy_aware_lift`. Offsets must be present; they
+    stand in for the refinement stage's offset prediction. A channel count
+    other than the category table's, like anything `Priors2D.validate`
+    rejects, fails before any volume is built. The depth-only baseline is a
+    bundle with `surface_only_occupancy` as its multi-plane occupancy."""
     if priors.offsets3d is None:
         raise ReconstructionError("prior bundle carries no 3D offsets (offsets3d)")
     shape = np.shape(priors.semantics)
     if len(shape) == 3 and shape[-1] != len(categories):
         raise ReconstructionError(f"semantics has {shape[-1]} channels, the category table "
                                   f"{len(categories)} categories")
-    mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
-    occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
-    rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
+    occ, rows = lift_priors(priors, frame, intrinsics, planes)
     refined = Refined3D(frame, rows, priors.offsets3d, occ)
     return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, round_half_up
+from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, round_half_up
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -51,6 +51,47 @@ class Priors2D:
     heatmap: np.ndarray          # (H, W) in [0, 1]
     mp_occupancy: np.ndarray     # (H, W, M) in [0, 1], binary when GT-derived
     offsets3d: np.ndarray = None  # (H, W, M, 2) pixel offsets toward 2D centers
+
+    def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
+        """The bundle, after checking that it can be lifted into `frame`; raises
+        PriorsError naming the field. Frame and depth as in `checked_depth`;
+        semantics (H, W, C), finite and >= 0 with no upper bound; mp_occupancy
+        (H, W, M) and heatmap (H, W) within [0, 1]; center instance ids >= 1 and
+        distinct. Not checked: center categories (grouping ignores stuff and
+        void ones) and offsets (checked where they are read)."""
+        checked_depth(self.depth, frame, intrinsics, planes)
+        h, w, m = intrinsics.height, intrinsics.width, planes.count
+        _checked("semantics", self.semantics, (h, w, None), 0.0)
+        _checked("mp_occupancy", self.mp_occupancy, (h, w, m), 0.0, 1.0)
+        _checked("heatmap", self.heatmap, (h, w), 0.0, 1.0)
+        ids = [c.instance_id for c in self.centers]
+        if min(ids, default=1) < 1 or len(set(ids)) < len(ids):
+            raise PriorsError(f"centers: instance ids must be >= 1 and distinct, got {ids}")
+        return self
+
+
+def _checked(field: str, array, shape, low: float, high: float = np.inf):
+    """`array` after checking that its shape is `shape` (None matches any
+    length) and that every value is finite and within [low, high]."""
+    array = np.asarray(array)
+    if array.ndim != len(shape) or any(n not in (None, s) for n, s in zip(shape, array.shape)):
+        raise PriorsError(f"{field} shape {array.shape} is not (height, width, ...) = {shape}")
+    # min and max propagate NaN, which fails every comparison
+    if array.size and not (array.min() >= low and high >= array.max() < np.inf):
+        raise PriorsError(f"{field} must be finite and within [{low}, {high}]")
+    return array
+
+
+def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
+    """Depth as float64, after checking that `frame` is a grid frame (of dims
+    (height, width, planes) if frustum) and depth an (H, W) map, finite, >= 0."""
+    dims = (intrinsics.height, intrinsics.width, planes.count)
+    if not isinstance(frame, (FrustumGrid, AxisGrid)):
+        raise PriorsError(f"unknown grid frame {frame!r}")
+    if isinstance(frame, FrustumGrid) and frame.shape != dims:
+        raise PriorsError(f"frustum frame dims (height, width, planes) {frame.shape} "
+                          f"do not match the camera and depth planes {dims}")
+    return _checked("depth", np.asarray(depth, dtype=np.float64), dims[:2], 0.0)
 
 
 def _require_frustum(scene: SceneGT):

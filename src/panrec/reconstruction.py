@@ -22,7 +22,7 @@ class Refined3D:
     """Per-cell semantic scores, pixel offsets, and occupancy over one frame.
 
     `semantics` maps flat cell indices to fresh (N, C) score rows
-    (`lifting.feature_rows`), which the tail may scale in place; offsets and
+    (`lifting.lift_priors`), which the tail may scale in place; offsets and
     occupancy cover the frame.
     """
 

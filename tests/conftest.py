@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from panrec.geometry import AxisGrid, FrustumGrid, OUT_OF_RANGE, plane_index, round_half_up
 from panrec.lifting import FeatureVolume
-from panrec.priors import derive_priors
+from panrec.priors import Priors2D, derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene
 
 # CI runs (GitHub sets CI) draw the same examples every time, so a property
@@ -72,9 +72,16 @@ def rows_of(volume):
     return lambda cells: flat[cells]
 
 
+def bundle(semantics, mp_occupancy, depth, **fields):
+    """A prior bundle of the three lifted priors; no centers, an all-zero
+    heatmap and no offsets unless given in `fields`."""
+    fields = {"centers": [], "heatmap": np.zeros(np.shape(depth)), **fields}
+    return Priors2D(semantics=semantics, depth=depth, mp_occupancy=mp_occupancy, **fields)
+
+
 def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intrinsics,
                                    planes):
-    """The dense lift that `feature_rows` replaced, kept as the oracle with its
+    """The dense lift that `lift_priors`' rows replaced, kept as the oracle with its
     own per-cell projection: the semantics propagated to every cell at or
     behind the depth surface (zero in free space and on rays with no surface),
     times the multi-plane occupancy at the cell's pixel and depth plane."""

@@ -1,5 +1,6 @@
 """End-to-end acceptance checks. Each test prints one PASS/FAIL line; run with
 `pytest tests/test_acceptance.py -s` to see them as they complete."""
+import dataclasses
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from panrec.losses import (
     tsdf_from_scene,
 )
 from panrec.metrics import extract_segments, match_segments, prq
-from panrec.pipeline import reconstruct_from_priors
+from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
 from panrec.priors import derive_instance_map2d, derive_priors
 from panrec.reconstruction import (
     assemble_panoptic,
@@ -44,9 +45,7 @@ def test_criterion_1_oracle_round_trip():
                           min_center_separation=8.0)
         scene = generate_scene(cfg)
         priors = derive_priors(scene)
-        lifted = occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
-                                      priors.depth, scene.frame,
-                                      scene.intrinsics, scene.planes)
+        lifted = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
         refined = identity_refine(lifted, priors.offsets3d, lifted.occupancy)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
@@ -187,8 +186,7 @@ def test_criterion_4_instance_channel_ambiguity():
         scene = generate_scene(cfg)
         priors = derive_priors(scene)
         args = (scene.frame, scene.intrinsics, scene.planes)
-        base = occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
-                                    priors.depth, *args)
+        base = occupancy_aware_lift(priors, *args)
         # bottom-up: permuting the instance enumeration leaves the lift bytes
         # untouched (it never sees instance ids)
         perm = rng.permutation(np.arange(1, 4))
@@ -198,7 +196,7 @@ def test_criterion_4_instance_channel_ambiguity():
         permuted_scene = generate_scene(cfg)
         permuted_scene.volume.instances[:] = relabeled
         p2 = derive_priors(permuted_scene)
-        again = occupancy_aware_lift(p2.semantics, p2.mp_occupancy, p2.depth, *args)
+        again = occupancy_aware_lift(p2, *args)
         ok &= base.features.tobytes() == again.features.tobytes()
         # top-down: random channel assignment is seed dependent but content
         # preserving
@@ -242,10 +240,11 @@ def test_criterion_6_surface_only_is_worse():
                                            min_center_separation=8.0))
         priors = derive_priors(scene)
         gt_occ = scene.volume.occupancy
-        for surface_only, sink in ((False, full_ious), (True, surface_ious)):
-            pred = reconstruct_from_priors(priors, scene.frame, scene.intrinsics,
-                                           scene.planes, scene.categories,
-                                           surface_only=surface_only)
+        surface = dataclasses.replace(
+            priors, mp_occupancy=surface_only_occupancy(priors.depth, scene.planes))
+        for bundle, sink in ((priors, full_ious), (surface, surface_ious)):
+            pred = reconstruct_from_priors(bundle, scene.frame, scene.intrinsics,
+                                           scene.planes, scene.categories)
             occ = pred.occupancy
             sink.append((occ & gt_occ).sum() / (occ | gt_occ).sum())
     full_mean = float(np.mean(full_ious))
@@ -313,8 +312,7 @@ def test_criterion_8_determinism_and_performance(tmp_path):
                                        n_thing_categories=8))  # 11 categories
     priors = derive_priors(scene)
     t0 = time.perf_counter()
-    occupancy_aware_lift(priors.semantics, priors.mp_occupancy, priors.depth,
-                         scene.frame, scene.intrinsics, scene.planes)
+    occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
     lift_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     prq(scene.volume, scene.volume)

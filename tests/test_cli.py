@@ -1,10 +1,22 @@
+import json
+import re
+import shlex
 import shutil
+import sys
+from pathlib import Path
 
+import click
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from panrec.cli import main
+from panrec import containers
+from panrec.cli import entry, main
 from panrec.containers import read_container, read_manifest
+from panrec.priors import Priors2D
 from panrec.synth import SynthError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 runner = CliRunner()
 
@@ -280,3 +292,112 @@ def test_readme_chain_matches_golden_hashes(tmp_path, monkeypatch):
         for p in sorted(tmp_path.rglob("*")) if p.is_file()
     }
     assert digests == GOLDEN_CHAIN_FILES
+
+
+def readme_cli_lines():
+    """The `panrec` command lines of the README's CLI block."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("panrec ")]
+
+
+def test_readme_cli_block_parses(monkeypatch):
+    # Parse each line as `panrec` would, with every command's body replaced by
+    # a no-op, and without checking that the paths exist.
+    for command in main.commands.values():
+        monkeypatch.setattr(command, "callback", lambda **kwargs: None)
+    monkeypatch.setattr(click.Path, "convert", lambda self, value, param, ctx: value)
+    parse = lambda line: main.main(shlex.split(line)[1:], "panrec", standalone_mode=False)
+    lines = readme_cli_lines()
+    assert len(lines) == 10 and lines[0] == "panrec demo"
+    for line in lines:
+        parse(line)
+    for wrong in ("panrec lift priors/ --output features.bin", "panrec loss scene/",
+                  "panrec lift priors/ --out f.bin --mode sideways", "panrec ablate"):
+        with pytest.raises(click.UsageError):
+            parse(wrong)
+
+
+def entry_result(monkeypatch, capsys, *args):
+    """`panrec ARGS` through the console entry point: exit code and stderr."""
+    monkeypatch.setattr(sys, "argv", ["panrec", *map(str, args)])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    return exited.value.code, capsys.readouterr().err
+
+
+def corrupt_priors_dir(priors, field, kind):
+    """Overwrite one prior file in `priors` with a corrupted array, or corrupt
+    the manifest's center ids."""
+    if field == "centers":
+        path = priors / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["centers"][-1][3] = 0 if kind == "id-0" else manifest["centers"][0][3]
+        path.write_text(json.dumps(manifest))
+        return
+    path = priors / {"semantics": "semantics2d.bin"}.get(field, f"{field}.bin")
+    cont = read_container(path)
+    array = cont.array.copy()
+    if kind == "times-3":
+        array *= 3.0
+    else:
+        array[2:4, 3:5] = {"nan": np.nan, "negative": -0.25, "above-1": 1.5}[kind]
+    channels = array.shape[-1] if field == "semantics" else 0
+    containers.write_container(path, cont.kind, array, cont.frame, cont.intrinsics, cont.planes,
+                               channels=channels)
+
+
+@pytest.mark.parametrize("field, kind", [
+    ("semantics", "nan"), ("semantics", "negative"), ("depth", "negative"),
+    ("mp_occupancy", "nan"), ("mp_occupancy", "times-3"), ("heatmap", "above-1"),
+    ("centers", "id-0"), ("centers", "duplicate-id"),
+])
+def test_lift_and_loss_reject_a_corrupt_bundle_with_one_error_line(
+        tmp_path, monkeypatch, capsys, field, kind):
+    scene, priors, _, _ = build_chain(tmp_path, size=16)
+    corrupt_priors_dir(priors, field, kind)
+    for args in (["lift", priors, "--out", tmp_path / "bad.bin"],
+                 ["loss", scene, priors]):
+        code, err = entry_result(monkeypatch, capsys, *args)
+        assert code == 1
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
+    assert not (tmp_path / "bad.bin").exists()
+
+
+def test_commands_read_only_the_prior_files_they_use(tmp_path, monkeypatch):
+    scene, priors, feats, _ = build_chain(tmp_path, size=16)
+    read = []
+    read_file = containers.read_container
+    monkeypatch.setattr(containers, "read_container",
+                        lambda path: read.append(Path(path).name) or read_file(path))
+    bundle = ["semantics2d.bin", "depth.bin", "heatmap.bin", "mp_occupancy.bin"]
+    for args, files in (
+        (["lift", priors, "--out", tmp_path / "f.bin"], bundle),
+        (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"],
+         ["depth.bin", "instances2d.bin"]),
+        (["group", feats, priors, "--out", tmp_path / "p.bin"],
+         ["features.bin", "features_occupancy.bin", "offsets3d.bin"]),
+        (["loss", scene, priors], ["panoptic.bin", *bundle, "offsets3d.bin"]),
+    ):
+        read.clear()
+        run(*map(str, args))
+        assert read == files
+
+
+def test_each_command_validates_its_bundle_once(tmp_path, monkeypatch):
+    scene, priors, feats, _ = build_chain(tmp_path, size=16)
+    calls = []
+    validate = Priors2D.validate
+    monkeypatch.setattr(Priors2D, "validate",
+                        lambda self, *a: calls.append(self) or validate(self, *a))
+    for args, count in (
+        (["lift", priors, "--out", tmp_path / "f.bin"], 1),
+        (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"], 0),
+        (["group", feats, priors, "--out", tmp_path / "p.bin"], 0),
+        (["loss", scene, priors], 1),
+        # two kernels take the bundle, each once per rep
+        (["bench", "--sizes", "16", "--reps", "2"], 4),
+        (["demo", "--seed", "3"], 1),
+    ):
+        calls.clear()
+        run(*map(str, args))
+        assert len(calls) == count, args

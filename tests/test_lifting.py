@@ -6,14 +6,13 @@ from hypothesis.extra import numpy as hnp
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
 from panrec.lifting import (
     CategorySortedAssignment,
-    LiftingError,
     RandomAssignment,
-    feature_rows,
     lift_instances_topdown,
-    lift_occupancy,
+    lift_priors,
     occupancy_aware_lift,
 )
 from panrec.priors import (
+    PriorsError,
     derive_depth,
     derive_instance_map2d,
     derive_multiplane_occupancy,
@@ -26,6 +25,7 @@ from conftest import (
     GOLDEN_AXES,
     GOLDEN_LIFT_SCENES,
     array_digest,
+    bundle,
     reference_occupancy_aware_lift,
 )
 
@@ -34,7 +34,7 @@ def lifted_semantics(sem2d, depth, frame, intrinsics, planes):
     """The semantics alone lifted to every cell at or behind the depth surface:
     on a frustum frame, the lift with all-ones multi-plane occupancy."""
     ones = np.ones(frame.shape)
-    return occupancy_aware_lift(sem2d, ones, depth, frame, intrinsics, planes).features
+    return occupancy_aware_lift(bundle(sem2d, ones, depth), frame, intrinsics, planes).features
 
 
 def test_lift_semantics_case_split(small_scene):
@@ -75,16 +75,16 @@ def test_lift_semantics_column_sums(small_scene):
 
 
 def test_lift_semantics_shape_mismatch(small_scene):
-    with pytest.raises(LiftingError):
+    with pytest.raises(PriorsError, match="depth"):
         lifted_semantics(np.zeros((4, 4, 2)), np.zeros((4, 4)), small_scene.frame,
                          small_scene.intrinsics, small_scene.planes)
 
 
 def test_lift_occupancy_reproduces_scene(small_scene):
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
-    lifted = lift_occupancy(occ_mp, depth, small_scene.frame,
-                            small_scene.intrinsics, small_scene.planes)
+    priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
+                    derive_depth(small_scene))
+    lifted, _rows = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
+                                small_scene.planes)
     assert np.array_equal(lifted > 0, small_scene.volume.occupancy)
 
 
@@ -92,11 +92,10 @@ def test_lift_occupancy_constants(small_scene):
     h, w = small_scene.frame.height, small_scene.frame.width
     m = small_scene.planes.count
     depth = np.full((h, w), small_scene.planes.center(0))
-    ones = lift_occupancy(np.ones((h, w, m)), depth, small_scene.frame,
-                          small_scene.intrinsics, small_scene.planes)
+    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    ones, _rows = lift_priors(bundle(np.ones((h, w, 1)), np.ones((h, w, m)), depth), *args)
     assert np.all(ones == 1.0)
-    zeros = lift_occupancy(np.zeros((h, w, m)), depth, small_scene.frame,
-                           small_scene.intrinsics, small_scene.planes)
+    zeros, _rows = lift_priors(bundle(np.ones((h, w, 1)), np.zeros((h, w, m)), depth), *args)
     assert np.all(zeros == 0.0)
 
 
@@ -104,7 +103,7 @@ def test_occupancy_aware_lift_matches_scene(small_scene):
     sem2d = derive_semantics2d(small_scene)
     occ_mp = derive_multiplane_occupancy(small_scene)
     depth = derive_depth(small_scene)
-    fv = occupancy_aware_lift(sem2d, occ_mp, depth, small_scene.frame,
+    fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), small_scene.frame,
                               small_scene.intrinsics, small_scene.planes)
     occupied = small_scene.volume.occupancy
     assert np.array_equal(fv.features.sum(axis=-1) > 0, occupied)
@@ -120,10 +119,10 @@ def test_occupancy_absorbing_and_bilinear(small_scene):
     occ_mp = derive_multiplane_occupancy(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    zero = occupancy_aware_lift(sem2d, np.zeros_like(occ_mp), depth, *args)
+    zero = occupancy_aware_lift(bundle(sem2d, np.zeros_like(occ_mp), depth), *args)
     assert np.all(zero.features == 0)
-    full = occupancy_aware_lift(sem2d, occ_mp, depth, *args)
-    half = occupancy_aware_lift(sem2d, 0.5 * occ_mp, depth, *args)
+    full = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
+    half = occupancy_aware_lift(bundle(sem2d, 0.5 * occ_mp, depth), *args)
     assert np.allclose(half.features, 0.5 * full.features)
 
 
@@ -132,7 +131,7 @@ def test_occupancy_aware_lift_below_semantics(small_scene):
     occ_mp = derive_multiplane_occupancy(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    fv = occupancy_aware_lift(sem2d, occ_mp, depth, *args)
+    fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
     plain = lifted_semantics(sem2d, depth, *args)
     assert np.all(fv.features <= plain + 1e-12)
 
@@ -142,7 +141,7 @@ def test_free_space_is_exactly_zero(small_scene):
     occ_mp = derive_multiplane_occupancy(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    fv = occupancy_aware_lift(sem2d, occ_mp, depth, *args)
+    fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
     z = small_scene.planes.centers()
     free = (depth[..., None] == 0) | (z[None, None, :] < depth[..., None])
     assert np.all(fv.features[free] == 0)
@@ -222,14 +221,16 @@ def test_frustum_frame_must_match_camera_and_planes():
     sem2d = np.ones((16, 16, 7)) / 7
     mp = np.ones((16, 16, 16))
     depth = np.full((16, 16), planes.center(3))
-    occupancy_aware_lift(sem2d, mp, depth, FrustumGrid(16, 16, 16), intr, planes)
+    priors = bundle(sem2d, mp, depth)
+    occupancy_aware_lift(priors, FrustumGrid(16, 16, 16), intr, planes)
+    inst_map = np.zeros((16, 16), np.int32)
     for frame in (FrustumGrid(8, 8, 8), FrustumGrid(16, 16, 8), FrustumGrid(8, 16, 16)):
         for call in (
-            lambda: occupancy_aware_lift(sem2d, mp, depth, frame, intr, planes),
-            lambda: lift_occupancy(mp, depth, frame, intr, planes),
-            lambda: feature_rows(sem2d, depth, np.ones(frame.shape), frame, intr, planes),
+            lambda: occupancy_aware_lift(priors, frame, intr, planes),
+            lambda: lift_priors(priors, frame, intr, planes),
+            lambda: lift_instances_topdown(inst_map, {}, depth, frame, intr, planes),
         ):
-            with pytest.raises(LiftingError, match=r"frame dims .*\(height, width, planes\)"):
+            with pytest.raises(PriorsError, match=r"frame dims .*\(height, width, planes\)"):
                 call()
 
 
@@ -237,15 +238,16 @@ def test_frustum_frame_must_match_camera_and_planes():
 def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
     depth = derive_depth(small_scene)
     depth[3, 4] = bad
-    args = (depth, small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    with pytest.raises(LiftingError, match="depth"):
-        lift_occupancy(derive_multiplane_occupancy(small_scene), *args)
-    with pytest.raises(LiftingError, match="depth"):
-        occupancy_aware_lift(derive_semantics2d(small_scene),
-                             derive_multiplane_occupancy(small_scene), *args)
-    with pytest.raises(LiftingError, match="depth"):
-        feature_rows(derive_semantics2d(small_scene), depth,
-                     np.ones(small_scene.frame.shape), *args[1:])
+    priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
+                    depth)
+    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    inst_map, cats = derive_instance_map2d(small_scene)
+    with pytest.raises(PriorsError, match="depth"):
+        lift_priors(priors, *args)
+    with pytest.raises(PriorsError, match="depth"):
+        occupancy_aware_lift(priors, *args)
+    with pytest.raises(PriorsError, match="depth"):
+        lift_instances_topdown(inst_map, cats, depth, *args)
 
 
 @pytest.mark.parametrize("shape", ["2-d", "extra-axis", "wrong-width"])
@@ -257,10 +259,10 @@ def test_semantics_must_be_height_width_channels(small_scene, shape):
     occ_mp = derive_multiplane_occupancy(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    with pytest.raises(LiftingError, match="semantics2d"):
-        feature_rows(sem2d, depth, np.ones(small_scene.frame.shape), *args)
-    with pytest.raises(LiftingError, match="semantics2d"):
-        occupancy_aware_lift(sem2d, occ_mp, depth, *args)
+    with pytest.raises(PriorsError, match=r"^semantics shape"):
+        lift_priors(bundle(sem2d, occ_mp, depth), *args)
+    with pytest.raises(PriorsError, match=r"^semantics shape"):
+        occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
 
 
 # sha256 of occupancy_aware_lift's (features, occupancy), pinned from the dense
@@ -295,8 +297,7 @@ def test_occupancy_aware_lift_matches_golden_hash(case):
     if prior_kind == "noisy":
         p = perturb_priors(p, CROWDED_NOISE, kwargs["seed"], scene.planes)
     frame = scene.frame if frame_kind == "frustum" else GOLDEN_AXES[size]
-    fv = occupancy_aware_lift(p.semantics, p.mp_occupancy, p.depth, frame,
-                              scene.intrinsics, scene.planes)
+    fv = occupancy_aware_lift(p, frame, scene.intrinsics, scene.planes)
     assert array_digest(fv.features, fv.occupancy) == GOLDEN_LIFTS[case]
 
 
@@ -327,13 +328,18 @@ def lift_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(lift_cases())
 def test_occupancy_aware_lift_equals_dense_reference(case):
-    sem, _mp, depth, frame, intrinsics, planes = case
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both
-        fv = occupancy_aware_lift(*case)
-        ref = reference_occupancy_aware_lift(*case)
-        rows = feature_rows(sem, depth, ref.occupancy, frame, intrinsics, planes)
-        cells = np.arange(ref.occupancy.size)[::-1]
-        picked = rows(cells)
+    sem, mp, depth, frame, intrinsics, planes = case
+    priors = bundle(sem, mp, depth)
+    if not np.isfinite(sem).all():
+        with pytest.raises(PriorsError, match="semantics must be finite"):
+            occupancy_aware_lift(priors, frame, intrinsics, planes)
+        return
+    fv = occupancy_aware_lift(priors, frame, intrinsics, planes)
+    ref = reference_occupancy_aware_lift(*case)
+    occ, rows = lift_priors(priors, frame, intrinsics, planes)
+    cells = np.arange(ref.occupancy.size)[::-1]
+    picked = rows(cells)
+    assert occ.tobytes() == ref.occupancy.tobytes()
     assert fv.features.shape == ref.features.shape
     assert fv.features.tobytes() == ref.features.tobytes()
     assert fv.occupancy.tobytes() == ref.occupancy.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ from scipy import ndimage
 
 import panrec
 from panrec.cli import main as cli_main
-from panrec.lifting import feature_rows, lift_occupancy
+from panrec.lifting import lift_priors
 from panrec.losses import (
     EPS,
     LossError,
@@ -287,11 +288,10 @@ def test_loss3d_tsdf_band(small_scene):
 def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
     priors = perturb_priors(derive_priors(small_scene), NoiseSpec(depth_sigma=0.05,
                             semantic_flip=0.1, occupancy_flip=0.05), 3, small_scene.planes)
-    args = (priors.semantics, priors.depth, small_scene.frame, small_scene.intrinsics,
-            small_scene.planes)
-    lifted = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy, *args[1:])
-    occ_pred = lift_occupancy(priors.mp_occupancy, *args[1:])
-    rows = feature_rows(*args[:2], occ_pred, *args[2:])
+    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    lifted = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
+                                            priors.depth, *args)
+    occ_pred, rows = lift_priors(priors, *args)
     _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     labels = small_scene.volume.semantics
     one_hot = np.eye(small_scene.categories.num_categories)[labels]
@@ -311,6 +311,54 @@ def test_loss3d_rejects_bad_sem_gt(small_scene, bad):
     labels.reshape(-1)[cell] = {"negative": -1, "too-large": sem.shape[-1]}.get(bad, 0)
     with pytest.raises(LossError, match="sem_gt"):
         loss_3d(rows_of(sem), offs, occ, tsdf, sem_gt, offs, occ, tsdf, thing)
+
+
+@pytest.mark.parametrize("shape", ["channels-only", "one-channel", "other-grid"])
+@pytest.mark.parametrize("field", ["offsets_pred", "offsets_gt"])
+def test_loss3d_rejects_offsets_of_the_wrong_shape(small_scene, field, shape):
+    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    bad = {"channels-only": np.zeros(2), "one-channel": offs[..., :1],
+           "other-grid": offs[:, :-1]}[shape]
+    pred, gt = (bad, offs) if field == "offsets_pred" else (offs, bad)
+    with pytest.raises(LossError, match=f"^{field} shape"):
+        loss_3d(rows_of(sem), pred, occ, tsdf, small_scene.volume.semantics, gt, occ, tsdf,
+                thing)
+
+
+# Each weight and the report terms it scales.
+WEIGHTED_TERMS = {
+    "semantic2d": {"p2d_semantic_ce"},
+    "center2d": {"p2d_center_mse"},
+    "occupancy3d": {"l3d_occupancy_bce", "l3d_tsdf_l1"},
+    "semantic3d": {"l3d_semantic_ce"},
+    "offset3d": {"l3d_offset_l1"},
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LossWeights)])
+def test_each_weight_scales_exactly_its_own_terms(small_scene, field):
+    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    labels = small_scene.volume.semantics
+    sem_pred = rows_of(np.clip(sem, 0.2, 0.8))
+    occ_pred = np.clip(occ, 0.3, 0.7)
+    priors = derive_priors(small_scene)
+
+    def reports(weights):
+        report2d = loss_panoptic2d(np.clip(priors.semantics, 0.2, 0.8), priors.semantics,
+                                   0.5 * priors.heatmap, priors.heatmap, weights)
+        report3d = loss_3d(sem_pred, offs + 1.0, occ_pred, -tsdf, labels, offs, occ, tsdf,
+                           thing, weights=weights)
+        return {"p2d": report2d, "l3d": report3d}
+
+    base, scaled = reports(LossWeights()), reports(LossWeights(**{field: 3.0}))
+    for prefix, rep in scaled.items():
+        own = [name for name in rep.terms if f"{prefix}_{name}" in WEIGHTED_TERMS[field]]
+        assert rep.weights == {name: 3.0 if name in own else 1.0 for name in rep.terms}
+        assert rep.terms == base[prefix].terms
+        gain = 2.0 * sum(rep.terms[name] for name in own)
+        assert rep.total == pytest.approx(base[prefix].total + gain)
+        assert all(rep.terms[name] > 0 for name in own)
+    assert set(WEIGHTED_TERMS) == {f.name for f in dataclasses.fields(LossWeights)}
 
 
 def test_loss3d_checks_labels_only_at_occupied_cells(small_scene):
@@ -334,7 +382,7 @@ def test_import_does_not_load_scipy():
 
 def test_weights_validation_and_report():
     with pytest.raises(LossError):
-        LossWeights(depth2d=-0.1)
+        LossWeights(semantic2d=-0.1)
     rep = LossReport.build({"a": 2.0, "b": 3.0}, {"a": 1.0, "b": 0.5})
     assert rep.total == pytest.approx(3.5)
 

@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from panrec import lifting
 from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index
+from panrec.lifting import lift_priors, occupancy_aware_lift
+from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     InstanceCenter,
+    Priors2D,
     PriorsError,
     SceneGT,
     derive_centers,
@@ -13,12 +19,14 @@ from panrec.priors import (
     derive_instance_map2d,
     derive_multiplane_occupancy,
     derive_offsets3d,
+    derive_priors,
     derive_semantics2d,
     encode_center_heatmap,
     extract_centers,
 )
+from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume, empty_volume
-from conftest import seeded_scenes
+from conftest import CROWDED_NOISE, GOLDEN_AXES, seeded_scenes
 
 CATS = CategoryTable((False, False, False, True, True))
 
@@ -325,3 +333,103 @@ def test_non_frustum_frame_rejected(small_scene):
     )
     with pytest.raises(PriorsError):
         derive_depth(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), width=st.integers(6, 24), height=st.integers(6, 24),
+       planes=st.integers(3, 24), n_things=st.integers(0, 4), n_stuff=st.integers(0, 2),
+       n_thing_categories=st.integers(1, 4), separation=st.floats(0.0, 8.0),
+       occlusion=st.booleans(),
+       noise=st.one_of(st.none(), st.just(CROWDED_NOISE), st.builds(
+           NoiseSpec, depth_sigma=st.floats(0.0, 1.0), semantic_flip=st.floats(0.0, 1.0),
+           occupancy_flip=st.floats(0.0, 1.0), center_jitter=st.integers(0, 4))),
+       extracted=st.booleans(), k=st.integers(-64, 64))
+def test_validate_accepts_derived_perturbed_and_scaled_bundles(
+        seed, width, height, planes, n_things, n_stuff, n_thing_categories, separation,
+        occlusion, noise, extracted, k):
+    try:
+        scene = generate_scene(SynthConfig(
+            seed=seed, width=width, height=height, planes=planes, n_things=n_things,
+            n_stuff=n_stuff, n_thing_categories=n_thing_categories,
+            min_center_separation=separation, occlusion_allowed=occlusion, max_attempts=50))
+    except SynthError:
+        reject()
+    frames = [scene.frame, *GOLDEN_AXES.values()]
+    priors = derive_priors(scene)
+    bundles = [priors]
+    if noise is not None:
+        bundles.append(perturb_priors(priors, noise, seed, scene.planes))
+    if extracted:
+        bundles.append(dataclasses.replace(
+            bundles[-1], centers=extract_centers(bundles[-1].heatmap, bundles[-1].semantics)))
+    bundles.append(dataclasses.replace(bundles[-1], semantics=bundles[-1].semantics * 2.0**k))
+    for bundle in bundles:
+        for frame in frames:
+            assert bundle.validate(frame, scene.intrinsics, scene.planes) is bundle
+
+
+# Values written into a 2 x 2 pixel patch of a prior field.
+BAD_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -0.25,
+              "above-1": 1.5}
+CORRUPTIONS = (
+    [(f, k) for f in ("semantics", "depth", "mp_occupancy", "heatmap")
+     for k in ("nan", "+inf", "-inf", "negative", "shape")]
+    + [("mp_occupancy", "above-1"), ("mp_occupancy", "times-3"), ("heatmap", "above-1"),
+       ("centers", "id-0"), ("centers", "duplicate-id")]
+)
+
+
+def corrupt(priors: Priors2D, field: str, kind: str) -> Priors2D:
+    """A copy of `priors` with one field corrupted as `kind` says."""
+    if field == "centers":
+        centers = list(priors.centers)
+        bad_id = 0 if kind == "id-0" else centers[0].instance_id
+        centers[-1] = dataclasses.replace(centers[-1], instance_id=bad_id)
+        return dataclasses.replace(priors, centers=centers)
+    array = np.array(getattr(priors, field), dtype=np.float64)
+    if kind == "shape":
+        array = array[:, 1:]
+    elif kind == "times-3":
+        array = 3.0 * array
+    else:
+        array[2:4, 3:5] = BAD_VALUES[kind]
+    return dataclasses.replace(priors, **{field: array})
+
+
+@pytest.mark.parametrize("field, kind", CORRUPTIONS)
+def test_every_entry_rejects_a_corrupt_bundle_before_building_a_volume(
+        field, kind, monkeypatch):
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    priors = derive_priors(scene)
+    assert len(priors.centers) >= 2 and priors.mp_occupancy.max() == 1.0
+    bad = corrupt(priors, field, kind)
+    args = (scene.frame, scene.intrinsics, scene.planes)
+    built = []
+    fill = lifting._frustum_fill_mask
+    monkeypatch.setattr(lifting, "_frustum_fill_mask",
+                        lambda *a: built.append(1) or fill(*a))
+    for call in (lambda: bad.validate(*args),
+                 lambda: lift_priors(bad, *args),
+                 lambda: occupancy_aware_lift(bad, *args),
+                 lambda: reconstruct_from_priors(bad, *args, scene.categories)):
+        with pytest.raises(PriorsError, match=f"^{field}"):
+            call()
+    assert built == []
+    occupancy_aware_lift(priors, *args)
+    assert built == [1]
+
+
+def test_each_entry_validates_a_bundle_once(monkeypatch):
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    priors = derive_priors(scene)
+    args = (scene.frame, scene.intrinsics, scene.planes)
+    calls = []
+    validate = Priors2D.validate
+    monkeypatch.setattr(Priors2D, "validate",
+                        lambda self, *a: calls.append(self) or validate(self, *a))
+    for entry in (lambda: lift_priors(priors, *args),
+                  lambda: occupancy_aware_lift(priors, *args),
+                  lambda: reconstruct_from_priors(priors, *args, scene.categories)):
+        calls.clear()
+        entry()
+        assert len(calls) == 1 and calls[0] is priors

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -13,16 +14,16 @@ from panrec.geometry import (
     FrustumGrid,
     resample_volume,
 )
-from panrec.lifting import (
-    FeatureVolume,
-    LiftingError,
-    feature_rows,
-    lift_occupancy,
-    occupancy_aware_lift,
-)
+from panrec.lifting import FeatureVolume, lift_priors, occupancy_aware_lift
 from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
-from panrec import pipeline
-from panrec.priors import InstanceCenter, Priors2D, derive_priors, extract_centers
+from panrec import lifting
+from panrec.priors import (
+    InstanceCenter,
+    Priors2D,
+    PriorsError,
+    derive_priors,
+    extract_centers,
+)
 from panrec.reconstruction import (
     ReconstructionError,
     Refined3D,
@@ -170,9 +171,7 @@ def test_group_center_permutation_equivariance():
 def test_group_oracle_round_trip():
     for scene in seeded_scenes(5):
         priors = derive_priors(scene)
-        fv = occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
-                                  priors.depth, scene.frame, scene.intrinsics,
-                                  scene.planes)
+        fv = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
         refined = identity_refine(fv, priors.offsets3d, fv.occupancy)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
@@ -280,8 +279,7 @@ def test_identity_refine_passthrough_and_errors():
 
 def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
     priors = derive_priors(small_scene)
-    fv = occupancy_aware_lift(priors.semantics, priors.mp_occupancy, priors.depth,
-                              small_scene.frame, small_scene.intrinsics,
+    fv = occupancy_aware_lift(priors, small_scene.frame, small_scene.intrinsics,
                               small_scene.planes)
     refined = identity_refine(fv, priors.offsets3d, np.zeros(small_scene.frame.shape))
     out = reconstruct(refined, priors.centers, small_scene.intrinsics,
@@ -363,7 +361,10 @@ def dense_reference(priors, mp, frame, intrinsics, planes, categories, occ_thres
 
 def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categories,
                                      occ_threshold, surface_only=False):
-    mp = surface_only_occupancy(priors.depth, planes) if surface_only else priors.mp_occupancy
+    if surface_only:
+        priors = dataclasses.replace(priors,
+                                     mp_occupancy=surface_only_occupancy(priors.depth, planes))
+    mp = priors.mp_occupancy
     with warnings.catch_warnings(record=True) as ref_warned:
         warnings.simplefilter("always")
         ref_labels, ref_dc3d, ref = dense_reference(priors, mp, frame, intrinsics, planes,
@@ -371,13 +372,12 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
         out = reconstruct_from_priors(priors, frame, intrinsics, planes, categories,
-                                      occ_threshold, surface_only)
+                                      occ_threshold)
     assert np.array_equal(out.semantics, ref.semantics)
     assert np.array_equal(out.instances, ref.instances)
     assert len(warned) == len(ref_warned)
     # the stages in between: feature rows, labels and gated offsets
-    occ = lift_occupancy(mp, priors.depth, frame, intrinsics, planes)
-    rows = feature_rows(priors.semantics, priors.depth, occ, frame, intrinsics, planes)
+    occ, rows = lift_priors(priors, frame, intrinsics, planes)
     dense = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
                                            intrinsics, planes).features
     cells = np.flatnonzero(occ > 0)
@@ -569,12 +569,16 @@ def test_reconstruct_rejects_malformed_semantics(bad, monkeypatch):
     priors.semantics = {"2-d": priors.semantics[..., 1],
                         "extra-axis": priors.semantics.reshape(h, w, 1, c),
                         "3-of-7-channels": priors.semantics[..., :3]}[bad]
-    error = ReconstructionError if bad == "3-of-7-channels" else LiftingError
-    lifted = []
-    monkeypatch.setattr(pipeline, "lift_occupancy",
-                        lambda *args: lifted.append(1) or lift_occupancy(*args))
-    with pytest.raises(error, match="semantics"):
+    error = ReconstructionError if bad == "3-of-7-channels" else PriorsError
+    built = []
+    fill = lifting._frustum_fill_mask
+    monkeypatch.setattr(lifting, "_frustum_fill_mask",
+                        lambda *args: built.append(1) or fill(*args))
+    with pytest.raises(error, match="^semantics"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                 scene.categories)
-    # a wrong channel count is rejected before any volume is built
-    assert lifted == ([] if bad == "3-of-7-channels" else [1])
+    # rejected before any volume is built; a good bundle builds one
+    assert built == []
+    reconstruct_from_priors(derive_priors(scene), scene.frame, scene.intrinsics, scene.planes,
+                            scene.categories)
+    assert built == [1]
