@@ -30,7 +30,7 @@ from .losses import (
 from .mesh import export_obj
 from .metrics import prq
 from .pipeline import reconstruct_from_priors
-from .priors import Priors2D, SceneGT, derive_instance_map2d, derive_priors
+from .priors import Priors2D, SceneGT, checked_centers, derive_instance_map2d, derive_priors
 from .reconstruction import identity_refine, reconstruct
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 
@@ -47,15 +47,19 @@ def _fail(message: str):
     sys.exit(1)
 
 
+# The prior files that `derive-priors` writes, `<name>.bin` each: name -> kind.
+PRIOR_KINDS = {
+    "semantics2d": "semantic-volume", "depth": "depth", "heatmap": "heatmap",
+    "mp_occupancy": "multiplane", "offsets3d": "offsets", "instances2d": "panoptic-volume",
+}
+
+
 def _load_scene(scene_dir: Path) -> SceneGT:
-    manifest = C.read_manifest(scene_dir / "manifest.json")
+    manifest = C.read_manifest(scene_dir / "manifest.json", ["panoptic"])
     categories = C.manifest_categories(manifest)
     volume = C.read_panoptic(scene_dir / manifest["files"]["panoptic"], categories)
-    return SceneGT(
-        volume=volume,
-        intrinsics=C.manifest_intrinsics(manifest),
-        planes=C.manifest_planes(manifest),
-    )
+    return SceneGT(volume=volume, intrinsics=C.manifest_intrinsics(manifest),
+                   planes=C.manifest_planes(manifest))
 
 
 def _write_scene(scene: SceneGT, out_dir: Path, generator=None):
@@ -70,39 +74,29 @@ def _write_scene(scene: SceneGT, out_dir: Path, generator=None):
 
 def _write_priors(priors: Priors2D, scene: SceneGT, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    frame = scene.frame
-    k, planes = scene.intrinsics, scene.planes
-    num_c = priors.semantics.shape[-1]
-    C.write_container(out_dir / "semantics2d.bin", "semantic-volume",
-                      priors.semantics, frame, k, planes, channels=num_c)
-    C.write_container(out_dir / "depth.bin", "depth", priors.depth, frame, k, planes)
-    C.write_container(out_dir / "heatmap.bin", "heatmap", priors.heatmap, frame, k, planes)
-    C.write_container(out_dir / "mp_occupancy.bin", "multiplane",
-                      priors.mp_occupancy, frame, k, planes)
-    C.write_container(out_dir / "offsets3d.bin", "offsets",
-                      priors.offsets3d, frame, k, planes, channels=2)
     inst2d, inst_cats = derive_instance_map2d(scene)
     cat_map = np.zeros_like(inst2d)
     for i, cat in inst_cats.items():
         cat_map[inst2d == i] = cat
-    C.write_container(out_dir / "instances2d.bin", "panoptic-volume",
-                      np.stack([cat_map, inst2d], axis=-1).astype(np.int32),
-                      frame, k, planes, channels=2)
-    manifest = C.manifest_dict(
-        k, planes, scene.categories, priors.centers,
-        files={
-            "semantics2d": "semantics2d.bin", "depth": "depth.bin",
-            "heatmap": "heatmap.bin", "mp_occupancy": "mp_occupancy.bin",
-            "offsets3d": "offsets3d.bin", "instances2d": "instances2d.bin",
-        },
-    )
+    arrays = {
+        "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
+        "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d,
+        "instances2d": np.stack([cat_map, inst2d], axis=-1).astype(np.int32),
+    }
+    for name, kind in PRIOR_KINDS.items():
+        C.write_container(out_dir / f"{name}.bin", kind, arrays[name], scene.frame,
+                          scene.intrinsics, scene.planes)
+    manifest = C.manifest_dict(scene.intrinsics, scene.planes, scene.categories,
+                               priors.centers, files={n: f"{n}.bin" for n in PRIOR_KINDS})
     C.write_manifest(out_dir / "manifest.json", manifest)
 
 
-def _read_priors(priors_dir: Path, *names):
-    """A prior directory's manifest and the containers of the named files only."""
-    manifest = C.read_manifest(priors_dir / "manifest.json")
-    return manifest, [C.read_container(priors_dir / manifest["files"][n]) for n in names]
+def _read_priors(priors_dir: Path, *names, also=()):
+    """A prior directory's manifest and the containers of the named prior files
+    only, then of `also`, (path, kind) pairs; all share one frame, camera, planes."""
+    manifest = C.read_manifest(priors_dir / "manifest.json", names)
+    files = [*((priors_dir / manifest["files"][n], PRIOR_KINDS[n]) for n in names), *also]
+    return manifest, C.read_containers(files)
 
 
 def _load_priors(priors_dir: Path, offsets: bool):
@@ -196,8 +190,7 @@ def lift(priors_dir, out_path, mode, assignment, n_channels):
         fv = lift_instances_topdown(inst_map, inst_cats, depth.array, frame,
                                     intr, planes, strategy, n_channels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    C.write_container(out_path, "feature-volume", fv.features, frame, intr,
-                      planes, channels=fv.features.shape[-1])
+    C.write_container(out_path, "feature-volume", fv.features, frame, intr, planes)
     occ_path = out_path.with_name(out_path.stem + "_occupancy.bin")
     C.write_container(occ_path, "multiplane", fv.occupancy, frame, intr, planes)
     click.echo(f"wrote {out_path} and {occ_path}")
@@ -212,24 +205,18 @@ def lift(priors_dir, out_path, mode, assignment, n_channels):
 def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
     """Group a lifted/refined volume into a panoptic volume container."""
     occ_path = features_path.with_name(features_path.stem + "_occupancy.bin")
-    features, occ = C.read_container(features_path), C.read_container(occ_path)
-    manifest, (offsets,) = _read_priors(priors_dir, "offsets3d")
-    frame, intr, planes = offsets.frame, offsets.intrinsics, offsets.planes
+    manifest, (offsets, features, occ) = _read_priors(
+        priors_dir, "offsets3d",
+        also=[(features_path, "feature-volume"), (occ_path, "multiplane")])
+    intr, planes = offsets.intrinsics, offsets.planes
     categories = C.manifest_categories(manifest)
-    for path, cont, kind in ((features_path, features, "feature-volume"),
-                             (occ_path, occ, "multiplane")):
-        if cont.kind != kind:
-            _fail(f"{path}: kind is {cont.kind!r}, expected {kind!r}")
-        if cont.frame != frame:
-            _fail(f"{path}: frame {cont.frame} differs from the priors' frame {frame}")
+    centers = checked_centers(C.manifest_centers(manifest))
     if features.array.shape[-1] != len(categories):
         _fail(f"{features_path}: channels {features.array.shape[-1]} != "
               f"{len(categories)} categories in the priors' manifest")
-    lifted = FeatureVolume(frame=features.frame, features=features.array,
-                           occupancy=occ.array)
+    lifted = FeatureVolume(features.frame, features.array, occ.array)
     refined = identity_refine(lifted, offsets.array, occ.array)
-    volume = reconstruct(refined, C.manifest_centers(manifest), intr, planes, categories,
-                         occ_threshold)
+    volume = reconstruct(refined, centers, intr, planes, categories, occ_threshold)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_panoptic(out_path, volume, intr, planes)
     if mesh_path is not None:

@@ -4,7 +4,7 @@ Container layout (all integers little-endian):
 
     magic      4s   = b"BUOL"
     version    u16  = 1
-    kind       u8   (see KINDS)
+    kind       u8   (position in KINDS)
     dtype      u8   (see DTYPES)
     channels   u16  (0 = no trailing channel axis)
     ndim       u8, then ndim x u32 spatial dims
@@ -13,6 +13,21 @@ Container layout (all integers little-endian):
     intrinsics f64 fx, fy, cx, cy; u32 width, height
     planes     u32 count; f64 z_near, z_far
     payload    row-major little-endian array data
+
+Each kind (KINDS) fixes its payload's layout: spatial dims of the camera
+image (H, W), of the image times the depth planes (H, W, M) or of the frame,
+and no channel axis, exactly 2 channels or any count >= 1. The writer and
+`read_container(path, kind)` reject any other payload, naming file and field:
+
+    code  kind             spatial dims        channels
+    0     semantic-volume  (H, W)              >= 1
+    1     panoptic-volume  frame or (H, W)     2
+    2     feature-volume   frame               >= 1
+    3     multiplane       (H, W, M) or frame  none
+    4     depth            (H, W)              none
+    5     heatmap          (H, W)              none
+    6     offsets          frame               2
+    7     tsdf             frame               none
 
 The manifest is a JSON document referencing the containers of one scene along
 with intrinsics, planes, the category table, and instance center rows.
@@ -35,16 +50,21 @@ from .volume import CategoryTable, PanopticVolume
 MAGIC = b"BUOL"
 VERSION = 1
 
-KINDS = (
-    "semantic-volume",
-    "panoptic-volume",
-    "feature-volume",
-    "multiplane",
-    "depth",
-    "heatmap",
-    "offsets",
-    "tsdf",
-)
+IMAGE, IMAGE_PLANES, FRAME = "(H, W)", "(H, W, M)", "frame"
+ANY = -1  # any channel count >= 1
+
+# kind -> (the spatial dims it may have, its channel count: 0 = none or ANY).
+# A kind's code is its position, so the order is part of the format.
+KINDS = {
+    "semantic-volume": ((IMAGE,), ANY),
+    "panoptic-volume": ((FRAME, IMAGE), 2),
+    "feature-volume": ((FRAME,), ANY),
+    "multiplane": ((IMAGE_PLANES, FRAME), 0),
+    "depth": ((IMAGE,), 0),
+    "heatmap": ((IMAGE,), 0),
+    "offsets": ((FRAME,), 2),
+    "tsdf": ((FRAME,), 0),
+}
 
 DTYPES = {
     0: np.dtype("<f4"),
@@ -62,54 +82,51 @@ class ContainerError(ValueError):
 
 @dataclass
 class Container:
-    kind: str
     array: np.ndarray
     frame: object
     intrinsics: CameraIntrinsics
     planes: DepthPlanes
 
 
-def write_container(
-    path,
-    kind: str,
-    array: np.ndarray,
-    frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-    channels: int = 0,
-):
-    """Serialize one array. `channels` > 0 marks a trailing channel axis."""
+def _check_layout(path, kind, spatial, channels, frame, intrinsics, planes):
+    """Raise ContainerError naming `path` unless `spatial` dims and `channels`
+    fit `kind`'s layout under this frame, camera and planes."""
+    layouts, want = KINDS[kind]
+    image = (intrinsics.height, intrinsics.width)
+    dims = {IMAGE: image, IMAGE_PLANES: image + (planes.count,), FRAME: frame.shape}
+    if tuple(spatial) not in [dims[layout] for layout in layouts]:
+        raise ContainerError(f"{path}: {kind} dims {tuple(spatial)} are not " + " or ".join(
+            f"{layout} = {dims[layout]}" for layout in layouts))
+    if channels != want and not (want == ANY and channels >= 1):
+        raise ContainerError(f"{path}: {kind} channels {channels}, expected "
+                             f"{'>= 1' if want == ANY else want or 'none'}")
+
+
+def write_container(path, kind: str, array: np.ndarray, frame, intrinsics: CameraIntrinsics,
+                    planes: DepthPlanes):
+    """Serialize one array; its last axis is the channel axis if `kind` has one."""
     if kind not in KINDS:
         raise ContainerError(f"unknown payload kind {kind!r}")
+    if not isinstance(frame, (FrustumGrid, AxisGrid)):
+        raise ContainerError(f"unknown grid frame {frame!r}")
     array = np.asarray(array)
     dtype = array.dtype.newbyteorder("<")
     if dtype not in DTYPE_CODES:
         raise ContainerError(f"unsupported element type {array.dtype}")
     # One conversion at most: C order and little-endian, no copy if already so.
     array = np.ascontiguousarray(array, dtype=dtype)
-    spatial = array.shape[:-1] if channels else array.shape
-    if channels and array.shape[-1] != channels:
-        raise ContainerError("channel count does not match the array")
-    parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, KINDS.index(kind),
+    spatial, channels = (array.shape[:-1], array.shape[-1]) if KINDS[kind][1] else \
+        (array.shape, 0)
+    _check_layout(path, kind, spatial, channels, frame, intrinsics, planes)
+    parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, list(KINDS).index(kind),
                          DTYPE_CODES[dtype], channels, len(spatial))]
     parts.append(struct.pack(f"<{len(spatial)}I", *spatial))
     if isinstance(frame, FrustumGrid):
         parts.append(struct.pack("<BIII", 0, frame.width, frame.height, frame.planes))
-    elif isinstance(frame, AxisGrid):
-        parts.append(
-            struct.pack(
-                "<BIIId3d", 1, *frame.shape, frame.voxel_size, *frame.origin
-            )
-        )
     else:
-        raise ContainerError(f"unknown grid frame {frame!r}")
-    parts.append(
-        struct.pack(
-            "<4dII",
-            intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy,
-            intrinsics.width, intrinsics.height,
-        )
-    )
+        parts.append(struct.pack("<BIIId3d", 1, *frame.shape, frame.voxel_size, *frame.origin))
+    parts.append(struct.pack("<4dII", intrinsics.fx, intrinsics.fy, intrinsics.cx,
+                             intrinsics.cy, intrinsics.width, intrinsics.height))
     parts.append(struct.pack("<I2d", planes.count, planes.z_near, planes.z_far))
     with open(path, "wb") as f:
         f.write(b"".join(parts))
@@ -135,19 +152,21 @@ def _build(cls, what, **fields):
         raise ContainerError(f"invalid {what}: {exc}") from exc
 
 
-def read_container(path) -> Container:
-    """Read and validate a container; raises ContainerError naming the bad field."""
+def read_container(path, kind: str) -> Container:
+    """Read and validate a container of `kind`; raises ContainerError naming the
+    bad field, and the file for a kind, dims or channels that break the layout."""
     with open(path, "rb") as f:
         data = f.read(_MAX_HEADER)
-        (magic, version, kind_code, dtype_code, channels, ndim), off = _unpack(
-            "<4sHBBHB", data, 0, "header"
-        )
+        header, off = _unpack("<4sHBBHB", data, 0, "header")
+        magic, version, kind_code, dtype_code, channels, ndim = header
         if magic != MAGIC:
             raise ContainerError(f"bad magic {magic!r} at offset 0")
         if version != VERSION:
             raise ContainerError(f"unsupported format version {version}")
         if kind_code >= len(KINDS):
             raise ContainerError(f"unknown kind code {kind_code} at offset 6")
+        if list(KINDS)[kind_code] != kind:
+            raise ContainerError(f"{path}: kind is {list(KINDS)[kind_code]!r}, expected {kind!r}")
         if dtype_code not in DTYPES:
             raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
         dims, off = _unpack(f"<{ndim}I", data, off, "dims")
@@ -172,32 +191,37 @@ def read_container(path) -> Container:
         expected = math.prod(shape) * dtype.itemsize
         length = os.fstat(f.fileno()).st_size - off
         if length != expected:
-            raise ContainerError(
-                f"payload length {length} != expected {expected} (field dims/channels)"
-            )
+            raise ContainerError(f"payload length {length} != expected {expected} "
+                                 "(field dims/channels)")
+        _check_layout(path, kind, dims, channels, frame, intrinsics, planes)
         array = np.empty(shape, dtype)
         f.seek(off)
         got = f.readinto(array.reshape(-1).view(np.uint8))
         if got != expected:
             raise ContainerError(f"short read: {got} of {expected} payload bytes")
-    return Container(
-        kind=KINDS[kind_code], array=array, frame=frame,
-        intrinsics=intrinsics, planes=planes,
-    )
+    return Container(array=array, frame=frame, intrinsics=intrinsics, planes=planes)
+
+
+def read_containers(files) -> list:
+    """The containers of `files`, (path, kind) pairs, after checking that they
+    share the first one's frame, intrinsics and planes."""
+    read = [read_container(path, kind) for path, kind in files]
+    for (path, _kind), cont in zip(files, read):
+        for field in ("frame", "intrinsics", "planes"):
+            if getattr(cont, field) != getattr(read[0], field):
+                raise ContainerError(f"{path}: {field} {getattr(cont, field)} differs from "
+                                     f"{files[0][0]}'s {getattr(read[0], field)}")
+    return read
 
 
 def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
     stacked = np.stack([volume.semantics, volume.instances], axis=-1).astype(
         "<i4", copy=False)
-    write_container(
-        path, "panoptic-volume", stacked, volume.frame, intrinsics, planes, channels=2
-    )
+    write_container(path, "panoptic-volume", stacked, volume.frame, intrinsics, planes)
 
 
 def read_panoptic(path, categories: CategoryTable) -> PanopticVolume:
-    cont = read_container(path)
-    if cont.kind != "panoptic-volume":
-        raise ContainerError(f"expected a panoptic volume, got {cont.kind}")
+    cont = read_container(path, "panoptic-volume")
     return PanopticVolume(
         frame=cont.frame,
         semantics=cont.array[..., 0],
@@ -227,7 +251,8 @@ def write_manifest(path, manifest: dict):
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path) -> dict:
+def read_manifest(path, entries=()) -> dict:
+    """The manifest at `path`, checked; `entries` names `files` entries it must have."""
     path = Path(path)
     try:
         manifest = json.loads(path.read_text())
@@ -239,6 +264,9 @@ def read_manifest(path) -> dict:
     ids = [c["id"] for c in manifest["categories"]]
     if ids != list(range(len(ids))):
         raise ContainerError("category ids must be contiguous from 0")
+    for name in entries:
+        if name not in manifest["files"]:
+            raise ContainerError(f"manifest {path} has no files entry {name!r}")
     for name, ref in manifest["files"].items():
         if not (path.parent / ref).exists():
             raise ContainerError(f"manifest references missing file {ref!r} ({name})")

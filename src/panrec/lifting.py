@@ -54,6 +54,13 @@ def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     return (depth[..., None] > 0) & (z[None, None, :] >= depth[..., None])
 
 
+def surface_planes(depth: np.ndarray, planes: DepthPlanes):
+    """Per pixel, the plane of its depth surface and whether it has one (depth
+    > 0, within [z_near, z_far)): the one surface-plane rule of both baselines."""
+    m = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
+    return m, (depth > 0) & (m != OUT_OF_RANGE)
+
+
 def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
     """`Priors2D.validate`, then the occupancy-aware lift: (occupancy, rows).
     `occupancy` is the multi-plane occupancy at every cell, zero in free space
@@ -132,10 +139,10 @@ def lift_instances_topdown(
     else:
         raise LiftingError(f"unknown assignment strategy {assignment!r}")
     features = np.zeros(frame.shape + (n_channels,), dtype=np.float64)
-    surface = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
+    surface, hit = surface_planes(depth, planes)
     occupancy = np.zeros(frame.shape, dtype=np.float64)
     for channel, inst_id in enumerate(order):
-        vs, us = np.nonzero((instance_map == inst_id) & (depth > 0) & (surface != OUT_OF_RANGE))
+        vs, us = np.nonzero((instance_map == inst_id) & hit)
         features[vs, us, surface[vs, us], channel] = 1.0
         occupancy[vs, us, surface[vs, us]] = 1.0
     return FeatureVolume(frame=frame, features=features, occupancy=occupancy)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, OUT_OF_RANGE, plane_index
-from .lifting import lift_priors
+from .geometry import CameraIntrinsics, DepthPlanes
+from .lifting import lift_priors, surface_planes
 from .priors import Priors2D
 from .reconstruction import ReconstructionError, Refined3D, reconstruct
 from .volume import CategoryTable, PanopticVolume
@@ -14,10 +14,9 @@ from .volume import CategoryTable, PanopticVolume
 def surface_only_occupancy(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """Multi-plane occupancy that marks only the depth-surface plane per ray."""
     depth = np.asarray(depth, dtype=np.float64)
-    h, w = depth.shape
-    occ = np.zeros((h, w, planes.count), dtype=np.float64)
-    m = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
-    vs, us = np.nonzero((depth > 0) & (m != OUT_OF_RANGE))
+    m, hit = surface_planes(depth, planes)
+    occ = np.zeros(depth.shape + (planes.count,), dtype=np.float64)
+    vs, us = np.nonzero(hit)
     occ[vs, us, m[vs, us]] = 1.0
     return occ
 

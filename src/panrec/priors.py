@@ -64,10 +64,16 @@ class Priors2D:
         _checked("semantics", self.semantics, (h, w, None), 0.0)
         _checked("mp_occupancy", self.mp_occupancy, (h, w, m), 0.0, 1.0)
         _checked("heatmap", self.heatmap, (h, w), 0.0, 1.0)
-        ids = [c.instance_id for c in self.centers]
-        if min(ids, default=1) < 1 or len(set(ids)) < len(ids):
-            raise PriorsError(f"centers: instance ids must be >= 1 and distinct, got {ids}")
+        checked_centers(self.centers)
         return self
+
+
+def checked_centers(centers):
+    """`centers`, after checking that their instance ids are >= 1 and distinct."""
+    ids = [c.instance_id for c in centers]
+    if min(ids, default=1) < 1 or len(set(ids)) < len(ids):
+        raise PriorsError(f"centers: instance ids must be >= 1 and distinct, got {ids}")
+    return centers
 
 
 def _checked(field: str, array, shape, low: float, high: float = np.inf):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -9,12 +10,14 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, reject, settings, strategies as st
 
 from panrec import containers
-from panrec.cli import entry, main
+from panrec.cli import PRIOR_KINDS, entry, main
 from panrec.containers import read_container, read_manifest
-from panrec.priors import Priors2D
-from panrec.synth import SynthError
+from panrec.pipeline import reconstruct_from_priors
+from panrec.priors import Priors2D, derive_priors
+from panrec.synth import SynthConfig, SynthError, generate_scene
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,8 +89,8 @@ def test_topdown_lift_modes(tmp_path):
         "--assignment", "category", "--n-channels", "8")
     run("lift", str(priors), "--out", str(rnd), "--mode", "top-down",
         "--assignment", "random:4", "--n-channels", "8")
-    a = read_container(cat).array
-    b = read_container(rnd).array
+    a = read_container(cat, "feature-volume").array
+    b = read_container(rnd, "feature-volume").array
     assert a.shape == b.shape
     assert sorted(a[..., c].tobytes() for c in range(8)) == \
         sorted(b[..., c].tobytes() for c in range(8))
@@ -148,47 +151,127 @@ def test_bench_runs():
     assert all(float(row[2]) >= 0 for row in rows)
 
 
-def group_error(tmp_path, features, priors):
-    """`panrec group`'s exit code and its one-line stderr."""
-    result = runner.invoke(main, ["group", str(features), str(priors),
-                                  "--out", str(tmp_path / "out.bin")])
-    assert result.stderr.count("\n") == 1, result.stderr
-    return result.exit_code, result.stderr
+def group_error(monkeypatch, capsys, tmp_path, features, priors):
+    """`panrec group`'s exit code and its one-line stderr, through the entry point."""
+    code, err = entry_result(monkeypatch, capsys, "group", features, priors,
+                             "--out", tmp_path / "out.bin")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out.bin").exists()
+    return code, err
 
 
-def test_group_rejects_a_panoptic_volume_as_scores(tmp_path):
+def test_group_rejects_a_panoptic_volume_as_scores(tmp_path, monkeypatch, capsys):
     _, priors, feats, pred = build_chain(tmp_path)
     shutil.copy(pred, tmp_path / "wrong.bin")
     shutil.copy(feats.with_name("features_occupancy.bin"), tmp_path / "wrong_occupancy.bin")
-    code, err = group_error(tmp_path, tmp_path / "wrong.bin", priors)
+    code, err = group_error(monkeypatch, capsys, tmp_path, tmp_path / "wrong.bin", priors)
     assert code == 1
     assert err.startswith("error: ") and "wrong.bin" in err and "kind" in err
     assert "panoptic-volume" in err
 
 
-def test_group_rejects_channels_other_than_the_categories(tmp_path):
+def test_group_rejects_channels_other_than_the_categories(tmp_path, monkeypatch, capsys):
     _, priors, _, _ = build_chain(tmp_path)
     run("lift", str(priors), "--out", str(tmp_path / "topdown.bin"), "--mode", "top-down")
-    code, err = group_error(tmp_path, tmp_path / "topdown.bin", priors)
+    code, err = group_error(monkeypatch, capsys, tmp_path, tmp_path / "topdown.bin", priors)
     assert code == 1
     assert err.startswith("error: ") and "topdown.bin" in err and "channels 16" in err
 
 
-def test_group_rejects_occupancy_of_another_kind(tmp_path):
+def test_group_rejects_occupancy_of_another_kind(tmp_path, monkeypatch, capsys):
     _, priors, feats, _ = build_chain(tmp_path)
     shutil.copy(priors / "depth.bin", feats.with_name("features_occupancy.bin"))
-    code, err = group_error(tmp_path, feats, priors)
+    code, err = group_error(monkeypatch, capsys, tmp_path, feats, priors)
     assert code == 1
     assert err.startswith("error: ") and "features_occupancy.bin" in err
     assert "kind" in err and "'depth'" in err
 
 
-def test_group_rejects_features_in_another_frame(tmp_path):
+def test_group_rejects_features_in_another_frame(tmp_path, monkeypatch, capsys):
     _, priors, _, _ = build_chain(tmp_path)
     _, _, small_feats, _ = build_chain(tmp_path / "small", size=16)
-    code, err = group_error(tmp_path, small_feats, priors)
+    code, err = group_error(monkeypatch, capsys, tmp_path, small_feats, priors)
     assert code == 1
     assert err.startswith("error: ") and "features.bin" in err and "frame" in err
+
+
+def rewrite(path, kind, new_kind=None, **header):
+    """Rewrite the container at `path` as `new_kind`, with some of its frame,
+    intrinsics and planes replaced by `header`."""
+    cont = read_container(path, kind)
+    fields = {"frame": cont.frame, "intrinsics": cont.intrinsics, "planes": cont.planes}
+    containers.write_container(path, new_kind or kind, cont.array,
+                               **{**fields, **header})
+
+
+def test_group_rejects_features_with_other_planes(tmp_path, monkeypatch, capsys):
+    _, priors, feats, _ = build_chain(tmp_path)
+    planes = read_container(feats, "feature-volume").planes
+    rewrite(feats, "feature-volume", planes=dataclasses.replace(planes, z_far=9.0))
+    code, err = group_error(monkeypatch, capsys, tmp_path, feats, priors)
+    assert code == 1
+    assert err.startswith(f"error: {feats}: planes ") and "differs" in err
+
+
+@pytest.mark.parametrize("kind", ["id-0", "duplicate-id"])
+def test_group_rejects_bad_manifest_centers(tmp_path, monkeypatch, capsys, kind):
+    _, priors, feats, _ = build_chain(tmp_path)
+    corrupt_priors_dir(priors, "centers", kind)
+    code, err = group_error(monkeypatch, capsys, tmp_path, feats, priors)
+    assert code == 1
+    assert err.startswith("error: centers: instance ids must be >= 1 and distinct")
+
+
+def lift_error(monkeypatch, capsys, tmp_path, priors):
+    """Bottom-up `panrec lift`'s exit code and its one-line stderr."""
+    code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "f.bin")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "f.bin").exists()
+    return code, err
+
+
+def test_lift_rejects_a_prior_with_another_camera_and_planes(tmp_path, monkeypatch, capsys):
+    _, priors, _, _ = build_chain(tmp_path)
+    cont = read_container(priors / "mp_occupancy.bin", "multiplane")
+    rewrite(priors / "mp_occupancy.bin", "multiplane",
+            intrinsics=dataclasses.replace(cont.intrinsics, fx=2 * cont.intrinsics.fx),
+            planes=dataclasses.replace(cont.planes, z_far=9.0))
+    code, err = lift_error(monkeypatch, capsys, tmp_path, priors)
+    assert code == 1
+    assert err.startswith(f"error: {priors / 'mp_occupancy.bin'}: intrinsics ")
+
+
+def test_lift_rejects_a_heatmap_of_kind_depth(tmp_path, monkeypatch, capsys):
+    _, priors, _, _ = build_chain(tmp_path)
+    rewrite(priors / "heatmap.bin", "heatmap", new_kind="depth")
+    code, err = lift_error(monkeypatch, capsys, tmp_path, priors)
+    assert code == 1
+    assert err == f"error: {priors / 'heatmap.bin'}: kind is 'depth', expected 'heatmap'\n"
+
+
+@pytest.mark.parametrize("command, manifest_dir, name", [
+    ("derive-priors", "scene", "panoptic"),
+    ("lift", "priors", "heatmap"),
+    ("lift-top-down", "priors", "instances2d"),
+    ("group", "priors", "offsets3d"),
+    ("loss", "priors", "mp_occupancy"),
+])
+def test_missing_manifest_entry_is_one_error_line(tmp_path, monkeypatch, capsys, command,
+                                                  manifest_dir, name):
+    scene, priors, feats, _ = build_chain(tmp_path, size=16)
+    path = tmp_path / manifest_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["files"][name]
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out.bin"
+    args = {"derive-priors": ["derive-priors", scene, "--out", tmp_path / "p2"],
+            "lift": ["lift", priors, "--out", out],
+            "lift-top-down": ["lift", priors, "--out", out, "--mode", "top-down"],
+            "group": ["group", feats, priors, "--out", out],
+            "loss": ["loss", scene, priors]}[command]
+    code, err = entry_result(monkeypatch, capsys, *args)
+    assert code == 1
+    assert err == f"error: manifest {path} has no files entry {name!r}\n"
 
 
 def test_manifest_written_with_generator(tmp_path):
@@ -334,16 +417,16 @@ def corrupt_priors_dir(priors, field, kind):
         manifest["centers"][-1][3] = 0 if kind == "id-0" else manifest["centers"][0][3]
         path.write_text(json.dumps(manifest))
         return
-    path = priors / {"semantics": "semantics2d.bin"}.get(field, f"{field}.bin")
-    cont = read_container(path)
+    name = {"semantics": "semantics2d"}.get(field, field)
+    path = priors / f"{name}.bin"
+    cont = read_container(path, PRIOR_KINDS[name])
     array = cont.array.copy()
     if kind == "times-3":
         array *= 3.0
     else:
         array[2:4, 3:5] = {"nan": np.nan, "negative": -0.25, "above-1": 1.5}[kind]
-    channels = array.shape[-1] if field == "semantics" else 0
-    containers.write_container(path, cont.kind, array, cont.frame, cont.intrinsics, cont.planes,
-                               channels=channels)
+    containers.write_container(path, PRIOR_KINDS[name], array, cont.frame, cont.intrinsics,
+                               cont.planes)
 
 
 @pytest.mark.parametrize("field, kind", [
@@ -368,14 +451,14 @@ def test_commands_read_only_the_prior_files_they_use(tmp_path, monkeypatch):
     read = []
     read_file = containers.read_container
     monkeypatch.setattr(containers, "read_container",
-                        lambda path: read.append(Path(path).name) or read_file(path))
+                        lambda path, kind: read.append(Path(path).name) or read_file(path, kind))
     bundle = ["semantics2d.bin", "depth.bin", "heatmap.bin", "mp_occupancy.bin"]
     for args, files in (
         (["lift", priors, "--out", tmp_path / "f.bin"], bundle),
         (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"],
          ["depth.bin", "instances2d.bin"]),
         (["group", feats, priors, "--out", tmp_path / "p.bin"],
-         ["features.bin", "features_occupancy.bin", "offsets3d.bin"]),
+         ["offsets3d.bin", "features.bin", "features_occupancy.bin"]),
         (["loss", scene, priors], ["panoptic.bin", *bundle, "offsets3d.bin"]),
     ):
         read.clear()
@@ -401,3 +484,29 @@ def test_each_command_validates_its_bundle_once(tmp_path, monkeypatch):
         calls.clear()
         run(*map(str, args))
         assert len(calls) == count, args
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), width=st.integers(6, 24), height=st.integers(6, 24),
+       planes=st.integers(3, 24), things=st.integers(0, 4), stuff=st.integers(0, 2),
+       separation=st.floats(0.0, 8.0), occlusion=st.booleans())
+def test_cli_chain_writes_the_in_process_reconstruction(
+        tmp_path_factory, seed, width, height, planes, things, stuff, separation, occlusion):
+    try:
+        scene = generate_scene(SynthConfig(
+            seed=seed, width=width, height=height, planes=planes, n_things=things,
+            n_stuff=stuff, min_center_separation=separation, occlusion_allowed=occlusion))
+    except SynthError:
+        reject()
+    volume = reconstruct_from_priors(derive_priors(scene), scene.frame, scene.intrinsics,
+                                     scene.planes, scene.categories)
+    tmp = tmp_path_factory.mktemp("chain")
+    run("synth", "--seed", str(seed), "--out", str(tmp / "scene"), "--width", str(width),
+        "--height", str(height), "--planes", str(planes), "--things", str(things),
+        "--stuff", str(stuff), "--min-separation", repr(separation),
+        "--occlusion" if occlusion else "--no-occlusion")
+    run("derive-priors", str(tmp / "scene"), "--out", str(tmp / "priors"))
+    run("lift", str(tmp / "priors"), "--out", str(tmp / "features.bin"))
+    run("group", str(tmp / "features.bin"), str(tmp / "priors"), "--out", str(tmp / "pred.bin"))
+    containers.write_panoptic(tmp / "in_process.bin", volume, scene.intrinsics, scene.planes)
+    assert (tmp / "pred.bin").read_bytes() == (tmp / "in_process.bin").read_bytes()

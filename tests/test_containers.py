@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from panrec.containers import (
+    ANY,
     DTYPE_CODES,
     DTYPES,
+    FRAME as FRAME_DIMS,
+    IMAGE,
+    IMAGE_PLANES,
     KINDS,
     MAGIC,
     VERSION,
@@ -18,6 +22,7 @@ from panrec.containers import (
     manifest_intrinsics,
     manifest_planes,
     read_container,
+    read_containers,
     read_manifest,
     read_panoptic,
     write_container,
@@ -32,13 +37,21 @@ PLANES = DepthPlanes(count=8)
 FRAME = FrustumGrid(32, 32, 8)
 
 
+def camera(height, width):
+    return CameraIntrinsics(fx=float(width), fy=float(width), cx=(width - 1) / 2,
+                            cy=(height - 1) / 2, width=width, height=height)
+
+
+# The camera of the 4 x 4 depth maps below.
+INTR4 = camera(4, 4)
+
+
 def test_round_trip_frustum(tmp_path):
     rng = np.random.default_rng(0)
     arr = rng.random((32, 32, 8)).astype(np.float32)
     p = tmp_path / "a.bin"
     write_container(p, "multiplane", arr, FRAME, INTR, PLANES)
-    cont = read_container(p)
-    assert cont.kind == "multiplane"
+    cont = read_container(p, "multiplane")
     assert cont.array.dtype == np.float32
     assert np.array_equal(cont.array, arr)
     assert cont.frame == FRAME
@@ -50,8 +63,8 @@ def test_round_trip_axis_frame_and_channels(tmp_path):
     axis = AxisGrid(dims=(4, 5, 6), voxel_size=0.25, origin=(-1.0, 0.5, 2.0))
     arr = np.arange(4 * 5 * 6 * 3, dtype=np.float64).reshape(4, 5, 6, 3)
     p = tmp_path / "b.bin"
-    write_container(p, "offsets", arr, axis, INTR, PLANES, channels=3)
-    cont = read_container(p)
+    write_container(p, "feature-volume", arr, axis, INTR, PLANES)
+    cont = read_container(p, "feature-volume")
     assert np.array_equal(cont.array, arr)
     assert cont.frame == axis
 
@@ -65,51 +78,51 @@ def test_write_rerun_byte_identical(tmp_path):
 
 
 def test_write_validation(tmp_path):
-    arr = np.zeros((4, 4))
+    arr = np.zeros((32, 32))
     with pytest.raises(ContainerError):
         write_container(tmp_path / "x.bin", "nope", arr, FRAME, INTR, PLANES)
     with pytest.raises(ContainerError):
         write_container(tmp_path / "x.bin", "depth", arr.astype(np.float16),
                         FRAME, INTR, PLANES)
     with pytest.raises(ContainerError):
-        write_container(tmp_path / "x.bin", "offsets", np.zeros((4, 4, 2)),
-                        FRAME, INTR, PLANES, channels=3)
+        write_container(tmp_path / "x.bin", "offsets", np.zeros(FRAME.shape + (3,)),
+                        FRAME, INTR, PLANES)
     with pytest.raises(ContainerError):
         write_container(tmp_path / "x.bin", "depth", arr, object(), INTR, PLANES)
 
 
 def test_read_bad_magic_names_offset(tmp_path):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
     data = bytearray(p.read_bytes())
     data[:4] = b"JUNK"
     p.write_bytes(bytes(data))
     with pytest.raises(ContainerError, match="magic.*offset 0"):
-        read_container(p)
+        read_container(p, "depth")
 
 
 def test_read_bad_version_kind_dtype(tmp_path):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
     base = p.read_bytes()
     for offset, value, msg in ((4, 9, "version"), (6, 200, "kind"), (7, 99, "dtype")):
         data = bytearray(base)
         data[offset] = value
         p.write_bytes(bytes(data))
         with pytest.raises(ContainerError, match=msg):
-            read_container(p)
+            read_container(p, "depth")
 
 
 def test_read_truncated_payload(tmp_path):
     p = tmp_path / "short.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ContainerError, match="payload length"):
-        read_container(p)
+        read_container(p, "depth")
     p.write_bytes(data[:10])
     with pytest.raises(ContainerError, match="truncated"):
-        read_container(p)
+        read_container(p, "depth")
 
 
 def test_panoptic_round_trip(tmp_path, small_scene):
@@ -123,7 +136,7 @@ def test_panoptic_round_trip(tmp_path, small_scene):
 
 def test_panoptic_kind_checked(tmp_path):
     p = tmp_path / "d.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
     from panrec.volume import CategoryTable
 
     with pytest.raises(ContainerError, match="panoptic"):
@@ -171,6 +184,11 @@ def test_manifest_validation(tmp_path):
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match="contiguous"):
         read_manifest(mp)
+    man = manifest_dict(INTR, PLANES, cats, [], files={})
+    write_manifest(mp, man)
+    assert read_manifest(mp)["files"] == {}
+    with pytest.raises(ContainerError, match=f"manifest {mp} has no files entry 'depth'"):
+        read_manifest(mp, ["depth"])
 
 
 def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0):
@@ -179,7 +197,7 @@ def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0
     array = np.ascontiguousarray(array)
     dtype = array.dtype.newbyteorder("<")
     spatial = array.shape[:-1] if channels else array.shape
-    parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, KINDS.index(kind),
+    parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, list(KINDS).index(kind),
                          DTYPE_CODES[dtype], channels, len(spatial)),
              struct.pack(f"<{len(spatial)}I", *spatial)]
     if isinstance(frame, FrustumGrid):
@@ -197,19 +215,34 @@ def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0
 AXIS = AxisGrid(dims=(4, 5, 6), voxel_size=0.25, origin=(-1.0, 0.5, 2.0))
 
 
+def fitting_shape(kind, frame, intrinsics, planes, channels, pick=0):
+    """A payload shape that fits `kind`'s layout, and its channel count: the
+    `pick`-th (mod their number) spatial dims the kind may have, then
+    `channels` channels where the kind takes any count >= 1."""
+    layouts, want = KINDS[kind]
+    image = (intrinsics.height, intrinsics.width)
+    dims = {IMAGE: image, IMAGE_PLANES: image + (planes.count,), FRAME_DIMS: frame.shape}
+    count = channels if want == ANY else want
+    return dims[layouts[pick % len(layouts)]] + ((count,) if count else ()), count
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     code=st.sampled_from(sorted(DTYPES)),
     order=st.sampled_from("<>"),
     layout=st.sampled_from(["C", "F", "sliced"]),
-    spatial=st.lists(st.integers(1, 5), min_size=1, max_size=3),
-    channels=st.integers(0, 3),
-    frame=st.sampled_from([FRAME, AXIS]),
+    image=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    plane_count=st.integers(1, 5),
+    channels=st.integers(1, 3),
+    use_axis=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, spatial,
-                                      channels, frame, seed):
-    shape = tuple(spatial) + ((channels,) if channels else ())
+def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, image,
+                                      plane_count, channels, use_axis, seed):
+    kind = list(KINDS)[seed % len(KINDS)]
+    intr, planes = camera(*image), DepthPlanes(count=plane_count)
+    frame = AXIS if use_axis else FrustumGrid(image[1], image[0], plane_count)
+    shape, channels = fitting_shape(kind, frame, intr, planes, channels, pick=seed // 8)
     dtype = DTYPES[code].newbyteorder(order)
     rng = np.random.default_rng(seed)
     values = (rng.random(tuple(2 * n + 1 for n in shape)) * 255).astype(dtype)
@@ -220,11 +253,10 @@ def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, spa
         array = np.asfortranarray(array) if layout == "F" else np.ascontiguousarray(array)
     assert array.shape == shape
     path = tmp_path_factory.mktemp("oracle") / "c.bin"
-    kind = KINDS[seed % len(KINDS)]
-    write_container(path, kind, array, frame, INTR, PLANES, channels=channels)
-    assert path.read_bytes() == reference_container_bytes(kind, array, frame, INTR,
-                                                          PLANES, channels)
-    back = read_container(path)
+    write_container(path, kind, array, frame, intr, planes)
+    assert path.read_bytes() == reference_container_bytes(kind, array, frame, intr,
+                                                          planes, channels)
+    back = read_container(path, kind)
     assert back.array.dtype == DTYPES[code] and np.array_equal(back.array, array)
 
 
@@ -232,12 +264,61 @@ def test_overflowing_dims_product_is_a_payload_error(tmp_path):
     # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64, which an empty
     # payload would match.
     p = tmp_path / "huge.bin"
-    write_container(p, "multiplane", np.zeros((1, 1, 1), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "multiplane", np.zeros((1, 1, 1), np.float32), FrustumGrid(1, 1, 1),
+                    camera(1, 1), DepthPlanes(count=1))
     data = bytearray(p.read_bytes()[:-4])
     data[11:23] = struct.pack("<3I", 2**21, 2**21, 2**22)
     p.write_bytes(bytes(data))
     with pytest.raises(ContainerError, match="payload length 0 != expected"):
-        read_container(p)
+        read_container(p, "multiplane")
+
+
+def test_read_names_the_file_and_another_kind(tmp_path):
+    p = tmp_path / "heatmap.bin"
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    with pytest.raises(ContainerError, match=r"heatmap\.bin: kind is 'depth', expected 'heatmap'"):
+        read_container(p, "heatmap")
+
+
+@pytest.mark.parametrize("kind, shape, channels, field", [
+    ("depth", (3, 5), 0, "dims"),                  # not the 32 x 32 camera's image
+    ("heatmap", (32, 32, 8), 0, "dims"),           # an image has no planes
+    ("multiplane", (32, 32, 7), 0, "dims"),        # the header has 8 planes
+    ("feature-volume", (32, 32), 0, "dims"),       # not the frame
+    ("offsets", (32, 32, 8, 3), 3, "channels"),    # offsets have exactly 2
+    ("panoptic-volume", (32, 32, 8), 0, "channels"),
+    ("semantic-volume", (32, 32), 0, "channels"),  # at least 1
+    ("tsdf", (32, 32, 8, 1), 1, "channels"),       # none
+])
+def test_layout_breaks_are_rejected_by_reader_and_writer(tmp_path, kind, shape, channels,
+                                                         field):
+    p = tmp_path / "c.bin"
+    array = np.zeros(shape, np.float32)
+    p.write_bytes(reference_container_bytes(kind, array, FRAME, INTR, PLANES, channels))
+    with pytest.raises(ContainerError, match=f"c\\.bin: {kind} {field} "):
+        read_container(p, kind)
+    # The writer takes the channel axis from the kind, so it may name the other
+    # field; it fails before it opens the file.
+    w = tmp_path / "w.bin"
+    w.write_bytes(b"kept")
+    with pytest.raises(ContainerError, match=f"w\\.bin: {kind} (dims|channels) "):
+        write_container(w, kind, array, FRAME, INTR, PLANES)
+    assert w.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frame", FrustumGrid(32, 32, 7)),
+    ("intrinsics", CameraIntrinsics(fx=30.0, fy=32.0, cx=15.5, cy=15.5, width=32, height=32)),
+    ("planes", DepthPlanes(count=8, z_near=0.5)),
+])
+def test_read_containers_share_frame_camera_and_planes(tmp_path, field, value):
+    args = {"frame": FRAME, "intrinsics": INTR, "planes": PLANES}
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_container(a, "depth", np.zeros((32, 32)), *args.values())
+    write_container(b, "heatmap", np.zeros((32, 32)), *{**args, field: value}.values())
+    assert len(read_containers([(a, "depth"), (a, "depth")])) == 2
+    with pytest.raises(ContainerError, match=f"b\\.bin: {field} .* differs from .*a\\.bin's"):
+        read_containers([(a, "depth"), (b, "heatmap")])
 
 
 @pytest.mark.parametrize("frame, offset, fmt, value, field", [
@@ -250,25 +331,25 @@ def test_overflowing_dims_product_is_a_payload_error(tmp_path):
 ])
 def test_read_invalid_geometry_names_field(tmp_path, frame, offset, fmt, value, field):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), frame, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), frame, INTR4, PLANES)
     data = bytearray(p.read_bytes())
     struct.pack_into(fmt, data, offset, value)
     p.write_bytes(bytes(data))
     with pytest.raises(ContainerError, match=f"invalid {field}"):
-        read_container(p)
+        read_container(p, "depth")
 
 
 def test_short_payload_read_is_a_container_error(tmp_path, monkeypatch):
     # A file that shrinks between the size check and the read.
     p = tmp_path / "shrinking.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR, PLANES)
+    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
     full = p.stat().st_size
     p.write_bytes(p.read_bytes()[:-8])
     fstat = os.fstat
     monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
         fstat(fd)[:6] + (full,) + fstat(fd)[7:]))
     with pytest.raises(ContainerError, match="short read: 56 of 64"):
-        read_container(p)
+        read_container(p, "depth")
 
 
 def assert_fresh_array(array):
@@ -278,7 +359,8 @@ def assert_fresh_array(array):
 @settings(max_examples=100, deadline=None)
 @given(
     code=st.sampled_from(sorted(DTYPES)),
-    spatial=st.lists(st.integers(0, 4), min_size=0, max_size=4),
+    spatial=st.one_of(st.lists(st.integers(1, 4), min_size=2, max_size=2),
+                      st.lists(st.integers(0, 4), min_size=0, max_size=4)),
     channels=st.integers(0, 3),
     frustum=st.tuples(st.integers(1, 2**32 - 1), st.integers(1, 2**32 - 1),
                       st.integers(1, 2**32 - 1)),
@@ -292,24 +374,32 @@ def test_round_trip_property(tmp_path_factory, code, spatial, channels, frustum,
     shape = tuple(spatial) + ((channels,) if channels else ())
     array = np.asarray(np.random.default_rng(seed).integers(0, 256, size=shape),
                        DTYPES[code])
-    shape = shape or (1,)  # a 0-d array is written with shape (1,)
     n, voxel, o = axis
     frame = (AxisGrid(dims=(n, n, n), voxel_size=voxel, origin=(o, -o, o))
              if use_axis else FrustumGrid(*frustum))
+    # An image kind under a camera of the first two dims: the array fits its
+    # layout exactly when it has two spatial dims, both >= 1.
+    kind = "semantic-volume" if channels else "depth"
+    intr = camera(*(max(d, 1) for d in (list(spatial) + [1, 1])[:2]))
     path = tmp_path_factory.mktemp("prop") / "c.bin"
-    write_container(path, "tsdf", array, frame, INTR, PLANES, channels=channels)
-    cont = read_container(path)
+    if len(spatial) != 2 or 0 in spatial:
+        # 0-d arrays included: they would be written with shape (1,)
+        with pytest.raises(ContainerError, match=f"{kind} dims"):
+            write_container(path, kind, array, frame, intr, PLANES)
+        assert not path.exists()
+        return
+    write_container(path, kind, array, frame, intr, PLANES)
+    cont = read_container(path, kind)
     assert cont.array.dtype == DTYPES[code] and cont.array.shape == shape
-    assert np.array_equal(cont.array, array.reshape(shape))
-    assert (cont.kind, cont.frame, cont.intrinsics, cont.planes) == \
-        ("tsdf", frame, INTR, PLANES)
+    assert np.array_equal(cont.array, array)
+    assert (cont.frame, cont.intrinsics, cont.planes) == (frame, intr, PLANES)
     assert_fresh_array(cont.array)
 
 
-def read_or_reject(path):
+def read_or_reject(path, kind):
     """A damaged container either raises ContainerError or reads back whole."""
     try:
-        cont = read_container(path)
+        cont = read_container(path, kind)
     except ContainerError:
         return None
     assert isinstance(cont.frame, (FrustumGrid, AxisGrid))
@@ -321,17 +411,17 @@ def read_or_reject(path):
 def test_every_truncation_and_bit_flip_is_rejected_or_valid(tmp_path, frame):
     p = tmp_path / "c.bin"
     write_container(p, "depth", np.arange(16, dtype=np.float32).reshape(4, 4), frame,
-                    INTR, PLANES)
+                    INTR4, PLANES)
     data = p.read_bytes()
     for cut in range(len(data)):
         p.write_bytes(data[:cut])
-        assert read_or_reject(p) is None
+        assert read_or_reject(p, "depth") is None
     for offset in range(len(data)):
         for bit in range(8):
             damaged = bytearray(data)
             damaged[offset] ^= 1 << bit
             p.write_bytes(bytes(damaged))
-            read_or_reject(p)
+            read_or_reject(p, "depth")
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,9 +431,10 @@ def test_any_byte_change_is_rejected_or_valid(tmp_path_factory, offset, mask, us
                                               channels):
     p = tmp_path_factory.mktemp("flip") / "c.bin"
     shape = (3, 5) + ((channels,) if channels else ())
-    write_container(p, "offsets", np.ones(shape), AXIS if use_axis else FRAME, INTR,
-                    PLANES, channels=channels)
+    kind = "semantic-volume" if channels else "depth"
+    write_container(p, kind, np.ones(shape), AXIS if use_axis else FRAME, camera(3, 5),
+                    PLANES)
     damaged = bytearray(p.read_bytes())
     damaged[offset % len(damaged)] ^= mask
     p.write_bytes(bytes(damaged))
-    read_or_reject(p)
+    read_or_reject(p, kind)

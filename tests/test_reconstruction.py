@@ -582,3 +582,36 @@ def test_reconstruct_rejects_malformed_semantics(bad, monkeypatch):
     reconstruct_from_priors(derive_priors(scene), scene.frame, scene.intrinsics, scene.planes,
                             scene.categories)
     assert built == [1]
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**16), noisy=st.booleans(), on_axis=st.booleans(),
+       data=st.data())
+def test_a_bijection_on_center_ids_relabels_the_output_instances(seed, noisy, on_axis, data):
+    # Ground-truth priors, or noisy priors with extracted centers, on the
+    # frustum frame or the pinned 32^3 axis frame.
+    try:
+        scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": seed}))
+    except SynthError:
+        reject()
+    p = derive_priors(scene)
+    if noisy:
+        p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
+        p.centers = extract_centers(p.heatmap, p.semantics)
+    frame = GOLDEN_AXES["32"] if on_axis else scene.frame
+    p.offsets3d = resample_volume(p.offsets3d, scene.frame, frame, scene.intrinsics,
+                                  scene.planes)
+    ids = [c.instance_id for c in p.centers]
+    relabel = dict(zip(ids, data.draw(st.lists(st.integers(1, 2**31 - 1), min_size=len(ids),
+                                               max_size=len(ids), unique=True))))
+    moved = dataclasses.replace(p, centers=[
+        dataclasses.replace(c, instance_id=relabel[c.instance_id]) for c in p.centers])
+    args = (frame, scene.intrinsics, scene.planes, scene.categories)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thing cells with no center of their category
+        out, out_moved = reconstruct_from_priors(p, *args), reconstruct_from_priors(moved, *args)
+    assert out_moved.semantics.tobytes() == out.semantics.tobytes()
+    expected = out.instances.copy()
+    for old, new in relabel.items():
+        expected[out.instances == old] = new
+    assert out_moved.instances.tobytes() == expected.tobytes()
