@@ -54,12 +54,15 @@ PRIOR_KINDS = {
 }
 
 
-def _load_scene(scene_dir: Path) -> SceneGT:
+def _load_scene(scene_dir: Path):
+    """A scene's ground truth and panoptic file, whose header has the manifest's camera, planes."""
     manifest = C.read_manifest(scene_dir / "manifest.json", ["panoptic"])
-    categories = C.manifest_categories(manifest)
-    volume = C.read_panoptic(scene_dir / manifest["files"]["panoptic"], categories)
-    return SceneGT(volume=volume, intrinsics=C.manifest_intrinsics(manifest),
-                   planes=C.manifest_planes(manifest))
+    path = scene_dir / manifest["files"]["panoptic"]
+    cont = C.read_container(path, "panoptic-volume")
+    scene = SceneGT(C.panoptic_volume(cont, C.manifest_categories(manifest)),
+                    C.manifest_intrinsics(manifest), C.manifest_planes(manifest))
+    C.check_shared([(scene_dir / "manifest.json", scene), (path, cont)])
+    return scene, path
 
 
 def _write_scene(scene: SceneGT, out_dir: Path, generator=None):
@@ -91,27 +94,23 @@ def _write_priors(priors: Priors2D, scene: SceneGT, out_dir: Path):
     C.write_manifest(out_dir / "manifest.json", manifest)
 
 
-def _read_priors(priors_dir: Path, *names, also=()):
+def _read_priors(priors_dir: Path, *names, also=(), like=()):
     """A prior directory's manifest and the containers of the named prior files
-    only, then of `also`, (path, kind) pairs; all share one frame, camera, planes."""
+    only, then of `also`, (path, kind) pairs; all share one frame, camera, planes
+    with `like`, (path, header) pairs read before."""
     manifest = C.read_manifest(priors_dir / "manifest.json", names)
     files = [*((priors_dir / manifest["files"][n], PRIOR_KINDS[n]) for n in names), *also]
-    return manifest, C.read_containers(files)
+    return manifest, C.read_containers(files, like)
 
 
-def _load_priors(priors_dir: Path, offsets: bool):
+def _load_priors(priors_dir: Path, offsets: bool, like=()):
     """A prior bundle (offsets3d only if `offsets`) and its depth's frame, camera, planes."""
     names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
-    manifest, read = _read_priors(priors_dir, *names)
+    manifest, read = _read_priors(priors_dir, *names, like=like)
     semantics, depth, heatmap, mp_occupancy = read[:4]
-    priors = Priors2D(
-        semantics=semantics.array,
-        depth=depth.array,
-        centers=C.manifest_centers(manifest),
-        heatmap=heatmap.array,
-        mp_occupancy=mp_occupancy.array,
-        offsets3d=read[4].array if offsets else None,
-    )
+    priors = Priors2D(semantics=semantics.array, depth=depth.array,
+                      centers=C.manifest_centers(manifest), heatmap=heatmap.array,
+                      mp_occupancy=mp_occupancy.array, offsets3d=read[4].array if offsets else None)
     return priors, depth.frame, depth.intrinsics, depth.planes
 
 
@@ -152,7 +151,7 @@ def synth(seed, out_dir, width, height, planes, things, stuff, min_separation, o
 def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
                       semantic_flip, occupancy_flip, center_jitter):
     """Derive GT priors (optionally perturbed) from a scene directory."""
-    scene = _load_scene(scene_dir)
+    scene, _path = _load_scene(scene_dir)
     priors = derive_priors(scene, sigma=sigma)
     noise = NoiseSpec(depth_sigma=depth_sigma, semantic_flip=semantic_flip,
                       occupancy_flip=occupancy_flip, center_jitter=center_jitter)
@@ -249,10 +248,9 @@ def _format_report(report):
               required=True, help="Manifest supplying the category table.")
 def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
     """Panoptic reconstruction quality of PRED against GT."""
-    manifest = C.read_manifest(categories_from)
-    categories = C.manifest_categories(manifest)
-    pred = C.read_panoptic(pred_path, categories)
-    gt = C.read_panoptic(gt_path, categories)
+    categories = C.manifest_categories(C.read_manifest(categories_from))
+    pred, gt = (C.panoptic_volume(cont, categories) for cont in C.read_containers(
+        [(pred_path, "panoptic-volume"), (gt_path, "panoptic-volume")]))
     report = prq(pred, gt, iou_threshold)
     click.echo(_format_report(report))
     if record_path is not None:
@@ -272,10 +270,10 @@ def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
 def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
          w_occupancy3d, w_semantic3d, w_offset3d):
     """Loss report of a (possibly perturbed) prior bundle against scene GT."""
-    scene = _load_scene(scene_dir)
+    scene, scene_path = _load_scene(scene_dir)
+    pred, frame, intr, planes = _load_priors(priors_dir, offsets=True, like=[(scene_path, scene)])
     gt_priors = derive_priors(scene)
-    pred, frame, intr, planes = _load_priors(priors_dir, offsets=True)
-    occ_pred, sem_pred = lift_priors(pred, frame, intr, planes)
+    occ_pred, sem_pred, _labels = lift_priors(pred, frame, intr, planes)
     weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
                           occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
                           offset3d=w_offset3d)

@@ -88,36 +88,39 @@ class Container:
     planes: DepthPlanes
 
 
-def _check_layout(path, kind, spatial, channels, frame, intrinsics, planes):
-    """Raise ContainerError naming `path` unless `spatial` dims and `channels`
-    fit `kind`'s layout under this frame, camera and planes."""
+def _check_layout(kind, spatial, channels, frame, intrinsics, planes):
+    """Raise ContainerError unless `spatial` dims and `channels` fit `kind`'s
+    layout under this frame, camera and planes."""
     layouts, want = KINDS[kind]
     image = (intrinsics.height, intrinsics.width)
     dims = {IMAGE: image, IMAGE_PLANES: image + (planes.count,), FRAME: frame.shape}
     if tuple(spatial) not in [dims[layout] for layout in layouts]:
-        raise ContainerError(f"{path}: {kind} dims {tuple(spatial)} are not " + " or ".join(
+        raise ContainerError(f"{kind} dims {tuple(spatial)} are not " + " or ".join(
             f"{layout} = {dims[layout]}" for layout in layouts))
     if channels != want and not (want == ANY and channels >= 1):
-        raise ContainerError(f"{path}: {kind} channels {channels}, expected "
+        raise ContainerError(f"{kind} channels {channels}, expected "
                              f"{'>= 1' if want == ANY else want or 'none'}")
 
 
 def write_container(path, kind: str, array: np.ndarray, frame, intrinsics: CameraIntrinsics,
                     planes: DepthPlanes):
     """Serialize one array; its last axis is the channel axis if `kind` has one."""
-    if kind not in KINDS:
-        raise ContainerError(f"unknown payload kind {kind!r}")
-    if not isinstance(frame, (FrustumGrid, AxisGrid)):
-        raise ContainerError(f"unknown grid frame {frame!r}")
-    array = np.asarray(array)
-    dtype = array.dtype.newbyteorder("<")
-    if dtype not in DTYPE_CODES:
-        raise ContainerError(f"unsupported element type {array.dtype}")
-    # One conversion at most: C order and little-endian, no copy if already so.
-    array = np.ascontiguousarray(array, dtype=dtype)
-    spatial, channels = (array.shape[:-1], array.shape[-1]) if KINDS[kind][1] else \
-        (array.shape, 0)
-    _check_layout(path, kind, spatial, channels, frame, intrinsics, planes)
+    try:
+        if kind not in KINDS:
+            raise ContainerError(f"unknown payload kind {kind!r}")
+        if not isinstance(frame, (FrustumGrid, AxisGrid)):
+            raise ContainerError(f"unknown grid frame {frame!r}")
+        array = np.asarray(array)
+        dtype = array.dtype.newbyteorder("<")
+        if dtype not in DTYPE_CODES:
+            raise ContainerError(f"unsupported element type {array.dtype}")
+        # One conversion at most: C order and little-endian, no copy if already so.
+        array = np.ascontiguousarray(array, dtype=dtype)
+        spatial, channels = (array.shape[:-1], array.shape[-1]) if KINDS[kind][1] else \
+            (array.shape, 0)
+        _check_layout(kind, spatial, channels, frame, intrinsics, planes)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
     parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, list(KINDS).index(kind),
                          DTYPE_CODES[dtype], channels, len(spatial))]
     parts.append(struct.pack(f"<{len(spatial)}I", *spatial))
@@ -154,63 +157,73 @@ def _build(cls, what, **fields):
 
 def read_container(path, kind: str) -> Container:
     """Read and validate a container of `kind`; raises ContainerError naming the
-    bad field, and the file for a kind, dims or channels that break the layout."""
-    with open(path, "rb") as f:
-        data = f.read(_MAX_HEADER)
-        header, off = _unpack("<4sHBBHB", data, 0, "header")
-        magic, version, kind_code, dtype_code, channels, ndim = header
-        if magic != MAGIC:
-            raise ContainerError(f"bad magic {magic!r} at offset 0")
-        if version != VERSION:
-            raise ContainerError(f"unsupported format version {version}")
-        if kind_code >= len(KINDS):
-            raise ContainerError(f"unknown kind code {kind_code} at offset 6")
-        if list(KINDS)[kind_code] != kind:
-            raise ContainerError(f"{path}: kind is {list(KINDS)[kind_code]!r}, expected {kind!r}")
-        if dtype_code not in DTYPES:
-            raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
-        dims, off = _unpack(f"<{ndim}I", data, off, "dims")
-        (frame_tag,), off = _unpack("<B", data, off, "frame tag")
-        if frame_tag == 0:
-            (w, h, m), off = _unpack("<III", data, off, "frustum frame")
-            frame = _build(FrustumGrid, "frustum frame", width=w, height=h, planes=m)
-        elif frame_tag == 1:
-            vals, off = _unpack("<IIId3d", data, off, "axis frame")
-            frame = _build(AxisGrid, "axis frame", dims=vals[:3], voxel_size=vals[3],
-                           origin=vals[4:])
-        else:
-            raise ContainerError(f"unknown frame tag {frame_tag}")
-        (fx, fy, cx, cy, iw, ih), off = _unpack("<4dII", data, off, "intrinsics")
-        intrinsics = _build(CameraIntrinsics, "intrinsics", fx=fx, fy=fy, cx=cx, cy=cy,
-                            width=iw, height=ih)
-        (pcount, z_near, z_far), off = _unpack("<I2d", data, off, "planes")
-        planes = _build(DepthPlanes, "planes", count=pcount, z_near=z_near, z_far=z_far)
-        dtype = DTYPES[dtype_code]
-        shape = tuple(dims) + ((channels,) if channels else ())
-        # math.prod on Python ints: np.prod would wrap in int64.
-        expected = math.prod(shape) * dtype.itemsize
-        length = os.fstat(f.fileno()).st_size - off
-        if length != expected:
-            raise ContainerError(f"payload length {length} != expected {expected} "
-                                 "(field dims/channels)")
-        _check_layout(path, kind, dims, channels, frame, intrinsics, planes)
-        array = np.empty(shape, dtype)
-        f.seek(off)
-        got = f.readinto(array.reshape(-1).view(np.uint8))
-        if got != expected:
-            raise ContainerError(f"short read: {got} of {expected} payload bytes")
+    file and the bad field."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(_MAX_HEADER)
+            header, off = _unpack("<4sHBBHB", data, 0, "header")
+            magic, version, kind_code, dtype_code, channels, ndim = header
+            if magic != MAGIC:
+                raise ContainerError(f"bad magic {magic!r} at offset 0")
+            if version != VERSION:
+                raise ContainerError(f"unsupported format version {version}")
+            if kind_code >= len(KINDS):
+                raise ContainerError(f"unknown kind code {kind_code} at offset 6")
+            if list(KINDS)[kind_code] != kind:
+                raise ContainerError(f"kind is {list(KINDS)[kind_code]!r}, expected {kind!r}")
+            if dtype_code not in DTYPES:
+                raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
+            dims, off = _unpack(f"<{ndim}I", data, off, "dims")
+            (frame_tag,), off = _unpack("<B", data, off, "frame tag")
+            if frame_tag == 0:
+                (w, h, m), off = _unpack("<III", data, off, "frustum frame")
+                frame = _build(FrustumGrid, "frustum frame", width=w, height=h, planes=m)
+            elif frame_tag == 1:
+                vals, off = _unpack("<IIId3d", data, off, "axis frame")
+                frame = _build(AxisGrid, "axis frame", dims=vals[:3], voxel_size=vals[3],
+                               origin=vals[4:])
+            else:
+                raise ContainerError(f"unknown frame tag {frame_tag}")
+            (fx, fy, cx, cy, iw, ih), off = _unpack("<4dII", data, off, "intrinsics")
+            intrinsics = _build(CameraIntrinsics, "intrinsics", fx=fx, fy=fy, cx=cx, cy=cy,
+                                width=iw, height=ih)
+            (pcount, z_near, z_far), off = _unpack("<I2d", data, off, "planes")
+            planes = _build(DepthPlanes, "planes", count=pcount, z_near=z_near, z_far=z_far)
+            dtype = DTYPES[dtype_code]
+            shape = tuple(dims) + ((channels,) if channels else ())
+            # math.prod on Python ints: np.prod would wrap in int64.
+            expected = math.prod(shape) * dtype.itemsize
+            length = os.fstat(f.fileno()).st_size - off
+            if length != expected:
+                raise ContainerError(f"payload length {length} != expected {expected} "
+                                     "(field dims/channels)")
+            _check_layout(kind, dims, channels, frame, intrinsics, planes)
+            array = np.empty(shape, dtype)
+            f.seek(off)
+            got = f.readinto(array.reshape(-1).view(np.uint8))
+            if got != expected:
+                raise ContainerError(f"short read: {got} of {expected} payload bytes")
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
     return Container(array=array, frame=frame, intrinsics=intrinsics, planes=planes)
 
 
-def read_containers(files) -> list:
-    """The containers of `files`, (path, kind) pairs, after checking that they
-    share the first one's frame, intrinsics and planes."""
-    read = [read_container(path, kind) for path, kind in files]
-    for (path, _kind), cont in zip(files, read):
+def check_shared(headers):
+    """Raise ContainerError naming the file unless each (path, header) pair's
+    header (anything with these fields) has the first's frame, intrinsics, planes."""
+    (first_path, first), *rest = headers
+    for path, header in rest:
         for field in ("frame", "intrinsics", "planes"):
-            if getattr(cont, field) != getattr(read[0], field):
-                raise ContainerError(f"{path}: {field} {getattr(cont, field)} differs from "
-                                     f"{files[0][0]}'s {getattr(read[0], field)}")
+            if getattr(header, field) != getattr(first, field):
+                raise ContainerError(f"{path}: {field} {getattr(header, field)} differs from "
+                                     f"{first_path}'s {getattr(first, field)}")
+
+
+def read_containers(files, like=()) -> list:
+    """The containers of `files`, (path, kind) pairs, after `check_shared` over
+    `like`, (path, header) pairs read before, and them."""
+    read = [read_container(path, kind) for path, kind in files]
+    check_shared([*like, *zip([path for path, _kind in files], read)])
     return read
 
 
@@ -220,14 +233,14 @@ def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
     write_container(path, "panoptic-volume", stacked, volume.frame, intrinsics, planes)
 
 
+def panoptic_volume(cont: Container, categories: CategoryTable) -> PanopticVolume:
+    """The validated volume of a panoptic-volume container."""
+    return PanopticVolume(frame=cont.frame, semantics=cont.array[..., 0],
+                          instances=cont.array[..., 1], categories=categories).validate()
+
+
 def read_panoptic(path, categories: CategoryTable) -> PanopticVolume:
-    cont = read_container(path, "panoptic-volume")
-    return PanopticVolume(
-        frame=cont.frame,
-        semantics=cont.array[..., 0],
-        instances=cont.array[..., 1],
-        categories=categories,
-    ).validate()
+    return panoptic_volume(read_container(path, "panoptic-volume"), categories)
 
 
 def manifest_dict(intrinsics, planes, categories, centers, files, generator=None):
@@ -263,13 +276,13 @@ def read_manifest(path, entries=()) -> dict:
             raise ContainerError(f"manifest {path} is missing field {key!r}")
     ids = [c["id"] for c in manifest["categories"]]
     if ids != list(range(len(ids))):
-        raise ContainerError("category ids must be contiguous from 0")
+        raise ContainerError(f"manifest {path}: category ids must be contiguous from 0")
     for name in entries:
         if name not in manifest["files"]:
             raise ContainerError(f"manifest {path} has no files entry {name!r}")
     for name, ref in manifest["files"].items():
         if not (path.parent / ref).exists():
-            raise ContainerError(f"manifest references missing file {ref!r} ({name})")
+            raise ContainerError(f"manifest {path} references missing file {ref!r} ({name})")
     return manifest
 
 

@@ -17,11 +17,20 @@ from .geometry import (
     project_cells,
 )
 from .priors import Priors2D, checked_depth
+from .volume import VOID
 
 
-# Cells per row evaluation in `occupancy_aware_lift`: its temporaries
-# stay a few MB instead of growing with the grid.
+# Cells per block in `occupancy_aware_lift` and `lift_priors`' labels: their
+# temporaries stay a few MB, reused block to block, instead of growing with the grid.
 LIFT_BLOCK = 1 << 16
+
+# A cell takes its pixel's first argmax channel b, of top score t. Its row is
+# (s * occupancy) * gate per channel s; rounding is monotone, so no channel can
+# overtake b, and in the normal range each product errs by at most 2**-53, so a
+# channel below t * (1 - 2**-50) stays strictly below b: no new tie. Cells whose
+# pixel has another channel within this margin of t, or whose score at b is
+# subnormal (where that bound fails), are labeled from their rows.
+LABEL_MARGIN = 2.0 ** -40
 
 
 class LiftingError(ValueError):
@@ -61,11 +70,22 @@ def surface_planes(depth: np.ndarray, planes: DepthPlanes):
     return m, (depth > 0) & (m != OUT_OF_RANGE)
 
 
+def scores_to_labels(scores: np.ndarray) -> np.ndarray:
+    """(N, C) scores -> int32 labels: argmax with the first index winning ties,
+    VOID where no score is > 0."""
+    best = np.argmax(scores, axis=-1)
+    # The score at the argmax is the row maximum (NaN if any score is NaN).
+    top = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
+    return np.where(top > 0, best, VOID).astype(np.int32)
+
+
 def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
-    """`Priors2D.validate`, then the occupancy-aware lift: (occupancy, rows).
+    """`Priors2D.validate`, then the occupancy-aware lift: (occupancy, rows, labels).
     `occupancy` is the multi-plane occupancy at every cell, zero in free space
     (in front of the depth surface) and on rays with no surface; `rows` maps
-    flat cell indices to their (N, C) features: pixel semantics times it."""
+    flat cell indices to their (N, C) features: pixel semantics times it. For gates
+    in (0, 1], `labels(cells, gate)` is `scores_to_labels(rows(cells) * gate[:, None])`
+    bit for bit, from one argmax per pixel (see LABEL_MARGIN)."""
     priors.validate(frame, intrinsics, planes)
     depth = np.asarray(priors.depth, dtype=np.float64)
     mp_occupancy = np.asarray(priors.mp_occupancy, dtype=np.float64)
@@ -87,14 +107,31 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         out *= occupancy.reshape(-1)[cells, None]
         return out
 
-    return occupancy, rows
+    def labels(cells, gate):
+        best = np.argmax(pixels, axis=1).astype(np.int32)
+        top = np.take_along_axis(pixels, best[:, None], axis=1)[:, 0]
+        close = (pixels >= (top * (1 - LABEL_MARGIN))[:, None]) @ np.ones(pixels.shape[1]) > 1
+        out = np.empty(len(cells), dtype=np.int32)
+        for start in range(0, len(cells), LIFT_BLOCK):
+            block, g = cells[start:start + LIFT_BLOCK], gate[start:start + LIFT_BLOCK]
+            pixel, _inside = cell_pixels(frame, intrinsics, block)
+            score = np.take(top, pixel) * np.take(occupancy, block) * g
+            hit = score > 0
+            label = np.take(best, pixel, out=out[start:start + LIFT_BLOCK])
+            label[~hit] = VOID
+            exact = np.flatnonzero(hit & (np.take(close, pixel) | (score < np.finfo(float).tiny)))
+            if exact.size:
+                label[exact] = scores_to_labels(rows(block[exact]) * g[exact, None])
+        return out
+
+    return occupancy, rows, labels
 
 
 def occupancy_aware_lift(priors: Priors2D, frame, intrinsics: CameraIntrinsics,
                          planes: DepthPlanes) -> FeatureVolume:
     """Hadamard product of lifted semantics and lifted occupancy, dense:
     `lift_priors`' rows at every cell, evaluated in blocks of LIFT_BLOCK cells."""
-    occ, rows = lift_priors(priors, frame, intrinsics, planes)
+    occ, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
     features = np.empty(occ.shape + np.shape(priors.semantics)[-1:])
     flat = features.reshape(occ.size, features.shape[-1])
     for start in range(0, occ.size, LIFT_BLOCK):

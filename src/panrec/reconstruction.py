@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, project_cells
-from .lifting import FeatureVolume
+from .lifting import LIFT_BLOCK, FeatureVolume, scores_to_labels
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -19,15 +19,15 @@ class ReconstructionError(ValueError):
 
 @dataclass
 class Refined3D:
-    """Per-cell semantic scores, pixel offsets, and occupancy over one frame.
+    """Per-cell semantic labels, pixel offsets, and occupancy over one frame.
 
-    `semantics` maps flat cell indices to fresh (N, C) score rows
-    (`lifting.lift_priors`), which the tail may scale in place; offsets and
-    occupancy cover the frame.
+    `labels(cells, gate)` labels the flat cell indices `cells` by their score
+    rows scaled by `gate`: `lifting.lift_priors`' per-pixel labeler, or the
+    row reduction of `identity_refine`. Offsets and occupancy cover the frame.
     """
 
     frame: object
-    semantics: Callable     # cells -> (N, C) rows
+    labels: Callable        # (cells, gate) -> (N,) int32 labels
     offsets: np.ndarray     # (..., 2) as (du, dv)
     occupancy: np.ndarray   # (...) in [0, 1]
 
@@ -45,40 +45,32 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
     """Pack lifted semantics with externally provided offsets and occupancy.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
-    unchanged. The dense `lifted.features` become score rows here.
+    unchanged. Its labeler reduces the dense `lifted.features` row by row.
     """
     features = lifted.features
     if features.shape[:-1] != lifted.frame.shape:
         raise ReconstructionError(f"features shape {features.shape} does not cover the "
                                   f"frame {lifted.frame.shape}")
     flat = features.reshape(-1, features.shape[-1])
-    return Refined3D(lifted.frame, lambda cells: flat[cells], offsets, occupancy)
-
-
-def scores_to_labels(scores: np.ndarray) -> np.ndarray:
-    """(N, C) scores -> int32 labels: argmax with the first index winning ties,
-    VOID where no score is > 0."""
-    best = np.argmax(scores, axis=-1)
-    # The score at the argmax is the row maximum (NaN if any score is NaN).
-    top = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
-    return np.where(top > 0, best, VOID).astype(np.int32)
+    labels = lambda cells, gate: scores_to_labels(flat[cells] * gate[:, None])
+    return Refined3D(lifted.frame, labels, offsets, occupancy)
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
-    """Labels of the occupied cells.
+    """Labels of the occupied cells, listed LIFT_BLOCK cells at a time.
 
     Returns (cells, labels, gate): the ascending flat indices of the cells with
-    occupancy >= `occ_threshold`, their labels (`scores_to_labels` of the score
-    rows times the occupancy), and that occupancy, which is > 0.
+    occupancy >= `occ_threshold`, their labels (`refined.labels` gated by that
+    occupancy: the argmax of the score rows times it, void where no score is
+    > 0), and that occupancy, which is > 0.
     """
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
     occ = refined.occupancy.reshape(-1)
-    cells = np.flatnonzero(occ >= occ_threshold)
-    gate = occ[cells]
-    scores = np.asarray(refined.semantics(cells), dtype=np.float64)
-    scores *= gate[:, None]
-    return cells, scores_to_labels(scores), gate
+    cells = np.concatenate([np.flatnonzero(occ[start:start + LIFT_BLOCK] >= occ_threshold) + start
+                            for start in range(0, occ.size, LIFT_BLOCK)])
+    gate = np.take(occ, cells)
+    return cells, refined.labels(cells, gate), gate
 
 
 @dataclass

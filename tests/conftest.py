@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from panrec.geometry import AxisGrid, FrustumGrid, OUT_OF_RANGE, plane_index, round_half_up
-from panrec.lifting import FeatureVolume
+from panrec.lifting import FeatureVolume, scores_to_labels
 from panrec.priors import Priors2D, derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene
 
@@ -67,9 +67,16 @@ def array_digest(*arrays, extra=b""):
 
 def rows_of(volume):
     """A dense (..., C) score volume as the cells -> (N, C) row function that
-    `Refined3D.semantics` and `loss_3d` take."""
+    `loss_3d` takes."""
     flat = np.reshape(volume, (-1, np.shape(volume)[-1]))
     return lambda cells: flat[cells]
+
+
+def labels_of(volume):
+    """A dense (..., C) score volume as the (cells, gate) -> labels function
+    that `Refined3D.labels` takes: the row reduction of `identity_refine`."""
+    rows = rows_of(volume)
+    return lambda cells, gate: scores_to_labels(rows(cells) * gate[:, None])
 
 
 def bundle(semantics, mp_occupancy, depth, **fields):

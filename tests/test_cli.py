@@ -249,6 +249,57 @@ def test_lift_rejects_a_heatmap_of_kind_depth(tmp_path, monkeypatch, capsys):
     assert err == f"error: {priors / 'heatmap.bin'}: kind is 'depth', expected 'heatmap'\n"
 
 
+def test_lift_names_a_truncated_prior_file(tmp_path, monkeypatch, capsys):
+    _, priors, _, _ = build_chain(tmp_path)
+    path = priors / "heatmap.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    code, err = lift_error(monkeypatch, capsys, tmp_path, priors)
+    assert code == 1
+    payload = 32 * 32 * 8
+    assert err == (f"error: {path}: payload length {payload - 8} != expected {payload} "
+                   "(field dims/channels)\n")
+
+
+@pytest.mark.parametrize("case", ["manifest", "manifest-and-header", "frame"])
+def test_loss_rejects_a_scene_of_another_camera_or_frame(tmp_path, monkeypatch, capsys, case):
+    # 32^3 seed-3 priors against a seed-4 scene whose manifest (and header) say
+    # fx 64 and z_far 9.0, or against a 16^3 scene
+    _, priors, _, _ = build_chain(tmp_path)
+    scene = tmp_path / "other"
+    size = "16" if case == "frame" else "32"
+    run("synth", "--seed", "4", "--out", str(scene), "--width", size, "--height", size,
+        "--planes", size, "--things", "3", "--min-separation", "8")
+    manifest = json.loads((scene / "manifest.json").read_text())
+    manifest["intrinsics"]["fx"], manifest["planes"]["z_far"] = 64.0, 9.0
+    if case != "frame":
+        (scene / "manifest.json").write_text(json.dumps(manifest))
+    if case == "manifest-and-header":
+        rewrite(scene / "panoptic.bin", "panoptic-volume",
+                intrinsics=containers.manifest_intrinsics(manifest),
+                planes=containers.manifest_planes(manifest))
+    code, err = entry_result(monkeypatch, capsys, "loss", scene, priors)
+    assert code == 1 and err.count("\n") == 1, err
+    named, field = {"manifest": (scene / "panoptic.bin", "intrinsics"),
+                    "manifest-and-header": (priors / "semantics2d.bin", "intrinsics"),
+                    "frame": (priors / "semantics2d.bin", "frame")}[case]
+    assert err.startswith(f"error: {named}: {field} ") and "differs from" in err
+
+
+@pytest.mark.parametrize("field", ["intrinsics", "planes"])
+def test_eval_rejects_pred_and_gt_of_another_camera_or_planes(tmp_path, monkeypatch, capsys,
+                                                             field):
+    scene, priors, _, pred = build_chain(tmp_path)
+    gt = scene / "panoptic.bin"
+    cont = read_container(gt, "panoptic-volume")
+    other = {"intrinsics": dataclasses.replace(cont.intrinsics, fx=64.0),
+             "planes": dataclasses.replace(cont.planes, z_far=9.0)}[field]
+    rewrite(gt, "panoptic-volume", **{field: other})
+    code, err = entry_result(monkeypatch, capsys, "eval", pred, gt, "--categories-from",
+                             priors / "manifest.json")
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {gt}: {field} ") and f"differs from {pred}'s" in err
+
+
 @pytest.mark.parametrize("command, manifest_dir, name", [
     ("derive-priors", "scene", "panoptic"),
     ("lift", "priors", "heatmap"),

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from panrec import lifting
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
 from panrec.lifting import (
     CategorySortedAssignment,
@@ -10,6 +14,7 @@ from panrec.lifting import (
     lift_instances_topdown,
     lift_priors,
     occupancy_aware_lift,
+    scores_to_labels,
 )
 from panrec.priors import (
     PriorsError,
@@ -19,7 +24,7 @@ from panrec.priors import (
     derive_priors,
     derive_semantics2d,
 )
-from panrec.synth import SynthConfig, generate_scene, perturb_priors
+from panrec.synth import SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
     GOLDEN_AXES,
@@ -83,8 +88,8 @@ def test_lift_semantics_shape_mismatch(small_scene):
 def test_lift_occupancy_reproduces_scene(small_scene):
     priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
                     derive_depth(small_scene))
-    lifted, _rows = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
-                                small_scene.planes)
+    lifted, _rows, _labels = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
+                                         small_scene.planes)
     assert np.array_equal(lifted > 0, small_scene.volume.occupancy)
 
 
@@ -93,9 +98,9 @@ def test_lift_occupancy_constants(small_scene):
     m = small_scene.planes.count
     depth = np.full((h, w), small_scene.planes.center(0))
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    ones, _rows = lift_priors(bundle(np.ones((h, w, 1)), np.ones((h, w, m)), depth), *args)
+    ones, *_ = lift_priors(bundle(np.ones((h, w, 1)), np.ones((h, w, m)), depth), *args)
     assert np.all(ones == 1.0)
-    zeros, _rows = lift_priors(bundle(np.ones((h, w, 1)), np.zeros((h, w, m)), depth), *args)
+    zeros, *_ = lift_priors(bundle(np.ones((h, w, 1)), np.zeros((h, w, m)), depth), *args)
     assert np.all(zeros == 0.0)
 
 
@@ -336,7 +341,7 @@ def test_occupancy_aware_lift_equals_dense_reference(case):
         return
     fv = occupancy_aware_lift(priors, frame, intrinsics, planes)
     ref = reference_occupancy_aware_lift(*case)
-    occ, rows = lift_priors(priors, frame, intrinsics, planes)
+    occ, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
     cells = np.arange(ref.occupancy.size)[::-1]
     picked = rows(cells)
     assert occ.tobytes() == ref.occupancy.tobytes()
@@ -346,3 +351,111 @@ def test_occupancy_aware_lift_equals_dense_reference(case):
     # rows at cells in any order are the reference's rows byte for byte
     dense = ref.features.reshape(-1, sem.shape[-1])
     assert picked.tobytes() == dense[cells].tobytes()
+
+
+@st.composite
+def labeler_cases(draw):
+    """Bundles whose channels sit at t * (1 - 2**-k) of their pixel's top score
+    t for k in 38..53, or tie with it exactly; tops near 1e-300 with small
+    occupancies and gates, so scores are subnormal; all-zero pixels and cells
+    with occupancy 0; on a frustum or an axis frame. Returns the bundle, its
+    frame, camera and planes, cells in any order and gates in (0, 1]."""
+    h, w, m = (draw(st.integers(1, 4)) for _ in range(3))
+    c = draw(st.integers(2, 5))
+    top = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(1e-3, 1e3), st.floats(1e-305, 1e-295), st.just(0.0))))
+    near = st.integers(38, 53).map(lambda k: 1 - 2.0 ** -k)
+    rel = draw(hnp.arrays(np.float64, (h, w, c), elements=st.one_of(
+        near, st.just(1.0), st.floats(0, 1), st.just(0.0))))
+    planes = DepthPlanes(count=m)
+    depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(planes.z_near, planes.z_far), st.just(0.0))))
+    small = st.floats(1e-14, 1e-6)
+    mp = draw(hnp.arrays(np.float64, (h, w, m), elements=st.one_of(
+        st.floats(0, 1), st.just(1.0), small, st.just(0.0))))
+    intrinsics = CameraIntrinsics(fx=float(w), fy=float(h), cx=(w - 1) / 2,
+                                  cy=(h - 1) / 2, width=w, height=h)
+    if draw(st.sampled_from(["frustum", "axis"])) == "frustum":
+        frame = FrustumGrid(w, h, m)
+    else:
+        n = draw(st.integers(2, 4))
+        frame = AxisGrid(dims=[n, n, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, 0.4])
+    size = int(np.prod(frame.shape))
+    cells = np.asarray(draw(st.permutations(range(size))), dtype=np.int64)
+    gate = draw(hnp.arrays(np.float64, size, elements=st.one_of(
+        st.floats(0, 1, exclude_min=True), st.just(1.0), small)))
+    return bundle(top[..., None] * rel, mp, depth), frame, intrinsics, planes, cells, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeler_cases())
+def test_labels_equal_the_row_reduction(case):
+    priors, frame, intrinsics, planes, cells, gate = case
+    occ, rows, labels = lift_priors(priors, frame, intrinsics, planes)
+    expected = scores_to_labels(rows(cells) * gate[:, None])
+    assert labels(cells, gate).tobytes() == expected.tobytes()
+    # the cells that the tail labels: occupancy at or above a threshold, gated by it
+    for threshold in (0.5, 1e-9):
+        occupied = np.flatnonzero(occ >= threshold)
+        gate = occ.reshape(-1)[occupied]
+        expected = scores_to_labels(rows(occupied) * gate[:, None])
+        assert labels(occupied, gate).tobytes() == expected.tobytes()
+
+
+def test_labels_of_subnormal_scores_come_from_rows():
+    # 1e-300 * 1e-20 is subnormal: channel 0, 2**-20 below channel 1, rounds to
+    # the same score, so the row's first argmax is channel 0, not the pixel's 1
+    sem = np.array([1e-300 * (1 - 2.0 ** -20), 1e-300]).reshape(1, 1, 2)
+    priors = bundle(sem, np.full((1, 1, 1), 1e-20), np.ones((1, 1)))
+    args = (FrustumGrid(1, 1, 1),
+            CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=1),
+            DepthPlanes(count=1))
+    _occ, rows, labels = lift_priors(priors, *args)
+    cells, gate = np.zeros(1, dtype=np.int64), np.ones(1)
+    assert np.argmax(sem) == 1 and rows(cells)[0, 0] == rows(cells)[0, 1] > 0
+    assert labels(cells, gate).tolist() == scores_to_labels(rows(cells)).tolist() == [0]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("on_axis", [False, True])
+def test_one_hot_bundles_take_no_row_fallback(monkeypatch, noisy, on_axis):
+    # GT-derived and crowded-noisy-96 semantics are one-hot: every occupied
+    # cell takes its pixel's label, and no score row is reduced
+    reduced = []
+    reduce = lifting.scores_to_labels
+    monkeypatch.setattr(lifting, "scores_to_labels",
+                        lambda scores: reduced.append(len(scores)) or reduce(scores))
+    for seed in range(3):
+        try:
+            scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": seed}))
+        except SynthError:
+            continue
+        p = derive_priors(scene)
+        if noisy:
+            p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
+        frame = GOLDEN_AXES["32"] if on_axis else scene.frame
+        occ, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
+        cells = np.flatnonzero(occ >= 0.5)
+        assert cells.size and labels(cells, occ.reshape(-1)[cells]).any()
+        assert reduced == []
+        # ties between channels send their pixels' cells to the rows
+        p.semantics[:] = p.semantics.max(axis=-1, keepdims=True)
+        _occ, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
+        labels(cells, occ.reshape(-1)[cells])
+        assert 0 < sum(reduced) <= cells.size
+        reduced.clear()
+
+
+def test_lift_leaves_no_reference_cycle(small_priors, small_scene):
+    # reference counting alone frees the lift's arrays: no cycle holds them
+    gc.collect()
+    gc.disable()
+    try:
+        occ, rows, labels = lift_priors(small_priors, small_scene.frame,
+                                        small_scene.intrinsics, small_scene.planes)
+        labels(np.arange(8), np.ones(8))
+        freed = weakref.ref(occ)
+        del occ, rows, labels
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -291,7 +291,7 @@ def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     lifted = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
                                             priors.depth, *args)
-    occ_pred, rows = lift_priors(priors, *args)
+    occ_pred, rows, _labels = lift_priors(priors, *args)
     _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     labels = small_scene.volume.semantics
     one_hot = np.eye(small_scene.categories.num_categories)[labels]

@@ -14,7 +14,7 @@ from panrec.geometry import (
     FrustumGrid,
     resample_volume,
 )
-from panrec.lifting import FeatureVolume, lift_priors, occupancy_aware_lift
+from panrec.lifting import FeatureVolume, lift_priors, occupancy_aware_lift, scores_to_labels
 from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
 from panrec import lifting
 from panrec.priors import (
@@ -41,8 +41,8 @@ from conftest import (
     GOLDEN_AXES,
     GOLDEN_LIFT_SCENES,
     array_digest,
+    labels_of,
     reference_occupancy_aware_lift,
-    rows_of,
     seeded_scenes,
 )
 
@@ -56,7 +56,7 @@ def make_refined(sem=None, offs=None, occ=None):
     shape = FRAME.shape
     return Refined3D(
         frame=FRAME,
-        semantics=rows_of(np.zeros(shape + (4,)) if sem is None else sem),
+        labels=labels_of(np.zeros(shape + (4,)) if sem is None else sem),
         offsets=np.zeros(shape + (2,)) if offs is None else offs,
         occupancy=np.zeros(shape) if occ is None else occ,
     )
@@ -266,7 +266,9 @@ def test_identity_refine_passthrough_and_errors():
     occ = np.full(FRAME.shape, 0.25)
     refined = identity_refine(fv, offs, occ)
     cells = np.arange(fv.occupancy.size)
-    assert np.array_equal(refined.semantics(cells), fv.features.reshape(-1, 4))
+    gate = occ.reshape(-1)
+    assert np.array_equal(refined.labels(cells, gate),
+                          scores_to_labels(fv.features.reshape(-1, 4) * gate[:, None]))
     assert np.array_equal(refined.occupancy, occ)
     with pytest.raises(ReconstructionError):
         identity_refine(fv, np.zeros((2, 2, 2, 2)), occ)
@@ -377,12 +379,12 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
     assert np.array_equal(out.instances, ref.instances)
     assert len(warned) == len(ref_warned)
     # the stages in between: feature rows, labels and gated offsets
-    occ, rows = lift_priors(priors, frame, intrinsics, planes)
+    occ, rows, labels = lift_priors(priors, frame, intrinsics, planes)
     dense = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
                                            intrinsics, planes).features
     cells = np.flatnonzero(occ > 0)
     assert np.array_equal(rows(cells), dense.reshape(-1, dense.shape[-1])[cells])
-    cells, labels, gate = mask_by_occupancy(Refined3D(frame, rows, priors.offsets3d, occ),
+    cells, labels, gate = mask_by_occupancy(Refined3D(frame, labels, priors.offsets3d, occ),
                                             occ_threshold)
     assert np.array_equal(cells, np.flatnonzero(occ >= occ_threshold))
     assert np.array_equal(labels, ref_labels.ravel()[cells])
@@ -508,6 +510,38 @@ def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
         priors.offsets3d = rng.normal(size=axis.shape + (2,))
         out = assert_label_first_matches_dense(priors, axis, *args)
         assert out.instances.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), kind=st.sampled_from(["gt", "noisy", "soft"]),
+       on_axis=st.booleans(), k=st.integers(-64, 64))
+def test_scaling_semantics_by_a_power_of_two_changes_no_label(seed, kind, on_axis, k):
+    # Ground-truth priors, noisy priors with extracted centers, or noisy priors
+    # with soft semantics and soft occupancy, on the frustum frame or the pinned
+    # 32^3 axis frame. Scaling by 2**k is exact in float64, so no score changes
+    # its order: semantics and instances stay byte-identical.
+    try:
+        scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": seed}))
+    except SynthError:
+        reject()
+    p = derive_priors(scene)
+    if kind != "gt":
+        p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
+        p.centers = extract_centers(p.heatmap, p.semantics)
+    if kind == "soft":
+        rng = np.random.default_rng(seed)
+        p.semantics = 0.7 * p.semantics + rng.uniform(0, 0.3, p.semantics.shape)
+        p.mp_occupancy = p.mp_occupancy * rng.uniform(0.2, 1.0, p.mp_occupancy.shape)
+    frame = GOLDEN_AXES["32"] if on_axis else scene.frame
+    p.offsets3d = resample_volume(p.offsets3d, scene.frame, frame, scene.intrinsics,
+                                  scene.planes)
+    scaled = dataclasses.replace(p, semantics=p.semantics * 2.0 ** k)
+    args = (frame, scene.intrinsics, scene.planes, scene.categories)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thing cells with no center of their category
+        out, out_scaled = reconstruct_from_priors(p, *args), reconstruct_from_priors(scaled, *args)
+    assert out_scaled.semantics.tobytes() == out.semantics.tobytes()
+    assert out_scaled.instances.tobytes() == out.instances.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
