@@ -260,15 +260,19 @@ def test_assemble_output_validates(small_scene):
 
 
 def test_identity_refine_passthrough_and_errors():
-    fv = FeatureVolume(frame=FRAME, features=np.ones(FRAME.shape + (4,)),
+    rng = np.random.default_rng(4)
+    fv = FeatureVolume(frame=FRAME, features=rng.random(FRAME.shape + (4,)),
                        occupancy=np.ones(FRAME.shape))
     offs = np.zeros(FRAME.shape + (2,))
     occ = np.full(FRAME.shape, 0.25)
     refined = identity_refine(fv, offs, occ)
-    cells = np.arange(fv.occupancy.size)
-    gate = occ.reshape(-1)
-    assert np.array_equal(refined.labels(cells, gate),
-                          scores_to_labels(fv.features.reshape(-1, 4) * gate[:, None]))
+    # the features pass through: the labels are their gated rows' argmax
+    cells = rng.permutation(fv.occupancy.size)
+    gate = rng.uniform(0.1, 1.0, cells.size)
+    labels = refined.labels(cells, gate)
+    assert np.array_equal(labels, scores_to_labels(fv.features.reshape(-1, 4)[cells]
+                                                   * gate[:, None]))
+    assert np.array_equal(labels, np.argmax(fv.features.reshape(-1, 4)[cells], axis=-1))
     assert np.array_equal(refined.occupancy, occ)
     with pytest.raises(ReconstructionError):
         identity_refine(fv, np.zeros((2, 2, 2, 2)), occ)
