@@ -31,7 +31,7 @@ from .mesh import export_obj
 from .metrics import prq
 from .pipeline import reconstruct_from_priors
 from .priors import Priors2D, SceneGT, checked_centers, derive_instance_map2d, derive_priors
-from .reconstruction import identity_refine, reconstruct
+from .reconstruction import ReconstructionError, identity_refine, reconstruct
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 
 
@@ -59,7 +59,7 @@ def _load_scene(scene_dir: Path):
     manifest = C.read_manifest(scene_dir / "manifest.json", ["panoptic"])
     path = scene_dir / manifest["files"]["panoptic"]
     cont = C.read_container(path, "panoptic-volume")
-    scene = SceneGT(C.panoptic_volume(cont, C.manifest_categories(manifest)),
+    scene = SceneGT(C.panoptic_volume(path, cont, C.manifest_categories(manifest)),
                     C.manifest_intrinsics(manifest), C.manifest_planes(manifest))
     C.check_shared([(scene_dir / "manifest.json", scene), (path, cont)])
     return scene, path
@@ -214,7 +214,10 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
         _fail(f"{features_path}: channels {features.array.shape[-1]} != "
               f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(features.frame, features.array, occ.array)
-    refined = identity_refine(lifted, offsets.array, occ.array)
+    try:
+        refined = identity_refine(lifted, offsets.array, occ.array)
+    except ReconstructionError as exc:  # it names features or occupancy first
+        _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
     volume = reconstruct(refined, centers, intr, planes, categories, occ_threshold)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_panoptic(out_path, volume, intr, planes)
@@ -249,8 +252,9 @@ def _format_report(report):
 def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
     """Panoptic reconstruction quality of PRED against GT."""
     categories = C.manifest_categories(C.read_manifest(categories_from))
-    pred, gt = (C.panoptic_volume(cont, categories) for cont in C.read_containers(
-        [(pred_path, "panoptic-volume"), (gt_path, "panoptic-volume")]))
+    paths = (pred_path, gt_path)
+    pred, gt = (C.panoptic_volume(path, cont, categories) for path, cont in zip(
+        paths, C.read_containers([(path, "panoptic-volume") for path in paths])))
     report = prq(pred, gt, iou_threshold)
     click.echo(_format_report(report))
     if record_path is not None:

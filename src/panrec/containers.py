@@ -233,14 +233,14 @@ def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
     write_container(path, "panoptic-volume", stacked, volume.frame, intrinsics, planes)
 
 
-def panoptic_volume(cont: Container, categories: CategoryTable) -> PanopticVolume:
-    """The validated volume of a panoptic-volume container."""
-    return PanopticVolume(frame=cont.frame, semantics=cont.array[..., 0],
-                          instances=cont.array[..., 1], categories=categories).validate()
+def panoptic_volume(path, cont: Container, categories: CategoryTable) -> PanopticVolume:
+    """The volume of the panoptic-volume container read from `path`, validated under that name."""
+    return PanopticVolume(cont.frame, cont.array[..., 0], cont.array[..., 1],
+                          categories).validate(str(path))
 
 
 def read_panoptic(path, categories: CategoryTable) -> PanopticVolume:
-    return panoptic_volume(read_container(path, "panoptic-volume"), categories)
+    return panoptic_volume(path, read_container(path, "panoptic-volume"), categories)
 
 
 def manifest_dict(intrinsics, planes, categories, centers, files, generator=None):

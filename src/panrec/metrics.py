@@ -63,32 +63,22 @@ class PrqReport:
         return rec
 
 
-def extract_segments(volume: PanopticVolume, cells: np.ndarray, name: str = "volume"):
+def extract_segments(volume: PanopticVolume, cells: np.ndarray):
     """One segment per thing (category, instance) pair and one per stuff category.
 
-    `cells` lists flat cell indices, each once, and must hold every non-void
-    cell of the volume. Returns (segments, index): segments in ascending
-    (category, instance) order, and the segment number of each listed cell,
-    `len(segments)` at void cells. Malformed labels raise MetricError naming
-    `name` and the field.
+    `volume` must pass `PanopticVolume.validate`. `cells` lists flat cell indices,
+    each once, and must hold every non-void cell. Returns (segments, index):
+    segments in ascending (category, instance) order, and the segment number of
+    each listed cell, `len(segments)` at void cells.
     """
-    inst = volume.instances.ravel()
-    if inst.min(initial=0) < 0:
-        raise MetricError(f"{name}.instances: negative instance id")
-    sem_at, inst_at = volume.semantics.ravel()[cells], inst[cells]
-    n = len(volume.categories)
-    if sem_at.size and (sem_at.min() < 0 or sem_at.max() >= n):
-        raise MetricError(f"{name}.semantics: category id outside the category table")
+    sem_at, inst_at = volume.semantics.ravel()[cells], volume.instances.ravel()[cells]
     is_thing = np.asarray(volume.categories.is_thing, dtype=bool)
     thing = is_thing[sem_at]
-    if np.any(inst_at[~thing & (sem_at != VOID)]):
-        raise MetricError(f"{name}.instances: instance id on a stuff cell")
-    if np.count_nonzero(inst) != np.count_nonzero(inst_at[thing]):
-        raise MetricError(f"{name}.instances: instance id on a void cell")
     # Stuff categories present, and thing (category, instance) pairs, as keys.
-    present = np.bincount(sem_at, minlength=n) > 0
+    present = np.bincount(sem_at, minlength=len(is_thing)) > 0
     present[VOID] = False
-    span = int(inst.max(initial=0)) + 1
+    # Every nonzero instance id sits on a thing cell, so on a listed one.
+    span = int(inst_at.max(initial=0)) + 1
     key = sem_at.astype(np.int64) * span + inst_at
     uniq = np.union1d(np.flatnonzero(present & ~is_thing) * span, key[thing])
     index = np.searchsorted(uniq, key)
@@ -148,18 +138,22 @@ def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
 def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> PrqReport:
     """Per-category and aggregated quality at the given IoU matching threshold.
 
-    Categories absent from both volumes are excluded; aggregates are unweighted
-    means over the evaluated categories. One greedy matching over all
+    The volumes must share a frame and a category table, and each must pass
+    `validate` (VolumeError naming `pred` or `gt` and the field). Categories
+    absent from both volumes are excluded; aggregates are unweighted means
+    over the evaluated categories. One greedy matching over all
     categories equals one per category: candidates never cross categories.
     """
     if pred.frame != gt.frame:
         raise MetricError("prediction and ground truth must share a grid frame")
-    if len(pred.categories) != len(gt.categories):
+    if pred.categories != gt.categories:
         raise MetricError("category tables differ")
+    pred.validate("pred")
+    gt.validate("gt")
     # Only cells that are non-void in at least one volume can overlap.
     cells = np.flatnonzero((pred.semantics != VOID) | (gt.semantics != VOID))
-    pred_segments, pred_index = extract_segments(pred, cells, "pred")
-    gt_segments, gt_index = extract_segments(gt, cells, "gt")
+    pred_segments, pred_index = extract_segments(pred, cells)
+    gt_segments, gt_index = extract_segments(gt, cells)
     # Joint counts over those cells of (gt segment or void, pred segment or void).
     cols = len(pred_segments) + 1
     overlap = np.bincount(gt_index * cols + pred_index, minlength=(len(gt_segments) + 1) * cols)

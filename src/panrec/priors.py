@@ -82,10 +82,14 @@ def _checked(field: str, array, shape, low: float, high: float = np.inf):
     array = np.asarray(array)
     if array.ndim != len(shape) or any(n not in (None, s) for n, s in zip(shape, array.shape)):
         raise PriorsError(f"{field} shape {array.shape} is not (height, width, ...) = {shape}")
-    # min and max propagate NaN, which fails every comparison
-    if array.size and not (array.min() >= low and high >= array.max() < np.inf):
+    if not within(array, low, high):
         raise PriorsError(f"{field} must be finite and within [{low}, {high}]")
     return array
+
+
+def within(array: np.ndarray, low: float, high: float = np.inf) -> bool:
+    """Whether all of `array` is finite and within [low, high]; NaN fails every test."""
+    return not array.size or bool(array.min() >= low and high >= array.max() < np.inf)
 
 
 def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
@@ -124,8 +128,7 @@ def derive_semantics2d(scene: SceneGT) -> np.ndarray:
     """One-hot (H, W, C) category map of the front-most occupied cell per ray."""
     m_first, hit, vv, uu = _front_cells(scene)
     cat = np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
-    num_c = scene.categories.num_categories
-    one_hot = np.zeros(hit.shape + (num_c,), dtype=np.float64)
+    one_hot = np.zeros(hit.shape + (len(scene.categories),), dtype=np.float64)
     one_hot[vv, uu, cat] = 1.0
     return one_hot
 
@@ -242,11 +245,8 @@ def derive_instance_map2d(scene: SceneGT):
     Input surface for the top-down lifting baseline; not one of the four priors.
     """
     m_first, hit, vv, uu = _front_cells(scene)
-    inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0)
-    thing = np.asarray(scene.categories.is_thing)[
-        np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
-    ]
-    inst = np.where(thing, inst, 0).astype(np.int32)
+    # A well-formed volume has nonzero instance ids only on thing cells.
+    inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0).astype(np.int32)
     ids, first = np.unique(inst.ravel(), return_index=True)
     vs, us = np.unravel_index(first[ids > 0], inst.shape)
     cats = scene.volume.semantics[vs, us, m_first[vs, us]]

@@ -10,6 +10,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, project_cells
 from .lifting import LIFT_BLOCK, FeatureVolume, scores_to_labels
+from .priors import within
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -46,6 +47,8 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
 
     Stand-in hook for a learned 3D refinement stage; values pass through
     unchanged. Its labeler reduces the dense `lifted.features` row by row.
+    Features must be finite and >= 0 and occupancy finite and within [0, 1],
+    as `lift_priors` makes them; each ReconstructionError begins with the field.
     """
     features = lifted.features
     if features.shape[:-1] != lifted.frame.shape:
@@ -53,7 +56,12 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
                                   f"frame {lifted.frame.shape}")
     flat = features.reshape(-1, features.shape[-1])
     labels = lambda cells, gate: scores_to_labels(flat[cells] * gate[:, None])
-    return Refined3D(lifted.frame, labels, offsets, occupancy)
+    refined = Refined3D(lifted.frame, labels, offsets, occupancy)
+    for field, values, high in (("features", features, np.inf),
+                                ("occupancy", refined.occupancy, 1.0)):
+        if not within(values, 0.0, high):
+            raise ReconstructionError(f"{field} must be finite and within [0.0, {high}]")
+    return refined
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):

@@ -27,18 +27,11 @@ class CategoryTable:
     def __len__(self):
         return len(self.is_thing)
 
-    @property
-    def num_categories(self) -> int:
-        return len(self.is_thing)
-
 
 @dataclass
 class PanopticVolume:
-    """Grid frame plus per-cell (semantic_id, instance_id) labels.
-
-    A cell is occupied iff its semantic id is non-void. Stuff and void cells
-    carry instance id 0; thing instances have ids > 0.
-    """
+    """Grid frame plus per-cell (semantic_id, instance_id) labels. A cell is
+    occupied iff its semantic id is non-void; `validate` states the labels' rule."""
 
     frame: object
     semantics: np.ndarray
@@ -53,25 +46,26 @@ class PanopticVolume:
     def occupancy(self) -> np.ndarray:
         return self.semantics != VOID
 
-    def validate(self):
-        """Raise VolumeError on any structural violation."""
+    def validate(self, name: str = "volume"):
+        """The volume, unless it breaks the one rule for a well-formed volume:
+        a grid frame, arrays of its shape, semantic ids in the category table,
+        instance ids >= 0 and nonzero only on thing cells (void is not a thing).
+        Raises VolumeError naming `name` and the field, e.g. `pred.instances: ...`."""
         if not isinstance(self.frame, (FrustumGrid, AxisGrid)):
-            raise VolumeError(f"unknown grid frame {self.frame!r}")
-        if self.semantics.shape != self.frame.shape:
-            raise VolumeError(
-                f"semantics shape {self.semantics.shape} != frame shape {self.frame.shape}"
-            )
-        if self.instances.shape != self.semantics.shape:
-            raise VolumeError("instance and semantic arrays must have the same shape")
-        if self.semantics.min(initial=0) < 0 or self.semantics.max(initial=0) >= len(self.categories):
-            raise VolumeError("semantic id outside category table")
-        if self.instances.min(initial=0) < 0:
-            raise VolumeError("negative instance id")
-        thing_mask = np.asarray(self.categories.is_thing)[self.semantics]
-        if np.any((self.instances > 0) & ~thing_mask):
-            raise VolumeError("instance id set on a non-thing cell")
-        if np.any((self.semantics == VOID) & (self.instances != 0)):
-            raise VolumeError("void cell with instance id")
+            raise VolumeError(f"{name}.frame: unknown grid frame {self.frame!r}")
+        for field, array in (("semantics", self.semantics), ("instances", self.instances)):
+            if array.shape != self.frame.shape:
+                raise VolumeError(f"{name}.{field}: shape {array.shape} != frame shape "
+                                  f"{self.frame.shape}")
+        semantics = self.semantics.reshape(-1)
+        if semantics.min() < 0 or semantics.max() >= len(self.categories):
+            raise VolumeError(f"{name}.semantics: category id outside the category table")
+        # Both instance clauses hold wherever the id is 0, so only the other cells are read.
+        cells = np.flatnonzero(self.instances != 0)
+        if self.instances.reshape(-1)[cells].min(initial=0) < 0:
+            raise VolumeError(f"{name}.instances: negative instance id")
+        if not np.asarray(self.categories.is_thing)[semantics[cells]].all():
+            raise VolumeError(f"{name}.instances: instance id on a stuff or void cell")
         return self
 
     def thing_mask(self) -> np.ndarray:

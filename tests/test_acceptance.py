@@ -150,7 +150,7 @@ def test_criterion_3_closed_form_losses():
                                        n_things=3, min_center_separation=8.0))
     priors = derive_priors(scene)
     occ = scene.volume.occupancy.astype(np.float64)
-    sem = np.eye(scene.categories.num_categories)[scene.volume.semantics]
+    sem = np.eye(len(scene.categories))[scene.volume.semantics]
     tsdf = tsdf_from_scene(scene)
     thing = scene.volume.thing_mask()
     base = loss_3d(rows_of(sem), priors.offsets3d, occ, tsdf, scene.volume.semantics,

@@ -222,6 +222,25 @@ def test_group_rejects_bad_manifest_centers(tmp_path, monkeypatch, capsys, kind)
     assert err.startswith("error: centers: instance ids must be >= 1 and distinct")
 
 
+@pytest.mark.parametrize("name, kind, change", [
+    ("features.bin", "feature-volume", lambda a: np.full_like(a, np.nan)),
+    ("features.bin", "feature-volume", lambda a: -a),
+    ("features_occupancy.bin", "multiplane", lambda a: np.full_like(a, np.nan)),
+    ("features_occupancy.bin", "multiplane", lambda a: 3 * a),
+], ids=["nan-features", "negated-features", "nan-occupancy", "occupancy-times-3"])
+def test_group_rejects_lifted_values_out_of_range(tmp_path, monkeypatch, capsys, name, kind,
+                                                  change):
+    _, priors, feats, _ = build_chain(tmp_path)
+    path = tmp_path / name
+    cont = read_container(path, kind)
+    containers.write_container(path, kind, change(cont.array), cont.frame, cont.intrinsics,
+                               cont.planes)
+    code, err = group_error(monkeypatch, capsys, tmp_path, feats, priors)
+    assert code == 1
+    field, high = ("features", "inf") if kind == "feature-volume" else ("occupancy", "1.0")
+    assert err == f"error: {path}: {field} must be finite and within [0.0, {high}]\n"
+
+
 def lift_error(monkeypatch, capsys, tmp_path, priors):
     """Bottom-up `panrec lift`'s exit code and its one-line stderr."""
     code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "f.bin")
@@ -298,6 +317,29 @@ def test_eval_rejects_pred_and_gt_of_another_camera_or_planes(tmp_path, monkeypa
                              priors / "manifest.json")
     assert code == 1 and err.count("\n") == 1, err
     assert err.startswith(f"error: {gt}: {field} ") and f"differs from {pred}'s" in err
+
+
+@pytest.mark.parametrize("command", ["eval-pred", "eval-gt", "derive-priors", "loss"])
+def test_a_malformed_panoptic_file_is_one_error_line_naming_it(tmp_path, monkeypatch, capsys,
+                                                               command):
+    # instance id 5 written onto one stuff cell of the scene's panoptic.bin
+    scene, priors, _, pred = build_chain(tmp_path)
+    path = scene / "panoptic.bin"
+    cont = read_container(path, "panoptic-volume")
+    stuff = ~np.asarray(containers.manifest_categories(
+        read_manifest(scene / "manifest.json")).is_thing)[cont.array[..., 0]]
+    array = cont.array.copy()
+    array[tuple(np.argwhere(stuff & (cont.array[..., 0] != 0))[0]) + (1,)] = 5
+    containers.write_container(path, "panoptic-volume", array, cont.frame, cont.intrinsics,
+                               cont.planes)
+    categories = ["--categories-from", scene / "manifest.json"]
+    args = {"eval-pred": ["eval", path, pred, *categories],
+            "eval-gt": ["eval", pred, path, *categories],
+            "derive-priors": ["derive-priors", scene, "--out", tmp_path / "p2"],
+            "loss": ["loss", scene, priors]}[command]
+    code, err = entry_result(monkeypatch, capsys, *args)
+    assert code == 1
+    assert err == f"error: {path}.instances: instance id on a stuff or void cell\n"
 
 
 @pytest.mark.parametrize("command, manifest_dir, name", [

@@ -233,7 +233,7 @@ def test_tsdf_from_scene_signs(small_scene):
 def zero_loss_inputs(scene):
     priors = derive_priors(scene)
     occ = scene.volume.occupancy.astype(np.float64)
-    c = scene.categories.num_categories
+    c = len(scene.categories)
     sem = np.zeros(scene.frame.shape + (c,))
     idx = scene.volume.semantics
     np.put_along_axis(sem, idx[..., None], 1.0, axis=-1)
@@ -294,7 +294,7 @@ def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
     occ_pred, rows, _labels = lift_priors(priors, *args)
     _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     labels = small_scene.volume.semantics
-    one_hot = np.eye(small_scene.categories.num_categories)[labels]
+    one_hot = np.eye(len(small_scene.categories))[labels]
     expected = cross_entropy(lifted.features, one_hot, mask=occ > 0.5)
     for sem_pred in (rows_of(lifted.features), rows):
         rep = loss_3d(sem_pred, offs, occ_pred, tsdf, labels, offs, occ, tsdf, thing)

@@ -21,7 +21,7 @@ from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_priors, extract_centers
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume, VolumeError
-from panrec.geometry import FrustumGrid
+from panrec.geometry import AxisGrid, FrustumGrid
 from conftest import seeded_scenes
 
 CATS = CategoryTable((False, True, False, True))
@@ -200,6 +200,12 @@ def test_prq_frame_and_table_mismatch():
                                 CategoryTable((False, True)))
     with pytest.raises(MetricError):
         prq(v, small_cats)
+    # tables of one length that disagree on which category is a thing
+    sem.ravel()[:4] = 1
+    a, b = (PanopticVolume(FRAME, sem, inst, CategoryTable(flags))
+            for flags in ((False, True, False), (False, False, True)))
+    with pytest.raises(MetricError, match="category tables differ"):
+        prq(a, b)
 
 
 def test_threshold_above_half_unique_matching():
@@ -481,12 +487,51 @@ def test_prq_rejects_malformed_volumes(case):
     good = vol(sem.copy(), inst.copy())
     (sem if field == "semantics" else inst)[cell] = value
     bad = vol(sem, inst)
-    with pytest.raises(MetricError, match=f"^pred\\.{field}"):
+    with pytest.raises(VolumeError, match=f"^pred\\.{field}: "):
         prq(bad, good)
-    with pytest.raises(MetricError, match=f"^gt\\.{field}"):
+    with pytest.raises(VolumeError, match=f"^gt\\.{field}: "):
         prq(good, bad)
-    with pytest.raises(VolumeError):  # the full validator agrees
+    with pytest.raises(VolumeError, match=f"^volume\\.{field}: "):
         bad.validate()
+
+
+def reference_violation(volume):
+    """The field that the per-cell rule finds broken first, or None: semantic
+    ids in the category table, then instance ids >= 0 and nonzero only on thing cells."""
+    is_thing = volume.categories.is_thing
+    cells = list(zip(volume.semantics.ravel().tolist(), volume.instances.ravel().tolist()))
+    if any(not 0 <= sem < len(is_thing) for sem, _inst in cells):
+        return "semantics"
+    if any(inst < 0 or (inst != 0 and not is_thing[sem]) for sem, inst in cells):
+        return "instances"
+    return None
+
+
+rule_frames = st.one_of(
+    st.builds(FrustumGrid, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    st.builds(lambda dims: AxisGrid(dims, 0.1, (0.0, 0.0, 1.0)),
+              st.tuples(*[st.integers(1, 5)] * 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=rule_frames, data=st.data())
+def test_validate_is_the_per_cell_rule(frame, data):
+    # a well-formed volume, then MALFORMED values written at random cells: at
+    # some cells they break the rule, at others (a thing cell) they do not
+    sem = data.draw(hnp.arrays(np.int32, frame.shape, elements=st.integers(0, 3)))
+    inst = data.draw(hnp.arrays(np.int32, frame.shape, elements=st.integers(0, 6)))
+    inst[~np.asarray(CATS.is_thing)[sem]] = 0
+    for case in data.draw(st.lists(st.sampled_from(sorted(MALFORMED)), max_size=3)):
+        field, _cell, value = MALFORMED[case]
+        cell = data.draw(st.integers(0, sem.size - 1))
+        (sem if field == "semantics" else inst).ravel()[cell] = value
+    volume = PanopticVolume(frame, sem, inst, CATS)
+    field = reference_violation(volume)
+    if field is None:
+        assert volume.validate("v") is volume
+    else:
+        with pytest.raises(VolumeError, match=f"^v\\.{field}: "):
+            volume.validate("v")
 
 
 def relabeled(volume, new_ids):

@@ -35,7 +35,7 @@ from panrec.reconstruction import (
     reconstruct,
 )
 from panrec.volume import VOID, CategoryTable, PanopticVolume
-from panrec.synth import SynthConfig, SynthError, generate_scene, perturb_priors
+from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
     GOLDEN_AXES,
@@ -281,6 +281,38 @@ def test_identity_refine_passthrough_and_errors():
     small = FeatureVolume(frame=FRAME, features=np.ones((2, 2, 2, 4)), occupancy=occ)
     with pytest.raises(ReconstructionError, match="features shape"):
         identity_refine(small, offs, occ)
+    # features finite and >= 0, occupancy finite and within [0, 1]
+    for features, occupancy, field in ((fv.features - 0.5, occ, "features"),
+                                       (fv.features + np.inf, occ, "features"),
+                                       (fv.features, occ - 0.5, "occupancy"),
+                                       (fv.features, occ * 8, "occupancy"),
+                                       (fv.features, occ * np.inf, "occupancy")):
+        with pytest.raises(ReconstructionError, match=f"^{field} must be finite and within"):
+            identity_refine(FeatureVolume(FRAME, features, occupancy), offs, occupancy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), width=st.integers(6, 16), height=st.integers(6, 16),
+       planes=st.integers(3, 16), n_things=st.integers(0, 4),
+       noise=st.one_of(st.none(), st.just(CROWDED_NOISE), st.builds(
+           NoiseSpec, depth_sigma=st.floats(0.0, 1.0), semantic_flip=st.floats(0.0, 1.0),
+           occupancy_flip=st.floats(0.0, 1.0), center_jitter=st.integers(0, 4))),
+       k=st.integers(-64, 64), axis=st.booleans())
+def test_identity_refine_accepts_every_lift_of_a_valid_bundle(seed, width, height, planes,
+                                                              n_things, noise, k, axis):
+    try:
+        scene = generate_scene(SynthConfig(
+            seed=seed, width=width, height=height, planes=planes, n_things=n_things,
+            min_center_separation=0.0, max_attempts=50))
+    except SynthError:
+        reject()
+    priors = derive_priors(scene)
+    if noise is not None:
+        priors = perturb_priors(priors, noise, seed, scene.planes)
+    priors = dataclasses.replace(priors, semantics=priors.semantics * 2.0**k)
+    frame = GOLDEN_AXES["32"] if axis else scene.frame
+    fv = occupancy_aware_lift(priors, frame, scene.intrinsics, scene.planes)
+    identity_refine(fv, np.zeros(frame.shape + (2,)), fv.occupancy)
 
 
 def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
