@@ -128,9 +128,7 @@ def plane_index(z, planes: DepthPlanes):
     m = m.astype(np.int64)
     out = (z < planes.z_near) | (z >= planes.z_far)
     m = np.where(out, OUT_OF_RANGE, np.clip(m, 0, planes.count - 1))
-    if np.isscalar(z) or m.ndim == 0:
-        return int(m)
-    return m
+    return int(m) if m.ndim == 0 else m
 
 
 def round_half_up(x):
@@ -147,6 +145,17 @@ def cell_centers(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> np
         return backproject(b, a, planes.center(c), intrinsics)
     idx = np.stack([a, b, c], axis=-1).astype(np.float64)
     return np.asarray(frame.origin) + (idx + 0.5) * frame.voxel_size
+
+
+def frame_error(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
+    """Why `frame` is not a grid frame of this camera and these planes, or None:
+    a frustum frame must have dims (height, width, planes)."""
+    dims = (intrinsics.height, intrinsics.width, planes.count)
+    if not isinstance(frame, (FrustumGrid, AxisGrid)):
+        return f"unknown grid frame {frame!r}"
+    if isinstance(frame, FrustumGrid) and frame.shape != dims:
+        return (f"frustum frame dims (height, width, planes) {frame.shape} "
+                f"do not match the camera and depth planes {dims}")
 
 
 def _cell_index(frame, cells):
@@ -205,64 +214,35 @@ def project_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cell
     return np.where(front, u, np.nan)[ix, iz], np.where(front, v, np.nan)[iy, iz], z[iz]
 
 
-def locate_points(points, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
-    """Map camera-space points (..., 3) to integer cell indices in `frame`.
-
-    Returns (indices (..., 3), valid mask). Frustum indices are (v, u, m);
-    axis indices are (ix, iy, iz). Invalid entries are zeroed.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if isinstance(frame, FrustumGrid):
-        z = points[..., 2]
-        valid = z > 0
-        zsafe = np.where(valid, z, 1.0)
-        u, v, _ = project(np.stack([points[..., 0], points[..., 1], zsafe], axis=-1), intrinsics)
-        ui = round_half_up(u)
-        vi = round_half_up(v)
-        m = plane_index(zsafe, planes)
-        m = np.asarray(m)
-        valid = (
-            valid
-            & (ui >= 0) & (ui < frame.width)
-            & (vi >= 0) & (vi < frame.height)
-            & (m != OUT_OF_RANGE)
-        )
-        idx = np.stack([vi, ui, m], axis=-1)
-    elif isinstance(frame, AxisGrid):
-        rel = (points - np.asarray(frame.origin)) / frame.voxel_size
-        idx = np.floor(rel).astype(np.int64)
-        valid = np.all((idx >= 0) & (idx < np.asarray(frame.shape)), axis=-1)
-    else:
-        raise GeometryError(f"unknown grid frame {frame!r}")
-    idx = np.where(valid[..., None], idx, 0)
-    return idx, valid
-
-
-def resample_volume(
-    volume: np.ndarray,
-    src_frame,
-    dst_frame,
-    intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
-    void=0,
-) -> np.ndarray:
+def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: CameraIntrinsics,
+                    planes: DepthPlanes, void=0) -> np.ndarray:
     """Nearest-neighbor resampling of a labeled volume between grid frames.
 
-    Each destination cell samples the source cell containing its center point;
-    centers outside the source frame become `void`. Identical frames return a
-    copy of the input unchanged.
+    Each destination cell samples the source cell containing its center point:
+    on a frustum source, the pixel of `cell_pixels` at the depth plane of
+    `project_cells`' depth; on an axis source, the cell the center floors to.
+    Centers outside the source frame become `void`. Identical frames return a
+    copy of the input unchanged. A frustum frame, source or destination, must
+    have the dims (height, width, planes) of the camera and depth planes.
     """
+    for frame in (src_frame, dst_frame):
+        if error := frame_error(frame, intrinsics, planes):
+            raise GeometryError(error)
     volume = np.asarray(volume)
     if volume.shape[: len(src_frame.shape)] != src_frame.shape:
-        raise GeometryError(
-            f"volume shape {volume.shape} does not match source frame {src_frame.shape}"
-        )
+        raise GeometryError(f"volume shape {volume.shape} does not match source frame "
+                            f"{src_frame.shape}")
     if src_frame == dst_frame:
         return volume.copy()
-    centers = cell_centers(dst_frame, intrinsics, planes)
-    idx, valid = locate_points(centers, src_frame, intrinsics, planes)
-    out = volume[idx[..., 0], idx[..., 1], idx[..., 2]]
-    out = np.where(
-        valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim)), out, void
-    )
-    return out
+    if isinstance(src_frame, FrustumGrid):
+        pixel, valid = cell_pixels(dst_frame, intrinsics)
+        m = plane_index(project_cells(dst_frame, intrinsics, planes)[2], planes)
+        valid = valid & (m != OUT_OF_RANGE)
+        cells = pixel * planes.count + m
+    else:
+        centers = cell_centers(dst_frame, intrinsics, planes)
+        idx = np.floor((centers - src_frame.origin) / src_frame.voxel_size).astype(np.int64)
+        valid = np.all((idx >= 0) & (idx < src_frame.shape), axis=-1)
+        cells = np.ravel_multi_index(np.moveaxis(idx, -1, 0), src_frame.shape, mode="clip")
+    out = volume.reshape((-1,) + volume.shape[3:])[np.where(valid, cells, 0)]
+    return np.where(valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim)), out, void)

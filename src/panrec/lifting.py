@@ -59,15 +59,16 @@ class CategorySortedAssignment:
 
 def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """(H, W, M) mask of cells at or behind the pixel's depth surface."""
-    z = planes.centers()
-    return (depth[..., None] > 0) & (z[None, None, :] >= depth[..., None])
+    m, hit = surface_planes(depth, planes)
+    return np.arange(planes.count) >= np.where(hit, m, planes.count)[..., None]
 
 
 def surface_planes(depth: np.ndarray, planes: DepthPlanes):
-    """Per pixel, the plane of its depth surface and whether it has one (depth
-    > 0, within [z_near, z_far)): the one surface-plane rule of both baselines."""
-    m = plane_index(np.where(depth > 0, depth, planes.z_near), planes)
-    return m, (depth > 0) & (m != OUT_OF_RANGE)
+    """Per pixel, the plane of its depth surface, the first plane whose center
+    is at or behind the depth, and whether it has one (depth > 0 and at most the
+    last center): the one surface-plane rule of the lift and both baselines."""
+    m = np.searchsorted(planes.centers(), depth)
+    return m, (depth > 0) & (m < planes.count)
 
 
 def scores_to_labels(scores: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, round_half_up
+from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, frame_error, round_half_up
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -95,13 +95,10 @@ def within(array: np.ndarray, low: float, high: float = np.inf) -> bool:
 def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
     """Depth as float64, after checking that `frame` is a grid frame (of dims
     (height, width, planes) if frustum) and depth an (H, W) map, finite, >= 0."""
-    dims = (intrinsics.height, intrinsics.width, planes.count)
-    if not isinstance(frame, (FrustumGrid, AxisGrid)):
-        raise PriorsError(f"unknown grid frame {frame!r}")
-    if isinstance(frame, FrustumGrid) and frame.shape != dims:
-        raise PriorsError(f"frustum frame dims (height, width, planes) {frame.shape} "
-                          f"do not match the camera and depth planes {dims}")
-    return _checked("depth", np.asarray(depth, dtype=np.float64), dims[:2], 0.0)
+    if error := frame_error(frame, intrinsics, planes):
+        raise PriorsError(error)
+    return _checked("depth", np.asarray(depth, dtype=np.float64),
+                    (intrinsics.height, intrinsics.width), 0.0)
 
 
 def _require_frustum(scene: SceneGT):

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, project_cells
-from .lifting import LIFT_BLOCK, FeatureVolume, scores_to_labels
+from .lifting import FeatureVolume, scores_to_labels
 from .priors import within
 from .volume import VOID, CategoryTable, PanopticVolume
 
@@ -65,7 +65,7 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
-    """Labels of the occupied cells, listed LIFT_BLOCK cells at a time.
+    """Labels of the occupied cells.
 
     Returns (cells, labels, gate): the ascending flat indices of the cells with
     occupancy >= `occ_threshold`, their labels (`refined.labels` gated by that
@@ -75,8 +75,7 @@ def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
     occ = refined.occupancy.reshape(-1)
-    cells = np.concatenate([np.flatnonzero(occ[start:start + LIFT_BLOCK] >= occ_threshold) + start
-                            for start in range(0, occ.size, LIFT_BLOCK)])
+    cells = np.flatnonzero(occ >= occ_threshold)
     gate = np.take(occ, cells)
     return cells, refined.labels(cells, gate), gate
 
@@ -102,8 +101,11 @@ def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
     center of its category; ties keep the first-listed center. Thing cells
     whose category has no center are dropped to void (warned). A shifted
     position that is not finite (a non-finite offset, or a cell at or behind
-    the camera) raises ReconstructionError.
+    the camera) or a label outside the category table raises ReconstructionError.
     """
+    if len(labels) and not 0 <= labels.min() <= labels.max() < len(categories):
+        raise ReconstructionError(f"labels must lie in the category table [0, {len(categories)}),"
+                                  f" got [{labels.min()}, {labels.max()}]")
     thing = np.asarray(categories.is_thing)[labels]
     cells, labels = cells[thing], labels[thing]
     du, dv = (np.asarray(offsets).reshape(-1, 2)[cells] * gate[thing, None]).T

@@ -190,6 +190,60 @@ def test_resample_shape_mismatch_errors():
         resample_volume(np.zeros((2, 2, 2)), frame, frame, K, planes)
 
 
+def reference_resample(volume, src, dst, intrinsics, planes, void):
+    """`resample_volume` between a frustum and an axis frame, one destination
+    cell center at a time: projected and rounded into a frustum source, floored
+    into an axis source."""
+    out = np.full(dst.shape + volume.shape[3:], void, dtype=volume.dtype)
+    centers = cell_centers(dst, intrinsics, planes).reshape(-1, 3)
+    for cell, point in zip(np.ndindex(dst.shape), centers):
+        if isinstance(src, FrustumGrid):
+            if point[2] <= 0:
+                continue
+            u, v, z = project(point, intrinsics)
+            index = (round_half_up(v), round_half_up(u), plane_index(z, planes))
+            if index[2] == OUT_OF_RANGE:
+                continue
+        else:
+            index = tuple(np.floor((point - src.origin) / src.voxel_size).astype(np.int64))
+        if all(0 <= i < n for i, n in zip(index, src.shape)):
+            out[cell] = volume[index]
+    return out
+
+
+def test_resample_is_the_per_cell_reference():
+    rng = np.random.default_rng(17)
+    for case in range(240):
+        w, h, m = (int(n) for n in rng.integers(1, 7, 3))
+        cam = CameraIntrinsics(fx=rng.uniform(1, 12), fy=rng.uniform(1, 12),
+                               cx=rng.uniform(0, w), cy=rng.uniform(0, h), width=w, height=h)
+        z_near = rng.uniform(0.2, 1.5)
+        planes = DepthPlanes(count=m, z_near=z_near, z_far=z_near + rng.uniform(0.3, 4.0))
+        # axis frames that reach behind the camera and past the image and planes
+        axis = AxisGrid(dims=tuple(rng.integers(1, 7, 3)), voxel_size=rng.uniform(0.05, 0.8),
+                        origin=(rng.uniform(-2, 1), rng.uniform(-2, 1), rng.uniform(-1, 3)))
+        frustum = FrustumGrid(w, h, m)
+        channels = (int(rng.integers(1, 4)),) if case % 2 else ()
+        for src, dst in ((frustum, axis), (axis, frustum)):
+            vol = rng.integers(1, 100, src.shape + channels).astype(np.int16)
+            out = resample_volume(vol, src, dst, cam, planes, void=-1)
+            assert out.dtype == vol.dtype
+            assert np.array_equal(out, reference_resample(vol, src, dst, cam, planes, -1)), case
+
+
+def test_resample_rejects_a_frustum_frame_off_the_camera():
+    cam = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+    planes = DepthPlanes(count=16)
+    axis = AxisGrid(dims=(8, 8, 8), voxel_size=0.25, origin=(-1.0, -1.0, 0.5))
+    small = FrustumGrid(8, 8, 8)
+    for src, dst in ((small, axis), (axis, small), (small, small),
+                     (FrustumGrid(16, 16, 8), FrustumGrid(16, 16, 16))):
+        with pytest.raises(GeometryError, match="do not match the camera and depth planes"):
+            resample_volume(np.zeros(src.shape), src, dst, cam, planes)
+    assert resample_volume(np.zeros(axis.shape), axis, FrustumGrid(16, 16, 16), cam,
+                           planes).shape == (16, 16, 16)
+
+
 def test_axis_grid_from_lists_equals_and_hashes_as_tuples():
     from panrec.metrics import prq
     from panrec.volume import CategoryTable, empty_volume

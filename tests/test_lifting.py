@@ -24,7 +24,8 @@ from panrec.priors import (
     derive_priors,
     derive_semantics2d,
 )
-from panrec.synth import SynthConfig, SynthError, generate_scene, perturb_priors
+from panrec.pipeline import surface_only_occupancy
+from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
     GOLDEN_AXES,
@@ -199,6 +200,30 @@ def test_topdown_category_sorted_enumeration_invariant(small_scene):
     again = lift_instances_topdown(remapped, new_cats, depth, *args,
                                    CategorySortedAssignment(), 8)
     assert np.array_equal(base.features, again.features)
+
+
+@pytest.mark.parametrize("depth_sigma", [0.0, 0.05, 0.5])
+def test_both_baselines_fill_the_lifts_first_filled_plane(depth_sigma):
+    # Under noisy depth, the depth-only baseline keeps exactly one occupied
+    # cell, its surface cell, on every ray with a surface, and the top-down
+    # baseline places its instances on cells that the lift fills.
+    scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": 3}))
+    args = (scene.frame, scene.intrinsics, scene.planes)
+    p = perturb_priors(derive_priors(scene), NoiseSpec(depth_sigma=depth_sigma), 3, scene.planes)
+    surface, hit = lifting.surface_planes(p.depth, scene.planes)
+    centers, depth = scene.planes.centers(), p.depth[hit]
+    assert np.array_equal(hit, (p.depth > 0) & (p.depth <= centers[-1]))
+    assert (centers[surface[hit]] >= depth).all()
+    assert (centers[surface[hit] - 1][surface[hit] > 0] < depth[surface[hit] > 0]).all()
+    mp = surface_only_occupancy(p.depth, scene.planes)
+    occ, _rows, _labels = lift_priors(bundle(p.semantics, mp, p.depth), *args)
+    assert np.array_equal(np.count_nonzero(occ, axis=2), hit)
+    assert np.array_equal(np.argmax(occ, axis=2)[hit], surface[hit])
+    inst_map, cats = derive_instance_map2d(scene)
+    topdown = lift_instances_topdown(inst_map, cats, p.depth, *args, n_channels=8)
+    placed = topdown.occupancy > 0
+    assert np.count_nonzero(placed) == np.count_nonzero((inst_map > 0) & hit)
+    assert (occ[placed] > 0).all()
 
 
 def test_topdown_overflow_keeps_largest():

@@ -12,6 +12,7 @@ from panrec.geometry import (
     CameraIntrinsics,
     DepthPlanes,
     FrustumGrid,
+    project_cells,
     resample_volume,
 )
 from panrec.lifting import FeatureVolume, lift_priors, occupancy_aware_lift, scores_to_labels
@@ -289,6 +290,24 @@ def test_identity_refine_passthrough_and_errors():
                                        (fv.features, occ * np.inf, "occupancy")):
         with pytest.raises(ReconstructionError, match=f"^{field} must be finite and within"):
             identity_refine(FeatureVolume(FRAME, features, occupancy), offs, occupancy)
+
+
+def test_labels_outside_the_category_table_are_a_typed_error(small_scene, small_priors):
+    # An 8-channel feature volume under the 7-category table labels cells 7.
+    scene, priors = small_scene, small_priors
+    fv = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
+    assert fv.features.shape[-1] == len(scene.categories) == 7
+    wide = np.concatenate([fv.features, 2 * fv.features.max(axis=-1, keepdims=True)], axis=-1)
+    refined = identity_refine(FeatureVolume(fv.frame, wide, fv.occupancy), priors.offsets3d,
+                              fv.occupancy)
+    with pytest.raises(ReconstructionError,
+                       match=r"^labels must lie in the category table \[0, 7\), got \[7, 7\]"):
+        reconstruct(refined, priors.centers, scene.intrinsics, scene.planes, scene.categories)
+    cells, labels, gate = mask_by_occupancy(identity_refine(fv, priors.offsets3d, fv.occupancy))
+    labels[0] = -1
+    with pytest.raises(ReconstructionError, match=r"^labels .*, got \[-1, 6\]"):
+        group_instances(cells, labels, gate, priors.offsets3d, priors.centers, scene.frame,
+                        scene.intrinsics, scene.planes, scene.categories)
 
 
 @settings(max_examples=100, deadline=None)
@@ -685,3 +704,47 @@ def test_a_bijection_on_center_ids_relabels_the_output_instances(seed, noisy, on
     for old, new in relabel.items():
         expected[out.instances == old] = new
     assert out_moved.instances.tobytes() == expected.tobytes()
+
+
+NOISE_SPECS = st.one_of(st.none(), st.just(CROWDED_NOISE), st.builds(
+    NoiseSpec, depth_sigma=st.floats(0.0, 0.3), semantic_flip=st.floats(0.0, 0.3),
+    occupancy_flip=st.floats(0.0, 0.1), center_jitter=st.integers(0, 4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), things=st.integers(2, 5), kinds=st.integers(1, 2),
+       noise=NOISE_SPECS, on_axis=st.booleans(), data=st.data())
+def test_reordering_the_centers_moves_only_tied_cells(seed, things, kinds, noise, on_axis, data):
+    # Ground-truth priors, or noisy priors with extracted centers, on the
+    # frustum frame or the pinned 32^3 axis frame; several centers per thing
+    # category, in any order.
+    try:
+        scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": seed,
+                                              "n_things": things, "n_thing_categories": kinds}))
+    except SynthError:
+        reject()
+    p = derive_priors(scene)
+    if noise is not None:
+        p = perturb_priors(p, noise, seed, scene.planes)
+        p.centers = extract_centers(p.heatmap, p.semantics)
+    frame = GOLDEN_AXES["32"] if on_axis else scene.frame
+    p.offsets3d = resample_volume(p.offsets3d, scene.frame, frame, scene.intrinsics,
+                                  scene.planes)
+    moved = dataclasses.replace(p, centers=data.draw(st.permutations(p.centers)))
+    args = (frame, scene.intrinsics, scene.planes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thing cells with no center of their category
+        out = reconstruct_from_priors(p, *args, scene.categories)
+        out_moved = reconstruct_from_priors(moved, *args, scene.categories)
+    assert out_moved.semantics.tobytes() == out.semantics.tobytes()
+    # A cell that changed instance is as near to the center it took in one
+    # order as to the one it took in the other: it has no unique nearest center.
+    cells = np.flatnonzero(out.instances != out_moved.instances)
+    gate = lift_priors(p, *args)[0].reshape(-1)[cells]
+    du, dv = (p.offsets3d.reshape(-1, 2)[cells] * gate[:, None]).T
+    u, v, _z = project_cells(frame, *args[1:], cells)
+    by_id = {c.instance_id: c for c in p.centers}
+    dist2 = [np.array([(tu - by_id[i].u) ** 2 + (tv - by_id[i].v) ** 2
+                       for tu, tv, i in zip(u + du, v + dv, ids.reshape(-1)[cells])])
+             for ids in (out.instances, out_moved.instances)]
+    assert np.array_equal(*dist2)

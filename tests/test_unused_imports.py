@@ -1,12 +1,15 @@
-"""Every import in the package and its tests is used. Package `__init__.py`
-files are exempt: their imports are the public re-exports."""
+"""Every import in the package and its tests is used, and so is every
+module-level function and class of the package. Package `__init__.py` files
+are exempt from the import rule: their imports are the public re-exports."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "panrec").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "panrec").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -24,6 +27,32 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def names_read(source: str):
+    """Every name that the module's expressions read or its imports import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def is_click_command(node):
+    """Decorated `@<group>.command(...)`: the CLI reaches it through its group."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def leftover_definitions(source: str, names):
+    """Module-level functions and classes of the module that `names` lacks."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in names and not is_click_command(node)]
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
@@ -34,3 +63,18 @@ def test_unused_import_detection():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "import a.b\nfrom x import y, z as w\nprint(np.pi, a.b, w)\n")
     assert unused_imports(source) == [(2, "os"), (5, "y")]
+
+
+def test_no_leftover_definitions():
+    names = set().union(*(names_read(p.read_text()) for p in READERS))
+    leftovers = [(p.relative_to(ROOT).as_posix(), *found) for p in PACKAGE
+                 for found in leftover_definitions(p.read_text(), names)]
+    assert leftovers == []
+
+
+def test_leftover_definition_detection():
+    source = ("import click\n@click.group()\ndef main(): pass\n@main.command('run')\n"
+              "def run_cmd(): pass\ndef used(): pass\ndef unused(): used()\n"
+              "class Read: pass\nclass Unread: pass\n")
+    names = names_read(source) | names_read("import m\nm.Read")
+    assert leftover_definitions(source, names) == [(7, "unused"), (9, "Unread")]
