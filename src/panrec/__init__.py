@@ -12,12 +12,11 @@ from .geometry import (
     resample_volume,
 )
 from .lifting import (
-    CategorySortedAssignment,
     FeatureVolume,
-    RandomAssignment,
     lift_instances_topdown,
     lift_priors,
     occupancy_aware_lift,
+    surface_only_occupancy,
 )
 from .losses import (
     LossReport,
@@ -30,7 +29,7 @@ from .losses import (
     tsdf_from_scene,
 )
 from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, prq
-from .pipeline import reconstruct_from_priors, surface_only_occupancy
+from .pipeline import reconstruct_from_priors
 from .priors import (
     InstanceCenter,
     Priors2D,

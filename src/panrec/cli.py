@@ -2,6 +2,7 @@
 evaluation, loss reports, benchmarks, and an end-to-end demo."""
 from __future__ import annotations
 
+import re
 import statistics
 import sys
 import time
@@ -11,14 +12,7 @@ import click
 import numpy as np
 
 from . import containers as C
-from .lifting import (
-    CategorySortedAssignment,
-    FeatureVolume,
-    RandomAssignment,
-    lift_instances_topdown,
-    lift_priors,
-    occupancy_aware_lift,
-)
+from .lifting import FeatureVolume, lift_instances_topdown, lift_priors, occupancy_aware_lift
 from .losses import (
     LossWeights,
     loss_3d,
@@ -77,14 +71,10 @@ def _write_scene(scene: SceneGT, out_dir: Path, generator=None):
 
 def _write_priors(priors: Priors2D, scene: SceneGT, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    inst2d, inst_cats = derive_instance_map2d(scene)
-    cat_map = np.zeros_like(inst2d)
-    for i, cat in inst_cats.items():
-        cat_map[inst2d == i] = cat
     arrays = {
         "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
         "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d,
-        "instances2d": np.stack([cat_map, inst2d], axis=-1).astype(np.int32),
+        "instances2d": derive_instance_map2d(scene),
     }
     for name, kind in PRIOR_KINDS.items():
         C.write_container(out_dir / f"{name}.bin", kind, arrays[name], scene.frame,
@@ -161,15 +151,24 @@ def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
     click.echo(f"wrote priors to {out_dir}")
 
 
+def _assignment_seed(_ctx, _param, value):
+    """`--assignment`: 'category' -> None, 'random:SEED' -> SEED, an integer >= 0."""
+    if value == "category":
+        return None
+    if match := re.fullmatch(r"random:([0-9]+)", value):
+        return int(match.group(1))
+    raise click.BadParameter(f"{value!r} is not 'category' or 'random:SEED', SEED an integer >= 0")
+
+
 @main.command()
 @click.argument("priors_dir", type=click.Path(exists=True, path_type=Path))
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--mode", type=click.Choice(["bottom-up", "top-down"]),
               default="bottom-up", show_default=True)
-@click.option("--assignment", default="category", show_default=True,
-              help="Top-down channel assignment: 'category' or 'random:SEED'.")
+@click.option("--assignment", "seed", default="category", callback=_assignment_seed,
+              show_default=True, help="Top-down channel assignment: 'category' or 'random:SEED'.")
 @click.option("--n-channels", type=int, default=16, show_default=True)
-def lift(priors_dir, out_path, mode, assignment, n_channels):
+def lift(priors_dir, out_path, mode, seed, n_channels):
     """Lift a prior bundle to a 3D feature volume container."""
     if mode == "bottom-up":
         priors, frame, intr, planes = _load_priors(priors_dir, offsets=False)
@@ -177,17 +176,7 @@ def lift(priors_dir, out_path, mode, assignment, n_channels):
     else:
         _manifest, (depth, inst) = _read_priors(priors_dir, "depth", "instances2d")
         frame, intr, planes = depth.frame, depth.intrinsics, depth.planes
-        inst_map = inst.array[..., 1]
-        inst_cats = {int(i): int(inst.array[..., 0][inst_map == i].flat[0])
-                     for i in np.unique(inst_map[inst_map > 0])}
-        if assignment == "category":
-            strategy = CategorySortedAssignment()
-        elif assignment.startswith("random:"):
-            strategy = RandomAssignment(seed=int(assignment.split(":", 1)[1]))
-        else:
-            raise click.ClickException(f"unknown assignment {assignment!r}")
-        fv = lift_instances_topdown(inst_map, inst_cats, depth.array, frame,
-                                    intr, planes, strategy, n_channels)
+        fv = lift_instances_topdown(inst.array, depth.array, frame, intr, planes, seed, n_channels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_container(out_path, "feature-volume", fv.features, frame, intr, planes)
     occ_path = out_path.with_name(out_path.stem + "_occupancy.bin")

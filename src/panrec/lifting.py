@@ -1,5 +1,6 @@
 """2D-to-3D lifting: occupancy-aware semantic lifting and the surface-only
-top-down instance baseline with configurable channel assignment."""
+baselines, depth-only occupancy and the top-down instance lift with
+category-sorted or seeded channel order."""
 from __future__ import annotations
 
 import warnings
@@ -46,17 +47,6 @@ class FeatureVolume:
     occupancy: np.ndarray
 
 
-@dataclass(frozen=True)
-class RandomAssignment:
-    """Seeded shuffle of instances onto channels."""
-
-    seed: int
-
-
-class CategorySortedAssignment:
-    """Instances sorted by (category, instance id) onto channels."""
-
-
 def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """(H, W, M) mask of cells at or behind the pixel's depth surface."""
     m, hit = surface_planes(depth, planes)
@@ -69,6 +59,13 @@ def surface_planes(depth: np.ndarray, planes: DepthPlanes):
     last center): the one surface-plane rule of the lift and both baselines."""
     m = np.searchsorted(planes.centers(), depth)
     return m, (depth > 0) & (m < planes.count)
+
+
+def surface_only_occupancy(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
+    """Multi-plane occupancy that marks only the depth-surface plane per ray: the
+    one placement of both baselines' surface cells."""
+    m, hit = surface_planes(np.asarray(depth, dtype=np.float64), planes)
+    return (np.arange(planes.count) == np.where(hit, m, planes.count)[..., None]).astype(np.float64)
 
 
 def scores_to_labels(scores: np.ndarray) -> np.ndarray:
@@ -141,46 +138,48 @@ def occupancy_aware_lift(priors: Priors2D, frame, intrinsics: CameraIntrinsics,
 
 
 def lift_instances_topdown(
-    instance_map: np.ndarray,
-    instance_categories: dict,
+    instances2d: np.ndarray,
     depth: np.ndarray,
     frame,
     intrinsics: CameraIntrinsics,
     planes: DepthPlanes,
-    assignment=CategorySortedAssignment(),
+    seed: int | None = None,
     n_channels: int = 16,
 ) -> FeatureVolume:
     """Surface-only lifting of 2D instance masks into fixed voxel channels.
 
-    Each instance occupies one channel chosen by the assignment strategy; its
-    mask pixels fill only the surface plane given by the depth map. When more
-    instances exist than channels, the largest-area instances are kept.
+    `instances2d` is the (height, width, 2) (category, instance id) map of
+    `instances2d.bin`, id 0 where there is no instance; an instance's category
+    is the one at its first pixel in C order. Each instance fills one channel at
+    its pixels' `surface_only_occupancy` cells. Channels go in (category, id)
+    order, or with an int `seed`, in a PCG64 shuffle of the ids in ascending
+    order. When more instances exist than channels, the largest-area instances
+    are kept (the lower id on equal areas).
     """
     if n_channels < 1:
         raise LiftingError("need at least one instance channel")
-    instance_map = np.asarray(instance_map)
     if not isinstance(frame, FrustumGrid):
         raise LiftingError("top-down baseline is defined on the frustum frame")
     depth = checked_depth(depth, frame, intrinsics, planes)
-    ids = [int(i) for i in np.unique(instance_map[instance_map > 0])]
-    if len(ids) > n_channels:
-        areas = {i: int(np.sum(instance_map == i)) for i in ids}
-        keep = sorted(ids, key=lambda i: (-areas[i], i))[:n_channels]
-        dropped = sorted(set(ids) - set(keep))
-        warnings.warn(f"dropping {len(dropped)} instances beyond {n_channels} channels")
-        ids = sorted(keep)
-    if isinstance(assignment, RandomAssignment):
-        order = list(ids)
-        np.random.Generator(np.random.PCG64(assignment.seed)).shuffle(order)
-    elif isinstance(assignment, CategorySortedAssignment):
-        order = sorted(ids, key=lambda i: (instance_categories[i], i))
+    instances2d = np.asarray(instances2d)
+    if instances2d.shape != depth.shape + (2,):
+        raise LiftingError(f"instances2d shape {instances2d.shape} != the camera's "
+                           f"(height, width, 2) {depth.shape + (2,)}")
+    if (instances2d[..., 1] < 0).any():
+        raise LiftingError("instances2d has a negative instance id")
+    ids, first, inverse, area = np.unique(instances2d[..., 1], return_index=True,
+                                          return_inverse=True, return_counts=True)
+    kept = np.flatnonzero(ids > 0)
+    if len(kept) > n_channels:
+        warnings.warn(f"dropping {len(kept) - n_channels} instances beyond {n_channels} channels")
+        kept = np.sort(kept[np.lexsort((kept, -area[kept]))[:n_channels]])
+    if seed is None:
+        kept = kept[np.lexsort((kept, instances2d[..., 0].ravel()[first[kept]]))]
     else:
-        raise LiftingError(f"unknown assignment strategy {assignment!r}")
-    features = np.zeros(frame.shape + (n_channels,), dtype=np.float64)
-    surface, hit = surface_planes(depth, planes)
-    occupancy = np.zeros(frame.shape, dtype=np.float64)
-    for channel, inst_id in enumerate(order):
-        vs, us = np.nonzero((instance_map == inst_id) & hit)
-        features[vs, us, surface[vs, us], channel] = 1.0
-        occupancy[vs, us, surface[vs, us]] = 1.0
+        np.random.Generator(np.random.PCG64(seed)).shuffle(kept)
+    channel = np.full(len(ids), -1)
+    channel[kept] = np.arange(len(kept))
+    channel = channel[inverse.reshape(depth.shape)]
+    occupancy = surface_only_occupancy(depth, planes) * (channel >= 0)[..., None]
+    features = occupancy[..., None] * (channel[..., None, None] == np.arange(n_channels))
     return FeatureVolume(frame=frame, features=features, occupancy=occupancy)

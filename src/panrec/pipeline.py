@@ -5,20 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes
-from .lifting import lift_priors, surface_planes
+from .lifting import lift_priors
 from .priors import Priors2D
 from .reconstruction import ReconstructionError, Refined3D, reconstruct
 from .volume import CategoryTable, PanopticVolume
-
-
-def surface_only_occupancy(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
-    """Multi-plane occupancy that marks only the depth-surface plane per ray."""
-    depth = np.asarray(depth, dtype=np.float64)
-    m, hit = surface_planes(depth, planes)
-    occ = np.zeros(depth.shape + (planes.count,), dtype=np.float64)
-    vs, us = np.nonzero(hit)
-    occ[vs, us, m[vs, us]] = 1.0
-    return occ
 
 
 def reconstruct_from_priors(
@@ -35,7 +25,7 @@ def reconstruct_from_priors(
     stand in for the refinement stage's offset prediction. A channel count
     other than the category table's, like anything `Priors2D.validate`
     rejects, fails before any volume is built. The depth-only baseline is a
-    bundle with `surface_only_occupancy` as its multi-plane occupancy."""
+    bundle with `lifting.surface_only_occupancy` as its multi-plane occupancy."""
     if priors.offsets3d is None:
         raise ReconstructionError("prior bundle carries no 3D offsets (offsets3d)")
     shape = np.shape(priors.semantics)

@@ -236,18 +236,20 @@ def derive_offsets3d(scene: SceneGT, centers) -> np.ndarray:
     return offsets
 
 
-def derive_instance_map2d(scene: SceneGT):
-    """Front-most instance id and category per pixel (0 where none).
+def derive_instance_map2d(scene: SceneGT) -> np.ndarray:
+    """The (H, W, 2) int32 (category, instance id) map of `instances2d.bin`: per
+    pixel, the front-most instance id and the category at that instance's first
+    pixel in C order, (0, 0) where there is no instance.
 
     Input surface for the top-down lifting baseline; not one of the four priors.
     """
     m_first, hit, vv, uu = _front_cells(scene)
     # A well-formed volume has nonzero instance ids only on thing cells.
-    inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0).astype(np.int32)
-    ids, first = np.unique(inst.ravel(), return_index=True)
-    vs, us = np.unravel_index(first[ids > 0], inst.shape)
-    cats = scene.volume.semantics[vs, us, m_first[vs, us]]
-    return inst, dict(zip(ids[ids > 0].tolist(), cats.tolist()))
+    inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0)
+    _ids, first, inverse = np.unique(inst, return_index=True, return_inverse=True)
+    cats = scene.volume.semantics[vv, uu, m_first].ravel()[first]
+    cat = np.where(inst > 0, cats[inverse.reshape(inst.shape)], 0)
+    return np.stack([cat, inst], axis=-1).astype(np.int32)
 
 
 def derive_priors(scene: SceneGT, sigma: float = 8.0) -> Priors2D:

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from panrec.cli import main as cli_main
 from panrec.geometry import DepthPlanes, FrustumGrid, backproject, plane_index, project
-from panrec.lifting import RandomAssignment, lift_instances_topdown, occupancy_aware_lift
+from panrec.lifting import lift_instances_topdown, occupancy_aware_lift, surface_only_occupancy
 from panrec.losses import (
     binary_cross_entropy,
     cross_entropy,
@@ -17,7 +17,7 @@ from panrec.losses import (
     tsdf_from_scene,
 )
 from panrec.metrics import extract_segments, match_segments, prq
-from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
+from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_instance_map2d, derive_priors
 from panrec.reconstruction import (
     assemble_panoptic,
@@ -200,11 +200,9 @@ def test_criterion_4_instance_channel_ambiguity():
         ok &= base.features.tobytes() == again.features.tobytes()
         # top-down: random channel assignment is seed dependent but content
         # preserving
-        inst_map, inst_cats = derive_instance_map2d(scene)
-        a = lift_instances_topdown(inst_map, inst_cats, priors.depth, *args,
-                                   RandomAssignment(0), 16)
-        b = lift_instances_topdown(inst_map, inst_cats, priors.depth, *args,
-                                   RandomAssignment(1), 16)
+        inst_map = derive_instance_map2d(scene)
+        a = lift_instances_topdown(inst_map, priors.depth, *args, 0, 16)
+        b = lift_instances_topdown(inst_map, priors.depth, *args, 1, 16)
         ok &= not np.array_equal(a.features, b.features)
         ok &= sorted(a.features[..., c].tobytes() for c in range(16)) == \
             sorted(b.features[..., c].tobytes() for c in range(16))

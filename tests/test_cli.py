@@ -15,8 +15,9 @@ from hypothesis import given, reject, settings, strategies as st
 from panrec import containers
 from panrec.cli import PRIOR_KINDS, entry, main
 from panrec.containers import read_container, read_manifest
+from panrec.lifting import lift_instances_topdown
 from panrec.pipeline import reconstruct_from_priors
-from panrec.priors import Priors2D, derive_priors
+from panrec.priors import Priors2D, derive_instance_map2d, derive_priors
 from panrec.synth import SynthConfig, SynthError, generate_scene
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -96,12 +97,56 @@ def test_topdown_lift_modes(tmp_path):
         sorted(b[..., c].tobytes() for c in range(8))
 
 
-def test_lift_bad_assignment_fails(tmp_path):
+def test_lift_bad_assignment_fails(tmp_path, monkeypatch, capsys):
     _, priors, _, _ = build_chain(tmp_path)
-    result = runner.invoke(main, ["lift", str(priors), "--out",
-                                  str(tmp_path / "x.bin"), "--mode", "top-down",
-                                  "--assignment", "nope"])
-    assert result.exit_code != 0
+    for value in ("nope", "random:x", "random:", "random:3.5", "random:-1"):
+        code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "x.bin",
+                                 "--mode", "top-down", "--assignment", value)
+        assert code == 1
+        assert err.startswith("error: ") and "'--assignment'" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_topdown_lift_rejects_a_negative_instance_id(tmp_path, monkeypatch, capsys):
+    _, priors, _, _ = build_chain(tmp_path)
+    path = priors / "instances2d.bin"
+    cont = read_container(path, "panoptic-volume")
+    array = cont.array.copy()
+    array[..., 1][array[..., 1] == 1] = -5
+    containers.write_container(path, "panoptic-volume", array, cont.frame, cont.intrinsics,
+                               cont.planes)
+    code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "t.bin",
+                             "--mode", "top-down")
+    assert code == 1
+    assert err.startswith("error: instances2d") and err.count("\n") == 1, err
+    assert not (tmp_path / "t.bin").exists()
+
+
+@pytest.mark.filterwarnings("ignore:dropping")
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_cli_topdown_writes_the_in_process_lift(tmp_path, seed):
+    run("synth", "--seed", str(seed), "--out", str(tmp_path / "scene"), "--width", "32",
+        "--height", "32", "--planes", "32", "--things", "3", "--min-separation", "8")
+    run("derive-priors", str(tmp_path / "scene"), "--out", str(tmp_path / "priors"))
+    scene = generate_scene(SynthConfig(seed=seed, width=32, height=32, planes=32, n_things=3,
+                                       min_center_separation=8.0))
+    instances2d = derive_instance_map2d(scene)
+    depth, header = derive_priors(scene).depth, (scene.frame, scene.intrinsics, scene.planes)
+    expected = {"instances2d.bin": ("panoptic-volume", instances2d)}
+    n_instances = len(np.unique(instances2d[..., 1])) - 1
+    assert n_instances >= 2
+    for assignment, order in (("category", None), (f"random:{seed + 4}", seed + 4)):
+        for n_channels in (n_instances - 1, n_instances + 1):
+            run("lift", str(tmp_path / "priors"), "--out", str(tmp_path / "topdown.bin"),
+                "--mode", "top-down", "--assignment", assignment,
+                "--n-channels", str(n_channels))
+            fv = lift_instances_topdown(instances2d, depth, *header, order, n_channels)
+            expected["topdown.bin"] = ("feature-volume", fv.features)
+            expected["topdown_occupancy.bin"] = ("multiplane", fv.occupancy)
+            for name, (kind, array) in expected.items():
+                containers.write_container(tmp_path / "expected.bin", kind, array, *header)
+                written = tmp_path / ("priors" if kind == "panoptic-volume" else "") / name
+                assert written.read_bytes() == (tmp_path / "expected.bin").read_bytes(), name
 
 
 def test_noisy_priors_lower_score(tmp_path):

@@ -9,12 +9,12 @@ from hypothesis.extra import numpy as hnp
 from panrec import lifting
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
 from panrec.lifting import (
-    CategorySortedAssignment,
-    RandomAssignment,
+    LiftingError,
     lift_instances_topdown,
     lift_priors,
     occupancy_aware_lift,
     scores_to_labels,
+    surface_only_occupancy,
 )
 from panrec.priors import (
     PriorsError,
@@ -24,7 +24,6 @@ from panrec.priors import (
     derive_priors,
     derive_semantics2d,
 )
-from panrec.pipeline import surface_only_occupancy
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
@@ -158,12 +157,12 @@ def test_topdown_single_instance(small_scene):
     from panrec.geometry import plane_index
 
     h, w = small_scene.frame.height, small_scene.frame.width
-    inst_map = np.zeros((h, w), np.int32)
-    inst_map[4:8, 4:8] = 1
+    inst_map = np.zeros((h, w, 2), np.int32)
+    inst_map[4:8, 4:8] = (3, 1)
     depth = np.full((h, w), small_scene.planes.center(6))
-    fv = lift_instances_topdown(inst_map, {1: 3}, depth, small_scene.frame,
+    fv = lift_instances_topdown(inst_map, depth, small_scene.frame,
                                 small_scene.intrinsics, small_scene.planes,
-                                CategorySortedAssignment(), n_channels=4)
+                                None, n_channels=4)
     m = plane_index(small_scene.planes.center(6), small_scene.planes)
     assert np.all(fv.features[4:8, 4:8, m, 0] == 1.0)
     assert fv.features[..., 1:].sum() == 0
@@ -173,32 +172,29 @@ def test_topdown_single_instance(small_scene):
 
 
 def test_topdown_random_assignment_is_channel_permutation(small_scene):
-    inst_map, cats = derive_instance_map2d(small_scene)
+    inst_map = derive_instance_map2d(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    a = lift_instances_topdown(inst_map, cats, depth, *args, RandomAssignment(0), 8)
-    b = lift_instances_topdown(inst_map, cats, depth, *args, RandomAssignment(1), 8)
+    a = lift_instances_topdown(inst_map, depth, *args, 0, 8)
+    b = lift_instances_topdown(inst_map, depth, *args, 1, 8)
     multiset_a = sorted(a.features[..., c].tobytes() for c in range(8))
     multiset_b = sorted(b.features[..., c].tobytes() for c in range(8))
     assert multiset_a == multiset_b
 
 
 def test_topdown_category_sorted_enumeration_invariant(small_scene):
-    inst_map, cats = derive_instance_map2d(small_scene)
+    inst_map = derive_instance_map2d(small_scene)
     depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    base = lift_instances_topdown(inst_map, cats, depth, *args,
-                                  CategorySortedAssignment(), 8)
+    base = lift_instances_topdown(inst_map, depth, *args, None, 8)
     # relabel instance ids with an order-reversing bijection that preserves
     # the (category, id) sort order
+    cats = {int(i): int(c) for c, i in inst_map.reshape(-1, 2) if i > 0}
     ids = sorted(cats, key=lambda i: (cats[i], i))
-    mapping = {old: 100 + rank for rank, old in enumerate(ids)}
-    remapped = np.zeros_like(inst_map)
-    for old, new in mapping.items():
-        remapped[inst_map == old] = new
-    new_cats = {mapping[i]: c for i, c in cats.items()}
-    again = lift_instances_topdown(remapped, new_cats, depth, *args,
-                                   CategorySortedAssignment(), 8)
+    remapped = inst_map.copy()
+    for rank, old in enumerate(ids):
+        remapped[..., 1][inst_map[..., 1] == old] = 100 + rank
+    again = lift_instances_topdown(remapped, depth, *args, None, 8)
     assert np.array_equal(base.features, again.features)
 
 
@@ -219,10 +215,10 @@ def test_both_baselines_fill_the_lifts_first_filled_plane(depth_sigma):
     occ, _rows, _labels = lift_priors(bundle(p.semantics, mp, p.depth), *args)
     assert np.array_equal(np.count_nonzero(occ, axis=2), hit)
     assert np.array_equal(np.argmax(occ, axis=2)[hit], surface[hit])
-    inst_map, cats = derive_instance_map2d(scene)
-    topdown = lift_instances_topdown(inst_map, cats, p.depth, *args, n_channels=8)
+    inst_map = derive_instance_map2d(scene)
+    topdown = lift_instances_topdown(inst_map, p.depth, *args, n_channels=8)
     placed = topdown.occupancy > 0
-    assert np.count_nonzero(placed) == np.count_nonzero((inst_map > 0) & hit)
+    assert np.count_nonzero(placed) == np.count_nonzero((inst_map[..., 1] > 0) & hit)
     assert (occ[placed] > 0).all()
 
 
@@ -232,13 +228,13 @@ def test_topdown_overflow_keeps_largest():
     intr = CameraIntrinsics(fx=8.0, fy=8.0, cx=3.5, cy=3.5, width=8, height=8)
     frame = FrustumGrid(8, 8, 8)
     planes = DepthPlanes(count=8)
-    inst_map = np.zeros((8, 8), np.int32)
-    inst_map[0:4, 0:4] = 1   # area 16
-    inst_map[6, 6] = 2       # area 1
+    inst_map = np.zeros((8, 8, 2), np.int32)
+    inst_map[0:4, 0:4] = (3, 1)   # area 16
+    inst_map[6, 6] = (3, 2)       # area 1
     depth = np.full((8, 8), planes.center(2))
     with pytest.warns(UserWarning):
-        fv = lift_instances_topdown(inst_map, {1: 3, 2: 3}, depth, frame, intr,
-                                    planes, CategorySortedAssignment(), n_channels=1)
+        fv = lift_instances_topdown(inst_map, depth, frame, intr,
+                                    planes, None, n_channels=1)
     assert fv.features[0:4, 0:4, 2, 0].sum() == 16
     assert fv.features[6, 6].sum() == 0
 
@@ -253,15 +249,29 @@ def test_frustum_frame_must_match_camera_and_planes():
     depth = np.full((16, 16), planes.center(3))
     priors = bundle(sem2d, mp, depth)
     occupancy_aware_lift(priors, FrustumGrid(16, 16, 16), intr, planes)
-    inst_map = np.zeros((16, 16), np.int32)
+    inst_map = np.zeros((16, 16, 2), np.int32)
     for frame in (FrustumGrid(8, 8, 8), FrustumGrid(16, 16, 8), FrustumGrid(8, 16, 16)):
         for call in (
             lambda: occupancy_aware_lift(priors, frame, intr, planes),
             lambda: lift_priors(priors, frame, intr, planes),
-            lambda: lift_instances_topdown(inst_map, {}, depth, frame, intr, planes),
+            lambda: lift_instances_topdown(inst_map, depth, frame, intr, planes),
         ):
             with pytest.raises(PriorsError, match=r"frame dims .*\(height, width, planes\)"):
                 call()
+
+
+@pytest.mark.parametrize("bad", ["(32, 16) map", "id -5"])
+def test_topdown_rejects_a_malformed_instance_map(bad):
+    scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": 3}))
+    inst_map = derive_instance_map2d(scene)
+    assert (inst_map[..., 1] == 1).any()
+    if bad == "id -5":
+        inst_map[..., 1][inst_map[..., 1] == 1] = -5
+    else:
+        inst_map = inst_map[:, :16, 1]
+    args = (derive_depth(scene), scene.frame, scene.intrinsics, scene.planes)
+    with pytest.raises(LiftingError, match="^instances2d"):
+        lift_instances_topdown(inst_map, *args)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
@@ -271,13 +281,13 @@ def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
     priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
                     depth)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    inst_map, cats = derive_instance_map2d(small_scene)
+    inst_map = derive_instance_map2d(small_scene)
     with pytest.raises(PriorsError, match="depth"):
         lift_priors(priors, *args)
     with pytest.raises(PriorsError, match="depth"):
         occupancy_aware_lift(priors, *args)
     with pytest.raises(PriorsError, match="depth"):
-        lift_instances_topdown(inst_map, cats, depth, *args)
+        lift_instances_topdown(inst_map, depth, *args)
 
 
 @pytest.mark.parametrize("shape", ["2-d", "extra-axis", "wrong-width"])

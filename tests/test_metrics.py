@@ -208,26 +208,6 @@ def test_prq_frame_and_table_mismatch():
         prq(a, b)
 
 
-def test_threshold_above_half_unique_matching():
-    # with threshold > 0.5 at most one pred can match each gt, so greedy
-    # matching equals exhaustive matching by construction
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        sem, inst = blank()
-        sem2, inst2 = blank()
-        for arr_s, arr_i in ((sem, inst), (sem2, inst2)):
-            n = rng.integers(1, 4)
-            for i in range(1, n + 1):
-                cells = rng.choice(64, size=rng.integers(2, 12), replace=False)
-                arr_s.ravel()[cells] = 1
-                arr_i.ravel()[cells] = i
-        preds, gts, overlap = segments_and_overlap(vol(sem2, inst2), vol(sem, inst))
-        tp, _, _ = match_segments(preds, gts, overlap, threshold=0.55)
-        assert len({t[0] for t in tp}) == len(tp)
-        assert len({t[1] for t in tp}) == len(tp)
-        assert all(t[2] >= 0.55 for t in tp)
-
-
 def test_prq_reconstruction_round_trip():
     for scene in seeded_scenes(3):
         priors = derive_priors(scene)
@@ -554,6 +534,41 @@ def test_prq_is_invariant_to_instance_relabeling(pair, side, data):
                                  unique=True))
     pair = (relabeled(pred, new_ids), gt) if side == "pred" else (pred, relabeled(gt, new_ids))
     assert report_lines(prq(*pair)) == report_lines(prq(pred, gt))
+
+
+def cell_sets(volume):
+    """`extract_segments` of `volume` over every cell, and each segment as
+    (category, set of its cells)."""
+    segments, index = extract_segments(volume, np.arange(volume.semantics.size))
+    return segments, [(s.category, set(np.flatnonzero(index == i).tolist()))
+                      for i, s in enumerate(segments)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=volume_pairs(), threshold=st.sampled_from([0.5 + 2**-20, 0.6, 2 / 3, 1.0]))
+def test_matching_above_half_is_unique(pair, threshold):
+    # Above IoU 0.5 a segment overlaps at most one other segment that much
+    # (Kirillov et al., arXiv 1801.00868): the candidate pairs already form a
+    # matching, so it is the exhaustive optimum of criterion 2 (every matching
+    # is a subset of it), and swapping pred and gt only swaps FP and FN.
+    a, b = pair
+    ab, ba = prq(a, b, threshold), prq(b, a, threshold)
+    assert ab.categories == ba.categories
+    for k in ab.categories:
+        s, t = ab.per_category[k], ba.per_category[k]
+        assert (s.tp, s.fp, s.fn) == (t.tp, t.fn, t.fp)
+        assert all(abs(getattr(s, f) - getattr(t, f)) <= 1e-12 for f in ("prq", "rsq", "rrq"))
+    preds, pred_cells = cell_sets(a)
+    gts, gt_cells = cell_sets(b)
+    overlap = np.array([[len(g & p) for _, p in pred_cells] for _, g in gt_cells],
+                       dtype=np.int64).reshape(len(gts), len(preds))
+    candidates = sorted(
+        (gi, pi, len(g & p) / len(g | p))
+        for gi, (g_cat, g) in enumerate(gt_cells) for pi, (p_cat, p) in enumerate(pred_cells)
+        if g_cat == p_cat and len(g & p) / len(g | p) >= threshold)
+    assert len({c[0] for c in candidates}) == len({c[1] for c in candidates}) == len(candidates)
+    tp, _fp, _fn = match_segments(preds, gts, overlap, threshold)
+    assert sorted(tp) == candidates
 
 
 @pytest.mark.xfail(strict=True, reason="greedy matching at IoU 0.25 breaks equal-IoU ties "

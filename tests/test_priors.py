@@ -298,14 +298,15 @@ def test_offsets_missing_center_errors(small_scene):
 def test_instance_map2d_categories_match_per_id_scan():
     for scene in seeded_scenes(6, n_things=5, min_center_separation=4.0,
                                occlusion_allowed=True):
-        inst, cats = derive_instance_map2d(scene)
+        inst = derive_instance_map2d(scene)
         m_first = np.argmax(scene.volume.occupancy, axis=2)
-        expected = {}
-        for inst_id in np.unique(inst[inst > 0]):
-            vs, us = np.nonzero(inst == inst_id)
-            expected[int(inst_id)] = int(scene.volume.semantics[vs[0], us[0], m_first[vs[0], us[0]]])
-        assert list(cats.items()) == sorted(expected.items())
-        assert all(type(k) is int and type(c) is int for k, c in cats.items())
+        ids = np.take_along_axis(scene.volume.instances, m_first[..., None], axis=2)[..., 0]
+        expected = np.zeros(ids.shape + (2,), np.int32)
+        for inst_id in np.unique(ids[ids > 0]):
+            vs, us = np.nonzero(ids == inst_id)
+            cat = scene.volume.semantics[vs[0], us[0], m_first[vs[0], us[0]]]
+            expected[vs, us] = (cat, inst_id)
+        assert inst.dtype == np.int32 and np.array_equal(inst, expected)
 
 
 def test_depth_occupancy_equivalence(small_scene):

@@ -15,8 +15,14 @@ from panrec.geometry import (
     project_cells,
     resample_volume,
 )
-from panrec.lifting import FeatureVolume, lift_priors, occupancy_aware_lift, scores_to_labels
-from panrec.pipeline import reconstruct_from_priors, surface_only_occupancy
+from panrec.lifting import (
+    FeatureVolume,
+    lift_priors,
+    occupancy_aware_lift,
+    scores_to_labels,
+    surface_only_occupancy,
+)
+from panrec.pipeline import reconstruct_from_priors
 from panrec import lifting
 from panrec.priors import (
     InstanceCenter,
