@@ -132,7 +132,12 @@ def test_cli_topdown_writes_the_in_process_lift(tmp_path, seed):
                                        min_center_separation=8.0))
     instances2d = derive_instance_map2d(scene)
     depth, header = derive_priors(scene).depth, (scene.frame, scene.intrinsics, scene.planes)
-    expected = {"instances2d.bin": ("panoptic-volume", instances2d)}
+
+    def assert_written(path, kind, array):
+        containers.write_container(tmp_path / "expected.bin", kind, array, *header)
+        assert path.read_bytes() == (tmp_path / "expected.bin").read_bytes(), path
+
+    assert_written(tmp_path / "priors" / "instances2d.bin", "panoptic-volume", instances2d)
     n_instances = len(np.unique(instances2d[..., 1])) - 1
     assert n_instances >= 2
     for assignment, order in (("category", None), (f"random:{seed + 4}", seed + 4)):
@@ -141,12 +146,8 @@ def test_cli_topdown_writes_the_in_process_lift(tmp_path, seed):
                 "--mode", "top-down", "--assignment", assignment,
                 "--n-channels", str(n_channels))
             fv = lift_instances_topdown(instances2d, depth, *header, order, n_channels)
-            expected["topdown.bin"] = ("feature-volume", fv.features)
-            expected["topdown_occupancy.bin"] = ("multiplane", fv.occupancy)
-            for name, (kind, array) in expected.items():
-                containers.write_container(tmp_path / "expected.bin", kind, array, *header)
-                written = tmp_path / ("priors" if kind == "panoptic-volume" else "") / name
-                assert written.read_bytes() == (tmp_path / "expected.bin").read_bytes(), name
+            assert_written(tmp_path / "topdown.bin", "feature-volume", fv.features)
+            assert_written(tmp_path / "topdown_occupancy.bin", "multiplane", fv.occupancy)
 
 
 def test_noisy_priors_lower_score(tmp_path):

@@ -260,12 +260,12 @@ def test_frustum_frame_must_match_camera_and_planes():
                 call()
 
 
-@pytest.mark.parametrize("bad", ["(32, 16) map", "id -5"])
+@pytest.mark.parametrize("bad", ["map-32x16", "id-minus-5"])
 def test_topdown_rejects_a_malformed_instance_map(bad):
     scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": 3}))
     inst_map = derive_instance_map2d(scene)
     assert (inst_map[..., 1] == 1).any()
-    if bad == "id -5":
+    if bad == "id-minus-5":
         inst_map[..., 1][inst_map[..., 1] == 1] = -5
     else:
         inst_map = inst_map[:, :16, 1]
