@@ -12,7 +12,8 @@ import click
 import numpy as np
 
 from . import containers as C
-from .lifting import FeatureVolume, lift_instances_topdown, lift_priors, occupancy_aware_lift
+from .lifting import (FeatureVolume, lift_instances_topdown, lift_priors, lifted_occupancy,
+                      occupancy_aware_lift)
 from .losses import (
     LossWeights,
     loss_3d,
@@ -167,15 +168,19 @@ def _assignment_seed(_ctx, _param, value):
               default="bottom-up", show_default=True)
 @click.option("--assignment", "seed", default="category", callback=_assignment_seed,
               show_default=True, help="Top-down channel assignment: 'category' or 'random:SEED'.")
-@click.option("--n-channels", type=int, default=16, show_default=True)
+@click.option("--n-channels", type=click.IntRange(min=1), default=16, show_default=True)
 def lift(priors_dir, out_path, mode, seed, n_channels):
     """Lift a prior bundle to a 3D feature volume container."""
     if mode == "bottom-up":
         priors, frame, intr, planes = _load_priors(priors_dir, offsets=False)
         fv = occupancy_aware_lift(priors, frame, intr, planes)
     else:
-        _manifest, (depth, inst) = _read_priors(priors_dir, "depth", "instances2d")
+        manifest, (depth, inst) = _read_priors(priors_dir, "depth", "instances2d")
         frame, intr, planes = depth.frame, depth.intrinsics, depth.planes
+        things = np.flatnonzero(C.manifest_categories(manifest).is_thing)
+        if not np.isin(inst.array[..., 0][inst.array[..., 1] > 0], things).all():
+            _fail(f"{priors_dir / manifest['files']['instances2d']}: an instance's category "
+                  "is not a thing category of the manifest's table")
         fv = lift_instances_topdown(inst.array, depth.array, frame, intr, planes, seed, n_channels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_container(out_path, "feature-volume", fv.features, frame, intr, planes)
@@ -266,7 +271,8 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     scene, scene_path = _load_scene(scene_dir)
     pred, frame, intr, planes = _load_priors(priors_dir, offsets=True, like=[(scene_path, scene)])
     gt_priors = derive_priors(scene)
-    occ_pred, sem_pred, _labels = lift_priors(pred, frame, intr, planes)
+    occupied, sem_pred, _labels = lift_priors(pred, frame, intr, planes)
+    occ_pred = lifted_occupancy(occupied, frame)
     weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
                           occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
                           offset3d=w_offset3d)

@@ -21,7 +21,7 @@ from .priors import Priors2D, checked_depth
 from .volume import VOID
 
 
-# Cells per block in `occupancy_aware_lift` and `lift_priors`' labels: their
+# Cells per block in `occupancy_aware_lift` and `lift_priors`' lister and labels: their
 # temporaries stay a few MB, reused block to block, instead of growing with the grid.
 LIFT_BLOCK = 1 << 16
 
@@ -45,12 +45,6 @@ class FeatureVolume:
     frame: object
     features: np.ndarray
     occupancy: np.ndarray
-
-
-def _frustum_fill_mask(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
-    """(H, W, M) mask of cells at or behind the pixel's depth surface."""
-    m, hit = surface_planes(depth, planes)
-    return np.arange(planes.count) >= np.where(hit, m, planes.count)[..., None]
 
 
 def surface_planes(depth: np.ndarray, planes: DepthPlanes):
@@ -78,31 +72,50 @@ def scores_to_labels(scores: np.ndarray) -> np.ndarray:
 
 
 def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
-    """`Priors2D.validate`, then the occupancy-aware lift: (occupancy, rows, labels).
-    `occupancy` is the multi-plane occupancy at every cell, zero in free space
-    (in front of the depth surface) and on rays with no surface; `rows` maps
-    flat cell indices to their (N, C) features: pixel semantics times it. For gates
-    in (0, 1], `labels(cells, gate)` is `scores_to_labels(rows(cells) * gate[:, None])`
+    """`Priors2D.validate`, then the occupancy-aware lift: (occupied, rows, labels).
+    A cell's occupancy is its pixel's multi-plane occupancy at its plane if the
+    cell is at or behind the pixel's depth surface (frustum: its plane is at or
+    past the `surface_planes` plane; axis: its center is at or behind a depth
+    > 0), else 0. For t > 0, `occupied(t)` lists the flat cells of occupancy >= t
+    in ascending order, and their occupancy; `rows` maps flat cell indices to
+    their (N, C) features, pixel semantics times occupancy. For gates in (0, 1],
+    `labels(cells, gate)` is `scores_to_labels(rows(cells) * gate[:, None])`
     bit for bit, from one argmax per pixel (see LABEL_MARGIN)."""
     priors.validate(frame, intrinsics, planes)
     depth = np.asarray(priors.depth, dtype=np.float64)
-    mp_occupancy = np.asarray(priors.mp_occupancy, dtype=np.float64)
+    mp = np.asarray(priors.mp_occupancy, dtype=np.float64).reshape(-1)
     if isinstance(frame, FrustumGrid):
-        occupancy = mp_occupancy * _frustum_fill_mask(depth, planes)
+        m, hit = surface_planes(depth, planes)
+        first = np.where(hit, m, planes.count)
+
+        def at(cells):  # the cells' pixels and occupancy
+            pixel, plane = np.divmod(cells, planes.count)
+            return pixel, np.take(mp, cells) * (plane >= np.take(first, pixel))
     else:
-        pixel, inside = cell_pixels(frame, intrinsics)
-        _u, _v, z = project_cells(frame, intrinsics, planes)
-        m = plane_index(z, planes)
-        d = depth.reshape(-1)[pixel]
-        keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
-        occupancy = mp_occupancy.reshape(-1, planes.count)[pixel, np.where(keep, m, 0)] * keep
+        def at(cells=None):  # without cells, from the broadcast tables of every cell
+            pixel, inside = cell_pixels(frame, intrinsics, cells)
+            z = project_cells(frame, intrinsics, planes, cells)[2]
+            m, d = plane_index(z, planes), np.take(depth, pixel)
+            keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
+            return pixel, np.take(mp, pixel * planes.count + np.where(keep, m, 0)) * keep
     semantics = np.asarray(priors.semantics, dtype=np.float64)
     pixels = semantics.reshape(-1, semantics.shape[-1])
 
+    def occupied(t):
+        if not isinstance(frame, FrustumGrid):  # every cell's occupancy, from the tables
+            occupancy = at()[1].reshape(-1)
+            cells = np.flatnonzero(occupancy >= t)
+            return cells, np.take(occupancy, cells)
+        # a frustum cell's occupancy is 0 or the multi-plane occupancy at its own index
+        blocks = (np.flatnonzero(mp[start:start + LIFT_BLOCK] >= t) + start
+                  for start in range(0, mp.size, LIFT_BLOCK))
+        cells = np.concatenate([block[at(block)[1] >= t] for block in blocks])
+        return cells, np.take(mp, cells)
+
     def rows(cells):
-        pixel, _inside = cell_pixels(frame, intrinsics, cells)
+        pixel, occupancy = at(cells)
         out = np.take(pixels, pixel, axis=0)
-        out *= occupancy.reshape(-1)[cells, None]
+        out *= occupancy[:, None]
         return out
 
     def labels(cells, gate):
@@ -112,8 +125,8 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         out = np.empty(len(cells), dtype=np.int32)
         for start in range(0, len(cells), LIFT_BLOCK):
             block, g = cells[start:start + LIFT_BLOCK], gate[start:start + LIFT_BLOCK]
-            pixel, _inside = cell_pixels(frame, intrinsics, block)
-            score = np.take(top, pixel) * np.take(occupancy, block) * g
+            pixel, occupancy = at(block)
+            score = np.take(top, pixel) * occupancy * g
             hit = score > 0
             label = np.take(best, pixel, out=out[start:start + LIFT_BLOCK])
             label[~hit] = VOID
@@ -122,14 +135,25 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
                 label[exact] = scores_to_labels(rows(block[exact]) * g[exact, None])
         return out
 
-    return occupancy, rows, labels
+    return occupied, rows, labels
+
+
+def lifted_occupancy(occupied, frame) -> np.ndarray:
+    """The lifted occupancy of every cell, dense, from `lift_priors`' lister
+    `occupied`: for `occupancy_aware_lift` and `panrec loss`, which need it."""
+    volume = np.zeros(frame.shape)
+    cells, gate = occupied(np.nextafter(0.0, 1.0))
+    volume.reshape(-1)[cells] = gate
+    return volume
 
 
 def occupancy_aware_lift(priors: Priors2D, frame, intrinsics: CameraIntrinsics,
                          planes: DepthPlanes) -> FeatureVolume:
     """Hadamard product of lifted semantics and lifted occupancy, dense:
-    `lift_priors`' rows at every cell, evaluated in blocks of LIFT_BLOCK cells."""
-    occ, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
+    `lift_priors`' rows at every cell, evaluated in blocks of LIFT_BLOCK cells,
+    and `lifted_occupancy`."""
+    occupied, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
+    occ = lifted_occupancy(occupied, frame)
     features = np.empty(occ.shape + np.shape(priors.semantics)[-1:])
     flat = features.reshape(occ.size, features.shape[-1])
     for start in range(0, occ.size, LIFT_BLOCK):
@@ -149,15 +173,15 @@ def lift_instances_topdown(
     """Surface-only lifting of 2D instance masks into fixed voxel channels.
 
     `instances2d` is the (height, width, 2) (category, instance id) map of
-    `instances2d.bin`, id 0 where there is no instance; an instance's category
-    is the one at its first pixel in C order. Each instance fills one channel at
-    its pixels' `surface_only_occupancy` cells. Channels go in (category, id)
-    order, or with an int `seed`, in a PCG64 shuffle of the ids in ascending
-    order. When more instances exist than channels, the largest-area instances
-    are kept (the lower id on equal areas).
+    `instances2d.bin`, id 0 where there is no instance and one category per
+    instance. Each instance fills one channel at its pixels'
+    `surface_only_occupancy` cells. Channels go in (category, id) order, or with
+    an int `seed`, in a PCG64 shuffle of the ids in ascending order. When more
+    instances exist than channels, the largest-area instances are kept (the
+    lower id on equal areas).
     """
     if n_channels < 1:
-        raise LiftingError("need at least one instance channel")
+        raise LiftingError(f"n_channels must be >= 1, got {n_channels}")
     if not isinstance(frame, FrustumGrid):
         raise LiftingError("top-down baseline is defined on the frustum frame")
     depth = checked_depth(depth, frame, intrinsics, planes)
@@ -167,19 +191,23 @@ def lift_instances_topdown(
                            f"(height, width, 2) {depth.shape + (2,)}")
     if (instances2d[..., 1] < 0).any():
         raise LiftingError("instances2d has a negative instance id")
-    ids, first, inverse, area = np.unique(instances2d[..., 1], return_index=True,
-                                          return_inverse=True, return_counts=True)
+    category, instance = instances2d.reshape(-1, 2).T
+    ids, first, inverse, area = np.unique(instance, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    mixed = np.unique(instance[(category != category[first[inverse]]) & (instance > 0)])
+    if mixed.size:
+        raise LiftingError(f"instances2d: instances {mixed.tolist()} carry more than one category")
     kept = np.flatnonzero(ids > 0)
     if len(kept) > n_channels:
         warnings.warn(f"dropping {len(kept) - n_channels} instances beyond {n_channels} channels")
         kept = np.sort(kept[np.lexsort((kept, -area[kept]))[:n_channels]])
     if seed is None:
-        kept = kept[np.lexsort((kept, instances2d[..., 0].ravel()[first[kept]]))]
+        kept = kept[np.lexsort((kept, category[first[kept]]))]
     else:
         np.random.Generator(np.random.PCG64(seed)).shuffle(kept)
     channel = np.full(len(ids), -1)
     channel[kept] = np.arange(len(kept))
-    channel = channel[inverse.reshape(depth.shape)]
+    channel = channel[inverse].reshape(depth.shape)
     occupancy = surface_only_occupancy(depth, planes) * (channel >= 0)[..., None]
     features = occupancy[..., None] * (channel[..., None, None] == np.arange(n_channels))
     return FeatureVolume(frame=frame, features=features, occupancy=occupancy)

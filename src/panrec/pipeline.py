@@ -32,6 +32,6 @@ def reconstruct_from_priors(
     if len(shape) == 3 and shape[-1] != len(categories):
         raise ReconstructionError(f"semantics has {shape[-1]} channels, the category table "
                                   f"{len(categories)} categories")
-    occ, _rows, labels = lift_priors(priors, frame, intrinsics, planes)
-    refined = Refined3D(frame, labels, priors.offsets3d, occ)
+    occupied, _rows, labels = lift_priors(priors, frame, intrinsics, planes)
+    refined = Refined3D(frame, labels, priors.offsets3d, occupied)
     return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)

@@ -108,22 +108,22 @@ def _require_frustum(scene: SceneGT):
 
 def _front_cells(scene: SceneGT):
     """Per pixel: the first occupied plane along the ray, whether the ray has
-    one, and the (v, u) index grids."""
+    one, and the (v, u) index grids: the derive functions' `front`."""
     _require_frustum(scene)
     occ = scene.volume.occupancy
     vv, uu = np.meshgrid(np.arange(occ.shape[0]), np.arange(occ.shape[1]), indexing="ij")
     return np.argmax(occ, axis=2), occ.any(axis=2), vv, uu
 
 
-def derive_depth(scene: SceneGT) -> np.ndarray:
+def derive_depth(scene: SceneGT, front=None) -> np.ndarray:
     """Per pixel, the plane-center depth of the first occupied cell along the ray."""
-    m_first, hit, _vv, _uu = _front_cells(scene)
+    m_first, hit, _vv, _uu = front or _front_cells(scene)
     return np.where(hit, scene.planes.center(m_first), 0.0)
 
 
-def derive_semantics2d(scene: SceneGT) -> np.ndarray:
+def derive_semantics2d(scene: SceneGT, front=None) -> np.ndarray:
     """One-hot (H, W, C) category map of the front-most occupied cell per ray."""
-    m_first, hit, vv, uu = _front_cells(scene)
+    m_first, hit, vv, uu = front or _front_cells(scene)
     cat = np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
     one_hot = np.zeros(hit.shape + (len(scene.categories),), dtype=np.float64)
     one_hot[vv, uu, cat] = 1.0
@@ -133,7 +133,7 @@ def derive_semantics2d(scene: SceneGT) -> np.ndarray:
 def _thing_cells(vol: PanopticVolume):
     """One pass over the thing cells: their flat C-order indices and (v, u)
     coordinates, the sorted instance ids, and per id its first cell's position,
-    each cell's id position and per-id cell counts."""
+    each cell's id position and per-id cell counts: derive functions' `things`."""
     flat = np.flatnonzero(vol.instances > 0)
     vs, us, _ms = np.unravel_index(flat, vol.instances.shape)
     ids, first, inverse, counts = np.unique(
@@ -142,11 +142,11 @@ def _thing_cells(vol: PanopticVolume):
     return flat, vs, us, ids.tolist(), first, inverse, counts
 
 
-def derive_centers(scene: SceneGT) -> list:
+def derive_centers(scene: SceneGT, things=None) -> list:
     """Mass center (mean pixel position of all cells, visible or not) per thing
     instance, rounded to the nearest pixel."""
     _require_frustum(scene)
-    flat, vs, us, ids, first, inverse, counts = _thing_cells(scene.volume)
+    flat, vs, us, ids, first, inverse, counts = things or _thing_cells(scene.volume)
     # Integer coordinate sums are exact in float64, so sum / count is the mean.
     cu = round_half_up(np.bincount(inverse, weights=us, minlength=len(ids)) / counts)
     cv = round_half_up(np.bincount(inverse, weights=vs, minlength=len(ids)) / counts)
@@ -220,11 +220,11 @@ def derive_multiplane_occupancy(scene: SceneGT) -> np.ndarray:
     return scene.volume.occupancy.astype(np.float64)
 
 
-def derive_offsets3d(scene: SceneGT, centers) -> np.ndarray:
+def derive_offsets3d(scene: SceneGT, centers, things=None) -> np.ndarray:
     """Per occupied thing cell, the pixel offset from the cell's ray pixel to its
     instance's 2D center; zero elsewhere. Shape (H, W, M, 2) as (du, dv)."""
     _require_frustum(scene)
-    flat, vs, us, ids, _first, inverse, _counts = _thing_cells(scene.volume)
+    flat, vs, us, ids, _first, inverse, _counts = things or _thing_cells(scene.volume)
     by_id = {c.instance_id: c for c in centers}
     missing = [i for i in ids if i not in by_id]
     if missing:
@@ -253,14 +253,16 @@ def derive_instance_map2d(scene: SceneGT) -> np.ndarray:
 
 
 def derive_priors(scene: SceneGT, sigma: float = 8.0) -> Priors2D:
-    """All GT priors plus offset targets for one scene."""
-    centers = derive_centers(scene)
+    """All GT priors plus offset targets for one scene, from one read of each
+    ray's front cell and of the thing cells."""
+    front, things = _front_cells(scene), _thing_cells(scene.volume)
+    centers = derive_centers(scene, things)
     h, w = scene.frame.height, scene.frame.width
     return Priors2D(
-        semantics=derive_semantics2d(scene),
-        depth=derive_depth(scene),
+        semantics=derive_semantics2d(scene, front),
+        depth=derive_depth(scene, front),
         centers=centers,
         heatmap=encode_center_heatmap(centers, h, w, sigma),
         mp_occupancy=derive_multiplane_occupancy(scene),
-        offsets3d=derive_offsets3d(scene, centers),
+        offsets3d=derive_offsets3d(scene, centers, things),
     )

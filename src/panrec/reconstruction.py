@@ -20,63 +20,62 @@ class ReconstructionError(ValueError):
 
 @dataclass
 class Refined3D:
-    """Per-cell semantic labels, pixel offsets, and occupancy over one frame.
+    """Per-cell semantic labels, pixel offsets, and the occupied cells of one frame.
 
-    `labels(cells, gate)` labels the flat cell indices `cells` by their score
-    rows scaled by `gate`: `lifting.lift_priors`' per-pixel labeler, or the
-    row reduction of `identity_refine`. Offsets and occupancy cover the frame.
+    `occupied(t)` lists in ascending order the flat cells whose occupancy is
+    >= t, and their occupancy; `labels(cells, gate)` labels flat cell indices
+    by their score rows scaled by `gate`. Both are `lifting.lift_priors`', or
+    `identity_refine`'s dense threshold and row reduction. Offsets cover the frame.
     """
 
     frame: object
     labels: Callable        # (cells, gate) -> (N,) int32 labels
     offsets: np.ndarray     # (..., 2) as (du, dv)
-    occupancy: np.ndarray   # (...) in [0, 1]
+    occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        self.occupancy = np.asarray(self.occupancy, dtype=np.float64)
-        shape = self.frame.shape
-        if self.offsets.shape != shape + (2,):
-            raise ReconstructionError(f"offsets shape {self.offsets.shape} != {shape + (2,)}")
-        if self.occupancy.shape != shape:
-            raise ReconstructionError(f"occupancy shape {self.occupancy.shape} != {shape}")
+        if self.offsets.shape != self.frame.shape + (2,):
+            raise ReconstructionError(f"offsets shape {self.offsets.shape} != "
+                                      f"{self.frame.shape + (2,)}")
 
 
 def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.ndarray) -> Refined3D:
     """Pack lifted semantics with externally provided offsets and occupancy.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
-    unchanged. Its labeler reduces the dense `lifted.features` row by row.
-    Features must be finite and >= 0 and occupancy finite and within [0, 1],
-    as `lift_priors` makes them; each ReconstructionError begins with the field.
+    unchanged. Its lister thresholds the dense `occupancy` and its labeler
+    reduces the dense `lifted.features` row by row. Features must be finite and
+    >= 0 and occupancy finite and within [0, 1], as `lift_priors` makes them;
+    each ReconstructionError begins with the field.
     """
     features = lifted.features
     if features.shape[:-1] != lifted.frame.shape:
         raise ReconstructionError(f"features shape {features.shape} does not cover the "
                                   f"frame {lifted.frame.shape}")
-    flat = features.reshape(-1, features.shape[-1])
+    flat, occ = features.reshape(-1, features.shape[-1]), np.asarray(occupancy, dtype=np.float64)
     labels = lambda cells, gate: scores_to_labels(flat[cells] * gate[:, None])
-    refined = Refined3D(lifted.frame, labels, offsets, occupancy)
-    for field, values, high in (("features", features, np.inf),
-                                ("occupancy", refined.occupancy, 1.0)):
+
+    def occupied(t):
+        cells = np.flatnonzero(occ >= t)
+        return cells, np.take(occ, cells)
+    refined = Refined3D(lifted.frame, labels, offsets, occupied)
+    if occ.shape != lifted.frame.shape:
+        raise ReconstructionError(f"occupancy shape {occ.shape} != {lifted.frame.shape}")
+    for field, values, high in (("features", features, np.inf), ("occupancy", occ, 1.0)):
         if not within(values, 0.0, high):
             raise ReconstructionError(f"{field} must be finite and within [0.0, {high}]")
     return refined
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
-    """Labels of the occupied cells.
-
-    Returns (cells, labels, gate): the ascending flat indices of the cells with
-    occupancy >= `occ_threshold`, their labels (`refined.labels` gated by that
-    occupancy: the argmax of the score rows times it, void where no score is
-    > 0), and that occupancy, which is > 0.
-    """
+    """Labels of the occupied cells: (cells, labels, gate), the cells and the
+    occupancy (> 0) that `refined.occupied(occ_threshold)` lists, and their
+    labels gated by it (the argmax of the score rows times it, void where no
+    score is > 0)."""
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
-    occ = refined.occupancy.reshape(-1)
-    cells = np.flatnonzero(occ >= occ_threshold)
-    gate = np.take(occ, cells)
+    cells, gate = refined.occupied(occ_threshold)
     return cells, refined.labels(cells, gate), gate
 
 

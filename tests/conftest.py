@@ -79,6 +79,13 @@ def labels_of(volume):
     return lambda cells, gate: scores_to_labels(rows(cells) * gate[:, None])
 
 
+def occupied_of(occupancy):
+    """A dense occupancy volume as the t -> (cells, occupancy) lister that
+    `Refined3D.occupied` takes: the dense threshold of `identity_refine`."""
+    flat = np.reshape(occupancy, -1)
+    return lambda t: (lambda cells: (cells, flat[cells]))(np.flatnonzero(flat >= t))
+
+
 def bundle(semantics, mp_occupancy, depth, **fields):
     """A prior bundle of the three lifted priors; no centers, an all-zero
     heatmap and no offsets unless given in `fields`."""

@@ -122,6 +122,35 @@ def test_topdown_lift_rejects_a_negative_instance_id(tmp_path, monkeypatch, caps
     assert not (tmp_path / "t.bin").exists()
 
 
+@pytest.mark.parametrize("category", [99, -7, 1])
+def test_topdown_lift_rejects_a_category_that_is_not_a_thing(tmp_path, monkeypatch, capsys,
+                                                              category):
+    # outside the manifest's 7-category table, or stuff (category 1, the wall)
+    _, priors, _, _ = build_chain(tmp_path)
+    path = priors / "instances2d.bin"
+    cont = read_container(path, "panoptic-volume")
+    array = cont.array.copy()
+    array[..., 0][array[..., 1] == 2] = category
+    containers.write_container(path, "panoptic-volume", array, cont.frame, cont.intrinsics,
+                               cont.planes)
+    code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "t.bin",
+                             "--mode", "top-down")
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "t.bin").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_n_channels_below_one_is_rejected_by_name(tmp_path, value):
+    _, priors, _, _ = build_chain(tmp_path, size=16)
+    result = runner.invoke(main, ["lift", str(priors), "--out", str(tmp_path / "t.bin"),
+                                  "--mode", "top-down", "--n-channels", value])
+    assert result.exit_code == 2
+    assert "'--n-channels'" in result.output and f"{value} is not in the range x>=1" \
+        in result.output, result.output
+    assert not (tmp_path / "t.bin").exists()
+
+
 @pytest.mark.filterwarnings("ignore:dropping")
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_cli_topdown_writes_the_in_process_lift(tmp_path, seed):

@@ -1,9 +1,10 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
@@ -12,6 +13,7 @@ from panrec.lifting import (
     LiftingError,
     lift_instances_topdown,
     lift_priors,
+    lifted_occupancy,
     occupancy_aware_lift,
     scores_to_labels,
     surface_only_occupancy,
@@ -24,6 +26,7 @@ from panrec.priors import (
     derive_priors,
     derive_semantics2d,
 )
+from panrec.reconstruction import Refined3D, mask_by_occupancy
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from conftest import (
     CROWDED_NOISE,
@@ -88,9 +91,13 @@ def test_lift_semantics_shape_mismatch(small_scene):
 def test_lift_occupancy_reproduces_scene(small_scene):
     priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
                     derive_depth(small_scene))
-    lifted, _rows, _labels = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
-                                         small_scene.planes)
-    assert np.array_equal(lifted > 0, small_scene.volume.occupancy)
+    occupied, _rows, _labels = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
+                                           small_scene.planes)
+    assert np.array_equal(lifted_occupancy(occupied, small_scene.frame) > 0,
+                          small_scene.volume.occupancy)
+    cells, gate = occupied(0.5)
+    assert np.array_equal(cells, np.flatnonzero(small_scene.volume.occupancy))
+    assert (gate == 1.0).all()
 
 
 def test_lift_occupancy_constants(small_scene):
@@ -98,10 +105,11 @@ def test_lift_occupancy_constants(small_scene):
     m = small_scene.planes.count
     depth = np.full((h, w), small_scene.planes.center(0))
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
-    ones, *_ = lift_priors(bundle(np.ones((h, w, 1)), np.ones((h, w, m)), depth), *args)
-    assert np.all(ones == 1.0)
-    zeros, *_ = lift_priors(bundle(np.ones((h, w, 1)), np.zeros((h, w, m)), depth), *args)
-    assert np.all(zeros == 0.0)
+    for value in (1.0, 0.0):
+        occupied, *_ = lift_priors(bundle(np.ones((h, w, 1)), np.full((h, w, m), value),
+                                          depth), *args)
+        assert np.all(lifted_occupancy(occupied, small_scene.frame) == value)
+        assert occupied(0.5)[0].size == value * h * w * m
 
 
 def test_occupancy_aware_lift_matches_scene(small_scene):
@@ -212,7 +220,7 @@ def test_both_baselines_fill_the_lifts_first_filled_plane(depth_sigma):
     assert (centers[surface[hit]] >= depth).all()
     assert (centers[surface[hit] - 1][surface[hit] > 0] < depth[surface[hit] > 0]).all()
     mp = surface_only_occupancy(p.depth, scene.planes)
-    occ, _rows, _labels = lift_priors(bundle(p.semantics, mp, p.depth), *args)
+    occ = lifted_occupancy(lift_priors(bundle(p.semantics, mp, p.depth), *args)[0], scene.frame)
     assert np.array_equal(np.count_nonzero(occ, axis=2), hit)
     assert np.array_equal(np.argmax(occ, axis=2)[hit], surface[hit])
     inst_map = derive_instance_map2d(scene)
@@ -376,10 +384,10 @@ def test_occupancy_aware_lift_equals_dense_reference(case):
         return
     fv = occupancy_aware_lift(priors, frame, intrinsics, planes)
     ref = reference_occupancy_aware_lift(*case)
-    occ, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
+    occupied, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
     cells = np.arange(ref.occupancy.size)[::-1]
     picked = rows(cells)
-    assert occ.tobytes() == ref.occupancy.tobytes()
+    assert lifted_occupancy(occupied, frame).tobytes() == ref.occupancy.tobytes()
     assert fv.features.shape == ref.features.shape
     assert fv.features.tobytes() == ref.features.tobytes()
     assert fv.occupancy.tobytes() == ref.occupancy.tobytes()
@@ -426,15 +434,14 @@ def labeler_cases(draw):
 @given(labeler_cases())
 def test_labels_equal_the_row_reduction(case):
     priors, frame, intrinsics, planes, cells, gate = case
-    occ, rows, labels = lift_priors(priors, frame, intrinsics, planes)
+    occupied, rows, labels = lift_priors(priors, frame, intrinsics, planes)
     expected = scores_to_labels(rows(cells) * gate[:, None])
     assert labels(cells, gate).tobytes() == expected.tobytes()
     # the cells that the tail labels: occupancy at or above a threshold, gated by it
     for threshold in (0.5, 1e-9):
-        occupied = np.flatnonzero(occ >= threshold)
-        gate = occ.reshape(-1)[occupied]
-        expected = scores_to_labels(rows(occupied) * gate[:, None])
-        assert labels(occupied, gate).tobytes() == expected.tobytes()
+        listed, gate = occupied(threshold)
+        expected = scores_to_labels(rows(listed) * gate[:, None])
+        assert labels(listed, gate).tobytes() == expected.tobytes()
 
 
 def test_labels_of_subnormal_scores_come_from_rows():
@@ -469,14 +476,14 @@ def test_one_hot_bundles_take_no_row_fallback(monkeypatch, noisy, on_axis):
         if noisy:
             p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
         frame = GOLDEN_AXES["32"] if on_axis else scene.frame
-        occ, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
-        cells = np.flatnonzero(occ >= 0.5)
-        assert cells.size and labels(cells, occ.reshape(-1)[cells]).any()
+        occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
+        cells, gate = occupied(0.5)
+        assert cells.size and labels(cells, gate).any()
         assert reduced == []
         # ties between channels send their pixels' cells to the rows
         p.semantics[:] = p.semantics.max(axis=-1, keepdims=True)
-        _occ, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
-        labels(cells, occ.reshape(-1)[cells])
+        _occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
+        labels(cells, gate)
         assert 0 < sum(reduced) <= cells.size
         reduced.clear()
 
@@ -486,11 +493,97 @@ def test_lift_leaves_no_reference_cycle(small_priors, small_scene):
     gc.collect()
     gc.disable()
     try:
-        occ, rows, labels = lift_priors(small_priors, small_scene.frame,
-                                        small_scene.intrinsics, small_scene.planes)
+        occupied, rows, labels = lift_priors(small_priors, small_scene.frame,
+                                             small_scene.intrinsics, small_scene.planes)
         labels(np.arange(8), np.ones(8))
-        freed = weakref.ref(occ)
-        del occ, rows, labels
-        assert freed() is None
+        occupied(0.5)
+        freed = [weakref.ref(f) for f in (occupied, rows, labels)]
+        del occupied, rows, labels
+        assert [f() for f in freed] == [None] * 3
     finally:
         gc.enable()
+
+
+@st.composite
+def lister_cases(draw):
+    """`lift_cases`' random bundles with finite semantics, or 16^3 scene priors,
+    clean or with noisy depth and multi-plane occupancy, some of whose rays have
+    depth 0 or lie beyond the last plane center, on the frustum frame or an axis
+    frame (one that reaches behind the camera). Returns the bundle, frame,
+    camera and planes."""
+    if draw(st.booleans()):
+        sem, mp, depth, frame, intrinsics, planes = draw(
+            lift_cases().filter(lambda case: np.isfinite(case[0]).all()))
+        return bundle(sem, mp, depth), frame, intrinsics, planes
+    seed = draw(st.integers(0, 2**16))
+    try:
+        scene = generate_scene(SynthConfig(seed=seed, width=16, height=16, planes=16,
+                                           n_things=2, min_center_separation=4.0))
+    except SynthError:
+        reject()
+    noise = NoiseSpec(depth_sigma=draw(st.sampled_from([0.0, 0.05, 0.5])),
+                      occupancy_flip=draw(st.sampled_from([0.0, 0.02, 0.3])))
+    p = perturb_priors(derive_priors(scene), noise, seed, scene.planes)
+    rays = draw(hnp.arrays(np.int8, p.depth.shape, elements=st.sampled_from([0, 0, 1, 2])))
+    p.depth[rays == 1] = 0.0
+    p.depth[rays == 2] = draw(st.floats(scene.planes.centers()[-1], 2 * scene.planes.z_far,
+                                        exclude_min=True))
+    frame = scene.frame if draw(st.booleans()) else AxisGrid(
+        dims=(12, 12, 20), voxel_size=0.3, origin=(-1.8, -1.8, draw(st.sampled_from([0.4, -0.15]))))
+    return p, frame, scene.intrinsics, scene.planes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lister_cases(), data=st.data())
+def test_the_lister_equals_the_dense_threshold(case, data):
+    # occupied(t) is the oracle's flatnonzero(occupancy >= t) and the occupancy
+    # there, bit for bit, at thresholds in (0, 1) and at occupancy values; rows
+    # are the oracle's rows at any cells
+    priors, frame, intrinsics, planes = case
+    ref = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy, priors.depth,
+                                         frame, intrinsics, planes)
+    occ = ref.occupancy.reshape(-1)
+    occupied, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
+    values = sorted(set(occ[(occ > 0) & (occ < 1)].tolist()))
+    below_one = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    t = data.draw(st.one_of(below_one, st.sampled_from(values)) if values else below_one)
+    cells, gate = occupied(t)
+    expected = np.flatnonzero(occ >= t)
+    assert cells.tobytes() == expected.tobytes()
+    assert gate.tobytes() == occ[expected].tobytes()
+    picked = data.draw(hnp.arrays(np.int64, st.integers(0, 64),
+                                  elements=st.integers(0, occ.size - 1)))
+    assert rows(picked).tobytes() == ref.features.reshape(occ.size, -1)[picked].tobytes()
+
+
+def test_lift_and_mask_stay_below_one_dense_volume():
+    # the in-process tail never holds a float64 volume of the frame: at 128^3
+    # the traced peak of the lift, the listing and the labels stays below one
+    scene = generate_scene(SynthConfig(seed=1, width=128, height=128, planes=128,
+                                       n_thing_categories=8))
+    p = derive_priors(scene)
+    tracemalloc.start()
+    try:
+        occupied, _rows, labels = lift_priors(p, scene.frame, scene.intrinsics, scene.planes)
+        cells, _labels, _gate = mask_by_occupancy(
+            Refined3D(scene.frame, labels, p.offsets3d, occupied), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.size == np.count_nonzero(scene.volume.occupancy)
+    assert peak < 8 * np.prod(scene.frame.shape)
+
+
+def test_topdown_rejects_an_instance_of_two_categories(small_scene):
+    inst_map = derive_instance_map2d(small_scene)
+    depth = derive_depth(small_scene)
+    args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
+    ids = np.unique(inst_map[..., 1])[1:]
+    bad = inst_map.copy()
+    v, u = np.argwhere(inst_map[..., 1] == ids[0])[-1]
+    bad[v, u, 0] += 1  # the last pixel of the first instance
+    with pytest.raises(LiftingError, match=rf"^instances2d: instances \[{ids[0]}\] carry"):
+        lift_instances_topdown(bad, depth, *args)
+    for n_channels in (0, -3):
+        with pytest.raises(LiftingError, match=f"^n_channels must be >= 1, got {n_channels}"):
+            lift_instances_topdown(inst_map, depth, *args, None, n_channels)

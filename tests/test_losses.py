@@ -14,7 +14,7 @@ from scipy import ndimage
 
 import panrec
 from panrec.cli import main as cli_main
-from panrec.lifting import lift_priors
+from panrec.lifting import lift_priors, lifted_occupancy
 from panrec.losses import (
     EPS,
     LossError,
@@ -291,7 +291,8 @@ def test_loss3d_semantic_term_equals_one_hot_cross_entropy(small_scene):
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     lifted = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
                                             priors.depth, *args)
-    occ_pred, rows, _labels = lift_priors(priors, *args)
+    occupied, rows, _labels = lift_priors(priors, *args)
+    occ_pred = lifted_occupancy(occupied, small_scene.frame)
     _sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     labels = small_scene.volume.semantics
     one_hot = np.eye(len(small_scene.categories))[labels]

@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
+from panrec import priors as priors_module
 from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index
 from panrec.lifting import lift_priors, occupancy_aware_lift
 from panrec.pipeline import reconstruct_from_priors
@@ -406,9 +407,9 @@ def test_every_entry_rejects_a_corrupt_bundle_before_building_a_volume(
     bad = corrupt(priors, field, kind)
     args = (scene.frame, scene.intrinsics, scene.planes)
     built = []
-    fill = lifting._frustum_fill_mask
-    monkeypatch.setattr(lifting, "_frustum_fill_mask",
-                        lambda *a: built.append(1) or fill(*a))
+    surface = lifting.surface_planes
+    monkeypatch.setattr(lifting, "surface_planes",
+                        lambda *a: built.append(1) or surface(*a))
     for call in (lambda: bad.validate(*args),
                  lambda: lift_priors(bad, *args),
                  lambda: occupancy_aware_lift(bad, *args),
@@ -434,3 +435,21 @@ def test_each_entry_validates_a_bundle_once(monkeypatch):
         calls.clear()
         entry()
         assert len(calls) == 1 and calls[0] is priors
+
+
+def test_derive_priors_reads_the_front_and_thing_cells_once(monkeypatch):
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    expected = derive_priors(scene)
+    calls = []
+    for name in ("_front_cells", "_thing_cells"):
+        read = getattr(priors_module, name)
+        monkeypatch.setattr(priors_module, name,
+                            lambda *a, name=name, read=read: calls.append(name) or read(*a))
+    p = derive_priors(scene)
+    assert sorted(calls) == ["_front_cells", "_thing_cells"]
+    for field in ("semantics", "depth", "heatmap", "mp_occupancy", "offsets3d"):
+        assert getattr(p, field).tobytes() == getattr(expected, field).tobytes()
+    assert p.centers == expected.centers == derive_centers(scene)
+    assert p.semantics.tobytes() == derive_semantics2d(scene).tobytes()
+    assert p.depth.tobytes() == derive_depth(scene).tobytes()
+    assert p.offsets3d.tobytes() == derive_offsets3d(scene, p.centers).tobytes()

@@ -18,6 +18,7 @@ from panrec.geometry import (
 from panrec.lifting import (
     FeatureVolume,
     lift_priors,
+    lifted_occupancy,
     occupancy_aware_lift,
     scores_to_labels,
     surface_only_occupancy,
@@ -49,6 +50,7 @@ from conftest import (
     GOLDEN_LIFT_SCENES,
     array_digest,
     labels_of,
+    occupied_of,
     reference_occupancy_aware_lift,
     seeded_scenes,
 )
@@ -65,7 +67,7 @@ def make_refined(sem=None, offs=None, occ=None):
         frame=FRAME,
         labels=labels_of(np.zeros(shape + (4,)) if sem is None else sem),
         offsets=np.zeros(shape + (2,)) if offs is None else offs,
-        occupancy=np.zeros(shape) if occ is None else occ,
+        occupied=occupied_of(np.zeros(shape) if occ is None else occ),
     )
 
 
@@ -280,7 +282,9 @@ def test_identity_refine_passthrough_and_errors():
     assert np.array_equal(labels, scores_to_labels(fv.features.reshape(-1, 4)[cells]
                                                    * gate[:, None]))
     assert np.array_equal(labels, np.argmax(fv.features.reshape(-1, 4)[cells], axis=-1))
-    assert np.array_equal(refined.occupancy, occ)
+    cells, gate = refined.occupied(0.25)
+    assert np.array_equal(cells, np.arange(occ.size)) and np.array_equal(gate, occ.ravel())
+    assert refined.occupied(0.5)[0].size == 0
     with pytest.raises(ReconstructionError):
         identity_refine(fv, np.zeros((2, 2, 2, 2)), occ)
     with pytest.raises(ReconstructionError):
@@ -440,14 +444,16 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
     assert np.array_equal(out.instances, ref.instances)
     assert len(warned) == len(ref_warned)
     # the stages in between: feature rows, labels and gated offsets
-    occ, rows, labels = lift_priors(priors, frame, intrinsics, planes)
+    occupied, rows, labels = lift_priors(priors, frame, intrinsics, planes)
     dense = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
-                                           intrinsics, planes).features
+                                           intrinsics, planes)
+    occ = dense.occupancy
     cells = np.flatnonzero(occ > 0)
-    assert np.array_equal(rows(cells), dense.reshape(-1, dense.shape[-1])[cells])
-    cells, labels, gate = mask_by_occupancy(Refined3D(frame, labels, priors.offsets3d, occ),
+    assert np.array_equal(rows(cells), dense.features.reshape(occ.size, -1)[cells])
+    cells, labels, gate = mask_by_occupancy(Refined3D(frame, labels, priors.offsets3d, occupied),
                                             occ_threshold)
     assert np.array_equal(cells, np.flatnonzero(occ >= occ_threshold))
+    assert gate.tobytes() == occ.ravel()[cells].tobytes()
     assert np.array_equal(labels, ref_labels.ravel()[cells])
     assert not ref_labels.ravel()[np.setdiff1d(np.arange(occ.size), cells)].any()
     # the offsets grouping reads: the prior offsets times the gate
@@ -666,9 +672,9 @@ def test_reconstruct_rejects_malformed_semantics(bad, monkeypatch):
                         "3-of-7-channels": priors.semantics[..., :3]}[bad]
     error = ReconstructionError if bad == "3-of-7-channels" else PriorsError
     built = []
-    fill = lifting._frustum_fill_mask
-    monkeypatch.setattr(lifting, "_frustum_fill_mask",
-                        lambda *args: built.append(1) or fill(*args))
+    surface = lifting.surface_planes
+    monkeypatch.setattr(lifting, "surface_planes",
+                        lambda *args: built.append(1) or surface(*args))
     with pytest.raises(error, match="^semantics"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                 scene.categories)
@@ -746,7 +752,7 @@ def test_reordering_the_centers_moves_only_tied_cells(seed, things, kinds, noise
     # A cell that changed instance is as near to the center it took in one
     # order as to the one it took in the other: it has no unique nearest center.
     cells = np.flatnonzero(out.instances != out_moved.instances)
-    gate = lift_priors(p, *args)[0].reshape(-1)[cells]
+    gate = lifted_occupancy(lift_priors(p, *args)[0], frame).reshape(-1)[cells]
     du, dv = (p.offsets3d.reshape(-1, 2)[cells] * gate[:, None]).T
     u, v, _z = project_cells(frame, *args[1:], cells)
     by_id = {c.instance_id: c for c in p.centers}
