@@ -86,11 +86,13 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
     mp = np.asarray(priors.mp_occupancy, dtype=np.float64).reshape(-1)
     if isinstance(frame, FrustumGrid):
         m, hit = surface_planes(depth, planes)
-        first = np.where(hit, m, planes.count)
+        # per ray, the flat index of its surface cell (of the next ray's first
+        # cell on a ray with none): a ray's cells from there on are filled
+        first = np.arange(depth.size) * planes.count + np.where(hit, m, planes.count).ravel()
 
         def at(cells):  # the cells' pixels and occupancy
-            pixel, plane = np.divmod(cells, planes.count)
-            return pixel, np.take(mp, cells) * (plane >= np.take(first, pixel))
+            pixel = cells // planes.count
+            return pixel, np.take(mp, cells) * (cells >= np.take(first, pixel))
     else:
         def at(cells=None):  # without cells, from the broadcast tables of every cell
             pixel, inside = cell_pixels(frame, intrinsics, cells)
