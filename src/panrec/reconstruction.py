@@ -35,9 +35,9 @@ class Refined3D:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        if self.offsets.shape != self.frame.shape + (2,):
-            raise ReconstructionError(f"offsets shape {self.offsets.shape} != "
-                                      f"{self.frame.shape + (2,)}")
+        shape = self.frame.shape
+        if self.offsets.shape != shape + (2,):
+            raise ReconstructionError(f"offsets shape {self.offsets.shape} != {shape + (2,)}")
 
 
 def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.ndarray) -> Refined3D:
@@ -53,7 +53,8 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
     if features.shape[:-1] != lifted.frame.shape:
         raise ReconstructionError(f"features shape {features.shape} does not cover the "
                                   f"frame {lifted.frame.shape}")
-    flat, occ = features.reshape(-1, features.shape[-1]), np.asarray(occupancy, dtype=np.float64)
+    flat = features.reshape(-1, features.shape[-1])
+    occ = np.asarray(occupancy, dtype=np.float64)
     labels = lambda cells, gate: scores_to_labels(flat[cells] * gate[:, None])
 
     def occupied(t):
@@ -62,7 +63,8 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
     refined = Refined3D(lifted.frame, labels, offsets, occupied)
     if occ.shape != lifted.frame.shape:
         raise ReconstructionError(f"occupancy shape {occ.shape} != {lifted.frame.shape}")
-    for field, values, high in (("features", features, np.inf), ("occupancy", occ, 1.0)):
+    for field, values, high in (("features", features, np.inf),
+                                ("occupancy", occ, 1.0)):
         if not within(values, 0.0, high):
             raise ReconstructionError(f"{field} must be finite and within [0.0, {high}]")
     return refined

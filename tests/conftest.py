@@ -83,7 +83,11 @@ def occupied_of(occupancy):
     """A dense occupancy volume as the t -> (cells, occupancy) lister that
     `Refined3D.occupied` takes: the dense threshold of `identity_refine`."""
     flat = np.reshape(occupancy, -1)
-    return lambda t: (lambda cells: (cells, flat[cells]))(np.flatnonzero(flat >= t))
+
+    def occupied(t):
+        cells = np.flatnonzero(flat >= t)
+        return cells, flat[cells]
+    return occupied
 
 
 def bundle(semantics, mp_occupancy, depth, **fields):
