@@ -172,6 +172,10 @@ def _assignment_seed(_ctx, _param, value):
 def lift(priors_dir, out_path, mode, seed, n_channels):
     """Lift a prior bundle to a 3D feature volume container."""
     if mode == "bottom-up":
+        ctx = click.get_current_context()
+        for name, option in (("seed", "--assignment"), ("n_channels", "--n-channels")):
+            if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE:
+                raise click.UsageError(f"{option} applies only to --mode top-down", ctx)
         priors, frame, intr, planes = _load_priors(priors_dir, offsets=False)
         fv = occupancy_aware_lift(priors, frame, intr, planes)
     else:
@@ -209,7 +213,7 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
               f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(features.frame, features.array, occ.array)
     try:
-        refined = identity_refine(lifted, offsets.array, occ.array)
+        refined = identity_refine(lifted, offsets.array)
     except ReconstructionError as exc:  # it names features or occupancy first
         _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
     volume = reconstruct(refined, centers, intr, planes, categories, occ_threshold)

@@ -25,12 +25,12 @@ from .volume import VOID
 # temporaries stay a few MB, reused block to block, instead of growing with the grid.
 LIFT_BLOCK = 1 << 16
 
-# A cell takes its pixel's first argmax channel b, of top score t. Its row is
-# (s * occupancy) * gate per channel s; rounding is monotone, so no channel can
-# overtake b, and in the normal range each product errs by at most 2**-53, so a
-# channel below t * (1 - 2**-50) stays strictly below b: no new tie. Cells whose
-# pixel has another channel within this margin of t, or whose score at b is
-# subnormal (where that bound fails), are labeled from their rows.
+# A cell takes its pixel's first argmax channel b, of top score t. Its gated row
+# is (s * occupancy) * occupancy per channel s; rounding is monotone, so no
+# channel can overtake b, and in the normal range each product errs by at most
+# 2**-53, so a channel below t * (1 - 2**-50) stays strictly below b: no new tie.
+# Cells whose pixel has another channel within this margin of t, or whose score
+# at b is subnormal (where that bound fails), are labeled from their rows.
 LABEL_MARGIN = 2.0 ** -40
 
 
@@ -47,19 +47,18 @@ class FeatureVolume:
     occupancy: np.ndarray
 
 
-def surface_planes(depth: np.ndarray, planes: DepthPlanes):
+def surface_planes(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """Per pixel, the plane of its depth surface, the first plane whose center
-    is at or behind the depth, and whether it has one (depth > 0 and at most the
-    last center): the one surface-plane rule of the lift and both baselines."""
-    m = np.searchsorted(planes.centers(), depth)
-    return m, (depth > 0) & (m < planes.count)
+    is at or behind the depth, or `planes.count` on a ray with none (depth 0 or
+    past the last center): the one surface-plane rule of the lift and baselines."""
+    return np.where(depth > 0, np.searchsorted(planes.centers(), depth), planes.count)
 
 
 def surface_only_occupancy(depth: np.ndarray, planes: DepthPlanes) -> np.ndarray:
     """Multi-plane occupancy that marks only the depth-surface plane per ray: the
     one placement of both baselines' surface cells."""
-    m, hit = surface_planes(np.asarray(depth, dtype=np.float64), planes)
-    return (np.arange(planes.count) == np.where(hit, m, planes.count)[..., None]).astype(np.float64)
+    surface = surface_planes(np.asarray(depth, dtype=np.float64), planes)
+    return (np.arange(planes.count) == surface[..., None]).astype(np.float64)
 
 
 def scores_to_labels(scores: np.ndarray) -> np.ndarray:
@@ -78,17 +77,16 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
     past the `surface_planes` plane; axis: its center is at or behind a depth
     > 0), else 0. For t > 0, `occupied(t)` lists the flat cells of occupancy >= t
     in ascending order, and their occupancy; `rows` maps flat cell indices to
-    their (N, C) features, pixel semantics times occupancy. For gates in (0, 1],
-    `labels(cells, gate)` is `scores_to_labels(rows(cells) * gate[:, None])`
-    bit for bit, from one argmax per pixel (see LABEL_MARGIN)."""
+    their (N, C) features, pixel semantics times occupancy. `labels(cells)` is
+    `scores_to_labels(rows(cells) * occupancy[:, None])`, the rows gated by the
+    cells' own occupancy, bit for bit, from one argmax per pixel (see LABEL_MARGIN)."""
     priors.validate(frame, intrinsics, planes)
     depth = np.asarray(priors.depth, dtype=np.float64)
     mp = np.asarray(priors.mp_occupancy, dtype=np.float64).reshape(-1)
     if isinstance(frame, FrustumGrid):
-        m, hit = surface_planes(depth, planes)
         # per ray, the flat index of its surface cell (of the next ray's first
         # cell on a ray with none): a ray's cells from there on are filled
-        first = np.arange(depth.size) * planes.count + np.where(hit, m, planes.count).ravel()
+        first = np.arange(depth.size) * planes.count + surface_planes(depth, planes).ravel()
 
         def at(cells):  # the cells' pixels and occupancy
             pixel = cells // planes.count
@@ -120,21 +118,21 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         out *= occupancy[:, None]
         return out
 
-    def labels(cells, gate):
+    def labels(cells):
         best = np.argmax(pixels, axis=1).astype(np.int32)
         top = np.take_along_axis(pixels, best[:, None], axis=1)[:, 0]
         close = (pixels >= (top * (1 - LABEL_MARGIN))[:, None]) @ np.ones(pixels.shape[1]) > 1
         out = np.empty(len(cells), dtype=np.int32)
         for start in range(0, len(cells), LIFT_BLOCK):
-            block, g = cells[start:start + LIFT_BLOCK], gate[start:start + LIFT_BLOCK]
+            block = cells[start:start + LIFT_BLOCK]
             pixel, occupancy = at(block)
-            score = np.take(top, pixel) * occupancy * g
+            score = np.take(top, pixel) * occupancy * occupancy
             hit = score > 0
             label = np.take(best, pixel, out=out[start:start + LIFT_BLOCK])
             label[~hit] = VOID
             exact = np.flatnonzero(hit & (np.take(close, pixel) | (score < np.finfo(float).tiny)))
             if exact.size:
-                label[exact] = scores_to_labels(rows(block[exact]) * g[exact, None])
+                label[exact] = scores_to_labels(rows(block[exact]) * occupancy[exact, None])
         return out
 
     return occupied, rows, labels
@@ -177,10 +175,10 @@ def lift_instances_topdown(
     `instances2d` is the (height, width, 2) (category, instance id) map of
     `instances2d.bin`, id 0 where there is no instance and one category per
     instance. Each instance fills one channel at its pixels'
-    `surface_only_occupancy` cells. Channels go in (category, id) order, or with
-    an int `seed`, in a PCG64 shuffle of the ids in ascending order. When more
-    instances exist than channels, the largest-area instances are kept (the
-    lower id on equal areas).
+    `surface_only_occupancy` cells: `occupancy_aware_lift` of one-hot channel
+    semantics. Channels go in (category, id) order, or with an int `seed`, in a
+    PCG64 shuffle of the ids in ascending order. When more instances exist than
+    channels, the largest-area instances are kept (the lower id on equal areas).
     """
     if n_channels < 1:
         raise LiftingError(f"n_channels must be >= 1, got {n_channels}")
@@ -210,6 +208,7 @@ def lift_instances_topdown(
     channel = np.full(len(ids), -1)
     channel[kept] = np.arange(len(kept))
     channel = channel[inverse].reshape(depth.shape)
-    occupancy = surface_only_occupancy(depth, planes) * (channel >= 0)[..., None]
-    features = occupancy[..., None] * (channel[..., None, None] == np.arange(n_channels))
-    return FeatureVolume(frame=frame, features=features, occupancy=occupancy)
+    mp = surface_only_occupancy(depth, planes) * (channel[..., None] >= 0)
+    priors = Priors2D(semantics=(channel[..., None] == np.arange(n_channels)).astype(np.float64),
+                      depth=depth, centers=[], heatmap=np.zeros(depth.shape), mp_occupancy=mp)
+    return occupancy_aware_lift(priors, frame, intrinsics, planes)

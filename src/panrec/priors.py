@@ -55,13 +55,14 @@ class Priors2D:
     def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
         """The bundle, after checking that it can be lifted into `frame`; raises
         PriorsError naming the field. Frame and depth as in `checked_depth`;
-        semantics (H, W, C), finite and >= 0 with no upper bound; mp_occupancy
+        semantics (H, W, C), C >= 1, finite and >= 0 with no upper bound; mp_occupancy
         (H, W, M) and heatmap (H, W) within [0, 1]; center instance ids >= 1 and
         distinct. Not checked: center categories (grouping ignores stuff and
         void ones) and offsets (checked where they are read)."""
         checked_depth(self.depth, frame, intrinsics, planes)
         h, w, m = intrinsics.height, intrinsics.width, planes.count
-        _checked("semantics", self.semantics, (h, w, None), 0.0)
+        if not _checked("semantics", self.semantics, (h, w, None), 0.0).shape[-1]:
+            raise PriorsError("semantics has no channels")
         _checked("mp_occupancy", self.mp_occupancy, (h, w, m), 0.0, 1.0)
         _checked("heatmap", self.heatmap, (h, w), 0.0, 1.0)
         checked_centers(self.centers)

@@ -22,14 +22,14 @@ class ReconstructionError(ValueError):
 class Refined3D:
     """Per-cell semantic labels, pixel offsets, and the occupied cells of one frame.
 
-    `occupied(t)` lists in ascending order the flat cells whose occupancy is
-    >= t, and their occupancy; `labels(cells, gate)` labels flat cell indices
-    by their score rows scaled by `gate`. Both are `lifting.lift_priors`', or
-    `identity_refine`'s dense threshold and row reduction. Offsets cover the frame.
+    `occupied(t)` lists in ascending order the flat cells of occupancy >= t and
+    their occupancy; `labels(cells)` labels cells by their score rows gated by
+    their occupancy. Both are `lifting.lift_priors`', or `identity_refine`'s
+    dense threshold and row reduction. Offsets cover the frame.
     """
 
     frame: object
-    labels: Callable        # (cells, gate) -> (N,) int32 labels
+    labels: Callable        # cells -> (N,) int32 labels
     offsets: np.ndarray     # (..., 2) as (du, dv)
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
@@ -40,22 +40,22 @@ class Refined3D:
             raise ReconstructionError(f"offsets shape {self.offsets.shape} != {shape + (2,)}")
 
 
-def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.ndarray) -> Refined3D:
-    """Pack lifted semantics with externally provided offsets and occupancy.
+def identity_refine(lifted: FeatureVolume, offsets: np.ndarray) -> Refined3D:
+    """Pack a lifted volume with externally provided offsets.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
-    unchanged. Its lister thresholds the dense `occupancy` and its labeler
-    reduces the dense `lifted.features` row by row. Features must be finite and
-    >= 0 and occupancy finite and within [0, 1], as `lift_priors` makes them;
-    each ReconstructionError begins with the field.
+    unchanged. Its lister thresholds the dense `lifted.occupancy`, and its labeler
+    reduces the dense `lifted.features` row by row, gated by it. Features must be
+    finite and >= 0 and occupancy finite and within [0, 1], as `lift_priors`
+    makes them; each ReconstructionError begins with the field.
     """
     features = lifted.features
     if features.shape[:-1] != lifted.frame.shape:
         raise ReconstructionError(f"features shape {features.shape} does not cover the "
                                   f"frame {lifted.frame.shape}")
     flat = features.reshape(-1, features.shape[-1])
-    occ = np.asarray(occupancy, dtype=np.float64)
-    labels = lambda cells, gate: scores_to_labels(flat[cells] * gate[:, None])
+    occ = np.asarray(lifted.occupancy, dtype=np.float64)
+    labels = lambda cells: scores_to_labels(flat[cells] * np.take(occ, cells)[:, None])
 
     def occupied(t):
         cells = np.flatnonzero(occ >= t)
@@ -73,12 +73,12 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray, occupancy: np.nd
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):
     """Labels of the occupied cells: (cells, labels, gate), the cells and the
     occupancy (> 0) that `refined.occupied(occ_threshold)` lists, and their
-    labels gated by it (the argmax of the score rows times it, void where no
-    score is > 0)."""
+    labels from `refined.labels`, which gates each score row by that same
+    occupancy (the argmax of the gated row, void where no score is > 0)."""
     if not (0 < occ_threshold < 1):
         raise ReconstructionError("occupancy threshold must be in (0, 1)")
     cells, gate = refined.occupied(occ_threshold)
-    return cells, refined.labels(cells, gate), gate
+    return cells, refined.labels(cells), gate
 
 
 @dataclass

@@ -72,11 +72,12 @@ def rows_of(volume):
     return lambda cells: flat[cells]
 
 
-def labels_of(volume):
-    """A dense (..., C) score volume as the (cells, gate) -> labels function
-    that `Refined3D.labels` takes: the row reduction of `identity_refine`."""
-    rows = rows_of(volume)
-    return lambda cells, gate: scores_to_labels(rows(cells) * gate[:, None])
+def labels_of(volume, occupancy):
+    """A dense (..., C) score volume and its occupancy as the cells -> labels
+    function that `Refined3D.labels` takes: the row reduction of
+    `identity_refine`, each row gated by its cell's occupancy."""
+    rows, occ = rows_of(volume), np.reshape(occupancy, -1)
+    return lambda cells: scores_to_labels(rows(cells) * occ[cells, None])
 
 
 def occupied_of(occupancy):

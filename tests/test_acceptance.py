@@ -46,7 +46,7 @@ def test_criterion_1_oracle_round_trip():
         scene = generate_scene(cfg)
         priors = derive_priors(scene)
         lifted = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
-        refined = identity_refine(lifted, priors.offsets3d, lifted.occupancy)
+        refined = identity_refine(lifted, priors.offsets3d)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
                                  scene.frame, scene.intrinsics, scene.planes,

@@ -151,6 +151,20 @@ def test_n_channels_below_one_is_rejected_by_name(tmp_path, value):
     assert not (tmp_path / "t.bin").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--assignment", "random:3"), ("--assignment", "category"),
+    ("--n-channels", "5"), ("--n-channels", "16"),
+])
+def test_bottom_up_lift_rejects_a_top_down_option(tmp_path, option, value):
+    # given on the command line, even at its default, the option is an error
+    _, priors, _, _ = build_chain(tmp_path, size=16)
+    result = runner.invoke(main, ["lift", str(priors), "--out", str(tmp_path / "t.bin"),
+                                  option, value])
+    assert result.exit_code == 2
+    assert f"Error: {option} applies only to --mode top-down" in result.output, result.output
+    assert not (tmp_path / "t.bin").exists()
+
+
 @pytest.mark.filterwarnings("ignore:dropping")
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_cli_topdown_writes_the_in_process_lift(tmp_path, seed):
@@ -642,7 +656,8 @@ def test_each_command_validates_its_bundle_once(tmp_path, monkeypatch):
                         lambda self, *a: calls.append(self) or validate(self, *a))
     for args, count in (
         (["lift", priors, "--out", tmp_path / "f.bin"], 1),
-        (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"], 0),
+        # the top-down lift is the bottom-up lift of a bundle it builds
+        (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"], 1),
         (["group", feats, priors, "--out", tmp_path / "p.bin"], 0),
         (["loss", scene, priors], 1),
         # two kernels take the bundle, each once per rep

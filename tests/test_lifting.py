@@ -1,10 +1,11 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
@@ -214,7 +215,8 @@ def test_both_baselines_fill_the_lifts_first_filled_plane(depth_sigma):
     scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": 3}))
     args = (scene.frame, scene.intrinsics, scene.planes)
     p = perturb_priors(derive_priors(scene), NoiseSpec(depth_sigma=depth_sigma), 3, scene.planes)
-    surface, hit = lifting.surface_planes(p.depth, scene.planes)
+    surface = lifting.surface_planes(p.depth, scene.planes)
+    hit = surface < scene.planes.count
     centers, depth = scene.planes.centers(), p.depth[hit]
     assert np.array_equal(hit, (p.depth > 0) & (p.depth <= centers[-1]))
     assert (centers[surface[hit]] >= depth).all()
@@ -399,23 +401,28 @@ def test_occupancy_aware_lift_equals_dense_reference(case):
 @st.composite
 def labeler_cases(draw):
     """Bundles whose channels sit at t * (1 - 2**-k) of their pixel's top score
-    t for k in 38..53, or tie with it exactly; tops near 1e-300 with small
-    occupancies and gates, so scores are subnormal; all-zero pixels and cells
-    with occupancy 0; on a frustum or an axis frame. Returns the bundle, its
-    frame, camera and planes, cells in any order and gates in (0, 1]."""
+    t for k in 38..53 (most often 38, 39, 52 and 53, the edges of the margin),
+    or tie with it exactly; tops near 1e-300 with occupancies 1e-6 to 1e-14,
+    or tops near 1 with occupancies 1e-150 to 1e-160, so scores gated by the
+    occupancy are subnormal; tops and occupancies with full mantissas, whose
+    products round; all-zero pixels and cells with occupancy 0; on a frustum
+    or an axis frame. Every element is drawn on its own. Returns the bundle,
+    its frame, camera and planes and its cells in any order."""
     h, w, m = (draw(st.integers(1, 4)) for _ in range(3))
     c = draw(st.integers(2, 5))
-    top = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
-        st.floats(1e-3, 1e3), st.floats(1e-305, 1e-295), st.just(0.0))))
-    near = st.integers(38, 53).map(lambda k: 1 - 2.0 ** -k)
-    rel = draw(hnp.arrays(np.float64, (h, w, c), elements=st.one_of(
-        near, st.just(1.0), st.floats(0, 1), st.just(0.0))))
+    arrays = lambda shape, *values: hnp.arrays(np.float64, shape, elements=st.one_of(*values),
+                                               fill=st.nothing())
+    mantissa = st.integers(1, 2**53).map(lambda i: i * 2.0 ** -53)
+    top = draw(arrays((h, w), st.floats(1e-3, 1e3), st.floats(1e-305, 1e-295), st.just(0.0),
+                      mantissa))
+    near = st.one_of(st.sampled_from([38, 39, 52, 53]), st.integers(38, 53))
+    rel = draw(arrays((h, w, c), near.map(lambda k: 1 - 2.0 ** -k), st.just(1.0),
+                      st.floats(0, 1), st.just(0.0)))
     planes = DepthPlanes(count=m)
     depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
         st.floats(planes.z_near, planes.z_far), st.just(0.0))))
-    small = st.floats(1e-14, 1e-6)
-    mp = draw(hnp.arrays(np.float64, (h, w, m), elements=st.one_of(
-        st.floats(0, 1), st.just(1.0), small, st.just(0.0))))
+    small = st.one_of(st.floats(6, 14), st.floats(150, 160)).map(lambda k: 10.0 ** -k)
+    mp = draw(arrays((h, w, m), st.floats(0, 1), st.just(1.0), small, st.just(0.0), mantissa))
     intrinsics = CameraIntrinsics(fx=float(w), fy=float(h), cx=(w - 1) / 2,
                                   cy=(h - 1) / 2, width=w, height=h)
     if draw(st.sampled_from(["frustum", "axis"])) == "frustum":
@@ -425,37 +432,54 @@ def labeler_cases(draw):
         frame = AxisGrid(dims=[n, n, 2 * n], voxel_size=3.0 / n, origin=[-1.5, -1.5, 0.4])
     size = int(np.prod(frame.shape))
     cells = np.asarray(draw(st.permutations(range(size))), dtype=np.int64)
-    gate = draw(hnp.arrays(np.float64, size, elements=st.one_of(
-        st.floats(0, 1, exclude_min=True), st.just(1.0), small)))
-    return bundle(top[..., None] * rel, mp, depth), frame, intrinsics, planes, cells, gate
+    return bundle(top[..., None] * rel, mp, depth), frame, intrinsics, planes, cells
+
+
+def one_cell_case(semantics, occupancy):
+    """A labeler case of one pixel, one plane and one cell, filled with
+    `occupancy`, whose pixel has the channels `semantics`."""
+    planes = DepthPlanes(count=1)
+    return (bundle(np.reshape(semantics, (1, 1, -1)), np.full((1, 1, 1), occupancy),
+                   np.full((1, 1), planes.center(0))),
+            FrustumGrid(1, 1, 1),
+            CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=1), planes,
+            np.zeros(1, dtype=np.int64))
 
 
 @settings(max_examples=300, deadline=None)
 @given(labeler_cases())
+# gated by 0.463 twice, channel 0, 2**-53 below channel 1, rounds to the same
+# normal score: a near tie that the margin sends to the rows
+@example(one_cell_case([3 * (1 - 2.0 ** -53), 3.0], 0.463))
+# gated by 10**-161.5 twice, channel 0, 2**-38 below channel 1 and outside the
+# margin, rounds to the same subnormal score
+@example(one_cell_case([1 - 2.0 ** -38, 1.0], 10 ** -161.5))
 def test_labels_equal_the_row_reduction(case):
-    priors, frame, intrinsics, planes, cells, gate = case
+    # labels(cells) is the argmax of each cell's row gated by the cell's own
+    # occupancy, taken from the dense oracle
+    priors, frame, intrinsics, planes, cells = case
     occupied, rows, labels = lift_priors(priors, frame, intrinsics, planes)
-    expected = scores_to_labels(rows(cells) * gate[:, None])
-    assert labels(cells, gate).tobytes() == expected.tobytes()
+    occupancy = reference_occupancy_aware_lift(priors.semantics, priors.mp_occupancy,
+                                               priors.depth, frame, intrinsics, planes).occupancy
+    expected = scores_to_labels(rows(cells) * occupancy.reshape(-1)[cells, None])
+    assert labels(cells).tobytes() == expected.tobytes()
     # the cells that the tail labels: occupancy at or above a threshold, gated by it
-    for threshold in (0.5, 1e-9):
+    for threshold in (0.5, 1e-9, np.nextafter(0.0, 1.0)):
         listed, gate = occupied(threshold)
         expected = scores_to_labels(rows(listed) * gate[:, None])
-        assert labels(listed, gate).tobytes() == expected.tobytes()
+        assert labels(listed).tobytes() == expected.tobytes()
 
 
 def test_labels_of_subnormal_scores_come_from_rows():
-    # 1e-300 * 1e-20 is subnormal: channel 0, 2**-20 below channel 1, rounds to
-    # the same score, so the row's first argmax is channel 0, not the pixel's 1
-    sem = np.array([1e-300 * (1 - 2.0 ** -20), 1e-300]).reshape(1, 1, 2)
-    priors = bundle(sem, np.full((1, 1, 1), 1e-20), np.ones((1, 1)))
-    args = (FrustumGrid(1, 1, 1),
-            CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=1),
-            DepthPlanes(count=1))
+    # 1e-280 * 1e-20 is normal, but gated once more by the occupancy 1e-20 it
+    # is subnormal: channel 0, 2**-20 below channel 1, rounds to the same
+    # score, so the gated row's first argmax is channel 0, not the pixel's 1
+    sem = [1e-280 * (1 - 2.0 ** -20), 1e-280]
+    priors, *args, cells = one_cell_case(sem, 1e-20)
     _occ, rows, labels = lift_priors(priors, *args)
-    cells, gate = np.zeros(1, dtype=np.int64), np.ones(1)
-    assert np.argmax(sem) == 1 and rows(cells)[0, 0] == rows(cells)[0, 1] > 0
-    assert labels(cells, gate).tolist() == scores_to_labels(rows(cells)).tolist() == [0]
+    gated = rows(cells) * 1e-20
+    assert np.argmax(sem) == np.argmax(rows(cells)) == 1 and gated[0, 0] == gated[0, 1] > 0
+    assert labels(cells).tolist() == scores_to_labels(gated).tolist() == [0]
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -477,13 +501,13 @@ def test_one_hot_bundles_take_no_row_fallback(monkeypatch, noisy, on_axis):
             p = perturb_priors(p, CROWDED_NOISE, seed, scene.planes)
         frame = GOLDEN_AXES["32"] if on_axis else scene.frame
         occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
-        cells, gate = occupied(0.5)
-        assert cells.size and labels(cells, gate).any()
+        cells, _gate = occupied(0.5)
+        assert cells.size and labels(cells).any()
         assert reduced == []
         # ties between channels send their pixels' cells to the rows
         p.semantics[:] = p.semantics.max(axis=-1, keepdims=True)
         _occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
-        labels(cells, gate)
+        labels(cells)
         assert 0 < sum(reduced) <= cells.size
         reduced.clear()
 
@@ -495,7 +519,7 @@ def test_lift_leaves_no_reference_cycle(small_priors, small_scene):
     try:
         occupied, rows, labels = lift_priors(small_priors, small_scene.frame,
                                              small_scene.intrinsics, small_scene.planes)
-        labels(np.arange(8), np.ones(8))
+        labels(np.arange(8))
         occupied(0.5)
         freed = [weakref.ref(f) for f in (occupied, rows, labels)]
         del occupied, rows, labels
@@ -572,6 +596,72 @@ def test_lift_and_mask_stay_below_one_dense_volume():
         tracemalloc.stop()
     assert cells.size == np.count_nonzero(scene.volume.occupancy)
     assert peak < 8 * np.prod(scene.frame.shape)
+
+
+def reference_lift_instances_topdown(instances2d, depth, planes, seed, n_channels):
+    """The top-down lift before it went through `occupancy_aware_lift`, kept as
+    the oracle: channels assigned id by id, then each channel broadcast over
+    the surface-only occupancy of its instance's pixels. Returns (features,
+    occupancy)."""
+    category, instance = instances2d.reshape(-1, 2).T
+    ids = sorted(set(instance.tolist()) - {0})
+    area = {i: np.count_nonzero(instance == i) for i in ids}
+    first_category = {i: category[np.flatnonzero(instance == i)[0]] for i in ids}
+    kept = sorted(sorted(ids, key=lambda i: (-area[i], i))[:n_channels])
+    if seed is None:
+        kept.sort(key=lambda i: (first_category[i], i))
+    else:
+        kept = np.array(kept)
+        np.random.Generator(np.random.PCG64(seed)).shuffle(kept)
+    channel = np.full(instance.shape, -1)
+    for c, i in enumerate(kept):
+        channel[instance == i] = c
+    channel = channel.reshape(depth.shape)
+    occupancy = surface_only_occupancy(depth, planes) * (channel >= 0)[..., None]
+    features = occupancy[..., None] * (channel[..., None, None] == np.arange(n_channels))
+    return features, occupancy
+
+
+@st.composite
+def topdown_cases(draw):
+    """(category, id) maps with any distinct ids >= 1 and one category per
+    id, any category under id 0; depth with zeros and rays beyond the last
+    plane center; 1 to 8 channels, fewer than the instances or not; category
+    order or a seed."""
+    h, w, m = (draw(st.integers(1, 6)) for _ in range(3))
+    n = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.integers(1, 2**31 - 1), min_size=n, max_size=n, unique=True))
+    categories = draw(st.lists(st.integers(-3, 12), min_size=n, max_size=n))
+    which = draw(hnp.arrays(np.int64, (h, w), elements=st.integers(0, n)))
+    background = draw(hnp.arrays(np.int32, (h, w), elements=st.integers(-3, 12)))
+    instances2d = np.stack([np.where(which > 0, np.take([0] + categories, which), background),
+                            np.take([0] + ids, which)], axis=-1).astype(np.int32)
+    planes = DepthPlanes(count=m)
+    depth = draw(hnp.arrays(np.float64, (h, w), elements=st.one_of(
+        st.floats(planes.z_near, planes.z_far), st.just(0.0),
+        st.floats(planes.centers()[-1], 2 * planes.z_far, exclude_min=True))))
+    intrinsics = CameraIntrinsics(fx=float(w), fy=float(h), cx=(w - 1) / 2,
+                                  cy=(h - 1) / 2, width=w, height=h)
+    seed, n_channels = draw(st.one_of(st.none(), st.integers(0, 2**32))), draw(st.integers(1, 8))
+    return instances2d, depth, FrustumGrid(w, h, m), intrinsics, planes, seed, n_channels
+
+
+@settings(max_examples=200, deadline=None)
+@given(topdown_cases())
+def test_topdown_lift_equals_the_broadcast_oracle(case):
+    instances2d, depth, frame, intrinsics, planes, seed, n_channels = case
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        fv = lift_instances_topdown(instances2d, depth, frame, intrinsics, planes, seed,
+                                    n_channels)
+    dropped = np.count_nonzero(np.unique(instances2d[..., 1])) - n_channels
+    assert [str(w.message) for w in warned] == (
+        [f"dropping {dropped} instances beyond {n_channels} channels"] if dropped > 0 else [])
+    features, occupancy = reference_lift_instances_topdown(instances2d, depth, planes, seed,
+                                                           n_channels)
+    assert fv.features.shape == features.shape == frame.shape + (n_channels,)
+    assert fv.features.tobytes() == features.tobytes()
+    assert fv.occupancy.tobytes() == occupancy.tobytes()
 
 
 def test_topdown_rejects_an_instance_of_two_categories(small_scene):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import warnings
 from types import SimpleNamespace
@@ -63,11 +64,12 @@ PLANES = DepthPlanes(count=8)
 
 def make_refined(sem=None, offs=None, occ=None):
     shape = FRAME.shape
+    occ = np.zeros(shape) if occ is None else occ
     return Refined3D(
         frame=FRAME,
-        labels=labels_of(np.zeros(shape + (4,)) if sem is None else sem),
+        labels=labels_of(np.zeros(shape + (4,)) if sem is None else sem, occ),
         offsets=np.zeros(shape + (2,)) if offs is None else offs,
-        occupied=occupied_of(np.zeros(shape) if occ is None else occ),
+        occupied=occupied_of(occ),
     )
 
 
@@ -181,7 +183,7 @@ def test_group_oracle_round_trip():
     for scene in seeded_scenes(5):
         priors = derive_priors(scene)
         fv = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
-        refined = identity_refine(fv, priors.offsets3d, fv.occupancy)
+        refined = identity_refine(fv, priors.offsets3d)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
                                  scene.frame, scene.intrinsics, scene.planes,
@@ -200,11 +202,15 @@ GOLDEN_AXIS_RECONSTRUCTIONS = {
     ("64", "gt"): "c723524b88787ade70a3cd5619b6453cb7f12464c1f8f870ff6b2b8d060d8282",
     ("64", "noisy"): "2ec74beeda0d94bcb47368cf73c01fd458935bb93f82f3266434a15f0031b9bd",
 }
+# Thing cells that the noisy cases drop to void: the noise moves them onto
+# categories that no center has.
+AXIS_CELLS_WITHOUT_CENTER = {("32", "noisy"): 15, ("64", "noisy"): 312}
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_AXIS_RECONSTRUCTIONS))
+@pytest.mark.parametrize("case", sorted(GOLDEN_AXIS_RECONSTRUCTIONS), ids="-".join)
 def test_axis_reconstruction_matches_golden_hash(case):
     size, prior_kind = case
+    dropped = AXIS_CELLS_WITHOUT_CENTER.get(case)
     kwargs = GOLDEN_LIFT_SCENES[size]
     scene = generate_scene(SynthConfig(**kwargs))
     p = derive_priors(scene)
@@ -213,8 +219,10 @@ def test_axis_reconstruction_matches_golden_hash(case):
     axis = GOLDEN_AXES[size]
     p.offsets3d = resample_volume(p.offsets3d, scene.frame, axis, scene.intrinsics,
                                   scene.planes)
-    out = reconstruct_from_priors(p, axis, scene.intrinsics, scene.planes,
-                                  scene.categories)
+    with (pytest.warns(UserWarning, match=f"^{dropped} thing cells had no center") if dropped
+          else contextlib.nullcontext()):
+        out = reconstruct_from_priors(p, axis, scene.intrinsics, scene.planes,
+                                      scene.categories)
     assert out.instances.any()
     assert array_digest(out.semantics, out.instances) == GOLDEN_AXIS_RECONSTRUCTIONS[case]
 
@@ -270,28 +278,28 @@ def test_assemble_output_validates(small_scene):
 
 def test_identity_refine_passthrough_and_errors():
     rng = np.random.default_rng(4)
-    fv = FeatureVolume(frame=FRAME, features=rng.random(FRAME.shape + (4,)),
-                       occupancy=np.ones(FRAME.shape))
+    occ = rng.uniform(0.1, 1.0, FRAME.shape)
+    fv = FeatureVolume(frame=FRAME, features=rng.random(FRAME.shape + (4,)), occupancy=occ)
     offs = np.zeros(FRAME.shape + (2,))
-    occ = np.full(FRAME.shape, 0.25)
-    refined = identity_refine(fv, offs, occ)
-    # the features pass through: the labels are their gated rows' argmax
-    cells = rng.permutation(fv.occupancy.size)
-    gate = rng.uniform(0.1, 1.0, cells.size)
-    labels = refined.labels(cells, gate)
+    refined = identity_refine(fv, offs)
+    # the features pass through: the labels are the argmax of their rows gated
+    # by the cells' occupancy
+    cells = rng.permutation(occ.size)
+    labels = refined.labels(cells)
     assert np.array_equal(labels, scores_to_labels(fv.features.reshape(-1, 4)[cells]
-                                                   * gate[:, None]))
+                                                   * occ.ravel()[cells, None]))
     assert np.array_equal(labels, np.argmax(fv.features.reshape(-1, 4)[cells], axis=-1))
     cells, gate = refined.occupied(0.25)
-    assert np.array_equal(cells, np.arange(occ.size)) and np.array_equal(gate, occ.ravel())
-    assert refined.occupied(0.5)[0].size == 0
+    assert np.array_equal(cells, np.flatnonzero(occ >= 0.25))
+    assert np.array_equal(gate, occ[occ >= 0.25])
+    assert refined.occupied(np.nextafter(occ.max(), 1.0))[0].size == 0
     with pytest.raises(ReconstructionError):
-        identity_refine(fv, np.zeros((2, 2, 2, 2)), occ)
-    with pytest.raises(ReconstructionError):
-        identity_refine(fv, offs, np.zeros((2, 2, 2)))
+        identity_refine(fv, np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ReconstructionError, match="^occupancy shape"):
+        identity_refine(FeatureVolume(FRAME, fv.features, np.zeros((2, 2, 2))), offs)
     small = FeatureVolume(frame=FRAME, features=np.ones((2, 2, 2, 4)), occupancy=occ)
     with pytest.raises(ReconstructionError, match="features shape"):
-        identity_refine(small, offs, occ)
+        identity_refine(small, offs)
     # features finite and >= 0, occupancy finite and within [0, 1]
     for features, occupancy, field in ((fv.features - 0.5, occ, "features"),
                                        (fv.features + np.inf, occ, "features"),
@@ -299,7 +307,7 @@ def test_identity_refine_passthrough_and_errors():
                                        (fv.features, occ * 8, "occupancy"),
                                        (fv.features, occ * np.inf, "occupancy")):
         with pytest.raises(ReconstructionError, match=f"^{field} must be finite and within"):
-            identity_refine(FeatureVolume(FRAME, features, occupancy), offs, occupancy)
+            identity_refine(FeatureVolume(FRAME, features, occupancy), offs)
 
 
 def test_labels_outside_the_category_table_are_a_typed_error(small_scene, small_priors):
@@ -308,12 +316,11 @@ def test_labels_outside_the_category_table_are_a_typed_error(small_scene, small_
     fv = occupancy_aware_lift(priors, scene.frame, scene.intrinsics, scene.planes)
     assert fv.features.shape[-1] == len(scene.categories) == 7
     wide = np.concatenate([fv.features, 2 * fv.features.max(axis=-1, keepdims=True)], axis=-1)
-    refined = identity_refine(FeatureVolume(fv.frame, wide, fv.occupancy), priors.offsets3d,
-                              fv.occupancy)
+    refined = identity_refine(FeatureVolume(fv.frame, wide, fv.occupancy), priors.offsets3d)
     with pytest.raises(ReconstructionError,
                        match=r"^labels must lie in the category table \[0, 7\), got \[7, 7\]"):
         reconstruct(refined, priors.centers, scene.intrinsics, scene.planes, scene.categories)
-    cells, labels, gate = mask_by_occupancy(identity_refine(fv, priors.offsets3d, fv.occupancy))
+    cells, labels, gate = mask_by_occupancy(identity_refine(fv, priors.offsets3d))
     labels[0] = -1
     with pytest.raises(ReconstructionError, match=r"^labels .*, got \[-1, 6\]"):
         group_instances(cells, labels, gate, priors.offsets3d, priors.centers, scene.frame,
@@ -341,14 +348,15 @@ def test_identity_refine_accepts_every_lift_of_a_valid_bundle(seed, width, heigh
     priors = dataclasses.replace(priors, semantics=priors.semantics * 2.0**k)
     frame = GOLDEN_AXES["32"] if axis else scene.frame
     fv = occupancy_aware_lift(priors, frame, scene.intrinsics, scene.planes)
-    identity_refine(fv, np.zeros(frame.shape + (2,)), fv.occupancy)
+    identity_refine(fv, np.zeros(frame.shape + (2,)))
 
 
 def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
     priors = derive_priors(small_scene)
     fv = occupancy_aware_lift(priors, small_scene.frame, small_scene.intrinsics,
                               small_scene.planes)
-    refined = identity_refine(fv, priors.offsets3d, np.zeros(small_scene.frame.shape))
+    refined = identity_refine(dataclasses.replace(fv, occupancy=np.zeros(small_scene.frame.shape)),
+                              priors.offsets3d)
     out = reconstruct(refined, priors.centers, small_scene.intrinsics,
                       small_scene.planes, small_scene.categories)
     assert np.all(out.semantics == 0)
@@ -683,6 +691,20 @@ def test_reconstruct_rejects_malformed_semantics(bad, monkeypatch):
     reconstruct_from_priors(derive_priors(scene), scene.frame, scene.intrinsics, scene.planes,
                             scene.categories)
     assert built == [1]
+
+
+def test_zero_channel_semantics_are_rejected_by_name():
+    scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
+    priors = derive_priors(scene)
+    priors.semantics = priors.semantics[..., :0]
+    args = (scene.frame, scene.intrinsics, scene.planes)
+    for lift in (lift_priors, occupancy_aware_lift):
+        with pytest.raises(PriorsError, match="^semantics has no channels$"):
+            lift(priors, *args)
+    # reconstruct_from_priors compares the channels with the category table first
+    with pytest.raises(ReconstructionError,
+                       match=r"^semantics has 0 channels, the category table 7 categories$"):
+        reconstruct_from_priors(priors, *args, scene.categories)
 
 
 @settings(max_examples=24, deadline=None)
