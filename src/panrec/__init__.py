@@ -26,9 +26,8 @@ from .losses import (
     loss_mp_occupancy,
     loss_panoptic2d,
     tsdf_from_occupancy,
-    tsdf_from_scene,
 )
-from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, prq
+from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, overlap_table, prq
 from .pipeline import reconstruct_from_priors
 from .priors import (
     InstanceCenter,
@@ -53,6 +52,6 @@ from .reconstruction import (
     reconstruct,
 )
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
-from .volume import CategoryTable, PanopticVolume, empty_volume
+from .volume import CategoryTable, PanopticVolume
 
 __version__ = "0.1.0"

@@ -37,9 +37,9 @@ def main(threads):
     """Deterministic bottom-up panoptic 3D reconstruction toolkit."""
 
 
-def _fail(message: str):
+def _fail(message: str, code: int = 1):
     click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+    sys.exit(code)
 
 
 # The prior files that `derive-priors` writes, `<name>.bin` each: name -> kind.
@@ -354,8 +354,8 @@ def demo(seed):
 def entry():
     try:
         main(standalone_mode=False)
-    except click.ClickException as exc:
-        _fail(exc.format_message())
+    except click.ClickException as exc:  # usage errors exit 2, as in click's standalone mode
+        _fail(exc.format_message(), exc.exit_code)
     except click.Abort:
         sys.exit(130)
     except Exception as exc:  # one-line diagnostic, nonzero exit

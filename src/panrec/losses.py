@@ -157,11 +157,6 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = 3.0) -> np.nd
     return np.where(occ, -dist, dist)
 
 
-def tsdf_from_scene(scene, truncation: float = 3.0) -> np.ndarray:
-    """TSDF of a ground-truth scene's occupancy grid."""
-    return tsdf_from_occupancy(scene.volume.occupancy, truncation)
-
-
 def loss_3d(
     sem_pred: Callable,
     offsets_pred: np.ndarray,

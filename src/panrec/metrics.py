@@ -57,37 +57,76 @@ class PrqReport:
         }
         for k in self.categories:
             s = self.per_category[k]
-            rec[f"prq_{k}"] = s.prq
-            rec[f"rsq_{k}"] = s.rsq
-            rec[f"rrq_{k}"] = s.rrq
+            rec.update({f"prq_{k}": s.prq, f"rsq_{k}": s.rsq, f"rrq_{k}": s.rrq})
         return rec
 
 
-def extract_segments(volume: PanopticVolume, cells: np.ndarray):
-    """One segment per thing (category, instance) pair and one per stuff category.
+def _segment_keys(counts, sem, inst, is_thing):
+    """The segment order: keys `category * span + instance`, ascending, of one
+    segment per stuff category with cells in `counts` (cells per category) and
+    one per thing (category, instance) pair among the cells `sem`, `inst`. They
+    must hold every thing cell, so every nonzero instance id. Returns (keys, span)."""
+    span = int(inst.max(initial=0)) + 1
+    stuff, thing = np.flatnonzero((counts > 0) & ~is_thing), is_thing[sem]
+    return np.union1d(stuff[stuff != VOID] * span,
+                      sem[thing].astype(np.int64) * span + inst[thing]), span
 
+
+def _segment_index(keys, span, sem, inst=0):
+    """Each cell's segment number in `keys`, `len(keys)` at void cells."""
+    index = np.searchsorted(keys, sem.astype(np.int64) * span + inst)
+    index[sem == VOID] = len(keys)
+    return index
+
+
+def _segments(keys, span, sizes, is_thing):
+    cats, ids = np.divmod(keys, span)
+    return [Segment(*seg) for seg in zip(*(a.tolist() for a in (cats, ids, is_thing[cats], sizes)))]
+
+
+def extract_segments(volume: PanopticVolume, cells: np.ndarray):
+    """One segment per thing (category, instance) pair and one per stuff category:
+    the per-volume reference that the tests compare `overlap_table` against.
     `volume` must pass `PanopticVolume.validate`. `cells` lists flat cell indices,
     each once, and must hold every non-void cell. Returns (segments, index):
     segments in ascending (category, instance) order, and the segment number of
-    each listed cell, `len(segments)` at void cells.
-    """
-    sem_at, inst_at = volume.semantics.ravel()[cells], volume.instances.ravel()[cells]
+    each listed cell, `len(segments)` at void cells."""
+    sem, inst = volume.semantics.ravel()[cells], volume.instances.ravel()[cells]
     is_thing = np.asarray(volume.categories.is_thing, dtype=bool)
-    thing = is_thing[sem_at]
-    # Stuff categories present, and thing (category, instance) pairs, as keys.
-    present = np.bincount(sem_at, minlength=len(is_thing)) > 0
-    present[VOID] = False
-    # Every nonzero instance id sits on a thing cell, so on a listed one.
-    span = int(inst_at.max(initial=0)) + 1
-    key = sem_at.astype(np.int64) * span + inst_at
-    uniq = np.union1d(np.flatnonzero(present & ~is_thing) * span, key[thing])
-    index = np.searchsorted(uniq, key)
-    index[sem_at == VOID] = len(uniq)
-    sizes = np.bincount(index, minlength=len(uniq) + 1)[:-1]
-    cats, ids = np.divmod(uniq, span)
-    segments = [Segment(*seg) for seg in zip(cats.tolist(), ids.tolist(),
-                                             is_thing[cats].tolist(), sizes.tolist())]
-    return segments, index
+    keys, span = _segment_keys(np.bincount(sem, minlength=len(is_thing)), sem, inst, is_thing)
+    index = _segment_index(keys, span, sem, inst)
+    return _segments(keys, span, np.bincount(index, minlength=len(keys) + 1)[:-1],
+                     is_thing), index
+
+
+def overlap_table(pred: PanopticVolume, gt: PanopticVolume):
+    """(pred_segments, gt_segments, overlap): segments in `extract_segments`'
+    order, and `overlap[g, p]` the count of cells in gt segment g and pred
+    segment p, with a last void row and column. The volumes must pass
+    `validate` and share a frame and a category table."""
+    is_thing = np.asarray(gt.categories.is_thing, dtype=bool)
+    # Only cells non-void in either volume can overlap: count their category pairs.
+    cells = np.flatnonzero(np.logical_or(pred.semantics, gt.semantics))
+    pair = gt.semantics.ravel()[cells] * is_thing.size + pred.semantics.ravel()[cells]
+    joint = np.bincount(pair, minlength=is_thing.size ** 2).reshape(is_thing.size, -1)
+    # Only cells where either side is a thing need instance ids.
+    hot = cells[(is_thing[:, None] | is_thing[None, :]).ravel()[pair]]
+    plain = np.flatnonzero(~is_thing)  # void and the stuff categories
+
+    def side(volume, counts):
+        sem, inst = volume.semantics.ravel()[hot], volume.instances.ravel()[hot]
+        keys, span = _segment_keys(counts, sem, inst, is_thing)
+        return keys, span, _segment_index(keys, span, sem, inst), _segment_index(keys, span, plain)
+    (g_keys, g_span, g_index, g_rows), (p_keys, p_span, p_index, p_cols) = \
+        side(gt, joint.sum(axis=1)), side(pred, joint.sum(axis=0))
+    cols = len(p_keys) + 1
+    overlap = np.bincount(g_index * cols + p_index,
+                          minlength=(len(g_keys) + 1) * cols).reshape(-1, cols)
+    # Cells with no thing on either side: the category table holds their counts
+    # (zero in the row or column of a category that a volume lacks).
+    np.add.at(overlap, np.ix_(g_rows, p_cols), joint[np.ix_(plain, plain)])
+    return (_segments(p_keys, p_span, overlap.sum(axis=0)[:-1], is_thing),
+            _segments(g_keys, g_span, overlap.sum(axis=1)[:-1], is_thing), overlap)
 
 
 def iou(inter: int, size_a: int, size_b: int) -> float:
@@ -132,6 +171,8 @@ def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
     rsq = sum(tp_ious) / n_tp if n_tp else 0.0
     rrq = 2 * n_tp / denom if denom else 0.0
     prq_k = 2 * sum(tp_ious) / denom if denom else 0.0
+    # Cross-check the factored form against the direct one.
+    assert abs(prq_k - rsq * rrq) <= 1e-12
     return CategoryScore(prq=prq_k, rsq=rsq, rrq=rrq, tp=n_tp, fp=n_fp, fn=n_fn)
 
 
@@ -150,40 +191,20 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
         raise MetricError("category tables differ")
     pred.validate("pred")
     gt.validate("gt")
-    # Only cells that are non-void in at least one volume can overlap.
-    cells = np.flatnonzero((pred.semantics != VOID) | (gt.semantics != VOID))
-    pred_segments, pred_index = extract_segments(pred, cells)
-    gt_segments, gt_index = extract_segments(gt, cells)
-    # Joint counts over those cells of (gt segment or void, pred segment or void).
-    cols = len(pred_segments) + 1
-    overlap = np.bincount(gt_index * cols + pred_index, minlength=(len(gt_segments) + 1) * cols)
-    tp, fp, fn = match_segments(pred_segments, gt_segments,
-                                overlap.reshape(-1, cols)[:-1, :-1], threshold)
+    pred_segments, gt_segments, overlap = overlap_table(pred, gt)
+    tp, fp, fn = match_segments(pred_segments, gt_segments, overlap[:-1, :-1], threshold)
     cats = sorted({s.category for s in pred_segments} | {s.category for s in gt_segments})
     tp_ious = {k: [] for k in cats}
     for gi, _pi, score in tp:
         tp_ious[gt_segments[gi].category].append(score)
     n_fp = Counter(pred_segments[pi].category for pi in fp)
     n_fn = Counter(gt_segments[gi].category for gi in fn)
-    thing_flags = np.asarray(gt.categories.is_thing)
-    per_category = {}
-    for k in cats:
-        score = _category_score(tp_ious[k], n_fp[k], n_fn[k])
-        # Cross-check the factored form against the direct one.
-        assert abs(score.prq - score.rsq * score.rrq) <= 1e-12
-        per_category[k] = score
+    per_category = {k: _category_score(tp_ious[k], n_fp[k], n_fn[k]) for k in cats}
     def mean(ids, attr):
-        if not ids:
-            return 0.0
-        return float(np.mean([getattr(per_category[k], attr) for k in ids]))
-    things = [k for k in cats if thing_flags[k]]
-    stuff = [k for k in cats if not thing_flags[k]]
-    return PrqReport(
-        per_category=per_category,
-        prq=mean(cats, "prq"), rsq=mean(cats, "rsq"), rrq=mean(cats, "rrq"),
-        prq_things=mean(things, "prq"), rsq_things=mean(things, "rsq"),
-        rrq_things=mean(things, "rrq"),
-        prq_stuff=mean(stuff, "prq"), rsq_stuff=mean(stuff, "rsq"),
-        rrq_stuff=mean(stuff, "rrq"),
-        categories=cats,
-    )
+        return float(np.mean([getattr(per_category[k], attr) for k in ids])) if ids else 0.0
+    is_thing = gt.categories.is_thing
+    groups = {"": cats, "_things": [k for k in cats if is_thing[k]],
+              "_stuff": [k for k in cats if not is_thing[k]]}
+    return PrqReport(per_category=per_category, categories=cats, **{
+        f"{attr}{suffix}": mean(ids, attr)
+        for suffix, ids in groups.items() for attr in ("prq", "rsq", "rrq")})

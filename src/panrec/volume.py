@@ -70,18 +70,3 @@ class PanopticVolume:
 
     def thing_mask(self) -> np.ndarray:
         return np.asarray(self.categories.is_thing)[self.semantics]
-
-    def instance_labels(self):
-        """Sorted ids of thing instances present in the volume."""
-        ids = np.unique(self.instances[self.instances > 0])
-        return [int(i) for i in ids]
-
-
-def empty_volume(frame, categories: CategoryTable) -> PanopticVolume:
-    shape = frame.shape
-    return PanopticVolume(
-        frame=frame,
-        semantics=np.zeros(shape, dtype=np.int32),
-        instances=np.zeros(shape, dtype=np.int32),
-        categories=categories,
-    )

@@ -14,7 +14,6 @@ from panrec.losses import (
     cross_entropy,
     loss_3d,
     tsdf_from_occupancy,
-    tsdf_from_scene,
 )
 from panrec.metrics import extract_segments, match_segments, prq
 from panrec.pipeline import reconstruct_from_priors
@@ -151,7 +150,7 @@ def test_criterion_3_closed_form_losses():
     priors = derive_priors(scene)
     occ = scene.volume.occupancy.astype(np.float64)
     sem = np.eye(len(scene.categories))[scene.volume.semantics]
-    tsdf = tsdf_from_scene(scene)
+    tsdf = tsdf_from_occupancy(scene.volume.occupancy)
     thing = scene.volume.thing_mask()
     base = loss_3d(rows_of(sem), priors.offsets3d, occ, tsdf, scene.volume.semantics,
                    priors.offsets3d, occ, tsdf, thing)

@@ -102,7 +102,7 @@ def test_lift_bad_assignment_fails(tmp_path, monkeypatch, capsys):
     for value in ("nope", "random:x", "random:", "random:3.5", "random:-1"):
         code, err = entry_result(monkeypatch, capsys, "lift", priors, "--out", tmp_path / "x.bin",
                                  "--mode", "top-down", "--assignment", value)
-        assert code == 1
+        assert code == 2  # a usage error, as in click's standalone mode
         assert err.startswith("error: ") and "'--assignment'" in err and err.count("\n") == 1, err
     assert not (tmp_path / "x.bin").exists()
 
@@ -486,14 +486,17 @@ def test_entry_reports_errors(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "panrec.cli", "eval", "missing.bin", "missing.bin",
-         "--categories-from", "missing.json"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert proc.stderr.count("\n") == 1, proc.stderr
+    # usage errors exit 2, as in click's standalone mode; runtime failures exit 1
+    for args, code in (
+        (["eval", "missing.bin", "missing.bin", "--categories-from", "missing.json"], 2),
+        (["synth", "--out", "scene", "--bogus"], 2),
+        (["synth", "--width", "4", "--height", "4", "--planes", "4", "--out", "scene"], 1),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "panrec.cli", *args],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 

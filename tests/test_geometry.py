@@ -246,7 +246,7 @@ def test_resample_rejects_a_frustum_frame_off_the_camera():
 
 def test_axis_grid_from_lists_equals_and_hashes_as_tuples():
     from panrec.metrics import prq
-    from panrec.volume import CategoryTable, empty_volume
+    from panrec.volume import CategoryTable, PanopticVolume
 
     listed = AxisGrid(dims=[4, 4, 4], voxel_size=0.1, origin=[0, 0, 1])
     tupled = AxisGrid(dims=(4, 4, 4), voxel_size=0.1, origin=(0.0, 0.0, 1.0))
@@ -258,7 +258,8 @@ def test_axis_grid_from_lists_equals_and_hashes_as_tuples():
     assert listed.origin == (0.0, 0.0, 1.0) and all(type(o) is float for o in listed.origin)
     # the frame check of prq and the identity shortcut of resample_volume
     cats = CategoryTable((False, True))
-    prq(empty_volume(listed, cats), empty_volume(tupled, cats))
+    void = np.zeros((4, 4, 4), np.int32)
+    prq(PanopticVolume(listed, void, void, cats), PanopticVolume(tupled, void, void, cats))
     vol = np.arange(64).reshape(4, 4, 4)
     assert np.array_equal(resample_volume(vol, listed, tupled, K, DepthPlanes(count=8)), vol)
     with pytest.raises(GeometryError):

@@ -27,7 +27,6 @@ from panrec.losses import (
     loss_mp_occupancy,
     loss_panoptic2d,
     tsdf_from_occupancy,
-    tsdf_from_scene,
 )
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
@@ -223,7 +222,7 @@ def test_tsdf_rejects_nan_truncation():
 
 
 def test_tsdf_from_scene_signs(small_scene):
-    tsdf = tsdf_from_scene(small_scene)
+    tsdf = tsdf_from_occupancy(small_scene.volume.occupancy)
     occ = small_scene.volume.occupancy
     assert np.all(tsdf[occ] < 0)
     assert np.all(tsdf[~occ] > 0)
@@ -237,7 +236,7 @@ def zero_loss_inputs(scene):
     sem = np.zeros(scene.frame.shape + (c,))
     idx = scene.volume.semantics
     np.put_along_axis(sem, idx[..., None], 1.0, axis=-1)
-    tsdf = tsdf_from_scene(scene)
+    tsdf = tsdf_from_occupancy(scene.volume.occupancy)
     thing = scene.volume.thing_mask()
     return sem, priors.offsets3d, occ, tsdf, thing
 

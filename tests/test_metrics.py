@@ -15,6 +15,7 @@ from panrec.metrics import (
     extract_segments,
     iou,
     match_segments,
+    overlap_table,
     prq,
 )
 from panrec.pipeline import reconstruct_from_priors
@@ -333,33 +334,35 @@ INSTANCE_IDS = (1, 2, 3, 2**20, 2**20 + 1, 2**31 - 1)
 
 
 @st.composite
-def labeled_volume(draw, shape):
-    """A valid volume over ORACLE_CATS: all void, or random labels with large
+def labeled_volume(draw, shape, categories):
+    """A valid volume over `categories`: all void, or random labels with large
     instance ids on thing cells only."""
     if draw(st.booleans()) and draw(st.booleans()):
         sem = np.zeros(shape, np.int32)
     else:
-        sem = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, 4)))
+        sem = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, len(categories) - 1)))
     ids = draw(hnp.arrays(np.int32, shape, elements=st.sampled_from(INSTANCE_IDS)))
-    thing = np.asarray(ORACLE_CATS.is_thing)[sem]
+    thing = np.asarray(categories.is_thing)[sem]
     return sem, np.where(thing, ids, 0).astype(np.int32)
 
 
 @st.composite
-def volume_pairs(draw):
+def volume_pairs(draw, categories=ORACLE_CATS):
     shape = tuple(draw(st.lists(st.integers(1, 6), min_size=3, max_size=3)))
-    (gs, gi), (ps, pi) = draw(labeled_volume(shape)), draw(labeled_volume(shape))
-    if gs.size >= 4 and draw(st.booleans()):
+    (gs, gi), (ps, pi) = (draw(labeled_volume(shape, categories)),
+                          draw(labeled_volume(shape, categories)))
+    things = [k for k, thing in enumerate(categories.is_thing) if thing]
+    if things and gs.size >= 4 and draw(st.booleans()):
         # Plant an exact tie: two gt and two pred instances of 2 cells each,
         # every pred sharing one cell with every gt, so all four IoUs are 1/3.
-        gs.ravel()[:4] = ps.ravel()[:4] = draw(st.sampled_from([1, 3, 4]))
+        gs.ravel()[:4] = ps.ravel()[:4] = draw(st.sampled_from(things))
         a, b = draw(st.lists(st.sampled_from(INSTANCE_IDS), min_size=2, max_size=2,
                              unique=True))
         gi.ravel()[:4] = (a, a, b, b)
         pi.ravel()[:4] = (a, b, a, b)
     frame = FrustumGrid(shape[1], shape[0], shape[2])
-    return (PanopticVolume(frame, ps, pi, ORACLE_CATS).validate(),
-            PanopticVolume(frame, gs, gi, ORACLE_CATS).validate())
+    return (PanopticVolume(frame, ps, pi, categories).validate(),
+            PanopticVolume(frame, gs, gi, categories).validate())
 
 
 @settings(max_examples=400, deadline=None)
@@ -369,6 +372,41 @@ def test_prq_matches_reference_on_random_volumes(pair, threshold):
     for a, b in ((pred, gt), (gt, pred), (gt, gt)):
         assert report_lines(prq(a, b, threshold)) == \
             report_lines(reference_prq(a, b, threshold))
+
+
+def reference_table(pred, gt):
+    """Both volumes' `extract_segments` over every cell, and their overlap
+    table from one bincount: a row per gt segment and a column per pred
+    segment, then the void row and column."""
+    every = np.arange(gt.semantics.size)
+    pred_segments, pred_index = extract_segments(pred, every)
+    gt_segments, gt_index = extract_segments(gt, every)
+    cols = len(pred_segments) + 1
+    overlap = np.bincount(gt_index * cols + pred_index, minlength=(len(gt_segments) + 1) * cols)
+    overlap = overlap.reshape(-1, cols)
+    overlap[-1, -1] = 0  # void in both volumes: no PRQ count covers these cells
+    return pred_segments, gt_segments, overlap
+
+
+# One category besides void, void alone, and stuff alone, next to ORACLE_CATS.
+TABLE_CATS = [ORACLE_CATS, CategoryTable((False, True)), CategoryTable((False, False)),
+              CategoryTable((False,)), CategoryTable((False, False, False, False))]
+
+
+@pytest.mark.parametrize("categories", TABLE_CATS, ids=lambda c: "".join(
+    "t" if thing else "s" for thing in c.is_thing[1:]) or "void")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_overlap_table_matches_extract_segments(categories, data):
+    # prq's segments and its whole table, void row and column included: the
+    # void column is what a GT segment lost to cells void in the prediction.
+    pred, gt = data.draw(volume_pairs(categories))
+    for a, b in ((pred, gt), (gt, pred), (gt, gt)):
+        pred_segments, gt_segments, overlap = overlap_table(a, b)
+        want_pred, want_gt, want_overlap = reference_table(a, b)
+        assert pred_segments == want_pred and gt_segments == want_gt
+        assert overlap.dtype == want_overlap.dtype
+        np.testing.assert_array_equal(overlap, want_overlap)
 
 
 def edge_support_pair(case):

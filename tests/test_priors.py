@@ -26,7 +26,7 @@ from panrec.priors import (
     extract_centers,
 )
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
-from panrec.volume import CategoryTable, PanopticVolume, empty_volume
+from panrec.volume import CategoryTable, PanopticVolume
 from conftest import CROWDED_NOISE, GOLDEN_AXES, seeded_scenes
 
 CATS = CategoryTable((False, False, False, True, True))
@@ -36,7 +36,8 @@ def make_scene(w=8, h=8, m=8):
     frame = FrustumGrid(w, h, m)
     intr = CameraIntrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2,
                             cy=(h - 1) / 2, width=w, height=h)
-    return SceneGT(volume=empty_volume(frame, CATS), intrinsics=intr,
+    void = np.zeros(frame.shape, np.int32)
+    return SceneGT(volume=PanopticVolume(frame, void, void.copy(), CATS), intrinsics=intr,
                    planes=DepthPlanes(count=m))
 
 
