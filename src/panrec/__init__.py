@@ -27,7 +27,7 @@ from .losses import (
     loss_panoptic2d,
     tsdf_from_occupancy,
 )
-from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, overlap_table, prq
+from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, prq
 from .pipeline import reconstruct_from_priors
 from .priors import (
     InstanceCenter,

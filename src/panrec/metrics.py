@@ -57,7 +57,9 @@ class PrqReport:
         }
         for k in self.categories:
             s = self.per_category[k]
-            rec.update({f"prq_{k}": s.prq, f"rsq_{k}": s.rsq, f"rrq_{k}": s.rrq})
+            rec[f"prq_{k}"] = s.prq
+            rec[f"rsq_{k}"] = s.rsq
+            rec[f"rrq_{k}"] = s.rrq
         return rec
 
 
@@ -107,7 +109,9 @@ def overlap_table(pred: PanopticVolume, gt: PanopticVolume):
     is_thing = np.asarray(gt.categories.is_thing, dtype=bool)
     # Only cells non-void in either volume can overlap: count their category pairs.
     cells = np.flatnonzero(np.logical_or(pred.semantics, gt.semantics))
-    pair = gt.semantics.ravel()[cells] * is_thing.size + pred.semantics.ravel()[cells]
+    # Widened first, so that a narrow semantics dtype cannot wrap category * C.
+    pair = (gt.semantics.ravel()[cells].astype(np.intp) * is_thing.size
+            + pred.semantics.ravel()[cells])
     joint = np.bincount(pair, minlength=is_thing.size ** 2).reshape(is_thing.size, -1)
     # Only cells where either side is a thing need instance ids.
     hot = cells[(is_thing[:, None] | is_thing[None, :]).ravel()[pair]]
@@ -171,8 +175,6 @@ def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
     rsq = sum(tp_ious) / n_tp if n_tp else 0.0
     rrq = 2 * n_tp / denom if denom else 0.0
     prq_k = 2 * sum(tp_ious) / denom if denom else 0.0
-    # Cross-check the factored form against the direct one.
-    assert abs(prq_k - rsq * rrq) <= 1e-12
     return CategoryScore(prq=prq_k, rsq=rsq, rrq=rrq, tp=n_tp, fp=n_fp, fn=n_fn)
 
 
@@ -199,12 +201,25 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
         tp_ious[gt_segments[gi].category].append(score)
     n_fp = Counter(pred_segments[pi].category for pi in fp)
     n_fn = Counter(gt_segments[gi].category for gi in fn)
-    per_category = {k: _category_score(tp_ious[k], n_fp[k], n_fn[k]) for k in cats}
+    thing_flags = np.asarray(gt.categories.is_thing)
+    per_category = {}
+    for k in cats:
+        score = _category_score(tp_ious[k], n_fp[k], n_fn[k])
+        # Cross-check the factored form against the direct one.
+        assert abs(score.prq - score.rsq * score.rrq) <= 1e-12
+        per_category[k] = score
     def mean(ids, attr):
-        return float(np.mean([getattr(per_category[k], attr) for k in ids])) if ids else 0.0
-    is_thing = gt.categories.is_thing
-    groups = {"": cats, "_things": [k for k in cats if is_thing[k]],
-              "_stuff": [k for k in cats if not is_thing[k]]}
-    return PrqReport(per_category=per_category, categories=cats, **{
-        f"{attr}{suffix}": mean(ids, attr)
-        for suffix, ids in groups.items() for attr in ("prq", "rsq", "rrq")})
+        if not ids:
+            return 0.0
+        return float(np.mean([getattr(per_category[k], attr) for k in ids]))
+    things = [k for k in cats if thing_flags[k]]
+    stuff = [k for k in cats if not thing_flags[k]]
+    return PrqReport(
+        per_category=per_category,
+        prq=mean(cats, "prq"), rsq=mean(cats, "rsq"), rrq=mean(cats, "rrq"),
+        prq_things=mean(things, "prq"), rsq_things=mean(things, "rsq"),
+        rrq_things=mean(things, "rrq"),
+        prq_stuff=mean(stuff, "prq"), rsq_stuff=mean(stuff, "rsq"),
+        rrq_stuff=mean(stuff, "rrq"),
+        categories=cats,
+    )

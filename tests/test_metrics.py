@@ -409,6 +409,32 @@ def test_overlap_table_matches_extract_segments(categories, data):
         np.testing.assert_array_equal(overlap, want_overlap)
 
 
+def narrowed(volume, dtype):
+    """`volume` with its semantics in `dtype`. The constructor casts to int32,
+    but the field can be set after it, and `validate` does not check dtypes."""
+    out = dataclasses.replace(volume)
+    out.semantics = volume.semantics.astype(dtype)
+    return out.validate()
+
+
+# Each table is long enough that category * len(table) overflows its dtype.
+@pytest.mark.parametrize("dtype,n_categories", [(np.uint8, 20), (np.int8, 20),
+                                                (np.int16, 200), (np.uint16, 300)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_narrow_semantics_score_as_int32(dtype, n_categories, data):
+    categories = CategoryTable((False,) + tuple(k % 3 == 1 for k in range(1, n_categories)))
+    pred, gt = data.draw(volume_pairs(categories))
+    for a, b in ((pred, gt), (gt, pred)):
+        narrow_a, narrow_b = narrowed(a, dtype), narrowed(b, dtype)
+        pred_segments, gt_segments, overlap = overlap_table(narrow_a, narrow_b)
+        want_pred, want_gt, want_overlap = overlap_table(a, b)
+        assert pred_segments == want_pred and gt_segments == want_gt
+        np.testing.assert_array_equal(overlap, want_overlap)
+        assert report_lines(prq(narrow_a, narrow_b)) == report_lines(reference_prq(a, b))
+
+
 def edge_support_pair(case):
     """(pred, gt) whose non-void cells are: gt's only ("one-all-void"), two
     disjoint sets ("disjoint"), or the single cell 17 ("single-cell-*")."""
