@@ -1,11 +1,9 @@
 """Command-line surface: scene synthesis, prior derivation, lifting, grouping,
-evaluation, loss reports, benchmarks, and an end-to-end demo."""
+evaluation, loss reports, and an end-to-end demo."""
 from __future__ import annotations
 
 import re
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -307,34 +305,6 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
         Path(record_path).write_text(
             "".join(f"{k} {v:.9f}\n" for k, v in records.items())
         )
-
-
-@main.command()
-@click.option("--sizes", default="32,64", show_default=True)
-@click.option("--reps", type=int, default=3, show_default=True)
-def bench(sizes, reps):
-    """Median wall time of the main kernels at the given cube sizes.
-    `reconstruct_from_priors` does not call `occupancy_aware_lift`."""
-    click.echo(f"{'op':>24} {'size':>6} {'median_s':>10}")
-    for size in (int(s) for s in sizes.split(",")):
-        cfg = SynthConfig(seed=1, width=size, height=size, planes=size,
-                          n_things=min(4, max(1, size // 16)))
-        scene = generate_scene(cfg)
-        priors = derive_priors(scene)
-        args = (scene.frame, scene.intrinsics, scene.planes)
-        kernels = {
-            "occupancy_aware_lift": lambda: occupancy_aware_lift(priors, *args),
-            "reconstruct_from_priors": lambda: reconstruct_from_priors(
-                priors, *args, scene.categories),
-            "prq": lambda: prq(scene.volume, scene.volume),
-        }
-        for name, kernel in kernels.items():
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                kernel()
-                times.append(time.perf_counter() - t0)
-            click.echo(f"{name:>24} {size:>6} {statistics.median(times):10.4f}")
 
 
 @main.command()

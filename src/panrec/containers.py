@@ -234,9 +234,9 @@ def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
 
 
 def panoptic_volume(path, cont: Container, categories: CategoryTable) -> PanopticVolume:
-    """The volume of the panoptic-volume container read from `path`, validated under that name."""
+    """The volume of the panoptic-volume container read from `path`, named by that path."""
     return PanopticVolume(cont.frame, cont.array[..., 0], cont.array[..., 1],
-                          categories).validate(str(path))
+                          categories, name=str(path))
 
 
 def read_panoptic(path, categories: CategoryTable) -> PanopticVolume:

@@ -89,10 +89,10 @@ def _segments(keys, span, sizes, is_thing):
 def extract_segments(volume: PanopticVolume, cells: np.ndarray):
     """One segment per thing (category, instance) pair and one per stuff category:
     the per-volume reference that the tests compare `overlap_table` against.
-    `volume` must pass `PanopticVolume.validate`. `cells` lists flat cell indices,
-    each once, and must hold every non-void cell. Returns (segments, index):
-    segments in ascending (category, instance) order, and the segment number of
-    each listed cell, `len(segments)` at void cells."""
+    `cells` lists flat cell indices, each once, and must hold every non-void
+    cell. Returns (segments, index): segments in ascending (category, instance)
+    order, and the segment number of each listed cell, `len(segments)` at void
+    cells."""
     sem, inst = volume.semantics.ravel()[cells], volume.instances.ravel()[cells]
     is_thing = np.asarray(volume.categories.is_thing, dtype=bool)
     keys, span = _segment_keys(np.bincount(sem, minlength=len(is_thing)), sem, inst, is_thing)
@@ -104,8 +104,8 @@ def extract_segments(volume: PanopticVolume, cells: np.ndarray):
 def overlap_table(pred: PanopticVolume, gt: PanopticVolume):
     """(pred_segments, gt_segments, overlap): segments in `extract_segments`'
     order, and `overlap[g, p]` the count of cells in gt segment g and pred
-    segment p, with a last void row and column. The volumes must pass
-    `validate` and share a frame and a category table."""
+    segment p, with a last void row and column. The volumes must share a frame
+    and a category table."""
     is_thing = np.asarray(gt.categories.is_thing, dtype=bool)
     # Only cells non-void in either volume can overlap: count their category pairs.
     cells = np.flatnonzero(np.logical_or(pred.semantics, gt.semantics))
@@ -181,8 +181,7 @@ def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
 def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> PrqReport:
     """Per-category and aggregated quality at the given IoU matching threshold.
 
-    The volumes must share a frame and a category table, and each must pass
-    `validate` (VolumeError naming `pred` or `gt` and the field). Categories
+    The volumes must share a frame and a category table. Categories
     absent from both volumes are excluded; aggregates are unweighted means
     over the evaluated categories. One greedy matching over all
     categories equals one per category: candidates never cross categories.
@@ -191,8 +190,6 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
         raise MetricError("prediction and ground truth must share a grid frame")
     if pred.categories != gt.categories:
         raise MetricError("category tables differ")
-    pred.validate("pred")
-    gt.validate("gt")
     pred_segments, gt_segments, overlap = overlap_table(pred, gt)
     tp, fp, fn = match_segments(pred_segments, gt_segments, overlap[:-1, :-1], threshold)
     cats = sorted({s.category for s in pred_segments} | {s.category for s in gt_segments})

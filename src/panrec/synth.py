@@ -195,9 +195,7 @@ def generate_scene(cfg: SynthConfig):
         region = ~claimed
         sub = semantics[:, :, cfg.planes - wall_t :]
         sub[region] = 1
-    volume = PanopticVolume(
-        frame=frame, semantics=semantics, instances=instances, categories=cfg.categories
-    ).validate()
+    volume = PanopticVolume(frame, semantics, instances, cfg.categories)
     return SceneGT(volume=volume, intrinsics=cfg.intrinsics(), planes=cfg.depth_planes())
 
 

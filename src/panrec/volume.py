@@ -1,13 +1,16 @@
-"""Per-voxel panoptic labeling and its structural validator."""
+"""Per-voxel panoptic labeling, valid by construction: the constructor applies
+the one rule for a well-formed volume, and the labels are read-only after it."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import AxisGrid, FrustumGrid
 
 VOID = 0
+# Cells per block of `PanopticVolume.validate`'s scan for nonzero instance ids.
+SCAN_BLOCK = 65536
 
 
 class VolumeError(ValueError):
@@ -28,41 +31,51 @@ class CategoryTable:
         return len(self.is_thing)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PanopticVolume:
     """Grid frame plus per-cell (semantic_id, instance_id) labels. A cell is
-    occupied iff its semantic id is non-void; `validate` states the labels' rule."""
+    occupied iff its semantic id is non-void. The constructor applies
+    `validate`, whose errors name `name`, and keeps read-only views of the
+    arrays, so a volume is well formed for as long as it exists."""
 
     frame: object
     semantics: np.ndarray
     instances: np.ndarray
     categories: CategoryTable
+    name: str = field(default="volume", compare=False, repr=False)
 
     def __post_init__(self):
-        self.semantics = np.asarray(self.semantics, dtype=np.int32)
-        self.instances = np.asarray(self.instances, dtype=np.int32)
+        for label in ("semantics", "instances"):
+            view = np.asarray(getattr(self, label), dtype=np.int32).view()
+            view.flags.writeable = False
+            object.__setattr__(self, label, view)
+        self.validate()
 
     @property
     def occupancy(self) -> np.ndarray:
         return self.semantics != VOID
 
-    def validate(self, name: str = "volume"):
+    def validate(self):
         """The volume, unless it breaks the one rule for a well-formed volume:
         a grid frame, arrays of its shape, semantic ids in the category table,
         instance ids >= 0 and nonzero only on thing cells (void is not a thing).
-        Raises VolumeError naming `name` and the field, e.g. `pred.instances: ...`."""
+        Raises VolumeError naming the volume and the field, e.g. `pred.instances: ...`."""
+        name = self.name
         if not isinstance(self.frame, (FrustumGrid, AxisGrid)):
             raise VolumeError(f"{name}.frame: unknown grid frame {self.frame!r}")
-        for field, array in (("semantics", self.semantics), ("instances", self.instances)):
+        for label, array in (("semantics", self.semantics), ("instances", self.instances)):
             if array.shape != self.frame.shape:
-                raise VolumeError(f"{name}.{field}: shape {array.shape} != frame shape "
+                raise VolumeError(f"{name}.{label}: shape {array.shape} != frame shape "
                                   f"{self.frame.shape}")
         semantics = self.semantics.reshape(-1)
         if semantics.min() < 0 or semantics.max() >= len(self.categories):
             raise VolumeError(f"{name}.semantics: category id outside the category table")
-        # Both instance clauses hold wherever the id is 0, so only the other cells are read.
-        cells = np.flatnonzero(self.instances != 0)
-        if self.instances.reshape(-1)[cells].min(initial=0) < 0:
+        # Both instance clauses hold wherever the id is 0, so only the other cells
+        # are read; they are found a block at a time, without a full-grid mask.
+        instances = self.instances.reshape(-1)
+        cells = np.concatenate([np.flatnonzero(instances[start:start + SCAN_BLOCK] != 0) + start
+                                for start in range(0, instances.size, SCAN_BLOCK)])
+        if instances[cells].min(initial=0) < 0:
             raise VolumeError(f"{name}.instances: negative instance id")
         if not np.asarray(self.categories.is_thing)[semantics[cells]].all():
             raise VolumeError(f"{name}.instances: instance id on a stuff or void cell")

@@ -73,7 +73,7 @@ def random_labeled_volume(rng, frame, cats):
                                replace=False)
             flat[cells] = cat
             iflat[cells] = i if cats.is_thing[cat] else 0
-    return PanopticVolume(frame, sem, inst, cats).validate()
+    return PanopticVolume(frame, sem, inst, cats)
 
 
 def brute_force_match(preds, gts, threshold):
@@ -192,8 +192,8 @@ def test_criterion_4_instance_channel_ambiguity():
         relabeled = scene.volume.instances.copy()
         for old, new in zip((1, 2, 3), perm):
             relabeled[scene.volume.instances == old] = int(new)
-        permuted_scene = generate_scene(cfg)
-        permuted_scene.volume.instances[:] = relabeled
+        permuted_scene = dataclasses.replace(
+            scene, volume=dataclasses.replace(scene.volume, instances=relabeled))
         p2 = derive_priors(permuted_scene)
         again = occupancy_aware_lift(p2, *args)
         ok &= base.features.tobytes() == again.features.tobytes()

@@ -16,9 +16,11 @@ from panrec import containers
 from panrec.cli import PRIOR_KINDS, entry, main
 from panrec.containers import read_container, read_manifest
 from panrec.lifting import lift_instances_topdown
+from panrec.metrics import prq
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import Priors2D, derive_instance_map2d, derive_priors
 from panrec.synth import SynthConfig, SynthError, generate_scene
+from panrec.volume import PanopticVolume
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -229,15 +231,6 @@ def test_mesh_export(tmp_path):
     assert text.startswith("mtllib")
     assert "\nv " in text and "\nf " in text
     assert (tmp_path / "scene.mtl").exists()
-
-
-def test_bench_runs():
-    result = run("bench", "--sizes", "16", "--reps", "1")
-    rows = [line.split() for line in result.output.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [["occupancy_aware_lift", "16"],
-                                         ["reconstruct_from_priors", "16"],
-                                         ["prq", "16"]]
-    assert all(float(row[2]) >= 0 for row in rows)
 
 
 def group_error(monkeypatch, capsys, tmp_path, features, priors):
@@ -576,11 +569,12 @@ def test_readme_cli_block_parses(monkeypatch):
     monkeypatch.setattr(click.Path, "convert", lambda self, value, param, ctx: value)
     parse = lambda line: main.main(shlex.split(line)[1:], "panrec", standalone_mode=False)
     lines = readme_cli_lines()
-    assert len(lines) == 10 and lines[0] == "panrec demo"
+    assert len(lines) == 9 and lines[0] == "panrec demo"
     for line in lines:
         parse(line)
     for wrong in ("panrec lift priors/ --output features.bin", "panrec loss scene/",
-                  "panrec lift priors/ --out f.bin --mode sideways", "panrec ablate"):
+                  "panrec lift priors/ --out f.bin --mode sideways", "panrec ablate",
+                  "panrec bench"):
         with pytest.raises(click.UsageError):
             parse(wrong)
 
@@ -663,13 +657,43 @@ def test_each_command_validates_its_bundle_once(tmp_path, monkeypatch):
         (["lift", priors, "--out", tmp_path / "t.bin", "--mode", "top-down"], 1),
         (["group", feats, priors, "--out", tmp_path / "p.bin"], 0),
         (["loss", scene, priors], 1),
-        # two kernels take the bundle, each once per rep
-        (["bench", "--sizes", "16", "--reps", "2"], 4),
         (["demo", "--seed", "3"], 1),
     ):
         calls.clear()
         run(*map(str, args))
         assert len(calls) == count, args
+
+
+def test_each_volume_is_validated_once(tmp_path, monkeypatch):
+    # A volume's constructor applies the rule, and nothing applies it again:
+    # a command or a step runs it once per volume it builds or reads.
+    scene, priors, feats, pred = build_chain(tmp_path, size=16)
+    cfg = SynthConfig(seed=3, width=16, height=16, planes=16, n_things=3,
+                      min_center_separation=8.0)
+    gt = generate_scene(cfg)
+    bundle = derive_priors(gt)
+    calls = []
+    validate = PanopticVolume.validate
+    monkeypatch.setattr(PanopticVolume, "validate",
+                        lambda self, *a: calls.append(self) or validate(self, *a))
+    for step, count in (
+        (["synth", "--seed", "3", "--out", tmp_path / "again", "--width", "16",
+          "--height", "16", "--planes", "16", "--things", "3"], 1),
+        (["derive-priors", scene, "--out", tmp_path / "derived"], 1),
+        (["lift", priors, "--out", tmp_path / "f.bin"], 0),
+        (["group", feats, priors, "--out", tmp_path / "p.bin"], 1),
+        (["eval", pred, scene / "panoptic.bin", "--categories-from", scene / "manifest.json"], 2),
+        (["loss", scene, priors], 1),
+        (["demo", "--seed", "3"], 2),
+        (lambda: generate_scene(cfg), 1),
+        (lambda: reconstruct_from_priors(bundle, gt.frame, gt.intrinsics, gt.planes,
+                                         gt.categories), 1),
+        (lambda: prq(gt.volume, gt.volume), 0),
+    ):
+        calls.clear()
+        step() if callable(step) else run(*map(str, step))
+        assert len(calls) == count, step
+        assert len({id(volume) for volume in calls}) == count, step
 
 
 @settings(max_examples=50, deadline=None)

@@ -141,7 +141,7 @@ def small_volume(sem, ids):
     sem = np.asarray(sem, dtype=np.int32)
     inst = np.where(THING[sem], ids, 0)
     h, w, m = sem.shape
-    return PanopticVolume(FrustumGrid(w, h, m), sem, inst, CATS).validate()
+    return PanopticVolume(FrustumGrid(w, h, m), sem, inst, CATS)
 
 
 @st.composite
@@ -184,7 +184,7 @@ def test_export_matches_reference_on_axis_frame_volume(tmp_path):
     frame = AxisGrid(dims=(24, 24, 32), voxel_size=0.15, origin=(-1.8, -1.8, 0.4))
     sem, inst = (resample_volume(a, scene.frame, frame, scene.intrinsics, scene.planes)
                  for a in (scene.volume.semantics, scene.volume.instances))
-    volume = PanopticVolume(frame, sem, inst, scene.categories).validate()
+    volume = PanopticVolume(frame, sem, inst, scene.categories)
     assert np.unique(volume.instances[volume.instances > 0]).size and \
         np.any(volume.occupancy & ~volume.thing_mask())
     assert_matches_reference(volume, tmp_path)

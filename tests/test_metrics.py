@@ -361,8 +361,8 @@ def volume_pairs(draw, categories=ORACLE_CATS):
         gi.ravel()[:4] = (a, a, b, b)
         pi.ravel()[:4] = (a, b, a, b)
     frame = FrustumGrid(shape[1], shape[0], shape[2])
-    return (PanopticVolume(frame, ps, pi, categories).validate(),
-            PanopticVolume(frame, gs, gi, categories).validate())
+    return (PanopticVolume(frame, ps, pi, categories),
+            PanopticVolume(frame, gs, gi, categories))
 
 
 @settings(max_examples=400, deadline=None)
@@ -411,9 +411,9 @@ def test_overlap_table_matches_extract_segments(categories, data):
 
 def narrowed(volume, dtype):
     """`volume` with its semantics in `dtype`. The constructor casts to int32,
-    but the field can be set after it, and `validate` does not check dtypes."""
+    but the frozen field can be forced after it, and `validate` does not check dtypes."""
     out = dataclasses.replace(volume)
-    out.semantics = volume.semantics.astype(dtype)
+    object.__setattr__(out, "semantics", volume.semantics.astype(dtype))
     return out.validate()
 
 
@@ -525,25 +525,21 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_prq_rejects_malformed_volumes(case):
+    # prq cannot be given such a volume: its constructor rejects it.
     field, cell, value = MALFORMED[case]
     sem, inst = blank()
     sem[0, 0, 0], sem[0, 0, 1], inst[0, 0, 1] = 2, 1, 4
-    good = vol(sem.copy(), inst.copy())
+    vol(sem.copy(), inst.copy())  # valid but for the one label written below
     (sem if field == "semantics" else inst)[cell] = value
-    bad = vol(sem, inst)
-    with pytest.raises(VolumeError, match=f"^pred\\.{field}: "):
-        prq(bad, good)
-    with pytest.raises(VolumeError, match=f"^gt\\.{field}: "):
-        prq(good, bad)
     with pytest.raises(VolumeError, match=f"^volume\\.{field}: "):
-        bad.validate()
+        vol(sem, inst)
 
 
-def reference_violation(volume):
+def reference_violation(semantics, instances, categories):
     """The field that the per-cell rule finds broken first, or None: semantic
     ids in the category table, then instance ids >= 0 and nonzero only on thing cells."""
-    is_thing = volume.categories.is_thing
-    cells = list(zip(volume.semantics.ravel().tolist(), volume.instances.ravel().tolist()))
+    is_thing = categories.is_thing
+    cells = list(zip(semantics.ravel().tolist(), instances.ravel().tolist()))
     if any(not 0 <= sem < len(is_thing) for sem, _inst in cells):
         return "semantics"
     if any(inst < 0 or (inst != 0 and not is_thing[sem]) for sem, inst in cells):
@@ -569,13 +565,21 @@ def test_validate_is_the_per_cell_rule(frame, data):
         field, _cell, value = MALFORMED[case]
         cell = data.draw(st.integers(0, sem.size - 1))
         (sem if field == "semantics" else inst).ravel()[cell] = value
-    volume = PanopticVolume(frame, sem, inst, CATS)
-    field = reference_violation(volume)
-    if field is None:
-        assert volume.validate("v") is volume
-    else:
+    field = reference_violation(sem, inst, CATS)
+    if field is not None:
         with pytest.raises(VolumeError, match=f"^v\\.{field}: "):
-            volume.validate("v")
+            PanopticVolume(frame, sem, inst, CATS, name="v")
+        return
+    # A valid volume reads the caller's arrays without a copy, through views
+    # that cannot be written; the caller's arrays stay writable.
+    volume = PanopticVolume(frame, sem, inst, CATS, name="v")
+    assert volume.validate() is volume
+    for array, given in ((volume.semantics, sem), (volume.instances, inst)):
+        assert np.shares_memory(array, given) and given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    with pytest.raises(VolumeError, match="^v\\.instances: "):
+        dataclasses.replace(volume, instances=np.full(frame.shape, -1, np.int32))
 
 
 def relabeled(volume, new_ids):
@@ -584,8 +588,7 @@ def relabeled(volume, new_ids):
     instances = volume.instances.copy()
     thing = instances > 0
     instances[thing] = np.asarray(new_ids, np.int32)[np.searchsorted(ids, instances[thing])]
-    return PanopticVolume(volume.frame, volume.semantics, instances,
-                          volume.categories).validate()
+    return PanopticVolume(volume.frame, volume.semantics, instances, volume.categories)
 
 
 @settings(max_examples=400, deadline=None)
@@ -647,7 +650,7 @@ def test_prq_relabeling_keeps_an_equal_iou_tie_chain():
         sem, inst = np.zeros((1, 8, 1), np.int32), np.zeros((1, 8, 1), np.int32)
         for instance, cells in segments.items():
             sem[0, cells, 0], inst[0, cells, 0] = 1, instance
-        return PanopticVolume(frame, sem, inst, CategoryTable((False, True))).validate()
+        return PanopticVolume(frame, sem, inst, CategoryTable((False, True)))
 
     gt = volume({1: [0, 1], 2: [2, 6, 7]})
     assert report_lines(prq(volume({1: [0, 5], 2: [1, 2]}), gt)) == \

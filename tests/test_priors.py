@@ -32,12 +32,16 @@ from conftest import CROWDED_NOISE, GOLDEN_AXES, seeded_scenes
 CATS = CategoryTable((False, False, False, True, True))
 
 
-def make_scene(w=8, h=8, m=8):
+def make_scene(*labels, w=8, h=8, m=8):
+    """A void scene, but for each (cells, category, instance) of `labels`,
+    written into the arrays before the volume is built."""
     frame = FrustumGrid(w, h, m)
     intr = CameraIntrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2,
                             cy=(h - 1) / 2, width=w, height=h)
-    void = np.zeros(frame.shape, np.int32)
-    return SceneGT(volume=PanopticVolume(frame, void, void.copy(), CATS), intrinsics=intr,
+    sem, inst = np.zeros(frame.shape, np.int32), np.zeros(frame.shape, np.int32)
+    for cells, category, instance in labels:
+        sem[cells], inst[cells] = category, instance
+    return SceneGT(volume=PanopticVolume(frame, sem, inst, CATS), intrinsics=intr,
                    planes=DepthPlanes(count=m))
 
 
@@ -46,9 +50,7 @@ def test_derive_depth_empty_scene():
 
 
 def test_derive_depth_single_cell():
-    scene = make_scene()
-    scene.volume.semantics[4, 2, 5] = 3
-    scene.volume.instances[4, 2, 5] = 1
+    scene = make_scene(((4, 2, 5), 3, 1))
     depth = derive_depth(scene)
     assert depth[4, 2] == scene.planes.center(5)
     assert np.count_nonzero(depth) == 1
@@ -76,9 +78,7 @@ def test_derive_semantics2d_empty_is_void():
 
 
 def test_derive_semantics2d_full_plane():
-    scene = make_scene()
-    scene.volume.semantics[:, :, 5] = 3
-    scene.volume.instances[:, :, 5] = 1
+    scene = make_scene((np.s_[:, :, 5], 3, 1))
     sem = derive_semantics2d(scene)
     assert np.all(np.argmax(sem, axis=-1) == 3)
 
@@ -96,19 +96,14 @@ def test_semantics_consistent_with_depth(small_scene):
 
 
 def test_derive_centers_arithmetic_mean():
-    scene = make_scene()
-    for u in (2, 4):
-        scene.volume.semantics[2, u, 3] = 3
-        scene.volume.instances[2, u, 3] = 1
+    scene = make_scene(*(((2, u, 3), 3, 1) for u in (2, 4)))
     (center,) = derive_centers(scene)
     assert (center.u, center.v) == (3, 2)
     assert center.category == 3
 
 
 def test_derive_centers_single_cell():
-    scene = make_scene()
-    scene.volume.semantics[5, 6, 2] = 4
-    scene.volume.instances[5, 6, 2] = 9
+    scene = make_scene(((5, 6, 2), 4, 9))
     (center,) = derive_centers(scene)
     assert (center.u, center.v, center.instance_id) == (6, 5, 9)
 
@@ -256,10 +251,8 @@ def test_extract_centers_matches_reference_loop(maps, nms_kernel, threshold, dat
 
 
 def test_multiplane_occupancy_trivials():
-    scene = make_scene()
-    assert np.all(derive_multiplane_occupancy(scene) == 0)
-    scene.volume.semantics[:] = 1
-    assert np.all(derive_multiplane_occupancy(scene) == 1)
+    assert np.all(derive_multiplane_occupancy(make_scene()) == 0)
+    assert np.all(derive_multiplane_occupancy(make_scene((np.s_[:], 1, 0))) == 1)
 
 
 def test_multiplane_occupancy_counting(small_scene):
@@ -269,9 +262,7 @@ def test_multiplane_occupancy_counting(small_scene):
 
 
 def test_offsets_trivials():
-    scene = make_scene()
-    scene.volume.semantics[3, 3, 2] = 3
-    scene.volume.instances[3, 3, 2] = 1
+    scene = make_scene(((3, 3, 2), 3, 1))
     offs = derive_offsets3d(scene, [InstanceCenter(3, 3, 3, 1)])
     assert tuple(offs[3, 3, 2]) == (0.0, 0.0)
     offs = derive_offsets3d(scene, [InstanceCenter(2, 2, 3, 1)])
