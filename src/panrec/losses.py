@@ -144,17 +144,20 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = 3.0) -> np.nd
     # squared distances stop at `cap`, the first beyond the band or the diagonal
     cap = int(min(truncation * truncation, sum((n - 1) ** 2 for n in occ.shape))) + 1
     reach = math.isqrt(cap - 1)
-    d2 = np.where(occ, cap, 0).astype(np.promote_types(np.uint16, np.min_scalar_type(2 * cap)))
-    d2 = np.stack([d2, cap - d2])  # to the nearest free cell / occupied cell
-    for axis in range(1, d2.ndim):
-        src = np.moveaxis(d2, axis, 0)
-        out = src.copy()
-        for k in range(1, min(reach, src.shape[0] - 1) + 1):
-            np.minimum(out[:-k], src[k:] + k * k, out=out[:-k])
-            np.minimum(out[k:], src[:-k] + k * k, out=out[k:])
-        d2 = np.moveaxis(out, 0, axis)
-    dist = np.minimum(np.sqrt(np.arange(cap + 1.0)), truncation)[np.where(occ, d2[0], d2[1])]
-    return np.where(occ, -dist, dist)
+    dtype = np.promote_types(np.uint16, np.min_scalar_type(2 * cap))
+    d2 = cap * np.stack([occ, ~occ]).astype(dtype)  # to the nearest free cell / occupied cell
+    for axis in range(1, d2.ndim):  # each pass reads `src` and writes a C-ordered copy
+        src, d2 = d2, d2.copy()
+        for k in range(1, min(reach, d2.shape[axis] - 1) + 1):
+            lo, hi = ((slice(None),) * axis + (part,) for part in (slice(None, -k), slice(k, None)))
+            np.minimum(d2[lo], src[hi] + k * k, out=d2[lo])
+            np.minimum(d2[hi], src[lo] + k * k, out=d2[hi])
+    # one gather from the signed distances: -d at occupied cells, +d elsewhere
+    index = d2[1].astype(np.intp)
+    np.add(d2[0], cap + 1, out=index, where=occ, dtype=np.intp)
+    del src, d2
+    dist = np.minimum(np.sqrt(np.arange(cap + 1.0)), truncation)
+    return np.concatenate([dist, -dist])[index]
 
 
 def loss_3d(
@@ -183,11 +186,11 @@ def loss_3d(
         if np.shape(offsets) != occ_gt.shape + (2,):
             raise LossError(f"{name} shape {np.shape(offsets)} is not {occ_gt.shape + (2,)}")
     occ_bce = binary_cross_entropy(occ_pred, occ_gt)
-    band = np.abs(np.asarray(tsdf_gt)) < truncation
-    tsdf_pred = np.asarray(tsdf_pred, dtype=np.float64)
-    if tsdf_pred.shape != np.asarray(tsdf_gt).shape:
+    tsdf_pred, tsdf_gt = np.asarray(tsdf_pred, dtype=np.float64), np.asarray(tsdf_gt)
+    band = np.abs(tsdf_gt) < truncation
+    if tsdf_pred.shape != tsdf_gt.shape:
         raise LossError("tsdf shapes differ")
-    tsdf_l1 = float(np.abs(tsdf_pred - tsdf_gt)[band].mean()) if band.any() else 0.0
+    tsdf_l1 = float(np.abs(tsdf_pred[band] - tsdf_gt[band]).mean()) if band.any() else 0.0
     sem_gt = np.asarray(sem_gt)
     if sem_gt.shape != occ_gt.shape or sem_gt.dtype.kind not in "iu":
         raise LossError(f"sem_gt must be an integer label volume of shape {occ_gt.shape}, "
@@ -200,22 +203,11 @@ def loss_3d(
     picked = rows[np.arange(labels.size), labels]
     sem_ce = float(np.mean(-np.log(_clamp(picked)))) if labels.size else 0.0
     thing = np.asarray(thing_mask, dtype=bool)
-    if thing.any():
-        diff = np.abs(np.asarray(offsets_pred) - np.asarray(offsets_gt))
-        offset_l1 = float(diff[thing].sum() / thing.sum())
-    else:
-        offset_l1 = 0.0
+    offset_diff = np.abs(np.asarray(offsets_pred)[thing] - np.asarray(offsets_gt)[thing])
+    offset_l1 = float(offset_diff.sum() / thing.sum()) if thing.any() else 0.0
     return LossReport.build(
-        terms={
-            "occupancy_bce": occ_bce,
-            "tsdf_l1": tsdf_l1,
-            "semantic_ce": sem_ce,
-            "offset_l1": offset_l1,
-        },
-        weights={
-            "occupancy_bce": weights.occupancy3d,
-            "tsdf_l1": weights.occupancy3d,
-            "semantic_ce": weights.semantic3d,
-            "offset_l1": weights.offset3d,
-        },
+        terms={"occupancy_bce": occ_bce, "tsdf_l1": tsdf_l1, "semantic_ce": sem_ce,
+               "offset_l1": offset_l1},
+        weights={"occupancy_bce": weights.occupancy3d, "tsdf_l1": weights.occupancy3d,
+                 "semantic_ce": weights.semantic3d, "offset_l1": weights.offset3d},
     )

@@ -49,9 +49,13 @@ def export_obj(volume: PanopticVolume, obj_path):
     """
     obj_path = Path(obj_path)
     mtl_path = obj_path.with_suffix(".mtl")
-    shape = volume.semantics.shape
-    sem, inst = volume.semantics.reshape(-1), volume.instances.reshape(-1)
-    flat = np.flatnonzero(sem != VOID)
+    # Labels in a -1 border: a cell's neighbours are its flat index plus fixed
+    # offsets, and every neighbour outside the grid carries another label.
+    sem, inst = (np.pad(a, 1, constant_values=-1).reshape(-1)
+                 for a in (volume.semantics, volume.instances))
+    shape = np.add(volume.semantics.shape, 2)
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    flat = np.flatnonzero(sem > VOID)
     s, t = sem[flat], inst[flat]
     # Segment of each occupied cell: its instance id, or minus its stuff category.
     keys, segment = np.unique(np.where(t > 0, t, -s), return_inverse=True)
@@ -59,20 +63,19 @@ def export_obj(volume: PanopticVolume, obj_path):
                             return_inverse=True)
     order = np.argsort(rank[segment], kind="stable")
     flat, s, t, segment = flat[order], s[order], t[order], rank[segment[order]]
-    cells = np.stack(np.unravel_index(flat, shape), axis=1)
-    boundary = np.empty((len(flat), len(_STEPS)), dtype=bool)
-    for d, step in enumerate(_STEPS):
-        near = cells + step
-        inside = ((near >= 0) & (near < shape)).all(axis=1)
-        nb = np.ravel_multi_index(near.T, shape, mode="clip")
-        boundary[:, d] = ~inside | (sem[nb] != s) | (inst[nb] != t)
+    near = flat[:, None] + _STEPS @ strides
+    boundary = (sem[near] != s[:, None]) | (inst[near] != t[:, None])
+    del sem, inst, near
     cell, face = np.nonzero(boundary)
-    corners = (cells[cell, None, :] + _CORNERS[face]).reshape(-1, 3)
-    corner_keys = np.ravel_multi_index(corners.T, np.add(shape, 1))
-    _, first, inverse = np.unique(corner_keys, return_index=True, return_inverse=True)
-    first, vid = np.unique(first, return_inverse=True)   # vertex ids by first use
-    triangles = (vid[inverse] + 1).reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    # Corner (i, j, k) of the (H+1, W+1, M+1) corner grid is padded cell (i, j, k).
+    corners = ((flat[cell] - strides.sum())[:, None] + (_CORNERS @ strides)[face]).reshape(-1)
+    first = np.full(np.prod(shape), corners.size, dtype=np.intp)
+    np.minimum.at(first, corners, np.arange(corners.size))
+    used = np.flatnonzero(first[corners] == np.arange(corners.size))  # vertices by first use
+    first[corners[used]] = np.arange(1, used.size + 1)
+    triangles = first[corners].reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     ends = 2 * np.cumsum(np.bincount(segment[cell], minlength=len(names)))
+    vertices = np.stack(np.unravel_index(corners[used], shape), axis=1)
 
     with mtl_path.open("w") as mtl:
         for name in names:
@@ -80,7 +83,7 @@ def export_obj(volume: PanopticVolume, obj_path):
             mtl.write(f"newmtl {name}\nKd {r:.4f} {g:.4f} {b:.4f}\n")
     with obj_path.open("w") as obj:
         obj.write(f"mtllib {mtl_path.name}\n")
-        _write_rows(obj, "v %d %d %d\n", corners[first][:, [1, 0, 2]])
+        _write_rows(obj, "v %d %d %d\n", vertices[:, [1, 0, 2]])
         for name, start, end in zip(names, [0, *ends.tolist()], ends.tolist()):
             obj.write(f"usemtl {name}\n")
             _write_rows(obj, "f %d %d %d\n", triangles[start:end])

@@ -19,6 +19,9 @@ from panrec.lifting import (
     scores_to_labels,
     surface_only_occupancy,
 )
+from panrec.losses import tsdf_from_occupancy
+from panrec.mesh import export_obj
+from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     PriorsError,
     derive_depth,
@@ -596,6 +599,27 @@ def test_lift_and_mask_stay_below_one_dense_volume():
         tracemalloc.stop()
     assert cells.size == np.count_nonzero(scene.volume.occupancy)
     assert peak < 8 * np.prod(scene.frame.shape)
+
+
+def traced_peak(function, *args):
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tsdf_and_mesh_export_stay_below_their_memory_bounds(tmp_path):
+    # at 64^3 the TSDF holds less than 3 float64 volumes of the grid at once,
+    # and the mesh export no more than the 8.45 MB of the exporter it replaced
+    scene = generate_scene(SynthConfig(seed=3))
+    pred = reconstruct_from_priors(derive_priors(scene), scene.frame, scene.intrinsics,
+                                   scene.planes, scene.categories)
+    for volume in (scene.volume, pred):
+        occupancy = volume.occupancy
+        assert traced_peak(tsdf_from_occupancy, occupancy) < 3 * 8 * occupancy.size
+        assert traced_peak(export_obj, volume, tmp_path / "scene.obj") <= 8.45e6
 
 
 def reference_lift_instances_topdown(instances2d, depth, planes, seed, n_channels):

@@ -162,6 +162,12 @@ def test_export_matches_reference_on_random_volumes(volume, tmp_path_factory):
     assert_matches_reference(volume, tmp_path_factory.mktemp("mesh"))
 
 
+# Cells of a (3, 4, 5) grid: those at a row's or plane's end are next, in flat
+# C order, to those at the next one's start, but they do not touch in the grid.
+I, J, K = np.indices((3, 4, 5))
+ROW_ENDS = (K == 0) | (K == 4)
+PLANE_ENDS = (J == 0) & (K == 0) | (J == 3) & (K == 4)
+
 CASES = {
     "empty": (np.zeros((3, 4, 5)), 1),
     "stuff-only": (np.indices((4, 5, 6)).sum(axis=0) % 2 + 1, 1),
@@ -169,6 +175,10 @@ CASES = {
     "ids-up-to-12": (np.full((6, 6, 6), 4), np.arange(216).reshape(6, 6, 6) // 18 + 1),
     # Instance 7 in both thing categories: one `thing_7` group, split faces.
     "shared-id": (np.where(np.arange(6)[:, None, None] < 3, 3, 4) * np.ones((6, 4, 4), int), 7),
+    "row-wrap-two-segments": (np.where(ROW_ENDS, 1 + (K == 0), 0), 1),
+    "row-wrap-one-segment": (np.where(ROW_ENDS, 1, 0), 1),
+    "plane-wrap-two-segments": (np.where(PLANE_ENDS, 3, 0), 1 + (J == 0)),
+    "plane-wrap-one-segment": (np.where(PLANE_ENDS, 3, 0), 5),
 }
 
 
