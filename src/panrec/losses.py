@@ -146,7 +146,7 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = 3.0) -> np.nd
     reach = math.isqrt(cap - 1)
     dtype = np.promote_types(np.uint16, np.min_scalar_type(2 * cap))
     d2 = cap * np.stack([occ, ~occ]).astype(dtype)  # to the nearest free cell / occupied cell
-    for axis in range(1, d2.ndim):  # each pass reads `src` and writes a C-ordered copy
+    for axis in range(1, d2.ndim):  # a pass reads the unchanged `src` and writes a copy
         src, d2 = d2, d2.copy()
         for k in range(1, min(reach, d2.shape[axis] - 1) + 1):
             lo, hi = ((slice(None),) * axis + (part,) for part in (slice(None, -k), slice(k, None)))
