@@ -144,8 +144,7 @@ def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
     priors = derive_priors(scene, sigma=sigma)
     noise = NoiseSpec(depth_sigma=depth_sigma, semantic_flip=semantic_flip,
                       occupancy_flip=occupancy_flip, center_jitter=center_jitter)
-    if noise != NoiseSpec():
-        priors = perturb_priors(priors, noise, noise_seed, scene.planes, heatmap_sigma=sigma)
+    priors = perturb_priors(priors, noise, noise_seed, scene.planes, heatmap_sigma=sigma)
     _write_priors(priors, scene, out_dir)
     click.echo(f"wrote priors to {out_dir}")
 
@@ -283,13 +282,12 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     valid = (pred.depth > 0) & (gt_priors.depth > 0)
     depth_term = loss_depth(pred.depth, gt_priors.depth, valid)
     mp_term = loss_mp_occupancy(pred.mp_occupancy, gt_priors.mp_occupancy)
-    occ_gt = scene.volume.occupancy.astype(np.float64)
+    occ_gt = scene.volume.occupancy
     report3d = loss_3d(
         sem_pred=sem_pred, offsets_pred=pred.offsets3d, occ_pred=occ_pred,
         tsdf_pred=tsdf_from_occupancy(occ_pred >= 0.5),
         sem_gt=scene.volume.semantics, offsets_gt=gt_priors.offsets3d, occ_gt=occ_gt,
-        tsdf_gt=tsdf_from_occupancy(occ_gt > 0.5),
-        thing_mask=scene.volume.thing_mask() & (occ_gt > 0.5),
+        tsdf_gt=tsdf_from_occupancy(occ_gt), thing_mask=scene.volume.thing_mask(),
         weights=weights,
     )
     records = {}

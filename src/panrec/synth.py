@@ -8,12 +8,12 @@ are reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid
-from .priors import InstanceCenter, Priors2D, SceneGT, encode_center_heatmap
+from .priors import Priors2D, SceneGT, encode_center_heatmap
 from .volume import CategoryTable, PanopticVolume
 
 
@@ -206,50 +206,36 @@ def perturb_priors(
     planes: DepthPlanes,
     heatmap_sigma: float = 8.0,
 ) -> Priors2D:
-    """Deterministically corrupt a prior bundle; a zero noise spec is the identity."""
+    """Deterministically corrupt a prior bundle. Only the fields that a nonzero
+    magnitude corrupts are copied; the rest, always `offsets3d`, are the input's own."""
     streams = np.random.SeedSequence(seed).spawn(4)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
-    depth = priors.depth.copy()
+    changed = {}
     if noise.depth_sigma > 0:
+        depth = changed["depth"] = priors.depth.copy()
         surface = depth > 0
         depth[surface] += rngs[0].normal(0.0, noise.depth_sigma, size=int(surface.sum()))
         depth[surface] = np.clip(
             depth[surface], planes.z_near, np.nextafter(planes.z_far, planes.z_near)
         )
-    semantics = priors.semantics.copy()
     if noise.semantic_flip > 0:
+        semantics = changed["semantics"] = priors.semantics.copy()
         h, w, c = semantics.shape
         flip = rngs[1].random((h, w)) < noise.semantic_flip
         labels = rngs[1].integers(0, c, size=(h, w))
         vs, us = np.nonzero(flip)
         semantics[vs, us, :] = 0.0
         semantics[vs, us, labels[vs, us]] = 1.0
-    mp_occupancy = priors.mp_occupancy.copy()
     if noise.occupancy_flip > 0:
+        mp_occupancy = changed["mp_occupancy"] = priors.mp_occupancy.copy()
         flip = rngs[2].random(mp_occupancy.shape) < noise.occupancy_flip
         mp_occupancy[flip] = 1.0 - mp_occupancy[flip]
-    centers = list(priors.centers)
-    heatmap = priors.heatmap.copy()
     if noise.center_jitter > 0:
-        jittered = []
-        h, w = heatmap.shape
-        for c in centers:
+        h, w = priors.heatmap.shape
+        centers = changed["centers"] = []
+        for c in priors.centers:
             du, dv = rngs[3].integers(-noise.center_jitter, noise.center_jitter + 1, size=2)
-            jittered.append(
-                InstanceCenter(
-                    u=int(np.clip(c.u + du, 0, w - 1)),
-                    v=int(np.clip(c.v + dv, 0, h - 1)),
-                    category=c.category,
-                    instance_id=c.instance_id,
-                )
-            )
-        centers = jittered
-        heatmap = encode_center_heatmap(centers, h, w, heatmap_sigma)
-    return Priors2D(
-        semantics=semantics,
-        depth=depth,
-        centers=centers,
-        heatmap=heatmap,
-        mp_occupancy=mp_occupancy,
-        offsets3d=None if priors.offsets3d is None else priors.offsets3d.copy(),
-    )
+            centers.append(replace(c, u=int(np.clip(c.u + du, 0, w - 1)),
+                                   v=int(np.clip(c.v + dv, 0, h - 1))))
+        changed["heatmap"] = encode_center_heatmap(centers, h, w, heatmap_sigma)
+    return replace(priors, **changed)

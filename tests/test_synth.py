@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,16 @@ def test_placement_failure_raises():
         generate_scene(cfg)
 
 
+def priors_digest(p):
+    """sha256 of a bundle's arrays and center tuples."""
+    centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
+    return array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
+                        extra=centers.encode())
+
+
+PRIOR_FIELDS = ("depth", "semantics", "mp_occupancy", "heatmap", "centers", "offsets3d")
+
+
 def test_perturb_zero_noise_identity(small_priors, small_scene):
     out = perturb_priors(small_priors, NoiseSpec(), seed=0,
                          planes=small_scene.planes)
@@ -179,8 +191,50 @@ def test_perturb_zero_noise_identity(small_priors, small_scene):
     assert np.array_equal(out.mp_occupancy, small_priors.mp_occupancy)
     assert np.array_equal(out.heatmap, small_priors.heatmap)
     assert out.centers == small_priors.centers
-    assert out.depth is not small_priors.depth
+    for field in PRIOR_FIELDS:
+        assert getattr(out, field) is getattr(small_priors, field)
 
+
+# the fields that each single-magnitude noise spec corrupts
+SINGLE_NOISE = {
+    "zero": (NoiseSpec(), ()),
+    "depth": (NoiseSpec(depth_sigma=0.1), ("depth",)),
+    "semantic": (NoiseSpec(semantic_flip=0.2), ("semantics",)),
+    "occupancy": (NoiseSpec(occupancy_flip=0.05), ("mp_occupancy",)),
+    "jitter": (NoiseSpec(center_jitter=2), ("heatmap", "centers")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_NOISE))
+def test_perturb_copies_only_the_fields_it_corrupts(small_priors, small_scene, name):
+    # a corrupted field is a new object that shares no memory with the input;
+    # every other field is the input's own, and the input is left unchanged
+    noise, corrupted = SINGLE_NOISE[name]
+    before = priors_digest(small_priors)
+    out = perturb_priors(small_priors, noise, seed=3, planes=small_scene.planes)
+    for field in PRIOR_FIELDS:
+        assert (getattr(out, field) is getattr(small_priors, field)) == (field not in corrupted)
+    for field in set(corrupted) - {"centers"}:
+        assert not np.shares_memory(getattr(out, field), getattr(small_priors, field))
+    assert priors_digest(small_priors) == before
+
+
+
+def test_perturb_stays_below_its_memory_bound():
+    # at 64^3 the corrupted bundle costs its copies and one flip volume, less
+    # than 2.5 multi-plane occupancy volumes; a zero spec allocates next to nothing
+    scene = generate_scene(SynthConfig(seed=11, width=64, height=64, planes=64, n_things=3,
+                                       min_center_separation=8.0))
+    priors = derive_priors(scene)
+    volume = priors.mp_occupancy.nbytes
+    for noise, bound in ((CROWDED_NOISE, 2.5 * volume), (NoiseSpec(), 0.05 * volume)):
+        tracemalloc.start()
+        try:
+            perturb_priors(priors, noise, seed=11, planes=scene.planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (noise, peak / volume)
 
 def test_perturb_same_seed_reproducible(small_priors, small_scene):
     noise = NoiseSpec(depth_sigma=0.1, semantic_flip=0.2, occupancy_flip=0.05,
@@ -287,9 +341,7 @@ def test_scene_and_priors_match_golden_hash(name):
     scene = generate_scene(SynthConfig(**kwargs))
     assert array_digest(scene.volume.semantics, scene.volume.instances) == scene_sha
     p = derive_priors(scene)
-    centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
-    assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
-                        extra=centers.encode()) == priors_sha
+    assert priors_digest(p) == priors_sha
 
 
 # sha256 of perturb_priors' depth, semantics, mp_occupancy, heatmap, offsets3d
@@ -308,6 +360,4 @@ def test_perturbed_priors_match_golden_hash(name):
     seed, digest = GOLDEN_PERTURBED[name]
     scene = generate_scene(SynthConfig(**GOLDEN_SCENES[name][0]))
     p = perturb_priors(derive_priors(scene), CROWDED_NOISE, seed, scene.planes)
-    centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
-    assert array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
-                        extra=centers.encode()) == digest
+    assert priors_digest(p) == digest
