@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,3 +132,13 @@ def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intr
         on_plane = keep & (m != OUT_OF_RANGE)
         occ = mp_occupancy[vi, ui, np.where(on_plane, m, 0)] * on_plane
     return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)
+
+
+def traced_peak(function, *args):
+    """The tracemalloc peak, in bytes, of one call `function(*args)`."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

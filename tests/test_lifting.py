@@ -39,6 +39,7 @@ from conftest import (
     array_digest,
     bundle,
     reference_occupancy_aware_lift,
+    traced_peak,
 )
 
 
@@ -599,15 +600,6 @@ def test_lift_and_mask_stay_below_one_dense_volume():
         tracemalloc.stop()
     assert cells.size == np.count_nonzero(scene.volume.occupancy)
     assert peak < 8 * np.prod(scene.frame.shape)
-
-
-def traced_peak(function, *args):
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_tsdf_and_mesh_export_stay_below_their_memory_bounds(tmp_path):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +11,7 @@ from panrec.synth import (
     generate_scene,
     perturb_priors,
 )
-from conftest import CROWDED_NOISE, array_digest, seeded_scenes
+from conftest import CROWDED_NOISE, array_digest, seeded_scenes, traced_peak
 
 
 def test_config_validation():
@@ -228,12 +226,7 @@ def test_perturb_stays_below_its_memory_bound():
     priors = derive_priors(scene)
     volume = priors.mp_occupancy.nbytes
     for noise, bound in ((CROWDED_NOISE, 2.5 * volume), (NoiseSpec(), 0.05 * volume)):
-        tracemalloc.start()
-        try:
-            perturb_priors(priors, noise, seed=11, planes=scene.planes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(perturb_priors, priors, noise, 11, scene.planes)
         assert peak < bound, (noise, peak / volume)
 
 def test_perturb_same_seed_reproducible(small_priors, small_scene):
