@@ -217,7 +217,6 @@ def test_perturb_copies_only_the_fields_it_corrupts(small_priors, small_scene, n
     assert priors_digest(small_priors) == before
 
 
-
 def test_perturb_stays_below_its_memory_bound():
     # at 64^3 the corrupted bundle costs its copies and one flip volume, less
     # than 2.5 multi-plane occupancy volumes; a zero spec allocates next to nothing
@@ -228,6 +227,7 @@ def test_perturb_stays_below_its_memory_bound():
     for noise, bound in ((CROWDED_NOISE, 2.5 * volume), (NoiseSpec(), 0.05 * volume)):
         peak = traced_peak(perturb_priors, priors, noise, 11, scene.planes)
         assert peak < bound, (noise, peak / volume)
+
 
 def test_perturb_same_seed_reproducible(small_priors, small_scene):
     noise = NoiseSpec(depth_sigma=0.1, semantic_flip=0.2, occupancy_flip=0.05,
