@@ -69,8 +69,11 @@ def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise LossError(f"shape mismatch {pred.shape} vs {target.shape}")
-    p = _clamp(pred)
-    return float(np.mean(-target * np.log(p) - (1.0 - target) * np.log(1.0 - p)))
+    p = _clamp(pred)  # -(t log p) - (1 - t) log(1 - p) in two buffers and one temporary
+    loss = np.log(p)
+    np.negative(np.multiply(loss, target, out=loss), out=loss)
+    np.multiply(np.log(np.subtract(1.0, p, out=p), out=p), 1.0 - target, out=p)
+    return float(np.mean(np.subtract(loss, p, out=loss)))
 
 
 def loss_panoptic2d(

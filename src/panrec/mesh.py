@@ -23,7 +23,7 @@ _FACES = {
 }
 _STEPS = np.array(list(_FACES))              # (6, 3) neighbour offsets
 _CORNERS = np.array(list(_FACES.values()))   # (6, 4, 3) quad corners
-_CHUNK = 4096                                # lines formatted per write
+_CHUNK = 4096                                # lines written per write call
 
 
 def label_color(label: str):
@@ -32,11 +32,23 @@ def label_color(label: str):
     return tuple(0.2 + 0.8 * b / 255.0 for b in digest[:3])
 
 
-def _write_rows(out, line, rows):
-    """Write `line % row` for each row of a 2D int array, a bounded chunk at a time."""
+def _digit_table(values):
+    """Row i: b" " and the digits of the int values[i] >= 0, left-padded with NUL bytes."""
+    n = np.maximum(values, 1)
+    table = np.zeros((len(values), len(str(values.max())) + 1), np.uint8)
+    for d in range(table.shape[1]):  # column -1-d: digit d, or the space before the first digit
+        table[:, -1 - d] = np.select([n >= 10**d, 10 * n >= 10**d], [48 + values // 10**d % 10, 32])
+    return table
+
+
+def _write_lines(out, letter, rows, table):
+    """Write one line per row of a 2D array of `table` row indices: `letter`, then b" " and
+    the digits of each value (`_digit_table`); a bounded chunk of rows at a time."""
     for start in range(0, len(rows), _CHUNK):
-        chunk = rows[start:start + _CHUNK]
-        out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        digits = table[rows[start:start + _CHUNK]]
+        lines = np.pad(digits.reshape(len(digits), -1), ((0, 0), (1, 1)),
+                       constant_values=((0, 0), (ord(letter), ord("\n"))))
+        out.write(lines[lines != 0].tobytes())
 
 
 def export_obj(volume: PanopticVolume, obj_path):
@@ -81,9 +93,10 @@ def export_obj(volume: PanopticVolume, obj_path):
         for name in names:
             r, g, b = label_color(name)
             mtl.write(f"newmtl {name}\nKd {r:.4f} {g:.4f} {b:.4f}\n")
-    with obj_path.open("w") as obj:
-        obj.write(f"mtllib {mtl_path.name}\n")
-        _write_rows(obj, "v %d %d %d\n", vertices[:, [1, 0, 2]])
+    table = _digit_table(np.arange(max(used.size, shape.max()) + 1))
+    with obj_path.open("wb") as obj:
+        obj.write(f"mtllib {mtl_path.name}\n".encode())
+        _write_lines(obj, "v", vertices[:, [1, 0, 2]], table)
         for name, start, end in zip(names, [0, *ends.tolist()], ends.tolist()):
-            obj.write(f"usemtl {name}\n")
-            _write_rows(obj, "f %d %d %d\n", triangles[start:end])
+            obj.write(f"usemtl {name}\n".encode())
+            _write_lines(obj, "f", triangles[start:end], table)

@@ -228,8 +228,9 @@ def perturb_priors(
         semantics[vs, us, labels[vs, us]] = 1.0
     if noise.occupancy_flip > 0:
         mp_occupancy = changed["mp_occupancy"] = priors.mp_occupancy.copy()
-        flip = rngs[2].random(mp_occupancy.shape) < noise.occupancy_flip
-        mp_occupancy[flip] = 1.0 - mp_occupancy[flip]
+        for start in range(0, mp_occupancy.size, 1 << 16):  # blocked draws repeat one full draw
+            block = mp_occupancy.reshape(-1)[start:start + (1 << 16)]
+            np.subtract(1.0, block, out=block, where=rngs[2].random(block.size) < noise.occupancy_flip)
     if noise.center_jitter > 0:
         h, w = priors.heatmap.shape
         centers = changed["centers"] = []

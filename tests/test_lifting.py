@@ -20,7 +20,7 @@ from panrec.lifting import (
     surface_only_occupancy,
 )
 from panrec.losses import tsdf_from_occupancy
-from panrec.mesh import export_obj
+from panrec.mesh import _CHUNK, _digit_table, _write_lines, export_obj
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     PriorsError,
@@ -612,6 +612,13 @@ def test_tsdf_and_mesh_export_stay_below_their_memory_bounds(tmp_path):
         occupancy = volume.occupancy
         assert traced_peak(tsdf_from_occupancy, occupancy) < 3 * 8 * occupancy.size
         assert traced_peak(export_obj, volume, tmp_path / "scene.obj") <= 8.45e6
+    # the OBJ text is built a chunk of rows at a time, so writing 64 chunks of face
+    # rows costs less than a quarter of the text they make
+    rows = np.random.default_rng(3).integers(1, 10**5, size=(64 * _CHUNK, 3))
+    table = _digit_table(np.arange(10**5))
+    with (tmp_path / "rows.obj").open("wb") as out:
+        peak = traced_peak(_write_lines, out, "f", rows, table)
+    assert peak < (tmp_path / "rows.obj").stat().st_size / 4
 
 
 def reference_lift_instances_topdown(instances2d, depth, planes, seed, n_channels):

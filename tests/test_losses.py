@@ -30,7 +30,7 @@ from panrec.losses import (
 )
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
-from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes
+from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes, traced_peak
 
 
 def test_cross_entropy_uniform_closed_form():
@@ -69,6 +69,38 @@ def test_bce_closed_forms():
     assert binary_cross_entropy(np.zeros((2, 2)), np.ones((2, 2))) == pytest.approx(
         -np.log(EPS)
     )
+
+
+def reference_binary_cross_entropy(pred, target):
+    """The one-expression BCE that the in-place one replaced, kept as the oracle."""
+    p = np.clip(np.asarray(pred, dtype=np.float64), EPS, 1.0 - EPS)
+    target = np.asarray(target, dtype=np.float64)
+    return float(np.mean(-target * np.log(p) - (1.0 - target) * np.log(1.0 - p)))
+
+
+# probabilities at and past both clamp bounds, and anywhere in [0, 1]
+EXTREMES = [0.0, 5e-324, EPS / 2, EPS, 1.0 - EPS, 1.0 - EPS / 2, np.nextafter(1.0, 0.0), 1.0]
+PROBABILITIES = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+       binary=st.booleans())
+def test_bce_is_bit_identical_to_the_reference(data, shape, binary):
+    pred = data.draw(hnp.arrays(np.float64, shape, elements=PROBABILITIES))
+    targets = st.sampled_from([0.0, 1.0]) if binary else PROBABILITIES
+    target = data.draw(hnp.arrays(np.float64, shape, elements=targets))
+    expected = reference_binary_cross_entropy(pred, target)
+    assert binary_cross_entropy(pred, target).hex() == expected.hex()
+    assert binary_cross_entropy(pred.tolist(), target.tolist()).hex() == expected.hex()
+
+
+def test_bce_stays_below_its_memory_bound():
+    # at 64^3 the BCE holds the clamped prediction, one product and one temporary
+    # at once: fewer than 3.1 float64 volumes, against 5 for the one-expression form
+    rng = np.random.default_rng(3)
+    pred, target = rng.random((64, 64, 64)), (rng.random((64, 64, 64)) < 0.3).astype(np.float64)
+    assert traced_peak(binary_cross_entropy, pred, target) < 3.1 * pred.nbytes
 
 
 def test_panoptic2d_closed_form():

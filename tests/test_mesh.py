@@ -1,13 +1,14 @@
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import AxisGrid, FrustumGrid, resample_volume
-from panrec.mesh import _FACES, export_obj, label_color
+from panrec.mesh import _FACES, _digit_table, _write_lines, export_obj, label_color
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
@@ -198,3 +199,25 @@ def test_export_matches_reference_on_axis_frame_volume(tmp_path):
     assert np.unique(volume.instances[volume.instances > 0]).size and \
         np.any(volume.occupancy & ~volume.thing_mask())
     assert_matches_reference(volume, tmp_path)
+
+
+@st.composite
+def int_rows(draw):
+    """(n, c) non-negative ints with 0 to 12 rows and 1 to 3 columns, each value 0
+    or of 1 to 10 digits."""
+    columns = draw(st.integers(1, 3))
+    value = st.integers(0, 10).flatmap(lambda k: st.integers(10 ** k // 10, 10 ** k - 1))
+    rows = draw(st.lists(st.lists(value, min_size=columns, max_size=columns), max_size=12))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=int_rows(), letter=st.sampled_from("vf"))
+@example(rows=np.zeros((0, 3), np.int64), letter="f")
+def test_write_lines_matches_percent_formatting(rows, letter):
+    # the table holds the rows' distinct values and a spare 0, which no row uses
+    values, index = np.unique(rows, return_inverse=True)
+    out = io.BytesIO()
+    _write_lines(out, letter, index.reshape(rows.shape), _digit_table(np.append(values, 0)))
+    line = letter + " %d" * rows.shape[1] + "\n"
+    assert out.getvalue() == ((line * len(rows)) % tuple(rows.ravel().tolist())).encode()

@@ -1,6 +1,7 @@
 """Every import in the package and its tests is used, and so is every
-module-level function and class of the package. Package `__init__.py` files
-are exempt from the import rule: their imports are the public re-exports."""
+module-level function, class and assigned name of the package (dunders
+excepted). Package `__init__.py` files are exempt from the import rule: their
+imports are the public re-exports."""
 import ast
 from pathlib import Path
 
@@ -28,12 +29,13 @@ def unused_imports(source: str):
 
 
 def names_read(source: str):
-    """Every name that the module's expressions read or its imports import."""
+    """Every name that the module's expressions read or its imports import. An
+    assignment target is not a read."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
@@ -46,11 +48,26 @@ def is_click_command(node):
                and d.func.attr == "command" for d in node.decorator_list)
 
 
+def defined_names(node):
+    """(line, name) of what a module-level statement defines: a function or class
+    that is not a CLI command, or each name an assignment binds, dunders excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [] if is_click_command(node) else [(node.lineno, node.name)]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [(t.lineno, t.id) for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def leftover_definitions(source: str, names):
-    """Module-level functions and classes of the module that `names` lacks."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in names and not is_click_command(node)]
+    """Module-level functions, classes and assigned names of the module that `names` lacks."""
+    return [(line, name) for node in ast.parse(source).body
+            for line, name in defined_names(node) if name not in names]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
@@ -78,3 +95,11 @@ def test_leftover_definition_detection():
               "class Read: pass\nclass Unread: pass\n")
     names = names_read(source) | names_read("import m\nm.Read")
     assert leftover_definitions(source, names) == [(7, "unused"), (9, "Unread")]
+
+
+def test_leftover_assignment_detection():
+    source = ("_CHUNK = 4096\nUSED = 1\n__version__ = '0.1.0'\nA, (B, C) = 1, (2, 3)\n"
+              "LIMIT: int = 8\nTABLE = {}\nTABLE['k'] = USED\nprint(B)\n")
+    # a store into another module's attribute is not a read of it
+    names = names_read(source) | names_read("import m\nm._CHUNK = 5\nm.LIMIT")
+    assert leftover_definitions(source, names) == [(1, "_CHUNK"), (4, "A"), (4, "C")]
