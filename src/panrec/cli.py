@@ -130,21 +130,19 @@ def synth(seed, out_dir, width, height, planes, things, stuff, min_separation, o
 @main.command("derive-priors")
 @click.argument("scene_dir", type=click.Path(exists=True, path_type=Path))
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--sigma", type=float, default=8.0, show_default=True,
-              help="Center heatmap Gaussian width (pixels).")
 @click.option("--noise-seed", type=int, default=0, show_default=True)
 @click.option("--depth-sigma", type=float, default=0.0, show_default=True)
 @click.option("--semantic-flip", type=float, default=0.0, show_default=True)
 @click.option("--occupancy-flip", type=float, default=0.0, show_default=True)
 @click.option("--center-jitter", type=int, default=0, show_default=True)
-def derive_priors_cmd(scene_dir, out_dir, sigma, noise_seed, depth_sigma,
+def derive_priors_cmd(scene_dir, out_dir, noise_seed, depth_sigma,
                       semantic_flip, occupancy_flip, center_jitter):
     """Derive GT priors (optionally perturbed) from a scene directory."""
     scene, _path = _load_scene(scene_dir)
-    priors = derive_priors(scene, sigma=sigma)
+    priors = derive_priors(scene)
     noise = NoiseSpec(depth_sigma=depth_sigma, semantic_flip=semantic_flip,
                       occupancy_flip=occupancy_flip, center_jitter=center_jitter)
-    priors = perturb_priors(priors, noise, noise_seed, scene.planes, heatmap_sigma=sigma)
+    priors = perturb_priors(priors, noise, noise_seed, scene.planes)
     _write_priors(priors, scene, out_dir)
     click.echo(f"wrote priors to {out_dir}")
 
@@ -213,7 +211,7 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
         refined = identity_refine(lifted, offsets.array)
     except ReconstructionError as exc:  # it names features or occupancy first
         _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
-    volume = reconstruct(refined, centers, intr, planes, categories, occ_threshold)
+    volume = reconstruct(refined, centers, intr, categories, occ_threshold)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_panoptic(out_path, volume, intr, planes)
     if mesh_path is not None:

@@ -1,5 +1,5 @@
-"""Pinhole camera model, depth-plane discretization, the cell-to-pixel map, and
-grid-frame resampling."""
+"""Pinhole camera model, depth-plane discretization, the map from an axis cell to
+the frustum cell it reads, and grid-frame resampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -171,7 +171,7 @@ def _axis_tables(frame, intrinsics: CameraIntrinsics):
     (iy, iz) and depth z over iz, since a center's x depends only on ix, y only
     on iy and z only on iz. Where z <= 0, u and v are taken at z = 1."""
     if not isinstance(frame, AxisGrid):
-        raise GeometryError(f"unknown grid frame {frame!r}")
+        raise GeometryError(f"not an axis grid frame: {frame!r}")
     x, y, z = (o + (np.arange(n, dtype=np.float64) + 0.5) * frame.voxel_size
                for o, n in zip(frame.origin, frame.dims))
     zsafe = np.where(z > 0, z, 1.0)
@@ -180,38 +180,39 @@ def _axis_tables(frame, intrinsics: CameraIntrinsics):
     return u, v, z
 
 
-def cell_pixels(frame, intrinsics: CameraIntrinsics, cells=None):
-    """The pixel each cell center falls in: (pixel, inside) for the flat cell
-    indices `cells`, or for every cell (shaped frame.shape) when `cells` is None.
+def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cells=None):
+    """The frustum cell each axis cell center falls in: (pixel, inside, plane, z)
+    for the flat cell indices `cells`, or for every cell (as arrays that
+    broadcast to frame.shape) when `cells` is None.
 
     `pixel` is the flat image index v * width + u of the nearest pixel (half
-    rounds up), 0 where not `inside`. `inside` marks centers in front of the
-    camera whose pixel lies in the image. Frustum cell (v, u, m) is pixel (v, u).
+    rounds up), 0 where the center is behind the camera or outside the image.
+    `plane` is `plane_index` of the center's depth `z`. `inside` marks centers in
+    front of the camera whose pixel lies in the image and whose plane is in range.
     """
-    if isinstance(frame, FrustumGrid):
-        if cells is None:
-            cells = np.arange(np.prod(frame.shape)).reshape(frame.shape)
-        return cells // frame.planes, np.ones(np.shape(cells), dtype=bool)
     u, v, z = _axis_tables(frame, intrinsics)
     ui, vi = round_half_up(u), round_half_up(v)
+    m = plane_index(z, planes)
     in_u = (ui >= 0) & (ui < intrinsics.width)
     in_v = (vi >= 0) & (vi < intrinsics.height) & (z > 0)
     ix, iy, iz = _cell_index(frame, cells)
     inside = in_u[ix, iz] & in_v[iy, iz]
-    return np.where(inside, vi[iy, iz] * intrinsics.width + ui[ix, iz], 0), inside
+    pixel = np.where(inside, vi[iy, iz] * intrinsics.width + ui[ix, iz], 0)
+    inside &= (m != OUT_OF_RANGE)[iz]
+    return pixel, inside, m[iz], z[iz]
 
 
-def project_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cells=None):
-    """Continuous image position and depth (u, v, z) of the centers of the flat
-    cell indices `cells`, or of every cell (as arrays that broadcast to
-    frame.shape) when `cells` is None. u and v are NaN at or behind the camera."""
+def project_cells(frame, intrinsics: CameraIntrinsics, cells=None):
+    """Continuous image position (u, v) of the centers of the flat cell indices
+    `cells`, or of every cell (as arrays that broadcast to frame.shape) when
+    `cells` is None. u and v are NaN at or behind the camera."""
     if isinstance(frame, FrustumGrid):
-        v, u, m = _cell_index(frame, cells)
-        return u.astype(np.float64), v.astype(np.float64), planes.center(m)
+        v, u = _cell_index(frame, cells)[:2]
+        return u.astype(np.float64), v.astype(np.float64)
     u, v, z = _axis_tables(frame, intrinsics)
     front = z > 0
     ix, iy, iz = _cell_index(frame, cells)
-    return np.where(front, u, np.nan)[ix, iz], np.where(front, v, np.nan)[iy, iz], z[iz]
+    return np.where(front, u, np.nan)[ix, iz], np.where(front, v, np.nan)[iy, iz]
 
 
 def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: CameraIntrinsics,
@@ -219,11 +220,11 @@ def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: Camera
     """Nearest-neighbor resampling of a labeled volume between grid frames.
 
     Each destination cell samples the source cell containing its center point:
-    on a frustum source, the pixel of `cell_pixels` at the depth plane of
-    `project_cells`' depth; on an axis source, the cell the center floors to.
-    Centers outside the source frame become `void`. Identical frames return a
-    copy of the input unchanged. A frustum frame, source or destination, must
-    have the dims (height, width, planes) of the camera and depth planes.
+    on a frustum source, the cell of `frustum_cells`; on an axis source, the
+    cell the center floors to. Centers outside the source frame become `void`.
+    Identical frames return a copy of the input unchanged. A frustum frame,
+    source or destination, must have the dims (height, width, planes) of the
+    camera and depth planes.
     """
     for frame in (src_frame, dst_frame):
         if error := frame_error(frame, intrinsics, planes):
@@ -235,9 +236,7 @@ def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: Camera
     if src_frame == dst_frame:
         return volume.copy()
     if isinstance(src_frame, FrustumGrid):
-        pixel, valid = cell_pixels(dst_frame, intrinsics)
-        m = plane_index(project_cells(dst_frame, intrinsics, planes)[2], planes)
-        valid = valid & (m != OUT_OF_RANGE)
+        pixel, valid, m, _z = frustum_cells(dst_frame, intrinsics, planes)
         cells = pixel * planes.count + m
     else:
         centers = cell_centers(dst_frame, intrinsics, planes)

@@ -12,10 +12,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthPlanes,
     FrustumGrid,
-    OUT_OF_RANGE,
-    cell_pixels,
-    plane_index,
-    project_cells,
+    frustum_cells,
 )
 from .priors import Priors2D, checked_depth
 from .volume import VOID
@@ -93,10 +90,9 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
             return pixel, np.take(mp, cells) * (cells >= np.take(first, pixel))
     else:
         def at(cells=None):  # without cells, from the broadcast tables of every cell
-            pixel, inside = cell_pixels(frame, intrinsics, cells)
-            z = project_cells(frame, intrinsics, planes, cells)[2]
-            m, d = plane_index(z, planes), np.take(depth, pixel)
-            keep = inside & (m != OUT_OF_RANGE) & (d > 0) & (z >= d)
+            pixel, inside, m, z = frustum_cells(frame, intrinsics, planes, cells)
+            d = np.take(depth, pixel)
+            keep = inside & (d > 0) & (z >= d)
             return pixel, np.take(mp, pixel * planes.count + np.where(keep, m, 0)) * keep
     semantics = np.asarray(priors.semantics, dtype=np.float64)
     pixels = semantics.reshape(-1, semantics.shape[-1])

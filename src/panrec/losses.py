@@ -10,6 +10,10 @@ import numpy as np
 
 EPS = 1e-7
 
+# Truncation (in cells) of the TSDF: `tsdf_from_occupancy`'s default and the
+# band of `loss_3d`'s TSDF term, whose inputs are computed with it.
+TRUNCATION = 3.0
+
 
 class LossError(ValueError):
     pass
@@ -130,7 +134,7 @@ def loss_mp_occupancy(pred: np.ndarray, gt: np.ndarray) -> float:
     return binary_cross_entropy(pred, gt)
 
 
-def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = 3.0) -> np.ndarray:
+def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = TRUNCATION) -> np.ndarray:
     """Truncated signed Euclidean distance (in cells) to the occupancy boundary.
 
     Negative inside occupied cells, positive outside, clamped to [-t, t]: an
@@ -174,7 +178,6 @@ def loss_3d(
     tsdf_gt: np.ndarray,
     thing_mask: np.ndarray,
     weights: LossWeights = LossWeights(),
-    truncation: float = 3.0,
 ) -> LossReport:
     """3D objective: occupancy BCE + near-surface TSDF L1, semantic CE over
     occupied cells, and offset L1 over occupied thing cells.
@@ -183,6 +186,7 @@ def loss_3d(
     indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
     marks occupied thing cells. Both offset volumes are `occ_gt.shape + (2,)`.
+    Both TSDFs are `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
     for name, offsets in (("offsets_pred", offsets_pred), ("offsets_gt", offsets_gt)):
@@ -190,7 +194,7 @@ def loss_3d(
             raise LossError(f"{name} shape {np.shape(offsets)} is not {occ_gt.shape + (2,)}")
     occ_bce = binary_cross_entropy(occ_pred, occ_gt)
     tsdf_pred, tsdf_gt = np.asarray(tsdf_pred, dtype=np.float64), np.asarray(tsdf_gt)
-    band = np.abs(tsdf_gt) < truncation
+    band = np.abs(tsdf_gt) < TRUNCATION
     if tsdf_pred.shape != tsdf_gt.shape:
         raise LossError("tsdf shapes differ")
     tsdf_l1 = float(np.abs(tsdf_pred[band] - tsdf_gt[band]).mean()) if band.any() else 0.0

@@ -34,4 +34,4 @@ def reconstruct_from_priors(
                                   f"{len(categories)} categories")
     occupied, _rows, labels = lift_priors(priors, frame, intrinsics, planes)
     refined = Refined3D(frame, labels, priors.offsets3d, occupied)
-    return reconstruct(refined, priors.centers, intrinsics, planes, categories, occ_threshold)
+    return reconstruct(refined, priors.centers, intrinsics, categories, occ_threshold)

@@ -160,7 +160,7 @@ def derive_centers(scene: SceneGT, things=None) -> list:
 
 def encode_center_heatmap(centers, height: int, width: int, sigma: float = 8.0) -> np.ndarray:
     """Max-combined Gaussian bumps at the instance centers; peak value 1."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise PriorsError("sigma must be positive")
     heatmap = np.zeros((height, width), dtype=np.float64)
     vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
@@ -253,7 +253,7 @@ def derive_instance_map2d(scene: SceneGT) -> np.ndarray:
     return np.stack([cat, inst], axis=-1).astype(np.int32)
 
 
-def derive_priors(scene: SceneGT, sigma: float = 8.0) -> Priors2D:
+def derive_priors(scene: SceneGT) -> Priors2D:
     """All GT priors plus offset targets for one scene, from one read of each
     ray's front cell and of the thing cells."""
     front, things = _front_cells(scene), _thing_cells(scene.volume)
@@ -263,7 +263,7 @@ def derive_priors(scene: SceneGT, sigma: float = 8.0) -> Priors2D:
         semantics=derive_semantics2d(scene, front),
         depth=derive_depth(scene, front),
         centers=centers,
-        heatmap=encode_center_heatmap(centers, h, w, sigma),
+        heatmap=encode_center_heatmap(centers, h, w),
         mp_occupancy=derive_multiplane_occupancy(scene),
         offsets3d=derive_offsets3d(scene, centers, things),
     )

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, project_cells
+from .geometry import CameraIntrinsics, project_cells
 from .lifting import FeatureVolume, scores_to_labels
 from .priors import within
 from .volume import VOID, CategoryTable, PanopticVolume
@@ -93,7 +93,7 @@ class Things:
 
 def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
                     offsets: np.ndarray, centers, frame, intrinsics: CameraIntrinsics,
-                    planes: DepthPlanes, categories: CategoryTable) -> Things:
+                    categories: CategoryTable) -> Things:
     """Assign each occupied thing cell to the nearest same-category 2D center.
 
     `cells`, `labels` and `gate` are `mask_by_occupancy`'s result; `offsets`
@@ -110,7 +110,7 @@ def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
     thing = np.asarray(categories.is_thing)[labels]
     cells, labels = cells[thing], labels[thing]
     du, dv = (np.asarray(offsets).reshape(-1, 2)[cells] * gate[thing, None]).T
-    u_px, v_px, _z = project_cells(frame, intrinsics, planes, cells)
+    u_px, v_px = project_cells(frame, intrinsics, cells)
     tu, tv = u_px + du, v_px + dv
     bad = np.count_nonzero(~(np.isfinite(tu) & np.isfinite(tv)))
     if bad:
@@ -153,7 +153,6 @@ def reconstruct(
     refined: Refined3D,
     centers,
     intrinsics: CameraIntrinsics,
-    planes: DepthPlanes,
     categories: CategoryTable,
     occ_threshold: float = 0.5,
 ) -> PanopticVolume:
@@ -161,5 +160,5 @@ def reconstruct(
     the thing cells, one scatter into the output volume."""
     cells, labels, gate = mask_by_occupancy(refined, occ_threshold)
     things = group_instances(cells, labels, gate, refined.offsets, centers, refined.frame,
-                             intrinsics, planes, categories)
+                             intrinsics, categories)
     return assemble_panoptic(refined.frame, cells, labels, things, categories)

@@ -66,7 +66,7 @@ class SynthConfig:
             raise SynthError("need n_things >= 0 and n_stuff in {0, 1, 2}")
         if self.n_thing_categories < 1:
             raise SynthError("need at least one thing category")
-        if self.min_center_separation < 0:
+        if not self.min_center_separation >= 0:
             raise SynthError("min center separation must be nonnegative")
         if self.n_things > 0:
             # Every box and ellipsoid the rasterizers can draw must fit the grid.
@@ -204,7 +204,6 @@ def perturb_priors(
     noise: NoiseSpec,
     seed: int,
     planes: DepthPlanes,
-    heatmap_sigma: float = 8.0,
 ) -> Priors2D:
     """Deterministically corrupt a prior bundle. Only the fields that a nonzero
     magnitude corrupts are copied; the rest, always `offsets3d`, are the input's own."""
@@ -238,5 +237,5 @@ def perturb_priors(
             du, dv = rngs[3].integers(-noise.center_jitter, noise.center_jitter + 1, size=2)
             centers.append(replace(c, u=int(np.clip(c.u + du, 0, w - 1)),
                                    v=int(np.clip(c.v + dv, 0, h - 1))))
-        changed["heatmap"] = encode_center_heatmap(centers, h, w, heatmap_sigma)
+        changed["heatmap"] = encode_center_heatmap(centers, h, w)
     return replace(priors, **changed)

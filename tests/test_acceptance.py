@@ -48,8 +48,7 @@ def test_criterion_1_oracle_round_trip():
         refined = identity_refine(lifted, priors.offsets3d)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
-                                 scene.frame, scene.intrinsics, scene.planes,
-                                 scene.categories)
+                                 scene.frame, scene.intrinsics, scene.categories)
         pred = assemble_panoptic(scene.frame, cells, labels, things, scene.categories)
         if not np.array_equal(pred.semantics, scene.volume.semantics):
             ok = False

@@ -10,7 +10,7 @@ from panrec.geometry import (
     GeometryError,
     backproject,
     cell_centers,
-    cell_pixels,
+    frustum_cells,
     plane_index,
     project,
     project_cells,
@@ -104,28 +104,34 @@ def test_round_half_up():
     AxisGrid(dims=(6, 5, 8), voxel_size=0.5, origin=(-1.5, -1.25, -1.25)),
 ], ids=["frustum", "axis"])
 def test_cell_maps_are_the_projected_cell_centers(frame):
-    planes = DepthPlanes(count=8)
+    planes = DepthPlanes(count=8, z_near=0.4, z_far=2.0)  # axis centers at z >= 2 are past it
     centers = cell_centers(frame, K, planes).reshape(-1, 3)
     cells = np.arange(len(centers))[::-1]
     centers = centers[cells]
     front = centers[:, 2] > 0
-    u, v, z = project_cells(frame, K, planes, cells)
+    u, v = project_cells(frame, K, cells)
     pu, pv, _ = project(centers[front], K)
-    assert np.array_equal(z, centers[:, 2])
     np.testing.assert_allclose(u[front], pu, rtol=0, atol=1e-9)
     np.testing.assert_allclose(v[front], pv, rtol=0, atol=1e-9)
     assert np.isnan(u[~front]).all() and np.isnan(v[~front]).all()
-    ui, vi = round_half_up(pu), round_half_up(pv)
-    in_image = (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-    pixel, inside = cell_pixels(frame, K, cells)
-    assert np.array_equal(inside[front], in_image) and not inside[~front].any()
-    assert np.array_equal(pixel[front], np.where(in_image, vi * K.width + ui, 0))
-    assert not pixel[~front].any()
+    every, picked = [*project_cells(frame, K)], [u, v]
+    if isinstance(frame, AxisGrid):
+        pixel, inside, m, z = frustum_cells(frame, K, planes, cells)
+        assert np.array_equal(z, centers[:, 2]) and np.array_equal(m, plane_index(z, planes))
+        ui, vi = round_half_up(pu), round_half_up(pv)
+        in_image = (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+        in_range = (m != OUT_OF_RANGE)[front]
+        assert (in_image & ~in_range).any()  # in the image, past the last plane
+        assert np.array_equal(inside[front], in_image & in_range) and not inside[~front].any()
+        # the pixel is 0 behind the camera or outside the image, whatever the plane
+        assert np.array_equal(pixel[front], np.where(in_image, vi * K.width + ui, 0))
+        assert not pixel[~front].any()
+        every += frustum_cells(frame, K, planes)
+        picked += [pixel, inside, m, z]
     # every cell at once, in C order, is the same map
-    every = (*project_cells(frame, K, planes), *cell_pixels(frame, K))
-    for whole, picked in zip(every, (u, v, z, pixel, inside)):
+    for whole, part in zip(every, picked, strict=True):
         whole = np.broadcast_to(whole, frame.shape).reshape(-1)
-        assert np.array_equal(whole[cells], picked, equal_nan=True)
+        assert np.array_equal(whole[cells], part, equal_nan=True)
 
 
 def test_resample_identity():
@@ -242,6 +248,32 @@ def test_resample_rejects_a_frustum_frame_off_the_camera():
             resample_volume(np.zeros(src.shape), src, dst, cam, planes)
     assert resample_volume(np.zeros(axis.shape), axis, FrustumGrid(16, 16, 16), cam,
                            planes).shape == (16, 16, 16)
+
+
+# case -> (call, message): a frame argument that is not a grid frame of the kind
+# the function needs
+AXIS = AxisGrid(dims=(2, 2, 2), voxel_size=0.5, origin=(0.0, 0.0, 1.0))
+PLANES = DepthPlanes(count=8)
+FRAME_ERRORS = {
+    "centers-of-a-tuple": (lambda: cell_centers((4, 4, 4), K, PLANES), "^unknown grid frame"),
+    "resample-from-a-tuple": (
+        lambda: resample_volume(np.zeros((2, 2, 2)), (2, 2, 2), AXIS, K, PLANES),
+        "^unknown grid frame"),
+    "resample-to-a-tuple": (
+        lambda: resample_volume(np.zeros((2, 2, 2)), AXIS, (2, 2, 2), K, PLANES),
+        "^unknown grid frame"),
+    "project-a-tuple": (lambda: project_cells((2, 2, 2), K), "^not an axis grid frame"),
+    "frustum-cells-of-a-frustum": (
+        lambda: frustum_cells(FrustumGrid(K.width, K.height, 8), K, PLANES),
+        "^not an axis grid frame"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_ERRORS))
+def test_frame_arguments_are_checked(case):
+    call, message = FRAME_ERRORS[case]
+    with pytest.raises(GeometryError, match=message):
+        call()
 
 
 def test_axis_grid_from_lists_equals_and_hashes_as_tuples():

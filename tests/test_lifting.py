@@ -274,6 +274,14 @@ def test_frustum_frame_must_match_camera_and_planes():
                 call()
 
 
+@pytest.mark.parametrize("axis", sorted(GOLDEN_AXES))
+def test_topdown_rejects_an_axis_frame(axis):
+    scene = generate_scene(SynthConfig(**GOLDEN_LIFT_SCENES["32"]))
+    with pytest.raises(LiftingError, match="^top-down baseline is defined on the frustum frame"):
+        lift_instances_topdown(derive_instance_map2d(scene), derive_depth(scene),
+                               GOLDEN_AXES[axis], scene.intrinsics, scene.planes)
+
+
 @pytest.mark.parametrize("bad", ["map-32x16", "id-minus-5"])
 def test_topdown_rejects_a_malformed_instance_map(bad):
     scene = generate_scene(SynthConfig(**{**GOLDEN_LIFT_SCENES["32"], "seed": 3}))

@@ -155,6 +155,25 @@ def test_mp_occupancy_alias():
     assert loss_mp_occupancy(pred, gt) == pytest.approx(np.log(2))
 
 
+# case -> (call, message): two inputs that must share a shape and do not
+OCC, OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
+SHAPE_ERRORS = {
+    "bce": (lambda: binary_cross_entropy(np.zeros(3), np.zeros(4)), "^shape mismatch"),
+    "heatmap": (lambda: loss_panoptic2d(np.ones((2, 2, 3)), np.ones((2, 2, 3)), np.zeros((2, 2)),
+                                        np.zeros((2, 3))), "^heatmap shapes differ"),
+    "tsdf": (lambda: loss_3d(lambda cells: np.ones((len(cells), 2)), OFFSETS, OCC,
+                             np.zeros((2, 2, 3)), np.zeros((2, 2, 2), np.int32), OFFSETS, OCC,
+                             OCC, OCC > 0), "^tsdf shapes differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_losses_reject_inputs_of_different_shapes(case):
+    call, message = SHAPE_ERRORS[case]
+    with pytest.raises(LossError, match=message):
+        call()
+
+
 def brute_force_tsdf(occ, truncation):
     occ = np.asarray(occ, bool)
     pts = np.argwhere(occ)

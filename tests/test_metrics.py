@@ -535,6 +535,26 @@ def test_prq_rejects_malformed_volumes(case):
         vol(sem, inst)
 
 
+# case -> (call, message): the checks that come before the per-cell rule
+UNBUILDABLE = {
+    "no-categories": (lambda: CategoryTable(()), "^category 0 must exist"),
+    "category-0-a-thing": (lambda: CategoryTable((True, False)), "^category 0 must exist"),
+    "frame-a-tuple": (lambda: PanopticVolume((4, 4, 4), *blank(), CATS),
+                      r"^volume\.frame: unknown grid frame"),
+    "semantics-off-the-frame": (lambda: PanopticVolume(FrustumGrid(4, 4, 2), *blank(), CATS),
+                                r"^volume\.semantics: shape"),
+    "instances-off-the-frame": (lambda: PanopticVolume(FRAME, blank()[0], blank()[1][:2], CATS),
+                                r"^volume\.instances: shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_volume_rejects_a_bad_table_frame_or_shape(case):
+    call, message = UNBUILDABLE[case]
+    with pytest.raises(VolumeError, match=message):
+        call()
+
+
 def reference_violation(semantics, instances, categories):
     """The field that the per-cell rule finds broken first, or None: semantic
     ids in the category table, then instance ids >= 0 and nonzero only on thing cells."""

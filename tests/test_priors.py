@@ -124,6 +124,12 @@ def test_heatmap_trivials():
     assert hm[4, 5] == pytest.approx(np.exp(-0.5))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan])
+def test_heatmap_sigma_must_be_positive(sigma):
+    with pytest.raises(PriorsError, match="^sigma must be positive"):
+        encode_center_heatmap([InstanceCenter(3, 4, 3, 1)], 16, 16, sigma)
+
+
 def test_heatmap_max_combination():
     centers = [InstanceCenter(2, 2, 3, 1), InstanceCenter(3, 2, 3, 2)]
     hm = encode_center_heatmap(centers, 8, 8, sigma=3.0)

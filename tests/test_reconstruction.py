@@ -59,7 +59,6 @@ from conftest import (
 CATS = CategoryTable((False, False, True, True))
 INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
 FRAME = FrustumGrid(16, 16, 8)
-PLANES = DepthPlanes(count=8)
 
 
 def make_refined(sem=None, offs=None, occ=None):
@@ -124,7 +123,7 @@ def group(labels, offsets, centers, frame=FRAME, gate=1.0):
     same gate, its result scattered back into (semantics, instances) volumes."""
     cells = np.flatnonzero(labels)
     things = group_instances(cells, labels.reshape(-1)[cells], np.full(cells.size, gate),
-                             offsets, centers, frame, INTR, PLANES, CATS)
+                             offsets, centers, frame, INTR, CATS)
     assert np.array_equal(things.cells, cells[np.asarray(CATS.is_thing)[labels.ravel()[cells]]])
     out = SimpleNamespace(semantics=np.zeros(frame.shape, np.int32),
                           instances=np.zeros(frame.shape, np.int32))
@@ -186,8 +185,7 @@ def test_group_oracle_round_trip():
         refined = identity_refine(fv, priors.offsets3d)
         cells, labels, gate = mask_by_occupancy(refined)
         things = group_instances(cells, labels, gate, refined.offsets, priors.centers,
-                                 scene.frame, scene.intrinsics, scene.planes,
-                                 scene.categories)
+                                 scene.frame, scene.intrinsics, scene.categories)
         instances = np.zeros(scene.frame.shape, np.int32)
         instances.reshape(-1)[things.cells] = things.instances
         assert np.array_equal(instances, scene.volume.instances)
@@ -319,12 +317,12 @@ def test_labels_outside_the_category_table_are_a_typed_error(small_scene, small_
     refined = identity_refine(FeatureVolume(fv.frame, wide, fv.occupancy), priors.offsets3d)
     with pytest.raises(ReconstructionError,
                        match=r"^labels must lie in the category table \[0, 7\), got \[7, 7\]"):
-        reconstruct(refined, priors.centers, scene.intrinsics, scene.planes, scene.categories)
+        reconstruct(refined, priors.centers, scene.intrinsics, scene.categories)
     cells, labels, gate = mask_by_occupancy(identity_refine(fv, priors.offsets3d))
     labels[0] = -1
     with pytest.raises(ReconstructionError, match=r"^labels .*, got \[-1, 6\]"):
         group_instances(cells, labels, gate, priors.offsets3d, priors.centers, scene.frame,
-                        scene.intrinsics, scene.planes, scene.categories)
+                        scene.intrinsics, scene.categories)
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,8 +355,7 @@ def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
                               small_scene.planes)
     refined = identity_refine(dataclasses.replace(fv, occupancy=np.zeros(small_scene.frame.shape)),
                               priors.offsets3d)
-    out = reconstruct(refined, priors.centers, small_scene.intrinsics,
-                      small_scene.planes, small_scene.categories)
+    out = reconstruct(refined, priors.centers, small_scene.intrinsics, small_scene.categories)
     assert np.all(out.semantics == 0)
 
 
@@ -776,7 +773,7 @@ def test_reordering_the_centers_moves_only_tied_cells(seed, things, kinds, noise
     cells = np.flatnonzero(out.instances != out_moved.instances)
     gate = lifted_occupancy(lift_priors(p, *args)[0], frame).reshape(-1)[cells]
     du, dv = (p.offsets3d.reshape(-1, 2)[cells] * gate[:, None]).T
-    u, v, _z = project_cells(frame, *args[1:], cells)
+    u, v = project_cells(frame, scene.intrinsics, cells)
     by_id = {c.instance_id: c for c in p.centers}
     dist2 = [np.array([(tu - by_id[i].u) ** 2 + (tv - by_id[i].v) ** 2
                        for tu, tv, i in zip(u + du, v + dv, ids.reshape(-1)[cells])])

@@ -25,6 +25,16 @@ def test_config_validation():
         NoiseSpec(semantic_flip=1.5)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_things", -1, "n_things"),
+    ("min_center_separation", -1.0, "min center separation"),
+    ("min_center_separation", np.nan, "min center separation"),
+])
+def test_config_names_what_it_rejects(field, value, message):
+    with pytest.raises(SynthError, match=message):
+        SynthConfig(**{field: value})
+
+
 @pytest.mark.parametrize("dims, field", [
     ((4, 4, 4), "width"),
     ((5, 32, 32), "width"),
