@@ -33,12 +33,7 @@ from .priors import (
     InstanceCenter,
     Priors2D,
     SceneGT,
-    derive_centers,
-    derive_depth,
-    derive_multiplane_occupancy,
-    derive_offsets3d,
     derive_priors,
-    derive_semantics2d,
     encode_center_heatmap,
     extract_centers,
 )

@@ -267,14 +267,14 @@ def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
 def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
          w_occupancy3d, w_semantic3d, w_offset3d):
     """Loss report of a (possibly perturbed) prior bundle against scene GT."""
+    weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
+                          occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
+                          offset3d=w_offset3d)
     scene, scene_path = _load_scene(scene_dir)
     pred, frame, intr, planes = _load_priors(priors_dir, offsets=True, like=[(scene_path, scene)])
     gt_priors = derive_priors(scene)
     occupied, sem_pred, _labels = lift_priors(pred, frame, intr, planes)
     occ_pred = lifted_occupancy(occupied, frame)
-    weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
-                          occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
-                          offset3d=w_offset3d)
     report2d = loss_panoptic2d(pred.semantics, gt_priors.semantics,
                                pred.heatmap, gt_priors.heatmap, weights)
     valid = (pred.depth > 0) & (gt_priors.depth > 0)

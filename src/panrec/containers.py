@@ -277,6 +277,13 @@ def read_manifest(path, entries=()) -> dict:
     ids = [c["id"] for c in manifest["categories"]]
     if ids != list(range(len(ids))):
         raise ContainerError(f"manifest {path}: category ids must be contiguous from 0")
+    centers = manifest["centers"]
+    # `type(x) is int`: JSON true and 3.0 are not ids and are not rounded or cast to one
+    if not isinstance(centers, list) or not all(
+            isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)
+            for row in centers):
+        raise ContainerError(f"manifest {path}: centers must be rows of four integers "
+                             f"(u, v, category, instance id)")
     for name in entries:
         if name not in manifest["files"]:
             raise ContainerError(f"manifest {path} has no files entry {name!r}")
@@ -304,7 +311,5 @@ def manifest_categories(manifest) -> CategoryTable:
 
 
 def manifest_centers(manifest):
-    return [
-        InstanceCenter(u=int(u), v=int(v), category=int(k), instance_id=int(i))
-        for u, v, k, i in manifest["centers"]
-    ]
+    """The centers of a manifest that `read_manifest` checked: rows (u, v, category, id)."""
+    return [InstanceCenter(*row) for row in manifest["centers"]]

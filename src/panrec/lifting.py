@@ -15,12 +15,8 @@ from .geometry import (
     frustum_cells,
 )
 from .priors import Priors2D, checked_depth
-from .volume import VOID
+from .volume import BLOCK, VOID
 
-
-# Cells per block in `occupancy_aware_lift` and `lift_priors`' lister and labels: their
-# temporaries stay a few MB, reused block to block, instead of growing with the grid.
-LIFT_BLOCK = 1 << 16
 
 # A cell takes its pixel's first argmax channel b, of top score t. Its gated row
 # is (s * occupancy) * occupancy per channel s; rounding is monotone, so no
@@ -103,8 +99,8 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
             cells = np.flatnonzero(occupancy >= t)
             return cells, np.take(occupancy, cells)
         # a frustum cell's occupancy is 0 or the multi-plane occupancy at its own index
-        blocks = (np.flatnonzero(mp[start:start + LIFT_BLOCK] >= t) + start
-                  for start in range(0, mp.size, LIFT_BLOCK))
+        blocks = (np.flatnonzero(mp[start:start + BLOCK] >= t) + start
+                  for start in range(0, mp.size, BLOCK))
         cells = np.concatenate([block[at(block)[1] >= t] for block in blocks])
         return cells, np.take(mp, cells)
 
@@ -119,12 +115,12 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         top = np.take_along_axis(pixels, best[:, None], axis=1)[:, 0]
         close = (pixels >= (top * (1 - LABEL_MARGIN))[:, None]) @ np.ones(pixels.shape[1]) > 1
         out = np.empty(len(cells), dtype=np.int32)
-        for start in range(0, len(cells), LIFT_BLOCK):
-            block = cells[start:start + LIFT_BLOCK]
+        for start in range(0, len(cells), BLOCK):
+            block = cells[start:start + BLOCK]
             pixel, occupancy = at(block)
             score = np.take(top, pixel) * occupancy * occupancy
             hit = score > 0
-            label = np.take(best, pixel, out=out[start:start + LIFT_BLOCK])
+            label = np.take(best, pixel, out=out[start:start + BLOCK])
             label[~hit] = VOID
             exact = np.flatnonzero(hit & (np.take(close, pixel) | (score < np.finfo(float).tiny)))
             if exact.size:
@@ -146,14 +142,14 @@ def lifted_occupancy(occupied, frame) -> np.ndarray:
 def occupancy_aware_lift(priors: Priors2D, frame, intrinsics: CameraIntrinsics,
                          planes: DepthPlanes) -> FeatureVolume:
     """Hadamard product of lifted semantics and lifted occupancy, dense:
-    `lift_priors`' rows at every cell, evaluated in blocks of LIFT_BLOCK cells,
+    `lift_priors`' rows at every cell, evaluated in blocks of BLOCK cells,
     and `lifted_occupancy`."""
     occupied, rows, _labels = lift_priors(priors, frame, intrinsics, planes)
     occ = lifted_occupancy(occupied, frame)
     features = np.empty(occ.shape + np.shape(priors.semantics)[-1:])
     flat = features.reshape(occ.size, features.shape[-1])
-    for start in range(0, occ.size, LIFT_BLOCK):
-        flat[start:start + LIFT_BLOCK] = rows(np.arange(start, min(start + LIFT_BLOCK, occ.size)))
+    for start in range(0, occ.size, BLOCK):
+        flat[start:start + BLOCK] = rows(np.arange(start, min(start + BLOCK, occ.size)))
     return FeatureVolume(frame=frame, features=features, occupancy=occ)
 
 

@@ -21,7 +21,7 @@ class LossError(ValueError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Nonnegative balancing weights; defaults are all 1."""
+    """Finite, nonnegative balancing weights; defaults are all 1."""
 
     semantic2d: float = 1.0
     center2d: float = 1.0
@@ -31,8 +31,8 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise LossError(f"weight {f.name} must be nonnegative")
+            if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails too
+                raise LossError(f"weight {f.name} must be finite and nonnegative")
 
 
 @dataclass

@@ -102,62 +102,6 @@ def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlane
                     (intrinsics.height, intrinsics.width), 0.0)
 
 
-def _require_frustum(scene: SceneGT):
-    if not isinstance(scene.frame, FrustumGrid):
-        raise PriorsError("scene must be in a frustum-aligned frame (resample first)")
-
-
-def _front_cells(scene: SceneGT):
-    """Per pixel: the first occupied plane along the ray, whether the ray has
-    one, and the (v, u) index grids: the derive functions' `front`."""
-    _require_frustum(scene)
-    occ = scene.volume.occupancy
-    vv, uu = np.meshgrid(np.arange(occ.shape[0]), np.arange(occ.shape[1]), indexing="ij")
-    return np.argmax(occ, axis=2), occ.any(axis=2), vv, uu
-
-
-def derive_depth(scene: SceneGT, front=None) -> np.ndarray:
-    """Per pixel, the plane-center depth of the first occupied cell along the ray."""
-    m_first, hit, _vv, _uu = front or _front_cells(scene)
-    return np.where(hit, scene.planes.center(m_first), 0.0)
-
-
-def derive_semantics2d(scene: SceneGT, front=None) -> np.ndarray:
-    """One-hot (H, W, C) category map of the front-most occupied cell per ray."""
-    m_first, hit, vv, uu = front or _front_cells(scene)
-    cat = np.where(hit, scene.volume.semantics[vv, uu, m_first], VOID)
-    one_hot = np.zeros(hit.shape + (len(scene.categories),), dtype=np.float64)
-    one_hot[vv, uu, cat] = 1.0
-    return one_hot
-
-
-def _thing_cells(vol: PanopticVolume):
-    """One pass over the thing cells: their flat C-order indices and (v, u)
-    coordinates, the sorted instance ids, and per id its first cell's position,
-    each cell's id position and per-id cell counts: derive functions' `things`."""
-    flat = np.flatnonzero(vol.instances > 0)
-    vs, us, _ms = np.unravel_index(flat, vol.instances.shape)
-    ids, first, inverse, counts = np.unique(
-        vol.instances.ravel()[flat], return_index=True, return_inverse=True, return_counts=True
-    )
-    return flat, vs, us, ids.tolist(), first, inverse, counts
-
-
-def derive_centers(scene: SceneGT, things=None) -> list:
-    """Mass center (mean pixel position of all cells, visible or not) per thing
-    instance, rounded to the nearest pixel."""
-    _require_frustum(scene)
-    flat, vs, us, ids, first, inverse, counts = things or _thing_cells(scene.volume)
-    # Integer coordinate sums are exact in float64, so sum / count is the mean.
-    cu = round_half_up(np.bincount(inverse, weights=us, minlength=len(ids)) / counts)
-    cv = round_half_up(np.bincount(inverse, weights=vs, minlength=len(ids)) / counts)
-    cats = scene.volume.semantics.ravel()[flat[first]]
-    return [
-        InstanceCenter(u=u, v=v, category=cat, instance_id=inst_id)
-        for u, v, cat, inst_id in zip(cu.tolist(), cv.tolist(), cats.tolist(), ids)
-    ]
-
-
 def encode_center_heatmap(centers, height: int, width: int, sigma: float = 8.0) -> np.ndarray:
     """Max-combined Gaussian bumps at the instance centers; peak value 1."""
     if not sigma > 0:
@@ -190,11 +134,12 @@ def extract_centers(
     if max_n < 0:
         raise PriorsError(f"max_n must be >= 0, got {max_n}")
     heatmap = np.asarray(heatmap, dtype=np.float64)
-    semantics = np.asarray(semantics)
     if heatmap.ndim != 2 or not np.all(np.isfinite(heatmap)):
         raise PriorsError(f"heatmap must be a finite (H, W) map, got shape {heatmap.shape}")
-    if semantics.ndim != 3 or semantics.shape[:2] != heatmap.shape or semantics.shape[2] == 0:
-        raise PriorsError(f"semantics shape {semantics.shape} is not heatmap's (H, W) + (C,)")
+    # The rule of `Priors2D.validate`: heatmap's (H, W) + (C,), C >= 1, finite, >= 0.
+    semantics = _checked("semantics", semantics, heatmap.shape + (None,), 0.0)
+    if not semantics.shape[-1]:
+        raise PriorsError("semantics has no channels")
     h, w = heatmap.shape
     r = nms_kernel // 2
     padded = np.pad(heatmap, r, mode="constant", constant_values=-1.0)
@@ -215,26 +160,18 @@ def extract_centers(
     ]
 
 
-def derive_multiplane_occupancy(scene: SceneGT) -> np.ndarray:
-    """Binary (H, W, M) map: 1 wherever the cell is occupied by things or stuff."""
-    _require_frustum(scene)
-    return scene.volume.occupancy.astype(np.float64)
+def _occupancy(scene: SceneGT) -> np.ndarray:
+    """The scene's (H, W, M) occupancy, once the scene is known to be in a frustum frame."""
+    if not isinstance(scene.frame, FrustumGrid):
+        raise PriorsError("scene must be in a frustum-aligned frame (resample first)")
+    return scene.volume.occupancy
 
 
-def derive_offsets3d(scene: SceneGT, centers, things=None) -> np.ndarray:
-    """Per occupied thing cell, the pixel offset from the cell's ray pixel to its
-    instance's 2D center; zero elsewhere. Shape (H, W, M, 2) as (du, dv)."""
-    _require_frustum(scene)
-    flat, vs, us, ids, _first, inverse, _counts = things or _thing_cells(scene.volume)
-    by_id = {c.instance_id: c for c in centers}
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise PriorsError(f"no center provided for instance ids {missing}")
-    cu = np.array([by_id[i].u for i in ids])
-    cv = np.array([by_id[i].v for i in ids])
-    offsets = np.zeros(scene.volume.semantics.shape + (2,), dtype=np.float64)
-    offsets.reshape(-1, 2)[flat] = np.column_stack((cu[inverse] - us, cv[inverse] - vs))
-    return offsets
+def _front(labels: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """Per pixel, `labels` (H, W, M) at the pixel's front `plane`: the first occupied
+    one along the ray, or 0 on a ray that meets none, whose cells are all void
+    with instance id 0."""
+    return np.take_along_axis(labels, plane[..., None], axis=2)[..., 0]
 
 
 def derive_instance_map2d(scene: SceneGT) -> np.ndarray:
@@ -244,26 +181,51 @@ def derive_instance_map2d(scene: SceneGT) -> np.ndarray:
 
     Input surface for the top-down lifting baseline; not one of the four priors.
     """
-    m_first, hit, vv, uu = _front_cells(scene)
+    plane = np.argmax(_occupancy(scene), axis=2)
     # A well-formed volume has nonzero instance ids only on thing cells.
-    inst = np.where(hit, scene.volume.instances[vv, uu, m_first], 0)
+    inst = _front(scene.volume.instances, plane)
     _ids, first, inverse = np.unique(inst, return_index=True, return_inverse=True)
-    cats = scene.volume.semantics[vv, uu, m_first].ravel()[first]
+    cats = _front(scene.volume.semantics, plane).ravel()[first]
     cat = np.where(inst > 0, cats[inverse.reshape(inst.shape)], 0)
     return np.stack([cat, inst], axis=-1).astype(np.int32)
 
 
 def derive_priors(scene: SceneGT) -> Priors2D:
     """All GT priors plus offset targets for one scene, from one read of each
-    ray's front cell and of the thing cells."""
-    front, things = _front_cells(scene), _thing_cells(scene.volume)
-    centers = derive_centers(scene, things)
-    h, w = scene.frame.height, scene.frame.width
-    return Priors2D(
-        semantics=derive_semantics2d(scene, front),
-        depth=derive_depth(scene, front),
-        centers=centers,
-        heatmap=encode_center_heatmap(centers, h, w),
-        mp_occupancy=derive_multiplane_occupancy(scene),
-        offsets3d=derive_offsets3d(scene, centers, things),
+    ray's front cell and one pass over the thing cells:
+    - semantics: one-hot (H, W, C) category of the front cell, void where the ray
+      meets no occupied cell; depth: that cell's plane-center depth, 0 there;
+    - centers: per thing instance, the mean pixel position of all its cells,
+      visible or not, rounded to the nearest pixel, with the category of its
+      first cell in C order; heatmap: `encode_center_heatmap` of the centers;
+    - mp_occupancy: 1 wherever the cell is occupied by things or stuff;
+    - offsets3d: per thing cell, the (du, dv) pixel offset from its ray pixel to
+      its instance's center; zero elsewhere."""
+    vol = scene.volume
+    occ = _occupancy(scene)
+    plane = np.argmax(occ, axis=2)
+    mp_occupancy = occ.astype(np.float64)
+    del occ  # freed before offsets3d, the largest array here, is allocated
+    front = _front(vol.semantics, plane)
+    depth = np.where(front != VOID, scene.planes.center(plane), 0.0)
+    semantics = np.zeros(front.shape + (len(vol.categories),), dtype=np.float64)
+    np.put_along_axis(semantics, front[..., None], 1.0, axis=2)
+
+    flat = np.flatnonzero(vol.instances > 0)
+    vs, us, _ms = np.unravel_index(flat, vol.instances.shape)
+    ids, first, inverse, counts = np.unique(
+        vol.instances.ravel()[flat], return_index=True, return_inverse=True, return_counts=True
     )
+    # Integer coordinate sums are exact in float64, so sum / count is the mean.
+    cu = round_half_up(np.bincount(inverse, weights=us, minlength=len(ids)) / counts)
+    cv = round_half_up(np.bincount(inverse, weights=vs, minlength=len(ids)) / counts)
+    cats = vol.semantics.ravel()[flat[first]]
+    centers = [
+        InstanceCenter(u=u, v=v, category=cat, instance_id=inst_id)
+        for u, v, cat, inst_id in zip(cu.tolist(), cv.tolist(), cats.tolist(), ids.tolist())
+    ]
+    heatmap = encode_center_heatmap(centers, *front.shape)  # its temporaries too
+    offsets3d = np.zeros(vol.semantics.shape + (2,), dtype=np.float64)
+    offsets3d.reshape(-1, 2)[flat] = np.column_stack((cu[inverse] - us, cv[inverse] - vs))
+    return Priors2D(semantics=semantics, depth=depth, centers=centers, heatmap=heatmap,
+                    mp_occupancy=mp_occupancy, offsets3d=offsets3d)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid
 from .priors import Priors2D, SceneGT, encode_center_heatmap
-from .volume import CategoryTable, PanopticVolume
+from .volume import BLOCK, CategoryTable, PanopticVolume
 
 
 class SynthError(RuntimeError):
@@ -227,8 +227,8 @@ def perturb_priors(
         semantics[vs, us, labels[vs, us]] = 1.0
     if noise.occupancy_flip > 0:
         mp_occupancy = changed["mp_occupancy"] = priors.mp_occupancy.copy()
-        for start in range(0, mp_occupancy.size, 1 << 16):  # blocked draws repeat one full draw
-            block = mp_occupancy.reshape(-1)[start:start + (1 << 16)]
+        for start in range(0, mp_occupancy.size, BLOCK):  # blocked draws repeat one full draw
+            block = mp_occupancy.reshape(-1)[start:start + BLOCK]
             np.subtract(1.0, block, out=block, where=rngs[2].random(block.size) < noise.occupancy_flip)
     if noise.center_jitter > 0:
         h, w = priors.heatmap.shape

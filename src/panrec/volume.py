@@ -9,8 +9,10 @@ import numpy as np
 from .geometry import AxisGrid, FrustumGrid
 
 VOID = 0
-# Cells per block of `PanopticVolume.validate`'s scan for nonzero instance ids.
-SCAN_BLOCK = 65536
+# Cells per block of the passes that walk a full grid a block at a time (the scan
+# of `PanopticVolume.validate`, the lift's lister and labels, `perturb_priors`'
+# occupancy flips): their temporaries stay a few MB instead of growing with the grid.
+BLOCK = 1 << 16
 
 
 class VolumeError(ValueError):
@@ -73,8 +75,8 @@ class PanopticVolume:
         # Both instance clauses hold wherever the id is 0, so only the other cells
         # are read; they are found a block at a time, without a full-grid mask.
         instances = self.instances.reshape(-1)
-        cells = np.concatenate([np.flatnonzero(instances[start:start + SCAN_BLOCK] != 0) + start
-                                for start in range(0, instances.size, SCAN_BLOCK)])
+        cells = np.concatenate([np.flatnonzero(instances[start:start + BLOCK] != 0) + start
+                                for start in range(0, instances.size, BLOCK)])
         if instances[cells].min(initial=0) < 0:
             raise VolumeError(f"{name}.instances: negative instance id")
         if not np.asarray(self.categories.is_thing)[semantics[cells]].all():

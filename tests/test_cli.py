@@ -361,6 +361,14 @@ def test_lift_names_a_truncated_prior_file(tmp_path, monkeypatch, capsys):
                    "(field dims/channels)\n")
 
 
+@pytest.mark.parametrize("option, value", [("--w-semantic2d", "nan"), ("--w-offset3d", "inf")])
+def test_loss_rejects_a_weight_that_is_not_finite(tmp_path, monkeypatch, capsys, option, value):
+    # checked before the scene or the priors are read, so no directory needs to hold them
+    code, err = entry_result(monkeypatch, capsys, "loss", tmp_path, tmp_path, option, value)
+    field = option.removeprefix("--w-")
+    assert (code, err) == (1, f"error: weight {field} must be finite and nonnegative\n")
+
+
 @pytest.mark.parametrize("case", ["manifest", "manifest-and-header", "frame"])
 def test_loss_rejects_a_scene_of_another_camera_or_frame(tmp_path, monkeypatch, capsys, case):
     # 32^3 seed-3 priors against a seed-4 scene whose manifest (and header) say

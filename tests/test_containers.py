@@ -191,6 +191,22 @@ def test_manifest_validation(tmp_path):
         read_manifest(mp, ["depth"])
 
 
+@pytest.mark.parametrize("centers", [
+    [[3.7, 2.2, 3, 1]], [[True, -4, 3.0, 2]], [[3, 2, 1]], [[3, 2, 1, 4, 5]], [[3, 2, "1", 4]],
+    [3, 2, 1, 4], {"u": 3},
+])
+def test_manifest_centers_must_be_rows_of_four_integers(tmp_path, centers):
+    # cast with int(), the first two would read as u=3, v=2 and as u=1, category=3
+    from panrec.volume import CategoryTable
+
+    mp = tmp_path / "manifest.json"
+    man = manifest_dict(INTR, PLANES, CategoryTable((False, True)), [], files={})
+    man["centers"] = centers
+    write_manifest(mp, man)
+    with pytest.raises(ContainerError, match=f"^manifest {mp}: centers must be rows of four"):
+        read_manifest(mp)
+
+
 def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0):
     """The copying writer: header fields packed one by one, then
     `array.astype(dtype).tobytes()` of the C-contiguous little-endian array."""

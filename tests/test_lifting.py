@@ -24,11 +24,8 @@ from panrec.mesh import _CHUNK, _digit_table, _write_lines, export_obj
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     PriorsError,
-    derive_depth,
     derive_instance_map2d,
-    derive_multiplane_occupancy,
     derive_priors,
-    derive_semantics2d,
 )
 from panrec.reconstruction import Refined3D, mask_by_occupancy
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
@@ -72,8 +69,8 @@ def test_lift_semantics_no_surface_is_zero(small_scene):
 def test_lift_semantics_column_sums(small_scene):
     from panrec.geometry import plane_index
 
-    sem2d = derive_semantics2d(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, depth = priors.semantics, priors.depth
     vol = lifted_semantics(sem2d, depth, small_scene.frame,
                            small_scene.intrinsics, small_scene.planes)
     m_count = small_scene.planes.count
@@ -94,8 +91,8 @@ def test_lift_semantics_shape_mismatch(small_scene):
 
 
 def test_lift_occupancy_reproduces_scene(small_scene):
-    priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
-                    derive_depth(small_scene))
+    gt = derive_priors(small_scene)
+    priors = bundle(gt.semantics, gt.mp_occupancy, gt.depth)
     occupied, _rows, _labels = lift_priors(priors, small_scene.frame, small_scene.intrinsics,
                                            small_scene.planes)
     assert np.array_equal(lifted_occupancy(occupied, small_scene.frame) > 0,
@@ -118,9 +115,8 @@ def test_lift_occupancy_constants(small_scene):
 
 
 def test_occupancy_aware_lift_matches_scene(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, occ_mp, depth = priors.semantics, priors.mp_occupancy, priors.depth
     fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), small_scene.frame,
                               small_scene.intrinsics, small_scene.planes)
     occupied = small_scene.volume.occupancy
@@ -133,9 +129,8 @@ def test_occupancy_aware_lift_matches_scene(small_scene):
 
 
 def test_occupancy_absorbing_and_bilinear(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, occ_mp, depth = priors.semantics, priors.mp_occupancy, priors.depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     zero = occupancy_aware_lift(bundle(sem2d, np.zeros_like(occ_mp), depth), *args)
     assert np.all(zero.features == 0)
@@ -145,9 +140,8 @@ def test_occupancy_absorbing_and_bilinear(small_scene):
 
 
 def test_occupancy_aware_lift_below_semantics(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, occ_mp, depth = priors.semantics, priors.mp_occupancy, priors.depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
     plain = lifted_semantics(sem2d, depth, *args)
@@ -155,9 +149,8 @@ def test_occupancy_aware_lift_below_semantics(small_scene):
 
 
 def test_free_space_is_exactly_zero(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, occ_mp, depth = priors.semantics, priors.mp_occupancy, priors.depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     fv = occupancy_aware_lift(bundle(sem2d, occ_mp, depth), *args)
     z = small_scene.planes.centers()
@@ -186,7 +179,7 @@ def test_topdown_single_instance(small_scene):
 
 def test_topdown_random_assignment_is_channel_permutation(small_scene):
     inst_map = derive_instance_map2d(small_scene)
-    depth = derive_depth(small_scene)
+    depth = derive_priors(small_scene).depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     a = lift_instances_topdown(inst_map, depth, *args, 0, 8)
     b = lift_instances_topdown(inst_map, depth, *args, 1, 8)
@@ -197,7 +190,7 @@ def test_topdown_random_assignment_is_channel_permutation(small_scene):
 
 def test_topdown_category_sorted_enumeration_invariant(small_scene):
     inst_map = derive_instance_map2d(small_scene)
-    depth = derive_depth(small_scene)
+    depth = derive_priors(small_scene).depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     base = lift_instances_topdown(inst_map, depth, *args, None, 8)
     # relabel instance ids with an order-reversing bijection that preserves
@@ -278,7 +271,7 @@ def test_frustum_frame_must_match_camera_and_planes():
 def test_topdown_rejects_an_axis_frame(axis):
     scene = generate_scene(SynthConfig(**GOLDEN_LIFT_SCENES["32"]))
     with pytest.raises(LiftingError, match="^top-down baseline is defined on the frustum frame"):
-        lift_instances_topdown(derive_instance_map2d(scene), derive_depth(scene),
+        lift_instances_topdown(derive_instance_map2d(scene), derive_priors(scene).depth,
                                GOLDEN_AXES[axis], scene.intrinsics, scene.planes)
 
 
@@ -291,17 +284,17 @@ def test_topdown_rejects_a_malformed_instance_map(bad):
         inst_map[..., 1][inst_map[..., 1] == 1] = -5
     else:
         inst_map = inst_map[:, :16, 1]
-    args = (derive_depth(scene), scene.frame, scene.intrinsics, scene.planes)
+    args = (derive_priors(scene).depth, scene.frame, scene.intrinsics, scene.planes)
     with pytest.raises(LiftingError, match="^instances2d"):
         lift_instances_topdown(inst_map, *args)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
 def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
-    depth = derive_depth(small_scene)
+    gt = derive_priors(small_scene)
+    depth = gt.depth
     depth[3, 4] = bad
-    priors = bundle(derive_semantics2d(small_scene), derive_multiplane_occupancy(small_scene),
-                    depth)
+    priors = bundle(gt.semantics, gt.mp_occupancy, depth)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     inst_map = derive_instance_map2d(small_scene)
     with pytest.raises(PriorsError, match="depth"):
@@ -314,12 +307,11 @@ def test_depth_must_be_finite_and_nonnegative(small_scene, bad):
 
 @pytest.mark.parametrize("shape", ["2-d", "extra-axis", "wrong-width"])
 def test_semantics_must_be_height_width_channels(small_scene, shape):
-    sem2d = derive_semantics2d(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, occ_mp, depth = priors.semantics, priors.mp_occupancy, priors.depth
     h, w, c = sem2d.shape
     sem2d = {"2-d": sem2d[..., 0], "extra-axis": sem2d.reshape(h, w, 1, c),
              "wrong-width": sem2d[:, 1:]}[shape]
-    occ_mp = derive_multiplane_occupancy(small_scene)
-    depth = derive_depth(small_scene)
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     with pytest.raises(PriorsError, match=r"^semantics shape"):
         lift_priors(bundle(sem2d, occ_mp, depth), *args)
@@ -697,7 +689,7 @@ def test_topdown_lift_equals_the_broadcast_oracle(case):
 
 def test_topdown_rejects_an_instance_of_two_categories(small_scene):
     inst_map = derive_instance_map2d(small_scene)
-    depth = derive_depth(small_scene)
+    depth = derive_priors(small_scene).depth
     args = (small_scene.frame, small_scene.intrinsics, small_scene.planes)
     ids = np.unique(inst_map[..., 1])[1:]
     bad = inst_map.copy()

@@ -431,6 +431,14 @@ def test_import_does_not_load_scipy():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LossWeights)])
+def test_weights_must_be_finite(field, value):
+    # unchecked, a NaN or infinite weight would make the weighted total NaN
+    with pytest.raises(LossError, match=f"^weight {field} must be finite and nonnegative$"):
+        LossWeights(**{field: value})
+
+
 def test_weights_validation_and_report():
     with pytest.raises(LossError):
         LossWeights(semantic2d=-0.1)

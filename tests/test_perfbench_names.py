@@ -1,9 +1,11 @@
 """The names that the benchmark in `perfbench/` reaches in panrec exist: the
-functions its tracer wraps by name, and every `module.attr` that its workloads
-read from a panrec module. This reads `perfbench/` and runs none of it but the
-tracer's construction, which patches nothing until it is installed."""
+functions its tracer wraps by name, every argument its counters read by name,
+and every `module.attr` that its workloads read from a panrec module. This
+reads `perfbench/` and runs none of it but the tracer's construction, which
+patches nothing until it is installed."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +54,25 @@ def test_every_panrec_attribute_the_workloads_read_exists():
                 assert hasattr(obj, attr), f"workloads.py reads {'.'.join(chain[:depth])}"
                 obj = getattr(obj, attr)
     assert "pipeline.reconstruct_from_priors" in read and "panrec.cli.main.main" in read
+
+
+def test_every_argument_a_counter_reads_is_a_parameter(monkeypatch):
+    # A counter reads the bound arguments of the call it counts by name, as
+    # a["heatmap"]; a renamed parameter fails only a traced run otherwise.
+    importlib.import_module("panrec.cli")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    read = set()
+    for layer in tracing.LAYERS:
+        if layer.count is None:
+            continue
+        counter = ast.parse(inspect.getsource(layer.count)).body[0]
+        arguments = counter.args.args[1].arg
+        keys = {node.slice.value for node in ast.walk(counter)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == arguments and isinstance(node.slice, ast.Constant)}
+        parameters = inspect.signature(getattr(importlib.import_module(layer.module),
+                                               layer.attr)).parameters
+        assert keys <= set(parameters), f"{layer.name} counter reads {sorted(keys)}"
+        read |= keys
+    assert read >= {"centers", "categories", "heatmap", "threshold", "obj_path", "path"}

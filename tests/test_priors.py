@@ -6,7 +6,6 @@ from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
-from panrec import priors as priors_module
 from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index
 from panrec.lifting import lift_priors, occupancy_aware_lift
 from panrec.pipeline import reconstruct_from_priors
@@ -15,13 +14,8 @@ from panrec.priors import (
     Priors2D,
     PriorsError,
     SceneGT,
-    derive_centers,
-    derive_depth,
     derive_instance_map2d,
-    derive_multiplane_occupancy,
-    derive_offsets3d,
     derive_priors,
-    derive_semantics2d,
     encode_center_heatmap,
     extract_centers,
 )
@@ -46,12 +40,12 @@ def make_scene(*labels, w=8, h=8, m=8):
 
 
 def test_derive_depth_empty_scene():
-    assert np.all(derive_depth(make_scene()) == 0)
+    assert np.all(derive_priors(make_scene()).depth == 0)
 
 
 def test_derive_depth_single_cell():
     scene = make_scene(((4, 2, 5), 3, 1))
-    depth = derive_depth(scene)
+    depth = derive_priors(scene).depth
     assert depth[4, 2] == scene.planes.center(5)
     assert np.count_nonzero(depth) == 1
 
@@ -59,7 +53,7 @@ def test_derive_depth_single_cell():
 def test_derive_depth_matches_ray_march_oracle():
     for scene in seeded_scenes(20, width=16, height=16, planes=16, n_things=2,
                                min_center_separation=5.0):
-        depth = derive_depth(scene)
+        depth = derive_priors(scene).depth
         sem = scene.volume.semantics
         for v in range(16):
             for u in range(16):
@@ -72,20 +66,20 @@ def test_derive_depth_matches_ray_march_oracle():
 
 
 def test_derive_semantics2d_empty_is_void():
-    sem = derive_semantics2d(make_scene())
+    sem = derive_priors(make_scene()).semantics
     assert np.all(np.argmax(sem, axis=-1) == 0)
     assert np.all(sem.sum(axis=-1) == 1)
 
 
 def test_derive_semantics2d_full_plane():
     scene = make_scene((np.s_[:, :, 5], 3, 1))
-    sem = derive_semantics2d(scene)
+    sem = derive_priors(scene).semantics
     assert np.all(np.argmax(sem, axis=-1) == 3)
 
 
 def test_semantics_consistent_with_depth(small_scene):
-    sem2d = derive_semantics2d(small_scene)
-    depth = derive_depth(small_scene)
+    priors = derive_priors(small_scene)
+    sem2d, depth = priors.semantics, priors.depth
     for v in range(small_scene.frame.height):
         for u in range(small_scene.frame.width):
             if depth[v, u] > 0:
@@ -97,19 +91,19 @@ def test_semantics_consistent_with_depth(small_scene):
 
 def test_derive_centers_arithmetic_mean():
     scene = make_scene(*(((2, u, 3), 3, 1) for u in (2, 4)))
-    (center,) = derive_centers(scene)
+    (center,) = derive_priors(scene).centers
     assert (center.u, center.v) == (3, 2)
     assert center.category == 3
 
 
 def test_derive_centers_single_cell():
     scene = make_scene(((5, 6, 2), 4, 9))
-    (center,) = derive_centers(scene)
+    (center,) = derive_priors(scene).centers
     assert (center.u, center.v, center.instance_id) == (6, 5, 9)
 
 
 def test_derive_centers_matches_brute_force(small_scene):
-    centers = derive_centers(small_scene)
+    centers = derive_priors(small_scene).centers
     inst = small_scene.volume.instances
     for c in centers:
         vs, us, _ = np.nonzero(inst == c.instance_id)
@@ -177,6 +171,11 @@ def test_extract_centers_validation():
     (np.full((4, 4), np.inf), np.zeros((4, 4, 2)), 8, "heatmap"),
     (np.full((4, 4), np.nan), np.zeros((4, 4, 2)), 8, "heatmap"),
     (np.zeros((4, 4)), np.zeros((4, 4, 2)), -1, "max_n"),
+    # unchecked, a NaN score at the peak would make its channel the center's category
+    (np.pad([[0.9]], ((3, 0), (4, 0))), np.pad([[[0, 0, np.nan]]], ((3, 0), (4, 0), (0, 0))),
+     8, "^semantics must be finite"),
+    (np.zeros((4, 4)), np.full((4, 4, 2), np.inf), 8, "^semantics must be finite"),
+    (np.zeros((4, 4)), np.full((4, 4, 2), -0.5), 8, "^semantics must be finite"),
 ])
 def test_extract_centers_rejects_malformed_inputs(heatmap, semantics, max_n, field):
     with pytest.raises(PriorsError, match=field):
@@ -257,27 +256,28 @@ def test_extract_centers_matches_reference_loop(maps, nms_kernel, threshold, dat
 
 
 def test_multiplane_occupancy_trivials():
-    assert np.all(derive_multiplane_occupancy(make_scene()) == 0)
-    assert np.all(derive_multiplane_occupancy(make_scene((np.s_[:], 1, 0))) == 1)
+    assert np.all(derive_priors(make_scene()).mp_occupancy == 0)
+    assert np.all(derive_priors(make_scene((np.s_[:], 1, 0))).mp_occupancy == 1)
 
 
 def test_multiplane_occupancy_counting(small_scene):
-    occ = derive_multiplane_occupancy(small_scene)
+    occ = derive_priors(small_scene).mp_occupancy
     assert occ.sum() == np.count_nonzero(small_scene.volume.semantics)
     assert set(np.unique(occ)) <= {0.0, 1.0}
 
 
 def test_offsets_trivials():
     scene = make_scene(((3, 3, 2), 3, 1))
-    offs = derive_offsets3d(scene, [InstanceCenter(3, 3, 3, 1)])
+    offs = derive_priors(scene).offsets3d
     assert tuple(offs[3, 3, 2]) == (0.0, 0.0)
-    offs = derive_offsets3d(scene, [InstanceCenter(2, 2, 3, 1)])
-    assert tuple(offs[3, 3, 2]) == (-1.0, -1.0)
+    # two cells of one instance: the center is their midpoint (3, 3)
+    offs = derive_priors(make_scene(*(((3, u, 2), 3, 1) for u in (2, 4)))).offsets3d
+    assert tuple(offs[3, 2, 2]) == (1.0, 0.0) and tuple(offs[3, 4, 2]) == (-1.0, 0.0)
 
 
 def test_offsets_point_at_centers(small_scene):
-    centers = derive_centers(small_scene)
-    offs = derive_offsets3d(small_scene, centers)
+    priors = derive_priors(small_scene)
+    centers, offs = priors.centers, priors.offsets3d
     by_id = {c.instance_id: c for c in centers}
     inst = small_scene.volume.instances
     vs, us, ms = np.nonzero(inst > 0)
@@ -287,11 +287,6 @@ def test_offsets_point_at_centers(small_scene):
         assert v + offs[v, u, m, 1] == c.v
     # zero on non-thing cells
     assert np.all(offs[inst == 0] == 0)
-
-
-def test_offsets_missing_center_errors(small_scene):
-    with pytest.raises(PriorsError):
-        derive_offsets3d(small_scene, [])
 
 
 def test_instance_map2d_categories_match_per_id_scan():
@@ -309,8 +304,8 @@ def test_instance_map2d_categories_match_per_id_scan():
 
 
 def test_depth_occupancy_equivalence(small_scene):
-    depth = derive_depth(small_scene)
-    occ = derive_multiplane_occupancy(small_scene)
+    priors = derive_priors(small_scene)
+    depth, occ = priors.depth, priors.mp_occupancy
     assert np.array_equal(depth > 0, occ.any(axis=2))
     # no occupancy strictly in front of the depth surface
     z = small_scene.planes.centers()
@@ -331,8 +326,10 @@ def test_non_frustum_frame_rejected(small_scene):
         intrinsics=small_scene.intrinsics,
         planes=small_scene.planes,
     )
-    with pytest.raises(PriorsError):
-        derive_depth(bad)
+    with pytest.raises(PriorsError, match="frustum"):
+        derive_priors(bad)
+    with pytest.raises(PriorsError, match="frustum"):
+        derive_instance_map2d(bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -439,15 +436,12 @@ def test_derive_priors_reads_the_front_and_thing_cells_once(monkeypatch):
     scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
     expected = derive_priors(scene)
     calls = []
-    for name in ("_front_cells", "_thing_cells"):
-        read = getattr(priors_module, name)
-        monkeypatch.setattr(priors_module, name,
-                            lambda *a, name=name, read=read: calls.append(name) or read(*a))
+    occupancy, unique = PanopticVolume.occupancy, np.unique
+    monkeypatch.setattr(PanopticVolume, "occupancy",
+                        property(lambda vol: calls.append("occupancy") or occupancy.fget(vol)))
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
     p = derive_priors(scene)
-    assert sorted(calls) == ["_front_cells", "_thing_cells"]
+    assert calls == ["occupancy", "unique"]
     for field in ("semantics", "depth", "heatmap", "mp_occupancy", "offsets3d"):
         assert getattr(p, field).tobytes() == getattr(expected, field).tobytes()
-    assert p.centers == expected.centers == derive_centers(scene)
-    assert p.semantics.tobytes() == derive_semantics2d(scene).tobytes()
-    assert p.depth.tobytes() == derive_depth(scene).tobytes()
-    assert p.offsets3d.tobytes() == derive_offsets3d(scene, p.centers).tobytes()
+    assert p.centers == expected.centers
