@@ -277,8 +277,7 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     occ_pred = lifted_occupancy(occupied, frame)
     report2d = loss_panoptic2d(pred.semantics, gt_priors.semantics,
                                pred.heatmap, gt_priors.heatmap, weights)
-    valid = (pred.depth > 0) & (gt_priors.depth > 0)
-    depth_term = loss_depth(pred.depth, gt_priors.depth, valid)
+    depth_term = loss_depth(pred.depth, gt_priors.depth)
     mp_term = loss_mp_occupancy(pred.mp_occupancy, gt_priors.mp_occupancy)
     occ_gt = scene.volume.occupancy
     report3d = loss_3d(

@@ -38,7 +38,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -272,18 +272,31 @@ def read_manifest(path, entries=()) -> dict:
     except json.JSONDecodeError as exc:
         raise ContainerError(f"malformed manifest {path}: {exc}") from exc
     for key in ("intrinsics", "planes", "categories", "centers", "files"):
-        if key not in manifest:
+        if not isinstance(manifest, dict) or key not in manifest:  # a JSON number has none
             raise ContainerError(f"manifest {path} is missing field {key!r}")
-    ids = [c["id"] for c in manifest["categories"]]
-    if ids != list(range(len(ids))):
-        raise ContainerError(f"manifest {path}: category ids must be contiguous from 0")
-    centers = manifest["centers"]
     # `type(x) is int`: JSON true and 3.0 are not ids and are not rounded or cast to one
+    categories = manifest["categories"]
+    if not isinstance(categories, list) or not all(
+            isinstance(c, dict) and type(c.get("id")) is int and c["id"] == k
+            and type(c.get("is_thing")) is bool for k, c in enumerate(categories)):
+        raise ContainerError(f"manifest {path}: categories must be objects with a boolean "
+                             "is_thing and integer ids contiguous from 0")
+    for key, cls in (("intrinsics", CameraIntrinsics), ("planes", DepthPlanes)):
+        for f in fields(cls):  # an int field takes an integer, a float field any number
+            value = manifest[key].get(f.name) if isinstance(manifest[key], dict) else None
+            if type(value) not in ((int,) if f.type == "int" else (int, float)):
+                raise ContainerError(f"manifest {path}: {key} {f.name} must be "
+                                     f"{'an integer' if f.type == 'int' else 'a number'}")
+        _build(cls, f"{key} in manifest {path}", **_entry(manifest, key, cls))
+    centers = manifest["centers"]
     if not isinstance(centers, list) or not all(
             isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)
             for row in centers):
         raise ContainerError(f"manifest {path}: centers must be rows of four integers "
                              f"(u, v, category, instance id)")
+    if not isinstance(manifest["files"], dict) or not all(
+            isinstance(ref, str) for ref in manifest["files"].values()):
+        raise ContainerError(f"manifest {path}: files must map names to file names")
     for name in entries:
         if name not in manifest["files"]:
             raise ContainerError(f"manifest {path} has no files entry {name!r}")
@@ -293,17 +306,17 @@ def read_manifest(path, entries=()) -> dict:
     return manifest
 
 
+def _entry(manifest, key, cls) -> dict:
+    """The arguments of `cls` in the manifest's `key` entry."""
+    return {f.name: manifest[key][f.name] for f in fields(cls)}
+
+
 def manifest_intrinsics(manifest) -> CameraIntrinsics:
-    d = manifest["intrinsics"]
-    return CameraIntrinsics(
-        fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-        width=d["width"], height=d["height"],
-    )
+    return CameraIntrinsics(**_entry(manifest, "intrinsics", CameraIntrinsics))
 
 
 def manifest_planes(manifest) -> DepthPlanes:
-    d = manifest["planes"]
-    return DepthPlanes(count=d["count"], z_near=d["z_near"], z_far=d["z_far"])
+    return DepthPlanes(**_entry(manifest, "planes", DepthPlanes))
 
 
 def manifest_categories(manifest) -> CategoryTable:

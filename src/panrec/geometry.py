@@ -26,8 +26,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError("focal lengths must be positive")
+        for name in ("fx", "fy"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise GeometryError(f"focal length {name} must be finite and positive")
         if self.width < 1 or self.height < 1:
             raise GeometryError("image size must be at least 1x1")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
@@ -45,8 +46,8 @@ class DepthPlanes:
     def __post_init__(self):
         if self.count < 1:
             raise GeometryError("plane count must be >= 1")
-        if not (0 < self.z_near < self.z_far):
-            raise GeometryError("need 0 < z_near < z_far")
+        if not (0 < self.z_near < self.z_far < np.inf):
+            raise GeometryError("need 0 < z_near < z_far < inf")
 
     @property
     def spacing(self) -> float:
@@ -92,8 +93,10 @@ class AxisGrid:
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise GeometryError("axis dims must be three values >= 1")
-        if self.voxel_size <= 0:
-            raise GeometryError("voxel size must be positive")
+        if not 0 < self.voxel_size < np.inf:
+            raise GeometryError("voxel_size must be finite and positive")
+        if not np.isfinite(self.origin).all():
+            raise GeometryError(f"origin {self.origin} must be finite")
 
     @property
     def shape(self):
@@ -158,14 +161,6 @@ def frame_error(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
                 f"do not match the camera and depth planes {dims}")
 
 
-def _cell_index(frame, cells):
-    """Per-axis indices of the flat cell indices `cells`, or of every cell as
-    arrays that broadcast to frame.shape when `cells` is None."""
-    if cells is None:
-        return np.ix_(*(np.arange(n) for n in frame.shape))
-    return np.unravel_index(cells, frame.shape)
-
-
 def _axis_tables(frame, intrinsics: CameraIntrinsics):
     """Image position of axis cell centers as tables: u over (ix, iz), v over
     (iy, iz) and depth z over iz, since a center's x depends only on ix, y only
@@ -195,33 +190,33 @@ def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cell
     m = plane_index(z, planes)
     in_u = (ui >= 0) & (ui < intrinsics.width)
     in_v = (vi >= 0) & (vi < intrinsics.height) & (z > 0)
-    ix, iy, iz = _cell_index(frame, cells)
+    ix, iy, iz = np.ix_(*map(np.arange, frame.shape)) if cells is None else \
+        np.unravel_index(cells, frame.shape)
     inside = in_u[ix, iz] & in_v[iy, iz]
     pixel = np.where(inside, vi[iy, iz] * intrinsics.width + ui[ix, iz], 0)
     inside &= (m != OUT_OF_RANGE)[iz]
     return pixel, inside, m[iz], z[iz]
 
 
-def project_cells(frame, intrinsics: CameraIntrinsics, cells=None):
+def project_cells(frame, intrinsics: CameraIntrinsics, cells):
     """Continuous image position (u, v) of the centers of the flat cell indices
-    `cells`, or of every cell (as arrays that broadcast to frame.shape) when
-    `cells` is None. u and v are NaN at or behind the camera."""
+    `cells`. u and v are NaN at or behind the camera."""
     if isinstance(frame, FrustumGrid):
-        v, u = _cell_index(frame, cells)[:2]
+        v, u = np.unravel_index(cells, frame.shape)[:2]
         return u.astype(np.float64), v.astype(np.float64)
     u, v, z = _axis_tables(frame, intrinsics)
     front = z > 0
-    ix, iy, iz = _cell_index(frame, cells)
+    ix, iy, iz = np.unravel_index(cells, frame.shape)
     return np.where(front, u, np.nan)[ix, iz], np.where(front, v, np.nan)[iy, iz]
 
 
 def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: CameraIntrinsics,
-                    planes: DepthPlanes, void=0) -> np.ndarray:
+                    planes: DepthPlanes) -> np.ndarray:
     """Nearest-neighbor resampling of a labeled volume between grid frames.
 
     Each destination cell samples the source cell containing its center point:
     on a frustum source, the cell of `frustum_cells`; on an axis source, the
-    cell the center floors to. Centers outside the source frame become `void`.
+    cell the center floors to. Centers outside the source frame become VOID.
     Identical frames return a copy of the input unchanged. A frustum frame,
     source or destination, must have the dims (height, width, planes) of the
     camera and depth planes.
@@ -243,5 +238,6 @@ def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: Camera
         idx = np.floor((centers - src_frame.origin) / src_frame.voxel_size).astype(np.int64)
         valid = np.all((idx >= 0) & (idx < src_frame.shape), axis=-1)
         cells = np.ravel_multi_index(np.moveaxis(idx, -1, 0), src_frame.shape, mode="clip")
+    from .volume import VOID  # not at the top: volume imports this module
     out = volume.reshape((-1,) + volume.shape[3:])[np.where(valid, cells, 0)]
-    return np.where(valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim)), out, void)
+    return np.where(valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim)), out, VOID)

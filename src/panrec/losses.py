@@ -101,31 +101,30 @@ def loss_panoptic2d(
     )
 
 
-def loss_depth(pred: np.ndarray, gt: np.ndarray, valid_mask: np.ndarray) -> float:
-    """Log-L1 depth difference plus L1 of forward-difference gradients.
+def loss_depth(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Log-L1 depth difference plus L1 of forward-difference gradients, over the
+    pixels where both depth maps have a surface (depth > 0).
 
     One fixed variant of a scale-aware depth objective; swap here if a
     different depth criterion is needed.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    valid = np.asarray(valid_mask, dtype=bool)
-    if pred.shape != gt.shape or pred.shape != valid.shape:
+    if pred.shape != gt.shape:
         raise LossError("depth map shapes differ")
+    for name, depth in (("pred", pred), ("gt", gt)):
+        if depth.size and not 0 <= depth.min() <= depth.max() < np.inf:  # NaN fails too
+            raise LossError(f"depth {name} must be finite and >= 0")
+    valid = (pred > 0) & (gt > 0)
     if not valid.any():
         return 0.0
-    if np.any(pred[valid] <= 0) or np.any(gt[valid] <= 0):
-        raise LossError("depth loss requires positive depths on the valid mask")
     log_term = np.abs(np.log(pred[valid]) - np.log(gt[valid])).mean()
     diffs = []
-    for axis in (0, 1):
-        dp = np.diff(pred, axis=axis)
-        dg = np.diff(gt, axis=axis)
-        pair = valid & np.roll(valid, -1, axis=axis)
-        pair = np.delete(pair, -1, axis=axis)
-        if pair.any():
-            diffs.append(np.abs(dp[pair] - dg[pair]))
-    grad_term = np.concatenate(diffs).mean() if diffs else 0.0
+    for axis in (0, 1):  # forward differences between two valid pixels
+        pair = np.delete(valid, -1, axis) & np.delete(valid, 0, axis)
+        diffs.append(np.abs(np.diff(pred, axis=axis) - np.diff(gt, axis=axis))[pair])
+    diffs = np.concatenate(diffs)
+    grad_term = diffs.mean() if diffs.size else 0.0
     return float(log_term + grad_term)
 
 

@@ -102,37 +102,31 @@ def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlane
                     (intrinsics.height, intrinsics.width), 0.0)
 
 
-def encode_center_heatmap(centers, height: int, width: int, sigma: float = 8.0) -> np.ndarray:
-    """Max-combined Gaussian bumps at the instance centers; peak value 1."""
-    if not sigma > 0:
-        raise PriorsError("sigma must be positive")
+# Standard deviation in pixels of each center's Gaussian bump in the heatmap.
+HEATMAP_SIGMA = 8.0
+# The most centers that `extract_centers` returns.
+MAX_CENTERS = 64
+
+
+def encode_center_heatmap(centers, height: int, width: int) -> np.ndarray:
+    """Max-combined Gaussian bumps of HEATMAP_SIGMA pixels at the instance centers; peak value 1."""
     heatmap = np.zeros((height, width), dtype=np.float64)
     vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     for c in centers:
         d2 = (uu - c.u) ** 2 + (vv - c.v) ** 2
-        np.maximum(heatmap, np.exp(-d2 / (2.0 * sigma * sigma)), out=heatmap)
+        np.maximum(heatmap, np.exp(-d2 / (2.0 * HEATMAP_SIGMA * HEATMAP_SIGMA)), out=heatmap)
     return heatmap
 
 
-def extract_centers(
-    heatmap: np.ndarray,
-    semantics: np.ndarray,
-    threshold: float = 0.1,
-    nms_kernel: int = 3,
-    max_n: int = 64,
-) -> list:
-    """Peak extraction: local maxima of a k x k window at value >= threshold.
+def extract_centers(heatmap: np.ndarray, semantics: np.ndarray, threshold: float = 0.1) -> list:
+    """Peak extraction: local maxima of a 3 x 3 window at value >= threshold.
 
     Equal-valued peaks within one window keep only the (v, u)-lexicographically
-    smallest pixel; output is the top max_n peaks by value with the same
+    smallest pixel; output is the top MAX_CENTERS peaks by value with the same
     deterministic tie-break. Category is the semantic argmax at the peak.
     """
     if not (0 < threshold < 1):
         raise PriorsError("threshold must be in (0, 1)")
-    if nms_kernel < 3 or nms_kernel % 2 == 0:
-        raise PriorsError("nms kernel must be odd and >= 3")
-    if max_n < 0:
-        raise PriorsError(f"max_n must be >= 0, got {max_n}")
     heatmap = np.asarray(heatmap, dtype=np.float64)
     if heatmap.ndim != 2 or not np.all(np.isfinite(heatmap)):
         raise PriorsError(f"heatmap must be a finite (H, W) map, got shape {heatmap.shape}")
@@ -141,17 +135,16 @@ def extract_centers(
     if not semantics.shape[-1]:
         raise PriorsError("semantics has no channels")
     h, w = heatmap.shape
-    r = nms_kernel // 2
-    padded = np.pad(heatmap, r, mode="constant", constant_values=-1.0)
+    padded = np.pad(heatmap, 1, mode="constant", constant_values=-1.0)
     # No neighbour in the window may be greater; on ties only the
     # (v, u)-lexicographically smallest pixel of the window survives.
     peak = heatmap >= threshold
-    for dv in range(nms_kernel):
-        for du in range(nms_kernel):
+    for dv in range(3):
+        for du in range(3):
             nb = padded[dv : dv + h, du : du + w]
-            peak &= (nb < heatmap) if (dv, du) < (r, r) else (nb <= heatmap)
+            peak &= (nb < heatmap) if (dv, du) < (1, 1) else (nb <= heatmap)
     vs, us = np.nonzero(peak)
-    order = np.lexsort((us, vs, -heatmap[vs, us]))[:max_n]
+    order = np.lexsort((us, vs, -heatmap[vs, us]))[:MAX_CENTERS]
     vs, us = vs[order], us[order]
     cats = np.argmax(semantics[vs, us], axis=-1)
     return [

@@ -31,8 +31,8 @@ class NoiseSpec:
     center_jitter: int = 0         # max |pixel| offset per axis
 
     def __post_init__(self):
-        if self.depth_sigma < 0 or self.center_jitter < 0:
-            raise SynthError("noise magnitudes must be nonnegative")
+        if not (0 <= self.depth_sigma < math.inf and 0 <= self.center_jitter < math.inf):
+            raise SynthError("noise magnitudes must be finite and nonnegative")
         for p in (self.semantic_flip, self.occupancy_flip):
             if not (0 <= p <= 1):
                 raise SynthError("flip probabilities must be in [0, 1]")
@@ -44,6 +44,8 @@ _BOX_SIDE = 4
 _BOX_DEPTH = 3
 _ELLIPSOID_RADIUS = 2.5
 _MIN_THING_PIXELS = max(_BOX_SIDE, math.ceil(2 * _ELLIPSOID_RADIUS + 1))
+# Random placements tried per thing before `generate_scene` gives up.
+MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class SynthConfig:
     n_thing_categories: int = 4
     min_center_separation: float = 10.0
     occlusion_allowed: bool = False
-    max_attempts: int = 200
 
     def __post_init__(self):
         if self.n_things < 0 or not (0 <= self.n_stuff <= 2):
@@ -148,8 +149,7 @@ def generate_scene(cfg: SynthConfig):
     placement_rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
     centers = []
     for inst_id in range(1, cfg.n_things + 1):
-        placed = False
-        for _attempt in range(cfg.max_attempts):
+        for _attempt in range(MAX_ATTEMPTS):
             shape = placement_rng.choice(["box", "ellipsoid"])
             if shape == "box":
                 vs, us, ms = _rasterize_box(placement_rng, cfg.width, cfg.height, cfg.planes)
@@ -176,11 +176,10 @@ def generate_scene(cfg: SynthConfig):
             instances[vs, us, ms] = inst_id
             claimed[vs, us] = True
             centers.append((cu, cv))
-            placed = True
             break
-        if not placed:
+        else:
             raise SynthError(
-                f"could not place instance {inst_id} within {cfg.max_attempts} attempts "
+                f"could not place instance {inst_id} within {MAX_ATTEMPTS} attempts "
                 "(footprint overlap or center-separation constraint)"
             )
     if cfg.n_stuff >= 2:

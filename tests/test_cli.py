@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import shutil
+import struct
 import sys
 from pathlib import Path
 
@@ -407,6 +408,52 @@ def test_eval_rejects_pred_and_gt_of_another_camera_or_planes(tmp_path, monkeypa
                              priors / "manifest.json")
     assert code == 1 and err.count("\n") == 1, err
     assert err.startswith(f"error: {gt}: {field} ") and f"differs from {pred}'s" in err
+
+
+def small_scene_dir(tmp_path):
+    scene = tmp_path / "scene"
+    run("synth", "--seed", "3", "--out", str(scene), "--width", "16", "--height", "16",
+        "--planes", "16", "--things", "2", "--min-separation", "4")
+    return scene
+
+
+def test_eval_names_a_panoptic_file_whose_camera_is_not_finite(tmp_path, monkeypatch, capsys):
+    # fx = NaN in the header: it is not a camera, so no comparison of two of them runs
+    scene = small_scene_dir(tmp_path)
+    path = tmp_path / "nan.bin"
+    data = bytearray((scene / "panoptic.bin").read_bytes())
+    struct.pack_into("<d", data, struct.calcsize("<4sHBBHB3IBIII"), float("nan"))
+    path.write_bytes(bytes(data))
+    code, err = entry_result(monkeypatch, capsys, "eval", path, path, "--categories-from",
+                             scene / "manifest.json")
+    assert (code, err) == (
+        1, f"error: {path}: invalid intrinsics: focal length fx must be finite and positive\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "derive-priors"])
+def test_a_category_without_an_id_is_one_error_line_naming_the_manifest(
+        tmp_path, monkeypatch, capsys, command):
+    scene = small_scene_dir(tmp_path)
+    path = scene / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["categories"][1]["id"]
+    path.write_text(json.dumps(manifest))
+    args = {"eval": ["eval", scene / "panoptic.bin", scene / "panoptic.bin",
+                     "--categories-from", path],
+            "derive-priors": ["derive-priors", scene, "--out", tmp_path / "p"]}[command]
+    code, err = entry_result(monkeypatch, capsys, *args)
+    assert (code, err) == (1, f"error: manifest {path}: categories must be objects with a "
+                              "boolean is_thing and integer ids contiguous from 0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_derive_priors_rejects_a_depth_sigma_that_is_not_finite(tmp_path, monkeypatch, capsys,
+                                                                value):
+    scene = small_scene_dir(tmp_path)
+    code, err = entry_result(monkeypatch, capsys, "derive-priors", scene, "--out",
+                             tmp_path / "p", "--depth-sigma", value)
+    assert (code, err) == (1, "error: noise magnitudes must be finite and nonnegative\n")
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("command", ["eval-pred", "eval-gt", "derive-priors", "loss"])

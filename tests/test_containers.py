@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -189,6 +190,56 @@ def test_manifest_validation(tmp_path):
     assert read_manifest(mp)["files"] == {}
     with pytest.raises(ContainerError, match=f"manifest {mp} has no files entry 'depth'"):
         read_manifest(mp, ["depth"])
+
+
+# case -> (an edit of a valid manifest, the start of the error after "manifest PATH")
+BAD_MANIFESTS = {
+    "category-without-id": (lambda m: m["categories"][1].pop("id"), ": categories must be"),
+    "category-id-true": (lambda m: m["categories"][1].update(id=True), ": categories must be"),
+    "category-not-an-object": (lambda m: m["categories"].__setitem__(1, 1),
+                               ": categories must be"),
+    "is_thing-a-string": (lambda m: m["categories"][1].update(is_thing="no"),
+                          ": categories must be"),
+    "is_thing-an-integer": (lambda m: m["categories"][0].update(is_thing=0),
+                            ": categories must be"),
+    "intrinsics-without-fx": (lambda m: m["intrinsics"].pop("fx"),
+                              ": intrinsics fx must be a number"),
+    "intrinsics-fx-a-string": (lambda m: m["intrinsics"].update(fx="64"),
+                               ": intrinsics fx must be a number"),
+    "intrinsics-fx-true": (lambda m: m["intrinsics"].update(fx=True),
+                           ": intrinsics fx must be a number"),
+    "intrinsics-width-a-float": (lambda m: m["intrinsics"].update(width=5.0),
+                                 ": intrinsics width must be an integer"),
+    "intrinsics-fx-nan": (lambda m: m["intrinsics"].update(fx=float("nan")),
+                          ": focal length fx must be finite"),
+    "intrinsics-a-list": (lambda m: m.update(intrinsics=[]), ": intrinsics fx must be"),
+    "planes-count-a-string": (lambda m: m["planes"].update(count="8"),
+                              ": planes count must be an integer"),
+    "planes-z_far-inf": (lambda m: m["planes"].update(z_far=float("inf")), ": need 0 < z_near"),
+    "files-a-list": (lambda m: m.update(files=[]), ": files must map names to file names"),
+    "files-a-number": (lambda m: m["files"].update(depth=3), ": files must map names to file"),
+}
+
+
+@pytest.mark.parametrize("text", ["3", "null", "true"])
+def test_a_manifest_that_is_not_an_object_is_rejected(tmp_path, text):
+    mp = tmp_path / "manifest.json"
+    mp.write_text(text)
+    with pytest.raises(ContainerError, match=re.escape(f"manifest {mp} is missing field")):
+        read_manifest(mp)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_manifest_entries_are_checked(tmp_path, case):
+    from panrec.volume import CategoryTable
+
+    edit, message = BAD_MANIFESTS[case]
+    mp = tmp_path / "manifest.json"
+    man = manifest_dict(INTR, PLANES, CategoryTable((False, True)), [], files={})
+    edit(man)
+    write_manifest(mp, man)
+    with pytest.raises(ContainerError, match=re.escape(f"manifest {mp}{message}")):
+        read_manifest(mp)
 
 
 @pytest.mark.parametrize("centers", [

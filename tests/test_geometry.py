@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from panrec.geometry import (
     resample_volume,
     round_half_up,
 )
+from panrec.volume import VOID
 
 K = CameraIntrinsics(fx=70.0, fy=80.0, cx=31.5, cy=23.5, width=64, height=48)
 UNIT_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
@@ -67,6 +70,29 @@ def test_invalid_intrinsics_and_planes():
         DepthPlanes(count=4, z_near=2.0, z_far=1.0)
 
 
+# case -> (construction, message): a camera, depth planes or axis frame with a
+# value that is not finite
+NON_FINITE = {
+    "intrinsics-fx-nan": (lambda: replace(K, fx=np.nan), "^focal length fx must be finite"),
+    "intrinsics-fx-inf": (lambda: replace(K, fx=np.inf), "^focal length fx must be finite"),
+    "intrinsics-fy-inf": (lambda: replace(K, fy=np.inf), "^focal length fy must be finite"),
+    "planes-z_far-inf": (lambda: DepthPlanes(count=4, z_far=np.inf), "z_far < inf"),
+    "axis-voxel_size-nan": (lambda: AxisGrid((2, 2, 2), np.nan, (0, 0, 1)),
+                            "^voxel_size must be finite"),
+    "axis-voxel_size-inf": (lambda: AxisGrid((2, 2, 2), np.inf, (0, 0, 1)),
+                            "^voxel_size must be finite"),
+    "axis-origin-nan": (lambda: AxisGrid((2, 2, 2), 0.5, (0, np.nan, 1)), "^origin .* finite"),
+    "axis-origin-inf": (lambda: AxisGrid((2, 2, 2), 0.5, (-np.inf, 0, 1)), "^origin .* finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_values_are_rejected(case):
+    build, message = NON_FINITE[case]
+    with pytest.raises(GeometryError, match=message):
+        build()
+
+
 def test_plane_index_bounds_and_midpoint():
     planes = DepthPlanes(count=128)
     assert plane_index(planes.z_near, planes) == 0
@@ -114,7 +140,6 @@ def test_cell_maps_are_the_projected_cell_centers(frame):
     np.testing.assert_allclose(u[front], pu, rtol=0, atol=1e-9)
     np.testing.assert_allclose(v[front], pv, rtol=0, atol=1e-9)
     assert np.isnan(u[~front]).all() and np.isnan(v[~front]).all()
-    every, picked = [*project_cells(frame, K)], [u, v]
     if isinstance(frame, AxisGrid):
         pixel, inside, m, z = frustum_cells(frame, K, planes, cells)
         assert np.array_equal(z, centers[:, 2]) and np.array_equal(m, plane_index(z, planes))
@@ -126,12 +151,10 @@ def test_cell_maps_are_the_projected_cell_centers(frame):
         # the pixel is 0 behind the camera or outside the image, whatever the plane
         assert np.array_equal(pixel[front], np.where(in_image, vi * K.width + ui, 0))
         assert not pixel[~front].any()
-        every += frustum_cells(frame, K, planes)
-        picked += [pixel, inside, m, z]
-    # every cell at once, in C order, is the same map
-    for whole, part in zip(every, picked, strict=True):
-        whole = np.broadcast_to(whole, frame.shape).reshape(-1)
-        assert np.array_equal(whole[cells], part, equal_nan=True)
+        # every cell at once, in C order, is the same map
+        for whole, part in zip(frustum_cells(frame, K, planes), (pixel, inside, m, z), strict=True):
+            whole = np.broadcast_to(whole, frame.shape).reshape(-1)
+            assert np.array_equal(whole[cells], part)
 
 
 def test_resample_identity():
@@ -196,11 +219,11 @@ def test_resample_shape_mismatch_errors():
         resample_volume(np.zeros((2, 2, 2)), frame, frame, K, planes)
 
 
-def reference_resample(volume, src, dst, intrinsics, planes, void):
+def reference_resample(volume, src, dst, intrinsics, planes):
     """`resample_volume` between a frustum and an axis frame, one destination
     cell center at a time: projected and rounded into a frustum source, floored
-    into an axis source."""
-    out = np.full(dst.shape + volume.shape[3:], void, dtype=volume.dtype)
+    into an axis source, VOID outside the source."""
+    out = np.full(dst.shape + volume.shape[3:], VOID, dtype=volume.dtype)
     centers = cell_centers(dst, intrinsics, planes).reshape(-1, 3)
     for cell, point in zip(np.ndindex(dst.shape), centers):
         if isinstance(src, FrustumGrid):
@@ -231,10 +254,11 @@ def test_resample_is_the_per_cell_reference():
         frustum = FrustumGrid(w, h, m)
         channels = (int(rng.integers(1, 4)),) if case % 2 else ()
         for src, dst in ((frustum, axis), (axis, frustum)):
+            # labels >= 1, so that a VOID cell is one outside the source
             vol = rng.integers(1, 100, src.shape + channels).astype(np.int16)
-            out = resample_volume(vol, src, dst, cam, planes, void=-1)
+            out = resample_volume(vol, src, dst, cam, planes)
             assert out.dtype == vol.dtype
-            assert np.array_equal(out, reference_resample(vol, src, dst, cam, planes, -1)), case
+            assert np.array_equal(out, reference_resample(vol, src, dst, cam, planes)), case
 
 
 def test_resample_rejects_a_frustum_frame_off_the_camera():
@@ -262,7 +286,7 @@ FRAME_ERRORS = {
     "resample-to-a-tuple": (
         lambda: resample_volume(np.zeros((2, 2, 2)), AXIS, (2, 2, 2), K, PLANES),
         "^unknown grid frame"),
-    "project-a-tuple": (lambda: project_cells((2, 2, 2), K), "^not an axis grid frame"),
+    "project-a-tuple": (lambda: project_cells((2, 2, 2), K, [0]), "^not an axis grid frame"),
     "frustum-cells-of-a-frustum": (
         lambda: frustum_cells(FrustumGrid(K.width, K.height, 8), K, PLANES),
         "^not an axis grid frame"),

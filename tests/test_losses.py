@@ -126,27 +126,41 @@ def test_panoptic2d_void_pixels_excluded():
 def test_depth_loss_closed_form():
     gt = np.full((8, 8), 1.0)
     pred = np.full((8, 8), 2.0)
-    valid = np.ones((8, 8), bool)
     # constant maps have zero gradient difference
-    assert loss_depth(pred, gt, valid) == pytest.approx(np.log(2))
-    assert loss_depth(gt, gt, valid) == 0.0
+    assert loss_depth(pred, gt) == pytest.approx(np.log(2))
+    assert loss_depth(gt, gt) == 0.0
 
 
 def test_depth_loss_gradient_term():
     gt = np.ones((1, 4))
     pred = np.array([[1.0, 2.0, 1.0, 1.0]])
-    valid = np.ones((1, 4), bool)
     # log term: (ln2)/4; grads pred: [1,-1,0] vs gt zeros, mean |diff| = 2/3
-    assert loss_depth(pred, gt, valid) == pytest.approx(np.log(2) / 4 + 2.0 / 3.0)
+    assert loss_depth(pred, gt) == pytest.approx(np.log(2) / 4 + 2.0 / 3.0)
+
+
+def test_depth_loss_counts_pixels_where_both_maps_have_a_surface():
+    gt = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    pred = np.array([[2.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
+    # valid: (0, 0) and the bottom row; log term (ln2)/4. Valid pairs: the
+    # bottom row's two horizontal ones (no difference) and (0, 0)-(1, 0), whose
+    # gradients differ by 1, so the gradient term is 1/3
+    assert loss_depth(pred, gt) == pytest.approx(np.log(2) / 4 + 1.0 / 3.0)
 
 
 def test_depth_loss_validation():
-    valid = np.ones((2, 2), bool)
+    # no pixel where both maps have a surface, so no loss
+    assert loss_depth(np.zeros((2, 2)), np.ones((2, 2))) == 0.0
     with pytest.raises(LossError):
-        loss_depth(np.zeros((2, 2)), np.ones((2, 2)), valid)
-    assert loss_depth(np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2), bool)) == 0.0
-    with pytest.raises(LossError):
-        loss_depth(np.ones((2, 2)), np.ones((3, 3)), valid)
+        loss_depth(np.ones((2, 2)), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("name", ["pred", "gt"])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_depth_loss_rejects_depth_that_is_not_finite_and_nonnegative(name, value):
+    maps = {"pred": np.ones((2, 2)), "gt": np.ones((2, 2))}
+    maps[name][1, 0] = value
+    with pytest.raises(LossError, match=f"^depth {name} must be finite and >= 0$"):
+        loss_depth(**maps)
 
 
 def test_mp_occupancy_alias():

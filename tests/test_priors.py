@@ -10,6 +10,8 @@ from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_in
 from panrec.lifting import lift_priors, occupancy_aware_lift
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
+    HEATMAP_SIGMA,
+    MAX_CENTERS,
     InstanceCenter,
     Priors2D,
     PriorsError,
@@ -113,20 +115,14 @@ def test_derive_centers_matches_brute_force(small_scene):
 
 def test_heatmap_trivials():
     assert np.all(encode_center_heatmap([], 8, 8) == 0)
-    hm = encode_center_heatmap([InstanceCenter(3, 4, 3, 1)], 16, 16, sigma=2.0)
+    hm = encode_center_heatmap([InstanceCenter(3, 4, 3, 1)], 16, 16)
     assert hm[4, 3] == 1.0
-    assert hm[4, 5] == pytest.approx(np.exp(-0.5))
-
-
-@pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan])
-def test_heatmap_sigma_must_be_positive(sigma):
-    with pytest.raises(PriorsError, match="^sigma must be positive"):
-        encode_center_heatmap([InstanceCenter(3, 4, 3, 1)], 16, 16, sigma)
+    assert hm[4, 5] == pytest.approx(np.exp(-0.5 * (2.0 / HEATMAP_SIGMA) ** 2))
 
 
 def test_heatmap_max_combination():
     centers = [InstanceCenter(2, 2, 3, 1), InstanceCenter(3, 2, 3, 2)]
-    hm = encode_center_heatmap(centers, 8, 8, sigma=3.0)
+    hm = encode_center_heatmap(centers, 8, 8)
     assert hm.max() == 1.0
     assert np.all(hm <= 1.0)
 
@@ -137,7 +133,7 @@ def test_extract_centers_round_trip():
     sem[..., 0] = 1.0
     sem[5, 5] = [0, 0, 0, 1, 0]
     sem[20, 25] = [0, 0, 0, 0, 1]
-    hm = encode_center_heatmap(centers, 32, 32, sigma=2.0)
+    hm = encode_center_heatmap(centers, 32, 32)
     found = extract_centers(hm, sem)
     assert {(c.u, c.v, c.category) for c in found} == {(5, 5, 3), (25, 20, 4)}
 
@@ -151,7 +147,7 @@ def test_extract_centers_tie_break():
     hm[3, 3] = hm[3, 4] = 0.9
     sem = np.zeros((8, 8, 4))
     sem[..., 3] = 1.0
-    found = extract_centers(hm, sem, nms_kernel=3)
+    found = extract_centers(hm, sem)
     assert len(found) == 1
     assert (found[0].v, found[0].u) == (3, 3)
 
@@ -159,54 +155,43 @@ def test_extract_centers_tie_break():
 def test_extract_centers_validation():
     with pytest.raises(PriorsError):
         extract_centers(np.zeros((4, 4)), np.zeros((4, 4, 2)), threshold=0.0)
-    with pytest.raises(PriorsError):
-        extract_centers(np.zeros((4, 4)), np.zeros((4, 4, 2)), nms_kernel=4)
 
 
-@pytest.mark.parametrize("heatmap, semantics, max_n, field", [
-    (np.zeros((4, 4)), np.zeros((4, 5, 2)), 8, "semantics"),
-    (np.zeros((4, 4)), np.zeros((4, 4)), 8, "semantics"),
-    (np.zeros((4, 4)), np.zeros((4, 4, 0)), 8, "semantics"),
-    (np.zeros(4), np.zeros((4, 4, 2)), 8, "heatmap"),
-    (np.full((4, 4), np.inf), np.zeros((4, 4, 2)), 8, "heatmap"),
-    (np.full((4, 4), np.nan), np.zeros((4, 4, 2)), 8, "heatmap"),
-    (np.zeros((4, 4)), np.zeros((4, 4, 2)), -1, "max_n"),
+@pytest.mark.parametrize("heatmap, semantics, field", [
+    (np.zeros((4, 4)), np.zeros((4, 5, 2)), "semantics"),
+    (np.zeros((4, 4)), np.zeros((4, 4)), "semantics"),
+    (np.zeros((4, 4)), np.zeros((4, 4, 0)), "semantics"),
+    (np.zeros(4), np.zeros((4, 4, 2)), "heatmap"),
+    (np.full((4, 4), np.inf), np.zeros((4, 4, 2)), "heatmap"),
+    (np.full((4, 4), np.nan), np.zeros((4, 4, 2)), "heatmap"),
     # unchecked, a NaN score at the peak would make its channel the center's category
     (np.pad([[0.9]], ((3, 0), (4, 0))), np.pad([[[0, 0, np.nan]]], ((3, 0), (4, 0), (0, 0))),
-     8, "^semantics must be finite"),
-    (np.zeros((4, 4)), np.full((4, 4, 2), np.inf), 8, "^semantics must be finite"),
-    (np.zeros((4, 4)), np.full((4, 4, 2), -0.5), 8, "^semantics must be finite"),
+     "^semantics must be finite"),
+    (np.zeros((4, 4)), np.full((4, 4, 2), np.inf), "^semantics must be finite"),
+    (np.zeros((4, 4)), np.full((4, 4, 2), -0.5), "^semantics must be finite"),
 ])
-def test_extract_centers_rejects_malformed_inputs(heatmap, semantics, max_n, field):
+def test_extract_centers_rejects_malformed_inputs(heatmap, semantics, field):
     with pytest.raises(PriorsError, match=field):
-        extract_centers(heatmap, semantics, max_n=max_n)
+        extract_centers(heatmap, semantics)
 
 
-def test_extract_centers_max_n_zero_and_cut():
-    hm = np.zeros((8, 8))
-    hm[1, 1], hm[5, 5], hm[1, 6] = 0.9, 0.8, 0.7
-    sem = np.zeros((8, 8, 2))
-    assert extract_centers(hm, sem, max_n=0) == []
-    assert [(c.v, c.u) for c in extract_centers(hm, sem, max_n=2)] == [(1, 1), (5, 5)]
-
-
-def reference_extract_centers(heatmap, semantics, threshold=0.1, nms_kernel=3, max_n=64):
-    """The per-candidate window loop that the shifted comparisons replaced."""
+def reference_extract_centers(heatmap, semantics, threshold=0.1, max_n=MAX_CENTERS):
+    """The per-candidate 3 x 3 window loop that the shifted comparisons
+    replaced, keeping the top `max_n` peaks."""
     heatmap = np.asarray(heatmap, dtype=np.float64)
     h, w = heatmap.shape
-    r = nms_kernel // 2
-    padded = np.pad(heatmap, r, mode="constant", constant_values=-1.0)
+    padded = np.pad(heatmap, 1, mode="constant", constant_values=-1.0)
     peaks = []
     cand_v, cand_u = np.nonzero(heatmap >= threshold)
     for v, u in zip(cand_v.tolist(), cand_u.tolist()):
-        window = padded[v : v + nms_kernel, u : u + nms_kernel]
+        window = padded[v : v + 3, u : u + 3]
         val = heatmap[v, u]
         if np.any(window > val):
             continue
         tie = False
         tv, tu = np.nonzero(window == val)
         for dv, du in zip(tv.tolist(), tu.tolist()):
-            ov, ou = v + dv - r, u + du - r
+            ov, ou = v + dv - 1, u + du - 1
             if (ov, ou) < (v, u):
                 tie = True
                 break
@@ -244,15 +229,22 @@ def plateau_heatmaps(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(plateau_heatmaps(), st.sampled_from((3, 5, 7)),
-       st.sampled_from((0.05, 0.1, 0.3, 0.5, 0.9)) | st.floats(0.01, 0.99), st.data())
-def test_extract_centers_matches_reference_loop(maps, nms_kernel, threshold, data):
+@given(plateau_heatmaps(), st.sampled_from((0.05, 0.1, 0.3, 0.5, 0.9)) | st.floats(0.01, 0.99))
+def test_extract_centers_matches_reference_loop(maps, threshold):
     heatmap, semantics = maps
-    full = reference_extract_centers(heatmap, semantics, threshold, nms_kernel)
-    assert extract_centers(heatmap, semantics, threshold, nms_kernel) == full
-    max_n = data.draw(st.integers(0, len(full)), label="max_n")
-    assert extract_centers(heatmap, semantics, threshold, nms_kernel, max_n) == \
-        reference_extract_centers(heatmap, semantics, threshold, nms_kernel, max_n)
+    assert extract_centers(heatmap, semantics, threshold) == \
+        reference_extract_centers(heatmap, semantics, threshold)
+
+
+def test_extract_centers_keeps_the_top_max_centers():
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        # a few repeated levels, so that equal-valued peaks straddle the cut
+        heatmap = rng.choice(LEVELS, size=(40, 40))
+        semantics = rng.choice((0.0, 0.5, 1.0), size=(40, 40, 3))
+        uncapped = reference_extract_centers(heatmap, semantics, max_n=None)
+        assert len(uncapped) > MAX_CENTERS
+        assert extract_centers(heatmap, semantics) == reference_extract_centers(heatmap, semantics)
 
 
 def test_multiplane_occupancy_trivials():
@@ -348,7 +340,7 @@ def test_validate_accepts_derived_perturbed_and_scaled_bundles(
         scene = generate_scene(SynthConfig(
             seed=seed, width=width, height=height, planes=planes, n_things=n_things,
             n_stuff=n_stuff, n_thing_categories=n_thing_categories,
-            min_center_separation=separation, occlusion_allowed=occlusion, max_attempts=50))
+            min_center_separation=separation, occlusion_allowed=occlusion))
     except SynthError:
         reject()
     frames = [scene.frame, *GOLDEN_AXES.values()]

@@ -337,7 +337,7 @@ def test_identity_refine_accepts_every_lift_of_a_valid_bundle(seed, width, heigh
     try:
         scene = generate_scene(SynthConfig(
             seed=seed, width=width, height=height, planes=planes, n_things=n_things,
-            min_center_separation=0.0, max_attempts=50))
+            min_center_separation=0.0))
     except SynthError:
         reject()
     priors = derive_priors(scene)

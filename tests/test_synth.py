@@ -25,6 +25,13 @@ def test_config_validation():
         NoiseSpec(semantic_flip=1.5)
 
 
+@pytest.mark.parametrize("field", ["depth_sigma", "center_jitter"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_noise_rejects_non_finite_magnitudes(field, value):
+    with pytest.raises(SynthError, match="^noise magnitudes must be finite and nonnegative$"):
+        NoiseSpec(**{field: value})
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("n_things", -1, "n_things"),
     ("min_center_separation", -1.0, "min center separation"),
@@ -61,7 +68,7 @@ def test_valid_config_generates_or_fails_placement(seed, width, height, planes, 
         cfg = SynthConfig(seed=seed, width=width, height=height, planes=planes,
                           n_things=n_things, n_stuff=n_stuff,
                           min_center_separation=separation,
-                          occlusion_allowed=occlusion, max_attempts=20)
+                          occlusion_allowed=occlusion)
     except SynthError:
         assert n_things > 0 and (min(width, height) < 6 or planes < 3)
         return
@@ -176,8 +183,8 @@ def test_center_separation():
 
 def test_placement_failure_raises():
     cfg = SynthConfig(seed=0, width=16, height=16, planes=16, n_things=10,
-                      min_center_separation=50.0, max_attempts=20)
-    with pytest.raises(SynthError):
+                      min_center_separation=50.0)
+    with pytest.raises(SynthError, match="within 200 attempts"):
         generate_scene(cfg)
 
 
