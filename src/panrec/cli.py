@@ -2,6 +2,7 @@
 evaluation, loss reports, and an end-to-end demo."""
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -40,67 +41,59 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
-# The prior files that `derive-priors` writes, `<name>.bin` each: name -> kind.
-PRIOR_KINDS = {
+# The files of scene and prior directories, `<name>.bin` each: name -> kind.
+# `synth` writes the panoptic file, `derive-priors` the others.
+FILE_KINDS = {
     "semantics2d": "semantic-volume", "depth": "depth", "heatmap": "heatmap",
     "mp_occupancy": "multiplane", "offsets3d": "offsets", "instances2d": "panoptic-volume",
+    "panoptic": "panoptic-volume",
 }
 
 
-def _load_scene(scene_dir: Path):
-    """A scene's ground truth and panoptic file, whose header has the manifest's camera, planes."""
-    manifest = C.read_manifest(scene_dir / "manifest.json", ["panoptic"])
-    path = scene_dir / manifest["files"]["panoptic"]
-    cont = C.read_container(path, "panoptic-volume")
-    scene = SceneGT(C.panoptic_volume(path, cont, C.manifest_categories(manifest)),
-                    C.manifest_intrinsics(manifest), C.manifest_planes(manifest))
-    C.check_shared([(scene_dir / "manifest.json", scene), (path, cont)])
-    return scene, path
-
-
-def _write_scene(scene: SceneGT, out_dir: Path, generator=None):
+def _write_dir(out_dir: Path, scene: SceneGT, arrays: dict, centers=(), generator=None):
+    """Each of `arrays`, name -> array, as `<name>.bin` in the scene's frame, camera
+    and planes, and the manifest that lists them."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    C.write_panoptic(out_dir / "panoptic.bin", scene.volume, scene.intrinsics, scene.planes)
-    manifest = C.manifest_dict(
-        scene.intrinsics, scene.planes, scene.categories, [],
-        files={"panoptic": "panoptic.bin"}, generator=generator,
-    )
-    C.write_manifest(out_dir / "manifest.json", manifest)
-
-
-def _write_priors(priors: Priors2D, scene: SceneGT, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
-        "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d,
-        "instances2d": derive_instance_map2d(scene),
-    }
-    for name, kind in PRIOR_KINDS.items():
-        C.write_container(out_dir / f"{name}.bin", kind, arrays[name], scene.frame,
+    for name, array in arrays.items():
+        C.write_container(out_dir / f"{name}.bin", FILE_KINDS[name], array, scene.frame,
                           scene.intrinsics, scene.planes)
-    manifest = C.manifest_dict(scene.intrinsics, scene.planes, scene.categories,
-                               priors.centers, files={n: f"{n}.bin" for n in PRIOR_KINDS})
-    C.write_manifest(out_dir / "manifest.json", manifest)
+    C.write_manifest(out_dir / "manifest.json", C.manifest_dict(
+        scene.intrinsics, scene.planes, scene.categories, centers,
+        files={name: f"{name}.bin" for name in arrays}, generator=generator))
 
 
-def _read_priors(priors_dir: Path, *names, also=(), like=()):
-    """A prior directory's manifest and the containers of the named prior files
-    only, then of `also`, (path, kind) pairs; all share one frame, camera, planes
-    with `like`, (path, header) pairs read before."""
-    manifest = C.read_manifest(priors_dir / "manifest.json", names)
-    files = [*((priors_dir / manifest["files"][n], PRIOR_KINDS[n]) for n in names), *also]
-    return manifest, C.read_containers(files, like)
+def _read_dir(directory: Path, *names):
+    """A directory's manifest and the (path, container) pairs of the named files,
+    each with the first's frame and the manifest's camera and planes."""
+    manifest_path = directory / "manifest.json"
+    manifest = C.read_manifest(manifest_path, names)
+    paths = [directory / manifest["files"][name] for name in names]
+    read = [(path, C.read_container(path, FILE_KINDS[name])) for path, name in zip(paths, names)]
+    # A manifest states no frame, so the first container's stands in for it.
+    stated = dataclasses.replace(read[0][1], intrinsics=C.manifest_intrinsics(manifest),
+                                 planes=C.manifest_planes(manifest))
+    C.check_shared([(manifest_path, stated), *read])
+    return manifest, read
 
 
-def _load_priors(priors_dir: Path, offsets: bool, like=()):
-    """A prior bundle (offsets3d only if `offsets`) and its depth's frame, camera, planes."""
+def _load_scene(scene_dir: Path):
+    """A scene directory's ground truth and the (path, container) pair of its panoptic file."""
+    manifest, [(path, cont)] = _read_dir(scene_dir, "panoptic")
+    scene = SceneGT(C.panoptic_volume(path, cont, C.manifest_categories(manifest)),
+                    cont.intrinsics, cont.planes)
+    return scene, (path, cont)
+
+
+def _load_priors(priors_dir: Path, offsets: bool):
+    """A prior bundle (offsets3d only if `offsets`) and the (path, container) pair
+    of its semantics, whose header every prior file shares."""
     names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
-    manifest, read = _read_priors(priors_dir, *names, like=like)
-    semantics, depth, heatmap, mp_occupancy = read[:4]
-    priors = Priors2D(semantics=semantics.array, depth=depth.array,
-                      centers=C.manifest_centers(manifest), heatmap=heatmap.array,
-                      mp_occupancy=mp_occupancy.array, offsets3d=read[4].array if offsets else None)
-    return priors, depth.frame, depth.intrinsics, depth.planes
+    manifest, read = _read_dir(priors_dir, *names)
+    semantics, depth, heatmap, mp_occupancy, *offsets3d = (cont.array for _path, cont in read)
+    priors = Priors2D(semantics=semantics, depth=depth, centers=C.manifest_centers(manifest),
+                      heatmap=heatmap, mp_occupancy=mp_occupancy,
+                      offsets3d=offsets3d[0] if offsets else None)
+    return priors, read[0]
 
 
 @main.command()
@@ -121,9 +114,9 @@ def synth(seed, out_dir, width, height, planes, things, stuff, min_separation, o
         occlusion_allowed=occlusion,
     )
     scene = generate_scene(cfg)
-    _write_scene(scene, out_dir, generator={"seed": seed, "width": width,
-                                            "height": height, "planes": planes,
-                                            "things": things, "stuff": stuff})
+    _write_dir(out_dir, scene, {"panoptic": C.panoptic_array(scene.volume)},
+               generator={"seed": seed, "width": width, "height": height, "planes": planes,
+                          "things": things, "stuff": stuff})
     click.echo(f"wrote scene to {out_dir}")
 
 
@@ -138,12 +131,15 @@ def synth(seed, out_dir, width, height, planes, things, stuff, min_separation, o
 def derive_priors_cmd(scene_dir, out_dir, noise_seed, depth_sigma,
                       semantic_flip, occupancy_flip, center_jitter):
     """Derive GT priors (optionally perturbed) from a scene directory."""
-    scene, _path = _load_scene(scene_dir)
+    scene, _scene_file = _load_scene(scene_dir)
     priors = derive_priors(scene)
     noise = NoiseSpec(depth_sigma=depth_sigma, semantic_flip=semantic_flip,
                       occupancy_flip=occupancy_flip, center_jitter=center_jitter)
     priors = perturb_priors(priors, noise, noise_seed, scene.planes)
-    _write_priors(priors, scene, out_dir)
+    _write_dir(out_dir, scene, {
+        "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
+        "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d,
+        "instances2d": derive_instance_map2d(scene)}, priors.centers)
     click.echo(f"wrote priors to {out_dir}")
 
 
@@ -171,15 +167,17 @@ def lift(priors_dir, out_path, mode, seed, n_channels):
         for name, option in (("seed", "--assignment"), ("n_channels", "--n-channels")):
             if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE:
                 raise click.UsageError(f"{option} applies only to --mode top-down", ctx)
-        priors, frame, intr, planes = _load_priors(priors_dir, offsets=False)
+        priors, (_path, header) = _load_priors(priors_dir, offsets=False)
+        frame, intr, planes = header.frame, header.intrinsics, header.planes
         fv = occupancy_aware_lift(priors, frame, intr, planes)
     else:
-        manifest, (depth, inst) = _read_priors(priors_dir, "depth", "instances2d")
+        manifest, [(_path, depth), (inst_path, inst)] = _read_dir(
+            priors_dir, "depth", "instances2d")
         frame, intr, planes = depth.frame, depth.intrinsics, depth.planes
         things = np.flatnonzero(C.manifest_categories(manifest).is_thing)
         if not np.isin(inst.array[..., 0][inst.array[..., 1] > 0], things).all():
-            _fail(f"{priors_dir / manifest['files']['instances2d']}: an instance's category "
-                  "is not a thing category of the manifest's table")
+            _fail(f"{inst_path}: an instance's category is not a thing category of the "
+                  "manifest's table")
         fv = lift_instances_topdown(inst.array, depth.array, frame, intr, planes, seed, n_channels)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     C.write_container(out_path, "feature-volume", fv.features, frame, intr, planes)
@@ -197,9 +195,10 @@ def lift(priors_dir, out_path, mode, seed, n_channels):
 def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
     """Group a lifted/refined volume into a panoptic volume container."""
     occ_path = features_path.with_name(features_path.stem + "_occupancy.bin")
-    manifest, (offsets, features, occ) = _read_priors(
-        priors_dir, "offsets3d",
-        also=[(features_path, "feature-volume"), (occ_path, "multiplane")])
+    manifest, [(offsets_path, offsets)] = _read_dir(priors_dir, "offsets3d")
+    features = C.read_container(features_path, "feature-volume")
+    occ = C.read_container(occ_path, "multiplane")
+    C.check_shared([(offsets_path, offsets), (features_path, features), (occ_path, occ)])
     intr, planes = offsets.intrinsics, offsets.planes
     categories = C.manifest_categories(manifest)
     centers = checked_centers(C.manifest_centers(manifest))
@@ -227,11 +226,8 @@ def _format_report(report):
         s = report.per_category[k]
         lines.append(f"{k:>10} {100*s.prq:8.2f} {100*s.rsq:8.2f} {100*s.rrq:8.2f} "
                      f"{s.tp:>4} {s.fp:>4} {s.fn:>4}")
-    lines.append(f"{'all':>10} {100*report.prq:8.2f} {100*report.rsq:8.2f} {100*report.rrq:8.2f}")
-    lines.append(f"{'things':>10} {100*report.prq_things:8.2f} {100*report.rsq_things:8.2f} "
-                 f"{100*report.rrq_things:8.2f}")
-    lines.append(f"{'stuff':>10} {100*report.prq_stuff:8.2f} {100*report.rsq_stuff:8.2f} "
-                 f"{100*report.rrq_stuff:8.2f}")
+    for row, _suffix, q in report.aggregates():
+        lines.append(f"{row:>10} {100*q.prq:8.2f} {100*q.rsq:8.2f} {100*q.rrq:8.2f}")
     return "\n".join(lines)
 
 
@@ -245,9 +241,9 @@ def _format_report(report):
 def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
     """Panoptic reconstruction quality of PRED against GT."""
     categories = C.manifest_categories(C.read_manifest(categories_from))
-    paths = (pred_path, gt_path)
-    pred, gt = (C.panoptic_volume(path, cont, categories) for path, cont in zip(
-        paths, C.read_containers([(path, "panoptic-volume") for path in paths])))
+    read = [(path, C.read_container(path, "panoptic-volume")) for path in (pred_path, gt_path)]
+    C.check_shared(read)
+    pred, gt = (C.panoptic_volume(path, cont, categories) for path, cont in read)
     report = prq(pred, gt, iou_threshold)
     click.echo(_format_report(report))
     if record_path is not None:
@@ -270,11 +266,12 @@ def loss(scene_dir, priors_dir, record_path, w_semantic2d, w_center2d,
     weights = LossWeights(semantic2d=w_semantic2d, center2d=w_center2d,
                           occupancy3d=w_occupancy3d, semantic3d=w_semantic3d,
                           offset3d=w_offset3d)
-    scene, scene_path = _load_scene(scene_dir)
-    pred, frame, intr, planes = _load_priors(priors_dir, offsets=True, like=[(scene_path, scene)])
+    scene, scene_file = _load_scene(scene_dir)
+    pred, priors_file = _load_priors(priors_dir, offsets=True)
+    C.check_shared([scene_file, priors_file])
     gt_priors = derive_priors(scene)
-    occupied, sem_pred, _labels = lift_priors(pred, frame, intr, planes)
-    occ_pred = lifted_occupancy(occupied, frame)
+    occupied, sem_pred, _labels = lift_priors(pred, scene.frame, scene.intrinsics, scene.planes)
+    occ_pred = lifted_occupancy(occupied, scene.frame)
     report2d = loss_panoptic2d(pred.semantics, gt_priors.semantics,
                                pred.heatmap, gt_priors.heatmap, weights)
     depth_term = loss_depth(pred.depth, gt_priors.depth)

@@ -219,18 +219,14 @@ def check_shared(headers):
                                      f"{first_path}'s {getattr(first, field)}")
 
 
-def read_containers(files, like=()) -> list:
-    """The containers of `files`, (path, kind) pairs, after `check_shared` over
-    `like`, (path, header) pairs read before, and them."""
-    read = [read_container(path, kind) for path, kind in files]
-    check_shared([*like, *zip([path for path, _kind in files], read)])
-    return read
+def panoptic_array(volume: PanopticVolume) -> np.ndarray:
+    """The (..., 2) payload of a panoptic-volume container: semantics, instances."""
+    return np.stack([volume.semantics, volume.instances], axis=-1).astype("<i4", copy=False)
 
 
 def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
-    stacked = np.stack([volume.semantics, volume.instances], axis=-1).astype(
-        "<i4", copy=False)
-    write_container(path, "panoptic-volume", stacked, volume.frame, intrinsics, planes)
+    write_container(path, "panoptic-volume", panoptic_array(volume), volume.frame, intrinsics,
+                    planes)
 
 
 def panoptic_volume(path, cont: Container, categories: CategoryTable) -> PanopticVolume:

@@ -14,6 +14,11 @@ class GeometryError(ValueError):
     pass
 
 
+def _is_size(value) -> bool:
+    """An integer >= 1: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics in pixel units; +z forward, +x right, +y down."""
@@ -29,8 +34,9 @@ class CameraIntrinsics:
         for name in ("fx", "fy"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise GeometryError(f"focal length {name} must be finite and positive")
-        if self.width < 1 or self.height < 1:
-            raise GeometryError("image size must be at least 1x1")
+        for name in ("width", "height"):
+            if not _is_size(getattr(self, name)):
+                raise GeometryError(f"image {name} must be an integer >= 1")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise GeometryError("principal point must lie inside the image")
 
@@ -44,8 +50,8 @@ class DepthPlanes:
     z_far: float = 6.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise GeometryError("plane count must be >= 1")
+        if not _is_size(self.count):
+            raise GeometryError("plane count must be an integer >= 1")
         if not (0 < self.z_near < self.z_far < np.inf):
             raise GeometryError("need 0 < z_near < z_far < inf")
 
@@ -70,8 +76,9 @@ class FrustumGrid:
     planes: int
 
     def __post_init__(self):
-        if min(self.width, self.height, self.planes) < 1:
-            raise GeometryError("frustum dims must be >= 1")
+        for name in ("width", "height", "planes"):
+            if not _is_size(getattr(self, name)):
+                raise GeometryError(f"frustum {name} must be an integer >= 1")
 
     @property
     def shape(self):
@@ -88,11 +95,12 @@ class AxisGrid:
     origin: tuple
 
     def __post_init__(self):
+        dims = tuple(self.dims)
+        if len(dims) != 3 or not all(_is_size(d) for d in dims):
+            raise GeometryError("axis dims must be three integers >= 1")
         # Tuples of Python numbers, so that equal frames compare and hash equal.
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise GeometryError("axis dims must be three values >= 1")
         if not 0 < self.voxel_size < np.inf:
             raise GeometryError("voxel_size must be finite and positive")
         if not np.isfinite(self.origin).all():

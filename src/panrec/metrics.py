@@ -25,41 +25,43 @@ class Segment:
 
 
 @dataclass
-class CategoryScore:
+class Quality:
     prq: float
     rsq: float
     rrq: float
+
+
+@dataclass
+class CategoryScore(Quality):
     tp: int
     fp: int
     fn: int
 
 
+QUALITIES = ("prq", "rsq", "rrq")
+# The aggregate groups in report order: table row, record suffix and the
+# categories averaged, things (True), stuff (False) or all (None).
+GROUPS = (("all", "", None), ("things", "_th", True), ("stuff", "_st", False))
+
+
 @dataclass
-class PrqReport:
+class PrqReport(Quality):
     per_category: dict          # category id -> CategoryScore
-    prq: float
-    rsq: float
-    rrq: float
-    prq_things: float
-    rsq_things: float
-    rrq_things: float
-    prq_stuff: float
-    rsq_stuff: float
-    rrq_stuff: float
+    things: Quality
+    stuff: Quality
     categories: list = field(default_factory=list)
+
+    def aggregates(self) -> list:
+        """(table row, record suffix, quality) of each group in `GROUPS`."""
+        return [(row, suffix, self if thing is None else getattr(self, row))
+                for row, suffix, thing in GROUPS]
 
     def as_records(self) -> dict:
         """Flat stable-keyed record for serialization."""
-        rec = {
-            "prq": self.prq, "rsq": self.rsq, "rrq": self.rrq,
-            "prq_th": self.prq_things, "rsq_th": self.rsq_things, "rrq_th": self.rrq_things,
-            "prq_st": self.prq_stuff, "rsq_st": self.rsq_stuff, "rrq_st": self.rrq_stuff,
-        }
+        rec = {f"{q}{suffix}": getattr(quality, q)
+               for _row, suffix, quality in self.aggregates() for q in QUALITIES}
         for k in self.categories:
-            s = self.per_category[k]
-            rec[f"prq_{k}"] = s.prq
-            rec[f"rsq_{k}"] = s.rsq
-            rec[f"rrq_{k}"] = s.rrq
+            rec.update({f"{q}_{k}": getattr(self.per_category[k], q) for q in QUALITIES})
         return rec
 
 
@@ -205,18 +207,12 @@ def prq(pred: PanopticVolume, gt: PanopticVolume, threshold: float = 0.25) -> Pr
         # Cross-check the factored form against the direct one.
         assert abs(score.prq - score.rsq * score.rrq) <= 1e-12
         per_category[k] = score
-    def mean(ids, attr):
+    def mean(thing) -> Quality:
+        ids = [k for k in cats if thing is None or thing_flags[k] == thing]
         if not ids:
-            return 0.0
-        return float(np.mean([getattr(per_category[k], attr) for k in ids]))
-    things = [k for k in cats if thing_flags[k]]
-    stuff = [k for k in cats if not thing_flags[k]]
-    return PrqReport(
-        per_category=per_category,
-        prq=mean(cats, "prq"), rsq=mean(cats, "rsq"), rrq=mean(cats, "rrq"),
-        prq_things=mean(things, "prq"), rsq_things=mean(things, "rsq"),
-        rrq_things=mean(things, "rrq"),
-        prq_stuff=mean(stuff, "prq"), rsq_stuff=mean(stuff, "rsq"),
-        rrq_stuff=mean(stuff, "rrq"),
-        categories=cats,
-    )
+            return Quality(0.0, 0.0, 0.0)
+        return Quality(*(float(np.mean([getattr(per_category[k], q) for k in ids]))
+                         for q in QUALITIES))
+    overall, things, stuff = (mean(thing) for _row, _suffix, thing in GROUPS)
+    return PrqReport(**vars(overall), per_category=per_category, things=things, stuff=stuff,
+                     categories=cats)

@@ -54,8 +54,6 @@ class SynthConfig:
     width: int = 64
     height: int = 64
     planes: int = 64
-    z_near: float = 0.4
-    z_far: float = 6.0
     n_things: int = 4
     n_stuff: int = 2               # 0 none, 1 wall, 2 wall + floor
     n_thing_categories: int = 4
@@ -96,7 +94,7 @@ class SynthConfig:
         )
 
     def depth_planes(self) -> DepthPlanes:
-        return DepthPlanes(count=self.planes, z_near=self.z_near, z_far=self.z_far)
+        return DepthPlanes(count=self.planes)
 
 
 def _rasterize_box(rng, w, h, m_count):

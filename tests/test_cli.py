@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, reject, settings, strategies as st
 
 from panrec import containers
-from panrec.cli import PRIOR_KINDS, entry, main
+from panrec.cli import FILE_KINDS, entry, main
 from panrec.containers import read_container, read_manifest
 from panrec.lifting import lift_instances_topdown
 from panrec.metrics import prq
@@ -396,6 +396,29 @@ def test_loss_rejects_a_scene_of_another_camera_or_frame(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("field", ["intrinsics", "planes"])
+@pytest.mark.parametrize("command", ["lift", "group", "loss"])
+def test_a_prior_manifest_of_another_camera_or_planes_is_one_error_line(
+        tmp_path, monkeypatch, capsys, command, field):
+    # the prior directory's manifest says fx 64 or z_far 9.0; its containers do not
+    scene, priors, feats, _ = build_chain(tmp_path)
+    path = priors / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if field == "intrinsics":
+        manifest["intrinsics"]["fx"] = 64.0
+    else:
+        manifest["planes"]["z_far"] = 9.0
+    path.write_text(json.dumps(manifest))
+    args = {"lift": ["lift", priors, "--out", tmp_path / "f.bin"],
+            "group": ["group", feats, priors, "--out", tmp_path / "p.bin"],
+            "loss": ["loss", scene, priors]}[command]
+    code, err = entry_result(monkeypatch, capsys, *args)
+    assert code == 1 and err.count("\n") == 1, err
+    named = priors / ("offsets3d.bin" if command == "group" else "semantics2d.bin")
+    assert err.startswith(f"error: {named}: {field} ") and f"differs from {path}'s" in err
+    assert not (tmp_path / "f.bin").exists() and not (tmp_path / "p.bin").exists()
+
+
+@pytest.mark.parametrize("field", ["intrinsics", "planes"])
 def test_eval_rejects_pred_and_gt_of_another_camera_or_planes(tmp_path, monkeypatch, capsys,
                                                              field):
     scene, priors, _, pred = build_chain(tmp_path)
@@ -653,13 +676,13 @@ def corrupt_priors_dir(priors, field, kind):
         return
     name = {"semantics": "semantics2d"}.get(field, field)
     path = priors / f"{name}.bin"
-    cont = read_container(path, PRIOR_KINDS[name])
+    cont = read_container(path, FILE_KINDS[name])
     array = cont.array.copy()
     if kind == "times-3":
         array *= 3.0
     else:
         array[2:4, 3:5] = {"nan": np.nan, "negative": -0.25, "above-1": 1.5}[kind]
-    containers.write_container(path, PRIOR_KINDS[name], array, cont.frame, cont.intrinsics,
+    containers.write_container(path, FILE_KINDS[name], array, cont.frame, cont.intrinsics,
                                cont.planes)
 
 

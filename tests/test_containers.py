@@ -17,13 +17,13 @@ from panrec.containers import (
     MAGIC,
     VERSION,
     ContainerError,
+    check_shared,
     manifest_categories,
     manifest_centers,
     manifest_dict,
     manifest_intrinsics,
     manifest_planes,
     read_container,
-    read_containers,
     read_manifest,
     read_panoptic,
     write_container,
@@ -378,14 +378,15 @@ def test_layout_breaks_are_rejected_by_reader_and_writer(tmp_path, kind, shape, 
     ("intrinsics", CameraIntrinsics(fx=30.0, fy=32.0, cx=15.5, cy=15.5, width=32, height=32)),
     ("planes", DepthPlanes(count=8, z_near=0.5)),
 ])
-def test_read_containers_share_frame_camera_and_planes(tmp_path, field, value):
+def test_check_shared_names_a_file_of_another_frame_camera_or_planes(tmp_path, field, value):
     args = {"frame": FRAME, "intrinsics": INTR, "planes": PLANES}
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_container(a, "depth", np.zeros((32, 32)), *args.values())
     write_container(b, "heatmap", np.zeros((32, 32)), *{**args, field: value}.values())
-    assert len(read_containers([(a, "depth"), (a, "depth")])) == 2
+    read_a, read_b = (a, read_container(a, "depth")), (b, read_container(b, "heatmap"))
+    check_shared([read_a, read_a])
     with pytest.raises(ContainerError, match=f"b\\.bin: {field} .* differs from .*a\\.bin's"):
-        read_containers([(a, "depth"), (b, "heatmap")])
+        check_shared([read_a, read_b])
 
 
 @pytest.mark.parametrize("frame, offset, fmt, value, field", [

@@ -93,6 +93,35 @@ def test_non_finite_values_are_rejected(case):
         build()
 
 
+# case -> (construction, message): a camera, depth planes or frame whose size
+# is not an integer >= 1
+NOT_A_SIZE = {
+    "intrinsics-width-float": (lambda: replace(K, width=64.5), "^image width must be an integer"),
+    "intrinsics-height-true": (lambda: replace(K, height=True), "^image height must be an integ"),
+    "planes-count-float": (lambda: DepthPlanes(count=2.5), "^plane count must be an integer"),
+    "planes-count-zero": (lambda: DepthPlanes(count=0), "^plane count must be an integer"),
+    "frustum-width-float": (lambda: FrustumGrid(4.5, 4, 2), "^frustum width must be an integer"),
+    "frustum-planes-zero": (lambda: FrustumGrid(4, 4, 0), "^frustum planes must be an integer"),
+    "axis-dims-float": (lambda: AxisGrid((4.5, 4, 4), 0.5, (0, 0, 1)),
+                        "^axis dims must be three integers"),
+    "axis-dims-two": (lambda: AxisGrid((4, 4), 0.5, (0, 0, 1)), "^axis dims must be three"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_SIZE))
+def test_sizes_must_be_integers(case):
+    build, message = NOT_A_SIZE[case]
+    with pytest.raises(GeometryError, match=message):
+        build()
+
+
+def test_numpy_integer_sizes_are_sizes():
+    axis = AxisGrid(np.array([4, 4, 4]), 0.5, (0, 0, 1))
+    assert axis.dims == (4, 4, 4) and all(type(d) is int for d in axis.dims)
+    assert FrustumGrid(np.int32(4), np.int64(3), np.uint8(2)).shape == (3, 4, 2)
+    assert DepthPlanes(count=np.int64(8)).count == 8
+
+
 def test_plane_index_bounds_and_midpoint():
     planes = DepthPlanes(count=128)
     assert plane_index(planes.z_near, planes) == 0
@@ -187,8 +216,8 @@ def test_resample_round_trip_preserves_labels():
     preserved = []
     for seed in range(20):
         cfg = SynthConfig(seed=seed, width=16, height=16, planes=16, n_things=2,
-                          z_near=1.0, z_far=2.0, min_center_separation=5.0)
-        scene = generate_scene(cfg)
+                          min_center_separation=5.0)
+        scene = replace(generate_scene(cfg), planes=DepthPlanes(count=16, z_near=1.0, z_far=2.0))
         frame = scene.frame
         axis = _covering_axis_grid(frame, scene.intrinsics, scene.planes, scale=2)
         vol = scene.volume.semantics

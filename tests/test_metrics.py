@@ -11,6 +11,7 @@ from panrec.metrics import (
     CategoryScore,
     MetricError,
     PrqReport,
+    Quality,
     Segment,
     extract_segments,
     iou,
@@ -133,7 +134,7 @@ def test_prq_identity_is_one():
     v = vol(sem, inst)
     rep = prq(v, v)
     assert rep.prq == 1.0 and rep.rsq == 1.0 and rep.rrq == 1.0
-    assert rep.prq_things == 1.0 and rep.prq_stuff == 1.0
+    assert rep.things.prq == 1.0 and rep.stuff.prq == 1.0
 
 
 def test_prq_zero_overlap():
@@ -156,7 +157,7 @@ def test_prq_absent_categories_excluded():
     v = vol(sem, inst)
     rep = prq(v, v)
     assert rep.categories == [2]
-    assert rep.prq_things == 0.0  # no thing category evaluated
+    assert rep.things.prq == 0.0  # no thing category evaluated
     assert rep.prq == 1.0
 
 
@@ -322,11 +323,12 @@ def reference_prq(pred, gt, threshold=0.25):
     def mean(ids, attr):
         return float(np.mean([getattr(per_category[k], attr) for k in ids])) if ids else 0.0
 
-    groups = {"": cats, "_things": [k for k in cats if thing_flags[k]],
-              "_stuff": [k for k in cats if not thing_flags[k]]}
-    return PrqReport(per_category=per_category, categories=cats, **{
-        f"{attr}{suffix}": mean(ids, attr)
-        for suffix, ids in groups.items() for attr in ("prq", "rsq", "rrq")})
+    overall, things, stuff = (
+        Quality(*(mean(ids, attr) for attr in ("prq", "rsq", "rrq")))
+        for ids in (cats, [k for k in cats if thing_flags[k]],
+                    [k for k in cats if not thing_flags[k]]))
+    return PrqReport(**vars(overall), per_category=per_category, things=things, stuff=stuff,
+                     categories=cats)
 
 
 ORACLE_CATS = CategoryTable((False, True, False, True, True))
