@@ -184,26 +184,26 @@ def _axis_tables(frame, intrinsics: CameraIntrinsics):
 
 
 def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cells=None):
-    """The frustum cell each axis cell center falls in: (pixel, inside, plane, z)
-    for the flat cell indices `cells`, or for every cell (as arrays that
-    broadcast to frame.shape) when `cells` is None.
+    """The frustum cell each axis cell center falls in: (cell, inside) for the
+    flat cell indices `cells`, or for every cell (as arrays of frame.shape) when
+    `cells` is None.
 
-    `pixel` is the flat image index v * width + u of the nearest pixel (half
-    rounds up), 0 where the center is behind the camera or outside the image.
-    `plane` is `plane_index` of the center's depth `z`. `inside` marks centers in
-    front of the camera whose pixel lies in the image and whose plane is in range.
+    `cell` is the flat frustum index pixel * planes.count + plane, where the pixel
+    is the flat image index v * width + u of the nearest pixel (half rounds up)
+    and the plane is `plane_index` of the center's depth. `inside` marks centers
+    whose pixel lies in the image and whose plane is in range (so in front of
+    the camera); `cell` is 0 wherever a center is not inside.
     """
     u, v, z = _axis_tables(frame, intrinsics)
     ui, vi = round_half_up(u), round_half_up(v)
     m = plane_index(z, planes)
     in_u = (ui >= 0) & (ui < intrinsics.width)
-    in_v = (vi >= 0) & (vi < intrinsics.height) & (z > 0)
+    in_v = (vi >= 0) & (vi < intrinsics.height) & (m != OUT_OF_RANGE)
     ix, iy, iz = np.ix_(*map(np.arange, frame.shape)) if cells is None else \
         np.unravel_index(cells, frame.shape)
     inside = in_u[ix, iz] & in_v[iy, iz]
-    pixel = np.where(inside, vi[iy, iz] * intrinsics.width + ui[ix, iz], 0)
-    inside &= (m != OUT_OF_RANGE)[iz]
-    return pixel, inside, m[iz], z[iz]
+    pixel = vi[iy, iz] * intrinsics.width + ui[ix, iz]
+    return np.where(inside, pixel * planes.count + m[iz], 0), inside
 
 
 def project_cells(frame, intrinsics: CameraIntrinsics, cells):
@@ -239,13 +239,12 @@ def resample_volume(volume: np.ndarray, src_frame, dst_frame, intrinsics: Camera
     if src_frame == dst_frame:
         return volume.copy()
     if isinstance(src_frame, FrustumGrid):
-        pixel, valid, m, _z = frustum_cells(dst_frame, intrinsics, planes)
-        cells = pixel * planes.count + m
+        cells, valid = frustum_cells(dst_frame, intrinsics, planes)
     else:
         centers = cell_centers(dst_frame, intrinsics, planes)
         idx = np.floor((centers - src_frame.origin) / src_frame.voxel_size).astype(np.int64)
         valid = np.all((idx >= 0) & (idx < src_frame.shape), axis=-1)
         cells = np.ravel_multi_index(np.moveaxis(idx, -1, 0), src_frame.shape, mode="clip")
     from .volume import VOID  # not at the top: volume imports this module
-    out = volume.reshape((-1,) + volume.shape[3:])[np.where(valid, cells, 0)]
+    out = volume.reshape((-1,) + volume.shape[3:])[cells]
     return np.where(valid.reshape(valid.shape + (1,) * (out.ndim - valid.ndim)), out, VOID)

@@ -65,31 +65,31 @@ def scores_to_labels(scores: np.ndarray) -> np.ndarray:
 
 def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
     """`Priors2D.validate`, then the occupancy-aware lift: (occupied, rows, labels).
-    A cell's occupancy is its pixel's multi-plane occupancy at its plane if the
-    cell is at or behind the pixel's depth surface (frustum: its plane is at or
-    past the `surface_planes` plane; axis: its center is at or behind a depth
-    > 0), else 0. For t > 0, `occupied(t)` lists the flat cells of occupancy >= t
-    in ascending order, and their occupancy; `rows` maps flat cell indices to
-    their (N, C) features, pixel semantics times occupancy. `labels(cells)` is
-    `scores_to_labels(rows(cells) * occupancy[:, None])`, the rows gated by the
-    cells' own occupancy, bit for bit, from one argmax per pixel (see LABEL_MARGIN)."""
+    A frustum cell's occupancy is its pixel's multi-plane occupancy at its plane
+    if that plane is at or past the pixel's `surface_planes` plane, else 0; an
+    axis cell's is that of the frustum cell its center falls in (`frustum_cells`),
+    0 where it falls in none. For t > 0, `occupied(t)` lists the flat cells of
+    occupancy >= t in ascending order, and their occupancy; `rows` maps flat cell
+    indices to their (N, C) features, pixel semantics times occupancy.
+    `labels(cells)` is `scores_to_labels(rows(cells) * occupancy[:, None])`, the
+    rows gated by the cells' own occupancy, bit for bit, from one argmax per
+    pixel (see LABEL_MARGIN)."""
     priors.validate(frame, intrinsics, planes)
     depth = np.asarray(priors.depth, dtype=np.float64)
     mp = np.asarray(priors.mp_occupancy, dtype=np.float64).reshape(-1)
-    if isinstance(frame, FrustumGrid):
-        # per ray, the flat index of its surface cell (of the next ray's first
-        # cell on a ray with none): a ray's cells from there on are filled
-        first = np.arange(depth.size) * planes.count + surface_planes(depth, planes).ravel()
+    # per ray, the flat index of its surface cell (of the next ray's first cell
+    # on a ray with none): a ray's cells from there on are filled
+    first = np.arange(depth.size) * planes.count + surface_planes(depth, planes).ravel()
 
-        def at(cells):  # the cells' pixels and occupancy
-            pixel = cells // planes.count
-            return pixel, np.take(mp, cells) * (cells >= np.take(first, pixel))
-    else:
-        def at(cells=None):  # without cells, from the broadcast tables of every cell
-            pixel, inside, m, z = frustum_cells(frame, intrinsics, planes, cells)
-            d = np.take(depth, pixel)
-            keep = inside & (d > 0) & (z >= d)
-            return pixel, np.take(mp, pixel * planes.count + np.where(keep, m, 0)) * keep
+    def frustum_at(cells):  # the frustum cells' pixels and occupancy
+        pixel = cells // planes.count
+        return pixel, np.take(mp, cells) * (cells >= np.take(first, pixel))
+
+    def axis_at(cells=None):  # the frustum cells they fall in; without cells, every cell
+        cell, inside = frustum_cells(frame, intrinsics, planes, cells)
+        pixel, occupancy = frustum_at(cell)
+        return pixel, occupancy * inside
+    at = frustum_at if isinstance(frame, FrustumGrid) else axis_at
     semantics = np.asarray(priors.semantics, dtype=np.float64)
     pixels = semantics.reshape(-1, semantics.shape[-1])
 

@@ -102,9 +102,11 @@ def bundle(semantics, mp_occupancy, depth, **fields):
 def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intrinsics,
                                    planes):
     """The dense lift that `lift_priors`' rows replaced, kept as the oracle with its
-    own per-cell projection: the semantics propagated to every cell at or
-    behind the depth surface (zero in free space and on rays with no surface),
-    times the multi-plane occupancy at the cell's pixel and depth plane."""
+    own per-cell projection: the semantics propagated to every cell whose depth
+    plane's center is at or behind its pixel's depth (zero in free space and on
+    rays with no surface), times the multi-plane occupancy at the cell's pixel
+    and depth plane. An axis cell takes the pixel and plane its center falls in,
+    and is zero where either is out of range."""
     semantics2d = np.asarray(semantics2d, dtype=np.float64)
     mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
@@ -126,11 +128,10 @@ def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intr
                  & (vi >= 0) & (vi < intrinsics.height))
         ui, vi = np.where(valid, ui, 0), np.where(valid, vi, 0)
         d = depth[vi, ui]
-        keep = valid & (d > 0) & (z >= d)
-        sem = semantics2d[vi, ui] * keep[..., None]
         m = plane_index(np.where(front, z, planes.z_near), planes)
-        on_plane = keep & (m != OUT_OF_RANGE)
-        occ = mp_occupancy[vi, ui, np.where(on_plane, m, 0)] * on_plane
+        keep = valid & (m != OUT_OF_RANGE) & (d > 0) & (planes.center(m) >= d)
+        sem = semantics2d[vi, ui] * keep[..., None]
+        occ = mp_occupancy[vi, ui, np.where(keep, m, 0)] * keep
     return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)
 
 

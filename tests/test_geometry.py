@@ -170,20 +170,20 @@ def test_cell_maps_are_the_projected_cell_centers(frame):
     np.testing.assert_allclose(v[front], pv, rtol=0, atol=1e-9)
     assert np.isnan(u[~front]).all() and np.isnan(v[~front]).all()
     if isinstance(frame, AxisGrid):
-        pixel, inside, m, z = frustum_cells(frame, K, planes, cells)
-        assert np.array_equal(z, centers[:, 2]) and np.array_equal(m, plane_index(z, planes))
+        cell, inside = frustum_cells(frame, K, planes, cells)
         ui, vi = round_half_up(pu), round_half_up(pv)
+        m = plane_index(centers[front, 2], planes)
         in_image = (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-        in_range = (m != OUT_OF_RANGE)[front]
+        in_range = m != OUT_OF_RANGE
         assert (in_image & ~in_range).any()  # in the image, past the last plane
         assert np.array_equal(inside[front], in_image & in_range) and not inside[~front].any()
-        # the pixel is 0 behind the camera or outside the image, whatever the plane
-        assert np.array_equal(pixel[front], np.where(in_image, vi * K.width + ui, 0))
-        assert not pixel[~front].any()
+        # the frustum cell, 0 behind the camera, outside the image or past the planes
+        expected = np.where(in_image & in_range, (vi * K.width + ui) * planes.count + m, 0)
+        assert np.array_equal(cell[front], expected) and not cell[~front].any()
         # every cell at once, in C order, is the same map
-        for whole, part in zip(frustum_cells(frame, K, planes), (pixel, inside, m, z), strict=True):
-            whole = np.broadcast_to(whole, frame.shape).reshape(-1)
-            assert np.array_equal(whole[cells], part)
+        for whole, part in zip(frustum_cells(frame, K, planes), (cell, inside), strict=True):
+            assert whole.shape == frame.shape
+            assert np.array_equal(whole.reshape(-1)[cells], part)
 
 
 def test_resample_identity():

@@ -9,7 +9,13 @@ from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
-from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
+from panrec.geometry import (
+    AxisGrid,
+    CameraIntrinsics,
+    DepthPlanes,
+    FrustumGrid,
+    resample_volume,
+)
 from panrec.lifting import (
     LiftingError,
     lift_instances_topdown,
@@ -328,13 +334,13 @@ GOLDEN_LIFTS = {
     ("32", "frustum", "noisy"):
         "1c0f2354e971cfd5f960fe5913181a8da67cb439b5528153c8992721d750a14c",
     ("32", "axis", "gt"):
-        "307db2a7fd309a6630d8dfe26ce1801ff7874650b07c66b2ed4429ec505c6017",
+        "2fc82222e87641eedd9dc862ed9752fa778be7decf8d1d7c1ee1dcef3bf188b5",
     ("32", "axis", "noisy"):
-        "6dae5583d55f83013c333c8c5ba5cbf7f405582987c49a5f262072f31cb32ebb",
+        "d733f950235e56c07701f6db6552436ca8de06e2a14c06edeac2ee5a8c7ffdce",
     ("64", "axis", "gt"):
-        "e604c0e670c7591a11bc99c59dfb7c25c78175218feae26412d73295edc20664",
+        "2e3284cacca7dc42b7e5fb287996af36397651ec302ed57464d94f1250476a38",
     ("64", "axis", "noisy"):
-        "43dc45da5537f73d36178658ed91b6d0fd541f84d2b41855991d9114ed495bc8",
+        "4d42ff20ec28862fdd191a4d38689514d2da5d219e1ccfb4adf6068e05328ddc",
     ("64", "frustum", "gt"):
         "d08aa790b1657f812efb72699a2114e913123df6de67da0b438aad777f75e628",
     ("64", "frustum", "noisy"):
@@ -353,6 +359,12 @@ def test_occupancy_aware_lift_matches_golden_hash(case):
     frame = scene.frame if frame_kind == "frustum" else GOLDEN_AXES[size]
     fv = occupancy_aware_lift(p, frame, scene.intrinsics, scene.planes)
     assert array_digest(fv.features, fv.occupancy) == GOLDEN_LIFTS[case]
+    if frame_kind == "axis":  # the frustum lift, read at the frustum cell of each axis cell
+        frustum = occupancy_aware_lift(p, scene.frame, scene.intrinsics, scene.planes)
+        for axis_volume, frustum_volume in ((fv.features, frustum.features),
+                                            (fv.occupancy, frustum.occupancy)):
+            assert np.array_equal(axis_volume, resample_volume(
+                frustum_volume, scene.frame, frame, scene.intrinsics, scene.planes))
 
 
 @st.composite
