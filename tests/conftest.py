@@ -105,8 +105,9 @@ def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intr
     own per-cell projection: the semantics propagated to every cell whose depth
     plane's center is at or behind its pixel's depth (zero in free space and on
     rays with no surface), times the multi-plane occupancy at the cell's pixel
-    and depth plane. An axis cell takes the pixel and plane its center falls in,
-    and is zero where either is out of range."""
+    and depth plane. An axis cell takes the pixel and plane its center falls in;
+    where either is out of range it reads pixel (0, 0) and is zero there, so
+    its features carry that pixel's signs of zero."""
     semantics2d = np.asarray(semantics2d, dtype=np.float64)
     mp_occupancy = np.asarray(mp_occupancy, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
@@ -124,12 +125,12 @@ def reference_occupancy_aware_lift(semantics2d, mp_occupancy, depth, frame, intr
         zsafe = np.where(front, z, 1.0)
         ui = round_half_up(intrinsics.fx * x / zsafe + intrinsics.cx)
         vi = round_half_up(intrinsics.fy * y / zsafe + intrinsics.cy)
-        valid = (front & (ui >= 0) & (ui < intrinsics.width)
+        m = plane_index(z, planes)
+        valid = ((m != OUT_OF_RANGE) & (ui >= 0) & (ui < intrinsics.width)
                  & (vi >= 0) & (vi < intrinsics.height))
         ui, vi = np.where(valid, ui, 0), np.where(valid, vi, 0)
         d = depth[vi, ui]
-        m = plane_index(np.where(front, z, planes.z_near), planes)
-        keep = valid & (m != OUT_OF_RANGE) & (d > 0) & (planes.center(m) >= d)
+        keep = valid & (d > 0) & (planes.center(m) >= d)
         sem = semantics2d[vi, ui] * keep[..., None]
         occ = mp_occupancy[vi, ui, np.where(keep, m, 0)] * keep
     return FeatureVolume(frame=frame, features=sem * occ[..., None], occupancy=occ)

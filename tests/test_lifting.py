@@ -393,6 +393,12 @@ def lift_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lift_cases())
+# the cells at ix = 1, iz = 3 fall in pixel (0, 1) but past the last plane: not
+# inside, so they read pixel (0, 0), whose +0.0 semantics give +0.0 features
+@example((np.array([[[0.0], [-0.0]]]), np.ones((1, 2, 1)), np.ones((1, 2)),
+          AxisGrid(dims=[2, 3, 4], voxel_size=1.5, origin=[-1.5, -1.5, 1.0]),
+          CameraIntrinsics(fx=2.0, fy=1.0, cx=0.5, cy=0.0, width=2, height=1),
+          DepthPlanes(count=1)))
 def test_occupancy_aware_lift_equals_dense_reference(case):
     sem, mp, depth, frame, intrinsics, planes = case
     priors = bundle(sem, mp, depth)
