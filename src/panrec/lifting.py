@@ -76,14 +76,14 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
     pixel (see LABEL_MARGIN)."""
     priors.validate(frame, intrinsics, planes)
     depth = np.asarray(priors.depth, dtype=np.float64)
-    mp = np.asarray(priors.mp_occupancy, dtype=np.float64).reshape(-1)
+    mp = np.asarray(priors.mp_occupancy).reshape(-1)  # in its own dtype: bool when GT-derived
     # per ray, the flat index of its surface cell (of the next ray's first cell
     # on a ray with none): a ray's cells from there on are filled
     first = np.arange(depth.size) * planes.count + surface_planes(depth, planes).ravel()
 
-    def frustum_at(cells):  # the frustum cells' pixels and occupancy
+    def frustum_at(cells):  # the frustum cells' pixels and float64 occupancy
         pixel = cells // planes.count
-        return pixel, np.take(mp, cells) * (cells >= np.take(first, pixel))
+        return pixel, np.multiply(np.take(mp, cells), cells >= np.take(first, pixel), dtype=float)
 
     def axis_at(cells=None):  # the frustum cells they fall in; without cells, every cell
         cell, inside = frustum_cells(frame, intrinsics, planes, cells)
@@ -102,7 +102,7 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         blocks = (np.flatnonzero(mp[start:start + BLOCK] >= t) + start
                   for start in range(0, mp.size, BLOCK))
         cells = np.concatenate([block[at(block)[1] >= t] for block in blocks])
-        return cells, np.take(mp, cells)
+        return cells, np.take(mp, cells).astype(np.float64, copy=False)
 
     def rows(cells):
         pixel, occupancy = at(cells)

@@ -150,7 +150,7 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = TRUNCATION) -
     # squared distances stop at `cap`, the first beyond the band or the diagonal
     cap = int(min(truncation * truncation, sum((n - 1) ** 2 for n in occ.shape))) + 1
     reach = math.isqrt(cap - 1)
-    dtype = np.promote_types(np.uint16, np.min_scalar_type(2 * cap))
+    dtype = np.min_scalar_type(2 * cap)
     d2 = cap * np.stack([occ, ~occ]).astype(dtype)  # to the nearest free cell / occupied cell
     for axis in range(1, d2.ndim):  # a pass reads the unchanged `src` and writes a copy
         src, d2 = d2, d2.copy()

@@ -49,16 +49,17 @@ class Priors2D:
     depth: np.ndarray            # (H, W) meters, 0 = no surface along the ray
     centers: list                # list[InstanceCenter]
     heatmap: np.ndarray          # (H, W) in [0, 1]
-    mp_occupancy: np.ndarray     # (H, W, M) in [0, 1], binary when GT-derived
+    mp_occupancy: np.ndarray     # (H, W, M) bool or real in [0, 1], bool when GT-derived
     offsets3d: np.ndarray = None  # (H, W, M, 2) pixel offsets toward 2D centers
 
     def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
         """The bundle, after checking that it can be lifted into `frame`; raises
         PriorsError naming the field. Frame and depth as in `checked_depth`;
         semantics (H, W, C), C >= 1, finite and >= 0 with no upper bound; mp_occupancy
-        (H, W, M) and heatmap (H, W) within [0, 1]; center instance ids >= 1 and
-        distinct. Not checked: center categories (grouping ignores stuff and
-        void ones) and offsets (checked where they are read)."""
+        (H, W, M), bool or real (bool when ground-truth derived), and heatmap (H, W)
+        within [0, 1]; center instance ids >= 1 and distinct. Not checked: center
+        categories (grouping ignores stuff and void ones) and offsets (checked where
+        they are read)."""
         checked_depth(self.depth, frame, intrinsics, planes)
         h, w, m = intrinsics.height, intrinsics.width, planes.count
         if not _checked("semantics", self.semantics, (h, w, None), 0.0).shape[-1]:
@@ -191,14 +192,12 @@ def derive_priors(scene: SceneGT) -> Priors2D:
     - centers: per thing instance, the mean pixel position of all its cells,
       visible or not, rounded to the nearest pixel, with the category of its
       first cell in C order; heatmap: `encode_center_heatmap` of the centers;
-    - mp_occupancy: 1 wherever the cell is occupied by things or stuff;
+    - mp_occupancy: the scene's bool occupancy, True where things or stuff occupy a cell;
     - offsets3d: per thing cell, the (du, dv) pixel offset from its ray pixel to
       its instance's center; zero elsewhere."""
     vol = scene.volume
-    occ = _occupancy(scene)
-    plane = np.argmax(occ, axis=2)
-    mp_occupancy = occ.astype(np.float64)
-    del occ  # freed before offsets3d, the largest array here, is allocated
+    mp_occupancy = _occupancy(scene)
+    plane = np.argmax(mp_occupancy, axis=2)
     front = _front(vol.semantics, plane)
     depth = np.where(front != VOID, scene.planes.center(plane), 0.0)
     semantics = np.zeros(front.shape + (len(vol.categories),), dtype=np.float64)

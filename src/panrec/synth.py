@@ -203,7 +203,8 @@ def perturb_priors(
     planes: DepthPlanes,
 ) -> Priors2D:
     """Deterministically corrupt a prior bundle. Only the fields that a nonzero
-    magnitude corrupts are copied; the rest, always `offsets3d`, are the input's own."""
+    magnitude corrupts are copied, the occupancy flip into a float64 copy of a bool
+    or real `mp_occupancy`; the rest, always `offsets3d`, are the input's own."""
     streams = np.random.SeedSequence(seed).spawn(4)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
     changed = {}
@@ -223,7 +224,7 @@ def perturb_priors(
         semantics[vs, us, :] = 0.0
         semantics[vs, us, labels[vs, us]] = 1.0
     if noise.occupancy_flip > 0:
-        mp_occupancy = changed["mp_occupancy"] = priors.mp_occupancy.copy()
+        mp_occupancy = changed["mp_occupancy"] = priors.mp_occupancy.astype(np.float64)
         for start in range(0, mp_occupancy.size, BLOCK):  # blocked draws repeat one full draw
             block = mp_occupancy.reshape(-1)[start:start + BLOCK]
             np.subtract(1.0, block, out=block, where=rngs[2].random(block.size) < noise.occupancy_flip)

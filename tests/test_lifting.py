@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -35,6 +36,7 @@ from panrec.priors import (
 )
 from panrec.reconstruction import Refined3D, mask_by_occupancy
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
+from panrec.volume import CategoryTable
 from conftest import (
     CROWDED_NOISE,
     GOLDEN_AXES,
@@ -600,6 +602,34 @@ def test_the_lister_equals_the_dense_threshold(case, data):
     picked = data.draw(hnp.arrays(np.int64, st.integers(0, 64),
                                   elements=st.integers(0, occ.size - 1)))
     assert rows(picked).tobytes() == ref.features.reshape(occ.size, -1)[picked].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=lister_cases(), data=st.data())
+def test_the_lift_does_not_depend_on_how_mp_occupancy_is_stored(case, data):
+    # a binary multi-plane occupancy stored as bool, uint8 or float64 gives the same
+    # listed cells and gates, rows, labels, dense lift and reconstruction, byte for byte
+    priors, frame, intrinsics, planes = case
+    binary = np.asarray(priors.mp_occupancy) >= 0.5
+    categories = (SynthConfig().categories if priors.centers
+                  else CategoryTable((False,) * priors.semantics.shape[-1]))
+    t = data.draw(st.floats(0, 1, exclude_min=True))
+    picked = data.draw(hnp.arrays(np.int64, st.integers(0, 64),
+                                  elements=st.integers(0, np.prod(frame.shape) - 1)))
+
+    def outputs(mp):
+        p = dataclasses.replace(priors, mp_occupancy=mp, offsets3d=np.zeros(frame.shape + (2,)))
+        occupied, rows, labels = lift_priors(p, frame, intrinsics, planes)
+        fv = occupancy_aware_lift(p, frame, intrinsics, planes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            volume = reconstruct_from_priors(p, frame, intrinsics, planes, categories)
+        return array_digest(*occupied(t), rows(picked), labels(picked),
+                            lifted_occupancy(occupied, frame), fv.features, fv.occupancy,
+                            volume.semantics, volume.instances,
+                            extra=repr([str(w.message) for w in caught]).encode())
+
+    assert outputs(binary) == outputs(binary.astype(np.uint8)) == outputs(binary * 1.0)
 
 
 def test_lift_and_mask_stay_below_one_dense_volume():

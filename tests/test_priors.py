@@ -23,7 +23,7 @@ from panrec.priors import (
 )
 from panrec.synth import NoiseSpec, SynthConfig, SynthError, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume
-from conftest import CROWDED_NOISE, GOLDEN_AXES, seeded_scenes
+from conftest import CROWDED_NOISE, GOLDEN_AXES, seeded_scenes, traced_peak
 
 CATS = CategoryTable((False, False, False, True, True))
 
@@ -254,8 +254,18 @@ def test_multiplane_occupancy_trivials():
 
 def test_multiplane_occupancy_counting(small_scene):
     occ = derive_priors(small_scene).mp_occupancy
+    assert occ.dtype == bool and np.array_equal(occ, small_scene.volume.occupancy)
     assert occ.sum() == np.count_nonzero(small_scene.volume.semantics)
-    assert set(np.unique(occ)) <= {0.0, 1.0}
+
+
+def test_derive_priors_stays_below_its_memory_bound():
+    # at 64^3 (the scene of the perturb bound) the priors hold the scene's bool
+    # occupancy and the float64 offsets3d, two volumes, and little else: below 2.5
+    # float64 volumes of the grid
+    scene = generate_scene(SynthConfig(seed=11, width=64, height=64, planes=64, n_things=3,
+                                       min_center_separation=8.0))
+    peak = traced_peak(derive_priors, scene)
+    assert peak < 2.5 * 8 * scene.volume.semantics.size, peak / (8 * scene.volume.semantics.size)
 
 
 def test_offsets_trivials():

@@ -189,10 +189,11 @@ def test_placement_failure_raises():
 
 
 def priors_digest(p):
-    """sha256 of a bundle's arrays and center tuples."""
+    """sha256 of a bundle's arrays and center tuples; the multi-plane occupancy is
+    hashed as float64, so the digest pins its values, not its storage."""
     centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
-    return array_digest(p.depth, p.semantics, p.mp_occupancy, p.heatmap, p.offsets3d,
-                        extra=centers.encode())
+    return array_digest(p.depth, p.semantics, np.asarray(p.mp_occupancy, dtype=np.float64),
+                        p.heatmap, p.offsets3d, extra=centers.encode())
 
 
 PRIOR_FIELDS = ("depth", "semantics", "mp_occupancy", "heatmap", "centers", "offsets3d")
@@ -236,12 +237,12 @@ def test_perturb_copies_only_the_fields_it_corrupts(small_priors, small_scene, n
 
 def test_perturb_stays_below_its_memory_bound():
     # at 64^3 the corrupted bundle costs its copies and the occupancy flip's random
-    # blocks, less than 1.6 multi-plane occupancy volumes; a zero spec allocates
+    # blocks, less than 1.6 float64 volumes of the grid; a zero spec allocates
     # next to nothing
     scene = generate_scene(SynthConfig(seed=11, width=64, height=64, planes=64, n_things=3,
                                        min_center_separation=8.0))
     priors = derive_priors(scene)
-    volume = priors.mp_occupancy.nbytes
+    volume = 8 * priors.mp_occupancy.size
     for noise, bound in ((CROWDED_NOISE, 1.6 * volume), (NoiseSpec(), 0.05 * volume)):
         peak = traced_peak(perturb_priors, priors, noise, 11, scene.planes)
         assert peak < bound, (noise, peak / volume)
