@@ -259,9 +259,9 @@ def test_multiplane_occupancy_counting(small_scene):
 
 
 def test_derive_priors_stays_below_its_memory_bound():
-    # at 64^3 (the scene of the perturb bound) the priors hold the scene's bool
-    # occupancy and the float64 offsets3d, two volumes, and little else: below 2.5
-    # float64 volumes of the grid
+    # at 64^3 (the scene of the perturb bound) the priors hold offsets3d, two float64
+    # volumes of the grid, the scene's bool occupancy, an eighth of one, and little
+    # else: below 2.5 float64 volumes of the grid
     scene = generate_scene(SynthConfig(seed=11, width=64, height=64, planes=64, n_things=3,
                                        min_center_separation=8.0))
     peak = traced_peak(derive_priors, scene)
