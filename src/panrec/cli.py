@@ -57,9 +57,9 @@ def _write_dir(out_dir: Path, scene: SceneGT, arrays: dict, centers=(), generato
     for name, array in arrays.items():
         C.write_container(out_dir / f"{name}.bin", FILE_KINDS[name], array, scene.frame,
                           scene.intrinsics, scene.planes)
-    C.write_manifest(out_dir / "manifest.json", C.manifest_dict(
-        scene.intrinsics, scene.planes, scene.categories, centers,
-        files={name: f"{name}.bin" for name in arrays}, generator=generator))
+    C.write_manifest(out_dir / "manifest.json", C.manifest_dict(C.Manifest(
+        scene.intrinsics, scene.planes, scene.categories, tuple(centers),
+        files={name: f"{name}.bin" for name in arrays}, generator=generator or {})))
 
 
 def _read_dir(directory: Path, *names):
@@ -67,11 +67,11 @@ def _read_dir(directory: Path, *names):
     each with the first's frame and the manifest's camera and planes."""
     manifest_path = directory / "manifest.json"
     manifest = C.read_manifest(manifest_path, names)
-    paths = [directory / manifest["files"][name] for name in names]
+    paths = [directory / manifest.files[name] for name in names]
     read = [(path, C.read_container(path, FILE_KINDS[name])) for path, name in zip(paths, names)]
     # A manifest states no frame, so the first container's stands in for it.
-    stated = dataclasses.replace(read[0][1], intrinsics=C.manifest_intrinsics(manifest),
-                                 planes=C.manifest_planes(manifest))
+    stated = dataclasses.replace(read[0][1], intrinsics=manifest.intrinsics,
+                                 planes=manifest.planes)
     C.check_shared([(manifest_path, stated), *read])
     return manifest, read
 
@@ -79,7 +79,7 @@ def _read_dir(directory: Path, *names):
 def _load_scene(scene_dir: Path):
     """A scene directory's ground truth and the (path, container) pair of its panoptic file."""
     manifest, [(path, cont)] = _read_dir(scene_dir, "panoptic")
-    scene = SceneGT(C.panoptic_volume(path, cont, C.manifest_categories(manifest)),
+    scene = SceneGT(C.panoptic_volume(path, cont, manifest.categories),
                     cont.intrinsics, cont.planes)
     return scene, (path, cont)
 
@@ -90,7 +90,7 @@ def _load_priors(priors_dir: Path, offsets: bool):
     names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
     manifest, read = _read_dir(priors_dir, *names)
     semantics, depth, heatmap, mp_occupancy, *offsets3d = (cont.array for _path, cont in read)
-    priors = Priors2D(semantics=semantics, depth=depth, centers=C.manifest_centers(manifest),
+    priors = Priors2D(semantics=semantics, depth=depth, centers=manifest.centers,
                       heatmap=heatmap, mp_occupancy=mp_occupancy,
                       offsets3d=offsets3d[0] if offsets else None)
     return priors, read[0]
@@ -174,7 +174,7 @@ def lift(priors_dir, out_path, mode, seed, n_channels):
         manifest, [(_path, depth), (inst_path, inst)] = _read_dir(
             priors_dir, "depth", "instances2d")
         frame, intr, planes = depth.frame, depth.intrinsics, depth.planes
-        things = np.flatnonzero(C.manifest_categories(manifest).is_thing)
+        things = np.flatnonzero(manifest.categories.is_thing)
         if not np.isin(inst.array[..., 0][inst.array[..., 1] > 0], things).all():
             _fail(f"{inst_path}: an instance's category is not a thing category of the "
                   "manifest's table")
@@ -200,8 +200,8 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
     occ = C.read_container(occ_path, "multiplane")
     C.check_shared([(offsets_path, offsets), (features_path, features), (occ_path, occ)])
     intr, planes = offsets.intrinsics, offsets.planes
-    categories = C.manifest_categories(manifest)
-    centers = checked_centers(C.manifest_centers(manifest))
+    categories = manifest.categories
+    centers = checked_centers(manifest.centers)
     if features.array.shape[-1] != len(categories):
         _fail(f"{features_path}: channels {features.array.shape[-1]} != "
               f"{len(categories)} categories in the priors' manifest")
@@ -240,7 +240,7 @@ def _format_report(report):
               required=True, help="Manifest supplying the category table.")
 def eval_cmd(pred_path, gt_path, iou_threshold, record_path, categories_from):
     """Panoptic reconstruction quality of PRED against GT."""
-    categories = C.manifest_categories(C.read_manifest(categories_from))
+    categories = C.read_manifest(categories_from).categories
     read = [(path, C.read_container(path, "panoptic-volume")) for path in (pred_path, gt_path)]
     C.check_shared(read)
     pred, gt = (C.panoptic_volume(path, cont, categories) for path, cont in read)

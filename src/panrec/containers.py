@@ -31,6 +31,9 @@ and no channel axis, exactly 2 channels or any count >= 1. The writer and
 
 The manifest is a JSON document referencing the containers of one scene along
 with intrinsics, planes, the category table, and instance center rows.
+`read_manifest` checks it and returns a frozen `Manifest` record that holds the
+camera, planes and table its checks built; `manifest_dict` is that record's one
+serializer, and `write_manifest` writes the dict it returns.
 """
 from __future__ import annotations
 
@@ -38,14 +41,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, GeometryError
 from .priors import InstanceCenter
-from .volume import CategoryTable, PanopticVolume
+from .volume import CategoryTable, PanopticVolume, VolumeError
 
 MAGIC = b"BUOL"
 VERSION = 1
@@ -151,7 +154,7 @@ def _unpack(fmt, data, offset, what):
 def _build(cls, what, **fields):
     try:
         return cls(**fields)
-    except GeometryError as exc:
+    except (GeometryError, VolumeError) as exc:
         raise ContainerError(f"invalid {what}: {exc}") from exc
 
 
@@ -239,28 +242,37 @@ def read_panoptic(path, categories: CategoryTable) -> PanopticVolume:
     return panoptic_volume(path, read_container(path, "panoptic-volume"), categories)
 
 
-def manifest_dict(intrinsics, planes, categories, centers, files, generator=None):
+@dataclass(frozen=True)
+class Manifest:
+    """A scene or prior directory's manifest: camera, planes, category table, centers,
+    files (name -> file name beside the manifest) and the generator's settings."""
+    intrinsics: CameraIntrinsics
+    planes: DepthPlanes
+    categories: CategoryTable
+    centers: tuple  # InstanceCenter rows
+    files: dict
+    generator: dict
+
+
+def manifest_dict(manifest: Manifest) -> dict:
+    """The JSON object of `manifest`, as `write_manifest` writes it."""
     return {
-        "intrinsics": {
-            "fx": intrinsics.fx, "fy": intrinsics.fy,
-            "cx": intrinsics.cx, "cy": intrinsics.cy,
-            "width": intrinsics.width, "height": intrinsics.height,
-        },
-        "planes": {"count": planes.count, "z_near": planes.z_near, "z_far": planes.z_far},
+        "intrinsics": asdict(manifest.intrinsics),
+        "planes": asdict(manifest.planes),
         "categories": [
-            {"id": k, "is_thing": bool(t)} for k, t in enumerate(categories.is_thing)
+            {"id": k, "is_thing": bool(t)} for k, t in enumerate(manifest.categories.is_thing)
         ],
-        "centers": [[c.u, c.v, c.category, c.instance_id] for c in centers],
-        "files": dict(files),
-        "generator": generator or {},
+        "centers": [[c.u, c.v, c.category, c.instance_id] for c in manifest.centers],
+        "files": dict(manifest.files),
+        "generator": manifest.generator,
     }
 
 
-def write_manifest(path, manifest: dict):
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def write_manifest(path, document: dict):
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path, entries=()) -> dict:
+def read_manifest(path, entries=()) -> Manifest:
     """The manifest at `path`, checked; `entries` names `files` entries it must have."""
     path = Path(path)
     try:
@@ -277,13 +289,16 @@ def read_manifest(path, entries=()) -> dict:
             and type(c.get("is_thing")) is bool for k, c in enumerate(categories)):
         raise ContainerError(f"manifest {path}: categories must be objects with a boolean "
                              "is_thing and integer ids contiguous from 0")
+    built = {"categories": _build(CategoryTable, f"categories in manifest {path}",
+                                  is_thing=tuple(c["is_thing"] for c in categories))}
     for key, cls in (("intrinsics", CameraIntrinsics), ("planes", DepthPlanes)):
+        entry = manifest[key] if isinstance(manifest[key], dict) else {}
         for f in fields(cls):  # an int field takes an integer, a float field any number
-            value = manifest[key].get(f.name) if isinstance(manifest[key], dict) else None
-            if type(value) not in ((int,) if f.type == "int" else (int, float)):
+            if type(entry.get(f.name)) not in ((int,) if f.type == "int" else (int, float)):
                 raise ContainerError(f"manifest {path}: {key} {f.name} must be "
                                      f"{'an integer' if f.type == 'int' else 'a number'}")
-        _build(cls, f"{key} in manifest {path}", **_entry(manifest, key, cls))
+        built[key] = _build(cls, f"{key} in manifest {path}",
+                            **{f.name: entry[f.name] for f in fields(cls)})
     centers = manifest["centers"]
     if not isinstance(centers, list) or not all(
             isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)
@@ -299,26 +314,10 @@ def read_manifest(path, entries=()) -> dict:
     for name, ref in manifest["files"].items():
         if not (path.parent / ref).exists():
             raise ContainerError(f"manifest {path} references missing file {ref!r} ({name})")
-    return manifest
+    return Manifest(centers=tuple(InstanceCenter(*row) for row in centers),
+                    files=manifest["files"], generator=manifest.get("generator", {}), **built)
 
 
-def _entry(manifest, key, cls) -> dict:
-    """The arguments of `cls` in the manifest's `key` entry."""
-    return {f.name: manifest[key][f.name] for f in fields(cls)}
-
-
-def manifest_intrinsics(manifest) -> CameraIntrinsics:
-    return CameraIntrinsics(**_entry(manifest, "intrinsics", CameraIntrinsics))
-
-
-def manifest_planes(manifest) -> DepthPlanes:
-    return DepthPlanes(**_entry(manifest, "planes", DepthPlanes))
-
-
-def manifest_categories(manifest) -> CategoryTable:
-    return CategoryTable(is_thing=tuple(bool(c["is_thing"]) for c in manifest["categories"]))
-
-
-def manifest_centers(manifest):
-    """The centers of a manifest that `read_manifest` checked: rows (u, v, category, id)."""
-    return [InstanceCenter(*row) for row in manifest["centers"]]
+def manifest_categories(manifest: Manifest) -> CategoryTable:
+    """`manifest.categories`, kept because `perfbench/workloads.py` calls it."""
+    return manifest.categories

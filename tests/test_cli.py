@@ -384,9 +384,9 @@ def test_loss_rejects_a_scene_of_another_camera_or_frame(tmp_path, monkeypatch, 
     if case != "frame":
         (scene / "manifest.json").write_text(json.dumps(manifest))
     if case == "manifest-and-header":
-        rewrite(scene / "panoptic.bin", "panoptic-volume",
-                intrinsics=containers.manifest_intrinsics(manifest),
-                planes=containers.manifest_planes(manifest))
+        stated = read_manifest(scene / "manifest.json")
+        rewrite(scene / "panoptic.bin", "panoptic-volume", intrinsics=stated.intrinsics,
+                planes=stated.planes)
     code, err = entry_result(monkeypatch, capsys, "loss", scene, priors)
     assert code == 1 and err.count("\n") == 1, err
     named, field = {"manifest": (scene / "panoptic.bin", "intrinsics"),
@@ -486,8 +486,8 @@ def test_a_malformed_panoptic_file_is_one_error_line_naming_it(tmp_path, monkeyp
     scene, priors, _, pred = build_chain(tmp_path)
     path = scene / "panoptic.bin"
     cont = read_container(path, "panoptic-volume")
-    stuff = ~np.asarray(containers.manifest_categories(
-        read_manifest(scene / "manifest.json")).is_thing)[cont.array[..., 0]]
+    is_thing = np.asarray(read_manifest(scene / "manifest.json").categories.is_thing)
+    stuff = ~is_thing[cont.array[..., 0]]
     array = cont.array.copy()
     array[tuple(np.argwhere(stuff & (cont.array[..., 0] != 0))[0]) + (1,)] = 5
     containers.write_container(path, "panoptic-volume", array, cont.frame, cont.intrinsics,
@@ -531,7 +531,7 @@ def test_manifest_written_with_generator(tmp_path):
     scene = tmp_path / "scene"
     run("synth", "--seed", "4", "--out", str(scene))
     manifest = read_manifest(scene / "manifest.json")
-    assert manifest["generator"]["seed"] == 4
+    assert manifest.generator["seed"] == 4
 
 
 def test_synth_rejects_grid_too_small_for_things(tmp_path):

@@ -17,12 +17,9 @@ from panrec.containers import (
     MAGIC,
     VERSION,
     ContainerError,
+    Manifest,
     check_shared,
-    manifest_categories,
-    manifest_centers,
     manifest_dict,
-    manifest_intrinsics,
-    manifest_planes,
     read_container,
     read_manifest,
     read_panoptic,
@@ -144,23 +141,47 @@ def test_panoptic_kind_checked(tmp_path):
         read_panoptic(p, CategoryTable((False, True)))
 
 
-def test_manifest_round_trip(tmp_path):
+@st.composite
+def cameras(draw):
+    width, height = draw(st.integers(1, 4096)), draw(st.integers(1, 4096))
+    focal = st.floats(1e-3, 1e6)
+    return CameraIntrinsics(fx=draw(focal), fy=draw(focal),
+                            cx=draw(st.floats(0, width, exclude_max=True)),
+                            cy=draw(st.floats(0, height, exclude_max=True)),
+                            width=width, height=height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intrinsics=cameras(),
+    planes=st.builds(lambda count, near, span: DepthPlanes(count, near, near + span),
+                     st.integers(1, 512), st.floats(1e-3, 10.0), st.floats(1e-3, 100.0)),
+    is_thing=st.lists(st.booleans(), max_size=12),
+    centers=st.lists(st.builds(InstanceCenter, *[st.integers(-2**31, 2**31)] * 4),
+                     max_size=6),
+    files=st.dictionaries(st.text(max_size=8), st.sampled_from(["a.bin", "sub/b.bin"]),
+                          max_size=4),
+    generator=st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6),
+                              max_size=4),
+)
+def test_manifest_round_trip(tmp_path_factory, intrinsics, planes, is_thing, centers, files,
+                             generator):
+    # a written record reads back equal, and writing what was read gives the same bytes
     from panrec.volume import CategoryTable
 
-    cats = CategoryTable((False, False, True))
-    centers = [InstanceCenter(3, 4, 2, 1)]
-    (tmp_path / "depth.bin").write_bytes(b"")
-    man = manifest_dict(INTR, PLANES, cats, centers,
-                        files={"depth": "depth.bin"},
-                        generator={"seed": 7})
-    mp = tmp_path / "manifest.json"
-    write_manifest(mp, man)
-    back = read_manifest(mp)
-    assert manifest_intrinsics(back) == INTR
-    assert manifest_planes(back) == PLANES
-    assert manifest_categories(back) == cats
-    assert manifest_centers(back) == centers
-    assert back["generator"]["seed"] == 7
+    root = tmp_path_factory.mktemp("manifest")
+    (root / "sub").mkdir()
+    for ref in ("a.bin", "sub/b.bin"):
+        (root / ref).write_bytes(b"")
+    record = Manifest(intrinsics, planes, CategoryTable((False, *is_thing)), tuple(centers),
+                      files, generator)
+    mp = root / "manifest.json"
+    write_manifest(mp, manifest_dict(record))
+    written = mp.read_bytes()
+    back = read_manifest(mp, entries=files)
+    assert back == record
+    write_manifest(mp, manifest_dict(back))
+    assert mp.read_bytes() == written
 
 
 def test_manifest_validation(tmp_path):
@@ -171,23 +192,23 @@ def test_manifest_validation(tmp_path):
     from panrec.volume import CategoryTable
 
     cats = CategoryTable((False, True))
-    man = manifest_dict(INTR, PLANES, cats, [], files={})
+    man = manifest_dict(Manifest(INTR, PLANES, cats, (), {}, {}))
     del man["planes"]
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match="planes"):
         read_manifest(mp)
-    man = manifest_dict(INTR, PLANES, cats, [], files={"depth": "missing.bin"})
+    man = manifest_dict(Manifest(INTR, PLANES, cats, (), {"depth": "missing.bin"}, {}))
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match="missing file"):
         read_manifest(mp)
-    man = manifest_dict(INTR, PLANES, cats, [], files={})
+    man = manifest_dict(Manifest(INTR, PLANES, cats, (), {}, {}))
     man["categories"][1]["id"] = 5
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match="contiguous"):
         read_manifest(mp)
-    man = manifest_dict(INTR, PLANES, cats, [], files={})
+    man = manifest_dict(Manifest(INTR, PLANES, cats, (), {}, {}))
     write_manifest(mp, man)
-    assert read_manifest(mp)["files"] == {}
+    assert read_manifest(mp).files == {}
     with pytest.raises(ContainerError, match=f"manifest {mp} has no files entry 'depth'"):
         read_manifest(mp, ["depth"])
 
@@ -218,6 +239,9 @@ BAD_MANIFESTS = {
     "planes-z_far-inf": (lambda m: m["planes"].update(z_far=float("inf")), ": need 0 < z_near"),
     "files-a-list": (lambda m: m.update(files=[]), ": files must map names to file names"),
     "files-a-number": (lambda m: m["files"].update(depth=3), ": files must map names to file"),
+    "category-0-a-thing": (lambda m: m["categories"][0].update(is_thing=True),
+                           ": category 0 must exist and be void"),
+    "categories-empty": (lambda m: m.update(categories=[]), ": category 0 must exist"),
 }
 
 
@@ -235,7 +259,7 @@ def test_manifest_entries_are_checked(tmp_path, case):
 
     edit, message = BAD_MANIFESTS[case]
     mp = tmp_path / "manifest.json"
-    man = manifest_dict(INTR, PLANES, CategoryTable((False, True)), [], files={})
+    man = manifest_dict(Manifest(INTR, PLANES, CategoryTable((False, True)), (), {}, {}))
     edit(man)
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match=re.escape(f"manifest {mp}{message}")):
@@ -251,7 +275,7 @@ def test_manifest_centers_must_be_rows_of_four_integers(tmp_path, centers):
     from panrec.volume import CategoryTable
 
     mp = tmp_path / "manifest.json"
-    man = manifest_dict(INTR, PLANES, CategoryTable((False, True)), [], files={})
+    man = manifest_dict(Manifest(INTR, PLANES, CategoryTable((False, True)), (), {}, {}))
     man["centers"] = centers
     write_manifest(mp, man)
     with pytest.raises(ContainerError, match=f"^manifest {mp}: centers must be rows of four"):
