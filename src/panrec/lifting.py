@@ -14,7 +14,7 @@ from .geometry import (
     FrustumGrid,
     frustum_cells,
 )
-from .priors import Priors2D, checked_depth
+from .priors import Priors2D, checked, checked_depth
 from .volume import BLOCK, VOID
 
 
@@ -177,10 +177,7 @@ def lift_instances_topdown(
     if not isinstance(frame, FrustumGrid):
         raise LiftingError("top-down baseline is defined on the frustum frame")
     depth = checked_depth(depth, frame, intrinsics, planes)
-    instances2d = np.asarray(instances2d)
-    if instances2d.shape != depth.shape + (2,):
-        raise LiftingError(f"instances2d shape {instances2d.shape} != the camera's "
-                           f"(height, width, 2) {depth.shape + (2,)}")
+    instances2d = checked("instances2d", instances2d, depth.shape + (2,), error=LiftingError)
     if (instances2d[..., 1] < 0).any():
         raise LiftingError("instances2d has a negative instance id")
     category, instance = instances2d.reshape(-1, 2).T

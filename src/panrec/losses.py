@@ -8,6 +8,8 @@ from typing import Callable
 
 import numpy as np
 
+from .priors import checked
+
 EPS = 1e-7
 
 # Truncation (in cells) of the TSDF: `tsdf_from_occupancy`'s default and the
@@ -55,13 +57,11 @@ def _clamp(p: np.ndarray) -> np.ndarray:
 
 def cross_entropy(pred: np.ndarray, target: np.ndarray, mask=None) -> float:
     """Mean -sum(target * log pred) over the last axis, optionally masked."""
-    pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LossError(f"shape mismatch {pred.shape} vs {target.shape}")
+    pred = checked("pred", np.asarray(pred, dtype=np.float64), target.shape, error=LossError)
     ce = -np.sum(target * np.log(_clamp(pred)), axis=-1)
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = checked("mask", np.asarray(mask, dtype=bool), ce.shape, error=LossError)
         if not mask.any():
             return 0.0
         ce = ce[mask]
@@ -69,10 +69,8 @@ def cross_entropy(pred: np.ndarray, target: np.ndarray, mask=None) -> float:
 
 
 def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LossError(f"shape mismatch {pred.shape} vs {target.shape}")
+    pred = checked("pred", np.asarray(pred, dtype=np.float64), target.shape, error=LossError)
     p = _clamp(pred)  # -(t log p) - (1 - t) log(1 - p) in two buffers and one temporary
     loss = np.log(p)
     np.negative(np.multiply(loss, target, out=loss), out=loss)
@@ -88,10 +86,9 @@ def loss_panoptic2d(
     weights: LossWeights = LossWeights(),
 ) -> LossReport:
     """Semantic cross entropy (non-void pixels) + center-heatmap MSE (all pixels)."""
-    heatmap_pred = np.asarray(heatmap_pred, dtype=np.float64)
     heatmap_gt = np.asarray(heatmap_gt, dtype=np.float64)
-    if heatmap_pred.shape != heatmap_gt.shape:
-        raise LossError("heatmap shapes differ")
+    heatmap_pred = checked("heatmap_pred", np.asarray(heatmap_pred, dtype=np.float64),
+                           heatmap_gt.shape, error=LossError)
     nonvoid = np.argmax(np.asarray(sem_gt), axis=-1) != 0
     ce = cross_entropy(sem_pred, sem_gt, mask=nonvoid)
     mse = float(np.mean((heatmap_pred - heatmap_gt) ** 2))
@@ -108,13 +105,10 @@ def loss_depth(pred: np.ndarray, gt: np.ndarray) -> float:
     One fixed variant of a scale-aware depth objective; swap here if a
     different depth criterion is needed.
     """
-    pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise LossError("depth map shapes differ")
-    for name, depth in (("pred", pred), ("gt", gt)):
-        if depth.size and not 0 <= depth.min() <= depth.max() < np.inf:  # NaN fails too
-            raise LossError(f"depth {name} must be finite and >= 0")
+    pred = checked("depth pred", np.asarray(pred, dtype=np.float64), gt.shape, 0.0,
+                   error=LossError)
+    checked("depth gt", gt, gt.shape, 0.0, error=LossError)
     valid = (pred > 0) & (gt > 0)
     if not valid.any():
         return 0.0
@@ -184,18 +178,21 @@ def loss_3d(
     `sem_gt` is the integer label volume, `sem_pred` a function from flat cell
     indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
-    marks occupied thing cells. Both offset volumes are `occ_gt.shape + (2,)`.
-    Both TSDFs are `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.
+    marks occupied thing cells. Both offset volumes are `occ_gt.shape + (2,)`
+    and finite at the thing cells, every other volume is `occ_gt.shape`, and a
+    misshaped input raises LossError naming it. Both TSDFs are
+    `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
-    for name, offsets in (("offsets_pred", offsets_pred), ("offsets_gt", offsets_gt)):
-        if np.shape(offsets) != occ_gt.shape + (2,):
-            raise LossError(f"{name} shape {np.shape(offsets)} is not {occ_gt.shape + (2,)}")
-    occ_bce = binary_cross_entropy(occ_pred, occ_gt)
-    tsdf_pred, tsdf_gt = np.asarray(tsdf_pred, dtype=np.float64), np.asarray(tsdf_gt)
+    grid = occ_gt.shape
+    offsets_pred = checked("offsets_pred", offsets_pred, grid + (2,), error=LossError)
+    offsets_gt = checked("offsets_gt", offsets_gt, grid + (2,), error=LossError)
+    occ_bce = binary_cross_entropy(checked("occ_pred", occ_pred, grid, error=LossError), occ_gt)
+    tsdf_pred = checked("tsdf_pred", np.asarray(tsdf_pred, dtype=np.float64), grid,
+                        error=LossError)
+    tsdf_gt = checked("tsdf_gt", tsdf_gt, grid, error=LossError)
+    thing = checked("thing_mask", np.asarray(thing_mask, dtype=bool), grid, error=LossError)
     band = np.abs(tsdf_gt) < TRUNCATION
-    if tsdf_pred.shape != tsdf_gt.shape:
-        raise LossError("tsdf shapes differ")
     tsdf_l1 = float(np.abs(tsdf_pred[band] - tsdf_gt[band]).mean()) if band.any() else 0.0
     sem_gt = np.asarray(sem_gt)
     if sem_gt.shape != occ_gt.shape or sem_gt.dtype.kind not in "iu":
@@ -208,9 +205,10 @@ def loss_3d(
         raise LossError(f"sem_gt labels at occupied cells must lie in [0, {rows.shape[-1]})")
     picked = rows[np.arange(labels.size), labels]
     sem_ce = float(np.mean(-np.log(_clamp(picked)))) if labels.size else 0.0
-    thing = np.asarray(thing_mask, dtype=bool)
-    offset_diff = np.abs(np.asarray(offsets_pred)[thing] - np.asarray(offsets_gt)[thing])
-    offset_l1 = float(offset_diff.sum() / thing.sum()) if thing.any() else 0.0
+    # offsets are read, and must be finite, at the thing cells only
+    pred_at = checked("offsets_pred", offsets_pred[thing], (None, 2), -np.inf, error=LossError)
+    gt_at = checked("offsets_gt", offsets_gt[thing], (None, 2), -np.inf, error=LossError)
+    offset_l1 = float(np.abs(pred_at - gt_at).sum() / thing.sum()) if thing.any() else 0.0
     return LossReport.build(
         terms={"occupancy_bce": occ_bce, "tsdf_l1": tsdf_l1, "semantic_ce": sem_ce,
                "offset_l1": offset_l1},

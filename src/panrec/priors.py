@@ -62,10 +62,10 @@ class Priors2D:
         they are read)."""
         checked_depth(self.depth, frame, intrinsics, planes)
         h, w, m = intrinsics.height, intrinsics.width, planes.count
-        if not _checked("semantics", self.semantics, (h, w, None), 0.0).shape[-1]:
+        if not checked("semantics", self.semantics, (h, w, None), 0.0).shape[-1]:
             raise PriorsError("semantics has no channels")
-        _checked("mp_occupancy", self.mp_occupancy, (h, w, m), 0.0, 1.0)
-        _checked("heatmap", self.heatmap, (h, w), 0.0, 1.0)
+        checked("mp_occupancy", self.mp_occupancy, (h, w, m), 0.0, 1.0)
+        checked("heatmap", self.heatmap, (h, w), 0.0, 1.0)
         checked_centers(self.centers)
         return self
 
@@ -78,20 +78,19 @@ def checked_centers(centers):
     return centers
 
 
-def _checked(field: str, array, shape, low: float, high: float = np.inf):
-    """`array` after checking that its shape is `shape` (None matches any
-    length) and that every value is finite and within [low, high]."""
+def checked(field: str, array, shape, low: float | None = None, high: float = np.inf,
+            error: type = PriorsError):
+    """`array` after checking that its shape is `shape` (None matches any length)
+    and, given `low`, that every value is finite and within [low, high]: the one
+    rule for array inputs. Raises `error` naming `field`."""
     array = np.asarray(array)
     if array.ndim != len(shape) or any(n not in (None, s) for n, s in zip(shape, array.shape)):
-        raise PriorsError(f"{field} shape {array.shape} is not (height, width, ...) = {shape}")
-    if not within(array, low, high):
-        raise PriorsError(f"{field} must be finite and within [{low}, {high}]")
+        raise error(f"{field} shape {array.shape} is not {shape}")
+    # NaN fails every comparison
+    if low is not None and array.size and not (
+            -np.inf < array.min() >= low and high >= array.max() < np.inf):
+        raise error(f"{field} must be finite and within [{low}, {high}]")
     return array
-
-
-def within(array: np.ndarray, low: float, high: float = np.inf) -> bool:
-    """Whether all of `array` is finite and within [low, high]; NaN fails every test."""
-    return not array.size or bool(array.min() >= low and high >= array.max() < np.inf)
 
 
 def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
@@ -99,8 +98,8 @@ def checked_depth(depth, frame, intrinsics: CameraIntrinsics, planes: DepthPlane
     (height, width, planes) if frustum) and depth an (H, W) map, finite, >= 0."""
     if error := frame_error(frame, intrinsics, planes):
         raise PriorsError(error)
-    return _checked("depth", np.asarray(depth, dtype=np.float64),
-                    (intrinsics.height, intrinsics.width), 0.0)
+    return checked("depth", np.asarray(depth, dtype=np.float64),
+                   (intrinsics.height, intrinsics.width), 0.0)
 
 
 # Standard deviation in pixels of each center's Gaussian bump in the heatmap.
@@ -112,7 +111,7 @@ MAX_CENTERS = 64
 def encode_center_heatmap(centers, height: int, width: int) -> np.ndarray:
     """Max-combined Gaussian bumps of HEATMAP_SIGMA pixels at the instance centers; peak value 1."""
     heatmap = np.zeros((height, width), dtype=np.float64)
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    vv, uu = np.ogrid[:height, :width]
     for c in centers:
         d2 = (uu - c.u) ** 2 + (vv - c.v) ** 2
         np.maximum(heatmap, np.exp(-d2 / (2.0 * HEATMAP_SIGMA * HEATMAP_SIGMA)), out=heatmap)
@@ -132,7 +131,7 @@ def extract_centers(heatmap: np.ndarray, semantics: np.ndarray, threshold: float
     if heatmap.ndim != 2 or not np.all(np.isfinite(heatmap)):
         raise PriorsError(f"heatmap must be a finite (H, W) map, got shape {heatmap.shape}")
     # The rule of `Priors2D.validate`: heatmap's (H, W) + (C,), C >= 1, finite, >= 0.
-    semantics = _checked("semantics", semantics, heatmap.shape + (None,), 0.0)
+    semantics = checked("semantics", semantics, heatmap.shape + (None,), 0.0)
     if not semantics.shape[-1]:
         raise PriorsError("semantics has no channels")
     h, w = heatmap.shape

@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, project_cells
 from .lifting import FeatureVolume, scores_to_labels
-from .priors import within
+from .priors import checked
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -34,10 +34,8 @@ class Refined3D:
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        shape = self.frame.shape
-        if self.offsets.shape != shape + (2,):
-            raise ReconstructionError(f"offsets shape {self.offsets.shape} != {shape + (2,)}")
+        self.offsets = checked("offsets", np.asarray(self.offsets, dtype=np.float64),
+                               self.frame.shape + (2,), error=ReconstructionError)
 
 
 def identity_refine(lifted: FeatureVolume, offsets: np.ndarray) -> Refined3D:
@@ -49,25 +47,18 @@ def identity_refine(lifted: FeatureVolume, offsets: np.ndarray) -> Refined3D:
     finite and >= 0 and occupancy finite and within [0, 1], as `lift_priors`
     makes them; each ReconstructionError begins with the field.
     """
-    features = lifted.features
-    if features.shape[:-1] != lifted.frame.shape:
-        raise ReconstructionError(f"features shape {features.shape} does not cover the "
-                                  f"frame {lifted.frame.shape}")
+    shape = lifted.frame.shape
+    features = checked("features", lifted.features, shape + (None,), 0.0,
+                       error=ReconstructionError)
+    occ = checked("occupancy", np.asarray(lifted.occupancy, dtype=np.float64), shape, 0.0, 1.0,
+                  error=ReconstructionError)
     flat = features.reshape(-1, features.shape[-1])
-    occ = np.asarray(lifted.occupancy, dtype=np.float64)
     labels = lambda cells: scores_to_labels(flat[cells] * np.take(occ, cells)[:, None])
 
     def occupied(t):
         cells = np.flatnonzero(occ >= t)
         return cells, np.take(occ, cells)
-    refined = Refined3D(lifted.frame, labels, offsets, occupied)
-    if occ.shape != lifted.frame.shape:
-        raise ReconstructionError(f"occupancy shape {occ.shape} != {lifted.frame.shape}")
-    for field, values, high in (("features", features, np.inf),
-                                ("occupancy", occ, 1.0)):
-        if not within(values, 0.0, high):
-            raise ReconstructionError(f"{field} must be finite and within [0.0, {high}]")
-    return refined
+    return Refined3D(lifted.frame, labels, offsets, occupied)
 
 
 def mask_by_occupancy(refined: Refined3D, occ_threshold: float = 0.5):

@@ -223,6 +223,21 @@ def test_loss_command_zero_for_clean_priors(tmp_path):
     assert "p2d_total" in lines
 
 
+def test_loss_rejects_offsets_that_are_not_finite_at_the_thing_cells(tmp_path, monkeypatch,
+                                                                     capsys):
+    scene, priors, _, _ = build_chain(tmp_path)
+    categories = read_manifest(scene / "manifest.json").categories
+    thing = containers.read_panoptic(scene / "panoptic.bin", categories).thing_mask()
+    path = priors / "offsets3d.bin"
+    cont = read_container(path, FILE_KINDS["offsets3d"])
+    containers.write_container(path, FILE_KINDS["offsets3d"],
+                               np.where(thing[..., None], np.nan, cont.array), cont.frame,
+                               cont.intrinsics, cont.planes)
+    code, err = entry_result(monkeypatch, capsys, "loss", scene, priors)
+    assert code == 1
+    assert err.startswith("error: offsets_pred ") and err.count("\n") == 1, err
+
+
 def test_mesh_export(tmp_path):
     scene, priors, feats, _ = build_chain(tmp_path)
     pred = tmp_path / "pred2.bin"

@@ -159,7 +159,7 @@ def test_depth_loss_validation():
 def test_depth_loss_rejects_depth_that_is_not_finite_and_nonnegative(name, value):
     maps = {"pred": np.ones((2, 2)), "gt": np.ones((2, 2))}
     maps[name][1, 0] = value
-    with pytest.raises(LossError, match=f"^depth {name} must be finite and >= 0$"):
+    with pytest.raises(LossError, match=rf"^depth {name} must be finite and within \[0\.0, inf\]$"):
         loss_depth(**maps)
 
 
@@ -169,15 +169,38 @@ def test_mp_occupancy_alias():
     assert loss_mp_occupancy(pred, gt) == pytest.approx(np.log(2))
 
 
-# case -> (call, message): two inputs that must share a shape and do not
+# case -> (call, message): two inputs that must share a shape and do not, or
+# offsets that are not finite where they are read
 OCC, OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
+THING = np.zeros((2, 2, 2), bool)
+THING[1, 0, 1] = True
+NAN_AT_THING = np.where(THING[..., None], np.nan, OFFSETS)
+
+
+def loss_3d_with(**inputs):
+    """A call of `loss_3d` on zero 2^3 volumes with one thing cell, `inputs` replaced."""
+    zero = dict(sem_pred=lambda cells: np.ones((len(cells), 2)), offsets_pred=OFFSETS,
+                occ_pred=OCC, tsdf_pred=OCC, sem_gt=np.zeros((2, 2, 2), np.int32),
+                offsets_gt=OFFSETS, occ_gt=OCC, tsdf_gt=OCC, thing_mask=THING)
+    return lambda: loss_3d(**{**zero, **inputs})
+
+
 SHAPE_ERRORS = {
-    "bce": (lambda: binary_cross_entropy(np.zeros(3), np.zeros(4)), "^shape mismatch"),
+    "bce": (lambda: binary_cross_entropy(np.zeros(3), np.zeros(4)), "^pred shape"),
     "heatmap": (lambda: loss_panoptic2d(np.ones((2, 2, 3)), np.ones((2, 2, 3)), np.zeros((2, 2)),
-                                        np.zeros((2, 3))), "^heatmap shapes differ"),
+                                        np.zeros((2, 3))), "^heatmap_pred shape"),
     "tsdf": (lambda: loss_3d(lambda cells: np.ones((len(cells), 2)), OFFSETS, OCC,
                              np.zeros((2, 2, 3)), np.zeros((2, 2, 2), np.int32), OFFSETS, OCC,
-                             OCC, OCC > 0), "^tsdf shapes differ"),
+                             OCC, OCC > 0), "^tsdf_pred shape"),
+    "ce-mask": (lambda: cross_entropy(np.ones((2, 2, 3)), np.ones((2, 2, 3)),
+                                      mask=np.ones((2, 3), bool)), r"^mask shape \(2, 3\)"),
+    "thing-mask-2d": (loss_3d_with(thing_mask=THING[..., 1]), r"^thing_mask shape \(2, 2\)"),
+    "tsdf-pair": (loss_3d_with(tsdf_pred=np.zeros((2, 2, 3)), tsdf_gt=np.zeros((2, 2, 3))),
+                  r"^tsdf_pred shape \(2, 2, 3\)"),
+    "occ-pred": (loss_3d_with(occ_pred=np.zeros((2, 2, 3))), r"^occ_pred shape \(2, 2, 3\)"),
+    "nan-offsets-pred": (loss_3d_with(offsets_pred=NAN_AT_THING),
+                         "^offsets_pred must be finite"),
+    "nan-offsets-gt": (loss_3d_with(offsets_gt=NAN_AT_THING), "^offsets_gt must be finite"),
 }
 
 
@@ -186,6 +209,12 @@ def test_losses_reject_inputs_of_different_shapes(case):
     call, message = SHAPE_ERRORS[case]
     with pytest.raises(LossError, match=message):
         call()
+
+
+def test_loss3d_reads_offsets_at_the_thing_cells_only():
+    off_things = np.where(THING[..., None], OFFSETS, np.nan)
+    rep = loss_3d_with(offsets_pred=off_things, offsets_gt=off_things)()
+    assert rep.terms["offset_l1"] == 0.0
 
 
 def brute_force_tsdf(occ, truncation):

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, and so is every
 module-level function, class and assigned name of the package (dunders
 excepted). Package `__init__.py` files are exempt from the import rule: their
-imports are the public re-exports."""
+imports are the public re-exports. No package module imports a `_`-prefixed
+name from another: a rule that modules share is public under its own name."""
 import ast
 from pathlib import Path
 
@@ -26,6 +27,14 @@ def unused_imports(source: str):
                 imported.setdefault(name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def private_imports(source: str):
+    """(line, name) of each `_`-prefixed name imported from a module of the package."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "panrec")
+            for alias in node.names if alias.name.startswith("_")]
 
 
 def names_read(source: str):
@@ -80,6 +89,18 @@ def test_unused_import_detection():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "import a.b\nfrom x import y, z as w\nprint(np.pi, a.b, w)\n")
     assert unused_imports(source) == [(2, "os"), (5, "y")]
+
+
+def test_no_private_imports_between_package_modules():
+    found = [(p.relative_to(ROOT).as_posix(), *imported) for p in PACKAGE
+             for imported in private_imports(p.read_text())]
+    assert found == []
+
+
+def test_private_import_detection():
+    source = ("from .priors import _checked, checked\nfrom panrec.volume import _VOID\n"
+              "from ._core import within\nfrom numpy import _NoValue\nimport panrec._x\n")
+    assert private_imports(source) == [(1, "_checked"), (2, "_VOID")]
 
 
 def test_no_leftover_definitions():
