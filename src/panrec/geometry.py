@@ -183,10 +183,8 @@ def _axis_tables(frame, intrinsics: CameraIntrinsics):
     return u, v, z
 
 
-def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cells=None):
-    """The frustum cell each axis cell center falls in: (cell, inside) for the
-    flat cell indices `cells`, or for every cell (as arrays of frame.shape) when
-    `cells` is None.
+def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes):
+    """The frustum cell each axis cell center falls in: (cell, inside) over frame.shape.
 
     `cell` is the flat frustum index pixel * planes.count + plane, where the pixel
     is the flat image index v * width + u of the nearest pixel (half rounds up)
@@ -199,11 +197,10 @@ def frustum_cells(frame, intrinsics: CameraIntrinsics, planes: DepthPlanes, cell
     m = plane_index(z, planes)
     in_u = (ui >= 0) & (ui < intrinsics.width)
     in_v = (vi >= 0) & (vi < intrinsics.height) & (m != OUT_OF_RANGE)
-    ix, iy, iz = np.ix_(*map(np.arange, frame.shape)) if cells is None else \
-        np.unravel_index(cells, frame.shape)
-    inside = in_u[ix, iz] & in_v[iy, iz]
-    pixel = vi[iy, iz] * intrinsics.width + ui[ix, iz]
-    return np.where(inside, pixel * planes.count + m[iz], 0), inside
+    inside = in_u[:, None] & in_v
+    cell = (ui * planes.count + m)[:, None] + vi * (intrinsics.width * planes.count)
+    cell *= inside
+    return cell, inside
 
 
 def project_cells(frame, intrinsics: CameraIntrinsics, cells):

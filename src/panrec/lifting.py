@@ -85,24 +85,24 @@ def lift_priors(priors: Priors2D, frame, intrinsics: CameraIntrinsics, planes: D
         pixel = cells // planes.count
         return pixel, np.multiply(np.take(mp, cells), cells >= np.take(first, pixel), dtype=float)
 
-    def axis_at(cells=None):  # the frustum cells they fall in; without cells, every cell
-        cell, inside = frustum_cells(frame, intrinsics, planes, cells)
-        pixel, occupancy = frustum_at(cell)
-        return pixel, occupancy * inside
-    at = frustum_at if isinstance(frame, FrustumGrid) else axis_at
+    if isinstance(frame, FrustumGrid):  # a frustum cell falls in itself
+        at, frustum_of = frustum_at, (lambda cells: cells)
+    else:  # the frustum cell each axis cell falls in, mapped once
+        cell, inside = (a.reshape(-1) for a in frustum_cells(frame, intrinsics, planes))
+        frustum_of = lambda cells: cell[cells]  # flat indices or a slice
+
+        def at(cells):
+            pixel, occupancy = frustum_at(frustum_of(cells))
+            return pixel, occupancy * np.take(inside, cells)
     semantics = np.asarray(priors.semantics, dtype=np.float64)
     pixels = semantics.reshape(-1, semantics.shape[-1])
 
     def occupied(t):
-        if not isinstance(frame, FrustumGrid):  # every cell's occupancy, from the tables
-            occupancy = at()[1].reshape(-1)
-            cells = np.flatnonzero(occupancy >= t)
-            return cells, np.take(occupancy, cells)
-        # a frustum cell's occupancy is 0 or the multi-plane occupancy at its own index
-        blocks = (np.flatnonzero(mp[start:start + BLOCK] >= t) + start
-                  for start in range(0, mp.size, BLOCK))
+        # a cell's occupancy is 0 or the multi-plane occupancy at its frustum cell
+        blocks = (np.flatnonzero(mp[frustum_of(slice(start, start + BLOCK))] >= t) + start
+                  for start in range(0, np.prod(frame.shape), BLOCK))
         cells = np.concatenate([block[at(block)[1] >= t] for block in blocks])
-        return cells, np.take(mp, cells).astype(np.float64, copy=False)
+        return cells, np.take(mp, frustum_of(cells)).astype(np.float64, copy=False)
 
     def rows(cells):
         pixel, occupancy = at(cells)

@@ -127,9 +127,7 @@ def extract_centers(heatmap: np.ndarray, semantics: np.ndarray, threshold: float
     """
     if not (0 < threshold < 1):
         raise PriorsError("threshold must be in (0, 1)")
-    heatmap = np.asarray(heatmap, dtype=np.float64)
-    if heatmap.ndim != 2 or not np.all(np.isfinite(heatmap)):
-        raise PriorsError(f"heatmap must be a finite (H, W) map, got shape {heatmap.shape}")
+    heatmap = checked("heatmap", np.asarray(heatmap, dtype=np.float64), (None, None), 0.0, 1.0)
     # The rule of `Priors2D.validate`: heatmap's (H, W) + (C,), C >= 1, finite, >= 0.
     semantics = checked("semantics", semantics, heatmap.shape + (None,), 0.0)
     if not semantics.shape[-1]:

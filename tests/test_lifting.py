@@ -650,6 +650,27 @@ def test_lift_and_mask_stay_below_one_dense_volume():
     assert peak < 8 * np.prod(scene.frame.shape)
 
 
+def test_the_axis_lister_stays_below_three_dense_volumes():
+    # an axis lift maps its cells to frustum cells once and lists them in blocks:
+    # at 128^3 the traced peak of the lift, the listing and the labels stays
+    # below three float64 volumes of the frame
+    scene = generate_scene(SynthConfig(seed=1, width=128, height=128, planes=128,
+                                       n_thing_categories=8))
+    p = derive_priors(scene)
+    frame = AxisGrid((128, 128, 128), 0.03515625, (-3, -3, 0.3))
+    offsets = np.broadcast_to(np.zeros(2), frame.shape + (2,))
+    tracemalloc.start()
+    try:
+        occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)
+        cells, _labels, _gate = mask_by_occupancy(Refined3D(frame, labels, offsets, occupied), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * np.prod(frame.shape)
+    assert cells.size and np.array_equal(
+        cells, np.flatnonzero(lifted_occupancy(occupied, frame) >= 0.5))
+
+
 def test_tsdf_and_mesh_export_stay_below_their_memory_bounds(tmp_path):
     # at 64^3 the TSDF holds less than 3 float64 volumes of the grid at once,
     # and the mesh export no more than the 8.45 MB of the exporter it replaced

@@ -169,6 +169,8 @@ def test_extract_centers_validation():
      "^semantics must be finite"),
     (np.zeros((4, 4)), np.full((4, 4, 2), np.inf), "^semantics must be finite"),
     (np.zeros((4, 4)), np.full((4, 4, 2), -0.5), "^semantics must be finite"),
+    # outside [0, 1], as `Priors2D.validate` rejects it, not a map with a center
+    (np.pad([[5.0, -2.0]], ((3, 3), (3, 3))), np.ones((8, 8, 2)), "^heatmap must be finite"),
 ])
 def test_extract_centers_rejects_malformed_inputs(heatmap, semantics, field):
     with pytest.raises(PriorsError, match=field):
