@@ -138,7 +138,7 @@ def derive_priors_cmd(scene_dir, out_dir, noise_seed, depth_sigma,
     priors = perturb_priors(priors, noise, noise_seed, scene.planes)
     _write_dir(out_dir, scene, {
         "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
-        "mp_occupancy": priors.mp_occupancy.astype(np.float64), "offsets3d": priors.offsets3d,
+        "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d,
         "instances2d": derive_instance_map2d(scene)}, priors.centers)
     click.echo(f"wrote priors to {out_dir}")
 

@@ -5,7 +5,7 @@ Container layout (all integers little-endian):
     magic      4s   = b"BUOL"
     version    u16  = 1
     kind       u8   (position in KINDS)
-    dtype      u8   (see DTYPES)
+    dtype      u8   1 = <f8, 2 = <i4 (DTYPES); the kind's element type
     channels   u16  (0 = no trailing channel axis)
     ndim       u8, then ndim x u32 spatial dims
     frame tag  u8: 0 = frustum {u32 W, H, M}
@@ -15,19 +15,19 @@ Container layout (all integers little-endian):
     payload    row-major little-endian array data
 
 Each kind (KINDS) fixes its payload's layout: spatial dims of the camera
-image (H, W), of the image times the depth planes (H, W, M) or of the frame,
-and no channel axis, exactly 2 channels or any count >= 1. The writer and
+image (H, W), of the image times the depth planes (H, W, M) or of the frame;
+no channel axis, exactly 2 channels or any count >= 1; and one element type,
+to which the writer casts where numpy's "safe" casting allows. The writer and
 `read_container(path, kind)` reject any other payload, naming file and field:
 
-    code  kind             spatial dims        channels
-    0     semantic-volume  (H, W)              >= 1
-    1     panoptic-volume  frame or (H, W)     2
-    2     feature-volume   frame               >= 1
-    3     multiplane       (H, W, M) or frame  none
-    4     depth            (H, W)              none
-    5     heatmap          (H, W)              none
-    6     offsets          frame               2
-    7     tsdf             frame               none
+    code  kind             spatial dims        channels  dtype
+    0     semantic-volume  (H, W)              >= 1      <f8
+    1     panoptic-volume  frame or (H, W)     2         <i4
+    2     feature-volume   frame               >= 1      <f8
+    3     multiplane       (H, W, M) or frame  none      <f8
+    4     depth            (H, W)              none      <f8
+    5     heatmap          (H, W)              none      <f8
+    6     offsets          frame               2         <f8
 
 The manifest is a JSON document referencing the containers of one scene along
 with intrinsics, planes, the category table, and instance center rows.
@@ -56,27 +56,21 @@ VERSION = 1
 IMAGE, IMAGE_PLANES, FRAME = "(H, W)", "(H, W, M)", "frame"
 ANY = -1  # any channel count >= 1
 
-# kind -> (the spatial dims it may have, its channel count: 0 = none or ANY).
-# A kind's code is its position, so the order is part of the format.
-KINDS = {
-    "semantic-volume": ((IMAGE,), ANY),
-    "panoptic-volume": ((FRAME, IMAGE), 2),
-    "feature-volume": ((FRAME,), ANY),
-    "multiplane": ((IMAGE_PLANES, FRAME), 0),
-    "depth": ((IMAGE,), 0),
-    "heatmap": ((IMAGE,), 0),
-    "offsets": ((FRAME,), 2),
-    "tsdf": ((FRAME,), 0),
-}
-
-DTYPES = {
-    0: np.dtype("<f4"),
-    1: np.dtype("<f8"),
-    2: np.dtype("<i4"),
-    3: np.dtype("<i8"),
-    4: np.dtype("<u1"),
-}
+DTYPES = {1: np.dtype("<f8"), 2: np.dtype("<i4")}  # code -> element type
 DTYPE_CODES = {v: k for k, v in DTYPES.items()}
+F8, I4 = DTYPES[1], DTYPES[2]
+
+# kind -> (the spatial dims it may have, its channel count: 0 = none or ANY, its
+# element type). A kind's code is its position, so the order is part of the format.
+KINDS = {
+    "semantic-volume": ((IMAGE,), ANY, F8),
+    "panoptic-volume": ((FRAME, IMAGE), 2, I4),
+    "feature-volume": ((FRAME,), ANY, F8),
+    "multiplane": ((IMAGE_PLANES, FRAME), 0, F8),
+    "depth": ((IMAGE,), 0, F8),
+    "heatmap": ((IMAGE,), 0, F8),
+    "offsets": ((FRAME,), 2, F8),
+}
 
 
 class ContainerError(ValueError):
@@ -94,7 +88,7 @@ class Container:
 def _check_layout(kind, spatial, channels, frame, intrinsics, planes):
     """Raise ContainerError unless `spatial` dims and `channels` fit `kind`'s
     layout under this frame, camera and planes."""
-    layouts, want = KINDS[kind]
+    layouts, want, _dtype = KINDS[kind]
     image = (intrinsics.height, intrinsics.width)
     dims = {IMAGE: image, IMAGE_PLANES: image + (planes.count,), FRAME: frame.shape}
     if tuple(spatial) not in [dims[layout] for layout in layouts]:
@@ -113,11 +107,10 @@ def write_container(path, kind: str, array: np.ndarray, frame, intrinsics: Camer
             raise ContainerError(f"unknown payload kind {kind!r}")
         if not isinstance(frame, (FrustumGrid, AxisGrid)):
             raise ContainerError(f"unknown grid frame {frame!r}")
-        array = np.asarray(array)
-        dtype = array.dtype.newbyteorder("<")
-        if dtype not in DTYPE_CODES:
-            raise ContainerError(f"unsupported element type {array.dtype}")
-        # One conversion at most: C order and little-endian, no copy if already so.
+        array, dtype = np.asarray(array), KINDS[kind][2]
+        if not np.can_cast(array.dtype, dtype, "safe"):
+            raise ContainerError(f"{kind} elements {array.dtype} do not cast safely to {dtype.str}")
+        # One conversion at most: C order and the kind's type, no copy if already so.
         array = np.ascontiguousarray(array, dtype=dtype)
         spatial, channels = (array.shape[:-1], array.shape[-1]) if KINDS[kind][1] else \
             (array.shape, 0)
@@ -174,8 +167,9 @@ def read_container(path, kind: str) -> Container:
                 raise ContainerError(f"unknown kind code {kind_code} at offset 6")
             if list(KINDS)[kind_code] != kind:
                 raise ContainerError(f"kind is {list(KINDS)[kind_code]!r}, expected {kind!r}")
-            if dtype_code not in DTYPES:
-                raise ContainerError(f"unknown dtype code {dtype_code} at offset 7")
+            dtype = KINDS[kind][2]
+            if dtype_code != DTYPE_CODES[dtype]:
+                raise ContainerError(f"dtype code {dtype_code} at offset 7, expected {dtype.str}")
             dims, off = _unpack(f"<{ndim}I", data, off, "dims")
             (frame_tag,), off = _unpack("<B", data, off, "frame tag")
             if frame_tag == 0:
@@ -192,7 +186,6 @@ def read_container(path, kind: str) -> Container:
                                 width=iw, height=ih)
             (pcount, z_near, z_far), off = _unpack("<I2d", data, off, "planes")
             planes = _build(DepthPlanes, "planes", count=pcount, z_near=z_near, z_far=z_far)
-            dtype = DTYPES[dtype_code]
             shape = tuple(dims) + ((channels,) if channels else ())
             # math.prod on Python ints: np.prod would wrap in int64.
             expected = math.prod(shape) * dtype.itemsize
@@ -224,7 +217,7 @@ def check_shared(headers):
 
 def panoptic_array(volume: PanopticVolume) -> np.ndarray:
     """The (..., 2) payload of a panoptic-volume container: semantics, instances."""
-    return np.stack([volume.semantics, volume.instances], axis=-1).astype("<i4", copy=False)
+    return np.stack([volume.semantics, volume.instances], axis=-1)
 
 
 def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):

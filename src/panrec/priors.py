@@ -71,10 +71,11 @@ class Priors2D:
 
 
 def checked_centers(centers):
-    """`centers`, after checking that their instance ids are >= 1 and distinct."""
+    """`centers`, after checking that their instance ids are distinct and in
+    [1, 2**31 - 1], the range of the int32 ids that volumes store."""
     ids = [c.instance_id for c in centers]
-    if min(ids, default=1) < 1 or len(set(ids)) < len(ids):
-        raise PriorsError(f"centers: instance ids must be >= 1 and distinct, got {ids}")
+    if not 1 <= min(ids, default=1) <= max(ids, default=1) < 2**31 or len(set(ids)) < len(ids):
+        raise PriorsError(f"centers: instance ids must be >= 1 and distinct and < 2**31, got {ids}")
     return centers
 
 

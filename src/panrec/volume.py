@@ -35,10 +35,10 @@ class CategoryTable:
 
 @dataclass(frozen=True)
 class PanopticVolume:
-    """Grid frame plus per-cell (semantic_id, instance_id) labels. A cell is
-    occupied iff its semantic id is non-void. The constructor applies
-    `validate`, whose errors name `name`, and keeps read-only views of the
-    arrays, so a volume is well formed for as long as it exists."""
+    """Grid frame plus per-cell (semantic_id, instance_id) integer labels that
+    fit int32. A cell is occupied iff its semantic id is non-void. The constructor
+    applies `validate`, whose errors name `name`, and keeps read-only int32 views
+    of the arrays, so a volume is well formed for as long as it exists."""
 
     frame: object
     semantics: np.ndarray
@@ -48,7 +48,13 @@ class PanopticVolume:
 
     def __post_init__(self):
         for label in ("semantics", "instances"):
-            view = np.asarray(getattr(self, label), dtype=np.int32).view()
+            given = np.asarray(getattr(self, label))
+            # bool and ids no wider than int32 cast safely, so only wider ids are scanned
+            if given.dtype.kind not in "biu" or not np.can_cast(given.dtype, np.int32) and (
+                    given.size and not -2**31 <= given.min() <= given.max() < 2**31):
+                raise VolumeError(f"{self.name}.{label}: ids must be integers that fit int32, "
+                                  f"got {given.dtype}")
+            view = np.asarray(given, dtype=np.int32).view()
             view.flags.writeable = False
             object.__setattr__(self, label, view)
         self.validate()

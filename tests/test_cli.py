@@ -311,7 +311,7 @@ def test_group_rejects_features_with_other_planes(tmp_path, monkeypatch, capsys)
     assert err.startswith(f"error: {feats}: planes ") and "differs" in err
 
 
-@pytest.mark.parametrize("kind", ["id-0", "duplicate-id"])
+@pytest.mark.parametrize("kind", ["id-0", "duplicate-id", "id-2**31"])
 def test_group_rejects_bad_manifest_centers(tmp_path, monkeypatch, capsys, kind):
     _, priors, feats, _ = build_chain(tmp_path)
     corrupt_priors_dir(priors, "centers", kind)
@@ -466,6 +466,24 @@ def test_eval_names_a_panoptic_file_whose_camera_is_not_finite(tmp_path, monkeyp
                              scene / "manifest.json")
     assert (code, err) == (
         1, f"error: {path}: invalid intrinsics: focal length fx must be finite and positive\n")
+
+
+@pytest.mark.parametrize("command, name, code", [("eval", "panoptic.bin", 0),
+                                                 ("lift", "depth.bin", 3)])
+def test_a_dtype_code_that_is_not_the_kinds_is_one_error_line_naming_the_file(
+        tmp_path, monkeypatch, capsys, command, name, code):
+    # <i4 as <f4 or <f8 as <i8: the item size, so the payload length, stays the same
+    scene, priors, _, pred = build_chain(tmp_path, size=16)
+    path = (scene if name == "panoptic.bin" else priors) / name
+    data = bytearray(path.read_bytes())
+    data[7] = code
+    path.write_bytes(bytes(data))
+    args = {"eval": ["eval", pred, path, "--categories-from", scene / "manifest.json"],
+            "lift": ["lift", priors, "--out", tmp_path / "bad.bin"]}[command]
+    exit_code, err = entry_result(monkeypatch, capsys, *args)
+    assert exit_code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}: dtype code {code} at offset 7, expected "), err
+    assert not (tmp_path / "bad.bin").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "derive-priors"])
@@ -686,7 +704,8 @@ def corrupt_priors_dir(priors, field, kind):
     if field == "centers":
         path = priors / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["centers"][-1][3] = 0 if kind == "id-0" else manifest["centers"][0][3]
+        manifest["centers"][-1][3] = {"id-0": 0, "id-2**31": 2**31}.get(
+            kind, manifest["centers"][0][3])
         path.write_text(json.dumps(manifest))
         return
     name = {"semantics": "semantics2d"}.get(field, field)
@@ -704,7 +723,7 @@ def corrupt_priors_dir(priors, field, kind):
 @pytest.mark.parametrize("field, kind", [
     ("semantics", "nan"), ("semantics", "negative"), ("depth", "negative"),
     ("mp_occupancy", "nan"), ("mp_occupancy", "times-3"), ("heatmap", "above-1"),
-    ("centers", "id-0"), ("centers", "duplicate-id"),
+    ("centers", "id-0"), ("centers", "duplicate-id"), ("centers", "id-2**31"),
 ])
 def test_lift_and_loss_reject_a_corrupt_bundle_with_one_error_line(
         tmp_path, monkeypatch, capsys, field, kind):

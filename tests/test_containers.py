@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from panrec import containers
 from panrec.containers import (
     ANY,
     DTYPE_CODES,
@@ -46,11 +47,11 @@ INTR4 = camera(4, 4)
 
 def test_round_trip_frustum(tmp_path):
     rng = np.random.default_rng(0)
-    arr = rng.random((32, 32, 8)).astype(np.float32)
+    arr = rng.random((32, 32, 8))
     p = tmp_path / "a.bin"
     write_container(p, "multiplane", arr, FRAME, INTR, PLANES)
     cont = read_container(p, "multiplane")
-    assert cont.array.dtype == np.float32
+    assert cont.array.dtype == np.float64
     assert np.array_equal(cont.array, arr)
     assert cont.frame == FRAME
     assert cont.intrinsics == INTR
@@ -68,7 +69,7 @@ def test_round_trip_axis_frame_and_channels(tmp_path):
 
 
 def test_write_rerun_byte_identical(tmp_path):
-    arr = np.ones((32, 32), np.float32)
+    arr = np.ones((32, 32))
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_container(a, "depth", arr, FRAME, INTR, PLANES)
     write_container(b, "depth", arr, FRAME, INTR, PLANES)
@@ -80,7 +81,7 @@ def test_write_validation(tmp_path):
     with pytest.raises(ContainerError):
         write_container(tmp_path / "x.bin", "nope", arr, FRAME, INTR, PLANES)
     with pytest.raises(ContainerError):
-        write_container(tmp_path / "x.bin", "depth", arr.astype(np.float16),
+        write_container(tmp_path / "x.bin", "depth", arr.astype(np.complex128),
                         FRAME, INTR, PLANES)
     with pytest.raises(ContainerError):
         write_container(tmp_path / "x.bin", "offsets", np.zeros(FRAME.shape + (3,)),
@@ -91,7 +92,7 @@ def test_write_validation(tmp_path):
 
 def test_read_bad_magic_names_offset(tmp_path):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     data = bytearray(p.read_bytes())
     data[:4] = b"JUNK"
     p.write_bytes(bytes(data))
@@ -101,7 +102,7 @@ def test_read_bad_magic_names_offset(tmp_path):
 
 def test_read_bad_version_kind_dtype(tmp_path):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     base = p.read_bytes()
     for offset, value, msg in ((4, 9, "version"), (6, 200, "kind"), (7, 99, "dtype")):
         data = bytearray(base)
@@ -113,7 +114,7 @@ def test_read_bad_version_kind_dtype(tmp_path):
 
 def test_read_truncated_payload(tmp_path):
     p = tmp_path / "short.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ContainerError, match="payload length"):
@@ -134,7 +135,7 @@ def test_panoptic_round_trip(tmp_path, small_scene):
 
 def test_panoptic_kind_checked(tmp_path):
     p = tmp_path / "d.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     from panrec.volume import CategoryTable
 
     with pytest.raises(ContainerError, match="panoptic"):
@@ -284,9 +285,9 @@ def test_manifest_centers_must_be_rows_of_four_integers(tmp_path, centers):
 
 def reference_container_bytes(kind, array, frame, intrinsics, planes, channels=0):
     """The copying writer: header fields packed one by one, then
-    `array.astype(dtype).tobytes()` of the C-contiguous little-endian array."""
+    `array.astype(dtype).tobytes()` of the C-contiguous array in the kind's type."""
     array = np.ascontiguousarray(array)
-    dtype = array.dtype.newbyteorder("<")
+    dtype = KINDS[kind][2]
     spatial = array.shape[:-1] if channels else array.shape
     parts = [struct.pack("<4sHBBHB", MAGIC, VERSION, list(KINDS).index(kind),
                          DTYPE_CODES[dtype], channels, len(spatial)),
@@ -310,16 +311,20 @@ def fitting_shape(kind, frame, intrinsics, planes, channels, pick=0):
     """A payload shape that fits `kind`'s layout, and its channel count: the
     `pick`-th (mod their number) spatial dims the kind may have, then
     `channels` channels where the kind takes any count >= 1."""
-    layouts, want = KINDS[kind]
+    layouts, want, _dtype = KINDS[kind]
     image = (intrinsics.height, intrinsics.width)
     dims = {IMAGE: image, IMAGE_PLANES: image + (planes.count,), FRAME_DIMS: frame.shape}
     count = channels if want == ANY else want
     return dims[layouts[pick % len(layouts)]] + ((count,) if count else ()), count
 
 
+# A type that casts safely to every kind's element type, <f8 and <i4.
+SAFE = np.dtype("u1")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    code=st.sampled_from(sorted(DTYPES)),
+    own=st.booleans(),
     order=st.sampled_from("<>"),
     layout=st.sampled_from(["C", "F", "sliced"]),
     image=st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -328,13 +333,13 @@ def fitting_shape(kind, frame, intrinsics, planes, channels, pick=0):
     use_axis=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, image,
+def test_write_matches_copying_oracle(tmp_path_factory, own, order, layout, image,
                                       plane_count, channels, use_axis, seed):
     kind = list(KINDS)[seed % len(KINDS)]
     intr, planes = camera(*image), DepthPlanes(count=plane_count)
     frame = AXIS if use_axis else FrustumGrid(image[1], image[0], plane_count)
     shape, channels = fitting_shape(kind, frame, intr, planes, channels, pick=seed // 8)
-    dtype = DTYPES[code].newbyteorder(order)
+    dtype = (KINDS[kind][2] if own else SAFE).newbyteorder(order)
     rng = np.random.default_rng(seed)
     values = (rng.random(tuple(2 * n + 1 for n in shape)) * 255).astype(dtype)
     if layout == "sliced":
@@ -348,16 +353,47 @@ def test_write_matches_copying_oracle(tmp_path_factory, code, order, layout, ima
     assert path.read_bytes() == reference_container_bytes(kind, array, frame, intr,
                                                           planes, channels)
     back = read_container(path, kind)
-    assert back.array.dtype == DTYPES[code] and np.array_equal(back.array, array)
+    assert back.array.dtype == KINDS[kind][2] and np.array_equal(back.array, array)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_dtype_code_but_the_kinds_is_rejected(tmp_path, kind):
+    # same-size codes (<f8 as <i8, <i4 as <f4) would read with a matching length
+    intr, planes = camera(4, 5), DepthPlanes(count=3)
+    frame = FrustumGrid(5, 4, 3)
+    shape, _channels = fitting_shape(kind, frame, intr, planes, 2)
+    p = tmp_path / "c.bin"
+    write_container(p, kind, np.zeros(shape, KINDS[kind][2]), frame, intr, planes)
+    data = bytearray(p.read_bytes())
+    own = data[7]
+    assert DTYPES[own] == KINDS[kind][2]
+    for code in sorted(set(range(256)) - {own}):
+        data[7] = code
+        p.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{p}: dtype code {code} at offset 7, expected {KINDS[kind][2].str}")):
+            read_container(p, kind)
+
+
+def test_the_docstring_states_the_format_that_kinds_and_dtypes_hold():
+    doc = containers.__doc__.splitlines()
+    codes = ", ".join(f"{code} = {dtype.str}" for code, dtype in DTYPES.items())
+    assert f"    dtype      u8   {codes} (DTYPES); the kind's element type" in doc
+    start = doc.index("    code  kind             spatial dims        channels  dtype") + 1
+    table = [re.split(r"\s{2,}", line.strip()) for line in doc[start:doc.index("", start)]]
+    assert table == [
+        [str(code), kind, " or ".join(layouts),
+         ">= 1" if want == ANY else str(want or "none"), dtype.str]
+        for code, (kind, (layouts, want, dtype)) in enumerate(KINDS.items())]
 
 
 def test_overflowing_dims_product_is_a_payload_error(tmp_path):
     # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64, which an empty
     # payload would match.
     p = tmp_path / "huge.bin"
-    write_container(p, "multiplane", np.zeros((1, 1, 1), np.float32), FrustumGrid(1, 1, 1),
+    write_container(p, "multiplane", np.zeros((1, 1, 1)), FrustumGrid(1, 1, 1),
                     camera(1, 1), DepthPlanes(count=1))
-    data = bytearray(p.read_bytes()[:-4])
+    data = bytearray(p.read_bytes()[:-8])
     data[11:23] = struct.pack("<3I", 2**21, 2**21, 2**22)
     p.write_bytes(bytes(data))
     with pytest.raises(ContainerError, match="payload length 0 != expected"):
@@ -366,7 +402,7 @@ def test_overflowing_dims_product_is_a_payload_error(tmp_path):
 
 def test_read_names_the_file_and_another_kind(tmp_path):
     p = tmp_path / "heatmap.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     with pytest.raises(ContainerError, match=r"heatmap\.bin: kind is 'depth', expected 'heatmap'"):
         read_container(p, "heatmap")
 
@@ -379,12 +415,11 @@ def test_read_names_the_file_and_another_kind(tmp_path):
     ("offsets", (32, 32, 8, 3), 3, "channels"),    # offsets have exactly 2
     ("panoptic-volume", (32, 32, 8), 0, "channels"),
     ("semantic-volume", (32, 32), 0, "channels"),  # at least 1
-    ("tsdf", (32, 32, 8, 1), 1, "channels"),       # none
 ])
 def test_layout_breaks_are_rejected_by_reader_and_writer(tmp_path, kind, shape, channels,
                                                          field):
     p = tmp_path / "c.bin"
-    array = np.zeros(shape, np.float32)
+    array = np.zeros(shape, KINDS[kind][2])
     p.write_bytes(reference_container_bytes(kind, array, FRAME, INTR, PLANES, channels))
     with pytest.raises(ContainerError, match=f"c\\.bin: {kind} {field} "):
         read_container(p, kind)
@@ -423,7 +458,7 @@ def test_check_shared_names_a_file_of_another_frame_camera_or_planes(tmp_path, f
 ])
 def test_read_invalid_geometry_names_field(tmp_path, frame, offset, fmt, value, field):
     p = tmp_path / "bad.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), frame, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), frame, INTR4, PLANES)
     data = bytearray(p.read_bytes())
     struct.pack_into(fmt, data, offset, value)
     p.write_bytes(bytes(data))
@@ -434,13 +469,13 @@ def test_read_invalid_geometry_names_field(tmp_path, frame, offset, fmt, value, 
 def test_short_payload_read_is_a_container_error(tmp_path, monkeypatch):
     # A file that shrinks between the size check and the read.
     p = tmp_path / "shrinking.bin"
-    write_container(p, "depth", np.zeros((4, 4), np.float32), FRAME, INTR4, PLANES)
+    write_container(p, "depth", np.zeros((4, 4)), FRAME, INTR4, PLANES)
     full = p.stat().st_size
     p.write_bytes(p.read_bytes()[:-8])
     fstat = os.fstat
     monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
         fstat(fd)[:6] + (full,) + fstat(fd)[7:]))
-    with pytest.raises(ContainerError, match="short read: 56 of 64"):
+    with pytest.raises(ContainerError, match="short read: 120 of 128"):
         read_container(p, "depth")
 
 
@@ -450,7 +485,7 @@ def assert_fresh_array(array):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    code=st.sampled_from(sorted(DTYPES)),
+    own=st.booleans(),
     spatial=st.one_of(st.lists(st.integers(1, 4), min_size=2, max_size=2),
                       st.lists(st.integers(0, 4), min_size=0, max_size=4)),
     channels=st.integers(0, 3),
@@ -461,11 +496,12 @@ def assert_fresh_array(array):
     use_axis=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_round_trip_property(tmp_path_factory, code, spatial, channels, frustum, axis,
+def test_round_trip_property(tmp_path_factory, own, spatial, channels, frustum, axis,
                              use_axis, seed):
     shape = tuple(spatial) + ((channels,) if channels else ())
+    # both image kinds take <f8
     array = np.asarray(np.random.default_rng(seed).integers(0, 256, size=shape),
-                       DTYPES[code])
+                       np.float64 if own else SAFE)
     n, voxel, o = axis
     frame = (AxisGrid(dims=(n, n, n), voxel_size=voxel, origin=(o, -o, o))
              if use_axis else FrustumGrid(*frustum))
@@ -482,7 +518,7 @@ def test_round_trip_property(tmp_path_factory, code, spatial, channels, frustum,
         return
     write_container(path, kind, array, frame, intr, PLANES)
     cont = read_container(path, kind)
-    assert cont.array.dtype == DTYPES[code] and cont.array.shape == shape
+    assert cont.array.dtype == np.float64 and cont.array.shape == shape
     assert np.array_equal(cont.array, array)
     assert (cont.frame, cont.intrinsics, cont.planes) == (frame, intr, PLANES)
     assert_fresh_array(cont.array)
@@ -502,7 +538,7 @@ def read_or_reject(path, kind):
 @pytest.mark.parametrize("frame", [FRAME, AXIS], ids=["frustum", "axis"])
 def test_every_truncation_and_bit_flip_is_rejected_or_valid(tmp_path, frame):
     p = tmp_path / "c.bin"
-    write_container(p, "depth", np.arange(16, dtype=np.float32).reshape(4, 4), frame,
+    write_container(p, "depth", np.arange(16, dtype=np.float64).reshape(4, 4), frame,
                     INTR4, PLANES)
     data = p.read_bytes()
     for cut in range(len(data)):

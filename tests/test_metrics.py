@@ -557,6 +557,39 @@ def test_volume_rejects_a_bad_table_frame_or_shape(case):
         call()
 
 
+# case -> (field, the labels of its first cells, their dtype): labels that a cast
+# to int32 would change (1.7 -> 1, 2**32 + 5 -> 5, 2**31 -> -2**31)
+UNCASTABLE = {
+    "float-semantics": ("semantics", [1.7, 2.9], np.float64),
+    "int64-id-2**32": ("instances", [2**32, 2**32 + 5], np.int64),
+    "int64-id-2**31": ("instances", [2**31], np.int64),
+}
+
+
+def first_cells(field, values, dtype):
+    """blank() with two thing cells, where `field` holds `values` in `dtype`."""
+    labels = dict(zip(("semantics", "instances"), blank()))
+    labels["semantics"].ravel()[:2] = 1
+    labels[field] = labels[field].astype(dtype)
+    labels[field].ravel()[:len(values)] = values
+    return labels["semantics"], labels["instances"]
+
+
+@pytest.mark.parametrize("case", sorted(UNCASTABLE))
+def test_volume_rejects_labels_that_int32_does_not_hold(case):
+    field, values, dtype = UNCASTABLE[case]
+    with pytest.raises(VolumeError, match=f"^volume\\.{field}: ids must be integers that "
+                                          f"fit int32, got {np.dtype(dtype)}$"):
+        PanopticVolume(FRAME, *first_cells(field, values, dtype), CATS)
+
+
+def test_volume_keeps_wider_and_narrower_ids_that_int32_holds():
+    semantics, instances = first_cells("instances", [2**31 - 1, 1], np.int64)
+    volume = PanopticVolume(FRAME, semantics.astype(np.uint8), instances, CATS)
+    assert volume.instances.dtype == volume.semantics.dtype == np.int32
+    assert volume.instances.ravel()[:3].tolist() == [2**31 - 1, 1, 0]
+
+
 def reference_violation(semantics, instances, categories):
     """The field that the per-cell rule finds broken first, or None: semantic
     ids in the category table, then instance ids >= 0 and nonzero only on thing cells."""
