@@ -212,7 +212,8 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
         _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
     volume = reconstruct(refined, centers, intr, categories, occ_threshold)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    C.write_panoptic(out_path, volume, intr, planes)
+    C.write_container(out_path, "panoptic-volume", C.panoptic_array(volume), volume.frame, intr,
+                      planes)
     if mesh_path is not None:
         export_obj(volume, mesh_path)
     click.echo(f"wrote {out_path}")

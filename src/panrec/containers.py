@@ -17,7 +17,8 @@ Container layout (all integers little-endian):
 Each kind (KINDS) fixes its payload's layout: spatial dims of the camera
 image (H, W), of the image times the depth planes (H, W, M) or of the frame;
 no channel axis, exactly 2 channels or any count >= 1; and one element type,
-to which the writer casts where numpy's "safe" casting allows. The writer and
+to which the writer casts where numpy's "safe" casting allows, except integers
+wider than 32 bits to <f8, which could round. The writer and
 `read_container(path, kind)` reject any other payload, naming file and field:
 
     code  kind             spatial dims        channels  dtype
@@ -108,8 +109,9 @@ def write_container(path, kind: str, array: np.ndarray, frame, intrinsics: Camer
         if not isinstance(frame, (FrustumGrid, AxisGrid)):
             raise ContainerError(f"unknown grid frame {frame!r}")
         array, dtype = np.asarray(array), KINDS[kind][2]
-        if not np.can_cast(array.dtype, dtype, "safe"):
-            raise ContainerError(f"{kind} elements {array.dtype} do not cast safely to {dtype.str}")
+        wide = array.dtype.kind in "iu" and array.dtype.itemsize > 4  # <f8 rounds past 2**53
+        if wide or not np.can_cast(array.dtype, dtype, "safe"):
+            raise ContainerError(f"{kind} elements {array.dtype} do not fit {dtype.str} exactly")
         # One conversion at most: C order and the kind's type, no copy if already so.
         array = np.ascontiguousarray(array, dtype=dtype)
         spatial, channels = (array.shape[:-1], array.shape[-1]) if KINDS[kind][1] else \
@@ -218,11 +220,6 @@ def check_shared(headers):
 def panoptic_array(volume: PanopticVolume) -> np.ndarray:
     """The (..., 2) payload of a panoptic-volume container: semantics, instances."""
     return np.stack([volume.semantics, volume.instances], axis=-1)
-
-
-def write_panoptic(path, volume: PanopticVolume, intrinsics, planes):
-    write_container(path, "panoptic-volume", panoptic_array(volume), volume.frame, intrinsics,
-                    planes)
 
 
 def panoptic_volume(path, cont: Container, categories: CategoryTable) -> PanopticVolume:

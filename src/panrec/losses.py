@@ -55,17 +55,19 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, EPS, 1.0 - EPS)
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean of a term's values; a term over no cells is 0.0."""
+    return float(values.mean()) if values.size else 0.0
+
+
 def cross_entropy(pred: np.ndarray, target: np.ndarray, mask=None) -> float:
     """Mean -sum(target * log pred) over the last axis, optionally masked."""
     target = np.asarray(target, dtype=np.float64)
     pred = checked("pred", np.asarray(pred, dtype=np.float64), target.shape, error=LossError)
     ce = -np.sum(target * np.log(_clamp(pred)), axis=-1)
     if mask is not None:
-        mask = checked("mask", np.asarray(mask, dtype=bool), ce.shape, error=LossError)
-        if not mask.any():
-            return 0.0
-        ce = ce[mask]
-    return float(ce.mean()) if ce.size else 0.0
+        ce = ce[checked("mask", np.asarray(mask, dtype=bool), ce.shape, error=LossError)]
+    return _mean(ce)
 
 
 def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
@@ -108,18 +110,14 @@ def loss_depth(pred: np.ndarray, gt: np.ndarray) -> float:
     gt = np.asarray(gt, dtype=np.float64)
     pred = checked("depth pred", np.asarray(pred, dtype=np.float64), gt.shape, 0.0,
                    error=LossError)
-    checked("depth gt", gt, gt.shape, 0.0, error=LossError)
+    checked("depth gt", gt, (None, None), 0.0, error=LossError)
     valid = (pred > 0) & (gt > 0)
-    if not valid.any():
-        return 0.0
-    log_term = np.abs(np.log(pred[valid]) - np.log(gt[valid])).mean()
-    diffs = []
-    for axis in (0, 1):  # forward differences between two valid pixels
-        pair = np.delete(valid, -1, axis) & np.delete(valid, 0, axis)
-        diffs.append(np.abs(np.diff(pred, axis=axis) - np.diff(gt, axis=axis))[pair])
-    diffs = np.concatenate(diffs)
-    grad_term = diffs.mean() if diffs.size else 0.0
-    return float(log_term + grad_term)
+    log_term = _mean(np.abs(np.log(pred[valid]) - np.log(gt[valid])))
+    # forward differences between two valid pixels, down then across
+    pairs = (valid[:-1] & valid[1:], valid[:, :-1] & valid[:, 1:])
+    diffs = [np.abs(np.diff(pred, axis=axis) - np.diff(gt, axis=axis))[pair]
+             for axis, pair in enumerate(pairs)]
+    return log_term + _mean(np.concatenate(diffs))
 
 
 def loss_mp_occupancy(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -193,7 +191,7 @@ def loss_3d(
     tsdf_gt = checked("tsdf_gt", tsdf_gt, grid, error=LossError)
     thing = checked("thing_mask", np.asarray(thing_mask, dtype=bool), grid, error=LossError)
     band = np.abs(tsdf_gt) < TRUNCATION
-    tsdf_l1 = float(np.abs(tsdf_pred[band] - tsdf_gt[band]).mean()) if band.any() else 0.0
+    tsdf_l1 = _mean(np.abs(tsdf_pred[band] - tsdf_gt[band]))
     sem_gt = np.asarray(sem_gt)
     if sem_gt.shape != occ_gt.shape or sem_gt.dtype.kind not in "iu":
         raise LossError(f"sem_gt must be an integer label volume of shape {occ_gt.shape}, "
@@ -204,7 +202,7 @@ def loss_3d(
     if labels.size and not 0 <= labels.min() <= labels.max() < rows.shape[-1]:
         raise LossError(f"sem_gt labels at occupied cells must lie in [0, {rows.shape[-1]})")
     picked = rows[np.arange(labels.size), labels]
-    sem_ce = float(np.mean(-np.log(_clamp(picked)))) if labels.size else 0.0
+    sem_ce = _mean(-np.log(_clamp(picked)))
     # offsets are read, and must be finite, at the thing cells only
     pred_at = checked("offsets_pred", offsets_pred[thing], (None, 2), -np.inf, error=LossError)
     gt_at = checked("offsets_gt", offsets_gt[thing], (None, 2), -np.inf, error=LossError)

@@ -175,8 +175,8 @@ def _category_score(tp_ious, n_fp, n_fn) -> CategoryScore:
     n_tp = len(tp_ious)
     denom = 2 * n_tp + n_fp + n_fn
     rsq = sum(tp_ious) / n_tp if n_tp else 0.0
-    rrq = 2 * n_tp / denom if denom else 0.0
-    prq_k = 2 * sum(tp_ious) / denom if denom else 0.0
+    rrq = 2 * n_tp / denom
+    prq_k = 2 * sum(tp_ious) / denom
     return CategoryScore(prq=prq_k, rsq=rsq, rrq=rrq, tp=n_tp, fp=n_fp, fn=n_fn)
 
 

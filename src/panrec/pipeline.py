@@ -17,13 +17,13 @@ def reconstruct_from_priors(
     intrinsics: CameraIntrinsics,
     planes: DepthPlanes,
     categories: CategoryTable,
-    occ_threshold: float = 0.5,
 ) -> PanopticVolume:
     """Run the bottom-up tail of the pipeline on a prior bundle, label-first:
     scores are formed at occupied cells only, with the same result as
-    `reconstruct` on `occupancy_aware_lift`. Offsets must be present; they
-    stand in for the refinement stage's offset prediction. A channel count
-    other than the category table's, like anything `Priors2D.validate`
+    `reconstruct` on `occupancy_aware_lift`. The occupancy threshold is 0.5;
+    `reconstruct` and `panrec group --occ-threshold` take others. Offsets must be
+    present; they stand in for the refinement stage's offset prediction. A channel
+    count other than the category table's, like anything `Priors2D.validate`
     rejects, fails before any volume is built. The depth-only baseline is a
     bundle with `lifting.surface_only_occupancy` as its multi-plane occupancy."""
     if priors.offsets3d is None:
@@ -34,4 +34,4 @@ def reconstruct_from_priors(
                                   f"{len(categories)} categories")
     occupied, _rows, labels = lift_priors(priors, frame, intrinsics, planes)
     refined = Refined3D(frame, labels, priors.offsets3d, occupied)
-    return reconstruct(refined, priors.centers, intrinsics, categories, occ_threshold)
+    return reconstruct(refined, priors.centers, intrinsics, categories)

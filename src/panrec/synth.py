@@ -17,7 +17,7 @@ from .priors import Priors2D, SceneGT, encode_center_heatmap
 from .volume import BLOCK, CategoryTable, PanopticVolume
 
 
-class SynthError(RuntimeError):
+class SynthError(ValueError):
     pass
 
 
@@ -153,8 +153,6 @@ def generate_scene(cfg: SynthConfig):
                 vs, us, ms = _rasterize_box(placement_rng, cfg.width, cfg.height, cfg.planes)
             else:
                 vs, us, ms = _rasterize_ellipsoid(placement_rng, cfg.width, cfg.height, cfg.planes)
-            if len(vs) == 0:
-                continue
             if cfg.occlusion_allowed:
                 if np.any(semantics[vs, us, ms] != 0):
                     continue

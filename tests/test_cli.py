@@ -830,5 +830,7 @@ def test_cli_chain_writes_the_in_process_reconstruction(
     run("derive-priors", str(tmp / "scene"), "--out", str(tmp / "priors"))
     run("lift", str(tmp / "priors"), "--out", str(tmp / "features.bin"))
     run("group", str(tmp / "features.bin"), str(tmp / "priors"), "--out", str(tmp / "pred.bin"))
-    containers.write_panoptic(tmp / "in_process.bin", volume, scene.intrinsics, scene.planes)
+    containers.write_container(tmp / "in_process.bin", "panoptic-volume",
+                               containers.panoptic_array(volume), volume.frame,
+                               scene.intrinsics, scene.planes)
     assert (tmp / "pred.bin").read_bytes() == (tmp / "in_process.bin").read_bytes()

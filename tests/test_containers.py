@@ -21,12 +21,12 @@ from panrec.containers import (
     Manifest,
     check_shared,
     manifest_dict,
+    panoptic_array,
     read_container,
     read_manifest,
     read_panoptic,
     write_container,
     write_manifest,
-    write_panoptic,
 )
 from panrec.geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid
 from panrec.priors import InstanceCenter
@@ -126,7 +126,8 @@ def test_read_truncated_payload(tmp_path):
 
 def test_panoptic_round_trip(tmp_path, small_scene):
     p = tmp_path / "pan.bin"
-    write_panoptic(p, small_scene.volume, small_scene.intrinsics, small_scene.planes)
+    write_container(p, "panoptic-volume", panoptic_array(small_scene.volume),
+                    small_scene.frame, small_scene.intrinsics, small_scene.planes)
     back = read_panoptic(p, small_scene.categories)
     assert np.array_equal(back.semantics, small_scene.volume.semantics)
     assert np.array_equal(back.instances, small_scene.volume.instances)
@@ -373,6 +374,30 @@ def test_every_dtype_code_but_the_kinds_is_rejected(tmp_path, kind):
         with pytest.raises(ContainerError, match=re.escape(
                 f"{p}: dtype code {code} at offset 7, expected {KINDS[kind][2].str}")):
             read_container(p, kind)
+
+
+@pytest.mark.parametrize("kind", [k for k, (_dims, _channels, dtype) in KINDS.items()
+                                  if dtype == np.dtype("<f8")])
+@pytest.mark.parametrize("dtype", ["<i8", "<u8", ">i8"])
+def test_writer_refuses_integers_wider_than_32_bits_for_f8_kinds(tmp_path, kind, dtype):
+    # numpy counts int64 -> float64 as a "safe" cast, yet 2**53 + 1 rounds to 2**53
+    shape, _channels = fitting_shape(kind, FrustumGrid(5, 4, 3), camera(4, 5),
+                                     DepthPlanes(count=3), 2)
+    array = np.full(shape, 2**53 + 1, dtype)
+    p = tmp_path / "c.bin"
+    with pytest.raises(ContainerError, match=re.escape(
+            f"{p}: {kind} elements {array.dtype} do not fit <f8 exactly")):
+        write_container(p, kind, array, FrustumGrid(5, 4, 3), camera(4, 5), DepthPlanes(count=3))
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("dtype", ["?", "<i4", "<u4", ">i2", SAFE])
+def test_writer_stores_narrower_integers_exactly_in_f8_kinds(tmp_path, dtype):
+    array = np.array([[0, 1, 2, 3, 4]] * 4).astype(dtype)
+    array[0, 0] = np.iinfo(dtype).max if array.dtype.kind in "iu" else True
+    p = tmp_path / "d.bin"
+    write_container(p, "depth", array, FrustumGrid(5, 4, 3), camera(4, 5), DepthPlanes(count=3))
+    assert np.array_equal(read_container(p, "depth").array, array)
 
 
 def test_the_docstring_states_the_format_that_kinds_and_dtypes_hold():

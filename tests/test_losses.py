@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,13 @@ def test_depth_loss_validation():
     assert loss_depth(np.zeros((2, 2)), np.ones((2, 2))) == 0.0
     with pytest.raises(LossError):
         loss_depth(np.ones((2, 2)), np.ones((3, 3)))
+
+
+def test_depth_loss_takes_maps_and_scores_one_with_no_pixels_zero():
+    # a map with no rows has no pixel and no pair, like one with no surface
+    assert loss_depth(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    with pytest.raises(LossError, match=re.escape("depth gt shape (4,) is not (None, None)")):
+        loss_depth(np.zeros(4), np.zeros(4))
 
 
 @pytest.mark.parametrize("name", ["pred", "gt"])

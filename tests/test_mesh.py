@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec.geometry import AxisGrid, FrustumGrid, resample_volume
+from panrec.lifting import lift_priors
 from panrec.mesh import _FACES, _digit_table, _write_lines, export_obj, label_color
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import derive_priors
+from panrec.reconstruction import Refined3D, reconstruct
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume
 
@@ -35,13 +37,15 @@ def golden_volume(name):
     scene = generate_scene(SynthConfig(seed=2, width=32, height=32, planes=32, n_things=3,
                                        min_center_separation=8.0))
     priors = derive_priors(scene)
-    threshold = 0.5
     if name == "noisy-prediction":
         noise = NoiseSpec(depth_sigma=0.05, occupancy_flip=0.05, center_jitter=2)
         priors = perturb_priors(priors, noise, 7, scene.planes)
-        threshold = 0.3
+        occupied, _rows, labels = lift_priors(priors, scene.frame, scene.intrinsics,
+                                              scene.planes)
+        refined = Refined3D(scene.frame, labels, priors.offsets3d, occupied)
+        return reconstruct(refined, priors.centers, scene.intrinsics, scene.categories, 0.3)
     return reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
-                                   scene.categories, occ_threshold=threshold)
+                                   scene.categories)
 
 
 def export_bytes(volume, tmp_path):

@@ -449,22 +449,27 @@ def assert_label_first_matches_dense(priors, frame, intrinsics, planes, categori
         warnings.simplefilter("always")
         ref_labels, ref_dc3d, ref = dense_reference(priors, mp, frame, intrinsics, planes,
                                                     categories, occ_threshold)
+    occupied, rows, labels = lift_priors(priors, frame, intrinsics, planes)
+    refined = Refined3D(frame, labels, priors.offsets3d, occupied)
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
-        out = reconstruct_from_priors(priors, frame, intrinsics, planes, categories,
-                                      occ_threshold)
+        out = reconstruct(refined, priors.centers, intrinsics, categories, occ_threshold)
     assert np.array_equal(out.semantics, ref.semantics)
     assert np.array_equal(out.instances, ref.instances)
     assert len(warned) == len(ref_warned)
+    if occ_threshold == 0.5:  # reconstruct_from_priors' threshold: the same volume
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            same = reconstruct_from_priors(priors, frame, intrinsics, planes, categories)
+        assert np.array_equal(same.semantics, out.semantics)
+        assert np.array_equal(same.instances, out.instances)
     # the stages in between: feature rows, labels and gated offsets
-    occupied, rows, labels = lift_priors(priors, frame, intrinsics, planes)
     dense = reference_occupancy_aware_lift(priors.semantics, mp, priors.depth, frame,
                                            intrinsics, planes)
     occ = dense.occupancy
     cells = np.flatnonzero(occ > 0)
     assert np.array_equal(rows(cells), dense.features.reshape(occ.size, -1)[cells])
-    cells, labels, gate = mask_by_occupancy(Refined3D(frame, labels, priors.offsets3d, occupied),
-                                            occ_threshold)
+    cells, labels, gate = mask_by_occupancy(refined, occ_threshold)
     assert np.array_equal(cells, np.flatnonzero(occ >= occ_threshold))
     assert gate.tobytes() == occ.ravel()[cells].tobytes()
     assert np.array_equal(labels, ref_labels.ravel()[cells])

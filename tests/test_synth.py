@@ -7,6 +7,7 @@ from panrec.synth import (
     NoiseSpec,
     SynthConfig,
     SynthError,
+    _rasterize_box,
     _rasterize_ellipsoid,
     generate_scene,
     perturb_priors,
@@ -110,6 +111,18 @@ def test_rasterize_ellipsoid_matches_full_grid(seed, w, h, m):
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), w=st.integers(6, 128), h=st.integers(6, 128),
+       m=st.integers(3, 128), rasterize=st.sampled_from([_rasterize_box, _rasterize_ellipsoid]))
+def test_rasterizers_return_cells_inside_the_grid(seed, w, h, m, rasterize):
+    # generate_scene places every draw as it comes: none may be empty. Sizes run
+    # from the smallest grid SynthConfig accepts with things (6 x 6 x 3).
+    vs, us, ms = rasterize(np.random.Generator(np.random.PCG64(seed)), w, h, m)
+    assert len(vs) == len(us) == len(ms) >= 1
+    for idx, n in ((vs, h), (us, w), (ms, m)):
+        assert 0 <= idx.min() <= idx.max() < n
 
 
 def test_empty_scene():
