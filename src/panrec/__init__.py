@@ -6,6 +6,7 @@ from .geometry import (
     DepthPlanes,
     FrustumGrid,
     OUT_OF_RANGE,
+    PanrecError,
     backproject,
     plane_index,
     project,
@@ -33,6 +34,8 @@ from .priors import (
     InstanceCenter,
     Priors2D,
     SceneGT,
+    ThingOffsets,
+    dense_offsets,
     derive_priors,
     encode_center_heatmap,
     extract_centers,

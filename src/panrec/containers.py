@@ -47,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, GeometryError
+from .geometry import (AxisGrid, CameraIntrinsics, DepthPlanes, FrustumGrid, GeometryError,
+                       PanrecError)
 from .priors import InstanceCenter
 from .volume import CategoryTable, PanopticVolume, VolumeError
 
@@ -74,7 +75,7 @@ KINDS = {
 }
 
 
-class ContainerError(ValueError):
+class ContainerError(PanrecError):
     pass
 
 

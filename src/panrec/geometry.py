@@ -10,7 +10,11 @@ import numpy as np
 OUT_OF_RANGE = -1
 
 
-class GeometryError(ValueError):
+class PanrecError(ValueError):
+    """The base of every panrec error: bad input, named by its field or file."""
+
+
+class GeometryError(PanrecError):
     pass
 
 

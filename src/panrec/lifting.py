@@ -12,6 +12,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthPlanes,
     FrustumGrid,
+    PanrecError,
     frustum_cells,
 )
 from .priors import Priors2D, checked, checked_depth
@@ -27,7 +28,7 @@ from .volume import BLOCK, VOID
 LABEL_MARGIN = 2.0 ** -40
 
 
-class LiftingError(ValueError):
+class LiftingError(PanrecError):
     pass
 
 

@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import PanrecError
 from .priors import checked
 
 EPS = 1e-7
@@ -17,7 +18,7 @@ EPS = 1e-7
 TRUNCATION = 3.0
 
 
-class LossError(ValueError):
+class LossError(PanrecError):
     pass
 
 
@@ -160,11 +161,11 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = TRUNCATION) -
 
 def loss_3d(
     sem_pred: Callable,
-    offsets_pred: np.ndarray,
+    offsets_pred: Callable,
     occ_pred: np.ndarray,
     tsdf_pred: np.ndarray,
     sem_gt: np.ndarray,
-    offsets_gt: np.ndarray,
+    offsets_gt: Callable,
     occ_gt: np.ndarray,
     tsdf_gt: np.ndarray,
     thing_mask: np.ndarray,
@@ -176,15 +177,14 @@ def loss_3d(
     `sem_gt` is the integer label volume, `sem_pred` a function from flat cell
     indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
-    marks occupied thing cells. Both offset volumes are `occ_gt.shape + (2,)`
-    and finite at the thing cells, every other volume is `occ_gt.shape`, and a
-    misshaped input raises LossError naming it. Both TSDFs are
+    marks occupied thing cells. Both offsets map flat cells to their (N, 2) rows
+    (`priors.ThingOffsets`, or `priors.dense_offsets`, which checks a dense array's
+    shape) and must be finite at the thing cells; every volume is `occ_gt.shape`,
+    and a misshaped input raises LossError naming it. Both TSDFs are
     `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
     grid = occ_gt.shape
-    offsets_pred = checked("offsets_pred", offsets_pred, grid + (2,), error=LossError)
-    offsets_gt = checked("offsets_gt", offsets_gt, grid + (2,), error=LossError)
     occ_bce = binary_cross_entropy(checked("occ_pred", occ_pred, grid, error=LossError), occ_gt)
     tsdf_pred = checked("tsdf_pred", np.asarray(tsdf_pred, dtype=np.float64), grid,
                         error=LossError)
@@ -204,8 +204,9 @@ def loss_3d(
     picked = rows[np.arange(labels.size), labels]
     sem_ce = _mean(-np.log(_clamp(picked)))
     # offsets are read, and must be finite, at the thing cells only
-    pred_at = checked("offsets_pred", offsets_pred[thing], (None, 2), -np.inf, error=LossError)
-    gt_at = checked("offsets_gt", offsets_gt[thing], (None, 2), -np.inf, error=LossError)
+    at = np.flatnonzero(thing)
+    pred_at = checked("offsets_pred", offsets_pred(at), (None, 2), -np.inf, error=LossError)
+    gt_at = checked("offsets_gt", offsets_gt(at), (None, 2), -np.inf, error=LossError)
     offset_l1 = float(np.abs(pred_at - gt_at).sum() / thing.sum()) if thing.any() else 0.0
     return LossReport.build(
         terms={"occupancy_bce": occ_bce, "tsdf_l1": tsdf_l1, "semantic_ce": sem_ce,

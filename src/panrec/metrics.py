@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume import VOID, PanopticVolume
+from .geometry import PanrecError
+from .volume import BLOCK, VOID, PanopticVolume
 
 
-class MetricError(ValueError):
+class MetricError(PanrecError):
     pass
 
 
@@ -114,15 +115,29 @@ def overlap_table(pred: PanopticVolume, gt: PanopticVolume):
     # Widened first, so that a narrow semantics dtype cannot wrap category * C.
     pair = (gt.semantics.ravel()[cells].astype(np.intp) * is_thing.size
             + pred.semantics.ravel()[cells])
-    joint = np.bincount(pair, minlength=is_thing.size ** 2).reshape(is_thing.size, -1)
+    # The pairs are counted over K categories: the whole table while its pairs fit
+    # one BLOCK, else only the categories present (one bincount per side), so that
+    # memory never grows with the square of a long table.
+    present = np.arange(is_thing.size)
+    if present.size ** 2 > BLOCK:
+        sides = np.divmod(pair, is_thing.size)
+        present = np.flatnonzero(sum(np.bincount(s, minlength=is_thing.size) for s in sides))
+        number = np.zeros(is_thing.size, dtype=np.intp)
+        number[present] = np.arange(present.size)
+        pair = number[sides[0]] * present.size + number[sides[1]]
+    k = present.size
+    joint = np.bincount(pair, minlength=k * k).reshape(k, k)
     # Only cells where either side is a thing need instance ids.
-    hot = cells[(is_thing[:, None] | is_thing[None, :]).ravel()[pair]]
-    plain = np.flatnonzero(~is_thing)  # void and the stuff categories
+    thing_k = is_thing[present]
+    hot = cells[(thing_k[:, None] | thing_k[None, :]).ravel()[pair]]
+    plain = np.flatnonzero(~thing_k)  # void and the stuff categories, among the K
 
     def side(volume, counts):
         sem, inst = volume.semantics.ravel()[hot], volume.instances.ravel()[hot]
+        counts = np.bincount(present, weights=counts, minlength=is_thing.size)  # onto the table
         keys, span = _segment_keys(counts, sem, inst, is_thing)
-        return keys, span, _segment_index(keys, span, sem, inst), _segment_index(keys, span, plain)
+        return (keys, span, _segment_index(keys, span, sem, inst),
+                _segment_index(keys, span, present[plain]))
     (g_keys, g_span, g_index, g_rows), (p_keys, p_span, p_index, p_cols) = \
         side(gt, joint.sum(axis=1)), side(pred, joint.sum(axis=0))
     cols = len(p_keys) + 1

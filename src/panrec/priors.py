@@ -3,14 +3,16 @@ ground-truth derivation from a labeled frustum scene, plus 3D offset targets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, frame_error, round_half_up
+from .geometry import (CameraIntrinsics, DepthPlanes, FrustumGrid, PanrecError, frame_error,
+                       round_half_up)
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
-class PriorsError(ValueError):
+class PriorsError(PanrecError):
     pass
 
 
@@ -41,16 +43,53 @@ class SceneGT:
         return self.volume.categories
 
 
+@dataclass(frozen=True)
+class ThingOffsets:
+    """Pixel offsets toward 2D centers, kept at the thing cells only: `cells`
+    the ascending flat thing cells, `rows` their (N, 2) float64 (du, dv).
+    Called with flat cells, it returns their rows, (0, 0) at a cell not listed."""
+
+    cells: np.ndarray
+    rows: np.ndarray
+
+    def __call__(self, cells) -> np.ndarray:
+        cells = np.asarray(cells, dtype=np.intp)
+        at = np.searchsorted(self.cells, cells)
+        hit = at < len(self.cells)
+        hit[hit] = self.cells[at[hit]] == cells[hit]
+        out = np.zeros((len(cells), 2), dtype=np.float64)
+        out[hit] = self.rows[at[hit]]
+        return out
+
+    def dense(self, shape) -> np.ndarray:
+        """The offsets as a dense `shape + (2,)` array, zero at every cell not
+        listed: the layout of `offsets3d.bin`."""
+        out = np.zeros(tuple(shape) + (2,), dtype=np.float64)
+        out.reshape(-1, 2)[self.cells] = self.rows
+        return out
+
+
+def dense_offsets(field: str, array, shape, error: type = PriorsError):
+    """The offsets interface of `ThingOffsets` over a dense `shape + (2,)` array,
+    without copying it: flat cells -> their (N, 2) float64 rows. A misshaped
+    array raises `error` naming `field`."""
+    rows = checked(field, np.asarray(array, dtype=np.float64), tuple(shape) + (2,),
+                   error=error).reshape(-1, 2)
+    return lambda cells: rows[cells]
+
+
 @dataclass
 class Priors2D:
-    """The four 2D priors plus per-cell 3D offset targets."""
+    """The four 2D priors plus 3D offset targets. In process the offsets are a
+    `ThingOffsets` (rows at the thing cells only) or `dense_offsets` of an array;
+    they are dense only in `offsets3d.bin`."""
 
     semantics: np.ndarray        # (H, W, C) probabilities, one-hot when GT-derived
     depth: np.ndarray            # (H, W) meters, 0 = no surface along the ray
     centers: list                # list[InstanceCenter]
     heatmap: np.ndarray          # (H, W) in [0, 1]
     mp_occupancy: np.ndarray     # (H, W, M) bool or real in [0, 1], bool when GT-derived
-    offsets3d: np.ndarray = None  # (H, W, M, 2) pixel offsets toward 2D centers
+    offsets3d: Callable = None   # flat cells -> (N, 2) pixel offsets toward 2D centers
 
     def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
         """The bundle, after checking that it can be lifted into `frame`; raises
@@ -191,8 +230,8 @@ def derive_priors(scene: SceneGT) -> Priors2D:
       visible or not, rounded to the nearest pixel, with the category of its
       first cell in C order; heatmap: `encode_center_heatmap` of the centers;
     - mp_occupancy: the scene's bool occupancy, True where things or stuff occupy a cell;
-    - offsets3d: per thing cell, the (du, dv) pixel offset from its ray pixel to
-      its instance's center; zero elsewhere."""
+    - offsets3d: the `ThingOffsets` of the thing cells, each the (du, dv) pixel
+      offset from its ray pixel to its instance's center."""
     vol = scene.volume
     mp_occupancy = _occupancy(scene)
     plane = np.argmax(mp_occupancy, axis=2)
@@ -215,7 +254,6 @@ def derive_priors(scene: SceneGT) -> Priors2D:
         for u, v, cat, inst_id in zip(cu.tolist(), cv.tolist(), cats.tolist(), ids.tolist())
     ]
     heatmap = encode_center_heatmap(centers, *front.shape)  # its temporaries too
-    offsets3d = np.zeros(vol.semantics.shape + (2,), dtype=np.float64)
-    offsets3d.reshape(-1, 2)[flat] = np.column_stack((cu[inverse] - us, cv[inverse] - vs))
+    offsets3d = ThingOffsets(flat, np.column_stack((cu[inverse] - us, cv[inverse] - vs)))
     return Priors2D(semantics=semantics, depth=depth, centers=centers, heatmap=heatmap,
                     mp_occupancy=mp_occupancy, offsets3d=offsets3d)

@@ -8,13 +8,13 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, project_cells
+from .geometry import CameraIntrinsics, PanrecError, project_cells
 from .lifting import FeatureVolume, scores_to_labels
 from .priors import checked
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
-class ReconstructionError(ValueError):
+class ReconstructionError(PanrecError):
     pass
 
 
@@ -25,20 +25,18 @@ class Refined3D:
     `occupied(t)` lists in ascending order the flat cells of occupancy >= t and
     their occupancy; `labels(cells)` labels cells by their score rows gated by
     their occupancy. Both are `lifting.lift_priors`', or `identity_refine`'s
-    dense threshold and row reduction. Offsets cover the frame.
+    dense threshold and row reduction. `offsets(cells)` gives the cells' rows:
+    a `priors.ThingOffsets` in process, `priors.dense_offsets` of an
+    `offsets3d.bin` array in `panrec group`.
     """
 
     frame: object
     labels: Callable        # cells -> (N,) int32 labels
-    offsets: np.ndarray     # (..., 2) as (du, dv)
+    offsets: Callable       # cells -> (N, 2) float64 (du, dv)
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
-    def __post_init__(self):
-        self.offsets = checked("offsets", np.asarray(self.offsets, dtype=np.float64),
-                               self.frame.shape + (2,), error=ReconstructionError)
 
-
-def identity_refine(lifted: FeatureVolume, offsets: np.ndarray) -> Refined3D:
+def identity_refine(lifted: FeatureVolume, offsets: Callable) -> Refined3D:
     """Pack a lifted volume with externally provided offsets.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
@@ -81,17 +79,23 @@ class Things:
     semantics: np.ndarray
     instances: np.ndarray
 
+    @property
+    def dropped(self) -> int:
+        """The thing cells set to void because no center of their category exists."""
+        return int(np.count_nonzero(self.semantics == VOID))
+
 
 def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
-                    offsets: np.ndarray, centers, frame, intrinsics: CameraIntrinsics,
+                    offsets: Callable, centers, frame, intrinsics: CameraIntrinsics,
                     categories: CategoryTable) -> Things:
     """Assign each occupied thing cell to the nearest same-category 2D center.
 
     `cells`, `labels` and `gate` are `mask_by_occupancy`'s result; `offsets`
-    covers the frame and is read at the thing cells only. A thing cell's pixel
-    position shifted by its offset times its gate is compared with every
-    center of its category; ties keep the first-listed center. Thing cells
-    whose category has no center are dropped to void (warned). A shifted
+    (flat cells -> (N, 2) rows, as `Refined3D.offsets`) is read at the thing
+    cells only. A thing cell's pixel position shifted by its offset times its
+    gate is compared with every center of its category; ties keep the
+    first-listed center. Thing cells whose category has no center are dropped
+    to void (warned, and counted in `Things.dropped`). A shifted
     position that is not finite (a non-finite offset, or a cell at or behind
     the camera) or a label outside the category table raises ReconstructionError.
     """
@@ -100,7 +104,7 @@ def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
                                   f" got [{labels.min()}, {labels.max()}]")
     thing = np.asarray(categories.is_thing)[labels]
     cells, labels = cells[thing], labels[thing]
-    du, dv = (np.asarray(offsets).reshape(-1, 2)[cells] * gate[thing, None]).T
+    du, dv = (offsets(cells) * gate[thing, None]).T
     u_px, v_px = project_cells(frame, intrinsics, cells)
     tu, tv = u_px + du, v_px + dv
     bad = np.count_nonzero(~(np.isfinite(tu) & np.isfinite(tv)))
@@ -121,10 +125,10 @@ def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
         )
         ids = np.asarray([c.instance_id for c in cands], dtype=np.int32)
         instances[sel] = ids[np.argmin(dist2, axis=-1)]
-    dropped = np.count_nonzero(semantics == VOID)
-    if dropped:
+    things = Things(cells=cells, semantics=semantics, instances=instances)
+    if dropped := things.dropped:
         warnings.warn(f"{dropped} thing cells had no center of their category; set to void")
-    return Things(cells=cells, semantics=semantics, instances=instances)
+    return things
 
 
 def assemble_panoptic(frame, cells: np.ndarray, labels: np.ndarray, things: Things,

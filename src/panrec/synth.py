@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid
+from .geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, PanrecError
 from .priors import Priors2D, SceneGT, encode_center_heatmap
 from .volume import BLOCK, CategoryTable, PanopticVolume
 
 
-class SynthError(ValueError):
+class SynthError(PanrecError):
     pass
 
 
@@ -202,7 +202,8 @@ def perturb_priors(
 ) -> Priors2D:
     """Deterministically corrupt a prior bundle. Only the fields that a nonzero
     magnitude corrupts are copied, the occupancy flip into a float64 copy of a bool
-    or real `mp_occupancy`; the rest, always `offsets3d`, are the input's own."""
+    or real `mp_occupancy`; the rest are the input's own, always `offsets3d`, the
+    thing-cell rows (dense only in `offsets3d.bin`)."""
     streams = np.random.SeedSequence(seed).spawn(4)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
     changed = {}

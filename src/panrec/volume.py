@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AxisGrid, FrustumGrid
+from .geometry import AxisGrid, FrustumGrid, PanrecError
 
 VOID = 0
 # Cells per block of the passes that walk a full grid a block at a time (the scan
@@ -15,7 +15,7 @@ VOID = 0
 BLOCK = 1 << 16
 
 
-class VolumeError(ValueError):
+class VolumeError(PanrecError):
     pass
 
 

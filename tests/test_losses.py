@@ -29,9 +29,10 @@ from panrec.losses import (
     loss_panoptic2d,
     tsdf_from_occupancy,
 )
-from panrec.priors import derive_priors
+from panrec.priors import dense_offsets, derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
-from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes, traced_peak
+from conftest import (offsets_view, reference_occupancy_aware_lift, rows_of, seeded_scenes,
+                      traced_peak)
 
 
 def test_cross_entropy_uniform_closed_form():
@@ -179,10 +180,11 @@ def test_mp_occupancy_alias():
 
 # case -> (call, message): two inputs that must share a shape and do not, or
 # offsets that are not finite where they are read
-OCC, OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
+OCC, ZERO_OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
+OFFSETS = offsets_view(ZERO_OFFSETS)
 THING = np.zeros((2, 2, 2), bool)
 THING[1, 0, 1] = True
-NAN_AT_THING = np.where(THING[..., None], np.nan, OFFSETS)
+NAN_AT_THING = offsets_view(np.where(THING[..., None], np.nan, ZERO_OFFSETS))
 
 
 def loss_3d_with(**inputs):
@@ -220,7 +222,7 @@ def test_losses_reject_inputs_of_different_shapes(case):
 
 
 def test_loss3d_reads_offsets_at_the_thing_cells_only():
-    off_things = np.where(THING[..., None], OFFSETS, np.nan)
+    off_things = offsets_view(np.where(THING[..., None], ZERO_OFFSETS, np.nan))
     rep = loss_3d_with(offsets_pred=off_things, offsets_gt=off_things)()
     assert rep.terms["offset_l1"] == 0.0
 
@@ -343,6 +345,11 @@ def zero_loss_inputs(scene):
     return sem, priors.offsets3d, occ, tsdf, thing
 
 
+def shifted_offsets(offsets, scene, delta):
+    """`offsets` densified on the scene's frame, plus `delta` at every cell."""
+    return offsets_view(offsets.dense(scene.frame.shape) + delta)
+
+
 def test_loss3d_ground_truth_near_zero(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     sem = rows_of(sem)
@@ -354,8 +361,8 @@ def test_loss3d_term_isolation(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     sem = rows_of(sem)
     base = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
-    shifted = loss_3d(sem, offs + 1.0, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf,
-                      thing)
+    shifted = loss_3d(sem, shifted_offsets(offs, small_scene, 1.0), occ, tsdf,
+                      small_scene.volume.semantics, offs, occ, tsdf, thing)
     # offsets have 2 channels, so +1 on each adds 2 per thing cell
     assert shifted.terms["offset_l1"] == pytest.approx(2.0)
     for name in ("occupancy_bce", "tsdf_l1", "semantic_ce"):
@@ -418,13 +425,14 @@ def test_loss3d_rejects_bad_sem_gt(small_scene, bad):
 @pytest.mark.parametrize("shape", ["channels-only", "one-channel", "other-grid"])
 @pytest.mark.parametrize("field", ["offsets_pred", "offsets_gt"])
 def test_loss3d_rejects_offsets_of_the_wrong_shape(small_scene, field, shape):
-    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    # `loss_3d` reads offsets at cells; a dense array is shape-checked where it
+    # is wrapped for it
+    grid = small_scene.frame.shape
+    offs = zero_loss_inputs(small_scene)[1].dense(grid)
     bad = {"channels-only": np.zeros(2), "one-channel": offs[..., :1],
            "other-grid": offs[:, :-1]}[shape]
-    pred, gt = (bad, offs) if field == "offsets_pred" else (offs, bad)
     with pytest.raises(LossError, match=f"^{field} shape"):
-        loss_3d(rows_of(sem), pred, occ, tsdf, small_scene.volume.semantics, gt, occ, tsdf,
-                thing)
+        dense_offsets(field, bad, grid, LossError)
 
 
 # Each weight and the report terms it scales.
@@ -448,8 +456,8 @@ def test_each_weight_scales_exactly_its_own_terms(small_scene, field):
     def reports(weights):
         report2d = loss_panoptic2d(np.clip(priors.semantics, 0.2, 0.8), priors.semantics,
                                    0.5 * priors.heatmap, priors.heatmap, weights)
-        report3d = loss_3d(sem_pred, offs + 1.0, occ_pred, -tsdf, labels, offs, occ, tsdf,
-                           thing, weights=weights)
+        report3d = loss_3d(sem_pred, shifted_offsets(offs, small_scene, 1.0), occ_pred, -tsdf,
+                           labels, offs, occ, tsdf, thing, weights=weights)
         return {"p2d": report2d, "l3d": report3d}
 
     base, scaled = reports(LossWeights()), reports(LossWeights(**{field: 3.0}))

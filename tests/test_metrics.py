@@ -24,7 +24,7 @@ from panrec.priors import derive_priors, extract_centers
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
 from panrec.volume import CategoryTable, PanopticVolume, VolumeError
 from panrec.geometry import AxisGrid, FrustumGrid
-from conftest import seeded_scenes
+from conftest import seeded_scenes, traced_peak
 
 CATS = CategoryTable((False, True, False, True))
 FRAME = FrustumGrid(4, 4, 4)
@@ -210,6 +210,23 @@ def test_prq_frame_and_table_mismatch():
         prq(a, b)
 
 
+def test_prq_memory_does_not_grow_with_the_category_table():
+    # an 8^3 volume with 256 cells of categories 1-10, scored against itself under
+    # its 11-entry table and under a 2,000-entry one: only the categories present
+    # are numbered, so the long table costs no more and scores the same bits
+    frame = FrustumGrid(8, 8, 8)
+    rng = np.random.default_rng(0)
+    sem = np.zeros(frame.shape, np.int32)
+    sem.ravel()[rng.choice(sem.size, 256, replace=False)] = rng.integers(1, 11, 256)
+    tables = [CategoryTable((False,) + tuple(k % 3 != 0 for k in range(1, n)))
+              for n in (11, 2000)]
+    inst = np.where(np.asarray(tables[0].is_thing)[sem], rng.integers(1, 9, sem.shape), 0)
+    volumes = [PanopticVolume(frame, sem, inst.astype(np.int32), table) for table in tables]
+    peak = traced_peak(prq, volumes[1], volumes[1])
+    assert peak < 2e6, peak
+    assert report_lines(prq(*volumes[:1] * 2)) == report_lines(prq(*volumes[1:] * 2))
+
+
 def test_prq_reconstruction_round_trip():
     for scene in seeded_scenes(3):
         priors = derive_priors(scene)
@@ -390,13 +407,15 @@ def reference_table(pred, gt):
     return pred_segments, gt_segments, overlap
 
 
-# One category besides void, void alone, and stuff alone, next to ORACLE_CATS.
+# One category besides void, void alone, and stuff alone, next to ORACLE_CATS, and
+# a table long enough that `overlap_table` numbers only the categories present.
 TABLE_CATS = [ORACLE_CATS, CategoryTable((False, True)), CategoryTable((False, False)),
-              CategoryTable((False,)), CategoryTable((False, False, False, False))]
+              CategoryTable((False,)), CategoryTable((False, False, False, False)),
+              CategoryTable((False,) + tuple(k % 3 == 1 for k in range(1, 300)))]
 
 
-@pytest.mark.parametrize("categories", TABLE_CATS, ids=lambda c: "".join(
-    "t" if thing else "s" for thing in c.is_thing[1:]) or "void")
+@pytest.mark.parametrize("categories", TABLE_CATS, ids=lambda c: f"long-{len(c)}" if len(c) > 8
+                         else "".join("t" if thing else "s" for thing in c.is_thing[1:]) or "void")
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_overlap_table_matches_extract_segments(categories, data):

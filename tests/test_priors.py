@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panrec import lifting
-from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index
+from panrec.geometry import CameraIntrinsics, DepthPlanes, FrustumGrid, plane_index, round_half_up
 from panrec.lifting import lift_priors, occupancy_aware_lift
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
@@ -16,6 +16,7 @@ from panrec.priors import (
     Priors2D,
     PriorsError,
     SceneGT,
+    dense_offsets,
     derive_instance_map2d,
     derive_priors,
     encode_center_heatmap,
@@ -261,27 +262,28 @@ def test_multiplane_occupancy_counting(small_scene):
 
 
 def test_derive_priors_stays_below_its_memory_bound():
-    # at 64^3 (the scene of the perturb bound) the priors hold offsets3d, two float64
-    # volumes of the grid, the scene's bool occupancy, an eighth of one, and little
-    # else: below 2.5 float64 volumes of the grid
+    # at 64^3 (the scene of the perturb bound) the priors hold the scene's bool
+    # occupancy, an eighth of a float64 volume of the grid, offset rows at the
+    # thing cells only, and little else: below one float64 volume of the grid
     scene = generate_scene(SynthConfig(seed=11, width=64, height=64, planes=64, n_things=3,
                                        min_center_separation=8.0))
     peak = traced_peak(derive_priors, scene)
-    assert peak < 2.5 * 8 * scene.volume.semantics.size, peak / (8 * scene.volume.semantics.size)
+    assert peak < 8 * scene.volume.semantics.size, peak / (8 * scene.volume.semantics.size)
 
 
 def test_offsets_trivials():
     scene = make_scene(((3, 3, 2), 3, 1))
-    offs = derive_priors(scene).offsets3d
+    offs = derive_priors(scene).offsets3d.dense(scene.frame.shape)
     assert tuple(offs[3, 3, 2]) == (0.0, 0.0)
     # two cells of one instance: the center is their midpoint (3, 3)
     offs = derive_priors(make_scene(*(((3, u, 2), 3, 1) for u in (2, 4)))).offsets3d
+    offs = offs.dense(scene.frame.shape)
     assert tuple(offs[3, 2, 2]) == (1.0, 0.0) and tuple(offs[3, 4, 2]) == (-1.0, 0.0)
 
 
 def test_offsets_point_at_centers(small_scene):
     priors = derive_priors(small_scene)
-    centers, offs = priors.centers, priors.offsets3d
+    centers, offs = priors.centers, priors.offsets3d.dense(small_scene.frame.shape)
     by_id = {c.instance_id: c for c in centers}
     inst = small_scene.volume.instances
     vs, us, ms = np.nonzero(inst > 0)
@@ -291,6 +293,62 @@ def test_offsets_point_at_centers(small_scene):
         assert v + offs[v, u, m, 1] == c.v
     # zero on non-thing cells
     assert np.all(offs[inst == 0] == 0)
+
+
+def dense_offset_scatter(scene):
+    """The dense (H, W, M, 2) offsets that `derive_priors` scattered before it
+    kept thing-cell rows: at each thing cell, its instance's mean pixel
+    position rounded half up, minus the cell's pixel; zero elsewhere."""
+    inst = scene.volume.instances
+    dense = np.zeros(inst.shape + (2,))
+    vs, us, _ms = np.indices(inst.shape)
+    for i in np.unique(inst[inst > 0]):
+        at = inst == i
+        dense[at] = np.column_stack((round_half_up(us[at].mean()) - us[at],
+                                     round_half_up(vs[at].mean()) - vs[at]))
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), size=st.integers(6, 16),
+       n_things=st.one_of(st.integers(1, 4), st.just(0)), data=st.data())
+def test_thing_offsets_read_the_dense_scatter_bit_for_bit(seed, size, n_things, data):
+    # listed cells, unlisted cells, in any order and repeated, or none at all
+    try:
+        scene = generate_scene(SynthConfig(seed=seed, width=size, height=size, planes=size,
+                                           n_things=n_things, min_center_separation=0.0))
+    except SynthError:
+        reject()
+    offsets = derive_priors(scene).offsets3d
+    want = dense_offset_scatter(scene)
+    assert np.array_equal(offsets.cells, np.flatnonzero(scene.volume.instances > 0))
+    listed = st.sampled_from(offsets.cells) if offsets.cells.size else st.nothing()
+    cells = np.asarray(data.draw(st.lists(st.one_of(listed, st.integers(0, want.size // 2 - 1)),
+                                          max_size=64)), dtype=np.intp)
+    for at in (cells, offsets.cells, np.zeros(0, np.intp)):
+        rows = offsets(at)
+        assert rows.dtype == np.float64 and rows.shape == (at.size, 2)
+        assert rows.tobytes() == want.reshape(-1, 2)[at].tobytes()
+    dense = offsets.dense(scene.frame.shape)
+    assert dense.shape == want.shape and dense.tobytes() == want.tobytes()
+
+
+def test_thing_offsets_of_a_scene_without_things():
+    scene = make_scene(((np.s_[:], np.s_[:], 5), 1, 0))  # stuff only
+    offsets = derive_priors(scene).offsets3d
+    assert offsets.cells.size == 0 and offsets.rows.shape == (0, 2)
+    every = np.arange(scene.volume.semantics.size)
+    assert offsets(every).tobytes() == np.zeros((every.size, 2)).tobytes()
+    assert not offsets.dense(scene.frame.shape).any()
+
+
+def test_dense_offsets_read_an_array_without_copying_it():
+    array = np.random.default_rng(0).normal(size=(8, 8, 8, 2))
+    read = dense_offsets("offsets", array, (8, 8, 8))
+    array[1, 2, 3] = (5.0, 6.0)  # a write shows through: the reader holds no copy
+    assert read(np.array([1 * 64 + 2 * 8 + 3])).tolist() == [[5.0, 6.0]]
+    with pytest.raises(PriorsError, match=r"^offsets shape \(8, 8, 8, 2\) is not \(8, 8, 4, 2\)"):
+        dense_offsets("offsets", array, (8, 8, 4))
 
 
 def test_instance_map2d_categories_match_per_id_scan():
@@ -446,6 +504,9 @@ def test_derive_priors_reads_the_front_and_thing_cells_once(monkeypatch):
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
     p = derive_priors(scene)
     assert calls == ["occupancy", "unique"]
-    for field in ("semantics", "depth", "heatmap", "mp_occupancy", "offsets3d"):
+    for field in ("semantics", "depth", "heatmap", "mp_occupancy"):
         assert getattr(p, field).tobytes() == getattr(expected, field).tobytes()
+    for field in ("cells", "rows"):
+        assert (getattr(p.offsets3d, field).tobytes()
+                == getattr(expected.offsets3d, field).tobytes())
     assert p.centers == expected.centers
