@@ -35,6 +35,10 @@ class Refined3D:
     offsets: Callable       # cells -> (N, 2) float64 (du, dv)
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
+    def __post_init__(self):
+        if not callable(self.offsets):  # a dense array enters through priors.dense_offsets
+            raise ReconstructionError("offsets must map flat cells to their (N, 2) rows")
+
 
 def identity_refine(lifted: FeatureVolume, offsets: Callable) -> Refined3D:
     """Pack a lifted volume with externally provided offsets.

@@ -331,6 +331,8 @@ def test_identity_refine_passthrough_and_errors():
     # `panrec group` checks the dense offsets' shape where it wraps them
     with pytest.raises(ReconstructionError, match=r"^offsets shape \(2, 2, 2, 2\)"):
         dense_offsets("offsets", np.zeros((2, 2, 2, 2)), FRAME.shape, ReconstructionError)
+    with pytest.raises(ReconstructionError, match="^offsets must map flat cells"):
+        identity_refine(fv, np.zeros(FRAME.shape + (2,)))
     with pytest.raises(ReconstructionError, match="^occupancy shape"):
         identity_refine(FeatureVolume(FRAME, fv.features, np.zeros((2, 2, 2))), offs)
     small = FeatureVolume(frame=FRAME, features=np.ones((2, 2, 2, 4)), occupancy=occ)
