@@ -31,11 +31,11 @@ from .losses import (
 from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, prq
 from .pipeline import reconstruct_from_priors
 from .priors import (
+    DenseOffsets,
     InstanceCenter,
     Priors2D,
     SceneGT,
     ThingOffsets,
-    dense_offsets,
     derive_priors,
     encode_center_heatmap,
     extract_centers,

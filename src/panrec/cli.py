@@ -24,7 +24,7 @@ from .losses import (
 from .mesh import export_obj
 from .metrics import prq
 from .pipeline import reconstruct_from_priors
-from .priors import (Priors2D, SceneGT, checked_centers, dense_offsets, derive_instance_map2d,
+from .priors import (DenseOffsets, Priors2D, SceneGT, checked_centers, derive_instance_map2d,
                      derive_priors)
 from .reconstruction import ReconstructionError, identity_refine, reconstruct
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
@@ -86,16 +86,14 @@ def _load_scene(scene_dir: Path):
 
 
 def _load_priors(priors_dir: Path, offsets: bool):
-    """A prior bundle (offsets3d only if `offsets`, as `dense_offsets` of its
-    container array) and the (path, container) pair of its semantics, whose
-    header every prior file shares."""
+    """A prior bundle (offsets3d only if `offsets`, a `DenseOffsets`) and the
+    (path, container) pair of its semantics, whose header every prior file shares."""
     names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
     manifest, read = _read_dir(priors_dir, *names)
     semantics, depth, heatmap, mp_occupancy, *offsets3d = (cont.array for _path, cont in read)
     priors = Priors2D(semantics=semantics, depth=depth, centers=manifest.centers,
                       heatmap=heatmap, mp_occupancy=mp_occupancy,
-                      offsets3d=dense_offsets("offsets3d", offsets3d[0], read[0][1].frame.shape)
-                      if offsets else None)
+                      offsets3d=DenseOffsets(offsets3d[0]) if offsets else None)
     return priors, read[0]
 
 
@@ -141,8 +139,7 @@ def derive_priors_cmd(scene_dir, out_dir, noise_seed, depth_sigma,
     priors = perturb_priors(priors, noise, noise_seed, scene.planes)
     _write_dir(out_dir, scene, {
         "semantics2d": priors.semantics, "depth": priors.depth, "heatmap": priors.heatmap,
-        "mp_occupancy": priors.mp_occupancy,
-        "offsets3d": priors.offsets3d.dense(scene.frame.shape),
+        "mp_occupancy": priors.mp_occupancy, "offsets3d": priors.offsets3d.dense(),
         "instances2d": derive_instance_map2d(scene)}, priors.centers)
     click.echo(f"wrote priors to {out_dir}")
 
@@ -210,9 +207,8 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
         _fail(f"{features_path}: channels {features.array.shape[-1]} != "
               f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(features.frame, features.array, occ.array)
-    offsets_at = dense_offsets("offsets", offsets.array, features.frame.shape, ReconstructionError)
     try:
-        refined = identity_refine(lifted, offsets_at)
+        refined = identity_refine(lifted, DenseOffsets(offsets.array))
     except ReconstructionError as exc:  # it names features or occupancy first
         _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
     volume = reconstruct(refined, centers, intr, categories, occ_threshold)

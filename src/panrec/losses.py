@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import PanrecError
-from .priors import checked
+from .priors import checked, checked_offsets
 
 EPS = 1e-7
 
@@ -178,9 +178,9 @@ def loss_3d(
     indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
     marks occupied thing cells. Both offsets map flat cells to their (N, 2) rows
-    (`priors.ThingOffsets`, or `priors.dense_offsets`, which checks a dense array's
-    shape) and must be finite at the thing cells; every volume is `occ_gt.shape`,
-    and a misshaped input raises LossError naming it. Both TSDFs are
+    (`priors.ThingOffsets` or `DenseOffsets`), cover `occ_gt.shape + (2,)` and are
+    finite at the thing cells, every other volume is `occ_gt.shape`, and a
+    misshaped input raises LossError naming it. Both TSDFs are
     `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.
     """
     occ_gt = np.asarray(occ_gt, dtype=np.float64)
@@ -190,6 +190,8 @@ def loss_3d(
                         error=LossError)
     tsdf_gt = checked("tsdf_gt", tsdf_gt, grid, error=LossError)
     thing = checked("thing_mask", np.asarray(thing_mask, dtype=bool), grid, error=LossError)
+    checked_offsets("offsets_pred", offsets_pred, grid, LossError)
+    checked_offsets("offsets_gt", offsets_gt, grid, LossError)
     band = np.abs(tsdf_gt) < TRUNCATION
     tsdf_l1 = _mean(np.abs(tsdf_pred[band] - tsdf_gt[band]))
     sem_gt = np.asarray(sem_gt)

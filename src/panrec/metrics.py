@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PanrecError
-from .volume import BLOCK, VOID, PanopticVolume
+from .volume import VOID, PanopticVolume
 
 
 class MetricError(PanrecError):
@@ -110,34 +110,24 @@ def overlap_table(pred: PanopticVolume, gt: PanopticVolume):
     segment p, with a last void row and column. The volumes must share a frame
     and a category table."""
     is_thing = np.asarray(gt.categories.is_thing, dtype=bool)
-    # Only cells non-void in either volume can overlap: count their category pairs.
+    # Only cells non-void in either volume can overlap. Their category pairs are
+    # counted over the K categories up to the largest one present, so that memory
+    # does not grow with the square of a long table's unused tail.
     cells = np.flatnonzero(np.logical_or(pred.semantics, gt.semantics))
-    # Widened first, so that a narrow semantics dtype cannot wrap category * C.
-    pair = (gt.semantics.ravel()[cells].astype(np.intp) * is_thing.size
-            + pred.semantics.ravel()[cells])
-    # The pairs are counted over K categories: the whole table while its pairs fit
-    # one BLOCK, else only the categories present (one bincount per side), so that
-    # memory never grows with the square of a long table.
-    present = np.arange(is_thing.size)
-    if present.size ** 2 > BLOCK:
-        sides = np.divmod(pair, is_thing.size)
-        present = np.flatnonzero(sum(np.bincount(s, minlength=is_thing.size) for s in sides))
-        number = np.zeros(is_thing.size, dtype=np.intp)
-        number[present] = np.arange(present.size)
-        pair = number[sides[0]] * present.size + number[sides[1]]
-    k = present.size
+    sides = gt.semantics.ravel()[cells], pred.semantics.ravel()[cells]
+    k = int(max(s.max(initial=VOID) for s in sides)) + 1
+    # Widened first, so that a narrow semantics dtype cannot wrap category * K.
+    pair = sides[0].astype(np.intp) * k + sides[1]
     joint = np.bincount(pair, minlength=k * k).reshape(k, k)
     # Only cells where either side is a thing need instance ids.
-    thing_k = is_thing[present]
+    thing_k = is_thing[:k]
     hot = cells[(thing_k[:, None] | thing_k[None, :]).ravel()[pair]]
-    plain = np.flatnonzero(~thing_k)  # void and the stuff categories, among the K
+    plain = np.flatnonzero(~thing_k)  # void and the stuff categories below K
 
     def side(volume, counts):
         sem, inst = volume.semantics.ravel()[hot], volume.instances.ravel()[hot]
-        counts = np.bincount(present, weights=counts, minlength=is_thing.size)  # onto the table
-        keys, span = _segment_keys(counts, sem, inst, is_thing)
-        return (keys, span, _segment_index(keys, span, sem, inst),
-                _segment_index(keys, span, present[plain]))
+        keys, span = _segment_keys(counts, sem, inst, thing_k)
+        return keys, span, _segment_index(keys, span, sem, inst), _segment_index(keys, span, plain)
     (g_keys, g_span, g_index, g_rows), (p_keys, p_span, p_index, p_cols) = \
         side(gt, joint.sum(axis=1)), side(pred, joint.sum(axis=0))
     cols = len(p_keys) + 1

@@ -22,13 +22,13 @@ def reconstruct_from_priors(
     scores are formed at occupied cells only, with the same result as
     `reconstruct` on `occupancy_aware_lift`. The occupancy threshold is 0.5;
     `reconstruct` and `panrec group --occ-threshold` take others. Offsets must be
-    present, as `Refined3D.offsets` reads them (`priors.dense_offsets` wraps a dense
-    array); they stand in for the refinement stage's offset prediction. A channel
-    count other than the category table's, like anything `Priors2D.validate`
-    rejects, fails before any volume is built. The depth-only baseline is a
-    bundle with `lifting.surface_only_occupancy` as its multi-plane occupancy."""
-    if not callable(priors.offsets3d):
-        raise ReconstructionError("prior bundle carries no readable 3D offsets (offsets3d)")
+    present and cover `frame`; they stand in for the refinement stage's offset
+    prediction. A channel count other than the category table's, like anything
+    `Priors2D.validate` rejects, fails before any volume is built. The depth-only
+    baseline is a bundle with `lifting.surface_only_occupancy` as its multi-plane
+    occupancy."""
+    if priors.offsets3d is None:
+        raise ReconstructionError("prior bundle carries no 3D offsets (offsets3d)")
     shape = np.shape(priors.semantics)
     if len(shape) == 3 and shape[-1] != len(categories):
         raise ReconstructionError(f"semantics has {shape[-1]} channels, the category table "

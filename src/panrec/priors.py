@@ -3,7 +3,6 @@ ground-truth derivation from a labeled frustum scene, plus 3D offset targets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,11 +45,13 @@ class SceneGT:
 @dataclass(frozen=True)
 class ThingOffsets:
     """Pixel offsets toward 2D centers, kept at the thing cells only: `cells`
-    the ascending flat thing cells, `rows` their (N, 2) float64 (du, dv).
-    Called with flat cells, it returns their rows, (0, 0) at a cell not listed."""
+    the ascending flat thing cells, `rows` their (N, 2) float64 (du, dv), and
+    `shape` that of the dense array it stands for, grid + (2,). Called with
+    flat cells, it returns their rows, (0, 0) at a cell not listed."""
 
     cells: np.ndarray
     rows: np.ndarray
+    shape: tuple
 
     def __call__(self, cells) -> np.ndarray:
         cells = np.asarray(cells, dtype=np.intp)
@@ -61,35 +62,49 @@ class ThingOffsets:
         out[hit] = self.rows[at[hit]]
         return out
 
-    def dense(self, shape) -> np.ndarray:
-        """The offsets as a dense `shape + (2,)` array, zero at every cell not
-        listed: the layout of `offsets3d.bin`."""
-        out = np.zeros(tuple(shape) + (2,), dtype=np.float64)
+    def dense(self) -> np.ndarray:
+        """The dense `shape` array (`offsets3d.bin`'s layout), zero at cells not listed."""
+        out = np.zeros(self.shape, dtype=np.float64)
         out.reshape(-1, 2)[self.cells] = self.rows
         return out
 
 
-def dense_offsets(field: str, array, shape, error: type = PriorsError):
-    """The offsets interface of `ThingOffsets` over a dense `shape + (2,)` array,
-    without copying it: flat cells -> their (N, 2) float64 rows. A misshaped
-    array raises `error` naming `field`."""
-    rows = checked(field, np.asarray(array, dtype=np.float64), tuple(shape) + (2,),
-                   error=error).reshape(-1, 2)
-    return lambda cells: rows[cells]
+@dataclass(frozen=True)
+class DenseOffsets:
+    """The interface of `ThingOffsets` over a dense grid + (2,) `array`, without
+    copying it: called with flat cells, it returns their rows."""
+
+    array: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.array.shape
+
+    def __call__(self, cells) -> np.ndarray:
+        return self.array.reshape(-1, 2)[cells]
+
+
+def checked_offsets(field: str, offsets, grid, error: type = PriorsError):
+    """`offsets` after checking that it reads the rows of `grid`'s cells: that it
+    is callable and its `shape` is grid + (2,). Raises `error` naming `field`."""
+    if not callable(offsets):
+        raise error(f"{field} must map flat cells to their (N, 2) rows (see DenseOffsets)")
+    if (shape := getattr(offsets, "shape", None)) != tuple(grid) + (2,):
+        raise error(f"{field} shape {shape} is not {tuple(grid) + (2,)}")
+    return offsets
 
 
 @dataclass
 class Priors2D:
-    """The four 2D priors plus 3D offset targets. In process the offsets are a
-    `ThingOffsets` (rows at the thing cells only) or `dense_offsets` of an array;
-    they are dense only in `offsets3d.bin`."""
+    """The four 2D priors plus 3D offset targets: thing-cell rows in process (or a
+    `DenseOffsets` over a dense array), dense only in `offsets3d.bin`."""
 
     semantics: np.ndarray        # (H, W, C) probabilities, one-hot when GT-derived
     depth: np.ndarray            # (H, W) meters, 0 = no surface along the ray
     centers: list                # list[InstanceCenter]
     heatmap: np.ndarray          # (H, W) in [0, 1]
     mp_occupancy: np.ndarray     # (H, W, M) bool or real in [0, 1], bool when GT-derived
-    offsets3d: Callable = None   # flat cells -> (N, 2) pixel offsets toward 2D centers
+    offsets3d: ThingOffsets | DenseOffsets = None  # pixel offsets toward 2D centers
 
     def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
         """The bundle, after checking that it can be lifted into `frame`; raises
@@ -254,6 +269,7 @@ def derive_priors(scene: SceneGT) -> Priors2D:
         for u, v, cat, inst_id in zip(cu.tolist(), cv.tolist(), cats.tolist(), ids.tolist())
     ]
     heatmap = encode_center_heatmap(centers, *front.shape)  # its temporaries too
-    offsets3d = ThingOffsets(flat, np.column_stack((cu[inverse] - us, cv[inverse] - vs)))
+    offsets3d = ThingOffsets(flat, np.column_stack((cu[inverse] - us, cv[inverse] - vs)),
+                             vol.semantics.shape + (2,))
     return Priors2D(semantics=semantics, depth=depth, centers=centers, heatmap=heatmap,
                     mp_occupancy=mp_occupancy, offsets3d=offsets3d)

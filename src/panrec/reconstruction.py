@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, PanrecError, project_cells
 from .lifting import FeatureVolume, scores_to_labels
-from .priors import checked
+from .priors import checked, checked_offsets
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -25,9 +25,9 @@ class Refined3D:
     `occupied(t)` lists in ascending order the flat cells of occupancy >= t and
     their occupancy; `labels(cells)` labels cells by their score rows gated by
     their occupancy. Both are `lifting.lift_priors`', or `identity_refine`'s
-    dense threshold and row reduction. `offsets(cells)` gives the cells' rows:
-    a `priors.ThingOffsets` in process, `priors.dense_offsets` of an
-    `offsets3d.bin` array in `panrec group`.
+    dense threshold and row reduction. `offsets(cells)` gives the cells' rows and
+    covers the frame: a `priors.ThingOffsets` (thing-cell rows) in process, a
+    `priors.DenseOffsets` over `offsets3d.bin` in `panrec group`.
     """
 
     frame: object
@@ -36,8 +36,7 @@ class Refined3D:
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
     def __post_init__(self):
-        if not callable(self.offsets):  # a dense array enters through priors.dense_offsets
-            raise ReconstructionError("offsets must map flat cells to their (N, 2) rows")
+        checked_offsets("offsets", self.offsets, self.frame.shape, ReconstructionError)
 
 
 def identity_refine(lifted: FeatureVolume, offsets: Callable) -> Refined3D:

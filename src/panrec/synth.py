@@ -202,8 +202,8 @@ def perturb_priors(
 ) -> Priors2D:
     """Deterministically corrupt a prior bundle. Only the fields that a nonzero
     magnitude corrupts are copied, the occupancy flip into a float64 copy of a bool
-    or real `mp_occupancy`; the rest are the input's own, always `offsets3d`, the
-    thing-cell rows (dense only in `offsets3d.bin`)."""
+    or real `mp_occupancy`; the rest, always `offsets3d` (thing-cell rows in
+    process, dense only in `offsets3d.bin`), are the input's own."""
     streams = np.random.SeedSequence(seed).spawn(4)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
     changed = {}

@@ -9,7 +9,7 @@ from hypothesis import settings
 from panrec.geometry import (AxisGrid, FrustumGrid, OUT_OF_RANGE, plane_index, resample_volume,
                              round_half_up)
 from panrec.lifting import FeatureVolume, scores_to_labels
-from panrec.priors import Priors2D, dense_offsets, derive_priors
+from panrec.priors import DenseOffsets, Priors2D, derive_priors
 from panrec.synth import NoiseSpec, SynthConfig, generate_scene
 
 # CI runs (GitHub sets CI) draw the same examples every time, so a property
@@ -74,18 +74,11 @@ def rows_of(volume):
     return lambda cells: flat[cells]
 
 
-def offsets_view(offsets):
-    """A dense (..., 2) offsets array as the cells -> (N, 2) rows interface that
-    `Refined3D.offsets`, `group_instances` and `loss_3d` read."""
-    return dense_offsets("offsets", offsets, np.shape(offsets)[:-1])
-
-
 def resampled_offsets(priors, scene, frame):
     """The bundle's offsets, densified on the scene's frustum frame, resampled
-    onto `frame` and read through `offsets_view`."""
-    dense = priors.offsets3d.dense(scene.frame.shape)
-    return offsets_view(resample_volume(dense, scene.frame, frame, scene.intrinsics,
-                                        scene.planes))
+    onto `frame` and read through `DenseOffsets`."""
+    return DenseOffsets(resample_volume(priors.offsets3d.dense(), scene.frame, frame,
+                                        scene.intrinsics, scene.planes))
 
 
 def labels_of(volume, occupancy):

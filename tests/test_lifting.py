@@ -30,6 +30,7 @@ from panrec.losses import tsdf_from_occupancy
 from panrec.mesh import _CHUNK, _digit_table, _write_lines, export_obj
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
+    DenseOffsets,
     PriorsError,
     ThingOffsets,
     derive_instance_map2d,
@@ -44,7 +45,6 @@ from conftest import (
     GOLDEN_LIFT_SCENES,
     array_digest,
     bundle,
-    offsets_view,
     reference_occupancy_aware_lift,
     traced_peak,
 )
@@ -621,7 +621,7 @@ def test_the_lift_does_not_depend_on_how_mp_occupancy_is_stored(case, data):
 
     def outputs(mp):
         p = dataclasses.replace(priors, mp_occupancy=mp,
-                                offsets3d=offsets_view(np.zeros(frame.shape + (2,))))
+                                offsets3d=DenseOffsets(np.zeros(frame.shape + (2,))))
         occupied, rows, labels = lift_priors(p, frame, intrinsics, planes)
         fv = occupancy_aware_lift(p, frame, intrinsics, planes)
         with warnings.catch_warnings(record=True) as caught:
@@ -661,7 +661,8 @@ def test_the_axis_lister_stays_below_three_dense_volumes():
                                        n_thing_categories=8))
     p = derive_priors(scene)
     frame = AxisGrid((128, 128, 128), 0.03515625, (-3, -3, 0.3))
-    offsets = ThingOffsets(np.zeros(0, np.intp), np.zeros((0, 2)))  # zero at every cell
+    # no thing cell listed: zero offsets at every cell
+    offsets = ThingOffsets(np.zeros(0, np.intp), np.zeros((0, 2)), frame.shape + (2,))
     tracemalloc.start()
     try:
         occupied, _rows, labels = lift_priors(p, frame, scene.intrinsics, scene.planes)

@@ -29,10 +29,9 @@ from panrec.losses import (
     loss_panoptic2d,
     tsdf_from_occupancy,
 )
-from panrec.priors import dense_offsets, derive_priors
+from panrec.priors import DenseOffsets, derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
-from conftest import (offsets_view, reference_occupancy_aware_lift, rows_of, seeded_scenes,
-                      traced_peak)
+from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes, traced_peak
 
 
 def test_cross_entropy_uniform_closed_form():
@@ -181,10 +180,10 @@ def test_mp_occupancy_alias():
 # case -> (call, message): two inputs that must share a shape and do not, or
 # offsets that are not finite where they are read
 OCC, ZERO_OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
-OFFSETS = offsets_view(ZERO_OFFSETS)
+OFFSETS = DenseOffsets(ZERO_OFFSETS)
 THING = np.zeros((2, 2, 2), bool)
 THING[1, 0, 1] = True
-NAN_AT_THING = offsets_view(np.where(THING[..., None], np.nan, ZERO_OFFSETS))
+NAN_AT_THING = DenseOffsets(np.where(THING[..., None], np.nan, ZERO_OFFSETS))
 
 
 def loss_3d_with(**inputs):
@@ -222,7 +221,7 @@ def test_losses_reject_inputs_of_different_shapes(case):
 
 
 def test_loss3d_reads_offsets_at_the_thing_cells_only():
-    off_things = offsets_view(np.where(THING[..., None], ZERO_OFFSETS, np.nan))
+    off_things = DenseOffsets(np.where(THING[..., None], ZERO_OFFSETS, np.nan))
     rep = loss_3d_with(offsets_pred=off_things, offsets_gt=off_things)()
     assert rep.terms["offset_l1"] == 0.0
 
@@ -345,11 +344,6 @@ def zero_loss_inputs(scene):
     return sem, priors.offsets3d, occ, tsdf, thing
 
 
-def shifted_offsets(offsets, scene, delta):
-    """`offsets` densified on the scene's frame, plus `delta` at every cell."""
-    return offsets_view(offsets.dense(scene.frame.shape) + delta)
-
-
 def test_loss3d_ground_truth_near_zero(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     sem = rows_of(sem)
@@ -361,7 +355,7 @@ def test_loss3d_term_isolation(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     sem = rows_of(sem)
     base = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
-    shifted = loss_3d(sem, shifted_offsets(offs, small_scene, 1.0), occ, tsdf,
+    shifted = loss_3d(sem, DenseOffsets(offs.dense() + 1.0), occ, tsdf,
                       small_scene.volume.semantics, offs, occ, tsdf, thing)
     # offsets have 2 channels, so +1 on each adds 2 per thing cell
     assert shifted.terms["offset_l1"] == pytest.approx(2.0)
@@ -422,17 +416,26 @@ def test_loss3d_rejects_bad_sem_gt(small_scene, bad):
         loss_3d(rows_of(sem), offs, occ, tsdf, sem_gt, offs, occ, tsdf, thing)
 
 
-@pytest.mark.parametrize("shape", ["channels-only", "one-channel", "other-grid"])
+@pytest.mark.parametrize("shape", ["channels-only", "one-channel", "other-grid",
+                                   "record-of-another-grid"])
 @pytest.mark.parametrize("field", ["offsets_pred", "offsets_gt"])
 def test_loss3d_rejects_offsets_of_the_wrong_shape(small_scene, field, shape):
-    # `loss_3d` reads offsets at cells; a dense array is shape-checked where it
-    # is wrapped for it
-    grid = small_scene.frame.shape
-    offs = zero_loss_inputs(small_scene)[1].dense(grid)
-    bad = {"channels-only": np.zeros(2), "one-channel": offs[..., :1],
-           "other-grid": offs[:, :-1]}[shape]
+    # offsets that another grid's array stands for: the record of another
+    # scene's thing cells, or a dense array of another shape
+    sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
+    if shape == "record-of-another-grid":
+        bad = derive_priors(seeded_scenes(1, width=16, height=16, planes=16)[0]).offsets3d
+    else:
+        dense = offs.dense()
+        bad = DenseOffsets({"channels-only": np.zeros(2), "one-channel": dense[..., :1],
+                            "other-grid": dense[:, :-1]}[shape])
+    pred, gt = (bad, offs) if field == "offsets_pred" else (offs, bad)
     with pytest.raises(LossError, match=f"^{field} shape"):
-        dense_offsets(field, bad, grid, LossError)
+        loss_3d(rows_of(sem), pred, occ, tsdf, small_scene.volume.semantics, gt, occ, tsdf,
+                thing)
+    # a dense array enters only through DenseOffsets
+    with pytest.raises(LossError, match=f"^{field} must map flat cells"):
+        loss_3d_with(**{field: ZERO_OFFSETS})()
 
 
 # Each weight and the report terms it scales.
@@ -456,7 +459,7 @@ def test_each_weight_scales_exactly_its_own_terms(small_scene, field):
     def reports(weights):
         report2d = loss_panoptic2d(np.clip(priors.semantics, 0.2, 0.8), priors.semantics,
                                    0.5 * priors.heatmap, priors.heatmap, weights)
-        report3d = loss_3d(sem_pred, shifted_offsets(offs, small_scene, 1.0), occ_pred, -tsdf,
+        report3d = loss_3d(sem_pred, DenseOffsets(offs.dense() + 1.0), occ_pred, -tsdf,
                            labels, offs, occ, tsdf, thing, weights=weights)
         return {"p2d": report2d, "l3d": report3d}
 

@@ -212,8 +212,9 @@ def test_prq_frame_and_table_mismatch():
 
 def test_prq_memory_does_not_grow_with_the_category_table():
     # an 8^3 volume with 256 cells of categories 1-10, scored against itself under
-    # its 11-entry table and under a 2,000-entry one: only the categories present
-    # are numbered, so the long table costs no more and scores the same bits
+    # its 11-entry table and under a 2,000-entry one: the pair table stops at the
+    # largest category present, so the long table costs no more and scores the same
+    # bits
     frame = FrustumGrid(8, 8, 8)
     rng = np.random.default_rng(0)
     sem = np.zeros(frame.shape, np.int32)
@@ -408,7 +409,8 @@ def reference_table(pred, gt):
 
 
 # One category besides void, void alone, and stuff alone, next to ORACLE_CATS, and
-# a table long enough that `overlap_table` numbers only the categories present.
+# a 300-entry table, whose categories past the largest one present `overlap_table`
+# leaves out.
 TABLE_CATS = [ORACLE_CATS, CategoryTable((False, True)), CategoryTable((False, False)),
               CategoryTable((False,)), CategoryTable((False, False, False, False)),
               CategoryTable((False,) + tuple(k % 3 == 1 for k in range(1, 300)))]

@@ -12,11 +12,12 @@ from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     HEATMAP_SIGMA,
     MAX_CENTERS,
+    DenseOffsets,
     InstanceCenter,
     Priors2D,
     PriorsError,
     SceneGT,
-    dense_offsets,
+    checked_offsets,
     derive_instance_map2d,
     derive_priors,
     encode_center_heatmap,
@@ -273,17 +274,16 @@ def test_derive_priors_stays_below_its_memory_bound():
 
 def test_offsets_trivials():
     scene = make_scene(((3, 3, 2), 3, 1))
-    offs = derive_priors(scene).offsets3d.dense(scene.frame.shape)
+    offs = derive_priors(scene).offsets3d.dense()
     assert tuple(offs[3, 3, 2]) == (0.0, 0.0)
     # two cells of one instance: the center is their midpoint (3, 3)
-    offs = derive_priors(make_scene(*(((3, u, 2), 3, 1) for u in (2, 4)))).offsets3d
-    offs = offs.dense(scene.frame.shape)
+    offs = derive_priors(make_scene(*(((3, u, 2), 3, 1) for u in (2, 4)))).offsets3d.dense()
     assert tuple(offs[3, 2, 2]) == (1.0, 0.0) and tuple(offs[3, 4, 2]) == (-1.0, 0.0)
 
 
 def test_offsets_point_at_centers(small_scene):
     priors = derive_priors(small_scene)
-    centers, offs = priors.centers, priors.offsets3d.dense(small_scene.frame.shape)
+    centers, offs = priors.centers, priors.offsets3d.dense()
     by_id = {c.instance_id: c for c in centers}
     inst = small_scene.volume.instances
     vs, us, ms = np.nonzero(inst > 0)
@@ -329,7 +329,7 @@ def test_thing_offsets_read_the_dense_scatter_bit_for_bit(seed, size, n_things, 
         rows = offsets(at)
         assert rows.dtype == np.float64 and rows.shape == (at.size, 2)
         assert rows.tobytes() == want.reshape(-1, 2)[at].tobytes()
-    dense = offsets.dense(scene.frame.shape)
+    dense = offsets.dense()
     assert dense.shape == want.shape and dense.tobytes() == want.tobytes()
 
 
@@ -339,16 +339,19 @@ def test_thing_offsets_of_a_scene_without_things():
     assert offsets.cells.size == 0 and offsets.rows.shape == (0, 2)
     every = np.arange(scene.volume.semantics.size)
     assert offsets(every).tobytes() == np.zeros((every.size, 2)).tobytes()
-    assert not offsets.dense(scene.frame.shape).any()
+    assert not offsets.dense().any()
 
 
 def test_dense_offsets_read_an_array_without_copying_it():
     array = np.random.default_rng(0).normal(size=(8, 8, 8, 2))
-    read = dense_offsets("offsets", array, (8, 8, 8))
+    read = DenseOffsets(array)
     array[1, 2, 3] = (5.0, 6.0)  # a write shows through: the reader holds no copy
     assert read(np.array([1 * 64 + 2 * 8 + 3])).tolist() == [[5.0, 6.0]]
+    assert read.shape == (8, 8, 8, 2) and checked_offsets("offsets", read, (8, 8, 8)) is read
     with pytest.raises(PriorsError, match=r"^offsets shape \(8, 8, 8, 2\) is not \(8, 8, 4, 2\)"):
-        dense_offsets("offsets", array, (8, 8, 4))
+        checked_offsets("offsets", read, (8, 8, 4))
+    with pytest.raises(PriorsError, match="^offsets must map flat cells"):
+        checked_offsets("offsets", array, (8, 8, 8))
 
 
 def test_instance_map2d_categories_match_per_id_scan():

@@ -204,11 +204,10 @@ def test_placement_failure_raises():
 def priors_digest(p):
     """sha256 of a bundle's arrays and center tuples; the multi-plane occupancy is
     hashed as float64, so the digest pins its values, not its storage, and the
-    offsets densified on the frustum frame, as `offsets3d.bin` stores them."""
+    offsets densified, as `offsets3d.bin` stores them."""
     centers = repr([(c.u, c.v, c.category, c.instance_id) for c in p.centers])
     return array_digest(p.depth, p.semantics, np.asarray(p.mp_occupancy, dtype=np.float64),
-                        p.heatmap, p.offsets3d.dense(np.shape(p.mp_occupancy)),
-                        extra=centers.encode())
+                        p.heatmap, p.offsets3d.dense(), extra=centers.encode())
 
 
 PRIOR_FIELDS = ("depth", "semantics", "mp_occupancy", "heatmap", "centers", "offsets3d")
