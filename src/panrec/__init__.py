@@ -31,7 +31,6 @@ from .losses import (
 from .metrics import PrqReport, Segment, extract_segments, iou, match_segments, prq
 from .pipeline import reconstruct_from_priors
 from .priors import (
-    DenseOffsets,
     InstanceCenter,
     Priors2D,
     SceneGT,

@@ -24,7 +24,7 @@ from .losses import (
 from .mesh import export_obj
 from .metrics import prq
 from .pipeline import reconstruct_from_priors
-from .priors import (DenseOffsets, Priors2D, SceneGT, checked_centers, derive_instance_map2d,
+from .priors import (Priors2D, SceneGT, ThingOffsets, checked_centers, derive_instance_map2d,
                      derive_priors)
 from .reconstruction import ReconstructionError, identity_refine, reconstruct
 from .synth import NoiseSpec, SynthConfig, generate_scene, perturb_priors
@@ -86,14 +86,14 @@ def _load_scene(scene_dir: Path):
 
 
 def _load_priors(priors_dir: Path, offsets: bool):
-    """A prior bundle (offsets3d only if `offsets`, a `DenseOffsets`) and the
+    """A prior bundle (offsets3d, `ThingOffsets.of` its file, only if `offsets`) and the
     (path, container) pair of its semantics, whose header every prior file shares."""
     names = ("semantics2d", "depth", "heatmap", "mp_occupancy") + ("offsets3d",) * offsets
     manifest, read = _read_dir(priors_dir, *names)
     semantics, depth, heatmap, mp_occupancy, *offsets3d = (cont.array for _path, cont in read)
     priors = Priors2D(semantics=semantics, depth=depth, centers=manifest.centers,
                       heatmap=heatmap, mp_occupancy=mp_occupancy,
-                      offsets3d=DenseOffsets(offsets3d[0]) if offsets else None)
+                      offsets3d=ThingOffsets.of(offsets3d[0]) if offsets else None)
     return priors, read[0]
 
 
@@ -208,7 +208,7 @@ def group(features_path, priors_dir, out_path, occ_threshold, mesh_path):
               f"{len(categories)} categories in the priors' manifest")
     lifted = FeatureVolume(features.frame, features.array, occ.array)
     try:
-        refined = identity_refine(lifted, DenseOffsets(offsets.array))
+        refined = identity_refine(lifted, ThingOffsets.of(offsets.array))
     except ReconstructionError as exc:  # it names features or occupancy first
         _fail(f"{features_path if str(exc).startswith('features') else occ_path}: {exc}")
     volume = reconstruct(refined, centers, intr, categories, occ_threshold)

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import PanrecError
-from .priors import checked, checked_offsets
+from .priors import ThingOffsets, checked, checked_offsets
 
 EPS = 1e-7
 
@@ -161,11 +161,11 @@ def tsdf_from_occupancy(occupancy: np.ndarray, truncation: float = TRUNCATION) -
 
 def loss_3d(
     sem_pred: Callable,
-    offsets_pred: Callable,
+    offsets_pred: ThingOffsets,
     occ_pred: np.ndarray,
     tsdf_pred: np.ndarray,
     sem_gt: np.ndarray,
-    offsets_gt: Callable,
+    offsets_gt: ThingOffsets,
     occ_gt: np.ndarray,
     tsdf_gt: np.ndarray,
     thing_mask: np.ndarray,
@@ -177,8 +177,8 @@ def loss_3d(
     `sem_gt` is the integer label volume, `sem_pred` a function from flat cell
     indices to their (N, C) score rows (`lifting.lift_priors`); the semantic
     term is the one-hot cross entropy without its zero terms. `thing_mask`
-    marks occupied thing cells. Both offsets map flat cells to their (N, 2) rows
-    (`priors.ThingOffsets` or `DenseOffsets`), cover `occ_gt.shape + (2,)` and are
+    marks occupied thing cells. Both offsets are `priors.ThingOffsets` (flat cells
+    -> their (N, 2) rows), cover `occ_gt.shape + (2,)` and are
     finite at the thing cells, every other volume is `occ_gt.shape`, and a
     misshaped input raises LossError naming it. Both TSDFs are
     `tsdf_from_occupancy` at TRUNCATION, the L1 term's band.

@@ -53,6 +53,15 @@ class ThingOffsets:
     rows: np.ndarray
     shape: tuple
 
+    @classmethod
+    def of(cls, array) -> ThingOffsets:
+        """The record of a dense grid + (2,) `array`: the cells whose row is not
+        (0, 0), NaN and inf included, their rows, and `array.shape`."""
+        array = np.asarray(array, dtype=np.float64)
+        rows = array.reshape(-1, array.shape[-1])
+        cells = np.unique(np.flatnonzero(rows != 0) // rows.shape[-1])
+        return cls(cells, rows[cells], array.shape)
+
     def __call__(self, cells) -> np.ndarray:
         cells = np.asarray(cells, dtype=np.intp)
         at = np.searchsorted(self.cells, cells)
@@ -69,42 +78,26 @@ class ThingOffsets:
         return out
 
 
-@dataclass(frozen=True)
-class DenseOffsets:
-    """The interface of `ThingOffsets` over a dense grid + (2,) `array`, without
-    copying it: called with flat cells, it returns their rows."""
-
-    array: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.array.shape
-
-    def __call__(self, cells) -> np.ndarray:
-        return self.array.reshape(-1, 2)[cells]
-
-
 def checked_offsets(field: str, offsets, grid, error: type = PriorsError):
-    """`offsets` after checking that it reads the rows of `grid`'s cells: that it
-    is callable and its `shape` is grid + (2,). Raises `error` naming `field`."""
-    if not callable(offsets):
-        raise error(f"{field} must map flat cells to their (N, 2) rows (see DenseOffsets)")
-    if (shape := getattr(offsets, "shape", None)) != tuple(grid) + (2,):
-        raise error(f"{field} shape {shape} is not {tuple(grid) + (2,)}")
+    """`offsets` after checking that it is a `ThingOffsets` of shape grid + (2,).
+    Raises `error` naming `field`."""
+    if not isinstance(offsets, ThingOffsets):
+        raise error(f"{field} must map flat cells to their (N, 2) rows (see ThingOffsets.of)")
+    if offsets.shape != tuple(grid) + (2,):
+        raise error(f"{field} shape {offsets.shape} is not {tuple(grid) + (2,)}")
     return offsets
 
 
 @dataclass
 class Priors2D:
-    """The four 2D priors plus 3D offset targets: thing-cell rows in process (or a
-    `DenseOffsets` over a dense array), dense only in `offsets3d.bin`."""
+    """The four 2D priors plus 3D offset targets: a `ThingOffsets`, dense in `offsets3d.bin`."""
 
     semantics: np.ndarray        # (H, W, C) probabilities, one-hot when GT-derived
     depth: np.ndarray            # (H, W) meters, 0 = no surface along the ray
     centers: list                # list[InstanceCenter]
     heatmap: np.ndarray          # (H, W) in [0, 1]
     mp_occupancy: np.ndarray     # (H, W, M) bool or real in [0, 1], bool when GT-derived
-    offsets3d: ThingOffsets | DenseOffsets = None  # pixel offsets toward 2D centers
+    offsets3d: ThingOffsets = None  # pixel offsets toward 2D centers
 
     def validate(self, frame, intrinsics: CameraIntrinsics, planes: DepthPlanes) -> Priors2D:
         """The bundle, after checking that it can be lifted into `frame`; raises

@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, PanrecError, project_cells
 from .lifting import FeatureVolume, scores_to_labels
-from .priors import checked, checked_offsets
+from .priors import ThingOffsets, checked, checked_offsets
 from .volume import VOID, CategoryTable, PanopticVolume
 
 
@@ -25,21 +25,20 @@ class Refined3D:
     `occupied(t)` lists in ascending order the flat cells of occupancy >= t and
     their occupancy; `labels(cells)` labels cells by their score rows gated by
     their occupancy. Both are `lifting.lift_priors`', or `identity_refine`'s
-    dense threshold and row reduction. `offsets(cells)` gives the cells' rows and
-    covers the frame: a `priors.ThingOffsets` (thing-cell rows) in process, a
-    `priors.DenseOffsets` over `offsets3d.bin` in `panrec group`.
+    dense threshold and row reduction. `offsets`, a `priors.ThingOffsets` of the
+    frame, gives the cells' rows; `panrec group` reads it from `offsets3d.bin`.
     """
 
     frame: object
     labels: Callable        # cells -> (N,) int32 labels
-    offsets: Callable       # cells -> (N, 2) float64 (du, dv)
+    offsets: ThingOffsets   # cells -> (N, 2) float64 (du, dv)
     occupied: Callable      # t -> (cells, occupancy in [0, 1] at the cells)
 
     def __post_init__(self):
         checked_offsets("offsets", self.offsets, self.frame.shape, ReconstructionError)
 
 
-def identity_refine(lifted: FeatureVolume, offsets: Callable) -> Refined3D:
+def identity_refine(lifted: FeatureVolume, offsets: ThingOffsets) -> Refined3D:
     """Pack a lifted volume with externally provided offsets.
 
     Stand-in hook for a learned 3D refinement stage; values pass through
@@ -89,7 +88,7 @@ class Things:
 
 
 def group_instances(cells: np.ndarray, labels: np.ndarray, gate: np.ndarray,
-                    offsets: Callable, centers, frame, intrinsics: CameraIntrinsics,
+                    offsets: ThingOffsets, centers, frame, intrinsics: CameraIntrinsics,
                     categories: CategoryTable) -> Things:
     """Assign each occupied thing cell to the nearest same-category 2D center.
 

@@ -97,6 +97,13 @@ class SynthConfig:
         return DepthPlanes(count=self.planes)
 
 
+def _generators(field: str, seed, n: int) -> list:
+    """`n` PCG64 generators spawned from `seed`, an integer >= 0 (not a bool), or SynthError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SynthError(f"{field} must be an integer >= 0, got {seed!r}")
+    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
 def _rasterize_box(rng, w, h, m_count):
     wu = int(rng.integers(3, max(_BOX_SIDE, min(w // 4, 14)) + 1))
     wv = int(rng.integers(3, max(_BOX_SIDE, min(h // 4, 14)) + 1))
@@ -143,8 +150,7 @@ def generate_scene(cfg: SynthConfig):
     semantics = np.zeros(frame.shape, dtype=np.int32)
     instances = np.zeros(frame.shape, dtype=np.int32)
     claimed = np.zeros((cfg.height, cfg.width), dtype=bool)
-    root = np.random.SeedSequence(cfg.seed)
-    placement_rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
+    [placement_rng] = _generators("seed", cfg.seed, 1)
     centers = []
     for inst_id in range(1, cfg.n_things + 1):
         for _attempt in range(MAX_ATTEMPTS):
@@ -204,8 +210,7 @@ def perturb_priors(
     magnitude corrupts are copied, the occupancy flip into a float64 copy of a bool
     or real `mp_occupancy`; the rest, always `offsets3d` (thing-cell rows in
     process, dense only in `offsets3d.bin`), are the input's own."""
-    streams = np.random.SeedSequence(seed).spawn(4)
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+    rngs = _generators("noise seed", seed, 4)
     changed = {}
     if noise.depth_sigma > 0:
         depth = changed["depth"] = priors.depth.copy()

@@ -17,7 +17,7 @@ from panrec.losses import (
 )
 from panrec.metrics import extract_segments, match_segments, prq
 from panrec.pipeline import reconstruct_from_priors
-from panrec.priors import DenseOffsets, derive_instance_map2d, derive_priors
+from panrec.priors import ThingOffsets, derive_instance_map2d, derive_priors
 from panrec.reconstruction import (
     assemble_panoptic,
     group_instances,
@@ -159,7 +159,7 @@ def test_criterion_3_closed_form_losses():
         "occupancy_bce": dict(occ_pred=np.clip(occ, 0.2, 0.8)),
         "tsdf_l1": dict(tsdf_pred=np.clip(tsdf + 0.5, -3, 3)),
         "semantic_ce": dict(sem_pred=rows_of(np.full_like(sem, 1 / sem.shape[-1]))),
-        "offset_l1": dict(offsets_pred=DenseOffsets(priors.offsets3d.dense() + 1.0)),
+        "offset_l1": dict(offsets_pred=ThingOffsets.of(priors.offsets3d.dense() + 1.0)),
     }
     for target_term, kwargs in perturbations.items():
         args = dict(sem_pred=rows_of(sem), offsets_pred=priors.offsets3d, occ_pred=occ,

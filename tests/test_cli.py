@@ -223,19 +223,39 @@ def test_loss_command_zero_for_clean_priors(tmp_path):
     assert "p2d_total" in lines
 
 
-def test_loss_rejects_offsets_that_are_not_finite_at_the_thing_cells(tmp_path, monkeypatch,
-                                                                     capsys):
-    scene, priors, _, _ = build_chain(tmp_path)
+def write_nan_offsets(scene, priors, at_things):
+    """Overwrite the bundle's offsets3d.bin with NaN at the scene's thing cells
+    if `at_things`, else at every other cell."""
     categories = read_manifest(scene / "manifest.json").categories
     thing = containers.read_panoptic(scene / "panoptic.bin", categories).thing_mask()
     path = priors / "offsets3d.bin"
     cont = read_container(path, FILE_KINDS["offsets3d"])
     containers.write_container(path, FILE_KINDS["offsets3d"],
-                               np.where(thing[..., None], np.nan, cont.array), cont.frame,
-                               cont.intrinsics, cont.planes)
+                               np.where((thing == at_things)[..., None], np.nan, cont.array),
+                               cont.frame, cont.intrinsics, cont.planes)
+
+
+def test_loss_rejects_offsets_that_are_not_finite_at_the_thing_cells(tmp_path, monkeypatch,
+                                                                     capsys):
+    scene, priors, _, _ = build_chain(tmp_path)
+    write_nan_offsets(scene, priors, at_things=True)
     code, err = entry_result(monkeypatch, capsys, "loss", scene, priors)
     assert code == 1
     assert err.startswith("error: offsets_pred ") and err.count("\n") == 1, err
+
+
+def test_group_and_loss_read_offsets_at_the_thing_cells_only(tmp_path, monkeypatch, capsys):
+    scene, priors, feats, pred = build_chain(tmp_path)
+    record = tmp_path / "loss.txt"
+    run("loss", str(scene), str(priors), "--record", str(record))
+    written = pred.read_bytes(), record.read_bytes()
+    write_nan_offsets(scene, priors, at_things=False)
+    run("group", str(feats), str(priors), "--out", str(pred))
+    run("loss", str(scene), str(priors), "--record", str(record))
+    assert (pred.read_bytes(), record.read_bytes()) == written
+    write_nan_offsets(scene, priors, at_things=True)
+    code, err = group_error(monkeypatch, capsys, tmp_path, feats, priors)
+    assert code == 1 and err.startswith("error: offset-shifted positions are not finite "), err
 
 
 def test_mesh_export(tmp_path):
@@ -510,6 +530,17 @@ def test_derive_priors_rejects_a_depth_sigma_that_is_not_finite(tmp_path, monkey
                              tmp_path / "p", "--depth-sigma", value)
     assert (code, err) == (1, "error: noise magnitudes must be finite and nonnegative\n")
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("command, option, field", [("synth", "--seed", "seed"),
+                                                   ("derive-priors", "--noise-seed", "noise seed")])
+def test_a_negative_seed_is_one_error_line_naming_it(tmp_path, monkeypatch, capsys, command,
+                                                     option, field):
+    args = {"synth": ["synth"], "derive-priors": ["derive-priors", small_scene_dir(tmp_path)]}
+    code, err = entry_result(monkeypatch, capsys, *args[command], "--out", tmp_path / "out",
+                             option, "-1")
+    assert (code, err) == (1, f"error: {field} must be an integer >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["eval-pred", "eval-gt", "derive-priors", "loss"])

@@ -30,7 +30,6 @@ from panrec.losses import tsdf_from_occupancy
 from panrec.mesh import _CHUNK, _digit_table, _write_lines, export_obj
 from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
-    DenseOffsets,
     PriorsError,
     ThingOffsets,
     derive_instance_map2d,
@@ -621,7 +620,7 @@ def test_the_lift_does_not_depend_on_how_mp_occupancy_is_stored(case, data):
 
     def outputs(mp):
         p = dataclasses.replace(priors, mp_occupancy=mp,
-                                offsets3d=DenseOffsets(np.zeros(frame.shape + (2,))))
+                                offsets3d=ThingOffsets.of(np.zeros(frame.shape + (2,))))
         occupied, rows, labels = lift_priors(p, frame, intrinsics, planes)
         fv = occupancy_aware_lift(p, frame, intrinsics, planes)
         with warnings.catch_warnings(record=True) as caught:

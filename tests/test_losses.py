@@ -29,7 +29,7 @@ from panrec.losses import (
     loss_panoptic2d,
     tsdf_from_occupancy,
 )
-from panrec.priors import DenseOffsets, derive_priors
+from panrec.priors import ThingOffsets, derive_priors
 from panrec.synth import NoiseSpec, perturb_priors
 from conftest import reference_occupancy_aware_lift, rows_of, seeded_scenes, traced_peak
 
@@ -180,10 +180,10 @@ def test_mp_occupancy_alias():
 # case -> (call, message): two inputs that must share a shape and do not, or
 # offsets that are not finite where they are read
 OCC, ZERO_OFFSETS = np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
-OFFSETS = DenseOffsets(ZERO_OFFSETS)
+OFFSETS = ThingOffsets.of(ZERO_OFFSETS)
 THING = np.zeros((2, 2, 2), bool)
 THING[1, 0, 1] = True
-NAN_AT_THING = DenseOffsets(np.where(THING[..., None], np.nan, ZERO_OFFSETS))
+NAN_AT_THING = ThingOffsets.of(np.where(THING[..., None], np.nan, ZERO_OFFSETS))
 
 
 def loss_3d_with(**inputs):
@@ -221,7 +221,7 @@ def test_losses_reject_inputs_of_different_shapes(case):
 
 
 def test_loss3d_reads_offsets_at_the_thing_cells_only():
-    off_things = DenseOffsets(np.where(THING[..., None], ZERO_OFFSETS, np.nan))
+    off_things = ThingOffsets.of(np.where(THING[..., None], ZERO_OFFSETS, np.nan))
     rep = loss_3d_with(offsets_pred=off_things, offsets_gt=off_things)()
     assert rep.terms["offset_l1"] == 0.0
 
@@ -355,7 +355,7 @@ def test_loss3d_term_isolation(small_scene):
     sem, offs, occ, tsdf, thing = zero_loss_inputs(small_scene)
     sem = rows_of(sem)
     base = loss_3d(sem, offs, occ, tsdf, small_scene.volume.semantics, offs, occ, tsdf, thing)
-    shifted = loss_3d(sem, DenseOffsets(offs.dense() + 1.0), occ, tsdf,
+    shifted = loss_3d(sem, ThingOffsets.of(offs.dense() + 1.0), occ, tsdf,
                       small_scene.volume.semantics, offs, occ, tsdf, thing)
     # offsets have 2 channels, so +1 on each adds 2 per thing cell
     assert shifted.terms["offset_l1"] == pytest.approx(2.0)
@@ -427,13 +427,13 @@ def test_loss3d_rejects_offsets_of_the_wrong_shape(small_scene, field, shape):
         bad = derive_priors(seeded_scenes(1, width=16, height=16, planes=16)[0]).offsets3d
     else:
         dense = offs.dense()
-        bad = DenseOffsets({"channels-only": np.zeros(2), "one-channel": dense[..., :1],
-                            "other-grid": dense[:, :-1]}[shape])
+        bad = ThingOffsets.of({"channels-only": np.zeros(2), "one-channel": dense[..., :1],
+                               "other-grid": dense[:, :-1]}[shape])
     pred, gt = (bad, offs) if field == "offsets_pred" else (offs, bad)
     with pytest.raises(LossError, match=f"^{field} shape"):
         loss_3d(rows_of(sem), pred, occ, tsdf, small_scene.volume.semantics, gt, occ, tsdf,
                 thing)
-    # a dense array enters only through DenseOffsets
+    # a dense array enters only through ThingOffsets.of
     with pytest.raises(LossError, match=f"^{field} must map flat cells"):
         loss_3d_with(**{field: ZERO_OFFSETS})()
 
@@ -459,7 +459,7 @@ def test_each_weight_scales_exactly_its_own_terms(small_scene, field):
     def reports(weights):
         report2d = loss_panoptic2d(np.clip(priors.semantics, 0.2, 0.8), priors.semantics,
                                    0.5 * priors.heatmap, priors.heatmap, weights)
-        report3d = loss_3d(sem_pred, DenseOffsets(offs.dense() + 1.0), occ_pred, -tsdf,
+        report3d = loss_3d(sem_pred, ThingOffsets.of(offs.dense() + 1.0), occ_pred, -tsdf,
                            labels, offs, occ, tsdf, thing, weights=weights)
         return {"p2d": report2d, "l3d": report3d}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from panrec.pipeline import reconstruct_from_priors
 from panrec.priors import (
     HEATMAP_SIGMA,
     MAX_CENTERS,
-    DenseOffsets,
     InstanceCenter,
     Priors2D,
     PriorsError,
     SceneGT,
+    ThingOffsets,
     checked_offsets,
     derive_instance_map2d,
     derive_priors,
@@ -342,16 +343,32 @@ def test_thing_offsets_of_a_scene_without_things():
     assert not offsets.dense().any()
 
 
-def test_dense_offsets_read_an_array_without_copying_it():
-    array = np.random.default_rng(0).normal(size=(8, 8, 8, 2))
-    read = DenseOffsets(array)
-    array[1, 2, 3] = (5.0, 6.0)  # a write shows through: the reader holds no copy
-    assert read(np.array([1 * 64 + 2 * 8 + 3])).tolist() == [[5.0, 6.0]]
-    assert read.shape == (8, 8, 8, 2) and checked_offsets("offsets", read, (8, 8, 8)) is read
-    with pytest.raises(PriorsError, match=r"^offsets shape \(8, 8, 8, 2\) is not \(8, 8, 4, 2\)"):
-        checked_offsets("offsets", read, (8, 8, 4))
+# every kind of offset value, -0.0 and the non-finite ones included
+OFFSET_VALUES = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(array=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5).map(
+    lambda shape: shape + (2,)), elements=OFFSET_VALUES), data=st.data())
+def test_thing_offsets_of_an_array_read_its_rows(array, data):
+    offsets = ThingOffsets.of(array)
+    rows = array.reshape(-1, 2)
+    drawn = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=32))
+    for at in (np.asarray(drawn, dtype=np.intp), np.arange(len(rows))):
+        # NaN in the same places; a -0.0 reads as 0.0, which equals it
+        np.testing.assert_array_equal(offsets(at), rows[at])
+    kept = ~((array == 0) & np.signbit(array))
+    dense = offsets.dense()
+    assert dense.shape == array.shape and dense[kept].tobytes() == array[kept].tobytes()
+    grid = array.shape[:-1]
+    assert checked_offsets("offsets", offsets, grid) is offsets
+    with pytest.raises(PriorsError, match=rf"^offsets shape {re.escape(str(array.shape))} is not"):
+        checked_offsets("offsets", offsets, grid + (1,))
+    # a single channel, of an odd cell count too, is rejected by its shape
+    with pytest.raises(PriorsError, match=r"^offsets shape \(.*, 1\) is not"):
+        checked_offsets("offsets", ThingOffsets.of(array[..., :1]), grid)
     with pytest.raises(PriorsError, match="^offsets must map flat cells"):
-        checked_offsets("offsets", array, (8, 8, 8))
+        checked_offsets("offsets", array, grid)
 
 
 def test_instance_map2d_categories_match_per_id_scan():

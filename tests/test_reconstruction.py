@@ -28,10 +28,10 @@ from panrec.metrics import prq
 from panrec.pipeline import reconstruct_from_priors
 from panrec import lifting
 from panrec.priors import (
-    DenseOffsets,
     InstanceCenter,
     Priors2D,
     PriorsError,
+    ThingOffsets,
     derive_priors,
     extract_centers,
 )
@@ -70,7 +70,7 @@ def make_refined(sem=None, offs=None, occ=None):
     return Refined3D(
         frame=FRAME,
         labels=labels_of(np.zeros(shape + (4,)) if sem is None else sem, occ),
-        offsets=DenseOffsets(np.zeros(shape + (2,)) if offs is None else offs),
+        offsets=ThingOffsets.of(np.zeros(shape + (2,)) if offs is None else offs),
         occupied=occupied_of(occ),
     )
 
@@ -126,7 +126,7 @@ def group(labels, offsets, centers, frame=FRAME, gate=1.0):
     same gate, its result scattered back into (semantics, instances) volumes."""
     cells = np.flatnonzero(labels)
     things = group_instances(cells, labels.reshape(-1)[cells], np.full(cells.size, gate),
-                             DenseOffsets(offsets), centers, frame, INTR, CATS)
+                             ThingOffsets.of(offsets), centers, frame, INTR, CATS)
     assert np.array_equal(things.cells, cells[np.asarray(CATS.is_thing)[labels.ravel()[cells]]])
     out = SimpleNamespace(semantics=np.zeros(frame.shape, np.int32),
                           instances=np.zeros(frame.shape, np.int32))
@@ -314,7 +314,7 @@ def test_identity_refine_passthrough_and_errors():
     rng = np.random.default_rng(4)
     occ = rng.uniform(0.1, 1.0, FRAME.shape)
     fv = FeatureVolume(frame=FRAME, features=rng.random(FRAME.shape + (4,)), occupancy=occ)
-    offs = DenseOffsets(np.zeros(FRAME.shape + (2,)))
+    offs = ThingOffsets.of(np.zeros(FRAME.shape + (2,)))
     refined = identity_refine(fv, offs)
     # the features pass through: the labels are the argmax of their rows gated
     # by the cells' occupancy
@@ -328,7 +328,7 @@ def test_identity_refine_passthrough_and_errors():
     assert np.array_equal(gate, occ[occ >= 0.25])
     assert refined.occupied(np.nextafter(occ.max(), 1.0))[0].size == 0
     with pytest.raises(ReconstructionError, match=r"^offsets shape \(2, 2, 2, 2\)"):
-        identity_refine(fv, DenseOffsets(np.zeros((2, 2, 2, 2))))
+        identity_refine(fv, ThingOffsets.of(np.zeros((2, 2, 2, 2))))
     with pytest.raises(ReconstructionError, match="^offsets must map flat cells"):
         identity_refine(fv, np.zeros(FRAME.shape + (2,)))
     with pytest.raises(ReconstructionError, match="^occupancy shape"):
@@ -384,7 +384,7 @@ def test_identity_refine_accepts_every_lift_of_a_valid_bundle(seed, width, heigh
     priors = dataclasses.replace(priors, semantics=priors.semantics * 2.0**k)
     frame = GOLDEN_AXES["32"] if axis else scene.frame
     fv = occupancy_aware_lift(priors, frame, scene.intrinsics, scene.planes)
-    identity_refine(fv, DenseOffsets(np.zeros(frame.shape + (2,))))
+    identity_refine(fv, ThingOffsets.of(np.zeros(frame.shape + (2,))))
 
 
 def test_zero_occupancy_source_gives_empty_reconstruction(small_scene):
@@ -552,7 +552,7 @@ def label_first_cases(draw):
                                           draw(st.integers(0, h - 1)),
                                           int(k), len(centers) + 1))
     priors = Priors2D(semantics=sem, depth=depth, centers=centers,
-                      heatmap=np.zeros((h, w)), mp_occupancy=mp, offsets3d=DenseOffsets(offsets))
+                      heatmap=np.zeros((h, w)), mp_occupancy=mp, offsets3d=ThingOffsets.of(offsets))
     return (priors, frame, intrinsics, planes, CategoryTable(is_thing), threshold,
             draw(st.booleans()))
 
@@ -574,7 +574,7 @@ def test_label_first_keeps_the_double_occupancy_product():
     priors = Priors2D(semantics=sem.reshape(1, 1, 3), depth=np.full((1, 1), 1.0),
                       centers=[], heatmap=np.zeros((1, 1)),
                       mp_occupancy=np.full((1, 1, 1), o),
-                      offsets3d=DenseOffsets(np.zeros((1, 1, 1, 2))))
+                      offsets3d=ThingOffsets.of(np.zeros((1, 1, 1, 2))))
     out = assert_label_first_matches_dense(priors, FrustumGrid(1, 1, 1), intrinsics,
                                            planes, CategoryTable((False,) * 3), 0.5)
     assert out.semantics[0, 0, 0] == 1
@@ -621,7 +621,7 @@ def test_label_first_matches_dense_on_noisy_scenes(occ_threshold):
         args = (scene.intrinsics, scene.planes, scene.categories, occ_threshold)
         out = assert_label_first_matches_dense(priors, scene.frame, *args)
         assert out.instances.any()
-        priors.offsets3d = DenseOffsets(rng.normal(size=axis.shape + (2,)))
+        priors.offsets3d = ThingOffsets.of(rng.normal(size=axis.shape + (2,)))
         out = assert_label_first_matches_dense(priors, axis, *args)
         assert out.instances.any()
 
@@ -682,7 +682,7 @@ def test_group_rejects_thing_cells_behind_the_camera():
 def test_reconstruct_rejects_all_nan_offsets():
     scene = seeded_scenes(1, width=16, height=16, planes=16)[0]
     priors = derive_priors(scene)
-    priors.offsets3d = DenseOffsets(np.full(scene.frame.shape + (2,), np.nan))
+    priors.offsets3d = ThingOffsets.of(np.full(scene.frame.shape + (2,), np.nan))
     with pytest.raises(ReconstructionError, match="offsets"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                 scene.categories)
@@ -694,7 +694,7 @@ def test_reconstruct_rejects_offsets_of_the_wrong_shape():
     h, w, m = scene.frame.shape
     dense = priors.offsets3d.dense()
     for shape in [(h, w, m // 2, 4), (h, w, 2 * m, 1), (h, w * m, 2)]:
-        priors.offsets3d = DenseOffsets(dense.reshape(shape))
+        priors.offsets3d = ThingOffsets.of(dense.reshape(shape))
         with pytest.raises(ReconstructionError, match="offsets shape"):
             reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,
                                     scene.categories)
@@ -703,7 +703,7 @@ def test_reconstruct_rejects_offsets_of_the_wrong_shape():
     with pytest.raises(ReconstructionError, match=r"^offsets shape \(32, 32, 32, 2\)"):
         reconstruct_from_priors(priors, GOLDEN_AXES["32"], scene.intrinsics, scene.planes,
                                 scene.categories)
-    # a dense array enters only through DenseOffsets
+    # a dense array enters only through ThingOffsets.of
     priors.offsets3d = dense
     with pytest.raises(ReconstructionError, match="^offsets must map flat cells"):
         reconstruct_from_priors(priors, scene.frame, scene.intrinsics, scene.planes,

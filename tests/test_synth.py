@@ -43,6 +43,14 @@ def test_config_names_what_it_rejects(field, value, message):
         SynthConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_a_seed_that_is_not_an_integer_at_least_0_is_named(small_priors, small_scene, seed):
+    with pytest.raises(SynthError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        generate_scene(SynthConfig(seed=seed))
+    with pytest.raises(SynthError, match=f"^noise seed must be an integer >= 0, got {seed!r}$"):
+        perturb_priors(small_priors, NoiseSpec(), seed, small_scene.planes)
+
+
 @pytest.mark.parametrize("dims, field", [
     ((4, 4, 4), "width"),
     ((5, 32, 32), "width"),
